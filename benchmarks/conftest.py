@@ -9,6 +9,8 @@ regenerated tables next to the paper's reference values.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.analysis.figures import PaperFigures, paper_figures_7_to_11
@@ -18,6 +20,11 @@ from repro.trace.driver import EvaluationResult, run_paper_evaluation
 #: simulates (the index RAM budget scales with it, preserving ratios).
 SCALE = 0.004
 SESSIONS = 10
+
+#: ``BENCH_SMOKE=1`` runs every scale-sensitive bench (fleet, fleet
+#: scale, delta, stat cache, durability, chunker head-to-head, pipeline,
+#: service) in its down-scaled CI configuration.
+SMOKE = bool(int(os.environ.get("BENCH_SMOKE", "0")))
 
 
 @pytest.fixture(scope="session")

@@ -12,15 +12,14 @@ Part 2 races every CDC-family boundary engine (Rabin, Gear, FastCDC,
 SeqCDC — see docs/CHUNKING.md) on one versioned-document workload and
 reports scan throughput next to the dedup ratio each engine achieves,
 so a speedup that silently wrecks the paper's metric is caught here.
-Set ``CHUNKER_BENCH_SMOKE=1`` to shrink the corpus for CI smoke runs.
+Set ``BENCH_SMOKE=1`` to shrink the corpus for CI smoke runs.
 """
 
 import hashlib
-import os
 import time
 
 import numpy as np
-from conftest import SCALE, emit
+from conftest import SCALE, SMOKE, emit
 
 from repro.chunking import CDC_FAMILY
 from repro.chunking.base import get_chunker
@@ -92,7 +91,6 @@ def test_adaptive_vs_fixed_chunking(benchmark, workload_snapshots):
 # ---------------------------------------------------------------------------
 # Fast-chunker head-to-head: scan throughput vs dedup ratio per engine.
 
-_SMOKE = os.environ.get("CHUNKER_BENCH_SMOKE") == "1"
 
 
 def _versioned_documents(docs, sessions, doc_kib, seed=2011):
@@ -148,7 +146,7 @@ def _race_chunker(chunker, buffers):
 def test_chunker_head_to_head():
     """Gear/FastCDC must beat the vectorized Rabin scan without giving
     up more than 5% dedup ratio; SeqCDC rides along for scale."""
-    if _SMOKE:
+    if SMOKE:
         versions = _versioned_documents(docs=3, sessions=4, doc_kib=128)
     else:
         versions = _versioned_documents(docs=4, sessions=6, doc_kib=1024)

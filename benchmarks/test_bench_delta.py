@@ -11,15 +11,14 @@ style claims the stage must honour:
 * every delta-enabled session restores bit-identically;
 * the store passes a full scrub (zero findings) afterwards.
 
-Set ``DELTA_BENCH_SMOKE=1`` to run a down-scaled configuration (CI).
+Set ``BENCH_SMOKE=1`` to run a down-scaled configuration (CI).
 """
 
 from __future__ import annotations
 
-import os
 
 import numpy as np
-from conftest import emit
+from conftest import SMOKE, emit
 
 from repro.cloud.memory import InMemoryBackend
 from repro.core.backup import BackupClient
@@ -30,7 +29,6 @@ from repro.core.source import MemorySource
 from repro.metrics import Table
 from repro.util.units import format_bytes
 
-SMOKE = bool(int(os.environ.get("DELTA_BENCH_SMOKE", "0")))
 DOCS = 4 if SMOKE else 12
 SESSIONS = 3 if SMOKE else 5
 DOC_KIB = 32 if SMOKE else 96

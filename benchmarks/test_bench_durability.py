@@ -21,15 +21,14 @@ rebuilds every lost copy from survivors (the reported **repair
 traffic**), a second scrub comes back clean, and a GC pass sweeps
 nothing it should not (zero orphaned replicas, still clean).
 
-Set ``DURABILITY_BENCH_SMOKE=1`` to run a down-scaled configuration
+Set ``BENCH_SMOKE=1`` to run a down-scaled configuration
 (CI).
 """
 
 from __future__ import annotations
 
-import os
 
-from conftest import emit
+from conftest import SMOKE, emit
 
 from repro.cloud import NamespacedBackend
 from repro.core import RestoreClient, aa_dedupe_config, collect_garbage
@@ -42,7 +41,6 @@ from repro.fleet import FleetService, synthetic_fleet_sources
 from repro.metrics import Table
 from repro.util.units import KIB, format_bytes
 
-SMOKE = bool(int(os.environ.get("DURABILITY_BENCH_SMOKE", "0")))
 CLIENTS = 3 if SMOKE else 6
 SESSIONS = 2 if SMOKE else 3
 SEED = 2011

@@ -1,7 +1,7 @@
 """Fleet bench — cross-client dedup and directory load at fleet scale.
 
 Drives a fleet of concurrent AA-Dedupe clients (8 by default; 4 in
-smoke mode, see ``FLEET_BENCH_SMOKE``) against **one shared backend**
+smoke mode, see ``BENCH_SMOKE``) against **one shared backend**
 through :class:`repro.fleet.FleetService` and reports:
 
 * **aggregate goodput** — fleet logical bytes protected per second of
@@ -17,15 +17,14 @@ Determinism is asserted the hard way: the whole fleet run is executed
 twice (different thread-pool sizes) and every simulation output must
 match bit-for-bit.
 
-Set ``FLEET_BENCH_SMOKE=1`` to run a down-scaled configuration (CI).
+Set ``BENCH_SMOKE=1`` to run a down-scaled configuration (CI).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict
 
-from conftest import emit
+from conftest import SMOKE, emit
 
 from repro.fleet import FleetService, synthetic_fleet_sources
 from repro.index.disk import DiskIndex
@@ -33,7 +32,6 @@ from repro.metrics import Table
 from repro.obs import Tracer
 from repro.util.units import format_bytes
 
-SMOKE = bool(int(os.environ.get("FLEET_BENCH_SMOKE", "0")))
 CLIENTS = 4 if SMOKE else 8
 SESSIONS = 2 if SMOKE else 3
 FILE_KIB = 12 if SMOKE else 16

@@ -1,7 +1,7 @@
 """Fleet-scale directory bench — the million-client tiers under load.
 
 Drives the global dedup directory with **100+ simulated clients**
-(24 in smoke mode, see ``FLEET_SCALE_BENCH_SMOKE``) probing and
+(24 in smoke mode, see ``BENCH_SMOKE``) probing and
 publishing through per-``(client, app)`` :class:`~repro.fleet.FleetIndex`
 fronts in waves, the same epoch-barrier protocol the full
 :class:`~repro.fleet.FleetService` uses — but without spinning up 100
@@ -24,16 +24,15 @@ disk model.  Rebalance determinism is asserted the hard way: the
 scaled arm runs twice with different thread-pool sizes and the
 committed content of every shard must be identical.
 
-Set ``FLEET_SCALE_BENCH_SMOKE=1`` for the down-scaled CI configuration.
+Set ``BENCH_SMOKE=1`` for the down-scaled CI configuration.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from concurrent.futures import ThreadPoolExecutor
 
-from conftest import emit
+from conftest import SMOKE, emit
 
 from repro.fleet import FleetIndex, GlobalDedupDirectory
 from repro.index import IndexEntry
@@ -42,7 +41,6 @@ from repro.metrics import Table
 from repro.obs import Tracer
 from repro.simulate.diskmodel import PAPER_DISK
 
-SMOKE = bool(int(os.environ.get("FLEET_SCALE_BENCH_SMOKE", "0")))
 CLIENTS = 24 if SMOKE else 120
 WAVES = 4
 ROUNDS = 2

@@ -12,15 +12,14 @@ tentpole claim — dedup CPU stages and WAN transfer run *concurrently*:
 * pipelining shrinks the session's wall clock vs the serial arm;
 * the pipelined store still restores every file bit-identically.
 
-Set ``PIPELINE_BENCH_SMOKE=1`` to run a down-scaled configuration (CI).
+Set ``BENCH_SMOKE=1`` to run a down-scaled configuration (CI).
 """
 
 from __future__ import annotations
 
-import os
 import time
 
-from conftest import emit
+from conftest import SMOKE, emit
 
 from repro.cloud.memory import InMemoryBackend
 from repro.core.backup import BackupClient
@@ -37,7 +36,6 @@ from repro.workloads import (
     snapshot_to_memory_source,
 )
 
-SMOKE = bool(int(os.environ.get("PIPELINE_BENCH_SMOKE", "0")))
 TOTAL_BYTES = (12 if SMOKE else 32) * MB
 SEED = 2011
 #: Throttle so one session's unique bytes upload in roughly a second —

@@ -9,12 +9,11 @@ the layer promises: bit-determinism across fresh invocations, every
 retained session restoring bit-exactly, and cross-job liveness (one
 job's retention never breaking another job's restores).
 
-Set ``SERVICE_BENCH_SMOKE=1`` to shrink the horizon/corpora for CI.
+Set ``BENCH_SMOKE=1`` to shrink the horizon/corpora for CI.
 """
 
-import os
 
-from conftest import emit
+from conftest import SMOKE, emit
 
 from repro.cloud import InMemoryBackend, NamespacedBackend
 from repro.core import RestoreClient
@@ -30,7 +29,6 @@ from repro.service import (
 from repro.service.spec import ServiceSpec
 from repro.util.units import format_bytes
 
-SMOKE = bool(int(os.environ.get("SERVICE_BENCH_SMOKE", "0")))
 DAY = 86400.0
 HORIZON = (2 if SMOKE else 7) * DAY
 FILES = 3 if SMOKE else 6

@@ -13,14 +13,13 @@ honour:
   session bit-identically;
 * the cached store passes a full scrub (zero findings) afterwards.
 
-Set ``STATCACHE_BENCH_SMOKE=1`` to run a down-scaled configuration (CI).
+Set ``BENCH_SMOKE=1`` to run a down-scaled configuration (CI).
 """
 
 from __future__ import annotations
 
-import os
 
-from conftest import emit
+from conftest import SMOKE, emit
 
 from repro.cloud.memory import InMemoryBackend
 from repro.core.backup import BackupClient
@@ -36,7 +35,6 @@ from repro.workloads import (
 )
 from repro.workloads.profiles import PAPER_PROFILES
 
-SMOKE = bool(int(os.environ.get("STATCACHE_BENCH_SMOKE", "0")))
 TOTAL_BYTES = (16 if SMOKE else 64) * MB
 SESSIONS = 2 if SMOKE else 3
 SEED = 2011

@@ -17,12 +17,12 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.chunking import CDC_FAMILY
 from repro.classify.filetype import classify_path
-from repro.classify.policy import AA_POLICY_TABLE, DedupPolicy
 from repro.cloud.pricing import PriceBook, S3_APRIL_2011
 from repro.cloud.wan import PAPER_WAN, WANLink
 from repro.core.options import aa_dedupe_config
+from repro.core.stats import SessionStats
+from repro.delta import DeltaStage
 from repro.util.io import walk_files
 from repro.util.units import KIB
 
@@ -67,7 +67,6 @@ class DedupEstimate:
 
 def estimate_directory(root: str | os.PathLike,
                        max_file_bytes: int = 64 * 1024 * 1024,
-                       tiny_threshold: int | None = None,
                        delta: bool = False) -> DedupEstimate:
     """Estimate AA-Dedupe's effect on a real directory.
 
@@ -77,47 +76,17 @@ def estimate_directory(root: str | os.PathLike,
     sub-file redundancy) and slightly pessimistic for VM images.
 
     With ``delta=True`` unique CDC/SC chunks additionally pass through
-    the similarity + delta stage (see :mod:`repro.delta`), predicting
-    what ``SchemeConfig(delta_compress=True)`` would save.
+    the engine's own :class:`~repro.delta.DeltaStage`, predicting what
+    ``SchemeConfig(delta_compress=True)`` would save.
     """
     config = aa_dedupe_config(delta_compress=delta)
-    threshold = (config.tiny_file_threshold if tiny_threshold is None
-                 else tiny_threshold)
     estimate = DedupEstimate()
     indices: Dict[str, set] = {}
     chunkers: Dict[str, object] = {}
-    sim = bases = None
-    if delta:
-        from collections import OrderedDict
-
-        from repro.delta import (SimilarityIndex, compute_sketch,
-                                 encode_if_worthwhile)
-        sim = SimilarityIndex(capacity=config.delta_sim_capacity)
-        bases: Dict[str, "OrderedDict[bytes, bytes]"] = {}
-
-    def delta_stored_size(app_label: str, chunker_name: str,
-                          fingerprint: bytes, payload: bytes) -> int:
-        """Bytes this unique chunk would occupy with the delta stage."""
-        if (sim is None or chunker_name not in CDC_FAMILY + ("sc",)
-                or len(payload) < config.delta_min_chunk):
-            return len(payload)
-        sketch = compute_sketch(payload)
-        base_fp = sim.probe(app_label, sketch)
-        app_bases = bases.setdefault(app_label, OrderedDict())
-        base = app_bases.get(base_fp) if base_fp is not None else None
-        blob = (encode_if_worthwhile(base, payload,
-                                     cutoff=config.delta_cutoff)
-                if base is not None else None)
-        if blob is not None:
-            estimate.delta_chunks += 1
-            estimate.delta_bytes_saved += len(payload) - len(blob)
-            return len(blob)
-        app_bases[fingerprint] = payload
-        while len(app_bases) > config.delta_base_cache:
-            old_fp, _ = app_bases.popitem(last=False)
-            sim.discard(app_label, old_fp)
-        sim.insert(app_label, sketch, fingerprint)
-        return len(payload)
+    #: Delta outcomes land here; the stage is the one the engine runs,
+    #: driven with callbacks that count bytes instead of storing them.
+    stats = SessionStats(session_id=0, scheme=config.name)
+    stage = DeltaStage(config.delta_max_chain) if delta else None
 
     for stat in walk_files(root):
         estimate.files += 1
@@ -125,20 +94,21 @@ def estimate_directory(root: str | os.PathLike,
         app = classify_path(stat.relpath)
         category = app.category.value
         scanned, unique = estimate.by_category.get(category, (0, 0))
+        plan = config.plan_file(app, stat.size)
 
-        if stat.size < threshold:
+        if plan.tiny:
             estimate.tiny_files += 1
             estimate.bytes_unique += stat.size
             estimate.by_category[category] = (scanned + stat.size,
                                               unique + stat.size)
             continue
 
-        policy: DedupPolicy = AA_POLICY_TABLE[app.category]
+        policy = plan.policy
         chunker = chunkers.get(policy.chunker)
         if chunker is None:
             chunker = chunkers[policy.chunker] = policy.make_chunker()
         hasher = policy.fingerprinter()
-        index = indices.setdefault(app.label, set())
+        index = indices.setdefault(plan.namespace, set())
 
         sampled = min(stat.size, max_file_bytes)
         try:
@@ -149,10 +119,19 @@ def estimate_directory(root: str | os.PathLike,
         unique_sampled = 0
         for chunk in chunker.chunk(data):
             fingerprint = hasher.hash(chunk.data)
-            if fingerprint not in index:
-                index.add(fingerprint)
-                unique_sampled += delta_stored_size(
-                    app.label, policy.chunker, fingerprint, chunk.data)
+            if fingerprint in index:
+                continue
+            index.add(fingerprint)
+            payload = chunk.data
+            if stage is None:
+                unique_sampled += len(payload)
+            else:
+                # The stage's "refs" are the stored sizes.
+                unique_sampled += stage.place(
+                    plan.namespace, fingerprint, payload, policy.chunker,
+                    app.label, stats,
+                    store_full=lambda: len(payload),
+                    store_delta=lambda blob, _base: len(blob))
         # Extrapolate the unsampled tail at the sampled unique density.
         if sampled and stat.size > sampled:
             density = unique_sampled / sampled
@@ -163,4 +142,6 @@ def estimate_directory(root: str | os.PathLike,
         estimate.bytes_unique += unique_file
         estimate.by_category[category] = (scanned + stat.size,
                                           unique + unique_file)
+    estimate.delta_chunks = stats.chunks_delta
+    estimate.delta_bytes_saved = stats.delta_bytes_saved
     return estimate

@@ -76,11 +76,8 @@ class Chunker(abc.ABC):
         """Partition ``data`` into chunks (see class invariants)."""
         if len(data) == 0:
             return []
-        if self.tracer.enabled:
-            with self.tracer.span("chunk.cut", chunker=self.name,
-                                  bytes=len(data)):
-                cuts = self.cut_points(data)
-        else:
+        with self.tracer.span("chunk.cut", chunker=self.name,
+                              bytes=len(data)):
             cuts = self.cut_points(data)
         if not cuts or cuts[-1] != len(data):
             raise ChunkingError(

@@ -87,21 +87,16 @@ class RetryPolicy:
                                          PermanentCloudError)))
 
     def _sleep(self, seconds: float) -> None:
+        with self.tracer.span("retry.sleep", seconds=seconds):
+            self.stats.sleep_seconds += seconds
+            if self.clock is not None and hasattr(self.clock, "advance"):
+                self.clock.advance(seconds)
+            else:  # pragma: no cover - real sleeps are avoided in tests
+                time.sleep(seconds)
         if self.tracer.enabled:
-            with self.tracer.span("retry.sleep", seconds=seconds):
-                self._sleep_inner(seconds)
             self.tracer.metrics.counter("retry_sleeps_total").inc()
             self.tracer.metrics.counter(
                 "retry_sleep_seconds").inc(seconds)
-            return
-        self._sleep_inner(seconds)
-
-    def _sleep_inner(self, seconds: float) -> None:
-        self.stats.sleep_seconds += seconds
-        if self.clock is not None and hasattr(self.clock, "advance"):
-            self.clock.advance(seconds)
-        else:  # pragma: no cover - real sleeps are avoided in tests
-            time.sleep(seconds)
 
     # ------------------------------------------------------------------
     def call(self, fn: Callable[..., T], *args, **kwargs) -> T:

@@ -86,8 +86,6 @@ class SimulatedCloud:
         individual attempt (retries of one logical operation show up as
         sibling ``<name>.attempt`` spans under one ``<name>`` parent)."""
         tracer = self.tracer
-        if not tracer.enabled:
-            return self._call(attempt)
         counter = {"n": 0}
 
         def traced_attempt():
@@ -101,8 +99,9 @@ class SimulatedCloud:
                 return self._call(traced_attempt)
             finally:
                 sp.set("attempts", counter["n"])
-                tracer.metrics.counter(
-                    "cloud_attempts_total").inc(counter["n"])
+                if tracer.enabled:
+                    tracer.metrics.counter(
+                        "cloud_attempts_total").inc(counter["n"])
 
     # ------------------------------------------------------------------
     def put(self, key: str, data: bytes) -> None:

@@ -12,11 +12,9 @@ self-describing but not padded.
 
 from __future__ import annotations
 
-import queue
 import threading
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.container.format import (ContainerWriter, FLAG_DELTA,
                                     FLAG_TINY_FILE)
@@ -85,17 +83,14 @@ class ContainerManager:
         # time under the lock, so moving the seal off-thread cannot
         # change manifest bytes.  One thread (not a pool) keeps seal
         # spans and journal records ordered per manager.
-        self.pack_busy_seconds = 0.0
-        self._pack_error: Optional[BaseException] = None
-        self._pack_cond = threading.Condition()
-        self._pack_outstanding = 0
-        self._pack_queue: Optional["queue.Queue"] = None
-        self._pack_thread: Optional[threading.Thread] = None
+        self._packer = None
         if pack_async:
-            self._pack_queue = queue.Queue(maxsize=4)
-            self._pack_thread = threading.Thread(
-                target=self._pack_run, daemon=True, name="aa-pack")
-            self._pack_thread.start()
+            # Imported here: repro.core's package import pulls in the
+            # engine, which imports this module.
+            from repro.core.pipeline import BackgroundWorker
+            self._packer = BackgroundWorker(
+                self._seal_now, name="aa-pack", what="container pack",
+                error_cls=ContainerError)
 
     # ------------------------------------------------------------------
     def _new_writer(self, capacity: int | None = None) -> ContainerWriter:
@@ -106,93 +101,46 @@ class ContainerManager:
 
     def _seal(self, writer: ContainerWriter, *, pad: bool,
               stream: str = "default") -> None:
-        if self._pack_queue is not None:
-            self._pack_submit(writer, pad, stream)
+        if self._packer is not None:
+            self._pack(self._packer.submit, writer, pad, stream)
             return
         self._seal_now(writer, pad, stream)
 
     def _seal_now(self, writer: ContainerWriter, pad: bool,
                   stream: str) -> None:
         tracer = self.tracer
-        if not tracer.enabled:
-            self._seal_inner(writer, pad)
-            return
         with tracer.span("container.seal", app=stream,
                          container=writer.container_id,
                          bytes=writer.occupancy(), padded=pad):
-            self._seal_inner(writer, pad)
-        tracer.metrics.histogram(
-            "container_payload_bytes",
-            CHUNK_SIZE_BUCKETS).observe(writer.data_size)
+            blob = writer.seal(pad_to_capacity=pad)
+            self.stats.sealed += 1
+            self.stats.bytes_payload += writer.data_size
+            self.stats.bytes_uploaded += len(blob)
+            if pad:
+                self.stats.bytes_padding += len(blob) - writer.occupancy()
+            self._upload(writer.container_id, blob)
+        if tracer.enabled:
+            tracer.metrics.histogram(
+                "container_payload_bytes",
+                CHUNK_SIZE_BUCKETS).observe(writer.data_size)
 
-    # -- pack worker (async seal + upload hand-off) ---------------------
-    def _pack_run(self) -> None:
+    def _pack(self, call: Callable[..., None], *args) -> None:
+        """Run one pack-worker call.  A seal failure is reported once:
+        the manager outlives the session that hit it, so the worker is
+        reset for the next one (seals queued behind the failure were
+        dropped, not uploaded)."""
         try:
-            while True:
-                job = self._pack_queue.get()
-                if job is None:
-                    return
-                writer, pad, stream = job
-                start = time.perf_counter()
-                try:
-                    if self._pack_error is None:  # fail fast: drop rest
-                        self._seal_now(writer, pad, stream)
-                except BaseException as exc:
-                    if self._pack_error is None:
-                        self._pack_error = exc
-                finally:
-                    self.pack_busy_seconds += time.perf_counter() - start
-                    self._pack_finish_one()
-        finally:
-            with self._pack_cond:
-                self._pack_cond.notify_all()
+            call(*args)
+        except ContainerError:
+            self._packer.reset()
+            raise
 
-    def _pack_finish_one(self) -> None:
-        with self._pack_cond:
-            self._pack_outstanding -= 1
-            self._pack_cond.notify_all()
-
-    def _raise_pack_error(self) -> None:
-        if self._pack_error is not None:
-            error, self._pack_error = self._pack_error, None
-            raise ContainerError("container pack failed") from error
-
-    def _pack_submit(self, writer: ContainerWriter, pad: bool,
-                     stream: str) -> None:
-        self._raise_pack_error()
-        with self._pack_cond:
-            self._pack_outstanding += 1
-        while True:
-            if not self._pack_thread.is_alive():
-                self._pack_finish_one()
-                raise ContainerError("container pack worker died") \
-                    from self._pack_error
-            try:
-                self._pack_queue.put((writer, pad, stream), timeout=0.1)
-                return
-            except queue.Full:
-                continue
-
-    def _pack_drain(self) -> None:
-        """Wait until every queued seal has uploaded (liveness-guarded)."""
-        with self._pack_cond:
-            while self._pack_outstanding > 0:
-                if not self._pack_thread.is_alive():
-                    break
-                self._pack_cond.wait(0.1)
-            stranded = self._pack_outstanding
-        self._raise_pack_error()
-        if stranded > 0:
-            raise ContainerError("container pack worker died")
-
-    def _seal_inner(self, writer: ContainerWriter, pad: bool) -> None:
-        blob = writer.seal(pad_to_capacity=pad)
-        self.stats.sealed += 1
-        self.stats.bytes_payload += writer.data_size
-        self.stats.bytes_uploaded += len(blob)
-        if pad:
-            self.stats.bytes_padding += len(blob) - writer.occupancy()
-        self._upload(writer.container_id, blob)
+    @property
+    def pack_busy_seconds(self) -> float:
+        """Seconds the async pack thread has spent sealing (0 when
+        seals run synchronously)."""
+        return (self._packer.busy_seconds if self._packer is not None
+                else 0.0)
 
     # ------------------------------------------------------------------
     def add(self, fingerprint: bytes, data: bytes,
@@ -208,8 +156,8 @@ class ContainerManager:
         its encoding instead of expecting chunk plaintext).
         Thread-safe (parallel per-application workers share the manager).
         """
-        if self._pack_queue is not None:
-            self._raise_pack_error()  # surface async seal failures early
+        if self._packer is not None:
+            self._pack(self._packer.check)  # surface seal failures early
         with self._lock:
             return self._add_locked(fingerprint, data, stream,
                                     tiny_file=tiny_file, delta=delta)
@@ -259,16 +207,16 @@ class ContainerManager:
                 if writer is not None and writer.chunk_count:
                     self._seal(writer, pad=self.pad_containers,
                                stream=name)
-        if self._pack_queue is not None:
-            self._pack_drain()
+        if self._packer is not None:
+            self._pack(self._packer.drain)
 
     def close(self) -> None:
         """Flush open containers and stop the pack worker (if any)."""
-        self.flush()
-        thread = self._pack_thread
-        if thread is not None and thread.is_alive():
-            self._pack_queue.put(None)
-            thread.join(timeout=10.0)
+        try:
+            self.flush()
+        finally:
+            if self._packer is not None:
+                self._packer.close()
 
     @property
     def next_container_id(self) -> int:

@@ -1,18 +1,23 @@
-"""The backup engine: one client, five schemes.
+"""The backup engine: one client, five schemes, one stage graph.
 
 :class:`BackupClient` executes backup sessions for any
 :class:`~repro.core.options.SchemeConfig` against any cloud facade that
-offers ``put/get/exists`` (e.g. :class:`repro.cloud.SimulatedCloud` or a
-bare backend).  For AA-Dedupe it realises the full paper pipeline:
+offers ``put/get/list`` (e.g. :class:`repro.cloud.SimulatedCloud` or a
+bare backend).  Every session is the paper's linear pipeline (Sec. III):
 
 1. **file size filter** — tiny files skip dedup and are packed into
-   containers;
-2. **intelligent chunker** — per-category chunking (WFC/SC/CDC);
-3. **application-aware deduplicator** — per-app subindex lookups with
-   adaptive fingerprints;
+   containers (:meth:`SchemeConfig.plan_file` decides, per file);
+2. **intelligent chunker** — read → chunk → hash stages with
+   per-category chunking (WFC/SC/CDC) and adaptive fingerprints, run
+   inline on the coordinator or, with ``parallel_workers > 1``, on
+   :class:`~repro.core.pipeline.StagePipeline` worker pools;
+3. **application-aware deduplicator** — the single source-ordered
+   commit loop: replay an unchanged file's recipe, or place its chunks
+   against the per-app subindex (unique CDC/SC chunks optionally pass
+   the :class:`~repro.delta.DeltaStage` first);
 4. **container management** — unique data accumulates into 1 MB padded
-   containers, optionally uploaded by a pipeline thread overlapping
-   deduplication (the paper's pipelined design);
+   containers, optionally sealed and uploaded by background workers
+   overlapping deduplication (the paper's pipelined design);
 5. **manifest + periodic index synchronisation** to the cloud.
 
 All work is charged to :class:`~repro.core.stats.OpCounters` so the
@@ -21,13 +26,13 @@ virtual platform model can price a session on the paper's hardware.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
-from collections import OrderedDict
-from typing import Callable, Dict, Iterable, Optional
+from collections import deque
+from dataclasses import replace
+from functools import partial
+from typing import Callable, Dict, Iterable, Iterator, Optional
 
-from repro.chunking import CDC_FAMILY
 from repro.chunking.base import Chunker
 from repro.chunking.cdc import ContentDefinedChunker
 from repro.classify.filetype import classify_name
@@ -35,15 +40,15 @@ from repro.classify.policy import DedupPolicy
 from repro.container.manager import ContainerManager
 from repro.core import naming
 from repro.cloud.retry import RetryPolicy
-from repro.core.filecache import FileCache, read_epoch
+from repro.core.filecache import FileCache
 from repro.core.journal import SessionJournal
-from repro.core.options import SchemeConfig, aa_dedupe_config
-from repro.core.pipeline import StagePipeline, WorkItem
+from repro.core.options import FilePlan, SchemeConfig, aa_dedupe_config
+from repro.core.pipeline import BackgroundWorker, StagePipeline, WorkItem
 from repro.core.recipe import ChunkRef, FileEntry, Manifest
 from repro.core.source import SourceFile
 from repro.core.stats import SessionStats
 from repro.core.sync import IndexSynchronizer
-from repro.delta import SimilarityIndex, compute_sketch, encode_if_worthwhile
+from repro.delta import DeltaStage
 from repro.errors import BackupError, CloudError
 from repro.hashing.base import get_hash
 from repro.index.appaware import AppAwareIndex
@@ -57,188 +62,14 @@ __all__ = ["BackupClient"]
 #: File-level tier policy used by ``file_level_first`` schemes (SAM).
 _FILE_TIER_POLICY = DedupPolicy("wfc", "sha1")
 
-#: Chunking methods whose output the delta stage may target.  WFC means
-#: compressed content (application-awareness: re-deltaing compressed
-#: media buys nothing), so only CDC-family and SC chunks are sketched.
-_DELTA_CHUNKERS = CDC_FAMILY + ("sc",)
+#: Read-stage pool cap: a personal computer's disk rarely rewards deeper
+#: read concurrency.  The chunk and hash pools get ``parallel_workers``
+#: threads each.
+_MAX_READ_WORKERS = 2
 
-
-class _DeltaBase:
-    """A resident delta base: its plaintext, its recipe reference (full
-    or itself a delta) and its delta-chain depth."""
-
-    __slots__ = ("payload", "ref", "depth")
-
-    def __init__(self, payload: bytes, ref: ChunkRef, depth: int) -> None:
-        self.payload = payload
-        self.ref = ref
-        self.depth = depth
-
-
-class _PreparedFile:
-    """Output of the CPU half of the pipeline for one file.
-
-    Holds everything :meth:`BackupClient._place_prepared` needs to make
-    placement decisions: the sealed chunk payloads with their
-    fingerprints, in file order.  Preparation is thread-safe (it touches
-    no shared dedup state), so parallel mode runs it on worker threads
-    and replays the placements serially in source order.
-    """
-
-    __slots__ = ("sf", "app", "tiny", "file_fp", "policy", "raw",
-                 "chunks")
-
-    def __init__(self, sf: SourceFile, app) -> None:
-        self.sf = sf
-        self.app = app
-        self.tiny = False
-        #: SAM file-level-tier whole-file fingerprint (when probed).
-        self.file_fp: Optional[bytes] = None
-        self.policy: Optional[DedupPolicy] = None
-        #: Chunk-stage output awaiting fingerprints: raw chunk payloads
-        #: in file order (``None`` once hashed, or on a file-tier peek
-        #: hit where nothing needs hashing).
-        self.raw: Optional[list] = None
-        #: (fingerprint, sealed payload, wrapped key, logical length).
-        self.chunks: list = []
-
-
-class _PipelinedUploader:
-    """Bounded-queue background uploader overlapping WAN transfer with
-    deduplication.
-
-    Fails fast: after the first upload error the worker *drops* all
-    queued work (nothing further is uploaded) and new submits are
-    rejected; the error re-raises on :meth:`drain`/:meth:`close`.
-    :meth:`close` always joins the worker thread, error or not, so no
-    thread outlives the session.  ``on_success(key, blob)`` (when given)
-    runs on the worker thread after each durable upload — the hook the
-    session journal uses to record completed uploads.
-
-    Completion tracking is an outstanding-item counter under a
-    condition variable rather than ``queue.join()``: every blocking
-    wait is a timed loop that checks worker liveness, so a worker
-    thread killed by an unexpected exception (a poison item, a bug in a
-    success hook) surfaces as a :class:`BackupError` instead of hanging
-    the session forever on a join that can never complete.
-    """
-
-    def __init__(self, put: Callable[[str, bytes], None],
-                 depth: int = 4,
-                 on_success: Optional[Callable[[str, bytes], None]] = None,
-                 tracer=None) -> None:
-        self._put = put
-        self._on_success = on_success
-        self._tracer = tracer if tracer is not None else NOOP_TRACER
-        self._queue: "queue.Queue" = queue.Queue(maxsize=depth)
-        self._error: Optional[BaseException] = None
-        self._cond = threading.Condition()
-        self._outstanding = 0
-        self.busy_seconds = 0.0
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="aa-uploader")
-        self._thread.start()
-
-    def _upload_one(self, key: str, blob: bytes) -> None:
-        self._put(key, blob)
-        if self._on_success is not None:
-            self._on_success(key, blob)
-
-    def _finish_one(self) -> None:
-        with self._cond:
-            self._outstanding -= 1
-            self._cond.notify_all()
-
-    def _run(self) -> None:
-        try:
-            while True:
-                item = self._queue.get()
-                if item is None:
-                    return
-                if self._error is not None:  # fail fast: drop queued work
-                    self._finish_one()
-                    continue
-                key, blob, app = item  # a poison item kills the worker
-                start = time.perf_counter()
-                try:
-                    if self._tracer.enabled:
-                        attrs = {"key": key, "bytes": len(blob)}
-                        if app is not None:
-                            attrs["app"] = app
-                        with self._tracer.span("upload", **attrs):
-                            self._upload_one(key, blob)
-                    else:
-                        self._upload_one(key, blob)
-                except BaseException as exc:  # propagate on drain/close
-                    self._error = exc
-                finally:
-                    self.busy_seconds += time.perf_counter() - start
-                    self._finish_one()
-        finally:
-            # Dying (sentinel or unexpected exception) wakes any waiter
-            # so drain/close notice the liveness change promptly.
-            with self._cond:
-                self._cond.notify_all()
-
-    def _dead(self) -> BackupError:
-        err = BackupError("pipelined upload worker died")
-        err.__cause__ = self._error
-        return err
-
-    @property
-    def queue_depth(self) -> int:
-        """Items currently waiting in the pipeline (approximate)."""
-        return self._queue.qsize()
-
-    def submit(self, key: str, blob: bytes,
-               app: Optional[str] = None) -> None:
-        """Enqueue an upload (blocks when the pipeline is full)."""
-        if self._error is not None:
-            raise BackupError("pipelined upload failed") from self._error
-        with self._cond:
-            self._outstanding += 1
-        while True:
-            if not self._thread.is_alive():
-                self._finish_one()
-                raise self._dead()
-            try:
-                self._queue.put((key, blob, app), timeout=0.1)
-                return
-            except queue.Full:
-                continue
-
-    def drain(self) -> None:
-        """Wait for all queued uploads; re-raise any worker error."""
-        with self._cond:
-            while self._outstanding > 0:
-                if not self._thread.is_alive():
-                    break
-                self._cond.wait(0.1)
-            stranded = self._outstanding
-        if self._error is not None:
-            raise BackupError("pipelined upload failed") from self._error
-        if stranded > 0:
-            raise self._dead()
-
-    def close(self) -> None:
-        """Stop and join the worker thread, then surface any error."""
-        pending: Optional[BaseException] = None
-        try:
-            self.drain()
-        except BackupError as exc:
-            pending = exc
-        if self._thread.is_alive():
-            try:
-                self._queue.put(None, timeout=5.0)
-            except queue.Full:
-                pass  # worker died with a full queue; join below
-        self._thread.join(timeout=10.0)
-        if pending is not None:
-            raise pending
-        if self._error is not None:
-            raise BackupError("pipelined upload failed") from self._error
-        if self._thread.is_alive():
-            raise BackupError("pipelined upload worker failed to stop")
+#: Sealed containers / blobs that may wait for the WAN before the commit
+#: loop blocks (``pipeline_uploads``).
+_UPLOAD_QUEUE_DEPTH = 4
 
 
 class BackupClient:
@@ -269,8 +100,7 @@ class BackupClient:
         #: leave this None — stacking both would retry retries.
         self.retry = retry
         #: Profiling tracer, propagated into every instrumented layer
-        #: this client owns (index, containers, chunkers, uploader).
-        #: The no-op default keeps the hot path unchanged.
+        #: this client owns (index, containers, chunkers, delta stage).
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         if retry is not None and retry.tracer is NOOP_TRACER:
             retry.tracer = self.tracer
@@ -283,7 +113,7 @@ class BackupClient:
         self._chunkers_lock = threading.Lock()
         #: SAM-style file-level tier: whole-file fingerprint -> recipe.
         self._file_tier: Dict[bytes, list] = {}
-        self._uploader: Optional[_PipelinedUploader] = None
+        self._uploader: Optional[BackgroundWorker] = None
         self._upload_watch = ConcurrentStopwatch()
         self._cloud_lock = threading.Lock()
         # -- cross-session stat cache (see repro.core.filecache) --------
@@ -292,34 +122,20 @@ class BackupClient:
             else None)
         #: Replays allowed this session (epoch validated, cache warm).
         self._replay_enabled = False
-        #: Whether the cache may be persisted at session commit.
-        self._statcache_ok = False
-        #: Whether the GC epoch was read from the cloud this session.
-        self._statcache_epoch_fresh = False
-        #: Per-thread application label of the file being processed, so
+        #: Per-thread application label of the file being committed, so
         #: uploads triggered mid-file can be attributed to its app.
         self._app_ctx = threading.local()
         self._journal: Optional[SessionJournal] = None
         self._sync = IndexSynchronizer(cloud, retry=retry)
-        # -- delta-compression stage state (see repro.delta) -----------
-        # The similarity index and base cache are *client-local hints*:
-        # losing them costs dedup opportunity, never correctness.  Delta
-        # targets deliberately never enter the exact chunk index — a
-        # synced IndexEntry cannot carry a base chain, so a later exact
-        # hit would emit a plain ref pointing at delta-blob bytes.
-        self._sim: Optional[SimilarityIndex] = (
-            SimilarityIndex(capacity=self.config.delta_sim_capacity)
+        self._delta: Optional[DeltaStage] = (
+            DeltaStage(self.config.delta_max_chain, tracer=self.tracer)
             if self.config.delta_compress else None)
-        #: namespace -> OrderedDict[fingerprint -> _DeltaBase] (LRU).
-        self._delta_bases: Dict[str, "OrderedDict[bytes, _DeltaBase]"] = {}
-        #: namespace -> {target fingerprint -> delta ChunkRef}, so a
-        #: repeat of a delta-stored chunk reuses its ref.
-        self._delta_refs: Dict[str, Dict[bytes, ChunkRef]] = {}
         # Multi-client deployments sharing one container pool assign
         # each client a disjoint id range up front; single clients probe
         # the cloud so a fresh client never reuses a live id.
         self._containers = ContainerManager(
-            upload=self._upload_container,
+            upload=lambda container_id, blob: self._put(
+                naming.container_key(container_id), blob),
             container_size=self.config.container_size,
             pad_containers=self.config.pad_containers,
             first_container_id=(first_container_id
@@ -335,57 +151,57 @@ class BackupClient:
     def _resume_container_id(self) -> int:
         """Continue container numbering after any containers already in
         the cloud — a fresh client (e.g. after disaster recovery) must
-        never reuse an id, or it would overwrite live data."""
-        try:
-            existing = self.cloud.list(naming.CONTAINER_PREFIX)
-        except Exception:
-            return 0
+        never reuse an id, or it would overwrite live data.  For the
+        same reason a failed listing raises: guessing 0 is the one
+        answer that is never safe."""
         ids = []
-        for key in existing:
+        for key in self._cloud_call(self.cloud.list,
+                                    naming.CONTAINER_PREFIX):
             try:
                 ids.append(int(key[len(naming.CONTAINER_PREFIX):]))
             except ValueError:
                 continue
         return max(ids, default=-1) + 1
 
-    # ------------------------------------------------------------------
-    def _cloud_put(self, key: str, blob: bytes) -> None:
-        """One cloud PUT, retried per the client retry policy if set."""
+    # -- cloud I/O ------------------------------------------------------
+    def _cloud_call(self, fn, *args):
+        """One cloud request, retried per the client retry policy if set."""
         if self.retry is not None:
-            self.retry.call(self.cloud.put, key, blob)
-        else:
-            self.cloud.put(key, blob)
+            return self.retry.call(fn, *args)
+        return fn(*args)
+
+    def _cloud_put(self, key: str, blob: bytes) -> None:
+        """One timed cloud PUT."""
+        with self._upload_watch:
+            self._cloud_call(self.cloud.put, key, blob)
 
     def _put(self, key: str, blob: bytes) -> None:
+        """Upload a data object: inline, or queued to the uploader."""
         journal = self._journal
         if journal is not None and journal.completed(key, blob):
             return  # durably uploaded by the interrupted run
-        tracer = self.tracer
         app = getattr(self._app_ctx, "label", None)
-        if self._uploader is not None:
-            if tracer.enabled:
-                tracer.metrics.gauge("uploader_queue_depth").set(
-                    self._uploader.queue_depth + 1)
-            self._uploader.submit(key, blob, app=app)
-        elif tracer.enabled:
-            attrs = {"key": key, "bytes": len(blob)}
-            if app is not None:
-                attrs["app"] = app
-            with tracer.span("upload", **attrs):
-                self._put_sync(key, blob, journal)
-        else:
-            self._put_sync(key, blob, journal)
+        uploader = self._uploader
+        if uploader is None:
+            self._upload(key, blob, app)
+            return
+        if self.tracer.enabled:
+            self.tracer.metrics.gauge("uploader_queue_depth").set(
+                uploader.queue_depth + 1)
+        uploader.submit(key, blob, app)
 
-    def _put_sync(self, key: str, blob: bytes,
-                  journal: Optional[SessionJournal]) -> None:
-        with self._cloud_lock:
-            with self._upload_watch:
+    def _upload(self, key: str, blob: bytes, app: Optional[str]) -> None:
+        """One durable upload: PUT, then journal it.  Runs on the
+        calling thread, or on the uploader's with ``pipeline_uploads``."""
+        attrs = {"key": key, "bytes": len(blob)}
+        if app is not None:
+            attrs["app"] = app
+        journal = self._journal
+        with self.tracer.span("upload", **attrs):
+            with self._cloud_lock:
                 self._cloud_put(key, blob)
-            if journal is not None:
-                journal.record(key, blob)
-
-    def _upload_container(self, container_id: int, blob: bytes) -> None:
-        self._put(naming.container_key(container_id), blob)
+                if journal is not None:
+                    journal.record(key, blob)
 
     def _open_journal(self, session_id: int) -> SessionJournal:
         """Open (or resume) the session journal for ``session_id``.
@@ -398,9 +214,8 @@ class BackupClient:
         """
         first_id = (self._containers.next_container_id
                     if self._containers is not None else 0)
-        journal = SessionJournal.load(
-            self.cloud, session_id, first_container_id=first_id,
-            flush_interval=self.config.journal_flush_interval)
+        journal = SessionJournal.load(self.cloud, session_id,
+                                      first_container_id=first_id)
         if journal.resumed and self._containers is not None:
             self._containers.set_next_id(journal.first_container_id)
         if not journal.resumed:
@@ -413,8 +228,8 @@ class BackupClient:
         key = (policy.chunker, tuple(sorted(policy.chunker_params.items())))
         chunker = self._chunkers.get(key)
         if chunker is None:
-            # Pipelined chunk-stage workers race on first use of a
-            # policy; chunkers themselves are stateless per call.
+            # Chunk-stage workers race on first use of a policy;
+            # chunkers themselves are stateless per call.
             with self._chunkers_lock:
                 chunker = self._chunkers.get(key)
                 if chunker is None:
@@ -422,7 +237,7 @@ class BackupClient:
                     chunker.tracer = self.tracer
         return chunker
 
-    # ------------------------------------------------------------------
+    # -- the session ----------------------------------------------------
     def backup(self, source: Iterable[SourceFile],
                session_id: int | None = None) -> SessionStats:
         """Run one backup session over ``source``; returns its stats."""
@@ -435,10 +250,10 @@ class BackupClient:
         self._next_session = max(self._next_session, session_id + 1)
         with self.tracer.span("session", scheme=cfg.name,
                               session=session_id):
-            return self._backup_traced(source, session_id)
+            return self._session(source, session_id)
 
-    def _backup_traced(self, source: Iterable[SourceFile],
-                       session_id: int) -> SessionStats:
+    def _session(self, source: Iterable[SourceFile],
+                 session_id: int) -> SessionStats:
         cfg = self.config
         stats = SessionStats(session_id=session_id, scheme=cfg.name)
         # Simulated runs stamp manifests with virtual time so serialized
@@ -453,62 +268,46 @@ class BackupClient:
         pack_before = (self._containers.pack_busy_seconds
                        if self._containers is not None else 0.0)
         self._upload_watch = ConcurrentStopwatch()
-        self._statcache_begin(stats)
+        cache = self._filecache
+        self._replay_enabled = (cache is not None and cache.open_session(
+            self.cloud, stats.warnings))
         self._journal = self._open_journal(session_id) \
             if cfg.resumable else None
+        uploader = None
         if cfg.pipeline_uploads:
-            journal = self._journal
-            self._uploader = _PipelinedUploader(
-                self._cloud_put,
-                depth=cfg.upload_queue_depth,
-                on_success=(journal.record if journal is not None
-                            else None),
-                tracer=self.tracer)
+            uploader = self._uploader = BackgroundWorker(
+                self._upload, name="aa-uploader", what="pipelined upload",
+                depth=_UPLOAD_QUEUE_DEPTH)
         dedup_watch = Stopwatch().start()
         try:
-            if cfg.parallel_workers > 1:
-                self._backup_parallel(source, stats, manifest, session_id)
-            else:
-                for sf in source:
-                    unique_before = stats.bytes_unique
-                    entry = self._process_file(sf, stats, session_id)
-                    stats.note_app(entry.app, sf.size,
-                                   stats.bytes_unique - unique_before)
-                    manifest.add(entry)
-                    if self._filecache is not None:
-                        self._filecache.record(entry)
+            self._commit_files(source, stats, manifest)
             if self._containers is not None:
                 self._containers.flush()
         finally:
             dedup_watch.stop()
-            if self._uploader is not None:
-                uploader, self._uploader = self._uploader, None
+            if uploader is not None:
+                self._uploader = None
                 try:
                     uploader.close()
                 finally:
-                    stats.upload_wall_seconds = uploader.busy_seconds
-                    stats.stage_busy_seconds["upload"] = \
-                        uploader.busy_seconds
+                    busy = stats.stage_busy_seconds
+                    busy["upload"] = uploader.busy_seconds
                     if self._containers is not None:
                         pack = (self._containers.pack_busy_seconds
                                 - pack_before)
                         if pack > 0:
-                            stats.stage_busy_seconds["pack"] = pack
-            else:
-                stats.upload_wall_seconds = self._upload_watch.elapsed
+                            busy["pack"] = pack
             if self._journal is not None:
                 stats.resume_skipped_objects = \
                     self._journal.skipped_objects
                 stats.resume_skipped_bytes = self._journal.skipped_bytes
 
-        # Manifest upload (counted like any other transfer).  Its
-        # success is the session's commit record: afterwards the journal
-        # (if any) is obsolete and is deleted.
+        # Manifest upload (timed like any other transfer).  Its success
+        # is the session's commit record: afterwards the journal (if
+        # any) is obsolete and is deleted.
         manifest_blob = manifest.to_json().encode("utf-8")
         with self.tracer.span("manifest", bytes=len(manifest_blob)):
-            with self._upload_watch:
-                self._cloud_put(naming.manifest_key(session_id),
-                                manifest_blob)
+            self._cloud_put(naming.manifest_key(session_id), manifest_blob)
         if self._journal is not None:
             self._journal.commit()
             stats.warnings.extend(self._journal.warnings)
@@ -516,7 +315,11 @@ class BackupClient:
 
         # The manifest upload committed the session, so the recipes
         # staged during it become the next session's stat cache.
-        self._statcache_commit(stats)
+        if cache is not None:
+            cache.close_session(self.cloud, self._cloud_put,
+                                stats.warnings, self.tracer)
+        # Every data, manifest and stat-cache PUT is behind us.
+        stats.upload_wall_seconds = self._upload_watch.elapsed
 
         # Periodic index replication for disaster recovery (Sec. III-E).
         # A failed push degrades to a warning: dedup continuity is
@@ -544,279 +347,215 @@ class BackupClient:
         self._prev_manifest = manifest
         return stats
 
-    # ------------------------------------------------------------------
-    def _backup_parallel(self, source: Iterable[SourceFile],
-                         stats: SessionStats, manifest: Manifest,
-                         session_id: int) -> None:
-        """Pipelined stages feeding a deterministic serial commit.
+    # -- the stage graph ------------------------------------------------
+    def _commit_files(self, source: Iterable[SourceFile],
+                      stats: SessionStats, manifest: Manifest) -> None:
+        """The one commit loop: every file, strictly in source order.
 
-        The CPU half of the session runs as three explicit stages —
-        read → chunk → hash — each with its own worker pool, connected
-        by bounded queues (:class:`~repro.core.pipeline.StagePipeline`);
-        a full queue blocks the upstream stage, so backpressure bounds
-        resident payloads.  None of the stages touches shared dedup
-        state.  The coordinator drains completed files **strictly in
-        source order** and performs all placement (index probes,
-        container appends, the delta stage, manifest append) itself, so
-        container ids and offsets — and therefore manifest bytes — are
-        identical to a serial run of the same source (the PR 5
-        guarantee; see docs/PIPELINE.md).  Container sealing and WAN
-        upload continue downstream of the commit on their own threads
-        when ``pipeline_uploads`` is on.
-
-        A bounded submission window keeps at most a few prepared
-        payloads resident; stat-cache matches skip the stages entirely
-        and replay at drain time.  On any error the stages are aborted
-        — queued items are dropped, not prepared — so a failed session
-        stops promptly instead of grinding through a doomed window.
+        All shared dedup state — index, container streams, file tier,
+        delta stage, manifest, stat cache — is touched here and only
+        here, on the calling thread.  Container ids and offsets, and
+        therefore manifest bytes, depend on nothing but the source
+        order, whichever way :meth:`_staged` runs the CPU stages (see
+        docs/PIPELINE.md).
         """
-        from collections import deque
-
         cache = self._filecache
-        tracer = self.tracer
-        workers = self.config.stage_workers()
-        depth = self.config.resolved_queue_depth()
+        items = self._staged(source, stats)
+        try:
+            for item in items:
+                sf, app = item.sf, item.app
+                stats.files_total += 1
+                stats.bytes_scanned += sf.size
+                unique_before = stats.bytes_unique
+                entry = (self._replay_cached(item, stats)
+                         if item.replay is not None else None)
+                if entry is None:
+                    entry = self._commit_fresh(item, stats)
+                stats.note_app(app.label, sf.size,
+                               stats.bytes_unique - unique_before)
+                manifest.add(entry)
+                if cache is not None:
+                    cache.record(entry)
+        finally:
+            # After an error this aborts the stage pools: queued items
+            # are dropped, not prepared, so a failed session stops
+            # promptly instead of grinding through a doomed window.
+            items.close()
 
-        def run_read(item: WorkItem) -> None:
-            item.data = self._read_file(item.sf, item.app, item.local)
+    def _admit(self, seq: int, sf: SourceFile) -> WorkItem:
+        """Classify and plan one source file.  A stat-cache match rides
+        along as ``item.replay``: the file skips the stages and its
+        cached recipe is replayed at commit time."""
+        app = classify_name(sf.path)
+        cached = (self._filecache.match(app.label, sf.path, sf.size,
+                                        sf.mtime_ns)
+                  if self._replay_enabled else None)
+        return WorkItem(seq, sf, app, replay=cached,
+                        plan=self.config.plan_file(app, sf.size))
 
-        def run_chunk(item: WorkItem) -> None:
-            item.prep = self._chunk_file(item.sf, item.app, item.data,
-                                         item.local)
-            item.data = None
+    def _staged(self, source: Iterable[SourceFile],
+                stats: SessionStats) -> Iterator[WorkItem]:
+        """Source-ordered work items for the commit loop.
 
-        def run_hash(item: WorkItem) -> None:
-            self._hash_prepared(item.prep, item.local)
-
+        With one worker the items come out unprepared and the commit
+        loop runs read → chunk → hash inline (:meth:`_commit_fresh`).
+        Otherwise the same three stage callables run on worker pools
+        connected by bounded queues — a full queue blocks the upstream
+        stage, so backpressure bounds resident payloads — and items are
+        yielded, prepared, **strictly in source order**.  A bounded
+        submission window keeps at most a few prepared payloads
+        resident.  None of the stages touches shared dedup state.
+        """
+        workers = self.config.parallel_workers
+        if workers == 1:
+            for seq, sf in enumerate(source):
+                yield self._admit(seq, sf)
+            return
+        readers = min(_MAX_READ_WORKERS, workers)
+        depth = 2 * workers
         pipeline = StagePipeline([
-            ("read", run_read, workers["read"], depth),
-            ("chunk", run_chunk, workers["chunk"], depth),
-            ("hash", run_hash, workers["hash"], depth),
+            ("read", self._read_file, readers, depth),
+            ("chunk", self._chunk_file, workers, depth),
+            ("hash", self._hash_file, workers, depth),
         ])
-        commit_watch = Stopwatch()
-        window = max(4, 2 * sum(workers.values()))
+        window = max(4, 2 * (readers + 2 * workers))
         pending: deque = deque()
-        source_iter = iter(source)
-        exhausted = False
-        seq = 0
+        numbered = enumerate(source)
+        commit_seconds = 0.0
         try:
             while True:
-                while not exhausted and len(pending) < window:
-                    try:
-                        sf = next(source_iter)
-                    except StopIteration:
-                        exhausted = True
+                while len(pending) < window:
+                    seq, sf = next(numbered, (None, None))
+                    if sf is None:
                         break
-                    app = classify_name(sf.path)
-                    if (cache is not None and self._replay_enabled
-                            and cache.match(app.label, sf.path, sf.size,
-                                            sf.mtime_ns) is not None):
-                        pending.append(WorkItem(seq, sf, app,
-                                                replay=True))
-                    else:
-                        item = WorkItem(seq, sf, app,
-                                        local=SessionStats(
-                                            session_id=session_id,
-                                            scheme=self.config.name))
+                    item = self._admit(seq, sf)
+                    if item.replay is None:
+                        item.local = SessionStats(
+                            session_id=stats.session_id,
+                            scheme=stats.scheme)
                         pipeline.submit(item)
-                        pending.append(item)
-                    seq += 1
+                    pending.append(item)
                 if not pending:
                     break
                 item = pending.popleft()
-                sf, app = item.sf, item.app
-                if not item.replay:
+                if item.replay is None:
                     pipeline.wait(item)
-                commit_watch.start()
-                try:
-                    stats.files_total += 1
-                    stats.bytes_scanned += sf.size
-                    unique_before = stats.bytes_unique
-                    if item.replay:
-                        entry = self._replay_cached(sf, app, stats)
-                        if entry is None:  # went stale since submission
-                            entry = self._process_fresh(sf, app, stats,
-                                                        session_id)
-                    else:
-                        # Fold the item's whole local stats — ops AND
-                        # warnings/degradations recorded by the stages.
-                        stats.merge(item.local)
-                        if tracer.enabled:
-                            self._app_ctx.label = app.label
-                        try:
-                            entry = self._place_prepared(item.prep, stats)
-                        finally:
-                            if tracer.enabled:
-                                self._app_ctx.label = None
-                    stats.note_app(app.label, sf.size,
-                                   stats.bytes_unique - unique_before)
-                    manifest.add(entry)
-                    if cache is not None:
-                        cache.record(entry)
-                finally:
-                    commit_watch.stop()
-        except BaseException:
-            try:
-                pipeline.shutdown(abort=True)
-            finally:
-                raise
+                start = time.perf_counter()
+                yield item  # the commit loop works until it asks again
+                commit_seconds += time.perf_counter() - start
+        except BaseException:  # incl. GeneratorExit: the commit failed
+            pipeline.shutdown(abort=True)
+            raise
         else:
             pipeline.shutdown()
         finally:
             busy = stats.stage_busy_seconds
             for name, seconds in pipeline.busy_seconds().items():
                 busy[name] = busy.get(name, 0.0) + seconds
-            busy["commit"] = (busy.get("commit", 0.0)
-                              + commit_watch.elapsed)
+            busy["commit"] = busy.get("commit", 0.0) + commit_seconds
 
-    # ------------------------------------------------------------------
-    def _process_file(self, sf: SourceFile, stats: SessionStats,
-                      session_id: int) -> FileEntry:
-        app = classify_name(sf.path)
-        stats.files_total += 1
-        stats.bytes_scanned += sf.size
-        entry = self._replay_cached(sf, app, stats)
-        if entry is not None:
-            return entry
-        return self._process_fresh(sf, app, stats, session_id)
-
-    def _process_fresh(self, sf: SourceFile, app, stats: SessionStats,
-                       session_id: int) -> FileEntry:
-        """Full pipeline for one file (no usable stat-cache entry)."""
-        tracer = self.tracer
-        if not tracer.enabled:
-            return self._dedup_file(sf, app, stats, session_id)
+    def _commit_fresh(self, item: WorkItem,
+                      stats: SessionStats) -> FileEntry:
+        """Commit a file with no usable cached recipe."""
+        sf, app = item.sf, item.app
         # The thread-local app label lets uploads fired mid-file (a
         # container sealing under this file's chunks) carry the right
         # application attribution in the trace.
         self._app_ctx.label = app.label
         try:
-            with tracer.span("file", app=app.label,
-                             category=app.category.value, bytes=sf.size):
-                return self._dedup_file(sf, app, stats, session_id)
+            if item.local is not None:  # prepared by the stage pools
+                # Fold in everything the stages can record: work done
+                # AND warnings/degradations.
+                stats.ops.merge(item.local.ops)
+                stats.warnings.extend(item.local.warnings)
+                return self._place_file(item, stats)
+            # Inline stages charge the session directly.
+            item.local = stats
+            with self.tracer.span("file", app=app.label,
+                                  category=app.category.value,
+                                  bytes=sf.size):
+                if self.config.incremental_only:
+                    return self._place_incremental(item, stats)
+                self._read_file(item)
+                self._chunk_file(item)
+                self._hash_file(item)
+                return self._place_file(item, stats)
         finally:
             self._app_ctx.label = None
 
     def _fingerprint(self, hasher, hash_name: str, payload: bytes,
                      length: int, app_label: str,
                      stats: SessionStats) -> bytes:
-        """Hash one extent, charged to op counters and (if profiling)
-        timed under a ``hash`` span."""
+        """Hash one extent, charged to op counters and timed under a
+        ``hash`` span."""
         stats.ops.add_hashed(hash_name, length)
-        tracer = self.tracer
-        if not tracer.enabled:
-            return hasher.hash(payload)
-        with tracer.span("hash", app=app_label, algo=hash_name,
-                         bytes=length):
+        with self.tracer.span("hash", app=app_label, algo=hash_name,
+                              bytes=length):
             return hasher.hash(payload)
 
-    def _dedup_file(self, sf: SourceFile, app, stats: SessionStats,
-                    session_id: int) -> FileEntry:
-        cfg = self.config
-        if cfg.incremental_only:
-            return self._process_incremental(sf, app, stats, session_id)
-        # Preparation (CPU) and placement (shared dedup state) are split
-        # so parallel mode can run preparation on worker threads while
-        # keeping every placement decision serial and deterministic.
-        prep = self._prepare_file(sf, app, stats)
-        return self._place_prepared(prep, stats)
-
-    def _prepare_file(self, sf: SourceFile, app,
-                      stats: SessionStats) -> _PreparedFile:
-        """CPU half of the pipeline: read, chunk, seal, fingerprint.
-
-        Touches no shared dedup state (index, containers, file tier,
-        delta stage), so it is safe on any thread; all side effects are
-        charged to the caller's ``stats``.  The pipelined engine runs
-        the same three stages on separate worker pools
-        (:meth:`_read_file` → :meth:`_chunk_file` →
-        :meth:`_hash_prepared`); this composition is the serial path.
-        """
-        data = self._read_file(sf, app, stats)
-        prep = self._chunk_file(sf, app, data, stats)
-        self._hash_prepared(prep, stats)
-        return prep
-
-    def _read_file(self, sf: SourceFile, app,
-                   stats: SessionStats) -> bytes:
+    # The three CPU stages.  They touch no shared dedup state (index,
+    # containers, delta stage), so they are safe on any thread; all
+    # side effects are charged to ``item.local``.
+    def _read_file(self, item: WorkItem) -> None:
         """Read stage: pull the file's bytes off the source device."""
-        tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span("read", app=app.label, bytes=sf.size):
-                data = sf.read()
-        else:
+        sf, stats = item.sf, item.local
+        with self.tracer.span("read", app=item.app.label, bytes=sf.size):
             data = sf.read()
         stats.ops.read_bytes += len(data)
         if len(data) != sf.size:
             stats.warnings.append(
                 f"{sf.path}: size changed during read "
                 f"(metadata {sf.size}, read {len(data)} bytes)")
-        return data
+        item.data = data
 
-    def _chunk_file(self, sf: SourceFile, app, data: bytes,
-                    stats: SessionStats) -> _PreparedFile:
+    def _chunk_file(self, item: WorkItem) -> None:
         """Chunk stage: tiny-file filter, file-tier probe prep, boundary
-        scan.  Output (``prep.raw``) awaits the hash stage.
-        """
-        cfg = self.config
-        tracer = self.tracer
-        prep = _PreparedFile(sf, app)
-
-        # 1. File size filter (Observation 1): tiny files bypass dedup;
-        # the whole file is the single "chunk" the hash stage seals.
-        if sf.size < cfg.tiny_file_threshold:
-            prep.tiny = True
-            prep.raw = [data] if sf.size else []
-            return prep
-
-        # 2. Optional file-level tier (SAM): whole-file fingerprint for
-        # the probe that placement performs.
-        policy = cfg.policy_for_app(app)
-        prep.policy = policy
-        if cfg.file_level_first and policy.chunker != "wfc" and sf.size:
-            prep.file_fp = self._fingerprint(
+        scan.  Output (``item.raw``) awaits the hash stage."""
+        data, item.data = item.data, None
+        plan, stats = item.plan, item.local
+        if plan.tiny:
+            # The whole file is the single "chunk" the hash stage seals.
+            item.raw = [data] if item.sf.size else []
+            return
+        if plan.file_tier:
+            # Whole-file fingerprint for the probe placement performs.
+            item.file_fp = self._fingerprint(
                 _FILE_TIER_POLICY.fingerprinter(),
                 _FILE_TIER_POLICY.hash_name, data, len(data),
-                app.label, stats)
+                item.app.label, stats)
             # A known whole file will replay its tier recipe during
             # placement, so chunking it here would be wasted work — the
             # very work the tier exists to save.  Peeking at the tier is
             # safe: file_level_first is serial-only (ConfigError guards
             # the parallel combination), and the accounted probe still
-            # happens in _place_prepared.
-            if self._file_tier.get(prep.file_fp) is not None:
-                return prep
-
-        # 3. Intelligent chunking (the boundary scan).
-        chunker = self._chunker_for(policy)
+            # happens in _place_file.
+            if self._file_tier.get(item.file_fp) is not None:
+                return
+        chunker = self._chunker_for(plan.policy)
         if isinstance(chunker, ContentDefinedChunker):
             stats.ops.cdc_scanned_bytes += len(data)
-        if tracer.enabled:
-            with tracer.span("chunk", app=app.label,
-                             chunker=policy.chunker, bytes=len(data)):
-                prep.raw = chunker.chunk(data)
-        else:
-            prep.raw = chunker.chunk(data)
-        return prep
+        with self.tracer.span("chunk", app=item.app.label,
+                              chunker=plan.policy.chunker,
+                              bytes=len(data)):
+            item.raw = chunker.chunk(data)
 
-    def _hash_prepared(self, prep: _PreparedFile,
-                       stats: SessionStats) -> None:
-        """Hash stage: seal + fingerprint every chunk of ``prep.raw``."""
+    def _hash_file(self, item: WorkItem) -> None:
+        """Hash stage: seal + fingerprint every chunk of ``item.raw``."""
+        raw, item.raw = item.raw, None
+        if raw is None:  # file-tier peek hit: nothing to hash
+            return
         tracer = self.tracer
-        app_label = prep.app.label
-        if prep.tiny:
-            for data in prep.raw or ():
+        stats, app_label = item.local, item.app.label
+        if item.plan.tiny:
+            for data in raw:
                 payload, key = self._seal(data)
                 fp = self._fingerprint(get_hash("sha1"), "sha1", payload,
                                        len(payload), app_label, stats)
-                prep.chunks.append((fp, payload, key, len(payload)))
-            prep.raw = None
+                item.chunks.append((fp, payload, key, len(payload)))
             return
-        if prep.raw is None:  # file-tier peek hit: nothing to hash
-            return
-        policy = prep.policy
+        policy = item.plan.policy
         hasher = policy.fingerprinter()
-        for chunk in prep.raw:
+        for chunk in raw:
             payload, key = self._seal(chunk.data)
             fp = self._fingerprint(hasher, policy.hash_name, payload,
                                    chunk.length, app_label, stats)
@@ -825,26 +564,29 @@ class BackupClient:
                 tracer.metrics.histogram(
                     "chunk_bytes",
                     CHUNK_SIZE_BUCKETS).observe(chunk.length)
-            prep.chunks.append((fp, payload, key, chunk.length))
-        prep.raw = None
+            item.chunks.append((fp, payload, key, chunk.length))
 
-    def _place_prepared(self, prep: _PreparedFile,
-                        stats: SessionStats) -> FileEntry:
-        """Placement half: dedup against the index, store unique data.
+    def _entry_for(self, item: WorkItem, refs: list | None = None,
+                   tiny: bool = False) -> FileEntry:
+        sf, app = item.sf, item.app
+        return FileEntry(path=sf.path, size=sf.size, mtime_ns=sf.mtime_ns,
+                         app=app.label, category=app.category.value,
+                         refs=refs if refs is not None else [], tiny=tiny)
+
+    def _place_file(self, item: WorkItem,
+                    stats: SessionStats) -> FileEntry:
+        """Placement: dedup against the index, store unique data.
 
         Must run on the coordinator thread — it mutates the index, the
         container streams, the SAM file tier and the delta stage, and
         the order of these mutations determines manifest bytes.
         """
-        sf, app = prep.sf, prep.app
-        entry = FileEntry(path=sf.path, size=sf.size, mtime_ns=sf.mtime_ns,
-                          app=app.label, category=app.category.value)
-
-        if prep.tiny:
+        plan = item.plan
+        entry = self._entry_for(item, tiny=plan.tiny)
+        if plan.tiny:
             stats.files_tiny += 1
-            entry.tiny = True
-            for fp, payload, key, _length in prep.chunks:
-                ref = self._store_unique(fp, payload, stream="tiny",
+            for fp, payload, key, _length in item.chunks:
+                ref = self._store_unique(fp, payload, plan.namespace,
                                          tiny=True)
                 entry.refs.append(self._attach_key(ref, key))
                 stats.bytes_unique += len(payload)
@@ -853,29 +595,51 @@ class BackupClient:
         # File-level tier (SAM): a whole-file hit replays the previous
         # recipe, skipping chunk-level dedup entirely — the tier saves
         # *work*, which is its purpose in SAM.
-        if prep.file_fp is not None:
+        if item.file_fp is not None:
             stats.ops.index_lookups += 1
-            recipe = self._file_tier.get(prep.file_fp)
+            recipe = self._file_tier.get(item.file_fp)
             if recipe is not None:
                 stats.ops.index_hits += 1
                 entry.refs.extend(recipe)
                 return entry
 
-        # 4. Application-aware dedup.
-        policy = prep.policy
-        namespace = self.config.index_namespace(app.label, policy)
-        for fp, payload, key, length in prep.chunks:
+        # Application-aware dedup.
+        namespace = plan.namespace
+        for fp, payload, key, length in item.chunks:
             existing = self.index.lookup(namespace, fp)
             if existing is not None:
                 self.index.insert(namespace, existing.bumped())
                 ref = self._ref_for(existing)
             else:
-                ref = self._place_unique(fp, payload, length,
-                                         namespace, app.label, stats,
-                                         policy)
+                ref = self._place_unique(fp, payload, length, plan,
+                                         item.app.label, stats)
             entry.refs.append(self._attach_key(ref, key))
-        if prep.file_fp is not None:
-            self._file_tier[prep.file_fp] = list(entry.refs)
+        if item.file_fp is not None:
+            self._file_tier[item.file_fp] = list(entry.refs)
+        return entry
+
+    def _place_incremental(self, item: WorkItem,
+                           stats: SessionStats) -> FileEntry:
+        """Jungle-Disk mode: metadata-based change detection, whole-file
+        upload of anything new or modified."""
+        sf = item.sf
+        prev = (self._prev_manifest.get(sf.path)
+                if self._prev_manifest is not None else None)
+        if (prev is not None and prev.size == sf.size
+                and prev.mtime_ns == sf.mtime_ns):
+            stats.files_unchanged += 1
+            return self._entry_for(item, list(prev.refs), prev.tiny)
+        self._read_file(item)
+        data, item.data = item.data, None
+        entry = self._entry_for(item)
+        if sf.size:
+            fp = self._fingerprint(get_hash("sha1"), "sha1", data,
+                                   len(data), item.app.label, stats)
+            key = naming.file_key(stats.session_id, sf.path)
+            self._put(key, data)
+            stats.bytes_unique += len(data)
+            entry.refs.append(ChunkRef(fingerprint=fp, length=len(data),
+                                       object_key=key))
         return entry
 
     # -- convergent encryption hooks (secure dedup, paper Sec. VI) ------
@@ -891,305 +655,69 @@ class BackupClient:
         """Bind the wrapped chunk key into a recipe reference."""
         if key is None:
             return ref
-        from dataclasses import replace
         from repro.secure import wrap_key
         assert self.master_key is not None
         return replace(ref, wrapped_key=wrap_key(key, self.master_key,
                                                  ref.fingerprint))
 
-    def _process_incremental(self, sf: SourceFile, app, stats: SessionStats,
-                             session_id: int) -> FileEntry:
-        """Jungle-Disk mode: metadata-based change detection, whole-file
-        upload of anything new or modified."""
-        prev = (self._prev_manifest.get(sf.path)
-                if self._prev_manifest is not None else None)
-        if (prev is not None and prev.size == sf.size
-                and prev.mtime_ns == sf.mtime_ns):
-            stats.files_unchanged += 1
-            return FileEntry(path=sf.path, size=sf.size,
-                             mtime_ns=sf.mtime_ns, app=app.label,
-                             category=app.category.value,
-                             refs=list(prev.refs), tiny=prev.tiny)
-        data = sf.read()
-        stats.ops.read_bytes += len(data)
-        entry = FileEntry(path=sf.path, size=sf.size, mtime_ns=sf.mtime_ns,
-                          app=app.label, category=app.category.value)
-        if sf.size:
-            fp = self._fingerprint(get_hash("sha1"), "sha1", data,
-                                   len(data), app.label, stats)
-            key = naming.file_key(session_id, sf.path)
-            self._put(key, data)
-            stats.bytes_unique += len(data)
-            entry.refs.append(ChunkRef(fingerprint=fp, length=len(data),
-                                       object_key=key))
-        return entry
-
-    # -- cross-session stat cache (see repro.core.filecache) ------------
-    def _statcache_begin(self, stats: SessionStats) -> None:
-        """Start-of-session cache maintenance and epoch validation.
-
-        Replay is enabled only when the cloud's GC epoch matches the
-        resident cache's: a sweep between sessions may have deleted
-        extents the cached recipes reference.  The epoch read is skipped
-        while the cache is empty (nothing to validate), so schemes that
-        never accumulate cache state — mtime-less sources — cost no
-        extra cloud requests at all.
-        """
-        cache = self._filecache
-        self._replay_enabled = False
-        self._statcache_ok = False
-        self._statcache_epoch_fresh = False
-        if cache is None:
-            return
-        cache.begin_session()
-        if len(cache) == 0:
-            self._statcache_ok = True
-            return
-        try:
-            epoch = read_epoch(self.cloud)
-        except CloudError as exc:
-            stats.warnings.append(
-                f"stat cache disabled this session "
-                f"(GC epoch unreadable): {exc}")
-            return
-        self._statcache_epoch_fresh = True
-        if epoch != cache.epoch:
-            cache.clear()
-            cache.epoch = epoch
-        self._statcache_ok = True
-        self._replay_enabled = len(cache) > 0
-
-    def _statcache_commit(self, stats: SessionStats) -> None:
-        """Promote and (best-effort) persist the cache post-manifest.
-
-        Runs only after the manifest upload succeeded — the session is
-        committed, so every staged recipe is durably referenced.  A
-        failed blob save degrades to a warning: the resident cache is
-        already current, and a stale cloud blob is safe (its refs stay
-        live until a GC sweep, which bumps the epoch it is stamped
-        with).
-        """
-        cache = self._filecache
-        if cache is None:
-            return
-        dirty = cache.commit()
-        if not self._statcache_ok or not dirty:
-            return
-        if not self._statcache_epoch_fresh:
-            try:
-                cache.epoch = read_epoch(self.cloud)
-            except CloudError as exc:
-                stats.warnings.append(
-                    f"stat cache not persisted (GC epoch unreadable): "
-                    f"{exc}")
-                return
-        tracer = self.tracer
-        for app in dirty:
-            blob = cache.blob_for(app)
-            key = naming.statcache_key(app)
-            try:
-                if tracer.enabled:
-                    with tracer.span("statcache.save", app=app,
-                                     bytes=len(blob)):
-                        with self._upload_watch:
-                            self._cloud_put(key, blob)
-                else:
-                    with self._upload_watch:
-                        self._cloud_put(key, blob)
-            except CloudError as exc:
-                stats.warnings.append(
-                    f"stat cache save failed for {app!r} "
-                    f"(retried next session): {exc}")
-
-    def _replay_cached(self, sf: SourceFile, app,
+    # -- stat-cache replay (see repro.core.filecache) -------------------
+    def _replay_cached(self, item: WorkItem,
                        stats: SessionStats) -> Optional[FileEntry]:
         """Stat-cache fast path: replay an unchanged file's recipe.
 
-        Returns ``None`` on a miss or a stale hit (caller runs the full
-        pipeline).  On a hit the file is never ``read()``, chunked or
-        hashed; refcounts are still bumped and the dedup accounting
-        still sees the file's logical bytes.
+        Returns ``None`` on a stale hit (caller runs the full pipeline).
+        On a hit the file is never ``read()``, chunked or hashed;
+        refcounts are still bumped and the dedup accounting still sees
+        the file's logical bytes.
         """
-        cache = self._filecache
-        if cache is None or not self._replay_enabled:
-            return None
-        cached = cache.match(app.label, sf.path, sf.size, sf.mtime_ns)
-        if cached is None:
-            return None
+        sf, app, cached = item.sf, item.app, item.replay
         tracer = self.tracer
-        entry = self._validated_replay(cached, sf, app)
-        if entry is None:
+        if not self._filecache.revalidate(cached, self.index,
+                                          item.plan.namespace):
             stats.statcache_stale += 1
-            cache.discard(app.label, sf.path)
+            self._filecache.discard(app.label, sf.path)
             if tracer.enabled:
                 tracer.metrics.counter("statcache_stale_total").inc()
             return None
         stats.files_unchanged += 1
-        if entry.tiny:
+        if cached.tiny:
             stats.files_tiny += 1
+        with tracer.span("statcache.replay", app=app.label,
+                         bytes=sf.size, refs=len(cached.refs)):
+            pass
         if tracer.enabled:
-            with tracer.span("statcache.replay", app=app.label,
-                             bytes=sf.size, refs=len(entry.refs)):
-                pass
             tracer.metrics.counter("statcache_hits_total").inc()
-        return entry
+        return self._entry_for(item, list(cached.refs), cached.tiny)
 
-    def _validated_replay(self, cached: FileEntry, sf: SourceFile,
-                          app) -> Optional[FileEntry]:
-        """Revalidate a cached recipe against the live index and bump.
-
-        Every non-delta ref in every chain must still resolve to the
-        same container extent (or standalone object) in the exact
-        index; tiny-file refs bypass the index by design and are
-        covered by the GC-epoch check alone.  Refcounts are bumped only
-        after *all* refs validate, so a stale entry leaves no partial
-        refcount churn behind.
-        """
-        cfg = self.config
-        policy = cfg.policy_for_app(app)
-        namespace = cfg.index_namespace(app.label, policy)
-        bumps = []
-        for top in cached.refs:
-            ref = top
-            while ref is not None:
-                if not ref.is_delta and not cached.tiny:
-                    existing = self.index.lookup(namespace,
-                                                 ref.fingerprint)
-                    if existing is None:
-                        return None
-                    if ref.in_container and (
-                            existing.container_id != ref.container_id
-                            or existing.offset != ref.offset):
-                        return None
-                    bumps.append(existing)
-                ref = ref.delta_base
-        for existing in bumps:
-            self.index.insert(namespace, existing.bumped())
-        return FileEntry(path=sf.path, size=sf.size,
-                         mtime_ns=sf.mtime_ns, app=app.label,
-                         category=app.category.value,
-                         refs=list(cached.refs), tiny=cached.tiny)
-
-    def _load_statcache(self) -> int:
-        """Pull persisted stat-cache blobs (disaster-recovery resume).
-
-        Returns the number of file entries recovered.  Blobs stamped
-        with another GC epoch or another scheme are ignored; any cloud
-        failure degrades to an empty cache.
-        """
-        cache = self._filecache
-        if cache is None:
-            return 0
-        loaded = 0
-        try:
-            cache.epoch = read_epoch(self.cloud)
-            for key in self.cloud.list(naming.STATCACHE_PREFIX):
-                if key == naming.STATCACHE_EPOCH_KEY:
-                    continue
-                try:
-                    loaded += cache.load_blob(self.cloud.get(key))
-                except (ValueError, KeyError):
-                    continue  # corrupt blob: equivalent to a cache miss
-        except CloudError:
-            cache.clear()
-            return 0
-        return loaded
-
-    # -- delta-compression stage (post-dedup similarity detection) ------
+    # -- unique-chunk placement ------------------------------------------
     def _place_unique(self, fp: bytes, payload: bytes, length: int,
-                      namespace: str, app_label: str,
-                      stats: SessionStats,
-                      policy: DedupPolicy) -> ChunkRef:
-        """Place a chunk the exact index has never seen.
+                      plan: FilePlan, app_label: str,
+                      stats: SessionStats) -> ChunkRef:
+        """Place a chunk the exact index has never seen: in full, or —
+        with delta compression — however the delta stage decides."""
+        namespace = plan.namespace
+        if self._delta is None:
+            return self._store_full(fp, payload, length, namespace, stats)
+        return self._delta.place(
+            namespace, fp, payload, plan.policy.chunker, app_label, stats,
+            partial(self._store_full, fp, payload, length, namespace,
+                    stats),
+            partial(self._store_delta, fp, len(payload), namespace))
 
-        With delta compression enabled the chunk first passes through
-        the similarity stage: repeat of a known delta target → reuse its
-        ref; resemblance hit with an affordable delta → store the delta;
-        otherwise fall through to a full store, which also registers the
-        chunk as a future delta base.
-        """
-        cfg = self.config
-        sketch = None
-        if self._sim is not None:
-            prior = self._delta_refs.get(namespace, {}).get(fp)
-            if prior is not None:
-                # Duplicate of a chunk stored as a delta earlier: the
-                # exact index missed by design, but no bytes move.
-                stats.ops.index_hits += 1
-                return prior
-            if (policy.chunker in _DELTA_CHUNKERS
-                    and len(payload) >= cfg.delta_min_chunk):
-                sketch = self._sketch(payload, app_label, stats)
-                ref = self._try_delta(fp, payload, sketch, namespace,
-                                      app_label, stats)
-                if ref is not None:
-                    return ref
-        ref = self._store_unique(fp, payload, stream=namespace)
+    def _store_full(self, fp: bytes, payload: bytes, length: int,
+                    namespace: str, stats: SessionStats) -> ChunkRef:
+        """Store a unique chunk in full and enter it in the index."""
+        ref = self._store_unique(fp, payload, namespace)
         stats.bytes_unique += length
         stats.chunks_unique += 1
         self.index.insert(namespace, IndexEntry(
             fingerprint=fp,
             container_id=max(ref.container_id, 0),
             offset=ref.offset, length=ref.length))
-        if sketch is not None:
-            self._register_base(namespace, fp, payload, ref, 0, sketch)
         return ref
 
-    def _sketch(self, payload: bytes, app_label: str,
-                stats: SessionStats):
-        stats.ops.sketch_bytes += len(payload)
-        tracer = self.tracer
-        if not tracer.enabled:
-            return compute_sketch(payload)
-        with tracer.span("delta.sketch", app=app_label,
-                         bytes=len(payload)):
-            return compute_sketch(payload)
-
-    def _try_delta(self, fp: bytes, payload: bytes, sketch,
-                   namespace: str, app_label: str,
-                   stats: SessionStats) -> Optional[ChunkRef]:
-        """Probe the similarity index and, on a usable hit, store the
-        chunk as a delta.  Returns ``None`` when the chunk must be
-        stored in full (no base, chain too deep, or delta too large)."""
-        cfg = self.config
-        base_fp = self._sim.probe(namespace, sketch)
-        if base_fp is None:
-            return None
-        base = self._delta_bases.get(namespace, {}).get(base_fp)
-        if base is None or base.depth >= cfg.delta_max_chain:
-            return None
-        stats.ops.delta_encode_bytes += len(payload)
-        tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span("delta.encode", app=app_label,
-                             bytes=len(payload), base_depth=base.depth):
-                blob = encode_if_worthwhile(base.payload, payload,
-                                            cutoff=cfg.delta_cutoff)
-        else:
-            blob = encode_if_worthwhile(base.payload, payload,
-                                        cutoff=cfg.delta_cutoff)
-        if blob is None:
-            stats.delta_rejected += 1
-            return None
-        ref = self._store_delta(fp, blob, len(payload), namespace,
-                                base.ref)
-        stats.bytes_unique += len(blob)
-        stats.chunks_delta += 1
-        stats.delta_bytes_stored += len(blob)
-        stats.delta_bytes_saved += len(payload) - len(blob)
-        if tracer.enabled:
-            tracer.metrics.counter("delta_chunks_total").inc()
-            tracer.metrics.counter("delta_bytes_saved_total").inc(
-                len(payload) - len(blob))
-        self._delta_refs.setdefault(namespace, {})[fp] = ref
-        depth = base.depth + 1
-        if depth < cfg.delta_max_chain:
-            self._register_base(namespace, fp, payload, ref, depth,
-                                sketch)
-        return ref
-
-    def _store_delta(self, fp: bytes, blob: bytes, target_len: int,
-                     namespace: str, base_ref: ChunkRef) -> ChunkRef:
+    def _store_delta(self, fp: bytes, target_len: int, namespace: str,
+                     blob: bytes, base_ref: ChunkRef) -> ChunkRef:
         """Place a delta blob; its extent identity is the digest of the
         blob itself so scrub can verify it without resolving bases."""
         blob_digest = get_hash("sha1").hash(blob)
@@ -1205,19 +733,6 @@ class BackupClient:
         return ChunkRef(fingerprint=fp, length=target_len,
                         object_key=key, stored_length=len(blob),
                         delta_base=base_ref)
-
-    def _register_base(self, namespace: str, fp: bytes, payload: bytes,
-                       ref: ChunkRef, depth: int, sketch) -> None:
-        """Admit a stored chunk as a candidate base for future deltas
-        (LRU-bounded; evicted bases leave the similarity index too)."""
-        bases = self._delta_bases.setdefault(namespace, OrderedDict())
-        if fp in bases:
-            bases.move_to_end(fp)
-        bases[fp] = _DeltaBase(payload, ref, depth)
-        while len(bases) > self.config.delta_base_cache:
-            old_fp, _ = bases.popitem(last=False)
-            self._sim.discard(namespace, old_fp)
-        self._sim.insert(namespace, sketch, fp)
 
     # ------------------------------------------------------------------
     def _store_unique(self, fp: bytes, data: bytes, stream: str,
@@ -1257,7 +772,8 @@ class BackupClient:
         CLI calls it on startup.
         """
         restored = self._sync.pull(self.index)
-        self._load_statcache()
+        if self._filecache is not None:
+            self._filecache.load(self.cloud)
         latest_id = -1
         for key in self.cloud.list(naming.MANIFEST_PREFIX):
             stem = key.rsplit("session-", 1)[-1].split(".", 1)[0]

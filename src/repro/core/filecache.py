@@ -37,7 +37,7 @@ from typing import Dict, List, Optional
 
 from repro.core import naming
 from repro.core.recipe import FileEntry
-from repro.errors import ObjectNotFound
+from repro.errors import CloudError, ObjectNotFound
 
 __all__ = ["FileCache", "read_epoch", "invalidate_statcache"]
 
@@ -84,7 +84,9 @@ class FileCache:
     promotes the staged generation, returning the application labels
     whose persisted blob is now out of date.  Until ``commit``, lookups
     keep serving the previous successful session, so a crashed session
-    never poisons the cache.
+    never poisons the cache.  :meth:`open_session` / :meth:`close_session`
+    wrap that lifecycle in the cloud protocol (GC-epoch validation and
+    blob persistence) the backup engine drives.
 
     All access happens on the backup coordinator thread; the class is
     intentionally unsynchronised.
@@ -100,6 +102,10 @@ class FileCache:
         self._staged: Dict[str, Dict[str, FileEntry]] = {}
         #: GC epoch the committed generation is valid for.
         self.epoch: int = 0
+        #: Whether the cache may be persisted at session close.
+        self._persist_ok = False
+        #: Whether the GC epoch was read from the cloud this session.
+        self._epoch_fresh = False
 
     def __len__(self) -> int:
         return sum(len(files) for files in self._apps.values())
@@ -121,6 +127,37 @@ class FileCache:
         if entry.size != size or entry.mtime_ns != mtime_ns:
             return None
         return entry
+
+    @staticmethod
+    def revalidate(cached: FileEntry, index, namespace: str) -> bool:
+        """Revalidate a matched recipe against the live index and bump.
+
+        Every non-delta ref in every chain must still resolve to the
+        same container extent (or standalone object) in ``index`` (an
+        :class:`~repro.index.appaware.AppAwareIndex`); tiny-file refs
+        bypass the index by design and are covered by the GC-epoch
+        check alone.  Refcounts are bumped only after *all* refs
+        validate, so a stale entry leaves no partial refcount churn
+        behind.  On ``False`` the caller discards the entry and runs
+        the full pipeline.
+        """
+        bumps = []
+        for top in cached.refs:
+            ref = top
+            while ref is not None:
+                if not ref.is_delta and not cached.tiny:
+                    existing = index.lookup(namespace, ref.fingerprint)
+                    if existing is None:
+                        return False
+                    if ref.in_container and (
+                            existing.container_id != ref.container_id
+                            or existing.offset != ref.offset):
+                        return False
+                    bumps.append(existing)
+                ref = ref.delta_base
+        for existing in bumps:
+            index.insert(namespace, existing.bumped())
+        return True
 
     def discard(self, app: str, path: str) -> None:
         """Forget one entry (its refs failed revalidation)."""
@@ -154,6 +191,89 @@ class FileCache:
         """Drop everything (epoch mismatch / load failure)."""
         self._apps = {}
         self._staged = {}
+
+    # -- cloud protocol -------------------------------------------------
+    def open_session(self, cloud, warnings: list) -> bool:
+        """Start-of-session maintenance and epoch validation; returns
+        whether replays are allowed this session.
+
+        Replay is enabled only when the cloud's GC epoch matches the
+        resident cache's: a sweep between sessions may have deleted
+        extents the cached recipes reference.  The epoch read is skipped
+        while the cache is empty (nothing to validate), so schemes that
+        never accumulate cache state — mtime-less sources — cost no
+        extra cloud requests at all.
+        """
+        self.begin_session()
+        self._persist_ok = self._epoch_fresh = False
+        if len(self) == 0:
+            self._persist_ok = True
+            return False
+        try:
+            epoch = read_epoch(cloud)
+        except CloudError as exc:
+            warnings.append(
+                f"stat cache disabled this session "
+                f"(GC epoch unreadable): {exc}")
+            return False
+        self._epoch_fresh = True
+        if epoch != self.epoch:
+            self.clear()
+            self.epoch = epoch
+        self._persist_ok = True
+        return len(self) > 0
+
+    def close_session(self, cloud, put, warnings: list, tracer) -> None:
+        """Promote and (best-effort) persist the cache post-manifest.
+
+        Call only after the manifest upload succeeded — the session is
+        committed, so every staged recipe is durably referenced.  Dirty
+        blobs go out through ``put(key, blob)``.  A failed save degrades
+        to a warning: the resident cache is already current, and a
+        stale cloud blob is safe (its refs stay live until a GC sweep,
+        which bumps the epoch it is stamped with).
+        """
+        dirty = self.commit()
+        if not self._persist_ok or not dirty:
+            return
+        if not self._epoch_fresh:
+            try:
+                self.epoch = read_epoch(cloud)
+            except CloudError as exc:
+                warnings.append(
+                    f"stat cache not persisted (GC epoch unreadable): "
+                    f"{exc}")
+                return
+        for app in dirty:
+            blob = self.blob_for(app)
+            try:
+                with tracer.span("statcache.save", app=app,
+                                 bytes=len(blob)):
+                    put(naming.statcache_key(app), blob)
+            except CloudError as exc:
+                warnings.append(
+                    f"stat cache save failed for {app!r} "
+                    f"(retried next session): {exc}")
+
+    def load(self, cloud) -> int:
+        """Pull persisted blobs (disaster-recovery resume); returns the
+        number of file entries recovered.  Blobs stamped with another GC
+        epoch or another scheme are ignored; any cloud failure degrades
+        to an empty cache."""
+        loaded = 0
+        try:
+            self.epoch = read_epoch(cloud)
+            for key in cloud.list(naming.STATCACHE_PREFIX):
+                if key == naming.STATCACHE_EPOCH_KEY:
+                    continue
+                try:
+                    loaded += self.load_blob(cloud.get(key))
+                except (ValueError, KeyError):
+                    continue  # corrupt blob: equivalent to a cache miss
+        except CloudError:
+            self.clear()
+            return 0
+        return loaded
 
     # -- persistence ----------------------------------------------------
     def blob_for(self, app: str) -> bytes:

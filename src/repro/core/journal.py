@@ -48,23 +48,19 @@ def _digest(blob: bytes) -> str:
 class SessionJournal:
     """Durable record of one session's completed uploads.
 
-    ``flush_interval`` trades resume granularity against journal puts:
-    1 (the default) flushes after every recorded upload — with 1 MB
-    containers the overhead is a tiny object per ~1 MB of payload.
+    The journal is flushed to the cloud after every recorded upload —
+    with 1 MB containers the overhead is a tiny object per ~1 MB of
+    payload, and a crash loses at most the upload in flight.
     """
 
     VERSION = 1
 
     def __init__(self, cloud, session_id: int,
-                 first_container_id: int = 0,
-                 flush_interval: int = 1) -> None:
-        if flush_interval < 1:
-            raise ValueError("flush_interval must be >= 1")
+                 first_container_id: int = 0) -> None:
         self.cloud = cloud
         self.session_id = session_id
         self.key = naming.journal_key(session_id)
         self.first_container_id = first_container_id
-        self.flush_interval = flush_interval
         #: True when this journal was reloaded from an interrupted run.
         self.resumed = False
         #: Uploads skipped because the journal proved them durable.
@@ -73,18 +69,15 @@ class SessionJournal:
         #: Non-fatal journal maintenance failures.
         self.warnings: List[str] = []
         self._done: Dict[str, str] = {}
-        self._dirty = 0
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     @classmethod
     def load(cls, cloud, session_id: int,
-             first_container_id: int = 0,
-             flush_interval: int = 1) -> "SessionJournal":
+             first_container_id: int = 0) -> "SessionJournal":
         """Open the journal for ``session_id``, resuming a cloud copy
         left by an interrupted run when one exists."""
-        journal = cls(cloud, session_id, first_container_id,
-                      flush_interval)
+        journal = cls(cloud, session_id, first_container_id)
         try:
             blob = cloud.get(journal.key)
         except ObjectNotFound:
@@ -117,14 +110,11 @@ class SessionJournal:
         return True
 
     def record(self, key: str, blob: bytes) -> None:
-        """Note that ``blob`` is now durable under ``key``; flush per
-        the configured interval.  Call only after the put succeeded."""
+        """Note that ``blob`` is now durable under ``key`` and flush.
+        Call only after the put succeeded."""
         with self._lock:
             self._done[key] = _digest(blob)
-            self._dirty += 1
-            flush_now = self._dirty >= self.flush_interval
-        if flush_now:
-            self.flush()
+        self.flush()
 
     def flush(self) -> None:
         """Replicate the journal to the cloud (best effort)."""
@@ -133,7 +123,6 @@ class SessionJournal:
                    "session": self.session_id,
                    "first_container_id": self.first_container_id,
                    "done": dict(sorted(self._done.items()))}
-            self._dirty = 0
         blob = json.dumps(doc, separators=(",", ":")).encode("utf-8")
         try:
             self.cloud.put(self.key, blob)

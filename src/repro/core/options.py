@@ -19,7 +19,24 @@ from repro.classify.policy import AA_POLICY_TABLE, DedupPolicy, \
 from repro.errors import ConfigError
 from repro.util.units import KIB, MIB
 
-__all__ = ["SchemeConfig", "aa_dedupe_config"]
+__all__ = ["FilePlan", "SchemeConfig", "aa_dedupe_config"]
+
+
+@dataclass(frozen=True)
+class FilePlan:
+    """What a scheme does with one file, decided from ``(app, size)``
+    alone — see :meth:`SchemeConfig.plan_file`."""
+
+    #: Below the tiny-file threshold: bypasses dedup, packed whole.
+    tiny: bool
+    #: Chunker + fingerprint choice; ``None`` when the file is stored
+    #: whole (tiny files, and every file of an incremental-only scheme).
+    policy: Optional[DedupPolicy]
+    #: Index namespace, which is also the container stream
+    #: (``"tiny"`` for tiny files, ``""`` for incremental-only schemes).
+    namespace: str
+    #: Probe the whole-file tier before chunking (SAM).
+    file_tier: bool
 
 
 @dataclass(frozen=True)
@@ -69,33 +86,12 @@ class SchemeConfig:
     #: (the paper's pipelined design).
     pipeline_uploads: bool = False
 
-    #: Verify chunk fingerprints during restore.
-    verify_on_restore: bool = True
-
-    #: Parallel per-application deduplication (Observation 2: apps share
-    #: no data, so each can be deduplicated "independently and in
-    #: parallel").  >1 enables a thread pool of that many application
-    #: workers in the real engine; requires a non-incremental scheme.
+    #: Parallel deduplication (Observation 2: apps share no data, so
+    #: each can be deduplicated "independently and in parallel").  1 runs
+    #: the read → chunk → hash stages inline; >1 runs them on worker
+    #: pools sized from this one number (see docs/PIPELINE.md).
+    #: Requires a non-incremental scheme.
     parallel_workers: int = 1
-
-    #: Per-stage worker counts for the pipelined parallel engine
-    #: (read → chunk → hash stages; see docs/PIPELINE.md).  0 means
-    #: auto: reads get ``min(2, parallel_workers)`` workers (a personal
-    #: computer's disk rarely rewards deeper read concurrency), chunk
-    #: and hash each get ``parallel_workers``.  Only consulted when
-    #: ``parallel_workers > 1``.
-    read_workers: int = 0
-    chunk_workers: int = 0
-    hash_workers: int = 0
-
-    #: Capacity of each inter-stage hand-off queue (0 = auto: twice the
-    #: widest stage).  A full queue blocks the upstream stage — this is
-    #: the backpressure bound on resident prepared payloads.
-    stage_queue_depth: int = 0
-
-    #: Capacity of the pipelined uploader's queue (sealed containers /
-    #: blobs awaiting WAN transfer).
-    upload_queue_depth: int = 4
 
     #: Convergent encryption (secure dedup — the paper's future work):
     #: chunks are encrypted under content-derived keys before
@@ -110,35 +106,15 @@ class SchemeConfig:
     #: paper-faithful request/byte accounting of the evaluation.
     resumable: bool = False
 
-    #: Flush the session journal to the cloud every N recorded uploads.
-    journal_flush_interval: int = 1
-
     #: Post-dedup similarity detection + delta compression of unique
     #: CDC/SC chunks (see :mod:`repro.delta` and docs/DELTA.md).
     #: WFC/compressed categories always bypass the stage.  Off by
     #: default: the paper's evaluation is exact-only.
     delta_compress: bool = False
 
-    #: Max acceptable delta/target size ratio; larger deltas are "not
-    #: worth it" and the chunk is stored in full.
-    delta_cutoff: float = 0.5
-
     #: Max delta hops from any chunk back to a full base extent.  Deeper
     #: chains save more bytes but cost chained decodes on restore.
     delta_max_chain: int = 3
-
-    #: Chunks smaller than this skip similarity detection (sketch +
-    #: probe overhead cannot pay off on near-empty chunks).
-    delta_min_chunk: int = 2048
-
-    #: Super-feature slots per application namespace in the similarity
-    #: index (LRU-bounded).
-    delta_sim_capacity: int = 8192
-
-    #: Recent base payloads kept in memory per application namespace —
-    #: delta encoding needs the base bytes, and a source deduplicator
-    #: must never re-download them mid-backup.
-    delta_base_cache: int = 256
 
     #: Cross-session unchanged-file recipe cache (stat cache): a file
     #: whose ``(path, size, mtime_ns)`` triple matches the previous
@@ -184,13 +160,6 @@ class SchemeConfig:
             raise ConfigError(
                 "parallel dedup requires the application-aware index "
                 "layout (workers must own disjoint subindices)")
-        if (self.read_workers < 0 or self.chunk_workers < 0
-                or self.hash_workers < 0):
-            raise ConfigError("per-stage worker counts must be >= 0")
-        if self.stage_queue_depth < 0:
-            raise ConfigError("stage_queue_depth must be >= 0")
-        if self.upload_queue_depth < 1:
-            raise ConfigError("upload_queue_depth must be >= 1")
         if not self.incremental_only:
             if (self.policy_table is None) == (self.fixed_policy is None):
                 raise ConfigError(
@@ -207,21 +176,12 @@ class SchemeConfig:
                     "delta_compress is incompatible with encrypt_chunks "
                     "(convergent ciphertexts destroy resemblance; see "
                     "docs/DELTA.md)")
-            if not (0.0 < self.delta_cutoff <= 1.0):
-                raise ConfigError("delta_cutoff must be in (0, 1]")
             if self.delta_max_chain < 1:
                 raise ConfigError("delta_max_chain must be >= 1")
-            if self.delta_min_chunk < 0:
-                raise ConfigError("delta_min_chunk must be >= 0")
-            if self.delta_sim_capacity < 1 or self.delta_base_cache < 1:
-                raise ConfigError(
-                    "delta_sim_capacity/delta_base_cache must be >= 1")
         if self.stat_cache and self.incremental_only:
             raise ConfigError(
                 "stat_cache requires a dedup scheme: incremental mode "
                 "already skips unchanged files by metadata")
-        if self.journal_flush_interval < 1:
-            raise ConfigError("journal_flush_interval must be >= 1")
         if self.use_containers and self.container_size < 4096:
             raise ConfigError("container_size too small")
         if self.app_chunkers:
@@ -289,25 +249,20 @@ class SchemeConfig:
             return policy.chunker
         return "global"
 
-    def stage_workers(self) -> Mapping[str, int]:
-        """Resolved worker count per pipelined stage (auto = 0 filled).
-
-        ``parallel_workers`` remains the single headline knob: by
-        default the chunk and hash stages each get that many workers
-        while reads stay at ``min(2, parallel_workers)``.
-        """
-        base = self.parallel_workers
-        return {
-            "read": self.read_workers or min(2, base),
-            "chunk": self.chunk_workers or base,
-            "hash": self.hash_workers or base,
-        }
-
-    def resolved_queue_depth(self) -> int:
-        """Inter-stage queue capacity with the auto default applied."""
-        if self.stage_queue_depth:
-            return self.stage_queue_depth
-        return 2 * max(self.stage_workers().values())
+    def plan_file(self, app: AppType, size: int) -> FilePlan:
+        """The scheme's whole per-file decision, with no I/O: size
+        filter, policy, namespace, file-tier probe.  The backup engine,
+        the trace engine and the estimator all ask here, so the three
+        cannot disagree on what happens to a file."""
+        if self.incremental_only:
+            return FilePlan(False, None, "", False)
+        if size < self.tiny_file_threshold:
+            # File size filter (Observation 1).
+            return FilePlan(True, None, "tiny", False)
+        policy = self.policy_for_app(app)
+        return FilePlan(
+            False, policy, self.index_namespace(app.label, policy),
+            self.file_level_first and policy.chunker != "wfc" and size > 0)
 
     def with_(self, **changes) -> "SchemeConfig":
         """Return a modified copy (convenience for ablation sweeps)."""

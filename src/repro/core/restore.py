@@ -226,13 +226,12 @@ class RestoreClient:
 
     def _fetch_ref(self, ref: ChunkRef, report: RestoreReport,
                    depth: int = 1) -> bytes:
-        if ref.is_delta:
-            if self.tracer.enabled and depth == 1:
-                with self.tracer.span("restore.delta_chain",
-                                      depth=ref.chain_depth()):
-                    data = self._fetch_delta(ref, report, depth)
-            else:
+        if ref.is_delta and depth == 1:  # one span per chain head
+            with self.tracer.span("restore.delta_chain",
+                                  depth=ref.chain_depth()):
                 data = self._fetch_delta(ref, report, depth)
+        elif ref.is_delta:
+            data = self._fetch_delta(ref, report, depth)
         else:
             data = self._read_extent(ref, ref.length, report)
         if self.verify:

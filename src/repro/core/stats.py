@@ -131,11 +131,14 @@ class SessionStats:
 
     # -- measured wall time (real engine only; simulators use cpumodel) --
     dedup_wall_seconds: float = 0.0
+    #: Seconds inside cloud PUTs — containers, manifest and stat-cache
+    #: blobs alike — on whichever thread issued them.
     upload_wall_seconds: float = 0.0
-    #: Pipelined engine only: accumulated worker busy seconds per stage
-    #: ("read"/"chunk"/"hash"/"commit"/"upload").  Busy times sum past
-    #: the session wall time exactly when stages overlapped — the
-    #: paper's pipelining claim made measurable.
+    #: Accumulated busy seconds of every stage that ran on its own
+    #: thread(s) ("read"/"chunk"/"hash"/"commit" with parallel_workers
+    #: > 1, "pack"/"upload" with pipeline_uploads; empty otherwise).
+    #: Busy times sum past the session wall time exactly when stages
+    #: overlapped — the paper's pipelining claim made measurable.
     stage_busy_seconds: Dict[str, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
@@ -150,34 +153,6 @@ class SessionStats:
         if self.bytes_unique <= 0:
             return float("inf") if self.bytes_scanned > 0 else 1.0
         return self.bytes_scanned / self.bytes_unique
-
-    def merge(self, other: "SessionStats") -> None:
-        """Fold a per-worker partial into this session's totals (used by
-        the parallel per-application dedup mode)."""
-        self.bytes_scanned += other.bytes_scanned
-        self.bytes_unique += other.bytes_unique
-        self.bytes_uploaded += other.bytes_uploaded
-        self.files_total += other.files_total
-        self.files_tiny += other.files_tiny
-        self.files_unchanged += other.files_unchanged
-        self.statcache_stale += other.statcache_stale
-        self.chunks_unique += other.chunks_unique
-        self.chunks_delta += other.chunks_delta
-        self.delta_bytes_stored += other.delta_bytes_stored
-        self.delta_bytes_saved += other.delta_bytes_saved
-        self.delta_rejected += other.delta_rejected
-        self.put_requests += other.put_requests
-        self.resume_skipped_objects += other.resume_skipped_objects
-        self.resume_skipped_bytes += other.resume_skipped_bytes
-        self.warnings.extend(other.warnings)
-        self.ops.merge(other.ops)
-        for stage, seconds in other.stage_busy_seconds.items():
-            self.stage_busy_seconds[stage] = (
-                self.stage_busy_seconds.get(stage, 0.0) + seconds)
-        for app, n in other.app_scanned.items():
-            self.app_scanned[app] = self.app_scanned.get(app, 0) + n
-        for app, n in other.app_unique.items():
-            self.app_unique[app] = self.app_unique.get(app, 0) + n
 
     def summary(self) -> str:
         """One-line human summary for logs and example output."""

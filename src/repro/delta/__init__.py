@@ -8,9 +8,11 @@ Exact dedup stops at byte-identical chunks; this package captures the
 * :mod:`repro.delta.simindex` — bounded per-application similarity
   index (super-feature -> base fingerprint, LRU);
 * :mod:`repro.delta.encode` — greedy copy/insert delta codec with a
-  "not worth it" cutoff.
+  "not worth it" cutoff;
+* :mod:`repro.delta.stage` — :class:`DeltaStage`, which threads the
+  three together into the reuse / delta / full-store decision.
 
-:class:`repro.core.backup.BackupClient` threads these together when
+:class:`repro.core.backup.BackupClient` owns one stage when
 ``SchemeConfig(delta_compress=True)``: a unique CDC/SC chunk probes the
 similarity index and, when a resembling base is resident, stores a
 delta extent instead of its full bytes.  WFC/compressed categories
@@ -30,10 +32,12 @@ from repro.delta.encode import (
 )
 from repro.delta.simindex import SimIndexStats, SimilarityIndex
 from repro.delta.sketch import Sketch, compute_sketch
+from repro.delta.stage import DeltaStage
 
 __all__ = [
     "DEFAULT_CUTOFF",
     "DeltaError",
+    "DeltaStage",
     "apply_delta",
     "delta_target_length",
     "encode_delta",

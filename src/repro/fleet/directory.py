@@ -574,8 +574,7 @@ class GlobalDedupDirectory:
                         moved += dest.absorb(extracted)
                 self.rebalances += 1
                 moved_total += moved
-                if self.tracer.enabled:
-                    span.set("moved", moved)
+                span.set("moved", moved)
         return moved_total
 
     def commit_epoch(self) -> int:
@@ -601,8 +600,8 @@ class GlobalDedupDirectory:
                 migrated = self._rebalance()
                 self.migrated_entries += migrated
             self.epoch += 1
+            span.set("committed", committed)
             if tracer.enabled:
-                span.set("committed", committed)
                 metrics = tracer.metrics
                 metrics.counter(
                     "fleet_directory_committed_total").inc(committed)

@@ -69,23 +69,19 @@ class AppAwareIndex:
     def lookup(self, app: str, fingerprint: bytes) -> Optional[IndexEntry]:
         """Route a lookup to ``app``'s subindex only."""
         tracer = self.tracer
-        if not tracer.enabled:
-            return self.subindex(app).lookup(fingerprint)
         with tracer.span("index.lookup", app=app) as sp:
             entry = self.subindex(app).lookup(fingerprint)
             sp.set("hit", entry is not None)
-        tracer.metrics.histogram(
-            "index_lookup_seconds", LATENCY_BUCKETS).observe(sp.duration)
-        tracer.metrics.counter("index_lookups_total").inc()
+        if tracer.enabled:
+            tracer.metrics.histogram(
+                "index_lookup_seconds",
+                LATENCY_BUCKETS).observe(sp.duration)
+            tracer.metrics.counter("index_lookups_total").inc()
         return entry
 
     def insert(self, app: str, entry: IndexEntry) -> None:
         """Insert into ``app``'s subindex."""
-        tracer = self.tracer
-        if not tracer.enabled:
-            self.subindex(app).insert(entry)
-            return
-        with tracer.span("index.insert", app=app):
+        with self.tracer.span("index.insert", app=app):
             self.subindex(app).insert(entry)
 
     def contains(self, app: str, fingerprint: bytes) -> bool:

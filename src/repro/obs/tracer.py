@@ -14,9 +14,11 @@ directly in ``chrome://tracing`` / Perfetto, and :func:`load_spans`
 round-trips it back into :class:`Span` records for offline analysis
 (``repro trace-profile``).
 
-The default tracer everywhere is :data:`NOOP_TRACER`; its ``enabled``
-flag is ``False`` so per-chunk hot loops can skip instrumentation
-without constructing a single object.
+The default tracer everywhere is :data:`NOOP_TRACER`.  Instrumented
+code has one form — ``with tracer.span(...):`` — whether tracing is on
+or off: a no-op span costs about half a microsecond (the keyword dict
+plus three calls), so nothing forks on ``enabled`` except recording
+into ``tracer.metrics``, which is ``None`` on the no-op tracer.
 """
 
 from __future__ import annotations
@@ -257,9 +259,8 @@ _NOOP_SPAN = _NoopSpan()
 class NoopTracer:
     """Disabled tracer: every ``span()`` is the same inert handle.
 
-    ``enabled`` is ``False`` so per-chunk code can skip instrumentation
-    branches entirely; ``metrics`` is ``None`` by design — recording
-    into it must always be guarded by ``tracer.enabled``.
+    ``metrics`` is ``None`` by design — recording into it is the one
+    thing callers guard with ``tracer.enabled``.
     """
 
     enabled = False

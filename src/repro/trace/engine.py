@@ -1,10 +1,11 @@
 """Policy-driven trace backup client.
 
 Executes one :class:`~repro.core.options.SchemeConfig` over composition
-snapshots, mirroring :class:`~repro.core.backup.BackupClient` decision
-for decision — tiny-file filter, per-category chunk/hash policy, optional
-file-level tier, namespaced index, container aggregation — while only
-*accounting* for the bytes instead of moving them.  Additionally it
+snapshots.  The per-file decisions — tiny-file filter, per-category
+chunk/hash policy, optional file-level tier, index namespace — come
+from the same :meth:`SchemeConfig.plan_file` the real
+:class:`~repro.core.backup.BackupClient` asks; this engine only
+*accounts* for the bytes instead of moving them.  Additionally it
 models index RAM residency: each lookup/insert against a namespace whose
 entry population exceeds the residency budget accrues expected random
 disk IOs — the on-disk index bottleneck of the paper.
@@ -111,9 +112,6 @@ class TraceBackupClient:
         self._disk_ios = 0.0
 
     # ------------------------------------------------------------------
-    def _namespace(self, app_label: str, policy) -> str:
-        return self.config.index_namespace(app_label, policy)
-
     def _index(self, namespace: str) -> Set[int]:
         idx = self.indices.get(namespace)
         if idx is None:
@@ -194,6 +192,7 @@ class TraceBackupClient:
                  stats: SessionStats) -> int:
         """Handle one file; returns the number of recipe references."""
         cfg = self.config
+        plan = cfg.plan_file(app, comp.size)
 
         if cfg.incremental_only:
             meta = (comp.size, snapshot.mtimes.get(path, 0))
@@ -208,15 +207,15 @@ class TraceBackupClient:
             return 1
 
         stats.ops.read_bytes += comp.size
-        if comp.size < cfg.tiny_file_threshold:
+        if plan.tiny:
             stats.files_tiny += 1
             if comp.size:
                 stats.ops.add_hashed("sha1", comp.size)
-                self._store_unique(comp.size, "tiny", stats)
+                self._store_unique(comp.size, plan.namespace, stats)
             return 1
 
-        policy = cfg.policy_for(app.category)
-        if cfg.file_level_first and policy.chunker != "wfc" and comp.size:
+        policy = plan.policy
+        if plan.file_tier:
             fid = wfc_id(comp)
             stats.ops.add_hashed("sha1", comp.size)
             stats.ops.index_lookups += 1
@@ -226,7 +225,7 @@ class TraceBackupClient:
         else:
             fid = None
 
-        namespace = self._namespace(app.label, policy)
+        namespace = plan.namespace
         params = dict(policy.chunker_params)
         if policy.chunker in CDC_FAMILY:
             # The trace layer models cut *placement* abstractly (block-

@@ -13,8 +13,8 @@ from repro.core import (
     aa_dedupe_config,
 )
 from repro.core import naming
-from repro.core.backup import _PipelinedUploader
-from repro.core.pipeline import PipelineAborted, StagePipeline, WorkItem
+from repro.core.pipeline import (BackgroundWorker, PipelineAborted,
+                                 StagePipeline, WorkItem)
 from repro.core.source import SourceFile
 from repro.simulate.clock import VirtualClock
 from repro.errors import BackupError, ConfigError
@@ -145,12 +145,28 @@ class TestPipelineBugfixes:
             SourceFile(path="docs/other.doc", size=32 * KIB,
                        mtime_ns=0, reader=lambda: payload),
         ]
-        client = BackupClient(InMemoryBackend(), aa_dedupe_config(
-            container_size=64 * KIB, parallel_workers=3))
-        stats = client.backup(files)
-        client.close()
-        assert any("size changed during read" in w
-                   for w in stats.warnings), stats.warnings
+        # The read stage is shared by every arm of the one stage graph:
+        # pooled, inline, and the incremental-only (Jungle Disk) scheme,
+        # which used to call sf.read() itself — no warning, no span.
+        from repro.baselines import jungle_disk_config
+        from repro.obs import Tracer
+        for config in (
+                aa_dedupe_config(container_size=64 * KIB,
+                                 parallel_workers=3),
+                aa_dedupe_config(container_size=64 * KIB),
+                jungle_disk_config()):
+            tracer = Tracer()
+            client = BackupClient(InMemoryBackend(), config,
+                                  tracer=tracer)
+            stats = client.backup(files)
+            client.close()
+            warned = [w for w in stats.warnings
+                      if "size changed during read" in w]
+            assert len(warned) == 1, (config.name, stats.warnings)
+            assert "docs/report.doc" in warned[0]
+            reads = [s for s in tracer.spans() if s.name == "read"]
+            assert len(reads) == 2, config.name
+            assert stats.ops.read_bytes == 2 * len(payload)
 
     @pytest.mark.filterwarnings(
         "ignore::pytest.PytestUnhandledThreadExceptionWarning")
@@ -159,7 +175,9 @@ class TestPipelineBugfixes:
         # killed by a malformed queue item never called task_done(), so
         # the session hung forever.  The outstanding-counter + liveness
         # guard turns that into a prompt BackupError.
-        uploader = _PipelinedUploader(lambda key, blob: None, depth=4)
+        uploader = BackgroundWorker(lambda key, blob: None,
+                                    name="test-uploader",
+                                    what="pipelined upload")
         uploader._queue.put(object())  # poison: kills the worker thread
         start = time.monotonic()
         with pytest.raises(BackupError):
@@ -180,7 +198,8 @@ class TestPipelineBugfixes:
                 raise IOError("backend exploded")
             seen.append(key)
 
-        uploader = _PipelinedUploader(put, depth=8)
+        uploader = BackgroundWorker(put, name="test-uploader",
+                                    what="pipelined upload", depth=8)
         uploader.submit("ok-1", b"x")
         uploader.submit("bad", b"x")
         deadline = time.monotonic() + 5.0
@@ -209,16 +228,16 @@ class TestPipelineBugfixes:
         chunk_calls = []
         orig_chunk = BackupClient._chunk_file
 
-        def slow_chunk(self, sf, app, data, stats):
-            chunk_calls.append(sf.path)
+        def slow_chunk(self, item):
+            chunk_calls.append(item.sf.path)
             time.sleep(0.02)
-            return orig_chunk(self, sf, app, data, stats)
+            return orig_chunk(self, item)
 
-        def bad_place(self, prep, stats):
+        def bad_place(self, item, stats):
             raise RuntimeError("placement exploded")
 
         monkeypatch.setattr(BackupClient, "_chunk_file", slow_chunk)
-        monkeypatch.setattr(BackupClient, "_place_prepared", bad_place)
+        monkeypatch.setattr(BackupClient, "_place_file", bad_place)
         config = aa_dedupe_config(container_size=64 * KIB,
                                   parallel_workers=4)
         client = BackupClient(InMemoryBackend(), config)
@@ -229,7 +248,8 @@ class TestPipelineBugfixes:
         # still-queued part of that window, so strictly fewer than
         # `window` files get chunked (the old engine ground through all
         # of them — and without the window, through every file).
-        window = max(4, 2 * sum(config.stage_workers().values()))
+        # (2 read + 4 chunk + 4 hash workers, twice over).
+        window = 2 * (2 + 4 + 4)
         assert window < n_files
         assert len(chunk_calls) < window, (
             f"{len(chunk_calls)} of {n_files} files chunked after abort "

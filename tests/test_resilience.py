@@ -6,6 +6,7 @@ fault sequence replays deterministically from its seed.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -25,12 +26,14 @@ from repro.core import (
     aa_dedupe_config,
     naming,
 )
-from repro.core.backup import _PipelinedUploader
+from repro.container.manager import ContainerManager
+from repro.core.pipeline import BackgroundWorker
 from repro.core.scrub import scrub_cloud
 from repro.core.sync import IndexSynchronizer
 from repro.errors import (
     BackupError,
     CloudError,
+    ContainerError,
     ObjectNotFound,
     PermanentCloudError,
     TransientCloudError,
@@ -333,6 +336,12 @@ class TestSimulatedCloudResilience:
 
 
 # ---------------------------------------------------------------------------
+def _uploader(put, depth=4):
+    """The engine's pipelined uploader: a BackgroundWorker over put."""
+    return BackgroundWorker(put, name="test-uploader",
+                            what="pipelined upload", depth=depth)
+
+
 class TestPipelinedUploaderFailFast:
     def test_drops_queued_work_after_first_error(self):
         uploaded, started = [], threading.Event()
@@ -343,18 +352,18 @@ class TestPipelinedUploaderFailFast:
                 raise CloudError("boom")
             uploaded.append(key)
 
-        up = _PipelinedUploader(put, depth=10)
+        up = _uploader(put, depth=10)
         up.submit("ok-1", b"x")
         up.submit("bad", b"x")
         up.submit("after-1", b"x")
         up.submit("after-2", b"x")
         started.set()
-        with pytest.raises(BackupError):
+        with pytest.raises(BackupError, match="pipelined upload failed"):
             up.close()
         assert uploaded == ["ok-1"]  # nothing after the failure
 
     def test_rejects_submit_after_error(self):
-        up = _PipelinedUploader(
+        up = _uploader(
             lambda k, b: (_ for _ in ()).throw(CloudError("boom")))
         up.submit("a", b"x")
         # Completion tracking is the outstanding counter (not
@@ -365,23 +374,178 @@ class TestPipelinedUploaderFailFast:
         with pytest.raises(BackupError):
             up.submit("b", b"x")
         with pytest.raises(BackupError):
+            up.check()
+        with pytest.raises(BackupError):
             up.close()
         assert not up._thread.is_alive()
 
     def test_close_joins_worker_thread_on_success(self):
-        up = _PipelinedUploader(lambda k, b: None)
+        up = _uploader(lambda k, b: None)
         up.submit("a", b"x")
         up.close()
         assert not up._thread.is_alive()
+        up.close()  # idempotent
 
     def test_on_success_runs_per_durable_upload(self):
+        # The engine's job is "PUT, then journal the key": each job
+        # runs exactly once, whole, in submission order.
         seen = []
-        up = _PipelinedUploader(lambda k, b: None,
-                                on_success=lambda k, b: seen.append(k))
+
+        def upload(key, blob):
+            seen.append(("put", key))
+            seen.append(("journal", key))
+
+        up = _uploader(upload)
         up.submit("a", b"x")
         up.submit("b", b"y")
         up.close()
-        assert seen == ["a", "b"]
+        assert seen == [("put", "a"), ("journal", "a"),
+                        ("put", "b"), ("journal", "b")]
+        assert up.busy_seconds >= 0.0
+
+    def test_reset_accepts_work_again(self):
+        ran = []
+
+        def job(key):
+            if key == "bad":
+                raise CloudError("boom")
+            ran.append(key)
+
+        worker = BackgroundWorker(job, name="test-worker", what="job")
+        worker.submit("bad")
+        with pytest.raises(BackupError, match="job failed"):
+            worker.drain()
+        worker.reset()
+        worker.submit("good")
+        worker.close()
+        assert ran == ["good"]
+        assert not worker._thread.is_alive()
+
+
+    def test_concurrent_submitters_lose_no_job(self):
+        # Stress the outstanding counter: more producers than cores,
+        # aggressive thread switching, a tiny queue (constant
+        # backpressure).  A lost update would strand drain() or drop
+        # a job.
+        import sys
+
+        ran = []
+        worker = BackgroundWorker(ran.append, name="test-worker",
+                                  what="job", depth=2)
+        per_thread, n_threads = 200, 16
+
+        def produce(base):
+            for i in range(per_thread):
+                worker.submit(base + i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=produce,
+                                        args=(t * per_thread,))
+                       for t in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+                assert not thread.is_alive()
+            worker.drain()
+        finally:
+            sys.setswitchinterval(interval)
+        assert worker._outstanding == 0
+        assert sorted(ran) == list(range(per_thread * n_threads))
+        worker.close()
+        assert not worker._thread.is_alive()
+
+
+class TestAsyncPackFailFast:
+    """The same properties through ``ContainerManager(pack_async=True)``,
+    whose seal + upload hand-off runs on a BackgroundWorker."""
+
+    @staticmethod
+    def _fill(manager, n, start=0):
+        # Each add overflows the 4 KiB container, sealing the previous.
+        for i in range(start, start + n):
+            manager.add(bytes([i]) * 20, bytes([i]) * 3000, stream="s")
+
+    def test_drops_queued_seals_after_first_error(self):
+        uploaded, started = [], threading.Event()
+
+        def upload(container_id, blob):
+            started.wait(5)
+            if container_id == 1:
+                raise CloudError("boom")
+            uploaded.append(container_id)
+
+        manager = ContainerManager(upload, container_size=4096,
+                                   pack_async=True)
+        self._fill(manager, 5)  # seals 0..3 queue behind the gate
+        started.set()
+        with pytest.raises(ContainerError, match="container pack failed"):
+            manager.flush()
+        assert uploaded == [0]  # nothing after the failure
+        manager.close()
+
+    def test_failure_is_reported_once_then_manager_recovers(self):
+        fail = {"on": True}
+        uploaded = []
+
+        def upload(container_id, blob):
+            if fail["on"]:
+                raise CloudError("boom")
+            uploaded.append(container_id)
+
+        manager = ContainerManager(upload, container_size=4096,
+                                   pack_async=True)
+        self._fill(manager, 1)
+        with pytest.raises(ContainerError) as info:
+            manager.flush()
+        assert isinstance(info.value.__cause__, CloudError)
+        # The next session on the same manager works again.
+        fail["on"] = False
+        self._fill(manager, 2, start=10)
+        manager.flush()
+        assert len(uploaded) == 2
+        manager.close()
+
+    def test_add_surfaces_async_failure_early(self):
+        def upload(container_id, blob):
+            if container_id == 0:
+                raise CloudError("boom")
+
+        manager = ContainerManager(upload, container_size=4096,
+                                   pack_async=True)
+        self._fill(manager, 2)  # second add seals the first container
+        packer = manager._packer
+        with packer._cond:
+            assert packer._cond.wait_for(
+                lambda: packer._outstanding == 0, timeout=5.0)
+        with pytest.raises(ContainerError):
+            manager.add(b"f" * 20, b"x" * 100, stream="s")
+        manager.close()
+
+    def test_close_joins_pack_thread(self):
+        sealed = []
+        manager = ContainerManager(
+            lambda cid, blob: sealed.append(cid),
+            container_size=4096, pack_async=True)
+        self._fill(manager, 3)
+        manager.close()
+        assert sealed == [0, 1, 2]
+        assert manager.pack_busy_seconds > 0.0
+        assert not manager._packer._thread.is_alive()
+        manager.close()  # idempotent
+
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_dead_pack_worker_raises_instead_of_hanging(self):
+        manager = ContainerManager(lambda cid, blob: None,
+                                   container_size=4096, pack_async=True)
+        manager._packer._queue.put(object())  # poison: kills the thread
+        manager._packer._thread.join(5.0)
+        self._fill(manager, 1)
+        with pytest.raises(ContainerError, match="worker died"):
+            manager.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +773,59 @@ class TestResumableSessions:
         restored, _ = RestoreClient(cloud).restore_to_memory(0)
         assert restored == files
         assert scrub_cloud(cloud).clean
+
+
+# ---------------------------------------------------------------------------
+class TestContainerNumberingUnderFaults:
+    """A fresh client numbers containers after those already in the
+    cloud; a flaky listing must never restart that numbering at 0."""
+
+    @staticmethod
+    def _store_with_three_containers():
+        inner = InMemoryBackend()
+        for container_id in range(3):
+            inner.put(naming.container_key(container_id), b"live data")
+        return inner
+
+    def test_failed_list_raises_instead_of_guessing_zero(self):
+        inner = self._store_with_three_containers()
+        chaos = ChaosBackend(inner, transient_error_rate=1.0)
+        with pytest.raises(CloudError):
+            BackupClient(chaos, aa_dedupe_config())
+        assert chaos.chaos.transient_errors == 1
+
+    def test_retry_absorbs_first_list_failure(self):
+        inner = self._store_with_three_containers()
+        # Seed 1 at rate 0.5: the first operation fails, the second
+        # does not (asserted below via the fault count).
+        chaos = ChaosBackend(inner, seed=1, transient_error_rate=0.5)
+        retry = RetryPolicy(clock=VirtualClock())
+        client = BackupClient(chaos, aa_dedupe_config(), retry=retry)
+        assert chaos.chaos.transient_errors == 1
+        assert retry.stats.retries == 1
+        assert client._containers.next_container_id == 3
+
+
+class _SlowManifestBackend(InMemoryBackend):
+    """Manifest PUTs take 20 ms; everything else is instant."""
+
+    def _put(self, key, data):
+        if key.startswith(naming.MANIFEST_PREFIX):
+            time.sleep(0.02)
+        super()._put(key, data)
+
+
+class TestUploadWallSeconds:
+    @pytest.mark.parametrize("pipelined", [False, True])
+    def test_counts_the_manifest_put(self, pipelined):
+        # An empty source uploads nothing but the manifest, which used
+        # to be PUT after upload_wall_seconds had been sampled.
+        client = BackupClient(_SlowManifestBackend(), aa_dedupe_config(
+            pipeline_uploads=pipelined))
+        stats = client.backup(MemorySource({}))
+        client.close()
+        assert stats.put_requests == 1
+        assert stats.upload_wall_seconds >= 0.02
 
 
 # ---------------------------------------------------------------------------

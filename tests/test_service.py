@@ -75,6 +75,18 @@ class TestSpecParsing:
         with pytest.raises(ConfigError, match=fragment):
             parse_config(doc)
 
+    @pytest.mark.parametrize("field", [
+        "verify_on_restore", "read_workers", "chunk_workers",
+        "hash_workers", "stage_queue_depth", "upload_queue_depth",
+        "journal_flush_interval", "delta_cutoff", "delta_min_chunk",
+        "delta_sim_capacity", "delta_base_cache"])
+    def test_removed_scheme_knobs_rejected_by_name(self, field):
+        # These SchemeConfig fields are gone (constants now); a job
+        # file still naming one must fail loudly, naming the field.
+        with pytest.raises(ConfigError, match=field):
+            parse_config({"jobs": [{"name": "a", "source": "/x",
+                                    "options": {field: 1}}]})
+
     def test_invalid_yaml_is_config_error(self):
         with pytest.raises(ConfigError, match="YAML"):
             loads_config("jobs: [unclosed\n  - ")

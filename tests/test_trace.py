@@ -239,6 +239,46 @@ class TestCrossValidation:
             assert ts.bytes_unique == pytest.approx(rs.bytes_unique,
                                                     rel=0.12)
 
+    @pytest.mark.parametrize(
+        "config", all_scheme_configs(), ids=lambda c: c.name)
+    def test_decisions_and_work_agree_exactly(self, config, monkeypatch):
+        # Differential arm: both engines take every per-file decision
+        # from SchemeConfig.plan_file, so everything that follows from
+        # the decisions alone — which files are tiny / unchanged, how
+        # many bytes are read, CDC-scanned and pushed through each hash
+        # — must agree exactly, not approximately.
+        from repro.core.options import SchemeConfig
+
+        plans = []
+        real_plan_file = SchemeConfig.plan_file
+
+        def recording(self, app, size):
+            plan = real_plan_file(self, app, size)
+            plans.append((app.label, size, plan))
+            return plan
+
+        monkeypatch.setattr(SchemeConfig, "plan_file", recording)
+        gen = WorkloadGenerator(total_bytes=10 * MB, seed=23,
+                                max_mean_file_size=512 * KIB)
+        snaps = list(gen.sessions(2))
+        if config.stat_cache:  # replay is not modelled by the trace engine
+            config = config.with_(stat_cache=False)
+        trace_client = TraceBackupClient(config)
+        real_client = BackupClient(InMemoryBackend(), config)
+        for snap in snaps:
+            del plans[:]
+            ts = trace_client.backup(snap)
+            trace_plans = list(plans)
+            del plans[:]
+            rs = real_client.backup(snapshot_to_memory_source(snap))
+            assert len(trace_plans) == len(snap.files)  # every file
+            assert plans == trace_plans
+            assert ts.files_tiny == rs.files_tiny
+            assert ts.files_unchanged == rs.files_unchanged
+            assert ts.ops.read_bytes == rs.ops.read_bytes
+            assert ts.ops.cdc_scanned_bytes == rs.ops.cdc_scanned_bytes
+            assert ts.ops.hashed_bytes == rs.ops.hashed_bytes
+
 
 class TestDriver:
     @pytest.fixture(scope="class")
