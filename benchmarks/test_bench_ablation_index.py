@@ -3,17 +3,12 @@
 Runs AA-Dedupe with its per-application index family versus the same
 policy over a single unified (global) index, on identical snapshots:
 the unified index outgrows the RAM budget and starts paying random disk
-IOs, while every per-application subindex stays resident.  Also
-exercises the paper's future-work direction: parallel subindex lookups
-on a real on-disk index.
+IOs, while every per-application subindex stays resident.
 """
-
-import hashlib
 
 from conftest import SCALE, emit
 
 from repro.core import aa_dedupe_config
-from repro.index import AppAwareIndex, DiskIndex, IndexEntry
 from repro.metrics import Table
 from repro.trace.driver import run_paper_evaluation
 from repro.util.units import format_bytes, format_seconds
@@ -67,33 +62,3 @@ def test_app_aware_vs_unified_index(benchmark, workload_snapshots):
     # unified variant burns well over 1.5x the dedup energy.
     assert unified.sessions[-1].energy_joules > \
         1.5 * aa.sessions[-1].energy_joules
-
-
-def _populated_index(tmp_path, apps=4, entries_per_app=400):
-    index = AppAwareIndex(factory=lambda app: DiskIndex(
-        tmp_path / app, memtable_limit=64), max_workers=4)
-    queries = []
-    for a in range(apps):
-        app = f"app{a}"
-        for i in range(entries_per_app):
-            fp = hashlib.sha1(f"{app}/{i}".encode()).digest()
-            index.insert(app, IndexEntry(fp, a, i, 100))
-            queries.append((app, fp))
-    index.flush()
-    return index, queries
-
-
-def test_parallel_subindex_lookup(benchmark, tmp_path):
-    """Future-work feature: concurrent per-application index probing."""
-    index, queries = _populated_index(tmp_path)
-    results = benchmark(index.lookup_batch, queries, True)
-    assert all(r is not None for r in results)
-    index.close()
-
-
-def test_serial_subindex_lookup(benchmark, tmp_path):
-    """Serial baseline for the parallel lookup benchmark."""
-    index, queries = _populated_index(tmp_path)
-    results = benchmark(index.lookup_batch, queries, False)
-    assert all(r is not None for r in results)
-    index.close()

@@ -9,7 +9,6 @@ subindex population and RAM footprint vs the residency budget.
 
 from conftest import SCALE, emit
 
-from repro.classify.filetype import classify_name
 from repro.core import aa_dedupe_config
 from repro.metrics import Table
 from repro.simulate.diskmodel import IndexResidencyModel

@@ -6,7 +6,7 @@ other scheme the window is transfer-bound; AA-Dedupe is consistently the
 shortest.
 """
 
-from conftest import SCALE, emit
+from conftest import emit
 
 from repro.metrics import Table
 from repro.util.units import format_seconds

@@ -112,7 +112,7 @@ def test_fleet_determinism_for_fixed_seed(benchmark):
 def test_fleet_directory_disk_backing(benchmark, tmp_path):
     """Disk-backed shards: the shard stats price server-side seeks."""
 
-    # Tight memtable + small LRU front: shards spill to runs and probes
+    # Tight memtable + small cache front: shards spill to runs and probes
     # actually reach the disk, so the seek pricing has something to see.
     def factory(app, bucket):
         return DiskIndex(tmp_path / f"{app}-{bucket}", memtable_limit=2)
@@ -136,7 +136,7 @@ def test_fleet_directory_disk_backing(benchmark, tmp_path):
                   title="Fleet directory: disk-backed shard cost")
     total_disk = sum(r["disk_probes"] for r in report.shard_rows)
     total_mem = sum(r["memory_hits"] for r in report.shard_rows)
-    table.add_row(["disk + LRU front", total_disk, total_mem,
+    table.add_row(["disk + cache front", total_disk, total_mem,
                    report.server_seek_seconds()])
     emit(table.render())
 

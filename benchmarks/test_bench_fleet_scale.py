@@ -11,10 +11,10 @@ Two arms over byte-identical workloads:
 
 * **baseline** — the PR-3 directory shape: disk-backed shards
   (``bloom_fp_rate=None`` models the raw index: every descent pays
-  binary-search disk probes) behind a plain LRU front;
-* **scaled** — the same disk backing behind the new tiers: per-shard
-  Bloom front absorbing cold misses, HPDedup-style locality cache, and
-  consistent-hash splits rebalancing hot shards at epoch barriers.
+  binary-search disk probes) behind the cache front alone;
+* **scaled** — the same disk backing and cache behind the scale tiers:
+  per-shard Bloom front absorbing cold misses, and consistent-hash
+  splits rebalancing hot shards at epoch barriers.
 
 Both arms are *exact* dedup (the filter has no false negatives over
 the committed set), so the dedup ratio must match to the byte while
@@ -132,7 +132,7 @@ def _baseline_directory(root):
 def _scaled_directory(root, tracer=None):
     return GlobalDedupDirectory(shards_per_app=2,
                                 index_factory=_disk_factory(root),
-                                locality_capacity=256,
+                                cache_capacity=256,
                                 filter_capacity=4096,
                                 shard_split_entries=SPLIT_ENTRIES,
                                 tracer=tracer)
@@ -157,8 +157,8 @@ def test_fleet_scale_filter_and_locality_tiers(benchmark, tmp_path):
     table = Table(["arm", "shards", "disk probes", "seek s", "batches",
                    "filter rejects", "splits", "entries"],
                   title=f"fleet directory at {CLIENTS} clients")
-    for name, arm in (("PR-3 baseline (disk+LRU)", base),
-                      ("filter+locality+splits", scaled)):
+    for name, arm in (("PR-3 baseline (disk+cache)", base),
+                      ("filter+cache+splits", scaled)):
         table.add_row([name, arm["shards"], arm["disk_probes"],
                        PAPER_DISK.random_io_seconds(arm["disk_probes"]),
                        arm["batches"], arm["filter_rejects"],
@@ -174,8 +174,8 @@ def test_fleet_scale_filter_and_locality_tiers(benchmark, tmp_path):
     assert scaled["remote_hits"] == base["remote_hits"] > 0
     assert scaled["adopted_bytes"] == base["adopted_bytes"] > 0
 
-    # ISSUE acceptance: the filter front (plus locality cache) cuts the
-    # backing's disk probes by at least 5x at that equal dedup ratio.
+    # ISSUE acceptance: the filter front cuts the backing's disk
+    # probes by at least 5x at that equal dedup ratio.
     assert base["disk_probes"] > 0
     assert scaled["disk_probes"] * 5 <= base["disk_probes"]
 

@@ -18,7 +18,7 @@ from conftest import emit
 
 from repro.classify.filetype import classify_name
 from repro.core import aa_dedupe_config
-from repro.index.sparse import SparseIndexDeduper
+from repro.index import IndexEntry, SparseShardIndex
 from repro.metrics import Table
 from repro.trace.simchunk import BoundaryModel, sim_chunks
 from repro.util.units import format_bytes
@@ -38,6 +38,9 @@ def _chunk_stream(snapshot, boundaries):
             yield app.label, chunk_id, length
 
 
+SEGMENT_CHUNKS = 512
+
+
 def test_exact_vs_sparse_indexing(benchmark, workload_snapshots):
     def run():
         boundaries = BoundaryModel()
@@ -46,8 +49,14 @@ def test_exact_vs_sparse_indexing(benchmark, workload_snapshots):
         exact_index = {}
         exact_unique = 0
         exact_total = 0
-        sparse = SparseIndexDeduper(segment_chunks=512, sample_bits=6,
-                                    max_champions=4)
+        # Sparse Indexing over the same stream: each incoming segment
+        # is announced (champion election + manifest loads), then
+        # deduplicated chunk by chunk against what that loaded.
+        sparse = SparseShardIndex(segment_chunks=SEGMENT_CHUNKS,
+                                  sample_bits=6, max_champions=4)
+        sparse_unique = 0
+        segments = 0
+        stream = []
         for snapshot in snapshots:
             for app, chunk_id, length in _chunk_stream(snapshot,
                                                        boundaries):
@@ -56,12 +65,22 @@ def test_exact_vs_sparse_indexing(benchmark, workload_snapshots):
                 if chunk_id not in seen:
                     seen.add(chunk_id)
                     exact_unique += length
-                sparse.push(chunk_id, length)
-        stats = sparse.finish()
-        return exact_index, exact_unique, exact_total, sparse, stats
+                # The trace chunk id *is* the fingerprint's sampled
+                # prefix, so hooks are ids with six trailing zero bits.
+                stream.append((chunk_id.to_bytes(8, "big"), length))
+        for base in range(0, len(stream), SEGMENT_CHUNKS):
+            segment = stream[base:base + SEGMENT_CHUNKS]
+            sparse.begin_batch([fp for fp, _length in segment])
+            segments += 1
+            for fp, length in segment:
+                if sparse.lookup(fp) is None:
+                    sparse_unique += length
+                    sparse.insert(IndexEntry(fp, 0, 0, length))
+        return (exact_index, exact_unique, exact_total, sparse,
+                sparse_unique, segments)
 
-    exact_index, exact_unique, exact_total, sparse, stats = \
-        benchmark.pedantic(run, rounds=1, iterations=1)
+    exact_index, exact_unique, exact_total, sparse, sparse_unique, \
+        segments = benchmark.pedantic(run, rounds=1, iterations=1)
 
     exact_entries = sum(len(s) for s in exact_index.values())
     table = Table(["approach", "RAM entries", "unique stored",
@@ -71,21 +90,21 @@ def test_exact_vs_sparse_indexing(benchmark, workload_snapshots):
                    format_bytes(exact_unique, decimal=True),
                    exact_total / exact_unique, "per-chunk RAM probe"])
     table.add_row(["Sparse Indexing", f"{sparse.ram_entries():,}",
-                   format_bytes(stats.bytes_unique, decimal=True),
-                   stats.dedup_ratio,
-                   f"{stats.champions_loaded / stats.segments_processed:.1f}"
+                   format_bytes(sparse_unique, decimal=True),
+                   exact_total / sparse_unique,
+                   f"{sparse.champions_loaded / segments:.1f}"
                    " manifest loads"])
     emit(table.render())
 
     # Sparse RAM is an order of magnitude smaller...
     assert sparse.ram_entries() < exact_entries / 8
     # ...but it stores more than exact dedup (approximation loss),
-    assert stats.bytes_unique >= exact_unique
+    assert sparse_unique >= exact_unique
     # within a bounded factor on a weekly-full workload (champions catch
     # the dominant cross-session duplicates).
-    assert stats.bytes_unique < 1.6 * exact_unique
+    assert sparse_unique < 1.6 * exact_unique
     # Champion budget held.
-    assert stats.champions_loaded <= 4 * stats.segments_processed
+    assert sparse.champions_loaded <= 4 * segments
 
 
 def test_sparse_shard_backing_in_fleet_directory(benchmark):
@@ -103,8 +122,6 @@ def test_sparse_shard_backing_in_fleet_directory(benchmark):
     import hashlib
 
     from repro.fleet import GlobalDedupDirectory
-    from repro.index import IndexEntry
-    from repro.index.sparse import SparseShardIndex
 
     chunks, slice_len, batch = 4096, 512, 64
 
@@ -151,7 +168,7 @@ def test_sparse_shard_backing_in_fleet_directory(benchmark):
     (sparse_shard,) = sparse_dir.shards()
     sparse_ram = sparse_shard.index.ram_entries()
     exact_ram = len(exact_dir)
-    stats = sparse_shard.stats
+    stats = sparse_shard.index.stack_stats()
 
     table = Table(["backing", "RAM entries", "probe hits", "disk loads"],
                   title="Fleet shard backing: exact vs sparse long tail")

@@ -54,17 +54,6 @@ def _scheme_by_name(name: str) -> SchemeConfig:
     raise SystemExit(f"unknown scheme {name!r}; available: {names}")
 
 
-def _session_ids(cloud) -> list[int]:
-    ids = []
-    for key in cloud.list(naming.MANIFEST_PREFIX):
-        stem = key.rsplit("session-", 1)[-1].split(".", 1)[0]
-        try:
-            ids.append(int(stem))
-        except ValueError:
-            continue
-    return sorted(ids)
-
-
 # ----------------------------------------------------------------------
 def cmd_backup(args) -> int:
     """Run one backup session of SOURCE into the store."""
@@ -186,7 +175,7 @@ def cmd_restore(args) -> int:
 def cmd_ls(args) -> int:
     """List sessions stored in the store."""
     cloud = LocalDirectoryBackend(args.store)
-    ids = _session_ids(cloud)
+    ids = naming.session_ids(cloud)
     if not ids:
         print("no sessions in store")
         return 0
@@ -202,7 +191,7 @@ def cmd_ls(args) -> int:
 def cmd_gc(args) -> int:
     """Delete old sessions and sweep dead containers/objects."""
     cloud = LocalDirectoryBackend(args.store)
-    ids = _session_ids(cloud)
+    ids = naming.session_ids(cloud)
     if args.retain is not None:
         retain = {int(s) for s in args.retain.split(",") if s}
     elif args.retain_last is not None:
@@ -312,7 +301,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_fleet(args) -> int:
     """Simulate a fleet of clients backing up to one shared store."""
-    from repro.fleet import (FleetService, generated_fleet_sources,
+    from repro.fleet import (FleetService, GlobalDedupDirectory,
+                             generated_fleet_sources,
                              synthetic_fleet_sources)
 
     tracer = None
@@ -334,26 +324,22 @@ def cmd_fleet(args) -> int:
             cfg = cfg.with_(container_size=parse_size(args.container_size))
         return cfg
 
-    directory = None
+    index_factory = None
     if args.sparse_shards:
-        from repro.fleet import GlobalDedupDirectory
         from repro.index.sparse import SparseShardIndex
-        directory = GlobalDedupDirectory(
-            shards_per_app=args.shards,
-            index_factory=lambda app, bucket: SparseShardIndex(),
-            cache_capacity=args.shard_cache,
-            locality_capacity=args.locality_cache,
-            filter_capacity=args.shard_filter,
-            shard_split_entries=args.shard_split,
-            tracer=tracer)
+
+        def index_factory(_app, _bucket):
+            return SparseShardIndex()
+    directory = GlobalDedupDirectory(
+        shards_per_app=args.shards,
+        index_factory=index_factory,
+        cache_capacity=args.shard_cache,
+        filter_capacity=args.shard_filter,
+        shard_split_entries=args.shard_split,
+        tracer=tracer)
     service = FleetService(clients=args.clients,
                            config_factory=config,
                            directory=directory,
-                           shards_per_app=args.shards,
-                           cache_capacity=args.shard_cache,
-                           locality_capacity=args.locality_cache,
-                           filter_capacity=args.shard_filter,
-                           shard_split_entries=args.shard_split,
                            waves=args.waves,
                            tracer=tracer)
     try:
@@ -556,10 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=4,
                    help="directory shards per application label")
     p.add_argument("--shard-cache", type=int, default=0,
-                   help="LRU entries fronting each directory shard")
-    p.add_argument("--locality-cache", type=int, default=0,
                    help="HPDedup-style locality-prioritized cache entries "
-                        "fronting each shard (alternative to --shard-cache)")
+                        "fronting each directory shard")
     p.add_argument("--shard-filter", type=int, default=0,
                    help="Bloom-filter front capacity per shard; cold "
                         "misses are absorbed without touching the index")

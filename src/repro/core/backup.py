@@ -603,8 +603,11 @@ class BackupClient:
                 entry.refs.extend(recipe)
                 return entry
 
-        # Application-aware dedup.
+        # Application-aware dedup.  The file's fingerprints are
+        # announced once so a subindex that batches (a fleet client's
+        # directory round trip) pays per file, not per chunk.
         namespace = plan.namespace
+        self.index.begin_batch(namespace, [c[0] for c in item.chunks])
         for fp, payload, key, length in item.chunks:
             existing = self.index.lookup(namespace, fp)
             if existing is not None:
@@ -774,13 +777,7 @@ class BackupClient:
         restored = self._sync.pull(self.index)
         if self._filecache is not None:
             self._filecache.load(self.cloud)
-        latest_id = -1
-        for key in self.cloud.list(naming.MANIFEST_PREFIX):
-            stem = key.rsplit("session-", 1)[-1].split(".", 1)[0]
-            try:
-                latest_id = max(latest_id, int(stem))
-            except ValueError:
-                continue
+        latest_id = max(naming.session_ids(self.cloud), default=-1)
         if latest_id >= 0:
             manifest = Manifest.from_json(
                 self.cloud.get(naming.manifest_key(latest_id)))

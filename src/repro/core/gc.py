@@ -73,12 +73,6 @@ class GCReport:
     statcache_blobs_deleted: int = 0
 
 
-def _session_id_of(manifest_key: str) -> int:
-    # "manifests/session-000003.json" -> 3
-    stem = manifest_key.rsplit("session-", 1)[1]
-    return int(stem.split(".", 1)[0])
-
-
 def session_catalog(cloud) -> Dict[int, float]:
     """``{session_id: created_ts}`` for every manifest ``cloud`` sees.
 
@@ -93,9 +87,8 @@ def session_catalog(cloud) -> Dict[int, float]:
     """
     catalog: Dict[int, float] = {}
     for key in cloud.list(naming.MANIFEST_PREFIX):
-        try:
-            session_id = _session_id_of(key)
-        except (IndexError, ValueError):
+        session_id = naming.session_id_of(key)
+        if session_id is None:
             continue
         try:
             manifest = Manifest.from_json(cloud.get(key))
@@ -122,7 +115,9 @@ def collect_garbage(cloud, retain_sessions: Iterable[int]) -> GCReport:
     live_objects: Set[str] = set()
     seen_retained: Set[int] = set()
     for key in cloud.list(naming.MANIFEST_PREFIX):
-        session_id = _session_id_of(key)
+        session_id = naming.session_id_of(key)
+        if session_id is None:
+            raise ValueError(f"unparseable manifest key {key!r}")
         if session_id not in retain:
             continue
         seen_retained.add(session_id)
@@ -174,7 +169,7 @@ def collect_garbage(cloud, retain_sessions: Iterable[int]) -> GCReport:
 
     # --- sweep: manifests of dropped sessions --------------------------
     for key in cloud.list(naming.MANIFEST_PREFIX):
-        if _session_id_of(key) not in retain:
+        if naming.session_id_of(key) not in retain:
             cloud.delete(key)
             report.deleted_manifests += 1
 

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+from typing import Optional
 
 __all__ = ["container_key", "chunk_key", "file_key", "manifest_key",
-           "index_key", "journal_key", "delta_key", "statcache_key",
+           "session_id_of", "session_ids", "index_key", "journal_key", "delta_key", "statcache_key",
            "replica_key", "parse_replica_key", "namespaced_keys",
            "MANIFEST_PREFIX", "CONTAINER_PREFIX", "CHUNK_PREFIX",
            "FILE_PREFIX", "INDEX_PREFIX", "JOURNAL_PREFIX",
@@ -65,6 +66,24 @@ def file_key(session_id: int, path: str) -> str:
 def manifest_key(session_id: int) -> str:
     """Key of a session manifest."""
     return f"{MANIFEST_PREFIX}session-{session_id:06d}.json"
+
+
+def session_id_of(key: str) -> Optional[int]:
+    """Session id of a manifest (or journal) key — the inverse of
+    :func:`manifest_key`, tenant prefix or not; ``None`` for a key that
+    names no session."""
+    stem = key.rsplit("session-", 1)[-1].split(".", 1)[0]
+    try:
+        return int(stem)
+    except ValueError:
+        return None
+
+
+def session_ids(cloud) -> list:
+    """Ascending ids of the sessions whose manifests ``cloud`` lists
+    (keys that name no session are skipped)."""
+    ids = map(session_id_of, cloud.list(MANIFEST_PREFIX))
+    return sorted(sid for sid in ids if sid is not None)
 
 
 def journal_key(session_id: int) -> str:

@@ -5,14 +5,12 @@ set; these helpers compute that set from operator-friendly policies —
 the glue a deployable backup tool needs around "supporting deletion of
 files" (paper Sec. III-F).
 
-Four policies are provided:
+Three policies are provided:
 
 * :func:`keep_last` — the simplest rolling window over session ids;
 * :class:`RetainLastN` — rolling window over manifest *timestamps*
   (the declarative service layer's ``retain-last`` policy);
-* :class:`RetainMaxAge` — drop sessions older than a cutoff;
-* :class:`GFSPolicy` — grandfather-father-son: keep the last *d* daily,
-  *w* weekly and *m* monthly sessions, the standard backup rotation.
+* :class:`RetainMaxAge` — drop sessions older than a cutoff.
 
 :class:`RetainLastN` and :class:`RetainMaxAge` share one interface —
 ``select(sessions, now)`` over a ``{session_id: created_ts}`` catalog
@@ -23,13 +21,11 @@ Four policies are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Set
+from typing import Iterable, Mapping, Set
 
 from repro.errors import ConfigError
 
-__all__ = ["keep_last", "RetainLastN", "RetainMaxAge", "GFSPolicy"]
-
-_DAY = 86_400.0
+__all__ = ["keep_last", "RetainLastN", "RetainMaxAge"]
 
 
 def keep_last(session_ids: Iterable[int], count: int) -> Set[int]:
@@ -93,42 +89,4 @@ class RetainMaxAge:
         retain = {sid for sid, ts in sessions.items()
                   if now - ts <= self.max_age_seconds}
         retain.add(max(sessions, key=lambda sid: (sessions[sid], sid)))
-        return retain
-
-
-@dataclass(frozen=True)
-class GFSPolicy:
-    """Grandfather-father-son rotation.
-
-    ``apply`` selects, from ``(session_id, created_ts)`` pairs:
-
-    * the newest session of each of the last ``daily`` days,
-    * the newest session of each of the last ``weekly`` weeks,
-    * the newest session of each of the last ``monthly`` ~30-day months,
-
-    all relative to the newest session's timestamp.  A session retained
-    by any tier is retained.
-    """
-
-    daily: int = 7
-    weekly: int = 4
-    monthly: int = 6
-
-    def apply(self, sessions: Dict[int, float]) -> Set[int]:
-        """Return the retain set for ``{session_id: created_ts}``."""
-        if not sessions:
-            return set()
-        newest = max(sessions.values())
-        retain: Set[int] = set()
-        tiers = ((self.daily, _DAY), (self.weekly, 7 * _DAY),
-                 (self.monthly, 30 * _DAY))
-        for count, period in tiers:
-            for slot in range(count):
-                window_end = newest - slot * period
-                window_start = window_end - period
-                candidates = [sid for sid, ts in sessions.items()
-                              if window_start < ts <= window_end]
-                if candidates:
-                    retain.add(max(
-                        candidates, key=lambda sid: (sessions[sid], sid)))
         return retain

@@ -23,6 +23,13 @@ on a local miss:
   of growing with every cold fingerprint a million-client fleet
   streams through.
 
+Directory probes are **batched per file**: the backup engine announces
+a file's fingerprints through :meth:`FleetIndex.begin_batch` before its
+dedup loop, and the ones the client cannot answer itself travel in one
+``probe_batch`` — one round trip, one ``batches`` tick per shard, and a
+whole file's hooks for a sparse shard's champion election.  A lookup
+nobody announced still works, as a batch of one.
+
 New local inserts are published to the directory through a write-behind
 **outbox**, flushed in batches (amortising shard locks and, on a
 disk-backed directory, seeks).  The service flushes outboxes at session
@@ -31,7 +38,7 @@ end so every round's chunks are offered before the epoch commits.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.index.base import ChunkIndex, IndexEntry
 
@@ -59,6 +66,10 @@ class FleetIndex(ChunkIndex):
         self._outbox: List[IndexEntry] = []
         self._memo_epoch = directory.epoch
         self._misses: Set[bytes] = set()
+        #: Misses of the batch announced last — answered for the file
+        #: in flight, replaced by the next announcement, so absorbed
+        #: misses need no memo entry to avoid a second round trip.
+        self._announced: Set[bytes] = set()
         #: Fingerprints probed against the directory (local misses).
         self.remote_probes = 0
         #: Directory hits — chunks first uploaded by some other client.
@@ -71,6 +82,44 @@ class FleetIndex(ChunkIndex):
         self.adopted_bytes = 0
 
     # ------------------------------------------------------------------
+    def _probe(self, fingerprints: Iterable[bytes]) -> Set[bytes]:
+        """One directory round trip for the fingerprints this client
+        cannot answer itself; returns the ones the directory missed.
+
+        Hits are *adopted*: the chunk lives in the shared container
+        pool, so the local entry points straight at the publisher's
+        container.  Misses that reached a backing index are memoised
+        for the epoch; absorbed ones are not (see module docstring).
+        """
+        if self.directory.epoch != self._memo_epoch:
+            self._memo_epoch = self.directory.epoch
+            self._misses.clear()
+            self._announced = set()
+        todo = [fp for fp in dict.fromkeys(fingerprints)
+                if fp not in self._local and fp not in self._misses]
+        missed: Set[bytes] = set()
+        if not todo:
+            return missed
+        self.remote_probes += len(todo)
+        found, absorbed = self.directory.probe_batch(
+            self.app, todo, stream=self.rank)
+        for fp, remote, cheap in zip(todo, found, absorbed):
+            if remote is not None:
+                self.remote_hits += 1
+                self.adopted_bytes += remote.length
+                self._local[fp] = remote
+                continue
+            missed.add(fp)
+            if cheap:
+                self.filter_absorbed += 1
+            else:
+                self._misses.add(fp)
+        return missed
+
+    def begin_batch(self, fingerprints, stream=None) -> None:
+        """Resolve a file's unknown fingerprints in one round trip."""
+        self._announced = self._probe(fingerprints)
+
     def lookup(self, fingerprint: bytes) -> Optional[IndexEntry]:
         stats = self.stats
         stats.lookups += 1
@@ -79,28 +128,14 @@ class FleetIndex(ChunkIndex):
             stats.hits += 1
             stats.memory_hits += 1
             return entry
-        if self.directory.epoch != self._memo_epoch:
-            self._memo_epoch = self.directory.epoch
-            self._misses.clear()
-        elif fingerprint in self._misses:
+        if fingerprint in self._announced \
+                and self.directory.epoch == self._memo_epoch:
             return None
-        self.remote_probes += 1
-        found, absorbed = self.directory.probe_batch(
-            self.app, (fingerprint,), stream=self.rank)
-        remote = found[0]
-        if remote is None:
-            if absorbed[0]:
-                self.filter_absorbed += 1
-            else:
-                self._misses.add(fingerprint)
-            return None
-        self.remote_hits += 1
-        self.adopted_bytes += remote.length
-        # Adopt: the chunk lives in the shared container pool, so the
-        # local entry points straight at the publisher's container.
-        self._local[fingerprint] = remote
-        stats.hits += 1
-        return remote
+        self._probe((fingerprint,))
+        entry = self._local.get(fingerprint)
+        if entry is not None:
+            stats.hits += 1
+        return entry
 
     def insert(self, entry: IndexEntry) -> None:
         self.stats.inserts += 1
@@ -135,3 +170,4 @@ class FleetIndex(ChunkIndex):
         self.flush_publishes()
         self._local.clear()
         self._misses.clear()
+        self._announced = set()

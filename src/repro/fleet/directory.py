@@ -26,10 +26,10 @@ At million-client scale three more tiers stack onto each shard
   summary vector: a negative probe the filter answers touches neither
   the backing index nor the ``batches`` seek counter, so cold-miss
   floods cost RAM bit tests, not disk;
-* a **locality-prioritized cache** (``locality_capacity``) — the
-  HPDedup (arxiv 1702.08153) front replacing a plain LRU: per-stream
-  temporal locality is estimated from hit run lengths and
-  low-locality streams are evicted first;
+* a **locality-prioritized cache** (``cache_capacity``) — the
+  HPDedup (arxiv 1702.08153) front: per-stream temporal locality is
+  estimated from hit run lengths and low-locality streams are evicted
+  first (with one probing stream it is a plain LRU);
 * an optional **sparse backing**
   (:class:`~repro.index.sparse.SparseShardIndex` via
   ``index_factory``) — FAST'09 sampling for the long tail, trading a
@@ -57,9 +57,8 @@ import threading
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
-from repro.index.base import ChunkIndex, IndexEntry, IndexStats
+from repro.index.base import ChunkIndex, IndexEntry
 from repro.index.bloom import BloomFilter
-from repro.index.cache import LRUCache
 from repro.index.locality import LocalityCache
 from repro.index.memory import MemoryIndex
 from repro.fleet.ring import ConsistentHashRing
@@ -67,18 +66,22 @@ from repro.obs.tracer import NOOP_TRACER
 
 __all__ = ["DirectoryShard", "GlobalDedupDirectory"]
 
+#: Target false-positive rate of every shard's Bloom front.
+FILTER_FP_RATE = 0.01
+
 
 class DirectoryShard:
     """One ``(app, bucket)`` shard: filter front, committed index,
     pending buffer.
 
-    The committed index answers probes; the pending dict holds entries
-    published during the current epoch, invisible until
-    :meth:`commit`.  ``_known`` maps every committed fingerprint to its
-    entry, shadowing the committed index so commits never issue lookups
-    against it — shard probe statistics stay a pure measure of
-    client-driven load — and so rebalancing can extract entries without
-    touching probe counters either.
+    ``index`` is the top tier of the shard's declared index stack
+    (:meth:`~repro.index.base.ChunkIndex.tiers`) and answers probes;
+    the pending dict holds entries published during the current epoch,
+    invisible until :meth:`commit`.  ``_known`` maps every committed
+    fingerprint to its entry, shadowing the committed index so commits
+    never issue lookups against it — shard probe statistics stay a pure
+    measure of client-driven load — and so rebalancing can extract
+    entries without touching probe counters either.
     """
 
     def __init__(self, app: str, bucket: int, index: ChunkIndex,
@@ -86,6 +89,12 @@ class DirectoryShard:
         self.app = app
         self.bucket = bucket
         self.index = index
+        # Bulk loads (epoch commits, migration absorbs) write the leaf,
+        # not through the cache fronts: they are entries nobody has
+        # probed yet, and pushing hundreds of them through a bounded
+        # cache per epoch would evict the probe path's hot working set
+        # (cache fronts populate from *probe* traffic only).
+        *_fronts, self._leaf = index.tiers()
         self.bloom = bloom
         self.lock = threading.Lock()
         self._pending: Dict[bytes, Tuple[int, IndexEntry]] = {}
@@ -115,61 +124,6 @@ class DirectoryShard:
     def name(self) -> str:
         return f"{self.app}/{self.bucket}"
 
-    def _chain(self) -> Iterable[ChunkIndex]:
-        """The index wrapper chain, top level first."""
-        node = self.index
-        while node is not None:
-            yield node
-            node = getattr(node, "backing", None)
-
-    @property
-    def _bottom(self) -> ChunkIndex:
-        """The chain's base index — where bulk loads land.
-
-        Epoch commits and migration absorbs write here, not through
-        the cache fronts: they are batch loads of entries nobody has
-        probed yet, and pushing hundreds of them through a bounded
-        cache per epoch would evict the probe path's hot working set
-        (cache fronts populate from *probe* traffic only).
-        """
-        for node in self._chain():
-            bottom = node
-        return bottom
-
-    @property
-    def stats(self) -> IndexStats:
-        """Probe accounting with the memory/disk split for this shard.
-
-        Cache fronts keep their own counters and only fall through to
-        their backing on a miss, so deeper counters live further down
-        the wrapper chain; this walks and merges the **whole** chain
-        (a filter→cache→disk stack is three levels deep).  Lookup/hit
-        totals come from the top level (each fall-through would
-        double-count), while memory hits and disk IO add up across
-        levels — each level only counts the work it did itself.
-        """
-        top = self.index.stats
-        merged = IndexStats(lookups=top.lookups, hits=top.hits)
-        for node in self._chain():
-            level = node.stats
-            merged.memory_hits += level.memory_hits
-            merged.disk_probes += level.disk_probes
-            merged.disk_bytes += level.disk_bytes
-            # Commits bulk-load the bottom level directly while client
-            # write-through fronts count their own inserts; the largest
-            # level count is the number of entries actually written.
-            merged.inserts = max(merged.inserts, level.inserts)
-        return merged
-
-    def locality_scores(self) -> Dict[str, float]:
-        """Per-stream locality estimates, if a
-        :class:`~repro.index.locality.LocalityCache` fronts this shard
-        (empty dict otherwise)."""
-        for node in self._chain():
-            if isinstance(node, LocalityCache):
-                return node.locality_scores()
-        return {}
-
     def __len__(self) -> int:
         return len(self._known)
 
@@ -179,10 +133,6 @@ class DirectoryShard:
             return [self._known[fp] for fp in sorted(self._known)]
 
     # -- filter front --------------------------------------------------
-    def _filter_add(self, fingerprint: bytes) -> None:
-        if self.bloom is not None:
-            self.bloom.add(fingerprint)
-
     def _filter_maintain(self) -> None:
         """Grow or rebuild the Bloom front from the committed set.
 
@@ -226,12 +176,8 @@ class DirectoryShard:
                     todo.append(i)
             if todo:
                 self.batches += 1
-                passing = [fingerprints[i] for i in todo]
-                for node in self._chain():
-                    if stream is not None and hasattr(node, "begin_stream"):
-                        node.begin_stream(stream)
-                    if hasattr(node, "begin_batch"):
-                        node.begin_batch(passing)
+                self.index.begin_batch([fingerprints[i] for i in todo],
+                                       stream)
                 for i in todo:
                     entry = self.index.lookup(fingerprints[i])
                     if entry is not None:
@@ -239,11 +185,11 @@ class DirectoryShard:
                     out[i] = entry
             return out, absorbed
 
-    def offer(self, entries: Iterable[IndexEntry], rank: int) -> None:
+    def offer(self, entries: Sequence[IndexEntry], rank: int) -> None:
         """Buffer entries for the next epoch; lowest rank wins ties."""
         with self.lock:
+            self.publishes += len(entries)
             for entry in entries:
-                self.publishes += 1
                 fp = entry.fingerprint
                 if fp in self._known:
                     continue  # already committed; location is settled
@@ -251,44 +197,36 @@ class DirectoryShard:
                 if current is None or rank < current[0]:
                     self._pending[fp] = (rank, entry)
 
-    def adopt_offers(self, offers: Dict[bytes, Tuple[int, IndexEntry]],
-                     publishes: int) -> None:
-        """Merge offers buffered directory-side before this shard
-        existed (same rank tie-break as :meth:`offer`)."""
-        with self.lock:
-            self.publishes += publishes
-            for fp, (rank, entry) in offers.items():
-                if fp in self._known:
-                    continue
-                current = self._pending.get(fp)
-                if current is None or rank < current[0]:
-                    self._pending[fp] = (rank, entry)
+    def _load(self, entries: Iterable[IndexEntry]) -> int:
+        """Bulk-load not-yet-committed entries into the leaf index.
+
+        Entries land in sorted fingerprint order so the backing index's
+        physical layout (memtable spills, run contents) is identical no
+        matter which thread published first, and enter the Bloom front
+        here — the filter always reflects exactly the committed set.
+        """
+        fresh = 0
+        for entry in sorted(entries, key=lambda e: e.fingerprint):
+            fp = entry.fingerprint
+            if fp in self._known:
+                continue
+            self._leaf.insert(entry)
+            self._known[fp] = entry
+            if self.bloom is not None:
+                self.bloom.add(fp)
+            fresh += 1
+        if self.bloom is not None \
+                and self.bloom.count > self.bloom.capacity:
+            self._filter_maintain()
+        return fresh
 
     def commit(self) -> int:
-        """Fold the pending buffer into the committed index.
-
-        Pending fingerprints are committed in sorted order so the
-        backing index's physical layout (memtable spills, run contents)
-        is identical no matter which thread published first.  Freshly
-        committed fingerprints enter the Bloom front here — the filter
-        always reflects exactly the committed set.
-        """
+        """Fold the pending buffer into the committed index."""
         with self.lock:
-            fresh = 0
-            base = self._bottom
-            for fp in sorted(self._pending):
-                if fp in self._known:
-                    continue
-                _rank, entry = self._pending[fp]
-                base.insert(entry)
-                self._known[fp] = entry
-                self._filter_add(fp)
-                fresh += 1
+            fresh = self._load(
+                entry for _rank, entry in self._pending.values())
             self._pending.clear()
             self.accepted += fresh
-            if self.bloom is not None \
-                    and self.bloom.count > self.bloom.capacity:
-                self._filter_maintain()
             return fresh
 
     # -- rebalancing ---------------------------------------------------
@@ -296,53 +234,37 @@ class DirectoryShard:
         """Remove and return committed entries failing ``keep(fp)``.
 
         Used by ring splits: entries whose arc a new shard claimed move
-        out.  The backing index physically drops them when it supports
-        ``discard`` (MemoryIndex); otherwise stale records linger
-        unreachably — routing never sends their fingerprint here again.
-        The Bloom front is rebuilt from the surviving committed set.
+        out.  The index stack physically drops them where it can
+        (:meth:`~repro.index.base.ChunkIndex.discard`); elsewhere stale
+        records linger unreachably — routing never sends their
+        fingerprint here again.  The Bloom front is rebuilt from the
+        surviving committed set.
         """
         with self.lock:
             moving = sorted(fp for fp in self._known if not keep(fp))
             if not moving:
                 return []
-            discard = getattr(self._bottom, "discard", None)
             out = []
             for fp in moving:
                 out.append(self._known.pop(fp))
-                if discard is not None:
-                    discard(fp)
+                self.index.discard(fp)
             self._filter_maintain()
             return out
 
     def absorb(self, entries: Sequence[IndexEntry]) -> int:
-        """Adopt migrated committed entries (sorted insert order)."""
+        """Adopt migrated committed entries."""
         with self.lock:
-            fresh = 0
-            base = self._bottom
-            for entry in sorted(entries, key=lambda e: e.fingerprint):
-                fp = entry.fingerprint
-                if fp in self._known:
-                    continue
-                base.insert(entry)
-                self._known[fp] = entry
-                self._filter_add(fp)
-                fresh += 1
-            if self.bloom is not None \
-                    and self.bloom.count > self.bloom.capacity:
-                self._filter_maintain()
-            return fresh
+            return self._load(entries)
 
 
 class GlobalDedupDirectory:
     """Fingerprint directory sharded by ``(app, consistent-hash arc)``.
 
     ``index_factory(app, bucket)`` builds each shard's backing index
-    (default: :class:`~repro.index.memory.MemoryIndex`; pass a
+    stack (default: :class:`~repro.index.memory.MemoryIndex`; pass a
     :class:`~repro.index.sparse.SparseShardIndex` factory for the
-    sampling-based long-tail tier).  Fronts are mutually exclusive: a
-    positive ``cache_capacity`` wraps every shard in a plain
-    :class:`~repro.index.cache.LRUCache`, a positive
-    ``locality_capacity`` in the HPDedup-style
+    sampling-based long-tail tier).  A positive ``cache_capacity``
+    fronts every shard with the HPDedup-style
     :class:`~repro.index.locality.LocalityCache`.  A positive
     ``filter_capacity`` puts a Bloom filter in front of every shard's
     committed set.  ``shard_split_entries > 0`` enables epoch-barrier
@@ -362,36 +284,27 @@ class GlobalDedupDirectory:
                  index_factory: Optional[
                      Callable[[str, int], ChunkIndex]] = None,
                  cache_capacity: int = 0,
-                 locality_capacity: int = 0,
                  filter_capacity: int = 0,
-                 filter_fp_rate: float = 0.01,
                  shard_split_entries: int = 0,
-                 ring_vnodes: int = 128,
                  tracer=None) -> None:
         if shards_per_app < 1:
             raise ValueError("shards_per_app must be >= 1")
-        if cache_capacity > 0 and locality_capacity > 0:
-            raise ValueError(
-                "cache_capacity and locality_capacity are alternative "
-                "fronts; configure at most one")
         self.shards_per_app = shards_per_app
         self._factory = index_factory or (lambda app, bucket: MemoryIndex())
         self._cache_capacity = cache_capacity
-        self._locality_capacity = locality_capacity
         self._filter_capacity = filter_capacity
-        self._filter_fp_rate = filter_fp_rate
         self.shard_split_entries = shard_split_entries
-        self._ring_vnodes = ring_vnodes
         self._rings: Dict[str, ConsistentHashRing] = {}
         self._shards: Dict[Tuple[str, int], DirectoryShard] = {}
         self._create_lock = threading.Lock()
         # Offers addressed to shards that do not exist yet, buffered
         # until the next epoch barrier materialises the shard — the
         # live-shard set must only change at barriers (see module
-        # docstring).  key -> (offers dict, publish count).
+        # docstring).  key -> [(rank, entries), ...] in arrival order
+        # (the lowest-rank-wins merge is order-independent).
         self._unallocated: Dict[
             Tuple[str, int],
-            Tuple[Dict[bytes, Tuple[int, IndexEntry]], int]] = {}
+            List[Tuple[int, Sequence[IndexEntry]]]] = {}
         self._pending_lock = threading.Lock()
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         #: Commit epoch counter; bumped by :meth:`commit_epoch`.  Client
@@ -414,8 +327,7 @@ class GlobalDedupDirectory:
             with self._create_lock:
                 ring = self._rings.get(app)
                 if ring is None:
-                    ring = ConsistentHashRing(range(self.shards_per_app),
-                                              vnodes=self._ring_vnodes)
+                    ring = ConsistentHashRing(range(self.shards_per_app))
                     self._rings[app] = ring
         return ring
 
@@ -433,16 +345,12 @@ class GlobalDedupDirectory:
                 shard = self._shards.get(key)
                 if shard is None:
                     index = self._factory(app, bucket)
-                    if self._locality_capacity > 0:
-                        index = LocalityCache(index,
-                                              self._locality_capacity)
-                    elif self._cache_capacity > 0:
-                        index = LRUCache(index, self._cache_capacity)
+                    if self._cache_capacity > 0:
+                        index = LocalityCache(index, self._cache_capacity)
                     bloom = None
                     if self._filter_capacity > 0:
-                        bloom = BloomFilter(
-                            capacity=self._filter_capacity,
-                            fp_rate=self._filter_fp_rate)
+                        bloom = BloomFilter(capacity=self._filter_capacity,
+                                            fp_rate=FILTER_FP_RATE)
                     shard = DirectoryShard(app, bucket, index, bloom=bloom)
                     self._shards[key] = shard
         return shard
@@ -529,15 +437,8 @@ class GlobalDedupDirectory:
                 shard.offer(groups[bucket], rank)
                 continue
             with self._pending_lock:
-                offers, publishes = self._unallocated.get(
-                    (app, bucket), ({}, 0))
-                for entry in groups[bucket]:
-                    publishes += 1
-                    fp = entry.fingerprint
-                    current = offers.get(fp)
-                    if current is None or rank < current[0]:
-                        offers[fp] = (rank, entry)
-                self._unallocated[(app, bucket)] = (offers, publishes)
+                self._unallocated.setdefault((app, bucket), []).append(
+                    (rank, groups[bucket]))
 
     # ------------------------------------------------------------------
     def _rebalance(self) -> int:
@@ -590,8 +491,9 @@ class GlobalDedupDirectory:
                 unallocated = self._unallocated
                 self._unallocated = {}
             for key in sorted(unallocated):
-                offers, publishes = unallocated[key]
-                self._shard(*key).adopt_offers(offers, publishes)
+                shard = self._shard(*key)
+                for rank, entries in unallocated[key]:
+                    shard.offer(entries, rank)
             committed = 0
             for shard in self.shards():
                 committed += shard.commit()
@@ -621,13 +523,6 @@ class GlobalDedupDirectory:
         """Cold probes absorbed by shard Bloom fronts, fleet-wide."""
         return sum(s.filter_rejects for s in self._shards.values())
 
-    def combined_stats(self) -> IndexStats:
-        """Index stats summed over every shard."""
-        total = IndexStats()
-        for shard in self.shards():
-            total.merge(shard.stats)
-        return total
-
     def stats_rows(self) -> List[dict]:
         """Per-shard accounting for reports and the server cost model.
 
@@ -635,14 +530,14 @@ class GlobalDedupDirectory:
         (one batched probe that reached the index = one descent);
         ``filter_rejects`` is the load the Bloom front absorbed before
         it could become a seek; ``disk_probes`` and ``memory_hits``
-        come from the backing chain and split the load between RAM and
-        the server's disks; ``locality`` carries the per-stream scores
-        when a :class:`~repro.index.locality.LocalityCache` fronts the
-        shard.
+        come from the whole index stack and split the load between RAM
+        and the server's disks; ``locality`` carries the per-stream
+        scores when a :class:`~repro.index.locality.LocalityCache`
+        fronts the shard.
         """
         rows = []
         for shard in self.shards():
-            stats = shard.stats
+            stats = shard.index.stack_stats()
             rows.append({
                 "shard": shard.name,
                 "entries": len(shard),
@@ -654,7 +549,7 @@ class GlobalDedupDirectory:
                 "accepted": shard.accepted,
                 "memory_hits": stats.memory_hits,
                 "disk_probes": stats.disk_probes,
-                "locality": shard.locality_scores(),
+                "locality": shard.index.locality_scores(),
             })
         return rows
 

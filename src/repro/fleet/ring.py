@@ -5,14 +5,14 @@ bucketed fingerprints by ``fingerprint[0] % shards_per_app`` — a
 single-byte prefix that silently caps a fleet at 256 distinct buckets
 (``shards_per_app > 256`` leaves shards permanently empty) and skews
 load for non-divisors of 256.  The ring replaces that map with classic
-consistent hashing: every shard owns ``vnodes`` pseudo-random points on
+consistent hashing: every shard owns ``VNODES`` pseudo-random points on
 a 64-bit circle, a fingerprint routes to the owner of the first point
 at or after its own hash, and **adding one shard moves only the arcs
 the new shard claims** (~``1/(n+1)`` of the keyspace), which is what
 makes split/migrate rebalancing cheap enough to run at epoch barriers.
 
 Everything is derived from BLAKE2b digests of stable strings, so the
-assignment is a pure function of ``(node ids, vnodes)`` — identical
+assignment is a pure function of the node ids — identical
 across processes, platforms and thread interleavings, which the fleet's
 determinism guarantee requires.
 """
@@ -24,6 +24,9 @@ from bisect import bisect_right
 from typing import Iterable, List, Tuple
 
 __all__ = ["ConsistentHashRing"]
+
+#: Virtual nodes (ring points) per shard.
+VNODES = 128
 
 
 def _hash64(data: bytes) -> int:
@@ -39,10 +42,7 @@ class ConsistentHashRing:
     True
     """
 
-    def __init__(self, nodes: Iterable[int], vnodes: int = 128) -> None:
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
-        self.vnodes = vnodes
+    def __init__(self, nodes: Iterable[int]) -> None:
         self._nodes: set = set()
         self._points: List[int] = []
         self._owners: List[int] = []
@@ -54,7 +54,7 @@ class ConsistentHashRing:
     # ------------------------------------------------------------------
     def _node_points(self, node: int) -> List[int]:
         return [_hash64(f"shard-{node}/{replica}".encode())
-                for replica in range(self.vnodes)]
+                for replica in range(VNODES)]
 
     def _rebuild(self) -> None:
         pairs: List[Tuple[int, int]] = []
@@ -81,21 +81,8 @@ class ConsistentHashRing:
         """Current node ids, ascending."""
         return tuple(sorted(self._nodes))
 
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __contains__(self, node: int) -> bool:
-        return node in self._nodes
-
     def node_for(self, key: bytes) -> int:
         """Owner of ``key``: first ring point at or after its hash."""
         point = _hash64(key)
         idx = bisect_right(self._points, point) % len(self._points)
         return self._owners[idx]
-
-    def spread(self, keys: Iterable[bytes]) -> dict:
-        """Occupancy histogram ``{node: count}`` for a key sample."""
-        counts = {node: 0 for node in self._nodes}
-        for key in keys:
-            counts[self.node_for(key)] += 1
-        return counts

@@ -38,8 +38,6 @@ from typing import Callable, List, Optional, Sequence
 from repro.cloud import (
     InMemoryBackend,
     NamespacedBackend,
-    PriceBook,
-    S3_APRIL_2011,
     SimulatedCloud,
     WANLink,
 )
@@ -64,17 +62,20 @@ __all__ = ["FleetClient", "FleetClientResult", "FleetReport",
 #: sees an id collision.
 CONTAINER_ID_STRIDE = 1_000_000
 
+#: Relative width of the per-client uplink distribution.
+WAN_SPREAD = 0.5
 
-def _wan_for(rank: int, base: WANLink, spread: float) -> WANLink:
+
+def _wan_for(rank: int, base: WANLink) -> WANLink:
     """A deterministic per-client WAN link around ``base``.
 
-    Ranks hash to a factor in ``[1 - spread/2, 1 + spread/2]`` — a fleet
-    of consumer uplinks is never uniform, and the spread is what makes
-    makespan (slowest client) diverge from mean transfer time.
+    Ranks hash to a factor in ``[1 - WAN_SPREAD/2, 1 + WAN_SPREAD/2]``
+    — a fleet of consumer uplinks is never uniform, and the spread is
+    what makes makespan (slowest client) diverge from mean transfer
+    time.
     """
-    if spread <= 0:
-        return base
-    factor = 1.0 - spread / 2 + spread * (((rank * 2654435761) % 97) / 96)
+    factor = (1.0 - WAN_SPREAD / 2
+              + WAN_SPREAD * (((rank * 2654435761) % 97) / 96))
     return WANLink(up_bandwidth=base.up_bandwidth * factor,
                    down_bandwidth=base.down_bandwidth * factor,
                    request_latency=base.request_latency,
@@ -281,9 +282,12 @@ class FleetService:
     """Drive ``clients`` concurrent backup clients over one backend.
 
     ``config_factory(rank)`` customises each client's scheme (default:
-    paper AA-Dedupe for everyone); ``waves`` controls intra-round
-    staggering (>= 1; 1 means a single barrier per round — no
-    cross-client dedup within a round, only across rounds).
+    paper AA-Dedupe for everyone); ``directory`` is the shared
+    :class:`~repro.fleet.directory.GlobalDedupDirectory` (default: four
+    exact memory shards per app, no fronts — build one to configure
+    tiers); ``waves`` controls intra-round staggering (>= 1; 1 means a
+    single barrier per round — no cross-client dedup within a round,
+    only across rounds).
     """
 
     def __init__(self,
@@ -292,16 +296,8 @@ class FleetService:
                  config_factory: Optional[
                      Callable[[int], SchemeConfig]] = None,
                  directory: Optional[GlobalDedupDirectory] = None,
-                 shards_per_app: int = 4,
-                 cache_capacity: int = 0,
-                 locality_capacity: int = 0,
-                 filter_capacity: int = 0,
-                 shard_split_entries: int = 0,
                  waves: int = 2,
                  wan: WANLink = PAPER_WAN,
-                 wan_spread: float = 0.5,
-                 prices: PriceBook = S3_APRIL_2011,
-                 publish_batch: int = 64,
                  tracer=None) -> None:
         if clients < 1:
             raise SimulationError("fleet needs at least one client")
@@ -310,12 +306,7 @@ class FleetService:
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.backend = backend if backend is not None else InMemoryBackend()
         self.directory = directory if directory is not None else \
-            GlobalDedupDirectory(shards_per_app=shards_per_app,
-                                 cache_capacity=cache_capacity,
-                                 locality_capacity=locality_capacity,
-                                 filter_capacity=filter_capacity,
-                                 shard_split_entries=shard_split_entries,
-                                 tracer=self.tracer)
+            GlobalDedupDirectory(tracer=self.tracer)
         self.waves = waves
         self._epochs_committed = 0
         self._entries_committed = 0
@@ -326,16 +317,14 @@ class FleetService:
             view = NamespacedBackend(self.backend, name,
                                      lock=self._backend_lock)
             clock = VirtualClock()
-            cloud = SimulatedCloud(view, wan=_wan_for(rank, wan, wan_spread),
-                                   prices=prices, clock=clock,
-                                   tracer=self.tracer)
+            cloud = SimulatedCloud(view, wan=_wan_for(rank, wan),
+                                   clock=clock, tracer=self.tracer)
             client = FleetClient(rank, name, clock, cloud, backup=None)
             config = (config_factory(rank) if config_factory is not None
                       else aa_dedupe_config())
 
             def factory(app: str, _rank=rank, _client=client) -> FleetIndex:
-                index = FleetIndex(self.directory, app, _rank,
-                                   publish_batch=publish_batch)
+                index = FleetIndex(self.directory, app, _rank)
                 _client.indexes.append(index)
                 return index
 

@@ -7,9 +7,8 @@ paper claims, all realised here:
 
 * each subindex stays small enough to be RAM-resident (no disk-bottleneck
   seeks — measurable via each subindex's :class:`IndexStats`);
-* lookups for different applications are independent, enabling parallel
-  probing (:meth:`lookup_batch` with a thread pool — the paper's stated
-  future-work direction for multi-core clients);
+* lookups for different applications are independent: no operation
+  ever touches two subindices;
 * the partition also yields natural sharding for the periodic cloud
   synchronisation of the index (:mod:`repro.core.sync`).
 """
@@ -17,7 +16,6 @@ paper claims, all realised here:
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.index.base import ChunkIndex, IndexEntry, IndexStats
@@ -41,12 +39,9 @@ class AppAwareIndex:
 
     def __init__(self,
                  factory: Callable[[str], ChunkIndex] | None = None,
-                 max_workers: int = 4,
                  tracer=None) -> None:
         self._factory = factory or (lambda app: MemoryIndex())
         self._subindices: Dict[str, ChunkIndex] = {}
-        self._max_workers = max(1, max_workers)
-        self._pool: ThreadPoolExecutor | None = None
         self._create_lock = threading.Lock()
         self.tracer = tracer if tracer is not None else NOOP_TRACER
 
@@ -65,6 +60,11 @@ class AppAwareIndex:
                 if idx is None:
                     idx = self._subindices[app] = self._factory(app)
         return idx
+
+    def begin_batch(self, app: str, fingerprints: Sequence[bytes]) -> None:
+        """Announce the fingerprints about to be looked up in ``app``'s
+        subindex (see :meth:`ChunkIndex.begin_batch`)."""
+        self.subindex(app).begin_batch(fingerprints)
 
     def lookup(self, app: str, fingerprint: bytes) -> Optional[IndexEntry]:
         """Route a lookup to ``app``'s subindex only."""
@@ -87,37 +87,6 @@ class AppAwareIndex:
     def contains(self, app: str, fingerprint: bytes) -> bool:
         """Membership test within one application's namespace."""
         return self.lookup(app, fingerprint) is not None
-
-    # ------------------------------------------------------------------
-    def lookup_batch(self, queries: Sequence[Tuple[str, bytes]],
-                     parallel: bool = False
-                     ) -> List[Optional[IndexEntry]]:
-        """Resolve many ``(app, fingerprint)`` queries.
-
-        With ``parallel=True`` queries are grouped by application and each
-        group probed on its own worker thread — profitable when subindices
-        perform real IO (DiskIndex) since file reads release the GIL.
-        """
-        if not parallel or len(queries) < 2:
-            return [self.lookup(app, fp) for app, fp in queries]
-        groups: Dict[str, List[int]] = {}
-        for i, (app, _fp) in enumerate(queries):
-            groups.setdefault(app, []).append(i)
-        results: List[Optional[IndexEntry]] = [None] * len(queries)
-
-        def probe_group(app: str, positions: List[int]) -> None:
-            idx = self.subindex(app)
-            for pos in positions:
-                results[pos] = idx.lookup(queries[pos][1])
-
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self._max_workers,
-                                            thread_name_prefix="aaidx")
-        futures = [self._pool.submit(probe_group, app, positions)
-                   for app, positions in groups.items()]
-        for fut in futures:
-            fut.result()
-        return results
 
     # ------------------------------------------------------------------
     @property
@@ -157,12 +126,9 @@ class AppAwareIndex:
             idx.flush()
 
     def close(self) -> None:
-        """Close subindices and stop the lookup pool."""
+        """Close every subindex."""
         for idx in self._subindices.values():
             idx.close()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
     def approximate_bytes(self) -> int:
         """Total footprint (sum of subindex footprints)."""

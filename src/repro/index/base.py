@@ -5,7 +5,7 @@ from __future__ import annotations
 import abc
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Dict, Iterator, Optional, Sequence
 
 from repro.errors import IndexError_
 
@@ -89,7 +89,18 @@ class IndexStats:
 
 
 class ChunkIndex(abc.ABC):
-    """Abstract fingerprint → :class:`IndexEntry` map."""
+    """Abstract fingerprint → :class:`IndexEntry` map, and one tier of
+    an index *stack*.
+
+    A front (cache) sets :attr:`backing` to the tier below it; a leaf
+    leaves it ``None``.  The stack hooks — :meth:`begin_batch`,
+    :meth:`discard`, :meth:`locality_scores` — default to forwarding
+    down the stack, so a tier overrides only what it implements and a
+    caller drives any stack through its top tier.
+    """
+
+    #: The next tier down the stack (``None`` on a leaf).
+    backing: Optional["ChunkIndex"] = None
 
     def __init__(self) -> None:
         #: Running counters; reset by the caller between sessions.
@@ -118,6 +129,62 @@ class ChunkIndex(abc.ABC):
     @abc.abstractmethod
     def entries(self) -> Iterator[IndexEntry]:
         """Iterate all current entries (order unspecified)."""
+
+    # -- tier protocol -------------------------------------------------
+    def begin_batch(self, fingerprints: Sequence[bytes],
+                    stream=None) -> None:
+        """Announce the fingerprints the caller is about to look up.
+
+        A hint, never required: a tier that can amortise work over a
+        batch (one directory round trip, one champion election) does it
+        here.  ``stream`` tags the probing stream for tiers that track
+        per-stream locality.
+        """
+        if self.backing is not None:
+            self.backing.begin_batch(fingerprints, stream)
+
+    def discard(self, fingerprint: bytes) -> None:
+        """Drop ``fingerprint`` where the stack can (shard migration).
+
+        Callers guarantee the fingerprint is never probed here again,
+        so a tier that cannot delete keeps an unreachable stale record.
+        """
+        if self.backing is not None:
+            self.backing.discard(fingerprint)
+
+    def locality_scores(self) -> Dict[str, float]:
+        """Per-stream locality estimates of the stack's cache tier
+        (empty when no tier tracks streams)."""
+        if self.backing is None:
+            return {}
+        return self.backing.locality_scores()
+
+    def tiers(self) -> Iterator["ChunkIndex"]:
+        """This tier and everything below it, top first."""
+        yield self
+        if self.backing is not None:
+            yield from self.backing.tiers()
+
+    def stack_stats(self) -> IndexStats:
+        """Probe accounting for the whole stack under this tier.
+
+        Fronts keep their own counters and only fall through on a miss,
+        so lookup/hit totals come from the top tier (each fall-through
+        would double-count) while memory hits and disk IO add up across
+        tiers — each tier only counts the work it did itself.  Bulk
+        loads write the leaf directly while write-through fronts count
+        their own inserts; the largest tier count is the number of
+        entries actually written.
+        """
+        merged = IndexStats(lookups=self.stats.lookups,
+                            hits=self.stats.hits)
+        for tier in self.tiers():
+            level = tier.stats
+            merged.memory_hits += level.memory_hits
+            merged.disk_probes += level.disk_probes
+            merged.disk_bytes += level.disk_bytes
+            merged.inserts = max(merged.inserts, level.inserts)
+        return merged
 
     def contains(self, fingerprint: bytes) -> bool:
         """Membership test (counts as a lookup for statistics)."""

@@ -10,9 +10,10 @@ the streams that will actually reuse it.
 :class:`LocalityCache` implements that idea as a drop-in
 :class:`~repro.index.base.ChunkIndex` front:
 
-* callers tag the probing stream via :meth:`begin_stream` (the fleet
-  directory passes the client rank, making the estimate per
-  ``(client, app)`` since shards are already per-app);
+* callers tag the probing stream through the ``stream`` argument of
+  :meth:`begin_batch` (the fleet directory passes the client rank,
+  making the estimate per ``(client, app)`` since shards are already
+  per-app); with a single stream the cache is a plain LRU;
 * locality is estimated from **hit run lengths** — consecutive cache
   hits extend the stream's current run, a miss folds the run into an
   exponentially-weighted moving average;
@@ -34,7 +35,7 @@ from repro.index.base import ChunkIndex, IndexEntry
 
 __all__ = ["LocalityCache"]
 
-#: Stream id used before any :meth:`LocalityCache.begin_stream` call.
+#: Stream id used until a :meth:`LocalityCache.begin_batch` names one.
 DEFAULT_STREAM = "?"
 
 
@@ -43,8 +44,9 @@ class LocalityCache(ChunkIndex):
 
     ``alpha`` is the EWMA weight of the most recent run length; higher
     values adapt faster to a stream changing phase.  Negative lookups
-    are not cached (same insert-follows-miss rationale as
-    :class:`~repro.index.cache.LRUCache`).
+    are *not* cached (a dedup workload is insert-heavy: a miss is
+    immediately followed by an insert of the same key, which populates
+    the cache).
     """
 
     def __init__(self, backing: ChunkIndex, capacity: int,
@@ -72,9 +74,11 @@ class LocalityCache(ChunkIndex):
         self.evictions = 0
 
     # -- stream accounting ---------------------------------------------
-    def begin_stream(self, stream) -> None:
-        """Attribute subsequent probes to ``stream``."""
-        self._stream = str(stream)
+    def begin_batch(self, fingerprints, stream=None) -> None:
+        """Attribute subsequent probes to ``stream`` (when given)."""
+        if stream is not None:
+            self._stream = str(stream)
+        self.backing.begin_batch(fingerprints, stream)
 
     def _score(self, stream: str) -> float:
         """Effective locality: historical EWMA or the live run, whichever

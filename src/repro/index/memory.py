@@ -37,12 +37,7 @@ class MemoryIndex(ChunkIndex):
         self._map[entry.fingerprint] = entry
 
     def discard(self, fingerprint: bytes) -> None:
-        """Drop ``fingerprint`` if present (shard-migration support).
-
-        Optional protocol: callers that rebalance entries between
-        indices probe for this method with ``getattr`` — backings
-        without it simply keep unreachable stale records.
-        """
+        """Drop ``fingerprint`` if present (shard-migration support)."""
         if self._map.pop(fingerprint, None) is not None:
             self.generation += 1
 

@@ -10,138 +10,23 @@ the champions are missed (approximate dedup), but the RAM footprint is
 tiny and each segment costs at most ``max_champions`` sequential
 manifest loads instead of per-chunk random IOs.
 
-:class:`SparseIndexDeduper` implements the algorithm over ``(chunk_id,
-length)`` streams so the trace layer can compare it head-to-head with
-exact indexing (see ``benchmarks/test_bench_sparse_index.py``).
+:class:`SparseShardIndex` implements the algorithm as a
+:class:`~repro.index.base.ChunkIndex`: the fleet directory uses it as a
+shard's long-tail tier, and ``benchmarks/test_bench_sparse_index.py``
+compares it head-to-head with exact indexing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.index.base import ChunkIndex, IndexEntry
 
-__all__ = ["SparseIndexDeduper", "SparseShardIndex", "SparseStats"]
+__all__ = ["SparseShardIndex"]
 
-
-@dataclass
-class SparseStats:
-    """Accounting for one sparse-index run."""
-
-    chunks_total: int = 0
-    bytes_total: int = 0
-    chunks_deduped: int = 0
-    bytes_deduped: int = 0
-    bytes_unique: int = 0
-    segments_processed: int = 0
-    champions_loaded: int = 0
-
-    @property
-    def dedup_ratio(self) -> float:
-        """Achieved DR (≥ 1; lower than exact dedup's by the miss rate)."""
-        if self.bytes_unique <= 0:
-            return 1.0 if self.bytes_total == 0 else float("inf")
-        return self.bytes_total / self.bytes_unique
-
-
-class SparseIndexDeduper:
-    """Segment-based approximate deduplication with a sampled RAM index.
-
-    ``segment_chunks`` chunks form one segment (FAST'09 uses ~10 MB
-    segments); fingerprints whose low ``sample_bits`` bits are zero are
-    hooks; at most ``max_champions`` champion segments are consulted per
-    incoming segment, ranked by hook overlap.
-    """
-
-    def __init__(self, segment_chunks: int = 1024, sample_bits: int = 6,
-                 max_champions: int = 4,
-                 max_segments_per_hook: int = 8) -> None:
-        if segment_chunks < 1 or sample_bits < 0 or max_champions < 1:
-            raise ValueError("invalid sparse-index parameters")
-        self.segment_chunks = segment_chunks
-        self.sample_mask = (1 << sample_bits) - 1
-        self.max_champions = max_champions
-        self.max_segments_per_hook = max_segments_per_hook
-        #: hook fingerprint -> segment ids containing it (RAM).
-        self._sparse: Dict[int, List[int]] = {}
-        #: segment id -> chunk id set ("on-disk" segment manifests).
-        self._manifests: Dict[int, Set[int]] = {}
-        self._next_segment = 0
-        self._buffer: List[Tuple[int, int]] = []
-        self.stats = SparseStats()
-
-    # ------------------------------------------------------------------
-    def _is_hook(self, chunk_id: int) -> bool:
-        return (chunk_id & self.sample_mask) == 0
-
-    def _champions(self, hooks: List[int]) -> List[int]:
-        votes: Dict[int, int] = {}
-        for hook in hooks:
-            for segment in self._sparse.get(hook, ()):
-                votes[segment] = votes.get(segment, 0) + 1
-        ranked = sorted(votes, key=lambda s: (-votes[s], -s))
-        return ranked[: self.max_champions]
-
-    def _flush_segment(self) -> None:
-        if not self._buffer:
-            return
-        segment = self._buffer
-        self._buffer = []
-        self.stats.segments_processed += 1
-        hooks = [cid for cid, _l in segment if self._is_hook(cid)]
-        champions = self._champions(hooks)
-        self.stats.champions_loaded += len(champions)
-        known: Set[int] = set()
-        for champ in champions:
-            known |= self._manifests[champ]
-
-        segment_id = self._next_segment
-        self._next_segment += 1
-        manifest: Set[int] = set()
-        for chunk_id, length in segment:
-            if chunk_id in known or chunk_id in manifest:
-                self.stats.chunks_deduped += 1
-                self.stats.bytes_deduped += length
-            else:
-                self.stats.bytes_unique += length
-            manifest.add(chunk_id)
-        self._manifests[segment_id] = manifest
-        for hook in hooks:
-            entries = self._sparse.setdefault(hook, [])
-            if len(entries) < self.max_segments_per_hook:
-                entries.append(segment_id)
-            else:  # evict oldest mapping (FIFO, as in the paper)
-                entries.pop(0)
-                entries.append(segment_id)
-
-    # ------------------------------------------------------------------
-    def push(self, chunk_id: int, length: int) -> None:
-        """Feed one chunk of the backup stream."""
-        self.stats.chunks_total += 1
-        self.stats.bytes_total += length
-        self._buffer.append((chunk_id, length))
-        if len(self._buffer) >= self.segment_chunks:
-            self._flush_segment()
-
-    def push_stream(self, chunks: Iterable[Tuple[int, int]]) -> None:
-        """Feed a whole stream of ``(chunk_id, length)``."""
-        for chunk_id, length in chunks:
-            self.push(chunk_id, length)
-
-    def finish(self) -> SparseStats:
-        """Flush the partial trailing segment and return the stats."""
-        self._flush_segment()
-        return self.stats
-
-    # ------------------------------------------------------------------
-    def ram_entries(self) -> int:
-        """Sampled (hook) entries held in RAM — the footprint argument."""
-        return sum(len(v) for v in self._sparse.values())
-
-    def manifest_entries(self) -> int:
-        """Total chunk ids across on-disk segment manifests."""
-        return sum(len(m) for m in self._manifests.values())
+#: Segments remembered per hook; the oldest mapping is evicted first
+#: (FIFO, as in the paper).
+MAX_SEGMENTS_PER_HOOK = 8
 
 
 class SparseShardIndex(ChunkIndex):
@@ -155,9 +40,8 @@ class SparseShardIndex(ChunkIndex):
     structures whose loads are charged to ``stats.disk_probes`` /
     ``disk_bytes``.
 
-    Lookups are approximate: before a probe batch the caller (the
-    directory shard) announces the batch via :meth:`begin_batch`, which
-    elects at most ``max_champions`` champion segments by hook overlap
+    Lookups are approximate: before a probe batch the caller announces
+    it via :meth:`begin_batch`, which elects at most ``max_champions`` champion segments by hook overlap
     and loads their manifests; a non-hook fingerprint is only found if
     a champion (or the open, still-in-RAM segment) holds it.  A
     duplicate outside the champions is reported as a miss — the client
@@ -168,23 +52,19 @@ class SparseShardIndex(ChunkIndex):
     """
 
     def __init__(self, segment_chunks: int = 512, sample_bits: int = 4,
-                 max_champions: int = 4,
-                 max_segments_per_hook: int = 8) -> None:
+                 max_champions: int = 4) -> None:
         super().__init__()
-        if segment_chunks < 1 or sample_bits < 0 or max_champions < 1 \
-                or max_segments_per_hook < 1:
+        if segment_chunks < 1 or sample_bits < 0 or max_champions < 1:
             raise ValueError("invalid sparse-shard parameters")
         self.segment_chunks = segment_chunks
         self.sample_mask = (1 << sample_bits) - 1
         self.max_champions = max_champions
-        self.max_segments_per_hook = max_segments_per_hook
         self._hooks: Dict[bytes, IndexEntry] = {}
         self._hook_segments: Dict[bytes, List[int]] = {}
         self._segments: Dict[int, Dict[bytes, IndexEntry]] = {}
         self._open: Dict[bytes, IndexEntry] = {}
         self._loaded: Dict[bytes, IndexEntry] = {}
         self._next_segment = 0
-        self._count = 0
         self.champions_loaded = 0
 
     # ------------------------------------------------------------------
@@ -192,7 +72,7 @@ class SparseShardIndex(ChunkIndex):
         return (int.from_bytes(fingerprint[:8], "big")
                 & self.sample_mask) == 0
 
-    def begin_batch(self, fingerprints: Iterable[bytes]) -> None:
+    def begin_batch(self, fingerprints, stream=None) -> None:
         """Elect and load champion segments for one probe batch."""
         votes: Dict[int, int] = {}
         for fp in fingerprints:
@@ -200,7 +80,8 @@ class SparseShardIndex(ChunkIndex):
                 votes[segment] = votes.get(segment, 0) + 1
         champions = sorted(votes, key=lambda s: (-votes[s], -s))
         self._loaded = {}
-        for segment in champions[: self.max_champions]:
+        # Oldest first, so a re-inserted fingerprint's newest copy wins.
+        for segment in sorted(champions[: self.max_champions]):
             manifest = self._segments[segment]
             self._loaded.update(manifest)
             self.champions_loaded += 1
@@ -218,8 +99,8 @@ class SparseShardIndex(ChunkIndex):
         for fp in manifest:
             if self._is_hook(fp):
                 entries = self._hook_segments.setdefault(fp, [])
-                if len(entries) >= self.max_segments_per_hook:
-                    entries.pop(0)  # FIFO, as in the paper
+                if len(entries) >= MAX_SEGMENTS_PER_HOOK:
+                    entries.pop(0)
                 entries.append(segment_id)
 
     # -- ChunkIndex interface ------------------------------------------
@@ -243,8 +124,6 @@ class SparseShardIndex(ChunkIndex):
         self.stats.inserts += 1
         self.generation += 1
         fingerprint = entry.fingerprint
-        if fingerprint not in self._open:
-            self._count += 1
         self._open[fingerprint] = entry
         if self._is_hook(fingerprint):
             self._hooks[fingerprint] = entry
@@ -252,14 +131,23 @@ class SparseShardIndex(ChunkIndex):
             self._seal()
 
     def __len__(self) -> int:
-        return self._count
+        """Distinct fingerprints — a re-insert (the engine's refcount
+        bump on every dedup hit) may leave a stale copy in an older
+        sealed segment, which counts once."""
+        return len(set(self._open).union(*self._segments.values()))
 
     def entries(self) -> Iterator[IndexEntry]:
-        """Every stored entry (open segment, then sealed manifests)."""
-        for entry in list(self._open.values()):
-            yield entry
-        for segment_id in sorted(self._segments):
-            yield from self._segments[segment_id].values()
+        """Every stored fingerprint once, newest version (open segment,
+        then sealed manifests newest first)."""
+        seen: Set[bytes] = set()
+        newest_first = [self._open] + [
+            self._segments[segment_id]
+            for segment_id in sorted(self._segments, reverse=True)]
+        for manifest in newest_first:
+            for fingerprint, entry in list(manifest.items()):
+                if fingerprint not in seen:
+                    seen.add(fingerprint)
+                    yield entry
 
     # ------------------------------------------------------------------
     def ram_entries(self) -> int:

@@ -22,7 +22,7 @@ empty — so every *other* job's liveness pins would be invisible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import List, Optional
 
 from repro.core import naming
 from repro.core.gc import GCReport, collect_garbage, session_catalog
@@ -50,17 +50,6 @@ class RetentionOutcome:
         return self.deleted_containers > 0 or self.deleted_objects > 0
 
 
-def _root_session_ids(root) -> Set[int]:
-    ids: Set[int] = set()
-    for key in root.list(naming.MANIFEST_PREFIX):
-        stem = key.rsplit("session-", 1)[-1]
-        try:
-            ids.add(int(stem.split(".", 1)[0]))
-        except ValueError:
-            continue
-    return ids
-
-
 def apply_retention(root, view, policy, now: float,
                     tracer=None) -> Optional[RetentionOutcome]:
     """Apply ``policy`` to the job behind ``view``; sweep via ``root``.
@@ -84,7 +73,7 @@ def apply_retention(root, view, policy, now: float,
     # Root sessions are not this job's to drop: retain them all.  The
     # sweep still reclaims whatever the dropped tenant manifests alone
     # were pinning.
-    report: GCReport = collect_garbage(root, _root_session_ids(root))
+    report: GCReport = collect_garbage(root, naming.session_ids(root))
     outcome.deleted_containers = report.deleted_containers
     outcome.deleted_objects = report.deleted_objects
     outcome.statcache_invalidated = report.statcache_invalidated

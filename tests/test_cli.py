@@ -432,3 +432,20 @@ class TestGcRetainLast:
         capsys.readouterr()
         assert run("gc", "--store", store, "--retain-last", "0") == 2
         assert "--retain-last" in capsys.readouterr().err
+
+
+class TestFleetCommand:
+    def test_fleet_runs_with_every_shard_tier(self, capsys):
+        assert run("fleet", "--clients", 3, "--sessions", 1, "--workers", 2,
+                   "--shards", 1, "--shard-cache", 8, "--shard-filter", 64,
+                   "--shard-split", 50, "--sparse-shards") == 0
+        out = capsys.readouterr().out
+        assert "fleet summary" in out and "directory shards" in out
+        assert "cross-client savings" in out
+
+    def test_locality_cache_flag_is_gone(self, capsys):
+        # One cache front, one flag: --shard-cache builds it.
+        with pytest.raises(SystemExit) as exc:
+            run("fleet", "--clients", 2, "--locality-cache", 4)
+        assert exc.value.code == 2
+        assert "--locality-cache" in capsys.readouterr().err

@@ -21,8 +21,7 @@ from repro.fleet import (
     synthetic_fleet_sources,
 )
 from repro.fleet.service import CONTAINER_ID_STRIDE
-from repro.index import IndexEntry
-from repro.index.cache import LRUCache
+from repro.index import IndexEntry, LocalityCache
 
 
 def fp(i: int) -> bytes:
@@ -87,7 +86,7 @@ class TestGlobalDedupDirectory:
         d.commit_epoch()
         shard = d.shards()[0]
         assert shard.probes == 0 and shard.batches == 0
-        assert shard.stats.lookups == 0  # commit used no index lookups
+        assert shard.index.stack_stats().lookups == 0  # no index lookups
         assert len(shard) == 8
 
     def test_stats_rows_and_len(self):
@@ -103,25 +102,43 @@ class TestGlobalDedupDirectory:
         assert row["probes"] == 2 and row["hits"] == 1
 
     def test_cache_capacity_fronts_shards_with_lru(self):
+        # One probing stream: the front behaves as a plain LRU — the
+        # repeat is served from the cache, never reaching the backing.
         d = GlobalDedupDirectory(shards_per_app=1, cache_capacity=16)
         d.publish_batch("doc", [entry(1)], rank=0)
         d.commit_epoch()
-        assert isinstance(d.shards()[0].index, LRUCache)
+        (shard,) = d.shards()
+        assert isinstance(shard.index, LocalityCache)
+        assert shard.index.capacity == 16
         assert d.lookup("doc", fp(1)) == entry(1)
+        assert d.lookup("doc", fp(1)) == entry(1)
+        assert shard.index.cache_hits == 1
+        assert shard.index.backing.stats.lookups == 1
 
     def test_locality_capacity_fronts_shards(self):
-        from repro.index.locality import LocalityCache
-        d = GlobalDedupDirectory(shards_per_app=1, locality_capacity=16)
+        d = GlobalDedupDirectory(shards_per_app=1, cache_capacity=16)
         d.publish_batch("doc", [entry(1)], rank=0)
         d.commit_epoch()
-        assert isinstance(d.shards()[0].index, LocalityCache)
-        assert d.lookup("doc", fp(1)) == entry(1)
+        assert d.probe_batch("doc", [fp(1)], stream=7)[0] == [entry(1)]
         (row,) = d.stats_rows()
-        assert row["locality"]  # scores visible once a stream probed
+        # Scores are visible once a stream probed, keyed by its tag.
+        assert list(row["locality"]) == ["7"]
+        # No cache front, no scores.
+        plain = GlobalDedupDirectory(shards_per_app=1)
+        plain.publish_batch("doc", [entry(1)], rank=0)
+        plain.commit_epoch()
+        assert plain.stats_rows()[0]["locality"] == {}
 
     def test_cache_fronts_are_mutually_exclusive(self):
-        with pytest.raises(ValueError):
+        # There is one cache front; the second knob is gone by name.
+        with pytest.raises(TypeError, match="locality_capacity"):
             GlobalDedupDirectory(cache_capacity=4, locality_capacity=4)
+
+    @pytest.mark.parametrize("kwarg", ["locality_capacity",
+                                       "filter_fp_rate", "ring_vnodes"])
+    def test_removed_directory_knobs_rejected(self, kwarg):
+        with pytest.raises(TypeError, match=kwarg):
+            GlobalDedupDirectory(**{kwarg: 1})
 
     # -- regression: single-byte bucketing capped shards at 256 --------
     @pytest.mark.parametrize("shards", [6, 300])
@@ -156,17 +173,16 @@ class TestGlobalDedupDirectory:
         assert d.lookup_batch("mp3", [fp(2), fp(3)]) == [None, None]
         assert [s.key for s in d.shards()] == before
 
-    # -- regression: stats must merge the whole wrapper chain ----------
+    # -- regression: stats must merge the whole index stack ------------
     def test_stats_walk_three_deep_chain(self, tmp_path):
         from repro.index.disk import DiskIndex
-        from repro.index.locality import LocalityCache
 
         def factory(app, bucket):
-            # filter -> locality cache -> LRU -> disk: three wrapper
-            # levels over the disk index.
+            # cache -> cache -> disk: a declared three-tier stack.
             disk = DiskIndex(tmp_path / f"{app}-{bucket}",
                              memtable_limit=2, bloom_fp_rate=None)
-            return LocalityCache(LRUCache(disk, capacity=1), capacity=1)
+            return LocalityCache(LocalityCache(disk, capacity=1),
+                                 capacity=1)
 
         d = GlobalDedupDirectory(shards_per_app=1, index_factory=factory)
         d.publish_batch("doc", [entry(i) for i in range(8)], rank=0)
@@ -174,18 +190,21 @@ class TestGlobalDedupDirectory:
         for i in range(8):
             assert d.lookup("doc", fp(i)) == entry(i)
         shard = d.shards()[0]
-        stats = shard.stats
-        deep = shard.index.backing.backing.stats  # the DiskIndex
+        stats = shard.index.stack_stats()
+        top, middle, disk = shard.index.tiers()
+        deep = disk.stats
         assert deep.disk_probes > 0
         # Disk IO surfaces through both cache levels ...
         assert stats.disk_probes == deep.disk_probes
         assert stats.disk_bytes == deep.disk_bytes
         # ... and memory hits accumulate across every level.
-        chain_memory = (shard.index.stats.memory_hits
-                        + shard.index.backing.stats.memory_hits
+        chain_memory = (top.stats.memory_hits + middle.stats.memory_hits
                         + deep.memory_hits)
         assert stats.memory_hits == chain_memory
-        assert stats.lookups == shard.index.stats.lookups
+        assert stats.lookups == top.stats.lookups
+        # Commits bulk-loaded the leaf, bypassing both fronts.
+        assert stats.inserts == deep.inserts == 8
+        assert top.stats.inserts == 0
         (row,) = d.stats_rows()
         assert row["disk_probes"] == deep.disk_probes
 
@@ -203,7 +222,7 @@ class TestGlobalDedupDirectory:
         # lookup, and a fully-absorbed group costs no batch seek.
         assert sum(absorbed) >= 30
         assert shard.filter_rejects >= 30
-        assert shard.stats.lookups <= 2  # only bloom false positives
+        assert shard.index.stats.lookups <= 2  # only bloom false positives
         assert shard.batches <= baseline_batches + 1
         # Committed fingerprints always pass the filter (no false
         # negatives): every hit still lands.
@@ -437,6 +456,100 @@ class TestFleetService:
         assert report.server_seek_seconds() == 0.0  # memory shards
         rendered = report.render()
         assert "fleet summary" in rendered and "directory shards" in rendered
+
+
+def _run_batching_fleet(index_factory=None):
+    """Two clients, two waves: client 1 dedups against what client 0
+    published a wave earlier.  One shard per app so every announced
+    file lands on one shard as one batch."""
+    sources = synthetic_fleet_sources(2, 2, file_kib=96, shared_files=10,
+                                      private_files=2)
+    directory = GlobalDedupDirectory(shards_per_app=1,
+                                     index_factory=index_factory)
+    service = FleetService(clients=2, directory=directory, waves=2)
+    try:
+        report = service.run(sources, max_workers=2)
+        manifests = {key: service.backend.get(key)
+                     for key in service.backend.list("clients/")
+                     if "/manifests/" in key}
+        committed = {s.name: s.committed_entries()
+                     for s in directory.shards()}
+    finally:
+        service.close()
+    return {
+        "remote_probes": sum(c.remote_probes for c in report.clients),
+        "remote_hits": sum(c.remote_hits for c in report.clients),
+        "adopted_bytes": report.cross_bytes,
+        "batches": sum(r["batches"] for r in report.shard_rows),
+        "probes": sum(r["probes"] for r in report.shard_rows),
+        "manifests": manifests,
+        "committed": committed,
+    }
+
+
+class TestPerFileProbeBatching:
+    """Regression: the batch hook had no real caller — ``FleetIndex``
+    probed one fingerprint per ``probe_batch``, so ``batches == probes``
+    and sparse shards elected champions from a single fingerprint."""
+
+    def test_engine_announces_files_and_dedup_is_unchanged(self,
+                                                           monkeypatch):
+        batched = _run_batching_fleet()
+        # The per-fingerprint path (no announcement) is the reference.
+        monkeypatch.setattr(FleetIndex, "begin_batch",
+                            lambda self, fingerprints, stream=None: None)
+        single = _run_batching_fleet()
+        assert single["batches"] == single["probes"] > 0
+        assert batched["batches"] < batched["probes"]
+        for key in ("remote_probes", "remote_hits", "adopted_bytes",
+                    "probes", "committed", "manifests"):
+            assert batched[key] == single[key], key
+        assert batched["remote_hits"] > 0 and batched["manifests"]
+
+    def test_sparse_shards_recover_most_cross_client_hits(self):
+        from repro.index import SparseShardIndex
+        exact = _run_batching_fleet()
+        sparse = _run_batching_fleet(
+            lambda app, bucket: SparseShardIndex(segment_chunks=16,
+                                                 sample_bits=2))
+        assert sparse["remote_hits"] <= exact["remote_hits"]
+        assert sparse["remote_hits"] >= 0.8 * exact["remote_hits"]
+
+    def test_announced_absorbed_misses_cost_one_round_trip(self):
+        # An absent shard absorbs every probe; the announced answer
+        # holds for the file in flight without entering the memo.
+        d = GlobalDedupDirectory(shards_per_app=1)
+        ix = FleetIndex(d, "doc", rank=0)
+        ix.begin_batch([fp(1), fp(2), fp(1)])
+        assert ix.remote_probes == 2 and ix.filter_absorbed == 2
+        assert ix.lookup(fp(1)) is None and ix.lookup(fp(2)) is None
+        assert ix.remote_probes == 2 and len(ix._misses) == 0
+        ix.begin_batch([fp(3)])             # next file: answer replaced
+        assert ix.lookup(fp(1)) is None
+        assert ix.remote_probes == 4
+
+    def test_announcement_is_stale_after_an_epoch_commit(self):
+        d = GlobalDedupDirectory(shards_per_app=1)
+        ix = FleetIndex(d, "doc", rank=1)
+        ix.begin_batch([fp(1)])
+        d.publish_batch("doc", [entry(1)], rank=0)
+        d.commit_epoch()
+        assert ix.lookup(fp(1)) == entry(1)
+
+
+class TestRemovedFleetKnobs:
+    @pytest.mark.parametrize("kwarg", [
+        "shards_per_app", "cache_capacity", "locality_capacity",
+        "filter_capacity", "shard_split_entries", "wan_spread", "prices",
+        "publish_batch"])
+    def test_service_rejects_removed_keyword(self, kwarg):
+        with pytest.raises(TypeError, match=kwarg):
+            FleetService(clients=1, **{kwarg: 1})
+
+    def test_sparse_index_rejects_removed_keyword(self):
+        from repro.index import SparseShardIndex
+        with pytest.raises(TypeError, match="max_segments_per_hook"):
+            SparseShardIndex(max_segments_per_hook=4)
 
 
 class TestFleetWorkloads:

@@ -13,7 +13,7 @@ from repro.index import (
     BloomFilter,
     DiskIndex,
     IndexEntry,
-    LRUCache,
+    LocalityCache,
     MemoryIndex,
 )
 
@@ -340,31 +340,49 @@ class TestDiskIndex:
 
 
 class TestLRUCache:
+    """The shard cache front probed by a single stream is a plain LRU
+    (the ablation that deleted the separate ``LRUCache`` class: same
+    answers, counters and eviction order)."""
+
     def test_hit_after_insert(self, tmp_path):
-        cache = LRUCache(MemoryIndex(), capacity=10)
+        cache = LocalityCache(MemoryIndex(), capacity=10)
         cache.insert(entry(1))
         assert cache.lookup(fp(1)) == entry(1)
         assert cache.cache_hits == 1
 
     def test_eviction(self):
-        cache = LRUCache(MemoryIndex(), capacity=3)
+        cache = LocalityCache(MemoryIndex(), capacity=3)
         for i in range(5):
             cache.insert(entry(i))
         # 0 and 1 evicted from cache but present in backing.
         assert cache.lookup(fp(0)) == entry(0)
         assert cache.cache_misses >= 1
 
+    def test_eviction_order_is_least_recently_used(self):
+        backing = MemoryIndex()
+        cache = LocalityCache(backing, capacity=3)
+        for i in range(3):
+            cache.insert(entry(i))
+        cache.lookup(fp(0))        # 0 is now the most recent
+        cache.insert(entry(3))     # evicts 1, the least recent
+        before = backing.stats.lookups
+        for i in (0, 2, 3):
+            assert cache.lookup(fp(i)) == entry(i)
+        assert backing.stats.lookups == before   # all still cached
+        assert cache.lookup(fp(1)) == entry(1)
+        assert backing.stats.lookups == before + 1
+
     def test_miss_populates_cache(self):
         backing = MemoryIndex()
         backing.insert(entry(7))
-        cache = LRUCache(backing, capacity=4)
+        cache = LocalityCache(backing, capacity=4)
         cache.lookup(fp(7))
         backing_lookups = backing.stats.lookups
         cache.lookup(fp(7))
         assert backing.stats.lookups == backing_lookups  # served from cache
 
     def test_hit_ratio(self):
-        cache = LRUCache(MemoryIndex(), capacity=4)
+        cache = LocalityCache(MemoryIndex(), capacity=4)
         cache.insert(entry(1))
         cache.lookup(fp(1))
         cache.lookup(fp(2))
@@ -372,7 +390,7 @@ class TestLRUCache:
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            LRUCache(MemoryIndex(), capacity=0)
+            LocalityCache(MemoryIndex(), capacity=0)
 
 
 class TestAppAwareIndex:
@@ -412,16 +430,24 @@ class TestAppAwareIndex:
         aa.reset_stats()
         assert aa.combined_stats().lookups == 0
 
-    def test_batch_serial_and_parallel_agree(self):
-        aa = AppAwareIndex(max_workers=3)
-        for i in range(30):
-            aa.insert(f"app{i % 3}", entry(i))
-        queries = [(f"app{i % 3}", fp(i)) for i in range(40)]
-        serial = aa.lookup_batch(queries, parallel=False)
-        parallel = aa.lookup_batch(queries, parallel=True)
-        assert serial == parallel
-        assert sum(e is not None for e in serial) == 30
-        aa.close()
+    def test_begin_batch_routes_to_one_subindex(self):
+        announced = []
+
+        class Recording(MemoryIndex):
+            def begin_batch(self, fingerprints, stream=None):
+                announced.append(list(fingerprints))
+
+        aa = AppAwareIndex(factory=lambda app: Recording())
+        aa.subindex("doc")
+        aa.begin_batch("mp3", [fp(1), fp(2)])
+        assert announced == [[fp(1), fp(2)]]
+        # The inherited hook on a leaf is a no-op.
+        AppAwareIndex().begin_batch("mp3", [fp(1)])
+
+    def test_removed_parallel_probe_is_gone(self):
+        with pytest.raises(TypeError, match="max_workers"):
+            AppAwareIndex(max_workers=3)
+        assert not hasattr(AppAwareIndex, "lookup_batch")
 
     def test_custom_factory(self, tmp_path):
         aa = AppAwareIndex(

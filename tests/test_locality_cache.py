@@ -87,18 +87,18 @@ class TestEvictionOrder:
         # "hot" replays a two-fingerprint working set (long hit runs);
         # "cold" scans fingerprints it never revisits (runs of zero).
         c = make(capacity=4, preload=range(20))
-        c.begin_stream("hot")
+        c.begin_batch((), stream="hot")
         for _ in range(6):
             c.lookup(fp(0))
             c.lookup(fp(1))
-        c.begin_stream("cold")
+        c.begin_batch((), stream="cold")
         for i in range(2, 12):
             c.lookup(fp(i))
         scores = c.locality_scores()
         assert scores["hot"] > scores["cold"]
         # The cold scan churned through the cache without ever evicting
         # the hot stream's working set.
-        c.begin_stream("hot")
+        c.begin_batch((), stream="hot")
         before = c.backing.stats.lookups
         assert c.lookup(fp(0)) == entry(0)
         assert c.lookup(fp(1)) == entry(1)
@@ -106,7 +106,7 @@ class TestEvictionOrder:
 
     def test_eviction_within_stream_is_oldest_first(self):
         c = make(capacity=2, preload=range(10))
-        c.begin_stream("s")
+        c.begin_batch((), stream="s")
         c.lookup(fp(0))
         c.lookup(fp(1))
         c.lookup(fp(2))  # capacity 2: evicts fp(0), the oldest
@@ -116,9 +116,9 @@ class TestEvictionOrder:
 
     def test_touch_reassigns_ownership(self):
         c = make(capacity=4, preload=range(4))
-        c.begin_stream("a")
+        c.begin_batch((), stream="a")
         c.lookup(fp(0))
-        c.begin_stream("b")
+        c.begin_batch((), stream="b")
         c.lookup(fp(0))  # b touches a's entry: ownership moves
         assert c._owner[fp(0)] == "b"
         assert fp(0) not in c._lru["a"]
@@ -127,11 +127,11 @@ class TestEvictionOrder:
         # A stream with no history but a hit run in progress must not
         # be the eviction victim over a stream with zero locality.
         c = make(capacity=3, preload=range(10))
-        c.begin_stream("burst")
+        c.begin_batch((), stream="burst")
         c.lookup(fp(0))
         c.lookup(fp(0))
         c.lookup(fp(0))  # live run = 2 (score 2.0, EWMA still 0)
-        c.begin_stream("cold")
+        c.begin_batch((), stream="cold")
         c.lookup(fp(1))
         c.lookup(fp(2))
         c.lookup(fp(3))  # forces evictions
@@ -153,7 +153,7 @@ class TestLocalityCacheProperties:
             backing.insert(entry(i))
         c = LocalityCache(backing, capacity=capacity)
         for stream, i in ops:
-            c.begin_stream(stream)
+            c.begin_batch((), stream=stream)
             expected = entry(i) if i % 2 == 0 else None
             assert c.lookup(fp(i)) == expected
 
@@ -162,7 +162,7 @@ class TestLocalityCacheProperties:
     def test_hit_accounting_sums_across_levels(self, ops, capacity):
         c = make(capacity=capacity, preload=range(0, 16, 2))
         for stream, i in ops:
-            c.begin_stream(stream)
+            c.begin_batch((), stream=stream)
             c.lookup(fp(i))
         # Every lookup is served by exactly one level.
         assert c.cache_hits + c.cache_misses == len(ops)
@@ -180,7 +180,7 @@ class TestLocalityCacheProperties:
                                                           capacity):
         c = make(capacity=capacity, preload=range(0, 16, 2))
         for stream, i in ops:
-            c.begin_stream(stream)
+            c.begin_batch((), stream=stream)
             c.lookup(fp(i))
         assert len(c._entries) <= capacity
         assert set(c._entries) == set(c._owner)
@@ -209,5 +209,5 @@ class TestLocalityCacheProperties:
 
         c._evict_one = checked
         for stream, i in ops:
-            c.begin_stream(stream)
+            c.begin_batch((), stream=stream)
             c.lookup(fp(i))

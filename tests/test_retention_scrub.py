@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from repro.cloud import InMemoryBackend
 from repro.core import BackupClient, MemorySource, aa_dedupe_config
 from repro.core import naming
-from repro.core.retention import GFSPolicy, keep_last
+from repro.core.retention import keep_last
 from repro.core.scrub import scrub_cloud
 
-_DAY = 86_400.0
 
 
 class TestKeepLast:
@@ -41,39 +40,29 @@ class TestKeepLast:
                 assert min(retained) > max(dropped)
 
 
-class TestGFSPolicy:
-    def make_sessions(self, days: int) -> dict:
-        # One session per day, id == day number, newest last.
-        return {day: day * _DAY for day in range(days)}
+class TestSessionIdOf:
+    def test_inverse_of_manifest_key(self):
+        for sid in (0, 3, 123456, 10**7):
+            assert naming.session_id_of(naming.manifest_key(sid)) == sid
 
-    def test_daily_tier(self):
-        sessions = self.make_sessions(30)
-        retain = GFSPolicy(daily=7, weekly=0, monthly=0).apply(sessions)
-        assert retain == {23, 24, 25, 26, 27, 28, 29}
+    def test_tenant_and_journal_keys(self):
+        assert naming.session_id_of(
+            "clients/c001/" + naming.manifest_key(42)) == 42
+        assert naming.session_id_of(naming.journal_key(7)) == 7
 
-    def test_weekly_tier_picks_newest_per_week(self):
-        sessions = self.make_sessions(30)
-        retain = GFSPolicy(daily=0, weekly=3, monthly=0).apply(sessions)
-        assert retain == {29, 22, 15}
+    @pytest.mark.parametrize("key", [
+        "manifests/s1", "manifests/session-.json",
+        "manifests/session-abc.json", "manifests/README", ""])
+    def test_unparseable_keys_are_none(self, key):
+        assert naming.session_id_of(key) is None
 
-    def test_monthly_tier(self):
-        sessions = self.make_sessions(70)
-        retain = GFSPolicy(daily=0, weekly=0, monthly=2).apply(sessions)
-        assert retain == {69, 39}
-
-    def test_tiers_union(self):
-        sessions = self.make_sessions(70)
-        policy = GFSPolicy(daily=2, weekly=2, monthly=2)
-        union = policy.apply(sessions)
-        for d, w, m in ((2, 0, 0), (0, 2, 0), (0, 0, 2)):
-            assert GFSPolicy(d, w, m).apply(sessions) <= union
-
-    def test_empty(self):
-        assert GFSPolicy().apply({}) == set()
-
-    def test_newest_always_kept(self):
-        sessions = self.make_sessions(10)
-        assert 9 in GFSPolicy(daily=1, weekly=0, monthly=0).apply(sessions)
+    def test_session_ids_lists_sorted_and_skips_strays(self):
+        cloud = InMemoryBackend()
+        for sid in (12, 3, 7):
+            cloud.put(naming.manifest_key(sid), b"{}")
+        cloud.put("manifests/README", b"not a session")
+        assert naming.session_ids(cloud) == [3, 7, 12]
+        assert naming.session_ids(InMemoryBackend()) == []
 
 
 @pytest.fixture()
