@@ -13,7 +13,7 @@ from typing import Iterator, Optional
 
 from repro.cloud.base import CloudBackend
 from repro.errors import CloudError
-from repro.util.io import atomic_write_bytes
+from repro.util.io import TEMP_PREFIX, atomic_write_bytes
 
 __all__ = ["LocalDirectoryBackend"]
 
@@ -27,7 +27,8 @@ class LocalDirectoryBackend(CloudBackend):
         self.root.mkdir(parents=True, exist_ok=True)
 
     def _path(self, key: str) -> Path:
-        if not key or key.startswith("/"):
+        if (not key or key.startswith("/")
+                or key.rpartition("/")[2].startswith(TEMP_PREFIX)):
             raise CloudError(f"invalid object key {key!r}")
         path = (self.root / key).resolve()
         if not str(path).startswith(str(self.root.resolve()) + os.sep):
@@ -54,6 +55,10 @@ class LocalDirectoryBackend(CloudBackend):
         root = self.root.resolve()
         for dirpath, _dirnames, filenames in os.walk(root):
             for name in filenames:
+                # A PUT killed mid-write leaves its temp file behind;
+                # it never became an object.
+                if name.startswith(TEMP_PREFIX):
+                    continue
                 key = (Path(dirpath) / name).relative_to(root).as_posix()
                 if key.startswith(prefix):
                     yield key

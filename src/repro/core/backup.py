@@ -9,8 +9,9 @@ bare backend).  Every session is the paper's linear pipeline (Sec. III):
    containers (:meth:`SchemeConfig.plan_file` decides, per file);
 2. **intelligent chunker** — read → chunk → hash stages with
    per-category chunking (WFC/SC/CDC) and adaptive fingerprints, run
-   inline on the coordinator or, with ``parallel_workers > 1``, on
-   :class:`~repro.core.pipeline.StagePipeline` worker pools;
+   inline on the coordinator or, with ``parallel_workers > 1``, one
+   file per job on a ``concurrent.futures`` thread pool (the paper's
+   per-file parallelism: applications share no data, Sec. III);
 3. **application-aware deduplicator** — the single source-ordered
    commit loop: replay an unchanged file's recipe, or place its chunks
    against the per-app subindex (unique CDC/SC chunks optionally pass
@@ -29,8 +30,10 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import replace
-from functools import partial
+from itertools import islice
 from typing import Callable, Dict, Iterable, Iterator, Optional
 
 from repro.chunking.base import Chunker
@@ -42,8 +45,8 @@ from repro.core import naming
 from repro.cloud.retry import RetryPolicy
 from repro.core.filecache import FileCache
 from repro.core.journal import SessionJournal
-from repro.core.options import FilePlan, SchemeConfig, aa_dedupe_config
-from repro.core.pipeline import BackgroundWorker, StagePipeline, WorkItem
+from repro.core.options import SchemeConfig, aa_dedupe_config
+from repro.core.pipeline import BackgroundWorker, WorkItem
 from repro.core.recipe import ChunkRef, FileEntry, Manifest
 from repro.core.source import SourceFile
 from repro.core.stats import SessionStats
@@ -55,17 +58,13 @@ from repro.index.appaware import AppAwareIndex
 from repro.index.base import ChunkIndex, IndexEntry
 from repro.obs.metrics import CHUNK_SIZE_BUCKETS
 from repro.obs.tracer import NOOP_TRACER
+from repro.secure import ConvergentCipher, wrap_key
 from repro.util.timer import ConcurrentStopwatch, Stopwatch
 
 __all__ = ["BackupClient"]
 
 #: File-level tier policy used by ``file_level_first`` schemes (SAM).
 _FILE_TIER_POLICY = DedupPolicy("wfc", "sha1")
-
-#: Read-stage pool cap: a personal computer's disk rarely rewards deeper
-#: read concurrency.  The chunk and hash pools get ``parallel_workers``
-#: threads each.
-_MAX_READ_WORKERS = 2
 
 #: Sealed containers / blobs that may wait for the WAN before the commit
 #: loop blocks (``pipeline_uploads``).
@@ -154,14 +153,11 @@ class BackupClient:
         never reuse an id, or it would overwrite live data.  For the
         same reason a failed listing raises: guessing 0 is the one
         answer that is never safe."""
-        ids = []
-        for key in self._cloud_call(self.cloud.list,
-                                    naming.CONTAINER_PREFIX):
-            try:
-                ids.append(int(key[len(naming.CONTAINER_PREFIX):]))
-            except ValueError:
-                continue
-        return max(ids, default=-1) + 1
+        ids = map(naming.container_id_of,
+                  self._cloud_call(self.cloud.list,
+                                   naming.CONTAINER_PREFIX))
+        return max((cid for cid in ids if cid is not None),
+                   default=-1) + 1
 
     # -- cloud I/O ------------------------------------------------------
     def _cloud_call(self, fn, *args):
@@ -226,15 +222,13 @@ class BackupClient:
 
     def _chunker_for(self, policy: DedupPolicy) -> Chunker:
         key = (policy.chunker, tuple(sorted(policy.chunker_params.items())))
-        chunker = self._chunkers.get(key)
-        if chunker is None:
-            # Chunk-stage workers race on first use of a policy;
-            # chunkers themselves are stateless per call.
-            with self._chunkers_lock:
-                chunker = self._chunkers.get(key)
-                if chunker is None:
-                    chunker = self._chunkers[key] = policy.make_chunker()
-                    chunker.tracer = self.tracer
+        # Prepare workers race on first use of a policy; chunkers
+        # themselves are stateless per call.
+        with self._chunkers_lock:
+            chunker = self._chunkers.get(key)
+            if chunker is None:
+                chunker = self._chunkers[key] = policy.make_chunker()
+                chunker.tracer = self.tracer
         return chunker
 
     # -- the session ----------------------------------------------------
@@ -287,16 +281,13 @@ class BackupClient:
             dedup_watch.stop()
             if uploader is not None:
                 self._uploader = None
-                try:
-                    uploader.close()
-                finally:
-                    busy = stats.stage_busy_seconds
-                    busy["upload"] = uploader.busy_seconds
-                    if self._containers is not None:
-                        pack = (self._containers.pack_busy_seconds
-                                - pack_before)
-                        if pack > 0:
-                            busy["pack"] = pack
+                uploader.close()
+                busy = stats.stage_busy_seconds
+                busy["upload"] = uploader.busy_seconds
+                if self._containers is not None:
+                    pack = self._containers.pack_busy_seconds - pack_before
+                    if pack > 0:
+                        busy["pack"] = pack
             if self._journal is not None:
                 stats.resume_skipped_objects = \
                     self._journal.skipped_objects
@@ -360,8 +351,9 @@ class BackupClient:
         docs/PIPELINE.md).
         """
         cache = self._filecache
-        items = self._staged(source, stats)
-        try:
+        # After an error, closing the iterator is what stops the prepare
+        # pool (see the ``finally`` in :meth:`_staged`).
+        with closing(self._staged(source, stats)) as items:
             for item in items:
                 sf, app = item.sf, item.app
                 stats.files_total += 1
@@ -376,13 +368,8 @@ class BackupClient:
                 manifest.add(entry)
                 if cache is not None:
                     cache.record(entry)
-        finally:
-            # After an error this aborts the stage pools: queued items
-            # are dropped, not prepared, so a failed session stops
-            # promptly instead of grinding through a doomed window.
-            items.close()
 
-    def _admit(self, seq: int, sf: SourceFile) -> WorkItem:
+    def _admit(self, sf: SourceFile) -> WorkItem:
         """Classify and plan one source file.  A stat-cache match rides
         along as ``item.replay``: the file skips the stages and its
         cached recipe is replayed at commit time."""
@@ -390,7 +377,7 @@ class BackupClient:
         cached = (self._filecache.match(app.label, sf.path, sf.size,
                                         sf.mtime_ns)
                   if self._replay_enabled else None)
-        return WorkItem(seq, sf, app, replay=cached,
+        return WorkItem(sf, app, replay=cached,
                         plan=self.config.plan_file(app, sf.size))
 
     def _staged(self, source: Iterable[SourceFile],
@@ -399,60 +386,61 @@ class BackupClient:
 
         With one worker the items come out unprepared and the commit
         loop runs read → chunk → hash inline (:meth:`_commit_fresh`).
-        Otherwise the same three stage callables run on worker pools
-        connected by bounded queues — a full queue blocks the upstream
-        stage, so backpressure bounds resident payloads — and items are
-        yielded, prepared, **strictly in source order**.  A bounded
-        submission window keeps at most a few prepared payloads
-        resident.  None of the stages touches shared dedup state.
+        Otherwise each admitted file is one :meth:`_prepare` job on a
+        pool of ``parallel_workers`` threads and items are yielded,
+        prepared, **strictly in source order**; a stage error re-raises
+        here, at its own file's turn.  The source-ordered window of
+        in-flight files is the one bound on resident payloads and on
+        how far the pool runs ahead of the commit loop.  None of the
+        stages touches shared dedup state.
         """
         workers = self.config.parallel_workers
         if workers == 1:
-            for seq, sf in enumerate(source):
-                yield self._admit(seq, sf)
+            yield from map(self._admit, source)
             return
-        readers = min(_MAX_READ_WORKERS, workers)
-        depth = 2 * workers
-        pipeline = StagePipeline([
-            ("read", self._read_file, readers, depth),
-            ("chunk", self._chunk_file, workers, depth),
-            ("hash", self._hash_file, workers, depth),
-        ])
-        window = max(4, 2 * (readers + 2 * workers))
-        pending: deque = deque()
-        numbered = enumerate(source)
-        commit_seconds = 0.0
+        pool = ThreadPoolExecutor(workers, thread_name_prefix="aa-prepare")
+
+        def enqueue(sf: SourceFile) -> tuple:
+            item = self._admit(sf)
+            if item.replay is not None:  # never enters the pool
+                return item, None
+            item.local = SessionStats(stats.session_id, stats.scheme)
+            return item, pool.submit(self._prepare, item)
+
+        files = iter(source)
+        busy = stats.stage_busy_seconds
+        busy.update(read=0.0, chunk=0.0, hash=0.0, commit=0.0)
         try:
-            while True:
-                while len(pending) < window:
-                    seq, sf = next(numbered, (None, None))
-                    if sf is None:
-                        break
-                    item = self._admit(seq, sf)
-                    if item.replay is None:
-                        item.local = SessionStats(
-                            session_id=stats.session_id,
-                            scheme=stats.scheme)
-                        pipeline.submit(item)
-                    pending.append(item)
-                if not pending:
-                    break
-                item = pending.popleft()
-                if item.replay is None:
-                    pipeline.wait(item)
+            # The window: files running, or prepared and waiting their
+            # turn; one in per one out.  Its size was chosen by
+            # measurement (docs/PIPELINE.md, *Backpressure*).
+            pending = deque(map(enqueue, islice(files, 6 * workers)))
+            while pending:
+                item, future = pending.popleft()
+                if future is not None:
+                    for stage, seconds in future.result().items():
+                        busy[stage] += seconds
                 start = time.perf_counter()
                 yield item  # the commit loop works until it asks again
-                commit_seconds += time.perf_counter() - start
-        except BaseException:  # incl. GeneratorExit: the commit failed
-            pipeline.shutdown(abort=True)
-            raise
-        else:
-            pipeline.shutdown()
+                busy["commit"] += time.perf_counter() - start
+                pending.extend(map(enqueue, islice(files, 1)))
         finally:
-            busy = stats.stage_busy_seconds
-            for name, seconds in pipeline.busy_seconds().items():
-                busy[name] = busy.get(name, 0.0) + seconds
-            busy["commit"] = busy.get("commit", 0.0) + commit_seconds
+            # On a commit or stage error this cancels the queued jobs, so
+            # a failed session stops promptly; it waits only for the at
+            # most ``workers`` jobs already running.
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def _prepare(self, item: WorkItem) -> Dict[str, float]:
+        """One pool job: a file's three CPU stages back to back on one
+        worker.  Returns each stage's busy seconds."""
+        seconds = {}
+        for name, stage in (("read", self._read_file),
+                            ("chunk", self._chunk_file),
+                            ("hash", self._hash_file)):
+            start = time.perf_counter()
+            stage(item)
+            seconds[name] = time.perf_counter() - start
+        return seconds
 
     def _commit_fresh(self, item: WorkItem,
                       stats: SessionStats) -> FileEntry:
@@ -463,7 +451,7 @@ class BackupClient:
         # application attribution in the trace.
         self._app_ctx.label = app.label
         try:
-            if item.local is not None:  # prepared by the stage pools
+            if item.local is not None:  # prepared on the pool
                 # Fold in everything the stages can record: work done
                 # AND warnings/degradations.
                 stats.ops.merge(item.local.ops)
@@ -483,15 +471,14 @@ class BackupClient:
         finally:
             self._app_ctx.label = None
 
-    def _fingerprint(self, hasher, hash_name: str, payload: bytes,
-                     length: int, app_label: str,
-                     stats: SessionStats) -> bytes:
+    def _fingerprint(self, hash_name: str, payload: bytes, length: int,
+                     app_label: str, stats: SessionStats) -> bytes:
         """Hash one extent, charged to op counters and timed under a
         ``hash`` span."""
         stats.ops.add_hashed(hash_name, length)
         with self.tracer.span("hash", app=app_label, algo=hash_name,
                               bytes=length):
-            return hasher.hash(payload)
+            return get_hash(hash_name).hash(payload)
 
     # The three CPU stages.  They touch no shared dedup state (index,
     # containers, delta stage), so they are safe on any thread; all
@@ -520,7 +507,6 @@ class BackupClient:
         if plan.file_tier:
             # Whole-file fingerprint for the probe placement performs.
             item.file_fp = self._fingerprint(
-                _FILE_TIER_POLICY.fingerprinter(),
                 _FILE_TIER_POLICY.hash_name, data, len(data),
                 item.app.label, stats)
             # A known whole file will replay its tier recipe during
@@ -544,26 +530,23 @@ class BackupClient:
         raw, item.raw = item.raw, None
         if raw is None:  # file-tier peek hit: nothing to hash
             return
-        tracer = self.tracer
         stats, app_label = item.local, item.app.label
         if item.plan.tiny:
             for data in raw:
                 payload, key = self._seal(data)
-                fp = self._fingerprint(get_hash("sha1"), "sha1", payload,
-                                       len(payload), app_label, stats)
+                fp = self._fingerprint("sha1", payload, len(payload),
+                                       app_label, stats)
                 item.chunks.append((fp, payload, key, len(payload)))
             return
-        policy = item.plan.policy
-        hasher = policy.fingerprinter()
+        hash_name = item.plan.policy.hash_name
         for chunk in raw:
             payload, key = self._seal(chunk.data)
-            fp = self._fingerprint(hasher, policy.hash_name, payload,
-                                   chunk.length, app_label, stats)
+            fp = self._fingerprint(hash_name, payload, chunk.length,
+                                   app_label, stats)
             stats.ops.chunks_produced += 1
-            if tracer.enabled:
-                tracer.metrics.histogram(
-                    "chunk_bytes",
-                    CHUNK_SIZE_BUCKETS).observe(chunk.length)
+            if self.tracer.enabled:
+                self.tracer.metrics.histogram(
+                    "chunk_bytes", CHUNK_SIZE_BUCKETS).observe(chunk.length)
             item.chunks.append((fp, payload, key, chunk.length))
 
     def _entry_for(self, item: WorkItem, refs: list | None = None,
@@ -586,8 +569,8 @@ class BackupClient:
         if plan.tiny:
             stats.files_tiny += 1
             for fp, payload, key, _length in item.chunks:
-                ref = self._store_unique(fp, payload, plan.namespace,
-                                         tiny=True)
+                ref = self._ref(fp, len(payload), self._store(
+                    fp, payload, plan.namespace, tiny_file=True))
                 entry.refs.append(self._attach_key(ref, key))
                 stats.bytes_unique += len(payload)
             return entry
@@ -612,10 +595,9 @@ class BackupClient:
             existing = self.index.lookup(namespace, fp)
             if existing is not None:
                 self.index.insert(namespace, existing.bumped())
-                ref = self._ref_for(existing)
+                ref = self._ref(fp, existing.length, existing)
             else:
-                ref = self._place_unique(fp, payload, length, plan,
-                                         item.app.label, stats)
+                ref = self._place_unique(item, fp, payload, length, stats)
             entry.refs.append(self._attach_key(ref, key))
         if item.file_fp is not None:
             self._file_tier[item.file_fp] = list(entry.refs)
@@ -636,13 +618,12 @@ class BackupClient:
         data, item.data = item.data, None
         entry = self._entry_for(item)
         if sf.size:
-            fp = self._fingerprint(get_hash("sha1"), "sha1", data,
-                                   len(data), item.app.label, stats)
+            fp = self._fingerprint("sha1", data, len(data),
+                                   item.app.label, stats)
             key = naming.file_key(stats.session_id, sf.path)
             self._put(key, data)
             stats.bytes_unique += len(data)
-            entry.refs.append(ChunkRef(fingerprint=fp, length=len(data),
-                                       object_key=key))
+            entry.refs.append(ChunkRef(fp, len(data), object_key=key))
         return entry
 
     # -- convergent encryption hooks (secure dedup, paper Sec. VI) ------
@@ -651,14 +632,12 @@ class BackupClient:
         ``(stored_bytes, chunk_key_or_None)``."""
         if not self.config.encrypt_chunks:
             return plaintext, None
-        from repro.secure import ConvergentCipher
         return ConvergentCipher.seal(plaintext)
 
     def _attach_key(self, ref: ChunkRef, key: Optional[bytes]) -> ChunkRef:
         """Bind the wrapped chunk key into a recipe reference."""
         if key is None:
             return ref
-        from repro.secure import wrap_key
         assert self.master_key is not None
         return replace(ref, wrapped_key=wrap_key(key, self.master_key,
                                                  ref.fingerprint))
@@ -692,74 +671,61 @@ class BackupClient:
             tracer.metrics.counter("statcache_hits_total").inc()
         return self._entry_for(item, list(cached.refs), cached.tiny)
 
-    # -- unique-chunk placement ------------------------------------------
-    def _place_unique(self, fp: bytes, payload: bytes, length: int,
-                      plan: FilePlan, app_label: str,
-                      stats: SessionStats) -> ChunkRef:
+    # -- put bytes, make ref ---------------------------------------------
+    def _place_unique(self, item: WorkItem, fp: bytes, payload: bytes,
+                      length: int, stats: SessionStats) -> ChunkRef:
         """Place a chunk the exact index has never seen: in full, or —
         with delta compression — however the delta stage decides."""
-        namespace = plan.namespace
+        namespace = item.plan.namespace
+
+        def store_full() -> ChunkRef:
+            ref = self._ref(fp, len(payload),
+                            self._store(fp, payload, namespace))
+            stats.bytes_unique += length
+            stats.chunks_unique += 1
+            self.index.insert(namespace, IndexEntry(
+                fp, max(ref.container_id, 0), ref.offset, ref.length))
+            return ref
+
         if self._delta is None:
-            return self._store_full(fp, payload, length, namespace, stats)
-        return self._delta.place(
-            namespace, fp, payload, plan.policy.chunker, app_label, stats,
-            partial(self._store_full, fp, payload, length, namespace,
-                    stats),
-            partial(self._store_delta, fp, len(payload), namespace))
+            return store_full()
 
-    def _store_full(self, fp: bytes, payload: bytes, length: int,
-                    namespace: str, stats: SessionStats) -> ChunkRef:
-        """Store a unique chunk in full and enter it in the index."""
-        ref = self._store_unique(fp, payload, namespace)
-        stats.bytes_unique += length
-        stats.chunks_unique += 1
-        self.index.insert(namespace, IndexEntry(
-            fingerprint=fp,
-            container_id=max(ref.container_id, 0),
-            offset=ref.offset, length=ref.length))
-        return ref
+        def store_delta(blob: bytes, base_ref: ChunkRef) -> ChunkRef:
+            # The extent's identity is the digest of the blob itself so
+            # scrub can verify it without resolving bases.
+            digest = get_hash("sha1").hash(blob)
+            key = naming.delta_key(digest)
+            loc = self._store(digest, blob, namespace, key, delta=True)
+            return self._ref(fp, len(payload), loc, key,
+                             stored_length=len(blob), delta_base=base_ref)
 
-    def _store_delta(self, fp: bytes, target_len: int, namespace: str,
-                     blob: bytes, base_ref: ChunkRef) -> ChunkRef:
-        """Place a delta blob; its extent identity is the digest of the
-        blob itself so scrub can verify it without resolving bases."""
-        blob_digest = get_hash("sha1").hash(blob)
+        return self._delta.place(namespace, fp, payload,
+                                 item.plan.policy.chunker, item.app.label,
+                                 stats, store_full, store_delta)
+
+    def _store(self, extent_id: bytes, blob: bytes, stream: str,
+               key: Optional[str] = None, **flags):
+        """Put one unique extent's bytes: a container append, or — for
+        schemes without containers — a standalone object under ``key``
+        (by default the chunk key of ``extent_id``).  Returns where the
+        bytes landed, for :meth:`_ref`."""
         if self._containers is not None:
-            loc = self._containers.add(blob_digest, blob,
-                                       stream=namespace, delta=True)
-            return ChunkRef(fingerprint=fp, length=target_len,
-                            container_id=loc.container_id,
-                            offset=loc.offset, stored_length=len(blob),
-                            delta_base=base_ref)
-        key = naming.delta_key(blob_digest)
-        self._put(key, blob)
-        return ChunkRef(fingerprint=fp, length=target_len,
-                        object_key=key, stored_length=len(blob),
-                        delta_base=base_ref)
+            return self._containers.add(extent_id, blob, stream=stream,
+                                        **flags)
+        self._put(key or naming.chunk_key(extent_id), blob)
+        return None
 
-    # ------------------------------------------------------------------
-    def _store_unique(self, fp: bytes, data: bytes, stream: str,
-                      tiny: bool = False) -> ChunkRef:
-        """Place a unique extent: container append or direct object PUT."""
+    def _ref(self, fp: bytes, length: int, loc,
+             key: Optional[str] = None, **delta) -> ChunkRef:
+        """The one place a recipe reference is built.  ``loc`` (what
+        :meth:`_store` returned, or an index hit) locates the extent
+        when the scheme uses containers; otherwise the reference names
+        the standalone object ``key`` (by default ``fp``'s chunk key)."""
         if self._containers is not None:
-            loc = self._containers.add(fp, data, stream=stream,
-                                       tiny_file=tiny)
-            return ChunkRef(fingerprint=fp, length=loc.length,
-                            container_id=loc.container_id,
-                            offset=loc.offset)
-        key = naming.chunk_key(fp)
-        self._put(key, data)
-        return ChunkRef(fingerprint=fp, length=len(data), object_key=key)
-
-    def _ref_for(self, entry: IndexEntry) -> ChunkRef:
-        """Build a recipe reference from an index hit."""
-        if self._containers is not None:
-            return ChunkRef(fingerprint=entry.fingerprint,
-                            length=entry.length,
-                            container_id=entry.container_id,
-                            offset=entry.offset)
-        return ChunkRef(fingerprint=entry.fingerprint, length=entry.length,
-                        object_key=naming.chunk_key(entry.fingerprint))
+            return ChunkRef(fp, length, loc.container_id, loc.offset,
+                            **delta)
+        return ChunkRef(fp, length, object_key=key or naming.chunk_key(fp),
+                        **delta)
 
     # ------------------------------------------------------------------
     def resume_from_cloud(self) -> int:

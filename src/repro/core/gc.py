@@ -174,9 +174,12 @@ def collect_garbage(cloud, retain_sessions: Iterable[int]) -> GCReport:
             report.deleted_manifests += 1
 
     # --- sweep: containers ---------------------------------------------
+    # A key that names no container is not GC's to judge (scrub
+    # reports it); it must not wedge the sweep either.
     for key in cloud.list(naming.CONTAINER_PREFIX):
-        container_id = int(key[len(naming.CONTAINER_PREFIX):])
-        if container_id not in live_containers:
+        container_id = naming.container_id_of(key)
+        if container_id is not None \
+                and container_id not in live_containers:
             cloud.delete(key)
             report.deleted_containers += 1
     report.live_containers = len(live_containers)

@@ -5,8 +5,8 @@ from __future__ import annotations
 import hashlib
 from typing import Optional
 
-__all__ = ["container_key", "chunk_key", "file_key", "manifest_key",
-           "session_id_of", "session_ids", "index_key", "journal_key", "delta_key", "statcache_key",
+__all__ = ["container_key", "container_id_of", "chunk_key", "file_key",
+           "manifest_key", "session_id_of", "session_ids", "index_key", "journal_key", "delta_key", "statcache_key",
            "replica_key", "parse_replica_key", "namespaced_keys",
            "MANIFEST_PREFIX", "CONTAINER_PREFIX", "CHUNK_PREFIX",
            "FILE_PREFIX", "INDEX_PREFIX", "JOURNAL_PREFIX",
@@ -39,6 +39,16 @@ TENANT_PREFIX = "clients/"
 def container_key(container_id: int) -> str:
     """Key of a sealed container blob."""
     return f"{CONTAINER_PREFIX}{container_id:010d}"
+
+
+def container_id_of(key: str) -> Optional[int]:
+    """Container id of a primary container key — the inverse of
+    :func:`container_key`; ``None`` for a key that names no container
+    (anything else that ends up under ``containers/``)."""
+    stem = key[len(CONTAINER_PREFIX):]
+    if not key.startswith(CONTAINER_PREFIX) or not stem.isdecimal():
+        return None
+    return int(stem)
 
 
 def chunk_key(fingerprint: bytes) -> str:
@@ -118,12 +128,10 @@ def parse_replica_key(key: str):
         return None
     rest = key[len(REPLICA_PREFIX):]
     domain, sep, container = rest.partition("/")
-    if not sep or not domain or not container.startswith(CONTAINER_PREFIX):
+    container_id = container_id_of(container)
+    if not sep or not domain or container_id is None:
         return None
-    try:
-        return domain, int(container[len(CONTAINER_PREFIX):])
-    except ValueError:
-        return None
+    return domain, container_id
 
 
 def namespaced_keys(cloud, prefix: str) -> list:

@@ -88,8 +88,9 @@ class SchemeConfig:
 
     #: Parallel deduplication (Observation 2: apps share no data, so
     #: each can be deduplicated "independently and in parallel").  1 runs
-    #: the read → chunk → hash stages inline; >1 runs them on worker
-    #: pools sized from this one number (see docs/PIPELINE.md).
+    #: the read → chunk → hash stages inline; >1 runs them, one file
+    #: per job, on a pool of this many threads (see docs/PIPELINE.md).
+    #: No worker touches the index, so any ``index_layout`` is legal.
     #: Requires a non-incremental scheme.
     parallel_workers: int = 1
 
@@ -156,10 +157,6 @@ class SchemeConfig:
         if self.parallel_workers > 1 and self.file_level_first:
             raise ConfigError(
                 "parallel dedup is incompatible with file_level_first")
-        if self.parallel_workers > 1 and self.index_layout != "app":
-            raise ConfigError(
-                "parallel dedup requires the application-aware index "
-                "layout (workers must own disjoint subindices)")
         if not self.incremental_only:
             if (self.policy_table is None) == (self.fixed_policy is None):
                 raise ConfigError(

@@ -83,11 +83,9 @@ def kill_domain(cloud, domain: str, domains: Sequence[str]) -> int:
         if cloud.delete(key):
             killed += 1
     for key in list(cloud.list(naming.CONTAINER_PREFIX)):
-        try:
-            container_id = int(key[len(naming.CONTAINER_PREFIX):])
-        except ValueError:
-            continue
-        if primary_domain(container_id, domains) == domain:
-            if cloud.delete(key):
-                killed += 1
+        container_id = naming.container_id_of(key)
+        if (container_id is not None
+                and primary_domain(container_id, domains) == domain
+                and cloud.delete(key)):
+            killed += 1
     return killed

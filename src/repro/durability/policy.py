@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.core import naming
 from repro.core.recipe import Manifest
@@ -58,22 +58,17 @@ class ContainerCriticality:
         return len(self.manifests)
 
 
-def collect_criticality(cloud,
-                        manifest_keys: Optional[Iterable[str]] = None
-                        ) -> Dict[int, ContainerCriticality]:
+def collect_criticality(cloud) -> Dict[int, ContainerCriticality]:
     """Walk live manifests and aggregate per-container criticality.
 
-    ``manifest_keys`` defaults to every manifest in the store, tenant
-    namespaces included (:func:`repro.core.naming.namespaced_keys`) —
-    in a fleet, a shared container's criticality is the sum over every
-    client that references it.  Unreadable manifests are skipped here;
-    scrub, not the durability planner, is the integrity authority.
+    Every manifest in the store counts, tenant namespaces included
+    (:func:`repro.core.naming.namespaced_keys`) — in a fleet, a shared
+    container's criticality is the sum over every client that
+    references it.  Unreadable manifests are skipped here; scrub, not
+    the durability planner, is the integrity authority.
     """
-    if manifest_keys is None:
-        manifest_keys = naming.namespaced_keys(cloud,
-                                               naming.MANIFEST_PREFIX)
     stats: Dict[int, ContainerCriticality] = {}
-    for key in manifest_keys:
+    for key in naming.namespaced_keys(cloud, naming.MANIFEST_PREFIX):
         try:
             manifest = Manifest.from_json(cloud.get(key))
         except (ReproError, ValueError, KeyError):

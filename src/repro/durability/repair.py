@@ -24,7 +24,7 @@ clean store whenever one copy of everything survived.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.core import naming
 from repro.durability.policy import ReplicationPlan
@@ -59,19 +59,17 @@ class RepairReport:
         return not self.unrepairable
 
 
-def repair_cloud(cloud, plan: Optional[ReplicationPlan] = None,
-                 tracer=None) -> RepairReport:
-    """Restore full replication for every container in ``plan``.
+def repair_cloud(cloud, tracer=None) -> RepairReport:
+    """Restore full replication for every container in the plan
+    persisted in the store.
 
-    ``plan`` defaults to the plan persisted in the store; with no plan
-    there is nothing to repair and the report is empty.  Each rebuilt
-    copy is uploaded at its deterministic key, so a subsequent scrub
-    finds the store fully replicated.
+    With no plan there is nothing to repair and the report is empty.
+    Each rebuilt copy is uploaded at its deterministic key, so a
+    subsequent scrub finds the store fully replicated.
     """
     tracer = tracer if tracer is not None else NOOP_TRACER
     report = RepairReport()
-    if plan is None:
-        plan = ReplicationPlan.load(cloud)
+    plan = ReplicationPlan.load(cloud)
     if plan is None:
         return report
     with tracer.span("durability.repair", containers=len(plan)):

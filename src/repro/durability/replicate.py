@@ -13,7 +13,7 @@ after a crash simply tops up whatever is left.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.container.format import ContainerReader
 from repro.core import naming
@@ -59,7 +59,6 @@ def _read_container(cloud, key: str, container_id: int):
 def replicate_cloud(cloud,
                     policy: Optional[DurabilityPolicy] = None,
                     domains: Optional[Sequence[str]] = None,
-                    manifest_keys: Optional[Iterable[str]] = None,
                     tracer=None) -> ReplicationReport:
     """Replicate live containers per ``policy`` and persist the plan.
 
@@ -75,7 +74,7 @@ def replicate_cloud(cloud,
                    else default_domains())
     report = ReplicationReport()
     with tracer.span("durability.replicate", domains=len(domains)):
-        crit = collect_criticality(cloud, manifest_keys=manifest_keys)
+        crit = collect_criticality(cloud)
         report.containers_considered = len(crit)
         for container_id in sorted(crit):
             target = policy.target_replicas(crit[container_id], domains)

@@ -254,9 +254,8 @@ class BackupService:
         """
         next_ids: Dict[int, int] = {}
         for key in self.backend.list(naming.CONTAINER_PREFIX):
-            try:
-                container_id = int(key[len(naming.CONTAINER_PREFIX):])
-            except ValueError:
+            container_id = naming.container_id_of(key)
+            if container_id is None:
                 continue
             rank = container_id // CONTAINER_ID_STRIDE
             next_ids[rank] = max(next_ids.get(rank, 0), container_id + 1)

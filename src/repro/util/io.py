@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-__all__ = ["atomic_write_bytes", "atomic_write_text", "walk_files", "FileStat"]
+__all__ = ["atomic_write_bytes", "atomic_write_text", "walk_files", "FileStat",
+           "TEMP_PREFIX"]
+
+#: Name prefix of :func:`atomic_write_bytes`'s in-flight temp files.  A
+#: write killed before its rename leaves one behind; directory walkers
+#: that must not mistake it for content (the local object store's
+#: ``list``) skip names that start with it.
+TEMP_PREFIX = ".tmp-"
 
 
 def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
@@ -25,7 +32,7 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp",
+    fd, tmp = tempfile.mkstemp(prefix=f"{TEMP_PREFIX}{path.name}.",
                                dir=str(path.parent))
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -60,14 +67,13 @@ class FileStat:
     mtime_ns: int
 
 
-def walk_files(root: str | os.PathLike, *,
-               follow_symlinks: bool = False) -> Iterator[FileStat]:
+def walk_files(root: str | os.PathLike) -> Iterator[FileStat]:
     """Yield :class:`FileStat` for every regular file under ``root``.
 
     Files are yielded in sorted order (deterministic across runs, which
     keeps backup manifests and dedup statistics reproducible).  Symbolic
-    links are skipped unless ``follow_symlinks`` is set; unreadable entries
-    are silently skipped, as a backup client must tolerate them.
+    links are skipped; unreadable entries are silently skipped, as a
+    backup client must tolerate them.
     """
     root = Path(root)
     stack = [root]
@@ -79,13 +85,13 @@ def walk_files(root: str | os.PathLike, *,
             continue
         # Push directories in reverse so pop() preserves sorted DFS order.
         for entry in reversed(entries):
-            if entry.is_dir(follow_symlinks=follow_symlinks):
+            if entry.is_dir(follow_symlinks=False):
                 stack.append(Path(entry.path))
         for entry in entries:
             try:
-                if not entry.is_file(follow_symlinks=follow_symlinks):
+                if not entry.is_file(follow_symlinks=False):
                     continue
-                st = entry.stat(follow_symlinks=follow_symlinks)
+                st = entry.stat(follow_symlinks=False)
             except OSError:
                 continue
             rel = Path(entry.path).relative_to(root).as_posix()

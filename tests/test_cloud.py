@@ -95,6 +95,8 @@ class TestLocalDirectoryBackend(BackendContract):
             be.put("/abs", b"x")
         with pytest.raises(CloudError):
             be.put("", b"x")
+        with pytest.raises(CloudError):  # reserved for in-flight PUTs
+            be.put("containers/.tmp-0000000001", b"x")
 
     def test_files_really_on_disk(self, tmp_path):
         be = self.make(tmp_path)

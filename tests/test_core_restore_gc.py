@@ -8,6 +8,7 @@ from repro.core import (
     BackupClient,
     DirectorySource,
     IndexSynchronizer,
+    Manifest,
     MemorySource,
     RestoreClient,
     aa_dedupe_config,
@@ -15,6 +16,7 @@ from repro.core import (
     restore_session,
 )
 from repro.core import naming
+from repro.core.scrub import scrub_cloud
 from repro.errors import IntegrityError, ObjectNotFound, RestoreError
 from repro.index.appaware import AppAwareIndex
 from repro.util.units import KIB
@@ -22,6 +24,10 @@ from repro.util.units import KIB
 
 @pytest.fixture()
 def backed_up(rng):
+    return _backed_up(rng)
+
+
+def _backed_up(rng):
     def blob(n):
         return rng.integers(0, 256, size=n, dtype=np.uint8).tobytes()
 
@@ -126,6 +132,27 @@ class TestGarbageCollection:
         report = collect_garbage(cloud, retain_sessions=[0, 1])
         assert sum(report.container_live_bytes.values()) > 100_000
 
+    def test_stray_key_under_containers_does_not_wedge_gc(self):
+        # Regression: the container sweep parsed every key under
+        # containers/ with a bare int() — after the dropped manifests
+        # were already deleted — so one stray key (a temp file left by
+        # a PUT killed mid-write) made every later GC raise ValueError
+        # with nothing swept.  (Own generator: the session-wide `rng`
+        # stream feeds later tests.)
+        cloud, _c, _f, files2 = _backed_up(np.random.default_rng(9))
+        stray = naming.CONTAINER_PREFIX + "0000000009.k3j2.tmp"
+        cloud.put(stray, b"torn")
+        dead = (Manifest.from_json(cloud.get(naming.manifest_key(0)))
+                .referenced_containers()
+                - Manifest.from_json(cloud.get(naming.manifest_key(1)))
+                .referenced_containers())
+        report = collect_garbage(cloud, retain_sessions=[1])
+        assert report.deleted_manifests == 1
+        assert report.deleted_containers == len(dead) > 0
+        assert stray in cloud.list(naming.CONTAINER_PREFIX)  # scrub's call
+        out, _ = RestoreClient(cloud).restore_to_memory(1)
+        assert out == files2
+
     def test_object_mode_gc(self, rng):
         # Avamar-style standalone chunk objects are swept too.
         from repro.baselines import avamar_config
@@ -185,3 +212,30 @@ class TestDirectorySourceEndToEnd:
         assert (out_dir / "docs" / "f.doc").read_bytes() == payload
         assert (out_dir / "note.txt").read_bytes() == b"hello world"
         assert DirectorySource(src).total_bytes() == 25_000 + 11
+
+    def test_killed_put_leaves_no_object(self, tmp_path, monkeypatch):
+        # A PUT killed between write and rename leaves its temp file in
+        # the store directory.  It is not an object: it is not listed,
+        # scrub stays clean and container numbering ignores it.
+        import os
+        store = LocalDirectoryBackend(tmp_path / "cloud")
+        client = BackupClient(store, aa_dedupe_config(
+            container_size=32 * KIB))
+        client.backup(MemorySource({"f.doc": np.random.default_rng(
+            9).integers(0, 256, 25_000, dtype=np.uint8).tobytes()}))
+        listed = store.list("")
+        next_id = client._resume_container_id()
+
+        def killed(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", killed)
+        monkeypatch.setattr(os, "unlink", lambda path: None)
+        with pytest.raises(KeyboardInterrupt):
+            store.put(naming.container_key(next_id), b"torn")
+        monkeypatch.undo()
+        on_disk = list((tmp_path / "cloud" / "containers").iterdir())
+        assert len(on_disk) == len(store.list(naming.CONTAINER_PREFIX)) + 1
+        assert store.list("") == listed
+        assert scrub_cloud(store).clean
+        assert client._resume_container_id() == next_id

@@ -2,6 +2,7 @@
 
 import os
 import random
+import threading
 import time
 
 import pytest
@@ -13,8 +14,7 @@ from repro.core import (
     aa_dedupe_config,
 )
 from repro.core import naming
-from repro.core.pipeline import (BackgroundWorker, PipelineAborted,
-                                 StagePipeline, WorkItem)
+from repro.core.pipeline import BackgroundWorker
 from repro.core.source import SourceFile
 from repro.simulate.clock import VirtualClock
 from repro.errors import BackupError, ConfigError
@@ -56,7 +56,8 @@ class TestParallelDedup:
         assert p_stats.app_unique == s_stats.app_unique
         assert parallel.index.sizes() == serial.index.sizes()
 
-    @pytest.mark.parametrize("arm", ["plain", "statcache", "delta"])
+    @pytest.mark.parametrize("arm", ["plain", "statcache", "delta",
+                                     "global"])
     @pytest.mark.parametrize("workers", [2, 7])
     def test_manifest_bytes_identical_to_serial(self, snapshot, workers,
                                                 arm):
@@ -68,7 +69,9 @@ class TestParallelDedup:
         # nondeterminism (the created-at stamp).  The "statcache" arm
         # re-backs-up the same snapshot so session 1 exercises the
         # recipe-replay path inside the staged pipeline; the "delta"
-        # arm adds similarity + delta compression in the commit stage.
+        # arm adds similarity + delta compression in the commit stage;
+        # the "global" arm runs one undivided index — no worker touches
+        # the index, so its layout is free.
         def manifest_bytes(n_workers):
             kwargs = dict(container_size=64 * KIB,
                           parallel_workers=n_workers)
@@ -76,6 +79,8 @@ class TestParallelDedup:
                 kwargs["stat_cache"] = True
             elif arm == "delta":
                 kwargs["delta_compress"] = True
+            elif arm == "global":
+                kwargs["index_layout"] = "global"
             cloud = SimulatedCloud(InMemoryBackend(), clock=VirtualClock())
             client = BackupClient(cloud, aa_dedupe_config(**kwargs))
             client.backup(snapshot_to_memory_source(snapshot))
@@ -120,14 +125,22 @@ class TestParallelDedup:
     def test_config_guards(self):
         with pytest.raises(ConfigError):
             aa_dedupe_config(parallel_workers=0)
-        with pytest.raises(ConfigError):
-            aa_dedupe_config(parallel_workers=2, index_layout="global")
         from repro.baselines import jungle_disk_config, sam_config
         with pytest.raises(ConfigError):
             jungle_disk_config(parallel_workers=2)
         with pytest.raises(ConfigError):
             sam_config(parallel_workers=2, file_level_first=True,
                        index_layout="app")
+
+
+def _doc_files(n_files, size=16 * KIB, seed=7):
+    rng = random.Random(seed)
+    return [
+        SourceFile(path=f"docs/file-{i:03d}.doc", size=size, mtime_ns=1,
+                   reader=lambda seed=rng.getrandbits(64):
+                   random.Random(seed).randbytes(size))
+        for i in range(n_files)
+    ]
 
 
 class TestPipelineBugfixes:
@@ -213,17 +226,10 @@ class TestPipelineBugfixes:
     def test_placement_error_aborts_stages_promptly(self, monkeypatch):
         # Bugfix 3: a placement (commit) error used to let the stage
         # pool grind through the entire submission window before the
-        # session failed.  shutdown(abort=True) now drops queued items,
-        # so only the in-flight window gets chunked.
-        rng = random.Random(7)
+        # session failed.  Closing the item iterator now cancels the
+        # queued prepare jobs, so only the running ones get chunked.
         n_files = 60
-        files = [
-            SourceFile(path=f"docs/file-{i:03d}.doc", size=16 * KIB,
-                       mtime_ns=0,
-                       reader=lambda seed=rng.getrandbits(64):
-                       random.Random(seed).randbytes(16 * KIB))
-            for i in range(n_files)
-        ]
+        files = _doc_files(n_files)
 
         chunk_calls = []
         orig_chunk = BackupClient._chunk_file
@@ -243,13 +249,12 @@ class TestPipelineBugfixes:
         client = BackupClient(InMemoryBackend(), config)
         with pytest.raises(RuntimeError, match="placement exploded"):
             client.backup(files)
-        # At most one submission window of files can ever enter the
-        # stages before the first commit fails; the abort must drop the
+        # At most one submission window of files can ever be queued
+        # before the first commit fails; the shutdown must cancel the
         # still-queued part of that window, so strictly fewer than
         # `window` files get chunked (the old engine ground through all
         # of them — and without the window, through every file).
-        # (2 read + 4 chunk + 4 hash workers, twice over).
-        window = 2 * (2 + 4 + 4)
+        window = 6 * config.parallel_workers
         assert window < n_files
         assert len(chunk_calls) < window, (
             f"{len(chunk_calls)} of {n_files} files chunked after abort "
@@ -257,82 +262,145 @@ class TestPipelineBugfixes:
 
 
 class TestStagePipeline:
-    """Unit tests for the bounded-queue stage machinery itself."""
+    """The staged engine's contract, driven through ``BackupClient``
+    (the cases keep the ids they had when a hand-rolled stage pipeline
+    sat behind them)."""
+
+    WORKERS = 3
+
+    def _client(self, **overrides):
+        return BackupClient(InMemoryBackend(), aa_dedupe_config(
+            container_size=64 * KIB, parallel_workers=self.WORKERS,
+            **overrides))
 
     @staticmethod
-    def _item(seq):
-        return WorkItem(seq, None, None, local=None)
+    def _record(monkeypatch, name, calls):
+        """Log every call of stage callable ``name`` as (name, path)."""
+        orig = getattr(BackupClient, name)
 
-    def test_items_flow_through_stages(self):
-        order = []
+        def recording(self, item, *rest):
+            calls.append((name, item.sf.path))
+            return orig(self, item, *rest)
 
-        def double(item):
-            item.data = item.seq * 2
+        monkeypatch.setattr(BackupClient, name, recording)
 
-        def stash(item):
-            order.append(item.seq)
+    def test_items_flow_through_stages(self, monkeypatch):
+        calls = []
+        for name in ("_read_file", "_chunk_file", "_hash_file",
+                     "_place_file"):
+            self._record(monkeypatch, name, calls)
+        files = _doc_files(20)
+        paths = [sf.path for sf in files]
+        client = self._client()
+        stats = client.backup(files)
+        client.close()
+        # Every file ran each stage exactly once, in stage order ...
+        for path in paths:
+            assert [n for n, p in calls if p == path] == [
+                "_read_file", "_chunk_file", "_hash_file", "_place_file"]
+        # ... and was committed in source order, however the pool
+        # interleaved the preparation.
+        assert [p for n, p in calls if n == "_place_file"] == paths
+        assert stats.files_total == len(files)
+        assert set(stats.stage_busy_seconds) == {"read", "chunk", "hash",
+                                                 "commit"}
 
-        pipeline = StagePipeline([
-            ("double", double, 2, 4),
-            ("stash", stash, 1, 4),
-        ])
-        items = [self._item(i) for i in range(10)]
-        for item in items:
-            pipeline.submit(item)
-        for item in items:
-            pipeline.wait(item)
-        pipeline.shutdown()
-        assert [item.data for item in items] == [i * 2 for i in range(10)]
-        assert sorted(order) == list(range(10))
-        assert pipeline.items_processed() == {"double": 10, "stash": 10}
-        assert set(pipeline.busy_seconds()) == {"double", "stash"}
+    def test_stage_error_fails_only_its_item(self, monkeypatch):
+        files = _doc_files(12)
+        bad = 5
+        calls = []
+        self._record(monkeypatch, "_hash_file", calls)
+        self._record(monkeypatch, "_place_file", calls)
 
-    def test_stage_error_fails_only_its_item(self):
-        def maybe_boom(item):
-            if item.seq == 1:
-                raise ValueError("bad item")
+        def boom():
+            # Fail only once the next file is through its stages, so
+            # the assertion about it below cannot race the shutdown.
+            deadline = time.monotonic() + 5.0
+            while (("_hash_file", files[bad + 1].path) not in calls
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
+            raise ValueError("bad item")
 
-        pipeline = StagePipeline([("work", maybe_boom, 2, 4)])
-        items = [self._item(i) for i in range(3)]
-        for item in items:
-            pipeline.submit(item)
-        pipeline.wait(items[0])
-        pipeline.wait(items[2])
+        files[bad] = SourceFile(path=files[bad].path, size=16 * KIB,
+                                mtime_ns=0, reader=boom)
+        client = self._client()
+        # The stage's own exception, not a wrapper ...
         with pytest.raises(ValueError, match="bad item"):
-            pipeline.wait(items[1])
-        pipeline.shutdown()
+            client.backup(files)
+        # ... surfacing at the failed file's turn in source order: every
+        # file before it was committed, nothing at or after it was.
+        placed = [p for n, p in calls if n == "_place_file"]
+        assert placed == [sf.path for sf in files[:bad]]
+        # Its neighbours in the window were prepared regardless.
+        hashed = {p for n, p in calls if n == "_hash_file"}
+        assert files[bad].path not in hashed
+        assert files[bad + 1].path in hashed
 
-    def test_abort_drops_queued_items(self):
-        release = time.monotonic() + 0.2
+    def test_abort_drops_queued_items(self, monkeypatch):
+        # After a placement error the queued prepare jobs are cancelled:
+        # only a job a worker picks up before the shutdown lands can
+        # still start — at most one per worker.
+        reads = []
+        self._record(monkeypatch, "_read_file", reads)
+        orig_hash = BackupClient._hash_file
 
-        def slow(item):
-            while time.monotonic() < release:
-                time.sleep(0.01)
+        def slow_hash(self, item):
+            time.sleep(0.02)
+            return orig_hash(self, item)
 
-        pipeline = StagePipeline([("slow", slow, 1, 32)])
-        items = [self._item(i) for i in range(8)]
-        for item in items:
-            pipeline.submit(item)
-        pipeline.shutdown(abort=True)
-        failed = [item for item in items
-                  if isinstance(item.error, PipelineAborted)]
-        assert failed, "abort should drop still-queued items"
-        with pytest.raises(PipelineAborted):
-            pipeline.wait(failed[0])
+        reads_at_error = []
 
-    def test_submit_after_abort_rejected(self):
-        pipeline = StagePipeline([("noop", lambda item: None, 1, 4)])
-        pipeline.shutdown(abort=True)
-        with pytest.raises(PipelineAborted):
-            pipeline.submit(self._item(0))
+        def bad_place(self, item, stats):
+            reads_at_error.append(len(reads))
+            raise RuntimeError("placement exploded")
 
-    def test_replay_items_start_done(self):
-        item = WorkItem(0, None, None, replay=True)
-        assert item.wait(0.0)
+        monkeypatch.setattr(BackupClient, "_hash_file", slow_hash)
+        monkeypatch.setattr(BackupClient, "_place_file", bad_place)
+        client = self._client()
+        with pytest.raises(RuntimeError, match="placement exploded"):
+            client.backup(_doc_files(60))
+        assert len(reads) - reads_at_error[0] <= self.WORKERS
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("aa-prepare")]
 
-    def test_needs_at_least_one_stage(self):
-        with pytest.raises(BackupError):
-            StagePipeline([])
+    def test_replay_items_start_done(self, monkeypatch):
+        # A stat-cache replay never enters the pool: the second session
+        # over an unchanged source prepares (and reads) nothing.
+        files = _doc_files(10)
+        client = self._client(stat_cache=True)
+        client.backup(files)
+        prepared = []
+        self._record(monkeypatch, "_prepare", prepared)
+        stats = client.backup(files)
+        client.close()
+        assert stats.files_unchanged == len(files)
+        assert prepared == []
+        assert stats.ops.read_bytes == 0
+
+    def test_thread_budget(self, snapshot):
+        # One prepare pool: `parallel_workers` threads, plus the pack
+        # and upload workers — not a pool per stage.
+        before = set(threading.enumerate())
+        seen = set()
+        source = snapshot_to_memory_source(snapshot)
+
+        def watched(sf):
+            def read():
+                seen.update(t.name for t in threading.enumerate()
+                            if t not in before)
+                return sf.read()
+            return SourceFile(path=sf.path, size=sf.size,
+                              mtime_ns=sf.mtime_ns, reader=read)
+
+        client = BackupClient(InMemoryBackend(), aa_dedupe_config(
+            container_size=64 * KIB, parallel_workers=2,
+            pipeline_uploads=True))
+        client.backup(map(watched, source))
+        client.close()
+        prepare = {name for name in seen if name.startswith("aa-prepare")}
+        assert len(prepare) == 2
+        assert seen - prepare == {"aa-pack", "aa-uploader"}
+        assert set(threading.enumerate()) <= before
 
 
 class TestPipelineSimulator:

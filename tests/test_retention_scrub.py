@@ -40,6 +40,19 @@ class TestKeepLast:
                 assert min(retained) > max(dropped)
 
 
+class TestContainerIdOf:
+    def test_inverse_of_container_key(self):
+        for cid in (0, 9, 10**6, 10**11):
+            assert naming.container_id_of(naming.container_key(cid)) == cid
+
+    @pytest.mark.parametrize("key", [
+        "containers/", "containers/0000000009.k3j2.tmp", "containers/c1",
+        "containers/+9", "containers/sub/0000000009",
+        "replicas/d0/containers/0000000009", "0000000009", ""])
+    def test_keys_that_name_no_container_are_none(self, key):
+        assert naming.container_id_of(key) is None
+
+
 class TestSessionIdOf:
     def test_inverse_of_manifest_key(self):
         for sid in (0, 3, 123456, 10**7):
