@@ -5,7 +5,9 @@ additional process in the background."  This bench runs six weekly
 backups (real bytes), applies a keep-last-2 retention policy, collects
 garbage, and measures what the background process achieves: reclaimed
 cloud bytes, surviving-container utilisation, and — crucially — that
-every retained session still restores bit-exactly.
+every retained session still restores bit-exactly, and so does a
+seventh session that backs up the first snapshot again after the sweep
+(the client must not deduplicate against the extents it deleted).
 """
 
 import pytest
@@ -46,10 +48,11 @@ def test_retention_gc_cycle(benchmark):
         retain = keep_last(range(SESSIONS), KEEP)
         report = collect_garbage(cloud, retain)
         after = cloud.stored_bytes()
-        return snapshots, cloud, before, after, report, retain
+        again = client.backup(snapshot_to_memory_source(snapshots[0]))
+        return snapshots, cloud, before, after, report, retain, again
 
-    snapshots, cloud, before, after, report, retain = benchmark.pedantic(
-        run, rounds=1, iterations=1)
+    snapshots, cloud, before, after, report, retain, again = \
+        benchmark.pedantic(run, rounds=1, iterations=1)
 
     live = len(cloud.list(naming.CONTAINER_PREFIX))
     utilisations = []
@@ -66,6 +69,8 @@ def test_retention_gc_cycle(benchmark):
     table.add_row(["containers live", live])
     table.add_row(["mean live-container utilisation",
                    f"{sum(utilisations) / len(utilisations):.2f}"])
+    table.add_row(["session 0 re-backed-up after GC: uploaded",
+                   format_bytes(again.bytes_uploaded)])
     emit(table.render())
 
     # GC reclaimed something and removed the right manifests.
@@ -75,6 +80,9 @@ def test_retention_gc_cycle(benchmark):
     for sid in sorted(retain):
         restored, _ = RestoreClient(cloud).restore_to_memory(sid)
         assert restored == materialize_snapshot(snapshots[sid]), sid
+    # A session after the sweep restores bit-exactly too.
+    restored, _ = RestoreClient(cloud).restore_to_memory(again.session_id)
+    assert restored == materialize_snapshot(snapshots[0])
     # Dropped sessions are really gone.
     with pytest.raises(Exception):
         RestoreClient(cloud).restore_to_memory(0)

@@ -15,6 +15,9 @@ compares *policies*, exactly as the paper does:
   tier first, CDC chunk tier for uncompressed data, global per-tier
   indices.
 * :func:`aa_dedupe_config` (re-exported) — the paper's scheme.
+
+:func:`build_scheme` resolves any of them by name and applies the CLI /
+job-file overrides.
 """
 
 from repro.baselines.schemes import (
@@ -23,6 +26,7 @@ from repro.baselines.schemes import (
     avamar_config,
     sam_config,
     all_scheme_configs,
+    build_scheme,
 )
 from repro.core.options import aa_dedupe_config
 
@@ -33,4 +37,5 @@ __all__ = [
     "sam_config",
     "aa_dedupe_config",
     "all_scheme_configs",
+    "build_scheme",
 ]

@@ -23,13 +23,16 @@ Interpretation notes (documented per DESIGN.md's substitution policy):
 
 from __future__ import annotations
 
+from typing import Mapping, Optional
+
 from repro.classify.filetype import Category
 from repro.classify.policy import DedupPolicy
 from repro.core.options import SchemeConfig, aa_dedupe_config
+from repro.errors import ConfigError
 from repro.util.units import KIB
 
 __all__ = ["jungle_disk_config", "backuppc_config", "avamar_config",
-           "sam_config", "all_scheme_configs"]
+           "sam_config", "all_scheme_configs", "build_scheme"]
 
 _CDC_SHA1 = DedupPolicy(
     "cdc", "sha1",
@@ -115,3 +118,43 @@ def all_scheme_configs(**common_overrides) -> list[SchemeConfig]:
         sam_config(**common_overrides),
         aa_dedupe_config(**common_overrides),
     ]
+
+
+def build_scheme(name: str, container_size: Optional[int] = None,
+                 chunker: Optional[str] = None,
+                 app_chunkers: Optional[Mapping[str, str]] = None,
+                 delta: Optional[bool] = None,
+                 stat_cache: Optional[bool] = None,
+                 pipeline: Optional[bool] = None,
+                 parallel: Optional[int] = None,
+                 options: Optional[Mapping[str, object]] = None
+                 ) -> SchemeConfig:
+    """The one scheme builder behind the CLI flags and job files.
+
+    Resolves ``name`` (case-insensitive) among :func:`all_scheme_configs`
+    and applies the overrides that are not ``None``; ``options`` sets
+    raw :class:`SchemeConfig` fields last.  Every mistake raises
+    :class:`~repro.errors.ConfigError`; one that concerns a single
+    override starts with its name (``"chunker: …"``).
+    """
+    config = next((c for c in all_scheme_configs()
+                   if c.name.lower() == name.lower()), None)
+    if config is None:
+        names = ", ".join(c.name for c in all_scheme_configs())
+        raise ConfigError(f"unknown scheme {name!r}; available: {names}")
+    if chunker is not None:
+        try:
+            config = config.with_chunker(chunker)
+        except ConfigError as exc:
+            raise ConfigError(f"chunker: {exc}") from exc
+    if parallel is not None and parallel < 1:
+        raise ConfigError("parallel: must be >= 1")
+    changes = {field: value for field, value in (
+        ("container_size", container_size), ("app_chunkers", app_chunkers),
+        ("delta_compress", delta), ("stat_cache", stat_cache),
+        ("pipeline_uploads", pipeline), ("parallel_workers", parallel))
+        if value is not None}
+    try:
+        return config.with_(**{**changes, **(options or {})})
+    except TypeError as exc:
+        raise ConfigError(f"options: {exc}") from exc

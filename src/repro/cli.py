@@ -29,54 +29,44 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.baselines import all_scheme_configs
+from repro.baselines import all_scheme_configs, build_scheme
 from repro.cloud.local import LocalDirectoryBackend
 from repro.core import naming
 from repro.core.backup import BackupClient
 from repro.core.gc import collect_garbage
 from repro.core.options import SchemeConfig
-from repro.core.recipe import Manifest
 from repro.core.restore import RestoreClient
 from repro.core.retention import keep_last
 from repro.core.scrub import scrub_cloud
 from repro.core.source import DirectorySource
+from repro.core.walk import StoreWalk
+from repro.errors import ConfigError
 from repro.metrics.report import Table
 from repro.util.units import format_bytes, format_seconds, parse_size
 
 __all__ = ["main", "build_parser"]
 
 
-def _scheme_by_name(name: str) -> SchemeConfig:
-    for config in all_scheme_configs():
-        if config.name.lower() == name.lower():
-            return config
-    names = ", ".join(c.name for c in all_scheme_configs())
-    raise SystemExit(f"unknown scheme {name!r}; available: {names}")
+def _scheme(args, **overrides) -> SchemeConfig:
+    """The scheme ``--scheme`` and the override flags ask for; a bad
+    one exits with the builder's message."""
+    if args.container_size:
+        overrides["container_size"] = parse_size(args.container_size)
+    try:
+        return build_scheme(args.scheme, **overrides)
+    except ConfigError as exc:
+        # A message about one override starts with its name: spell it
+        # as the flag that set it.
+        flag = str(exc).partition(":")[0]
+        raise SystemExit(f"--{exc}" if flag in overrides else str(exc))
 
 
 # ----------------------------------------------------------------------
 def cmd_backup(args) -> int:
     """Run one backup session of SOURCE into the store."""
-    config = _scheme_by_name(args.scheme)
-    if args.container_size:
-        config = config.with_(container_size=parse_size(
-            args.container_size))
-    if args.chunker:
-        from repro.errors import ConfigError
-        try:
-            config = config.with_chunker(args.chunker)
-        except ConfigError as exc:
-            raise SystemExit(f"--chunker: {exc}")
-    if args.delta is not None:
-        config = config.with_(delta_compress=args.delta)
-    if args.stat_cache is not None:
-        config = config.with_(stat_cache=args.stat_cache)
-    if args.parallel is not None:
-        if args.parallel < 1:
-            raise SystemExit("--parallel: must be >= 1")
-        config = config.with_(parallel_workers=args.parallel)
-    if args.pipeline is not None:
-        config = config.with_(pipeline_uploads=args.pipeline)
+    config = _scheme(args, chunker=args.chunker, delta=args.delta,
+                     stat_cache=args.stat_cache, parallel=args.parallel,
+                     pipeline=args.pipeline)
     tracer = None
     if args.profile:
         from repro.obs import Tracer
@@ -173,16 +163,18 @@ def cmd_restore(args) -> int:
 
 
 def cmd_ls(args) -> int:
-    """List sessions stored in the store."""
-    cloud = LocalDirectoryBackend(args.store)
-    ids = naming.session_ids(cloud)
-    if not ids:
+    """List the sessions in the store, every tenant's included."""
+    walk = StoreWalk(LocalDirectoryBackend(args.store))
+    records = sorted((r for r in walk.manifests if r.session_id is not None),
+                     key=lambda r: (r.namespace or "", r.session_id))
+    if not records:
         print("no sessions in store")
         return 0
-    table = Table(["session", "scheme", "files", "bytes"])
-    for sid in ids:
-        manifest = Manifest.from_json(cloud.get(naming.manifest_key(sid)))
-        table.add_row([sid, manifest.scheme, len(manifest),
+    table = Table(["session", "client", "scheme", "files", "bytes"])
+    for record in records:
+        manifest = walk.load(record)
+        table.add_row([record.session_id, record.namespace or "-",
+                       manifest.scheme, len(manifest),
                        format_bytes(manifest.total_bytes())])
     print(table.render())
     return 0
@@ -200,7 +192,7 @@ def cmd_gc(args) -> int:
         # robust to id gaps, unlike the positional --keep-last.
         from repro.core.gc import session_catalog
         from repro.core.retention import RetainLastN
-        from repro.errors import ConfigError, ReproError
+        from repro.errors import ReproError
         try:
             catalog = session_catalog(cloud)
             retain = RetainLastN(args.retain_last).select(catalog)
@@ -318,12 +310,7 @@ def cmd_fleet(args) -> int:
         sources = synthetic_fleet_sources(args.clients, args.sessions,
                                           seed=args.seed)
 
-    def config(_rank):
-        cfg = _scheme_by_name(args.scheme)
-        if args.container_size:
-            cfg = cfg.with_(container_size=parse_size(args.container_size))
-        return cfg
-
+    config = _scheme(args)
     index_factory = None
     if args.sparse_shards:
         from repro.index.sparse import SparseShardIndex
@@ -338,7 +325,7 @@ def cmd_fleet(args) -> int:
         shard_split_entries=args.shard_split,
         tracer=tracer)
     service = FleetService(clients=args.clients,
-                           config_factory=config,
+                           config_factory=lambda _rank: config,
                            directory=directory,
                            waves=args.waves,
                            tracer=tracer)
@@ -359,7 +346,6 @@ def cmd_jobs(args) -> int:
     Exit codes: 0 — every job succeeded; 1 — at least one job failed
     (the report is still printed/written); 2 — configuration error.
     """
-    from repro.errors import ConfigError
     from repro.service import BackupService, load_config
 
     try:

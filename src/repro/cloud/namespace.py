@@ -5,65 +5,54 @@ from the key space: *isolation* for client-private state (manifests,
 journals, index replicas — a client must never read or clobber another
 client's), and *sharing* for the container pool (cross-client dedup only
 pays off when a chunk one client uploaded is addressable by every
-other).  :class:`NamespacedBackend` provides both: keys under any of
-``shared_prefixes`` pass through verbatim, every other key is
-transparently prefixed with ``clients/<namespace>/``.
+other).  :class:`NamespacedBackend` provides both through the one key
+layout in :mod:`repro.core.naming`: keys under a shared prefix pass
+through verbatim, every other key is transparently prefixed with
+``clients/<namespace>/``.
 
-The wrapper keeps its own :class:`~repro.cloud.base.CloudStats` (the
-per-tenant request/byte accounting the cost model prices per client)
-while the wrapped backend keeps accumulating fleet-wide totals.  All
-inner-backend access is serialised on ``lock``; one lock instance shared
-by every tenant view makes a plain dict- or directory-backed backend
-safe under concurrent multi-client load.
+The wrapper keeps its own :class:`~repro.cloud.base.CloudStats` (what
+the cost model prices per client) while the wrapped backend accumulates
+fleet-wide totals.  Inner-backend access is serialised on ``lock``; one
+lock shared by every tenant view makes a plain dict- or directory-backed
+backend safe under concurrent multi-client load.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from repro.cloud.base import CloudBackend
+from repro.core import naming
 from repro.errors import ObjectNotFound
 
 __all__ = ["NamespacedBackend"]
 
 
 class NamespacedBackend(CloudBackend):
-    """A tenant's view of a shared backend (private keys prefixed).
-
-    By default the container and chunk pools are shared (cross-client
-    dedup addresses them fleet-wide), as are the durability replicas
-    and replication plan (any tenant's restore may need to fail over to
-    a replica of a shared container); pass ``shared_prefixes=()`` for
-    full isolation.
-    """
+    """A tenant's view of a shared backend (private keys prefixed;
+    :data:`repro.core.naming.SHARED_PREFIXES` shared)."""
 
     def __init__(self, inner: CloudBackend, namespace: str,
-                 shared_prefixes: Optional[Sequence[str]] = None,
                  lock: Optional[threading.Lock] = None) -> None:
         super().__init__()
         if not namespace or "/" in namespace:
             raise ValueError(f"bad namespace {namespace!r}")
-        if shared_prefixes is None:
-            # Imported lazily: repro.core pulls in the whole engine, and
-            # a module-level import would cycle through repro.cloud.
-            from repro.core import naming
-            shared_prefixes = (naming.CONTAINER_PREFIX,
-                               naming.CHUNK_PREFIX,
-                               naming.REPLICA_PREFIX,
-                               naming.DURABILITY_PREFIX)
         self.inner = inner
         self.namespace = namespace
-        self.prefix = f"clients/{namespace}/"
-        self.shared_prefixes = tuple(shared_prefixes)
         self.lock = lock if lock is not None else threading.Lock()
 
     # ------------------------------------------------------------------
     def _map(self, key: str) -> str:
-        for shared in self.shared_prefixes:
-            if key.startswith(shared):
-                return key
-        return self.prefix + key
+        return naming.tenant_key(self.namespace, key)
+
+    def _raw_prefixes(self, prefix: str) -> set:
+        """Inner prefixes whose keys the view lists under ``prefix``:
+        the one ``prefix`` maps to, plus every shared subtree inside
+        it."""
+        return {self._map(prefix)} | {
+            shared for shared in naming.SHARED_PREFIXES
+            if shared.startswith(prefix)}
 
     # -- primitive operations (delegate through the inner *public* API
     # so fleet-wide totals accumulate on the inner backend's stats) ----
@@ -83,26 +72,15 @@ class NamespacedBackend(CloudBackend):
             return self.inner.delete(self._map(key))
 
     def _list(self, prefix: str) -> Iterator[str]:
-        keys = set()
+        unmap = naming.split_tenant_key
         with self.lock:
-            # Shared subtrees visible through this namespace.
-            for shared in self.shared_prefixes:
-                if prefix.startswith(shared):
-                    keys.update(self.inner.list(prefix))
-                elif shared.startswith(prefix):
-                    keys.update(self.inner.list(shared))
-            # The tenant's private subtree, unprefixed back.
-            keys.update(key[len(self.prefix):]
-                        for key in self.inner.list(self.prefix + prefix))
-        return iter(keys)
+            return iter({unmap(key)[1]
+                         for raw in self._raw_prefixes(prefix)
+                         for key in self.inner.list(raw)})
 
     def stored_bytes(self) -> int:
         """Bytes visible in this namespace (shared pool + private keys)."""
         with self.lock:
-            total = 0
-            for shared in self.shared_prefixes:
-                total += sum(len(self.inner._get(key) or b"")
-                             for key in self.inner._list(shared))
-            total += sum(len(self.inner._get(key) or b"")
-                         for key in self.inner._list(self.prefix))
-            return total
+            return sum(len(self.inner._get(key) or b"")
+                       for raw in self._raw_prefixes("")
+                       for key in self.inner._list(raw))

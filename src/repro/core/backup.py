@@ -43,7 +43,7 @@ from repro.classify.policy import DedupPolicy
 from repro.container.manager import ContainerManager
 from repro.core import naming
 from repro.cloud.retry import RetryPolicy
-from repro.core.filecache import FileCache
+from repro.core.filecache import FileCache, read_epoch, unchanged
 from repro.core.journal import SessionJournal
 from repro.core.options import SchemeConfig, aa_dedupe_config
 from repro.core.pipeline import BackgroundWorker, WorkItem
@@ -126,6 +126,9 @@ class BackupClient:
         self._app_ctx = threading.local()
         self._journal: Optional[SessionJournal] = None
         self._sync = IndexSynchronizer(cloud, retry=retry)
+        #: The store's GC epoch when this client's state was last
+        #: reconciled with it (``None``: no store state held yet).
+        self._epoch: Optional[int] = None
         self._delta: Optional[DeltaStage] = (
             DeltaStage(self.config.delta_max_chain, tracer=self.tracer)
             if self.config.delta_compress else None)
@@ -231,6 +234,53 @@ class BackupClient:
                 chunker.tracer = self.tracer
         return chunker
 
+    # -- the GC epoch ---------------------------------------------------
+    def _open_epoch(self, warnings: list) -> Optional[int]:
+        """Read the store's GC epoch at session open.
+
+        A changed epoch means a sweep ran since the client last looked,
+        so its copies of store state may point into deleted extents:
+        they are reconciled before the session places anything.
+        Returns the epoch, or ``None`` when it is unreadable (the stat
+        cache sits the session out and the next session reconciles).
+        """
+        try:
+            epoch = self._cloud_call(read_epoch, self.cloud)
+        except CloudError as exc:
+            warnings.append(f"stat cache disabled this session "
+                            f"(GC epoch unreadable): {exc}")
+            self._epoch = -1  # never an epoch: the next read reconciles
+            return None
+        if self._epoch is not None and epoch != self._epoch:
+            self._forget_swept()
+        self._epoch = epoch
+        return epoch
+
+    def _forget_swept(self) -> None:
+        """Reconcile client-side state with a store a GC sweep changed.
+
+        Index entries whose container (object-mode schemes: whose chunk
+        object) the store no longer lists are discarded, after one LIST;
+        state no index lookup guards is dropped whole — the SAM file
+        tier, the delta stage's bases and delta refs, and the previous
+        manifest Jungle-Disk change detection replays.  The stat cache
+        checks the epoch itself (:meth:`FileCache.open_session`).
+        """
+        containers = self._containers is not None
+        listed = set(self._cloud_call(
+            self.cloud.list, naming.CONTAINER_PREFIX if containers
+            else naming.CHUNK_PREFIX))
+        for app, entry in list(self.index.entries()):
+            key = (naming.container_key(entry.container_id) if containers
+                   else naming.chunk_key(entry.fingerprint))
+            if key not in listed:
+                self.index.subindex(app).discard(entry.fingerprint)
+        self._file_tier.clear()
+        self._prev_manifest = None
+        if self._delta is not None:
+            self._delta = DeltaStage(self.config.delta_max_chain,
+                                     tracer=self.tracer)
+
     # -- the session ----------------------------------------------------
     def backup(self, source: Iterable[SourceFile],
                session_id: int | None = None) -> SessionStats:
@@ -262,9 +312,10 @@ class BackupClient:
         pack_before = (self._containers.pack_busy_seconds
                        if self._containers is not None else 0.0)
         self._upload_watch = ConcurrentStopwatch()
+        epoch = self._open_epoch(stats.warnings)
         cache = self._filecache
-        self._replay_enabled = (cache is not None and cache.open_session(
-            self.cloud, stats.warnings))
+        self._replay_enabled = (cache is not None
+                                and cache.open_session(epoch))
         self._journal = self._open_journal(session_id) \
             if cfg.resumable else None
         uploader = None
@@ -307,8 +358,8 @@ class BackupClient:
         # The manifest upload committed the session, so the recipes
         # staged during it become the next session's stat cache.
         if cache is not None:
-            cache.close_session(self.cloud, self._cloud_put,
-                                stats.warnings, self.tracer)
+            cache.close_session(self._cloud_put, stats.warnings,
+                                self.tracer)
         # Every data, manifest and stat-cache PUT is behind us.
         stats.upload_wall_seconds = self._upload_watch.elapsed
 
@@ -610,8 +661,7 @@ class BackupClient:
         sf = item.sf
         prev = (self._prev_manifest.get(sf.path)
                 if self._prev_manifest is not None else None)
-        if (prev is not None and prev.size == sf.size
-                and prev.mtime_ns == sf.mtime_ns):
+        if prev is not None and unchanged(prev, sf.size, sf.mtime_ns):
             stats.files_unchanged += 1
             return self._entry_for(item, list(prev.refs), prev.tiny)
         self._read_file(item)
@@ -731,18 +781,22 @@ class BackupClient:
     def resume_from_cloud(self) -> int:
         """Rebuild dedup state from cloud replicas (new process/machine).
 
-        Pulls every synced application subindex, loads the most recent
-        manifest (for incremental change detection), reloads the
-        persisted stat cache (so unchanged files skip re-chunking even
-        across process restarts), and fast-forwards the session counter
-        past existing manifests.  Returns the number of index entries
-        recovered.  Together with the containers being self-describing,
-        this makes the client fully stateless across invocations — the
-        CLI calls it on startup.
+        Pulls every synced application subindex — and prunes what a GC
+        sweep deleted under it, since replicas are never pruned in the
+        cloud — loads the most recent manifest (for incremental change
+        detection), reloads the persisted stat cache (so unchanged files
+        skip re-chunking even across process restarts), and
+        fast-forwards the session counter past existing manifests.
+        Returns the number of index entries recovered.  Together with
+        the containers being self-describing, this makes the client
+        fully stateless across invocations — the CLI calls it on
+        startup.
         """
         restored = self._sync.pull(self.index)
+        self._epoch = self._cloud_call(read_epoch, self.cloud)
+        self._forget_swept()
         if self._filecache is not None:
-            self._filecache.load(self.cloud)
+            self._filecache.load(self.cloud, self._epoch)
         latest_id = max(naming.session_ids(self.cloud), default=-1)
         if latest_id >= 0:
             manifest = Manifest.from_json(

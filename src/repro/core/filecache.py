@@ -33,45 +33,61 @@ correctness.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.core import naming
 from repro.core.recipe import FileEntry
 from repro.errors import CloudError, ObjectNotFound
 
-__all__ = ["FileCache", "read_epoch", "invalidate_statcache"]
+__all__ = ["FileCache", "read_epoch", "invalidate_statcache", "unchanged"]
 
 
-def read_epoch(cloud) -> int:
+def read_epoch(cloud, key: str = naming.STATCACHE_EPOCH_KEY) -> int:
     """Current GC epoch of ``cloud`` (0 when none was ever written)."""
     try:
-        return int(cloud.get(naming.STATCACHE_EPOCH_KEY).decode("ascii"))
+        return int(cloud.get(key).decode("ascii"))
     except ObjectNotFound:
         return 0
-    except (ValueError, UnicodeDecodeError):
+    except ValueError:
         # A corrupt epoch object cannot prove caches current; treating
         # it as a fresh epoch forces every client to drop its cache.
         return 0
 
 
-def invalidate_statcache(cloud) -> int:
-    """Drop every persisted stat-cache blob and bump the GC epoch.
+def invalidate_statcache(cloud, tenant_keys: Iterable[str] = ()) -> int:
+    """Drop every persisted stat-cache blob and bump the GC epoch, at
+    the root and in every tenant namespace ``tenant_keys`` (a listing of
+    the tenant subtree) names — blob-less ones included, since the epoch
+    guards every client-side copy of store state.
 
     Called by the garbage collector after a sweep that deleted data:
-    cached recipes may reference the deleted extents, so both the
-    persisted blobs and (via the epoch stamp) every client's resident
-    cache must be invalidated.  Returns the number of blobs deleted.
+    client caches and indexes may reference the deleted extents.
+    Returns the number of blobs deleted.
     """
-    epoch = read_epoch(cloud)
+    namespaces = set()
     deleted = 0
-    for key in list(cloud.list(naming.STATCACHE_PREFIX)):
-        if key == naming.STATCACHE_EPOCH_KEY:
-            continue
-        cloud.delete(key)
-        deleted += 1
-    cloud.put(naming.STATCACHE_EPOCH_KEY,
-              str(epoch + 1).encode("ascii"))
+    for key in [*cloud.list(naming.STATCACHE_PREFIX), *tenant_keys]:
+        namespace, private = naming.split_tenant_key(key)
+        namespaces.add(namespace)
+        if private.startswith(naming.STATCACHE_PREFIX) \
+                and private != naming.STATCACHE_EPOCH_KEY:
+            cloud.delete(key)
+            deleted += 1
+    for namespace in [None, *sorted(namespaces - {None})]:
+        key = naming.tenant_key(namespace, naming.STATCACHE_EPOCH_KEY)
+        cloud.put(key, str(read_epoch(cloud, key) + 1).encode("ascii"))
     return deleted
+
+
+def unchanged(entry: FileEntry, size: int, mtime_ns: int) -> bool:
+    """Whether ``entry`` still describes a file of this size and mtime.
+
+    Both must be equal — an mtime rollback with a same-size content
+    change must not pass — and a zero mtime never does: it is the
+    "unknown" sentinel of mtime-less sources.  The stat cache and
+    Jungle-Disk change detection both decide by this rule.
+    """
+    return mtime_ns != 0 and (entry.size, entry.mtime_ns) == (size, mtime_ns)
 
 
 class FileCache:
@@ -104,8 +120,6 @@ class FileCache:
         self.epoch: int = 0
         #: Whether the cache may be persisted at session close.
         self._persist_ok = False
-        #: Whether the GC epoch was read from the cloud this session.
-        self._epoch_fresh = False
 
     def __len__(self) -> int:
         return sum(len(files) for files in self._apps.values())
@@ -113,18 +127,9 @@ class FileCache:
     # -- lookups --------------------------------------------------------
     def match(self, app: str, path: str, size: int,
               mtime_ns: int) -> Optional[FileEntry]:
-        """Cached entry for ``path`` iff its stat triple matches.
-
-        Both size and mtime must be equal — an mtime rollback with a
-        same-size content change must miss — and a zero mtime never
-        matches (it is the "unknown" sentinel of mtime-less sources).
-        """
-        if mtime_ns == 0:
-            return None
+        """Cached entry for ``path`` iff :func:`unchanged` holds."""
         entry = self._apps.get(app, {}).get(path)
-        if entry is None:
-            return None
-        if entry.size != size or entry.mtime_ns != mtime_ns:
+        if entry is None or not unchanged(entry, size, mtime_ns):
             return None
         return entry
 
@@ -193,57 +198,38 @@ class FileCache:
         self._staged = {}
 
     # -- cloud protocol -------------------------------------------------
-    def open_session(self, cloud, warnings: list) -> bool:
-        """Start-of-session maintenance and epoch validation; returns
-        whether replays are allowed this session.
+    def open_session(self, epoch: Optional[int]) -> bool:
+        """Start-of-session epoch validation; returns whether replays
+        are allowed this session.
 
-        Replay is enabled only when the cloud's GC epoch matches the
-        resident cache's: a sweep between sessions may have deleted
-        extents the cached recipes reference.  The epoch read is skipped
-        while the cache is empty (nothing to validate), so schemes that
-        never accumulate cache state — mtime-less sources — cost no
-        extra cloud requests at all.
+        ``epoch`` is the cloud's GC epoch the engine read at session
+        open (``None``: unreadable — no replay, no persistence).  A
+        sweep between sessions may have deleted extents the cached
+        recipes reference, so a changed epoch drops the cache.
         """
         self.begin_session()
-        self._persist_ok = self._epoch_fresh = False
-        if len(self) == 0:
-            self._persist_ok = True
+        self._persist_ok = epoch is not None
+        if epoch is None:
             return False
-        try:
-            epoch = read_epoch(cloud)
-        except CloudError as exc:
-            warnings.append(
-                f"stat cache disabled this session "
-                f"(GC epoch unreadable): {exc}")
-            return False
-        self._epoch_fresh = True
         if epoch != self.epoch:
             self.clear()
             self.epoch = epoch
-        self._persist_ok = True
         return len(self) > 0
 
-    def close_session(self, cloud, put, warnings: list, tracer) -> None:
+    def close_session(self, put, warnings: list, tracer) -> None:
         """Promote and (best-effort) persist the cache post-manifest.
 
         Call only after the manifest upload succeeded — the session is
         committed, so every staged recipe is durably referenced.  Dirty
-        blobs go out through ``put(key, blob)``.  A failed save degrades
-        to a warning: the resident cache is already current, and a
-        stale cloud blob is safe (its refs stay live until a GC sweep,
-        which bumps the epoch it is stamped with).
+        blobs go out through ``put(key, blob)``, stamped with the epoch
+        the session opened under.  A failed save degrades to a warning:
+        the resident cache is already current, and a stale cloud blob
+        is safe (its refs stay live until a GC sweep, which bumps the
+        epoch it is stamped with).
         """
         dirty = self.commit()
-        if not self._persist_ok or not dirty:
+        if not self._persist_ok:
             return
-        if not self._epoch_fresh:
-            try:
-                self.epoch = read_epoch(cloud)
-            except CloudError as exc:
-                warnings.append(
-                    f"stat cache not persisted (GC epoch unreadable): "
-                    f"{exc}")
-                return
         for app in dirty:
             blob = self.blob_for(app)
             try:
@@ -255,14 +241,14 @@ class FileCache:
                     f"stat cache save failed for {app!r} "
                     f"(retried next session): {exc}")
 
-    def load(self, cloud) -> int:
+    def load(self, cloud, epoch: int) -> int:
         """Pull persisted blobs (disaster-recovery resume); returns the
         number of file entries recovered.  Blobs stamped with another GC
-        epoch or another scheme are ignored; any cloud failure degrades
-        to an empty cache."""
+        epoch than ``epoch`` or another scheme are ignored; any cloud
+        failure degrades to an empty cache."""
         loaded = 0
+        self.epoch = epoch
         try:
-            self.epoch = read_epoch(cloud)
             for key in cloud.list(naming.STATCACHE_PREFIX):
                 if key == naming.STATCACHE_EPOCH_KEY:
                     continue

@@ -1,18 +1,23 @@
-"""Cloud object key conventions shared by backup, restore, sync and GC."""
+"""Cloud object key conventions shared by backup, restore, sync and GC,
+and the one tenant key map: private keys nest under ``clients/<ns>/``,
+the :data:`SHARED_PREFIXES` subtrees are one pool every tenant addresses
+verbatim (:class:`repro.cloud.NamespacedBackend`, :mod:`repro.core.walk`).
+"""
 
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
+from typing import List, Optional, Tuple
 
 __all__ = ["container_key", "container_id_of", "chunk_key", "file_key",
-           "manifest_key", "session_id_of", "session_ids", "index_key", "journal_key", "delta_key", "statcache_key",
-           "replica_key", "parse_replica_key", "namespaced_keys",
-           "MANIFEST_PREFIX", "CONTAINER_PREFIX", "CHUNK_PREFIX",
-           "FILE_PREFIX", "INDEX_PREFIX", "JOURNAL_PREFIX",
+           "manifest_key", "session_id_of", "session_ids", "index_key",
+           "journal_key", "delta_key", "statcache_key", "replica_key",
+           "parse_replica_key", "tenant_key", "split_tenant_key",
+           "tenant_keys", "MANIFEST_PREFIX", "CONTAINER_PREFIX",
+           "CHUNK_PREFIX", "FILE_PREFIX", "INDEX_PREFIX", "JOURNAL_PREFIX",
            "DELTA_PREFIX", "STATCACHE_PREFIX", "STATCACHE_EPOCH_KEY",
            "REPLICA_PREFIX", "DURABILITY_PREFIX", "DURABILITY_PLAN_KEY",
-           "TENANT_PREFIX"]
+           "SHARED_PREFIXES", "CONTAINER_ID_STRIDE"]
 
 CONTAINER_PREFIX = "containers/"
 CHUNK_PREFIX = "chunks/"
@@ -31,9 +36,15 @@ REPLICA_PREFIX = "replicas/"
 #: Durability metadata (the persisted replication plan).
 DURABILITY_PREFIX = "durability/"
 DURABILITY_PLAN_KEY = "durability/plan.json"
-#: Root of per-tenant namespaces (see
-#: :class:`repro.cloud.NamespacedBackend`).
+#: Root of per-tenant namespaces: ``clients/<ns>/<key>``.
 TENANT_PREFIX = "clients/"
+#: Subtrees tenants share: the container and chunk pools (cross-client
+#: dedup) and the replicas and plan (any restore may fail over).
+SHARED_PREFIXES = (CONTAINER_PREFIX, CHUNK_PREFIX, REPLICA_PREFIX,
+                   DURABILITY_PREFIX)
+#: Container-id lane of one client sharing a pool (fleet client,
+#: service job): rank ``r`` allocates in ``[r·stride, (r+1)·stride)``.
+CONTAINER_ID_STRIDE = 1_000_000
 
 
 def container_key(container_id: int) -> str:
@@ -134,19 +145,25 @@ def parse_replica_key(key: str):
     return domain, container_id
 
 
-def namespaced_keys(cloud, prefix: str) -> list:
-    """All keys under ``prefix``, in the root *and* every tenant
-    namespace of a shared backend.
+def tenant_key(namespace: Optional[str], key: str) -> str:
+    """Raw backend key of ``key`` as tenant ``namespace`` sees it:
+    shared subtrees pass verbatim, private keys nest under
+    ``clients/<ns>/``; ``namespace=None`` is the root."""
+    if namespace is None or key.startswith(SHARED_PREFIXES):
+        return key
+    return f"{TENANT_PREFIX}{namespace}/{key}"
 
-    A fleet backend holds each client's private state under
-    ``clients/<ns>/<prefix>...`` (see
-    :class:`repro.cloud.NamespacedBackend`); fleet-wide walks (scrub,
-    GC liveness, durability criticality) must see those keys too.  On a
-    single-tenant store the extra list returns nothing.
-    """
-    keys = list(cloud.list(prefix))
-    for key in cloud.list(TENANT_PREFIX):
-        parts = key.split("/", 2)
-        if len(parts) == 3 and parts[2].startswith(prefix):
-            keys.append(key)
-    return keys
+
+def split_tenant_key(key: str) -> Tuple[Optional[str], str]:
+    """``(namespace, key as the tenant sees it)`` of a raw key — the
+    inverse of :func:`tenant_key`; ``(None, key)`` for a root key."""
+    if key.startswith(TENANT_PREFIX):
+        namespace, sep, rest = key[len(TENANT_PREFIX):].partition("/")
+        if namespace and sep:
+            return namespace, rest
+    return None, key
+
+
+def tenant_keys(cloud) -> List[str]:
+    """Every key of every tenant namespace (one listing)."""
+    return list(cloud.list(TENANT_PREFIX))

@@ -213,13 +213,19 @@ class Manifest:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "Manifest":
-        """Parse a manifest previously produced by :meth:`to_json`."""
-        doc = json.loads(text)
-        if doc.get("format") != cls.FORMAT:
-            raise RestoreError(f"unsupported manifest format "
-                               f"{doc.get('format')!r}")
-        manifest = cls(session_id=int(doc["session"]), scheme=doc["scheme"],
-                       created=float(doc["created"]))
-        for entry in doc["files"]:
-            manifest.add(FileEntry.from_json(entry))
+        """Parse a manifest previously produced by :meth:`to_json`;
+        any malformed document raises :class:`RestoreError`."""
+        try:
+            doc = json.loads(text)
+            if doc.get("format") != cls.FORMAT:
+                raise RestoreError(f"unsupported manifest format "
+                                   f"{doc.get('format')!r}")
+            manifest = cls(session_id=int(doc["session"]),
+                           scheme=doc["scheme"],
+                           created=float(doc["created"]))
+            for entry in doc["files"]:
+                manifest.add(FileEntry.from_json(entry))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise RestoreError(f"malformed manifest: "
+                               f"{type(exc).__name__}: {exc}") from exc
         return manifest

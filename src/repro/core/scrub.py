@@ -1,7 +1,6 @@
 """Cloud scrubbing: verify every stored byte without restoring.
 
-A deployable backup tool must be able to answer "is my cloud copy still
-good?" cheaply.  The scrubber walks the store and validates:
+"Is my cloud copy still good?", answered cheaply.  Scrub validates:
 
 * every **container** parses, passes its CRC, and each described extent
   re-hashes to its descriptor fingerprint (the digest width selects the
@@ -20,9 +19,8 @@ good?" cheaply.  The scrubber walks the store and validates:
   blob, not the chunk plaintext);
 * every **index replica** parses into valid entries.
 
-Tenant namespaces of a shared fleet backend are walked too
-(:func:`repro.core.naming.namespaced_keys`), so one scrub of the shared
-store covers every client's manifests.
+One :class:`~repro.core.walk.StoreWalk` covers the tenant namespaces of
+a shared fleet backend too.
 
 Everything found is recorded twice: machine-actionable
 :class:`ScrubFinding` records (what the repair loop and the CLI exit
@@ -44,7 +42,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.container.format import FLAG_DELTA, ContainerReader
 from repro.core import naming
-from repro.core.recipe import ChunkRef, Manifest
+from repro.core.recipe import ChunkRef
+from repro.core.walk import StoreWalk
 from repro.delta import delta_target_length, validate_delta
 from repro.durability.policy import ReplicationPlan
 from repro.errors import ContainerFormatError, DeltaError, ReproError
@@ -115,28 +114,6 @@ class ScrubReport:
                 f"{repairable} repairable): {detail}")
 
 
-def _tenant_prefix(manifest_key: str) -> str:
-    """``clients/<ns>/`` when the manifest lives in a tenant namespace."""
-    if manifest_key.startswith(naming.TENANT_PREFIX):
-        parts = manifest_key.split("/", 2)
-        if len(parts) == 3:
-            return f"{parts[0]}/{parts[1]}/"
-    return ""
-
-
-def _map_object_key(prefix: str, key: str) -> str:
-    """Raw backend key of a recipe's object ref.
-
-    A tenant's recipes store unprefixed keys; on the shared backend the
-    private ones (files, private deltas) live under the tenant prefix
-    while the chunk pool is shared verbatim — the same mapping
-    :class:`~repro.cloud.NamespacedBackend` applies.
-    """
-    if not prefix or key.startswith(naming.CHUNK_PREFIX):
-        return key
-    return prefix + key
-
-
 def scrub_cloud(cloud, verify_extents: bool = True,
                 max_delta_depth: int = 8) -> ScrubReport:
     """Validate all containers, replicas, manifests and index replicas
@@ -152,7 +129,7 @@ def scrub_cloud(cloud, verify_extents: bool = True,
     for key in cloud.list(naming.CONTAINER_PREFIX):
         try:
             reader = ContainerReader(cloud.get(key))
-        except (ContainerFormatError, ReproError) as exc:
+        except ReproError as exc:
             report.problem("corrupt_primary", f"{key}: {exc}")
             continue
         report.containers_checked += 1
@@ -186,21 +163,19 @@ def scrub_cloud(cloud, verify_extents: bool = True,
     # --- durability: replicas against the persisted plan -----------------
     _scrub_replicas(cloud, report, extent_map, containers_present)
 
-    object_keys = set(naming.namespaced_keys(cloud, naming.CHUNK_PREFIX)) \
-        | set(naming.namespaced_keys(cloud, naming.FILE_PREFIX)) \
-        | set(naming.namespaced_keys(cloud, naming.DELTA_PREFIX))
+    walk = StoreWalk(cloud)
+    object_keys = {key for prefix in (naming.CHUNK_PREFIX,
+                                      naming.FILE_PREFIX, naming.DELTA_PREFIX)
+                   for key in walk.keys(prefix)}
 
     # --- manifests ---------------------------------------------------------
     verified_objects: Dict[str, bool] = {}
 
     def check_object(ref: ChunkRef, raw_key: str, where: str) -> None:
-        """Verify a standalone object's *content*, once per key.
-
-        Existence alone is not integrity: a truncated or corrupted
-        object still "exists".  Non-delta objects must re-hash to the
-        recipe fingerprint; delta objects must be structurally valid
-        blobs whose declared target length matches the recipe.
-        """
+        """Verify a standalone object's *content* (a corrupt object
+        still "exists"), once per key: non-delta objects re-hash to the
+        recipe fingerprint, delta objects are valid blobs of the
+        recipe's target length."""
         if not verify_extents:
             return
         cached = verified_objects.get(raw_key)
@@ -240,7 +215,7 @@ def scrub_cloud(cloud, verify_extents: bool = True,
                 report.objects_verified += 1
         verified_objects[raw_key] = ok
 
-    def check_ref(ref: ChunkRef, prefix: str, where: str,
+    def check_ref(ref: ChunkRef, namespace: Optional[str], where: str,
                   role: str = "extent") -> None:
         if ref.in_container:
             if ref.container_id not in containers_present:
@@ -272,7 +247,7 @@ def scrub_cloud(cloud, verify_extents: bool = True,
                     f"{ref.offset}")
                 return
         else:
-            raw_key = _map_object_key(prefix, ref.object_key)
+            raw_key = naming.tenant_key(namespace, ref.object_key)
             if raw_key not in object_keys:
                 report.problem(
                     "missing_object",
@@ -282,38 +257,33 @@ def scrub_cloud(cloud, verify_extents: bool = True,
             check_object(ref, raw_key, where)
         report.refs_resolved += 1
 
-    for key in naming.namespaced_keys(cloud, naming.MANIFEST_PREFIX):
+    for record in walk.manifests:
+        key = record.key
         try:
-            manifest = Manifest.from_json(cloud.get(key))
-        except (ReproError, ValueError) as exc:
+            manifest = walk.load(record)
+        except ReproError as exc:
             report.problem("corrupt_manifest", f"{key}: {exc}")
             continue
         report.manifests_checked += 1
-        prefix = _tenant_prefix(key)
         for entry in manifest:
+            where = f"{key}: {entry.path}"
             for ref in entry.refs:
                 if ref.chain_depth() > max_delta_depth:
-                    report.problem(
-                        "delta_chain",
-                        f"{key}: {entry.path} delta chain deeper than "
-                        f"{max_delta_depth}")
+                    report.problem("delta_chain", f"{where} delta chain "
+                                   f"deeper than {max_delta_depth}")
                     continue
-                check_ref(ref, prefix, f"{key}: {entry.path}")
-                base: Optional[ChunkRef] = ref.delta_base
-                while base is not None:
-                    check_ref(base, prefix, f"{key}: {entry.path}",
-                              role="delta base")
-                    base = base.delta_base
+                role = "extent"
+                while ref is not None:
+                    check_ref(ref, record.namespace, where, role)
+                    ref, role = ref.delta_base, "delta base"
 
     # --- index replicas ---------------------------------------------------
     record = IndexEntry.RECORD_SIZE
-    for key in naming.namespaced_keys(cloud, naming.INDEX_PREFIX):
+    for key in walk.keys(naming.INDEX_PREFIX):
         blob = cloud.get(key)
-        if len(blob) % record:
-            report.problem("corrupt_index",
-                           f"{key}: truncated index replica")
-            continue
         try:
+            if len(blob) % record:
+                raise ReproError("truncated index replica")
             for pos in range(0, len(blob), record):
                 IndexEntry.unpack(blob[pos:pos + record])
         except ReproError as exc:
@@ -358,7 +328,7 @@ def _scrub_replicas(cloud, report: ScrubReport,
                         raise ContainerFormatError(
                             f"replica holds container "
                             f"{reader.container_id}")
-                except (ContainerFormatError, ReproError) as exc:
+                except ReproError as exc:
                     report.degraded("corrupt_replica", f"{key}: {exc}")
                     continue
                 report.replicas_checked += 1

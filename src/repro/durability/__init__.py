@@ -7,8 +7,9 @@ clients.  This package spends a controlled amount of the storage that
 dedup saved to buy that risk back down:
 
 * :mod:`~repro.durability.policy` — criticality signals (refcount over
-  live manifests, manifest fan-in, application class) → per-container
-  replication factor, persisted as a :class:`ReplicationPlan`;
+  live manifests, manifest fan-in, application class, all read off
+  GC's mark) → per-container replication factor, persisted as a
+  :class:`ReplicationPlan`;
 * :mod:`~repro.durability.placement` — deterministic assignment of
   copies to named fault domains (``replicas/<domain>/containers/<id>``),
   plus the :func:`kill_domain` chaos failure model;
@@ -33,12 +34,7 @@ from repro.durability.placement import (
     replica_domains,
     replica_keys,
 )
-from repro.durability.policy import (
-    ContainerCriticality,
-    DurabilityPolicy,
-    ReplicationPlan,
-    collect_criticality,
-)
+from repro.durability.policy import DurabilityPolicy, ReplicationPlan
 from repro.durability.repair import RepairReport, repair_cloud
 from repro.durability.replicate import ReplicationReport, replicate_cloud
 
@@ -49,10 +45,8 @@ __all__ = [
     "primary_domain",
     "replica_domains",
     "replica_keys",
-    "ContainerCriticality",
     "DurabilityPolicy",
     "ReplicationPlan",
-    "collect_criticality",
     "RepairReport",
     "repair_cloud",
     "ReplicationReport",

@@ -14,6 +14,9 @@ criticality signals into a per-container replication factor:
   content (the hardest data to recreate) rank above re-downloadable
   compressed media.
 
+All three are read off GC's mark (:func:`repro.core.walk.mark_store`):
+what keeps a container live is what makes losing it hurt.
+
 Tiers: every live container gets at least ``base_replicas`` copies; one
 extra copy when any signal crosses its threshold; a further copy when
 all three do — capped by ``max_replicas`` and by the number of fault
@@ -28,64 +31,14 @@ fail over, and GC can prune entries with their containers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core import naming
-from repro.core.recipe import Manifest
 from repro.durability.placement import (default_domains, replica_keys)
 from repro.errors import ReproError
 
-__all__ = ["ContainerCriticality", "DurabilityPolicy", "ReplicationPlan",
-           "collect_criticality"]
-
-
-@dataclass
-class ContainerCriticality:
-    """Liveness-derived criticality signals for one container."""
-
-    container_id: int
-    #: Extent references from live manifests (delta bases included).
-    refcount: int = 0
-    #: Distinct manifest keys referencing the container.
-    manifests: Set[str] = field(default_factory=set)
-    #: Application categories of the referencing recipes.
-    categories: Set[str] = field(default_factory=set)
-
-    @property
-    def fan_in(self) -> int:
-        """Number of distinct manifests referencing the container."""
-        return len(self.manifests)
-
-
-def collect_criticality(cloud) -> Dict[int, ContainerCriticality]:
-    """Walk live manifests and aggregate per-container criticality.
-
-    Every manifest in the store counts, tenant namespaces included
-    (:func:`repro.core.naming.namespaced_keys`) — in a fleet, a shared
-    container's criticality is the sum over every client that
-    references it.  Unreadable manifests are skipped here; scrub, not
-    the durability planner, is the integrity authority.
-    """
-    stats: Dict[int, ContainerCriticality] = {}
-    for key in naming.namespaced_keys(cloud, naming.MANIFEST_PREFIX):
-        try:
-            manifest = Manifest.from_json(cloud.get(key))
-        except (ReproError, ValueError, KeyError):
-            continue
-        for entry in manifest:
-            for ref in entry.refs:
-                while ref is not None:
-                    if ref.in_container:
-                        crit = stats.get(ref.container_id)
-                        if crit is None:
-                            crit = stats[ref.container_id] = \
-                                ContainerCriticality(ref.container_id)
-                        crit.refcount += 1
-                        crit.manifests.add(key)
-                        crit.categories.add(entry.category)
-                    ref = ref.delta_base
-    return stats
+__all__ = ["DurabilityPolicy", "ReplicationPlan"]
 
 
 @dataclass(frozen=True)
@@ -104,19 +57,15 @@ class DurabilityPolicy:
     #: Application categories whose data is considered irreplaceable.
     critical_categories: frozenset = frozenset({"dynamic_uncompressed"})
 
-    def target_replicas(self, crit: ContainerCriticality,
-                        domains: Sequence[str]) -> int:
-        """Total copies (primary included) ``crit`` should have."""
+    def target_replicas(self, crit, domains: Sequence[str]) -> int:
+        """Total copies (primary included) a container should have,
+        from its :class:`~repro.core.walk.ContainerMark`."""
         signals = sum((
             crit.refcount >= self.refcount_threshold,
             crit.fan_in >= self.fanin_threshold,
             bool(crit.categories & self.critical_categories),
         ))
-        target = self.base_replicas
-        if signals >= 1:
-            target += 1
-        if signals == 3:
-            target += 1
+        target = self.base_replicas + (signals >= 1) + (signals == 3)
         return max(1, min(target, self.max_replicas, len(domains)))
 
 
@@ -177,15 +126,18 @@ class ReplicationPlan:
 
     @classmethod
     def from_json(cls, text) -> "ReplicationPlan":
-        """Inverse of :meth:`to_json`."""
-        doc = json.loads(text)
-        if doc.get("format") != cls.FORMAT:
-            raise ReproError(
-                f"unsupported replication plan format "
-                f"{doc.get('format')!r}")
-        return cls(domains=doc["domains"],
-                   targets={int(cid): int(r)
-                            for cid, r in doc["targets"].items()})
+        """Inverse of :meth:`to_json`; any malformed document raises
+        :class:`~repro.errors.ReproError`."""
+        try:
+            doc = json.loads(text)
+            if doc.get("format") != cls.FORMAT:
+                raise ReproError(f"unsupported replication plan format "
+                                 f"{doc.get('format')!r}")
+            return cls(domains=doc["domains"],
+                       targets={int(cid): int(r)
+                                for cid, r in doc["targets"].items()})
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ReproError(f"malformed plan: {exc!r}") from exc
 
     def save(self, cloud) -> None:
         """Persist (or, once empty, remove) the plan blob."""
@@ -201,10 +153,6 @@ class ReplicationPlan:
         the blob is unreadable — callers treat that as no plan and a
         fresh replication pass rewrites it)."""
         try:
-            blob = cloud.get(naming.DURABILITY_PLAN_KEY)
+            return cls.from_json(cloud.get(naming.DURABILITY_PLAN_KEY))
         except ReproError:
-            return None
-        try:
-            return cls.from_json(blob)
-        except (ReproError, ValueError, KeyError):
             return None

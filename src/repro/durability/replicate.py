@@ -1,13 +1,14 @@
 """Replication pass: bring the store up to its durability targets.
 
-The replicator is idempotent and crash-safe: it computes criticality
-from live manifests, derives each container's target copy count from
-the :class:`~repro.durability.policy.DurabilityPolicy`, uploads only
-the replica copies that are missing (reading from the primary or, when
-the primary is already gone, from any surviving replica), and persists
-the resulting :class:`~repro.durability.policy.ReplicationPlan` last —
-so a plan never promises copies that were not yet attempted.  Re-running
-after a crash simply tops up whatever is left.
+The replicator is idempotent and crash-safe: it reads criticality off
+GC's mark of the live manifests, derives each container's target copy
+count from the :class:`~repro.durability.policy.DurabilityPolicy`,
+uploads only the replica copies that are missing (reading from the
+primary or, when the primary is already gone, from any surviving
+replica), and persists the resulting
+:class:`~repro.durability.policy.ReplicationPlan` last — so a plan never
+promises copies that were not yet attempted.  Re-running after a crash
+simply tops up whatever is left.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.container.format import ContainerReader
 from repro.core import naming
+from repro.core.walk import StoreWalk, mark_store
 from repro.durability.placement import default_domains, replica_keys
-from repro.durability.policy import (DurabilityPolicy, ReplicationPlan,
-                                     collect_criticality)
+from repro.durability.policy import DurabilityPolicy, ReplicationPlan
 from repro.errors import ContainerFormatError, ReproError
 from repro.obs.tracer import NOOP_TRACER
 
@@ -74,7 +75,9 @@ def replicate_cloud(cloud,
                    else default_domains())
     report = ReplicationReport()
     with tracer.span("durability.replicate", domains=len(domains)):
-        crit = collect_criticality(cloud)
+        # Every manifest in the store counts, tenants included; an
+        # unreadable one is scrub's to report, not the planner's.
+        crit = mark_store(StoreWalk(cloud)).containers
         report.containers_considered = len(crit)
         for container_id in sorted(crit):
             target = policy.target_replicas(crit[container_id], domains)

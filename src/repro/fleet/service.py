@@ -43,6 +43,7 @@ from repro.cloud import (
 )
 from repro.cloud.wan import PAPER_WAN
 from repro.core.backup import BackupClient
+from repro.core.naming import CONTAINER_ID_STRIDE
 from repro.core.options import SchemeConfig, aa_dedupe_config
 from repro.core.stats import SessionStats
 from repro.errors import SimulationError
@@ -56,11 +57,6 @@ from repro.util.units import format_bytes
 
 __all__ = ["FleetClient", "FleetClientResult", "FleetReport",
            "FleetService"]
-
-#: Container-id stride between clients: each client allocates ids in
-#: ``[rank * stride, (rank + 1) * stride)`` so the shared pool never
-#: sees an id collision.
-CONTAINER_ID_STRIDE = 1_000_000
 
 #: Relative width of the per-client uplink distribution.
 WAN_SPREAD = 0.5

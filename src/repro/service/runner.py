@@ -49,19 +49,13 @@ from repro.simulate.clock import VirtualClock
 from repro.util.units import format_bytes
 
 __all__ = ["JobReport", "ServiceReport", "BackupService",
-           "SCHEDULED", "IN_PROGRESS", "SUCCEEDED", "FAILED",
-           "CONTAINER_ID_STRIDE"]
+           "SCHEDULED", "IN_PROGRESS", "SUCCEEDED", "FAILED"]
 
 #: Job occurrence states (a tiny linear state machine).
 SCHEDULED = "SCHEDULED"
 IN_PROGRESS = "IN_PROGRESS"
 SUCCEEDED = "SUCCEEDED"
 FAILED = "FAILED"
-
-#: Container-id stride between jobs — same discipline as the fleet
-#: layer: job ``rank`` allocates ids in ``[rank·stride, (rank+1)·stride)``
-#: so heterogeneous jobs never collide in the shared container pool.
-CONTAINER_ID_STRIDE = 1_000_000
 
 
 @dataclass
@@ -238,7 +232,7 @@ class BackupService:
             client = BackupClient(
                 view, job.scheme_config(),
                 first_container_id=next_ids.get(
-                    rank, rank * CONTAINER_ID_STRIDE),
+                    rank, rank * naming.CONTAINER_ID_STRIDE),
                 tracer=self.tracer)
             client.resume_from_cloud()
             self.jobs.append(
@@ -257,7 +251,7 @@ class BackupService:
             container_id = naming.container_id_of(key)
             if container_id is None:
                 continue
-            rank = container_id // CONTAINER_ID_STRIDE
+            rank = container_id // naming.CONTAINER_ID_STRIDE
             next_ids[rank] = max(next_ids.get(rank, 0), container_id + 1)
         return next_ids
 

@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
+from repro.baselines import build_scheme
 from repro.core.options import SchemeConfig
 from repro.core.retention import RetainLastN, RetainMaxAge
 from repro.errors import ConfigError
@@ -68,16 +69,6 @@ def _number(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(context, f"expected a number, got {value!r}")
     return float(value)
-
-
-def _scheme_by_name(name: str) -> SchemeConfig:
-    """Resolve a scheme name, raising ConfigError (not SystemExit)."""
-    from repro.baselines import all_scheme_configs
-    for config in all_scheme_configs():
-        if config.name.lower() == name.lower():
-            return config
-    names = ", ".join(c.name for c in all_scheme_configs())
-    raise ConfigError(f"unknown scheme {name!r}; available: {names}")
 
 
 # ----------------------------------------------------------------------
@@ -244,31 +235,16 @@ class JobSpec:
     # ------------------------------------------------------------------
     def scheme_config(self) -> SchemeConfig:
         """Build the job's :class:`SchemeConfig` (raises ConfigError)."""
-        config = _scheme_by_name(self.scheme)
-        if self.container_size is not None:
-            config = config.with_(container_size=self.container_size)
-        if self.chunker is not None:
-            config = config.with_chunker(self.chunker)
-        if self.app_chunkers:
-            config = config.with_(app_chunkers=dict(self.app_chunkers))
-        if self.delta is not None:
-            config = config.with_(delta_compress=self.delta)
-        if self.stat_cache is not None:
-            config = config.with_(stat_cache=self.stat_cache)
-        if self.pipeline is not None:
-            config = config.with_(pipeline_uploads=self.pipeline)
-        if self.parallel is not None:
-            if self.parallel < 1:
-                raise ConfigError(
-                    f"job {self.name!r}: parallel must be >= 1")
-            config = config.with_(parallel_workers=self.parallel)
-        if self.options:
-            try:
-                config = config.with_(**dict(self.options))
-            except TypeError as exc:
-                raise ConfigError(
-                    f"job {self.name!r}: bad options: {exc}") from exc
-        return config
+        try:
+            return build_scheme(
+                self.scheme, container_size=self.container_size,
+                chunker=self.chunker,
+                app_chunkers=dict(self.app_chunkers) or None,
+                delta=self.delta, stat_cache=self.stat_cache,
+                pipeline=self.pipeline, parallel=self.parallel,
+                options=self.options)
+        except ConfigError as exc:
+            raise ConfigError(f"job {self.name!r}: {exc}") from exc
 
     def make_source(self) -> JobSource:
         """Build this job's runtime source (raises ConfigError if none)."""

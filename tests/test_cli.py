@@ -98,6 +98,30 @@ class TestBackupRestoreCycle:
         for name in ("cdc", "gear", "fastcdc", "seqcdc"):
             assert name in message
 
+    def test_bad_override_names_its_flag(self, source_tree, tmp_path):
+        # One scheme builder for the CLI and job files: its message
+        # names the override, the CLI spells it as the flag.
+        with pytest.raises(SystemExit) as excinfo:
+            run("backup", source_tree, "--store", tmp_path / "c",
+                "--parallel", "0")
+        assert str(excinfo.value) == "--parallel: must be >= 1"
+        with pytest.raises(SystemExit) as excinfo:
+            run("fleet", "--scheme", "tarball")
+        assert str(excinfo.value).startswith("unknown scheme 'tarball'")
+
+    def test_ls_lists_tenant_sessions(self, source_tree, tmp_path, capsys):
+        from repro.cloud import LocalDirectoryBackend, NamespacedBackend
+        from repro.core import BackupClient, DirectorySource
+        store = tmp_path / "cloud"
+        assert run("backup", source_tree, "--store", store) == 0
+        view = NamespacedBackend(LocalDirectoryBackend(store), "job1")
+        BackupClient(view).backup(DirectorySource(source_tree))
+        capsys.readouterr()
+        assert run("ls", "--store", store) == 0
+        rows = [[cell.strip() for cell in line.split("|")]
+                for line in capsys.readouterr().out.splitlines()[2:]]
+        assert [row[:2] for row in rows] == [["0", "-"], ["0", "job1"]]
+
 
 class TestMaintenanceCommands:
     def test_scrub_clean(self, source_tree, tmp_path, capsys):

@@ -9,11 +9,10 @@ from repro.core import BackupClient, MemorySource, RestoreClient, \
     aa_dedupe_config, collect_garbage
 from repro.core import naming
 from repro.core.scrub import scrub_cloud
+from repro.core.walk import ContainerMark, StoreWalk, mark_store
 from repro.durability import (
-    ContainerCriticality,
     DurabilityPolicy,
     ReplicationPlan,
-    collect_criticality,
     default_domains,
     kill_domain,
     primary_domain,
@@ -97,14 +96,13 @@ class TestPlacement:
 
 class TestPolicy:
     def crit(self, **kw):
-        base = dict(container_id=1, refcount=1,
+        base = dict(refcount=1,
                     manifests={"manifests/session-000000.json"},
                     categories={"compressed"})
         base.update(kw)
-        c = ContainerCriticality(base["container_id"], base["refcount"])
-        c.manifests = set(base["manifests"])
-        c.categories = set(base["categories"])
-        return c
+        return ContainerMark(refcount=base["refcount"],
+                             manifests=set(base["manifests"]),
+                             categories=set(base["categories"]))
 
     def test_quiet_container_stays_single(self):
         assert DurabilityPolicy().target_replicas(self.crit(), DOMAINS) == 1
@@ -178,7 +176,7 @@ class TestCriticality:
         client.backup(MemorySource(files))
         client.backup(MemorySource(files))  # same data, second manifest
         client.close()
-        crit = collect_criticality(cloud)
+        crit = mark_store(StoreWalk(cloud)).containers
         assert crit, "expected at least one referenced container"
         # Deduped containers are referenced by both manifests; the
         # per-session tiny-file containers stay at fan-in 1.

@@ -20,7 +20,7 @@ from repro.fleet import (
     generated_fleet_sources,
     synthetic_fleet_sources,
 )
-from repro.fleet.service import CONTAINER_ID_STRIDE
+from repro.core.naming import CONTAINER_ID_STRIDE
 from repro.index import IndexEntry, LocalityCache
 
 

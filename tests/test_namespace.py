@@ -76,13 +76,6 @@ class TestSharedPrefixes:
         raw.put("clients/b/manifests/session-000000.json", b"{}")
         assert a.list(naming.TENANT_PREFIX) == []
 
-    def test_fully_isolated_view(self):
-        raw = InMemoryBackend()
-        view = NamespacedBackend(raw, "solo", shared_prefixes=())
-        view.put(CONTAINER, b"x")
-        assert raw.exists(f"clients/solo/{CONTAINER}")
-        assert not raw.exists(CONTAINER)
-
 
 class TestChaosThroughNamespace:
     """permanent_error_keys matches the *post-prefix* keys tenants
