@@ -23,7 +23,7 @@ from conftest import SCALE, SMOKE, emit
 
 from repro.chunking import CDC_FAMILY
 from repro.chunking.base import get_chunker
-from repro.classify.policy import DedupPolicy
+from repro.classify import Category, DedupPolicy
 from repro.core import aa_dedupe_config
 from repro.metrics import Table
 from repro.trace.driver import run_paper_evaluation
@@ -31,9 +31,8 @@ from repro.util.units import KIB, format_bytes
 
 
 def _fixed(name: str, chunker: str, hash_name: str, **params):
-    return aa_dedupe_config(name=name, policy_table=None,
-                            fixed_policy=DedupPolicy(chunker, hash_name,
-                                                     params))
+    return aa_dedupe_config(name=name, policy_table=dict.fromkeys(
+        Category, DedupPolicy(chunker, hash_name, params)))
 
 
 def test_adaptive_vs_fixed_chunking(benchmark, workload_snapshots):

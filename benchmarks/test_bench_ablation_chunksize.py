@@ -10,7 +10,7 @@ paper's 8 KB choice sits in.
 
 from conftest import SCALE, emit
 
-from repro.classify.policy import DedupPolicy
+from repro.classify import Category, DedupPolicy
 from repro.core import aa_dedupe_config
 from repro.metrics import Table
 from repro.trace.driver import run_paper_evaluation
@@ -24,8 +24,8 @@ _REF_BYTES = 56
 def test_chunk_size_sweep(benchmark, workload_snapshots):
     def run():
         schemes = [aa_dedupe_config(
-            name=f"SC-{size // KIB}KiB", policy_table=None,
-            fixed_policy=DedupPolicy("sc", "md5", {"chunk_size": size}))
+            name=f"SC-{size // KIB}KiB", policy_table=dict.fromkeys(
+                Category, DedupPolicy("sc", "md5", {"chunk_size": size})))
             for size in SIZES]
         return run_paper_evaluation(scale=SCALE,
                                     snapshots=workload_snapshots,

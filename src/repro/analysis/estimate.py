@@ -86,7 +86,7 @@ def estimate_directory(root: str | os.PathLike,
     #: Delta outcomes land here; the stage is the one the engine runs,
     #: driven with callbacks that count bytes instead of storing them.
     stats = SessionStats(session_id=0, scheme=config.name)
-    stage = DeltaStage(config.delta_max_chain) if delta else None
+    stage = DeltaStage() if delta else None
 
     for stat in walk_files(root):
         estimate.files += 1

@@ -14,11 +14,14 @@ Interpretation notes (documented per DESIGN.md's substitution policy):
   regardless of type, one global chunk index, per-chunk upload.  This is
   the fine-grained, high-overhead extreme.
 * **SAM** "combin[es] file-level and chunk-level deduplication based on
-  file semantics": whole-file SHA-1 tier first; on a file-tier miss,
-  compressed media stays at file granularity while uncompressed data is
-  CDC-chunked with SHA-1; per-tier global indices; 10 KB small-file
-  shortcut like AA-Dedupe (the paper says AA's filter is "an approach
-  like SAM") but without container aggregation.
+  file semantics" as a partition with no file-first tier: compressed
+  media deduplicates whole (WFC), everything else is CDC-chunked, both
+  with SHA-1; per-tier global indices; 10 KB small-file shortcut like
+  AA-Dedupe (the paper says AA's filter is "an approach like SAM") but
+  without container aggregation.
+
+Every scheme states its policy as one per-category table; BackupPC and
+Avamar map every category to the same policy.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ def backuppc_config(**overrides) -> SchemeConfig:
         name="BackupPC",
         tiny_file_threshold=0,
         use_containers=False,
-        fixed_policy=DedupPolicy("wfc", "md5"),
+        policy_table=dict.fromkeys(Category, DedupPolicy("wfc", "md5")),
         index_layout="global",
         index_sync_interval=0,
         # BackupPC's pool is a hardlink forest on the filesystem: every
@@ -76,7 +79,7 @@ def avamar_config(**overrides) -> SchemeConfig:
         name="Avamar",
         tiny_file_threshold=0,
         use_containers=False,
-        fixed_policy=_CDC_SHA1,
+        policy_table=dict.fromkeys(Category, _CDC_SHA1),
         index_layout="global",
         index_sync_interval=0,
     )

@@ -24,8 +24,6 @@ from repro.classify.filetype import (
 from repro.classify.magic import sniff_bytes, classify_file
 from repro.classify.policy import (
     DedupPolicy,
-    policy_for_category,
-    policy_for_path,
     AA_POLICY_TABLE,
 )
 
@@ -41,7 +39,5 @@ __all__ = [
     "sniff_bytes",
     "classify_file",
     "DedupPolicy",
-    "policy_for_category",
-    "policy_for_path",
     "AA_POLICY_TABLE",
 ]

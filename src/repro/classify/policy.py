@@ -24,13 +24,12 @@ from typing import Dict, Mapping
 
 from repro.chunking import (CDC_FAMILY, Chunker, FastCDC, GearCDC, RabinCDC,
                             SeqCDC, StaticChunker, WholeFileChunker)
-from repro.classify.filetype import AppType, Category, classify_path
+from repro.classify.filetype import Category
 from repro.errors import ConfigError
 from repro.hashing import Fingerprinter, get_hash
 from repro.util.units import KIB
 
-__all__ = ["DedupPolicy", "AA_POLICY_TABLE", "policy_for_category",
-           "policy_for_path", "make_chunker", "cdc_policy_variant",
+__all__ = ["DedupPolicy", "AA_POLICY_TABLE", "make_chunker",
            "retarget_policy"]
 
 
@@ -89,58 +88,41 @@ def make_chunker(name: str, params: Dict[str, int]) -> Chunker:
     return factory(**params) if params else factory()
 
 
-def cdc_policy_variant(policy: DedupPolicy, chunker: str) -> DedupPolicy:
-    """Re-target a CDC-family policy at another family member.
-
-    The shared size geometry carries over; engine-specific parameters
-    (e.g. Rabin's ``window``) are dropped in favour of the new engine's
-    defaults.  The fingerprint hash is unchanged — chunk identity is a
-    property of the digest, not of where the cuts fall.
-    """
-    if chunker not in CDC_FAMILY:
-        raise ConfigError(
-            f"unknown CDC-family chunker {chunker!r}; "
-            f"valid: {', '.join(CDC_FAMILY)}")
-    if policy.chunker not in CDC_FAMILY:
-        raise ConfigError(
-            f"policy uses {policy.chunker!r}, not a CDC-family chunker")
-    if chunker == policy.chunker:
-        return policy
-    params = {key: value for key, value in policy.chunker_params.items()
-              if key in _CDC_GEOMETRY}
-    return DedupPolicy(chunker, policy.hash_name, params)
-
-
 def retarget_policy(policy: DedupPolicy, chunker: str) -> DedupPolicy:
     """Re-target ``policy`` at a CDC-family engine, from any chunkable base.
 
-    The per-application chunker override (``SchemeConfig.app_chunkers``)
-    needs one more case than :func:`cdc_policy_variant`: a static-chunked
-    base (e.g. the AA table's VM-image row) re-targeted at a
-    content-defined engine.  The CDC geometry is derived from the SC
-    chunk size the same way the AA table relates its DYNAMIC row to its
-    8 KiB average — ``min = avg/4``, ``max = avg*2`` — and the
-    fingerprint hash carries over unchanged, so chunk identity stays a
-    property of the digest.  WFC bases refuse: re-chunking compressed
-    content buys nothing (Observation 1), so an override there is a
-    configuration mistake, not a tuning choice.
+    The fingerprint hash carries over unchanged — chunk identity is a
+    property of the digest, not of where the cuts fall.  A CDC-family
+    base keeps its shared size geometry; engine-specific parameters
+    (e.g. Rabin's ``window``) are dropped in favour of the new engine's
+    defaults, and re-targeting at the base's own engine is the
+    identity.  A static-chunked base (e.g. the AA table's VM-image row,
+    under a per-application ``SchemeConfig.app_chunkers`` override)
+    gets a CDC geometry derived from its SC chunk size the same way the
+    AA table relates its DYNAMIC row to its 8 KiB average —
+    ``min = avg/4``, ``max = avg*2``.  WFC bases refuse: re-chunking
+    compressed content buys nothing (Observation 1), so an override
+    there is a configuration mistake, not a tuning choice.
     """
     if chunker not in CDC_FAMILY:
         raise ConfigError(
             f"unknown CDC-family chunker {chunker!r}; "
             f"valid: {', '.join(CDC_FAMILY)}")
+    if policy.chunker == chunker:
+        return policy
     if policy.chunker in CDC_FAMILY:
-        return cdc_policy_variant(policy, chunker)
-    if policy.chunker == "sc":
+        params = {key: value for key, value in policy.chunker_params.items()
+                  if key in _CDC_GEOMETRY}
+    elif policy.chunker == "sc":
         avg = int(policy.chunker_params.get("chunk_size", 8 * KIB))
-        return DedupPolicy(chunker, policy.hash_name,
-                           {"avg_size": avg,
-                            "min_size": max(avg // 4, 64),
-                            "max_size": avg * 2})
-    raise ConfigError(
-        f"cannot re-target a {policy.chunker!r} policy at {chunker!r}: "
-        f"only CDC-family and SC bases have a content-defined stage "
-        f"to swap")
+        params = {"avg_size": avg, "min_size": max(avg // 4, 64),
+                  "max_size": avg * 2}
+    else:
+        raise ConfigError(
+            f"cannot re-target a {policy.chunker!r} policy at {chunker!r}: "
+            f"only CDC-family and SC bases have a content-defined stage "
+            f"to swap")
+    return DedupPolicy(chunker, policy.hash_name, params)
 
 
 #: The AA-Dedupe policy table — the paper's Fig. 6, as data.
@@ -152,22 +134,3 @@ AA_POLICY_TABLE: Dict[Category, DedupPolicy] = {
         {"avg_size": 8 * KIB, "min_size": 2 * KIB, "max_size": 16 * KIB,
          "window": 48}),
 }
-
-
-def policy_for_category(category: Category,
-                        table: Mapping[Category, DedupPolicy] | None = None
-                        ) -> DedupPolicy:
-    """Look up the policy for ``category`` (default: AA-Dedupe's table)."""
-    table = AA_POLICY_TABLE if table is None else table
-    try:
-        return table[category]
-    except KeyError:
-        raise ConfigError(f"policy table lacks category {category}") from None
-
-
-def policy_for_path(path: str,
-                    table: Mapping[Category, DedupPolicy] | None = None
-                    ) -> tuple[AppType, DedupPolicy]:
-    """Classify ``path`` and return ``(app_type, policy)`` in one step."""
-    app = classify_path(path)
-    return app, policy_for_category(app.category, table)

@@ -405,12 +405,13 @@ def cmd_schemes(_args) -> int:
     table = Table(["scheme", "granularity", "index", "containers",
                    "tiny filter"])
     for config in all_scheme_configs():
+        policies = list(config.policy_table.values())
         if config.incremental_only:
             granularity = "whole file (incremental)"
-        elif config.policy_table is not None:
-            granularity = "per-category (adaptive)"
+        elif all(policy == policies[0] for policy in policies):
+            granularity = policies[0].chunker.upper()
         else:
-            granularity = config.fixed_policy.chunker.upper()
+            granularity = "per-category (adaptive)"
         table.add_row([config.name, granularity, config.index_layout,
                        "yes" if config.use_containers else "no",
                        format_bytes(config.tiny_file_threshold)

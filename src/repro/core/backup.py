@@ -63,9 +63,6 @@ from repro.util.timer import ConcurrentStopwatch, Stopwatch
 
 __all__ = ["BackupClient"]
 
-#: File-level tier policy used by ``file_level_first`` schemes (SAM).
-_FILE_TIER_POLICY = DedupPolicy("wfc", "sha1")
-
 #: Sealed containers / blobs that may wait for the WAN before the commit
 #: loop blocks (``pipeline_uploads``).
 _UPLOAD_QUEUE_DEPTH = 4
@@ -110,8 +107,6 @@ class BackupClient:
         self._next_session = 0
         self._chunkers: Dict[tuple, Chunker] = {}
         self._chunkers_lock = threading.Lock()
-        #: SAM-style file-level tier: whole-file fingerprint -> recipe.
-        self._file_tier: Dict[bytes, list] = {}
         self._uploader: Optional[BackgroundWorker] = None
         self._upload_watch = ConcurrentStopwatch()
         self._cloud_lock = threading.Lock()
@@ -130,7 +125,7 @@ class BackupClient:
         #: reconciled with it (``None``: no store state held yet).
         self._epoch: Optional[int] = None
         self._delta: Optional[DeltaStage] = (
-            DeltaStage(self.config.delta_max_chain, tracer=self.tracer)
+            DeltaStage(tracer=self.tracer)
             if self.config.delta_compress else None)
         # Multi-client deployments sharing one container pool assign
         # each client a disjoint id range up front; single clients probe
@@ -261,10 +256,10 @@ class BackupClient:
 
         Index entries whose container (object-mode schemes: whose chunk
         object) the store no longer lists are discarded, after one LIST;
-        state no index lookup guards is dropped whole — the SAM file
-        tier, the delta stage's bases and delta refs, and the previous
-        manifest Jungle-Disk change detection replays.  The stat cache
-        checks the epoch itself (:meth:`FileCache.open_session`).
+        state no index lookup guards is dropped whole — the delta
+        stage's bases and delta refs, and the previous manifest
+        Jungle-Disk change detection replays.  The stat cache checks
+        the epoch itself (:meth:`FileCache.open_session`).
         """
         containers = self._containers is not None
         listed = set(self._cloud_call(
@@ -275,11 +270,9 @@ class BackupClient:
                    else naming.chunk_key(entry.fingerprint))
             if key not in listed:
                 self.index.subindex(app).discard(entry.fingerprint)
-        self._file_tier.clear()
         self._prev_manifest = None
         if self._delta is not None:
-            self._delta = DeltaStage(self.config.delta_max_chain,
-                                     tracer=self.tracer)
+            self._delta = DeltaStage(tracer=self.tracer)
 
     # -- the session ----------------------------------------------------
     def backup(self, source: Iterable[SourceFile],
@@ -394,9 +387,9 @@ class BackupClient:
                       stats: SessionStats, manifest: Manifest) -> None:
         """The one commit loop: every file, strictly in source order.
 
-        All shared dedup state — index, container streams, file tier,
-        delta stage, manifest, stat cache — is touched here and only
-        here, on the calling thread.  Container ids and offsets, and
+        All shared dedup state — index, container streams, delta stage,
+        manifest, stat cache — is touched here and only here, on the
+        calling thread.  Container ids and offsets, and
         therefore manifest bytes, depend on nothing but the source
         order, whichever way :meth:`_staged` runs the CPU stages (see
         docs/PIPELINE.md).
@@ -547,27 +540,14 @@ class BackupClient:
         item.data = data
 
     def _chunk_file(self, item: WorkItem) -> None:
-        """Chunk stage: tiny-file filter, file-tier probe prep, boundary
-        scan.  Output (``item.raw``) awaits the hash stage."""
+        """Chunk stage: tiny-file filter, then boundary scan.  Output
+        (``item.raw``) awaits the hash stage."""
         data, item.data = item.data, None
         plan, stats = item.plan, item.local
         if plan.tiny:
             # The whole file is the single "chunk" the hash stage seals.
             item.raw = [data] if item.sf.size else []
             return
-        if plan.file_tier:
-            # Whole-file fingerprint for the probe placement performs.
-            item.file_fp = self._fingerprint(
-                _FILE_TIER_POLICY.hash_name, data, len(data),
-                item.app.label, stats)
-            # A known whole file will replay its tier recipe during
-            # placement, so chunking it here would be wasted work — the
-            # very work the tier exists to save.  Peeking at the tier is
-            # safe: file_level_first is serial-only (ConfigError guards
-            # the parallel combination), and the accounted probe still
-            # happens in _place_file.
-            if self._file_tier.get(item.file_fp) is not None:
-                return
         chunker = self._chunker_for(plan.policy)
         if isinstance(chunker, ContentDefinedChunker):
             stats.ops.cdc_scanned_bytes += len(data)
@@ -579,8 +559,6 @@ class BackupClient:
     def _hash_file(self, item: WorkItem) -> None:
         """Hash stage: seal + fingerprint every chunk of ``item.raw``."""
         raw, item.raw = item.raw, None
-        if raw is None:  # file-tier peek hit: nothing to hash
-            return
         stats, app_label = item.local, item.app.label
         if item.plan.tiny:
             for data in raw:
@@ -612,8 +590,8 @@ class BackupClient:
         """Placement: dedup against the index, store unique data.
 
         Must run on the coordinator thread — it mutates the index, the
-        container streams, the SAM file tier and the delta stage, and
-        the order of these mutations determines manifest bytes.
+        container streams and the delta stage, and the order of these
+        mutations determines manifest bytes.
         """
         plan = item.plan
         entry = self._entry_for(item, tiny=plan.tiny)
@@ -625,17 +603,6 @@ class BackupClient:
                 entry.refs.append(self._attach_key(ref, key))
                 stats.bytes_unique += len(payload)
             return entry
-
-        # File-level tier (SAM): a whole-file hit replays the previous
-        # recipe, skipping chunk-level dedup entirely — the tier saves
-        # *work*, which is its purpose in SAM.
-        if item.file_fp is not None:
-            stats.ops.index_lookups += 1
-            recipe = self._file_tier.get(item.file_fp)
-            if recipe is not None:
-                stats.ops.index_hits += 1
-                entry.refs.extend(recipe)
-                return entry
 
         # Application-aware dedup.  The file's fingerprints are
         # announced once so a subindex that batches (a fleet client's
@@ -650,14 +617,13 @@ class BackupClient:
             else:
                 ref = self._place_unique(item, fp, payload, length, stats)
             entry.refs.append(self._attach_key(ref, key))
-        if item.file_fp is not None:
-            self._file_tier[item.file_fp] = list(entry.refs)
         return entry
 
     def _place_incremental(self, item: WorkItem,
                            stats: SessionStats) -> FileEntry:
         """Jungle-Disk mode: metadata-based change detection, whole-file
-        upload of anything new or modified."""
+        upload of anything new or modified — one object per file, or one
+        container extent when the scheme packs containers."""
         sf = item.sf
         prev = (self._prev_manifest.get(sf.path)
                 if self._prev_manifest is not None else None)
@@ -671,9 +637,9 @@ class BackupClient:
             fp = self._fingerprint("sha1", data, len(data),
                                    item.app.label, stats)
             key = naming.file_key(stats.session_id, sf.path)
-            self._put(key, data)
+            entry.refs.append(self._ref(fp, len(data), self._store(
+                fp, data, item.plan.namespace, key), key))
             stats.bytes_unique += len(data)
-            entry.refs.append(ChunkRef(fp, len(data), object_key=key))
         return entry
 
     # -- convergent encryption hooks (secure dedup, paper Sec. VI) ------

@@ -9,13 +9,13 @@ engine, making the evaluation an apples-to-apples policy comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 from repro.chunking import CDC_FAMILY
-from repro.classify.filetype import AppType, Category
+from repro.classify.filetype import AppType, Category, known_app_types
 from repro.classify.policy import AA_POLICY_TABLE, DedupPolicy, \
-    cdc_policy_variant, retarget_policy
+    retarget_policy
 from repro.errors import ConfigError
 from repro.util.units import KIB, MIB
 
@@ -35,13 +35,22 @@ class FilePlan:
     #: Index namespace, which is also the container stream
     #: (``"tiny"`` for tiny files, ``""`` for incremental-only schemes).
     namespace: str
-    #: Probe the whole-file tier before chunking (SAM).
-    file_tier: bool
 
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Declarative description of one backup scheme."""
+    """Declarative description of one backup scheme.
+
+    A scheme states its dedup policy one way: :attr:`policy_table`, the
+    chunker + fingerprint per file category (the paper's Fig. 6 for
+    AA-Dedupe; SAM's WFC/CDC split; one policy everywhere for BackupPC
+    and Avamar).  The constructor rejects, with
+    :class:`~repro.errors.ConfigError`, a table missing a category and
+    every feature an incremental-only scheme cannot run (encryption,
+    delta compression, the stat cache, parallel dedup, per-app
+    chunkers); ``delta_compress`` also excludes ``encrypt_chunks``.
+    Every other combination of the boolean features is legal.
+    """
 
     #: Human-readable scheme name (appears in stats and reports).
     name: str
@@ -58,11 +67,12 @@ class SchemeConfig:
     container_size: int = 1 * MIB
     pad_containers: bool = True
 
-    #: Per-category policy table (None ⇒ ``fixed_policy`` applies to all).
-    policy_table: Optional[Mapping[Category, DedupPolicy]] = None
-
-    #: Single policy used for every file when ``policy_table`` is None.
-    fixed_policy: Optional[DedupPolicy] = None
+    #: Chunker + fingerprint per file category — the whole of a
+    #: scheme's dedup policy, and it must name every :class:`Category`.
+    #: A one-policy scheme maps every category to the same policy
+    #: (``dict.fromkeys(Category, policy)``).
+    policy_table: Mapping[Category, DedupPolicy] = field(
+        default_factory=lambda: AA_POLICY_TABLE)
 
     #: ``"app"`` — one subindex per application label (AA-Dedupe);
     #: ``"global"`` — one index for everything (traditional);
@@ -73,11 +83,6 @@ class SchemeConfig:
     #: files unchanged since the previous session (size+mtime) are skipped,
     #: changed files are uploaded whole.
     incremental_only: bool = False
-
-    #: File-level dedup pass before chunk-level (SAM's first tier): the
-    #: whole file's fingerprint is probed first and chunking only happens
-    #: on a whole-file miss.
-    file_level_first: bool = False
 
     #: Replicate the chunk index to the cloud every N sessions (0 = never).
     index_sync_interval: int = 1
@@ -113,10 +118,6 @@ class SchemeConfig:
     #: default: the paper's evaluation is exact-only.
     delta_compress: bool = False
 
-    #: Max delta hops from any chunk back to a full base extent.  Deeper
-    #: chains save more bytes but cost chained decodes on restore.
-    delta_max_chain: int = 3
-
     #: Cross-session unchanged-file recipe cache (stat cache): a file
     #: whose ``(path, size, mtime_ns)`` triple matches the previous
     #: successful session replays its cached recipe without being read,
@@ -146,47 +147,36 @@ class SchemeConfig:
             raise ConfigError(f"bad index_layout {self.index_layout!r}")
         if self.index_media not in ("ram", "fs"):
             raise ConfigError(f"bad index_media {self.index_media!r}")
-        if self.encrypt_chunks and self.incremental_only:
-            raise ConfigError(
-                "encrypt_chunks requires a dedup scheme, not incremental")
         if self.parallel_workers < 1:
             raise ConfigError("parallel_workers must be >= 1")
-        if self.parallel_workers > 1 and self.incremental_only:
-            raise ConfigError(
-                "parallel dedup requires a dedup scheme, not incremental")
-        if self.parallel_workers > 1 and self.file_level_first:
-            raise ConfigError(
-                "parallel dedup is incompatible with file_level_first")
-        if not self.incremental_only:
-            if (self.policy_table is None) == (self.fixed_policy is None):
+        if self.incremental_only:
+            # Incremental mode keeps no fingerprint index and skips
+            # unchanged files by metadata: nothing below has a stage to
+            # run in.
+            clashes = [name for name, on in (
+                ("encrypt_chunks", self.encrypt_chunks),
+                ("delta_compress", self.delta_compress),
+                ("stat_cache", self.stat_cache),
+                ("parallel_workers > 1", self.parallel_workers > 1),
+                ("app_chunkers", bool(self.app_chunkers))) if on]
+            if clashes:
                 raise ConfigError(
-                    "exactly one of policy_table/fixed_policy required")
+                    f"{', '.join(clashes)}: requires a dedup scheme, "
+                    f"not incremental")
+        missing = [c.value for c in Category if c not in self.policy_table]
+        if missing:
+            raise ConfigError(
+                f"policy_table lacks categories: {', '.join(missing)}")
         if self.tiny_file_threshold < 0:
             raise ConfigError("tiny_file_threshold must be >= 0")
-        if self.delta_compress:
-            if self.incremental_only:
-                raise ConfigError(
-                    "delta_compress requires a dedup scheme, not "
-                    "incremental")
-            if self.encrypt_chunks:
-                raise ConfigError(
-                    "delta_compress is incompatible with encrypt_chunks "
-                    "(convergent ciphertexts destroy resemblance; see "
-                    "docs/DELTA.md)")
-            if self.delta_max_chain < 1:
-                raise ConfigError("delta_max_chain must be >= 1")
-        if self.stat_cache and self.incremental_only:
+        if self.delta_compress and self.encrypt_chunks:
             raise ConfigError(
-                "stat_cache requires a dedup scheme: incremental mode "
-                "already skips unchanged files by metadata")
+                "delta_compress is incompatible with encrypt_chunks "
+                "(convergent ciphertexts destroy resemblance; see "
+                "docs/DELTA.md)")
         if self.use_containers and self.container_size < 4096:
             raise ConfigError("container_size too small")
         if self.app_chunkers:
-            if self.incremental_only:
-                raise ConfigError(
-                    "app_chunkers requires a dedup scheme, not "
-                    "incremental")
-            from repro.classify.filetype import known_app_types
             known = {app.label: app for app in known_app_types()}
             for label, engine in self.app_chunkers.items():
                 app = known.get(label)
@@ -207,14 +197,7 @@ class SchemeConfig:
     # ------------------------------------------------------------------
     def policy_for(self, category: Category) -> DedupPolicy:
         """Resolve the dedup policy for a file category."""
-        if self.policy_table is not None:
-            try:
-                return self.policy_table[category]
-            except KeyError:
-                raise ConfigError(
-                    f"policy table lacks category {category}") from None
-        assert self.fixed_policy is not None
-        return self.fixed_policy
+        return self.policy_table[category]
 
     def policy_for_app(self, app: AppType) -> DedupPolicy:
         """Resolve the dedup policy for one application type.
@@ -248,18 +231,16 @@ class SchemeConfig:
 
     def plan_file(self, app: AppType, size: int) -> FilePlan:
         """The scheme's whole per-file decision, with no I/O: size
-        filter, policy, namespace, file-tier probe.  The backup engine,
-        the trace engine and the estimator all ask here, so the three
-        cannot disagree on what happens to a file."""
+        filter, policy, namespace.  The backup engine, the trace engine
+        and the estimator all ask here, so the three cannot disagree on
+        what happens to a file."""
         if self.incremental_only:
-            return FilePlan(False, None, "", False)
+            return FilePlan(False, None, "")
         if size < self.tiny_file_threshold:
             # File size filter (Observation 1).
-            return FilePlan(True, None, "tiny", False)
+            return FilePlan(True, None, "tiny")
         policy = self.policy_for_app(app)
-        return FilePlan(
-            False, policy, self.index_namespace(app.label, policy),
-            self.file_level_first and policy.chunker != "wfc" and size > 0)
+        return FilePlan(False, policy, self.index_namespace(app.label, policy))
 
     def with_(self, **changes) -> "SchemeConfig":
         """Return a modified copy (convenience for ablation sweeps)."""
@@ -268,9 +249,9 @@ class SchemeConfig:
     def with_chunker(self, name: str) -> "SchemeConfig":
         """Swap the content-defined boundary engine (CLI ``--chunker``).
 
-        Every CDC-family policy in the scheme (the DYNAMIC row of the
-        AA table, or a fixed all-CDC policy) is re-targeted at the
-        named engine; WFC/SC rows are untouched, so the intelligent
+        Every CDC-family row of the policy table (the DYNAMIC row of the
+        AA table; every row of Avamar's) is re-targeted at the named
+        engine; WFC/SC rows are untouched, so the intelligent
         chunker's per-application decisions are preserved.  Raises
         :class:`ConfigError` for unknown names or schemes with no
         content-defined stage to swap.
@@ -283,25 +264,15 @@ class SchemeConfig:
             raise ConfigError(
                 f"scheme {self.name!r} is incremental-only and never "
                 f"chunks; --chunker does not apply")
-        if self.policy_table is not None:
-            table = {
-                category: (cdc_policy_variant(policy, name)
-                           if policy.chunker in CDC_FAMILY else policy)
-                for category, policy in self.policy_table.items()}
-            if all(policy.chunker not in CDC_FAMILY
-                   for policy in self.policy_table.values()):
-                raise ConfigError(
-                    f"scheme {self.name!r} has no content-defined "
-                    f"chunking stage to swap")
-            return self.with_(policy_table=table)
-        assert self.fixed_policy is not None
-        if self.fixed_policy.chunker not in CDC_FAMILY:
+        if all(policy.chunker not in CDC_FAMILY
+               for policy in self.policy_table.values()):
             raise ConfigError(
-                f"scheme {self.name!r} chunks with "
-                f"{self.fixed_policy.chunker!r}, not a CDC-family "
-                f"engine; --chunker does not apply")
-        return self.with_(
-            fixed_policy=cdc_policy_variant(self.fixed_policy, name))
+                f"scheme {self.name!r} has no content-defined "
+                f"chunking stage to swap")
+        return self.with_(policy_table={
+            category: (retarget_policy(policy, name)
+                       if policy.chunker in CDC_FAMILY else policy)
+            for category, policy in self.policy_table.items()})
 
 
 def aa_dedupe_config(**overrides) -> SchemeConfig:

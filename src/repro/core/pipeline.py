@@ -53,8 +53,8 @@ class WorkItem:
     session's own when the stages run inline.
     """
 
-    __slots__ = ("sf", "app", "plan", "replay", "local", "data",
-                 "file_fp", "raw", "chunks")
+    __slots__ = ("sf", "app", "plan", "replay", "local", "data", "raw",
+                 "chunks")
 
     def __init__(self, sf, app, replay=None, plan=None) -> None:
         self.sf = sf
@@ -65,11 +65,8 @@ class WorkItem:
         self.local = None
         #: Read-stage output (dropped once chunked).
         self.data: Optional[bytes] = None
-        #: SAM file-level-tier whole-file fingerprint (when probed).
-        self.file_fp: Optional[bytes] = None
         #: Chunk-stage output awaiting fingerprints: raw chunk payloads
-        #: in file order (``None`` before chunking, once hashed, and on
-        #: a file-tier peek hit where nothing needs hashing).
+        #: in file order (``None`` before chunking and once hashed).
         self.raw: Optional[list] = None
         #: Hash-stage output, in file order:
         #: (fingerprint, sealed payload, wrapped key, logical length).

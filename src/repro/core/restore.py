@@ -78,9 +78,9 @@ class RestoreClient:
         self.verify = verify
         self.master_key = master_key
         #: Longest delta chain this client will follow.  A chain deeper
-        #: than the writer could produce (``delta_max_chain``) means a
-        #: corrupt or adversarial manifest, not data — refuse it rather
-        #: than recurse without bound.
+        #: than the writer could produce (``delta.stage.MAX_CHAIN``)
+        #: means a corrupt or adversarial manifest, not data — refuse it
+        #: rather than recurse without bound.
         self.max_delta_depth = max(1, max_delta_depth)
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self._cache_size = max(1, container_cache_size)

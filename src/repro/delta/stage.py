@@ -26,7 +26,8 @@ from repro.delta.simindex import SimilarityIndex
 from repro.delta.sketch import Sketch, compute_sketch
 from repro.obs.tracer import NOOP_TRACER
 
-__all__ = ["DeltaStage", "DELTA_CHUNKERS", "MIN_CHUNK", "BASE_CACHE"]
+__all__ = ["DeltaStage", "DELTA_CHUNKERS", "MIN_CHUNK", "BASE_CACHE",
+           "MAX_CHAIN"]
 
 #: Chunking methods whose output the stage may target.  WFC means
 #: compressed content (application-awareness: re-deltaing compressed
@@ -41,6 +42,10 @@ MIN_CHUNK = 2048
 #: needs the base bytes, and a source deduplicator must never
 #: re-download them mid-backup.
 BASE_CACHE = 256
+
+#: Max delta hops from any chunk back to a full base extent.  Deeper
+#: chains save more bytes but cost chained decodes on restore.
+MAX_CHAIN = 3
 
 
 class _Base:
@@ -58,14 +63,13 @@ class _Base:
 class DeltaStage:
     """Similarity detection + delta encoding for unique chunks.
 
-    ``max_chain`` caps the delta hops from any chunk back to a full
+    :data:`MAX_CHAIN` caps the delta hops from any chunk back to a full
     extent.  Refs are opaque to the stage: it keeps whatever the store
     callbacks return and hands it back (as a delta's base ref, or for a
     repeat of a delta-stored chunk).
     """
 
-    def __init__(self, max_chain: int, tracer=NOOP_TRACER) -> None:
-        self.max_chain = max_chain
+    def __init__(self, tracer=NOOP_TRACER) -> None:
         self.tracer = tracer
         self._sim = SimilarityIndex()
         #: namespace -> OrderedDict[fingerprint -> _Base] (LRU).
@@ -113,7 +117,7 @@ class DeltaStage:
         if base_fp is None:
             return None
         base = self._bases.get(namespace, {}).get(base_fp)
-        if base is None or base.depth >= self.max_chain:
+        if base is None or base.depth >= MAX_CHAIN:
             return None
         stats.ops.delta_encode_bytes += len(payload)
         tracer = self.tracer
@@ -134,7 +138,7 @@ class DeltaStage:
             tracer.metrics.counter("delta_bytes_saved_total").inc(saved)
         self._refs.setdefault(namespace, {})[fp] = ref
         depth = base.depth + 1
-        if depth < self.max_chain:
+        if depth < MAX_CHAIN:
             self._admit_base(namespace, fp, payload, ref, depth, sketch)
         return ref
 

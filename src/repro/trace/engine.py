@@ -2,9 +2,11 @@
 
 Executes one :class:`~repro.core.options.SchemeConfig` over composition
 snapshots.  The per-file decisions — tiny-file filter, per-category
-chunk/hash policy, optional file-level tier, index namespace — come
-from the same :meth:`SchemeConfig.plan_file` the real
-:class:`~repro.core.backup.BackupClient` asks; this engine only
+chunk/hash policy, index namespace — come from the same
+:meth:`SchemeConfig.plan_file` the real
+:class:`~repro.core.backup.BackupClient` asks, and Jungle-Disk change
+detection from the same :func:`~repro.core.filecache.unchanged`; this
+engine only
 *accounts* for the bytes instead of moving them.  Additionally it
 models index RAM residency: each lookup/insert against a namespace whose
 entry population exceeds the residency budget accrues expected random
@@ -15,16 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Set
+from typing import Dict, NamedTuple, Set
 
 from repro.chunking import CDC_FAMILY
 from repro.classify.filetype import classify_name
+from repro.core.filecache import unchanged
 from repro.core.options import SchemeConfig
 from repro.core.stats import SessionStats
 from repro.simulate.cpumodel import CPUModel, PAPER_CPU
 from repro.simulate.diskmodel import (DiskModel, IndexResidencyModel,
                                       PAPER_DISK, PAPER_RESIDENCY)
-from repro.trace.simchunk import BoundaryModel, sim_chunks, wfc_id
+from repro.trace.simchunk import BoundaryModel, sim_chunks
 from repro.workloads.compose import Snapshot
 
 __all__ = ["TraceBackupClient", "modelled_stage_seconds"]
@@ -82,6 +85,13 @@ def modelled_stage_seconds(stats: SessionStats,
     }
 
 
+class _Meta(NamedTuple):
+    """What Jungle-Disk change detection remembers of a file."""
+
+    size: int
+    mtime_ns: int
+
+
 @dataclass
 class _StreamState:
     """Open-container fill level for one backup stream."""
@@ -99,9 +109,8 @@ class TraceBackupClient:
         self.residency = residency
         #: namespace -> set of chunk ids (the index population).
         self.indices: Dict[str, Set[int]] = {}
-        self._file_tier: Dict[int, int] = {}
         self._boundaries = BoundaryModel()
-        self._prev_meta: Dict[str, tuple] = {}
+        self._prev_meta: Dict[str, _Meta] = {}
         self._streams: Dict[str, _StreamState] = {}
         self._synced_entries = 0
         self._session = 0
@@ -195,8 +204,9 @@ class TraceBackupClient:
         plan = cfg.plan_file(app, comp.size)
 
         if cfg.incremental_only:
-            meta = (comp.size, snapshot.mtimes.get(path, 0))
-            if self._prev_meta.get(path) == meta:
+            prev = self._prev_meta.get(path)
+            if prev is not None and unchanged(
+                    prev, comp.size, snapshot.mtimes.get(path, 0)):
                 stats.files_unchanged += 1
                 return 1
             stats.ops.read_bytes += comp.size
@@ -215,16 +225,6 @@ class TraceBackupClient:
             return 1
 
         policy = plan.policy
-        if plan.file_tier:
-            fid = wfc_id(comp)
-            stats.ops.add_hashed("sha1", comp.size)
-            stats.ops.index_lookups += 1
-            if fid in self._file_tier:
-                stats.ops.index_hits += 1
-                return self._file_tier[fid]
-        else:
-            fid = None
-
         namespace = plan.namespace
         params = dict(policy.chunker_params)
         if policy.chunker in CDC_FAMILY:
@@ -249,8 +249,6 @@ class TraceBackupClient:
                 self._insert(namespace, chunk_id)
                 stats.chunks_unique += 1
                 self._store_unique(length, namespace, stats)
-        if fid is not None:
-            self._file_tier[fid] = len(chunks)
         return len(chunks)
 
     def backup(self, snapshot: Snapshot) -> SessionStats:
@@ -289,7 +287,7 @@ class TraceBackupClient:
                 self._synced_entries = total_entries
 
         stats.ops.index_disk_probes = int(math.ceil(self._disk_ios))
-        self._prev_meta = {path: (c.size, snapshot.mtimes.get(path, 0))
+        self._prev_meta = {path: _Meta(c.size, snapshot.mtimes.get(path, 0))
                            for path, c in snapshot.files.items()}
         self.cumulative_uploaded += stats.bytes_uploaded
         self.cumulative_puts += stats.put_requests

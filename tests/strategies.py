@@ -1,0 +1,48 @@
+"""Hypothesis strategies shared by the property tests.
+
+:func:`legal_scheme_configs` draws only configurations the constructor
+accepts, by construction rather than by filtering: a scheme, then the
+engine features that scheme can run.
+"""
+
+from __future__ import annotations
+
+from hypothesis import strategies as st
+
+from repro.baselines import all_scheme_configs
+from repro.chunking import CDC_FAMILY
+from repro.classify import Category
+from repro.util.units import KIB
+
+
+@st.composite
+def legal_scheme_configs(draw):
+    """A legal :class:`~repro.core.options.SchemeConfig`: one of the five
+    schemes with a drawn combination of the features it can run."""
+    config = draw(st.sampled_from(all_scheme_configs()))
+    changes = dict(
+        index_layout=draw(st.sampled_from(["app", "global", "tier"])),
+        pipeline_uploads=draw(st.booleans()),
+        resumable=draw(st.booleans()),
+        use_containers=draw(st.booleans()),
+        container_size=draw(st.sampled_from([4 * KIB, 64 * KIB])),
+    )
+    if not config.incremental_only:
+        encrypt = draw(st.booleans())
+        changes.update(
+            encrypt_chunks=encrypt,
+            # Convergent ciphertexts destroy resemblance.
+            delta_compress=not encrypt and draw(st.booleans()),
+            stat_cache=draw(st.booleans()),
+            parallel_workers=draw(st.sampled_from([1, 2])),
+        )
+        if any(policy.chunker in CDC_FAMILY
+               for policy in config.policy_table.values()):
+            chunker = draw(st.sampled_from((None,) + CDC_FAMILY))
+            if chunker is not None:
+                config = config.with_chunker(chunker)
+        # A per-app override needs a chunkable base: not WFC.
+        if config.policy_for(Category.DYNAMIC).chunker != "wfc":
+            changes["app_chunkers"] = draw(
+                st.sampled_from([None, {"doc": "gear"}]))
+    return config.with_(**changes)

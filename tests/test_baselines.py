@@ -77,6 +77,20 @@ class TestJungleDisk:
         assert len(cloud.list(naming.FILE_PREFIX)) == 5
         assert cloud.list(naming.CONTAINER_PREFIX) == []
 
+    def test_containers_pack_changed_files(self, week1, week2):
+        # With containers on, changed files go into containers like
+        # every other scheme's unique data; unchanged ones replay.
+        cfg = jungle_disk_config(use_containers=True,
+                                 container_size=64 * 1024)
+        cloud, _client, (s1, s2) = run(cfg, week1, week2)
+        assert cloud.list(naming.FILE_PREFIX) == []
+        assert cloud.list(naming.CONTAINER_PREFIX)
+        assert s2.files_unchanged == 4
+        assert s2.bytes_unique == 80_000 + 10
+        for sid, (files, _m) in enumerate([week1, week2]):
+            out, _ = RestoreClient(cloud).restore_to_memory(sid)
+            assert out == files
+
 
 class TestBackupPC:
     def test_file_level_dedup(self, week1):
@@ -144,14 +158,6 @@ class TestSAM:
         _cloud, client, _ = run(sam_config(), week1)
         # Tier layout: "wfc" tier for compressed, "cdc" tier for the rest.
         assert set(client.index.apps) == {"wfc", "cdc"}
-
-    def test_file_level_first_engine_feature(self, week1):
-        # SAM-style file-tier shortcut remains available as an engine
-        # option: a second identical session re-chunks nothing.
-        cfg = sam_config(file_level_first=True)
-        _cloud, _client, (s1, s2) = run(cfg, week1, week1)
-        assert s2.ops.cdc_scanned_bytes == 0
-        assert s2.ops.chunks_produced == 2  # the two WFC mp3 "chunks"
 
     def test_space_close_to_avamar(self, week1, week2):
         _c1, _cl1, (a1, a2) = run(avamar_config(), week1, week2)

@@ -11,14 +11,13 @@ from repro.classify import (
     classify_path,
     classify_file,
     known_app_types,
-    policy_for_category,
-    policy_for_path,
     register_app_type,
     sniff_bytes,
 )
 from repro.chunking import (FastCDC, GearCDC, RabinCDC, SeqCDC,
                             StaticChunker, WholeFileChunker)
-from repro.classify.policy import cdc_policy_variant, make_chunker
+from repro.classify.policy import make_chunker, retarget_policy
+from repro.core.options import SchemeConfig, aa_dedupe_config
 from repro.errors import ConfigError
 
 
@@ -123,15 +122,20 @@ class TestPolicyTable:
         assert chunker.window == 48
 
     def test_policy_for_path(self):
-        app, policy = policy_for_path("backup/report.doc")
+        app = classify_path("backup/report.doc")
         assert app.label == "doc"
-        assert policy.chunker == "cdc"
+        assert aa_dedupe_config().policy_for_app(app).chunker == "cdc"
 
     def test_policy_for_category_custom_table(self):
-        table = {Category.COMPRESSED: AA_POLICY_TABLE[Category.DYNAMIC]}
-        assert policy_for_category(Category.COMPRESSED, table).chunker == "cdc"
-        with pytest.raises(ConfigError):
-            policy_for_category(Category.STATIC, table)
+        # A scheme's table must cover every category: a gap is refused
+        # at construction, never discovered mid-backup.
+        cdc = AA_POLICY_TABLE[Category.DYNAMIC]
+        table = dict.fromkeys(Category, cdc)
+        assert SchemeConfig("x", policy_table=table).policy_for(
+            Category.COMPRESSED) is cdc
+        with pytest.raises(ConfigError, match="static"):
+            SchemeConfig("x", policy_table={Category.COMPRESSED: cdc,
+                                            Category.DYNAMIC: cdc})
 
     def test_fingerprinter_resolution(self):
         for policy in AA_POLICY_TABLE.values():
@@ -159,7 +163,7 @@ class TestPolicyTable:
 class TestCDCPolicyVariant:
     def test_retarget_keeps_geometry_drops_engine_params(self):
         base = AA_POLICY_TABLE[Category.DYNAMIC]
-        variant = cdc_policy_variant(base, "fastcdc")
+        variant = retarget_policy(base, "fastcdc")
         assert variant.chunker == "fastcdc"
         assert variant.hash_name == base.hash_name
         assert "window" not in variant.chunker_params
@@ -169,12 +173,12 @@ class TestCDCPolicyVariant:
 
     def test_same_engine_is_identity(self):
         base = AA_POLICY_TABLE[Category.DYNAMIC]
-        assert cdc_policy_variant(base, "cdc") is base
+        assert retarget_policy(base, "cdc") is base
 
     def test_non_cdc_policy_rejected(self):
         with pytest.raises(ConfigError):
-            cdc_policy_variant(AA_POLICY_TABLE[Category.COMPRESSED], "gear")
+            retarget_policy(AA_POLICY_TABLE[Category.COMPRESSED], "gear")
 
     def test_unknown_target_rejected(self):
         with pytest.raises(ConfigError):
-            cdc_policy_variant(AA_POLICY_TABLE[Category.DYNAMIC], "bogus")
+            retarget_policy(AA_POLICY_TABLE[Category.DYNAMIC], "bogus")

@@ -192,6 +192,19 @@ class TestMaintenanceCommands:
                      "AA-Dedupe"):
             assert name in out
 
+    def test_schemes_granularity_column(self, capsys):
+        # One-policy tables print their chunker; mixed tables print as
+        # adaptive, whatever the table is made of.
+        assert run("schemes") == 0
+        rows = {line.split("|")[0].strip(): line.split("|")[1].strip()
+                for line in capsys.readouterr().out.splitlines()
+                if "|" in line}
+        assert rows["JungleDisk"] == "whole file (incremental)"
+        assert rows["BackupPC"] == "WFC"
+        assert rows["Avamar"] == "CDC"
+        assert rows["SAM"] == "per-category (adaptive)"
+        assert rows["AA-Dedupe"] == "per-category (adaptive)"
+
 
 class TestDeltaFlag:
     def test_backup_with_delta_and_restore(self, source_tree, tmp_path,

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.classify.filetype import Category
-from repro.classify.policy import DedupPolicy
 from repro.cloud import InMemoryBackend
 from repro.core import (
     BackupClient,
@@ -197,15 +196,7 @@ class TestAAPipeline:
 class TestConfigValidation:
     def test_bad_index_layout(self):
         with pytest.raises(ConfigError):
-            SchemeConfig(name="x", index_layout="nope",
-                         fixed_policy=DedupPolicy("wfc", "md5"))
-
-    def test_policy_exclusivity(self):
-        with pytest.raises(ConfigError):
-            SchemeConfig(name="x")  # neither table nor fixed
-        with pytest.raises(ConfigError):
-            SchemeConfig(name="x", fixed_policy=DedupPolicy("wfc", "md5"),
-                         policy_table={})
+            SchemeConfig(name="x", index_layout="nope")
 
     def test_incremental_needs_no_policy(self):
         cfg = SchemeConfig(name="inc", incremental_only=True,

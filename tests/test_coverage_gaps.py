@@ -113,13 +113,10 @@ class TestMiscGaps:
 
     def test_tier_layout_requires_policy(self):
         # index_namespace with tier layout groups by chunker name.
+        from repro.classify import AA_POLICY_TABLE, Category
+        policy = AA_POLICY_TABLE[Category.DYNAMIC]
         cfg = SchemeConfig(name="x", index_layout="tier",
-                           policy_table=None,
-                           fixed_policy=aa_dedupe_config().policy_for(
-                               __import__("repro.classify.filetype",
-                                          fromlist=["Category"]
-                                          ).Category.DYNAMIC))
-        policy = cfg.fixed_policy
+                           policy_table=dict.fromkeys(Category, policy))
         assert cfg.index_namespace("whatever", policy) == policy.chunker
 
     def test_restore_no_verify_skips_counting(self, rng):

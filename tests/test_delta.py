@@ -212,10 +212,11 @@ class TestDeltaBackupIntegration:
         out, _ = RestoreClient(cloud).restore_to_memory(2)
         assert out["a.doc"] == v1
 
-    def test_chain_depth_capped_by_config(self, rng):
+    def test_chain_depth_capped_by_config(self, rng, monkeypatch):
+        monkeypatch.setattr("repro.delta.stage.MAX_CHAIN", 2)
         versions = self._versions(rng, n=6)
         cloud = InMemoryBackend()
-        client = BackupClient(cloud, _delta_config(delta_max_chain=2))
+        client = BackupClient(cloud, _delta_config())
         for v in versions:
             client.backup(MemorySource({"a.doc": v}))
         client.close()

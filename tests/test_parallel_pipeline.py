@@ -125,12 +125,9 @@ class TestParallelDedup:
     def test_config_guards(self):
         with pytest.raises(ConfigError):
             aa_dedupe_config(parallel_workers=0)
-        from repro.baselines import jungle_disk_config, sam_config
+        from repro.baselines import jungle_disk_config
         with pytest.raises(ConfigError):
             jungle_disk_config(parallel_workers=2)
-        with pytest.raises(ConfigError):
-            sam_config(parallel_workers=2, file_level_first=True,
-                       index_layout="app")
 
 
 def _doc_files(n_files, size=16 * KIB, seed=7):

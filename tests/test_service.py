@@ -79,7 +79,8 @@ class TestSpecParsing:
         "verify_on_restore", "read_workers", "chunk_workers",
         "hash_workers", "stage_queue_depth", "upload_queue_depth",
         "journal_flush_interval", "delta_cutoff", "delta_min_chunk",
-        "delta_sim_capacity", "delta_base_cache"])
+        "delta_sim_capacity", "delta_base_cache", "file_level_first",
+        "fixed_policy", "delta_max_chain"])
     def test_removed_scheme_knobs_rejected_by_name(self, field):
         # These SchemeConfig fields are gone (constants now); a job
         # file still naming one must fail loudly, naming the field.
