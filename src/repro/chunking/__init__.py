@@ -15,8 +15,8 @@ Rabin stays the paper-faithful CDC default, but the CDC slot is a
 (add-shift-gather gear hash), :class:`~repro.chunking.gear.FastCDC`
 (gear + normalized chunking) and :class:`~repro.chunking.seqcdc.SeqCDC`
 (hash-less ascending-run detection) are drop-in boundary engines with
-the same 2/8/16 KiB geometry, each with a vectorised slab scan and a
-pure-Python differential oracle.
+the same 2/8/16 KiB geometry, each with one vectorised slab scan
+(differential-tested against per-byte references kept with the tests).
 
 All implement :class:`~repro.chunking.base.Chunker` and are registered by
 name so scheme policies can reference them declaratively.

@@ -14,9 +14,9 @@ GF(2) linearity those bits are an XOR of masked per-byte tables, so
 :func:`~repro.hashing.rolling.window_candidates` evaluates just them:
 ⌊window/2⌋ vectorised gathers of masked byte-pair tables per slab instead
 of a per-byte interpreter loop; min/max enforcement then walks only the
-(sparse) candidate cut list.  A pure Python
-:class:`~repro.hashing.rolling.RollingRabin` path is kept as a
-cross-checked oracle (``use_numpy=False``).
+(sparse) candidate cut list.  The scan is the only path; the per-byte
+streaming reference it is checked against lives with the tests
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from repro.chunking.base import Chunker, register_chunker
 from repro.errors import ChunkingError
 from repro.hashing.rabin import POLY64
-from repro.hashing.rolling import RollingRabin, window_candidates
+from repro.hashing.rolling import window_candidates
 from repro.util.units import KIB
 
 __all__ = ["ContentDefinedChunker", "RabinCDC", "default_mask_bits"]
@@ -61,13 +61,11 @@ class ContentDefinedChunker(Chunker):
        candidate in ``[cut + min_size, cut + max_size]`` is taken, else
        a forced maximum-size cut is made.
 
-    Subclasses implement :meth:`_candidates_numpy` (the vectorised slab
-    scan) and :meth:`_candidates_python` (the per-byte oracle, kept as a
-    cross-checked reference — the two must be bit-identical, which the
-    differential tests enforce) and set ``use_numpy`` to pick between
-    them.  :class:`~repro.chunking.gear.FastCDC` overrides
-    :meth:`cut_points` for its two-mask normalized walk but keeps the
-    same candidate-scan contract.
+    Subclasses implement :meth:`_candidates`, the vectorised slab scan
+    (differential-tested against the byte-loop references in
+    ``tests/oracles.py``).  :class:`~repro.chunking.gear.FastCDC`
+    overrides :meth:`cut_points` for its two-mask normalized walk over
+    a pair of candidate arrays instead.
     """
 
     def __init__(self, avg_size: int, min_size: int, max_size: int) -> None:
@@ -78,7 +76,6 @@ class ContentDefinedChunker(Chunker):
         self.avg_size = avg_size
         self.min_size = min_size
         self.max_size = max_size
-        self.use_numpy = True
 
     # ------------------------------------------------------------------
     def expected_chunk_size(self) -> int:
@@ -90,17 +87,9 @@ class ContentDefinedChunker(Chunker):
         return float(min(self.expected_chunk_size(), self.max_size))
 
     # ------------------------------------------------------------------
-    def _candidates_numpy(self, data: bytes) -> np.ndarray:
+    def _candidates(self, data: bytes) -> np.ndarray:
         """Vectorised sorted array of candidate cut offsets."""
         raise NotImplementedError
-
-    def _candidates_python(self, data: bytes) -> np.ndarray:
-        """Per-byte oracle scan; must equal :meth:`_candidates_numpy`."""
-        raise NotImplementedError
-
-    def _candidates(self, data: bytes) -> np.ndarray:
-        return (self._candidates_numpy(data) if self.use_numpy
-                else self._candidates_python(data))
 
     def cut_points(self, data: bytes) -> List[int]:
         """Apply the candidate rule with min/max clamping over the buffer.
@@ -152,8 +141,7 @@ class RabinCDC(ContentDefinedChunker):
                  window: int = 48,
                  poly: int = POLY64,
                  mask_bits: int | None = None,
-                 magic: int | None = None,
-                 use_numpy: bool = True) -> None:
+                 magic: int | None = None) -> None:
         super().__init__(avg_size, min_size, max_size)
         if window < 1:
             raise ChunkingError("window must be >= 1")
@@ -165,7 +153,6 @@ class RabinCDC(ContentDefinedChunker):
             raise ChunkingError("mask_bits must be in [1, 63]")
         self.mask = (1 << self.mask_bits) - 1
         self.magic = self.mask if magic is None else (magic & self.mask)
-        self.use_numpy = use_numpy
 
     # ------------------------------------------------------------------
     def expected_chunk_size(self) -> int:
@@ -173,7 +160,7 @@ class RabinCDC(ContentDefinedChunker):
         return self.min_size + (1 << self.mask_bits)
 
     # ------------------------------------------------------------------
-    def _candidates_numpy(self, data: bytes) -> np.ndarray:
+    def _candidates(self, data: bytes) -> np.ndarray:
         """Sorted array of candidate cut offsets (end-exclusive positions).
 
         A window ending at byte ``i+window-1`` that satisfies the magic
@@ -182,17 +169,6 @@ class RabinCDC(ContentDefinedChunker):
         """
         return window_candidates(data, self.window, self.poly, self.mask,
                                  self.magic)
-
-    def _candidates_python(self, data: bytes) -> np.ndarray:
-        """Oracle candidate scan via the streaming rolling hash."""
-        roller = RollingRabin(window=self.window, poly=self.poly)
-        hits: List[int] = []
-        mask, magic, window = self.mask, self.magic, self.window
-        for pos, byte in enumerate(data):
-            fp = roller.push(byte)
-            if pos + 1 >= window and (fp & mask) == magic:
-                hits.append(pos + 1)
-        return np.asarray(hits, dtype=np.int64)
 
 
 register_chunker("cdc", RabinCDC)

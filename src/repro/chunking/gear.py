@@ -12,7 +12,7 @@ byte is *exactly* a function of the last 32 bytes — a sliding 32-byte
 window in disguise.  That windowed identity is what this module
 exploits twice:
 
-* **Slab scan** (``use_numpy=True``): all window hashes of a buffer are
+* **Slab scan**: all window hashes of a buffer are
   computed at once as 32 vectorised table-gathers + wrapping uint32
   adds (:func:`gear_window_hashes`) — mirroring the SeqCDC-style
   "process the buffer in slabs, not bytes" design.  A mask over the
@@ -28,8 +28,8 @@ Deviation from the FastCDC paper: the canonical formulation re-seeds
 depend on the previous cut.  We keep the hash rolling continuously
 (the "rolling two-byte-shifted Gear" used by ddelta/2409.06066), which
 makes every candidate purely content-local — the property that permits
-the one-pass slab scan and the exact pure-Python differential oracle
-(``use_numpy=False``), and strengthens boundary-shift resistance.
+the one-pass slab scan (checked against the per-byte recurrence kept in
+``tests/oracles.py``) and strengthens boundary-shift resistance.
 
 :class:`FastCDC` adds normalized chunking on top of the same candidate
 scan: a harder mask (more bits) before the normal point discourages
@@ -47,6 +47,7 @@ import numpy as np
 from repro.chunking.base import register_chunker
 from repro.chunking.cdc import ContentDefinedChunker, default_mask_bits
 from repro.errors import ChunkingError
+from repro.hashing.rolling import byte_view
 from repro.util.units import KIB
 
 __all__ = ["GearCDC", "FastCDC", "GEAR_BITS", "GEAR_WINDOW",
@@ -71,10 +72,8 @@ def gear_table(seed: int = _GEAR_SEED) -> np.ndarray:
                         dtype=np.uint64).astype(np.uint32)
 
 
-# Lazily-built shared state: the (window, 256) shifted-table stack for
-# the slab scan, and the table as Python ints for the oracle loop.
+# Lazily-built (window, 256) shifted-table stack for the slab scan.
 _TABLES: np.ndarray | None = None
-_GEAR_INTS: List[int] | None = None
 
 
 def _shifted_tables() -> np.ndarray:
@@ -92,13 +91,6 @@ def _shifted_tables() -> np.ndarray:
     return _TABLES
 
 
-def _gear_ints() -> List[int]:
-    global _GEAR_INTS
-    if _GEAR_INTS is None:
-        _GEAR_INTS = [int(v) for v in gear_table()]
-    return _GEAR_INTS
-
-
 def gear_window_hashes(data: bytes | np.ndarray) -> np.ndarray:
     """Gear hash of every complete 32-byte window of ``data``.
 
@@ -111,8 +103,7 @@ def gear_window_hashes(data: bytes | np.ndarray) -> np.ndarray:
     computed as 32 table gathers + wrapping uint32 adds over the whole
     buffer.
     """
-    arr = np.frombuffer(data, dtype=np.uint8) if not isinstance(
-        data, np.ndarray) else data.astype(np.uint8, copy=False)
+    arr = byte_view(data)
     n = arr.shape[0]
     if n < GEAR_WINDOW:
         return np.empty(0, dtype=np.uint32)
@@ -153,37 +144,24 @@ class GearCDC(ContentDefinedChunker):
                  min_size: int = 2 * KIB,
                  max_size: int = 16 * KIB,
                  mask_bits: int | None = None,
-                 magic: int | None = None,
-                 use_numpy: bool = True) -> None:
+                 magic: int | None = None) -> None:
         super().__init__(avg_size, min_size, max_size)
         self.window = GEAR_WINDOW
         self.mask_bits = (default_mask_bits(avg_size, min_size)
                           if mask_bits is None else mask_bits)
         self.mask = _high_mask(self.mask_bits)
         self.magic = self.mask if magic is None else (magic & self.mask)
-        self.use_numpy = use_numpy
 
     def expected_chunk_size(self) -> int:
         """Expected chunk length ``min_size + 2**mask_bits`` (pre-clamp)."""
         return self.min_size + (1 << self.mask_bits)
 
     # ------------------------------------------------------------------
-    def _candidates_numpy(self, data: bytes) -> np.ndarray:
+    def _candidates(self, data: bytes) -> np.ndarray:
         hashes = gear_window_hashes(data)
         hits = np.flatnonzero((hashes & np.uint32(self.mask))
                               == np.uint32(self.magic))
         return hits.astype(np.int64) + self.window
-
-    def _candidates_python(self, data: bytes) -> np.ndarray:
-        gear = _gear_ints()
-        mask, magic, window = self.mask, self.magic, self.window
-        h = 0
-        hits: List[int] = []
-        for pos, byte in enumerate(data):
-            h = ((h << 1) + gear[byte]) & 0xFFFFFFFF
-            if pos + 1 >= window and (h & mask) == magic:
-                hits.append(pos + 1)
-        return np.asarray(hits, dtype=np.int64)
 
 
 class FastCDC(ContentDefinedChunker):
@@ -212,8 +190,7 @@ class FastCDC(ContentDefinedChunker):
                  max_size: int = 16 * KIB,
                  normal_size: int | None = None,
                  norm_level: int = 2,
-                 mask_bits: int | None = None,
-                 use_numpy: bool = True) -> None:
+                 mask_bits: int | None = None) -> None:
         super().__init__(avg_size, min_size, max_size)
         self.window = GEAR_WINDOW
         self.normal_size = avg_size if normal_size is None else normal_size
@@ -231,18 +208,17 @@ class FastCDC(ContentDefinedChunker):
         self.large_bits = max(bits - norm_level, 1)
         self.mask_small = _high_mask(self.small_bits)
         self.mask_large = _high_mask(self.large_bits)
-        self.use_numpy = use_numpy
 
     def expected_chunk_size(self) -> int:
         """Normalization centres the distribution on ``avg_size``."""
         return self.avg_size
 
     # ------------------------------------------------------------------
-    # Candidate scans return *two* sorted cut-offset arrays: positions
+    # The candidate scan returns *two* sorted cut-offset arrays: positions
     # matching the small-region (hard) mask and the large-region (easy)
     # mask.  The small array is a subset of the large one by mask
     # nesting — asserted by the differential tests.
-    def _candidate_pair_numpy(
+    def _candidate_pair(
             self, data: bytes) -> Tuple[np.ndarray, np.ndarray]:
         hashes = gear_window_hashes(data)
         small = np.flatnonzero((hashes & np.uint32(self.mask_small))
@@ -251,38 +227,6 @@ class FastCDC(ContentDefinedChunker):
                                == np.uint32(self.mask_large))
         return (small.astype(np.int64) + self.window,
                 large.astype(np.int64) + self.window)
-
-    def _candidate_pair_python(
-            self, data: bytes) -> Tuple[np.ndarray, np.ndarray]:
-        gear = _gear_ints()
-        window = self.window
-        mask_s, mask_l = self.mask_small, self.mask_large
-        h = 0
-        small: List[int] = []
-        large: List[int] = []
-        for pos, byte in enumerate(data):
-            h = ((h << 1) + gear[byte]) & 0xFFFFFFFF
-            if pos + 1 < window:
-                continue
-            if (h & mask_l) == mask_l:
-                large.append(pos + 1)
-                if (h & mask_s) == mask_s:
-                    small.append(pos + 1)
-        return (np.asarray(small, dtype=np.int64),
-                np.asarray(large, dtype=np.int64))
-
-    def _candidate_pair(self, data: bytes) -> Tuple[np.ndarray, np.ndarray]:
-        return (self._candidate_pair_numpy(data) if self.use_numpy
-                else self._candidate_pair_python(data))
-
-    # The single-array hooks are still honoured (the shared invariants
-    # exercise them): the effective candidate set for bound purposes is
-    # the easy-mask one.
-    def _candidates_numpy(self, data: bytes) -> np.ndarray:
-        return self._candidate_pair_numpy(data)[1]
-
-    def _candidates_python(self, data: bytes) -> np.ndarray:
-        return self._candidate_pair_python(data)[1]
 
     def cut_points(self, data: bytes) -> List[int]:
         """Two-mask normalized walk.

@@ -10,8 +10,8 @@ The vectorised scan is the module's point: one ``uint8`` compare
 produces the ascent bitmap, ``seq_length - 2`` slab ANDs reduce it to
 "window all ascending", and ``flatnonzero`` yields the candidate list —
 no per-byte Python at all, and no table gathers either, making this the
-cheapest scan in the family.  The per-byte run-length loop is kept as
-the differential oracle (``use_numpy=False``).
+cheapest scan in the family.  The per-byte run-length reference it is
+differential-tested against lives in ``tests/oracles.py``.
 
 Default ``seq_length=7``: a strictly increasing 7-byte run occurs with
 probability ``C(256,7)/256**7 ≈ 1/5478`` per position on uniform bytes,
@@ -24,13 +24,12 @@ Observation-3 behaviour as the hash-based chunkers.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.chunking.base import register_chunker
 from repro.chunking.cdc import ContentDefinedChunker
 from repro.errors import ChunkingError
+from repro.hashing.rolling import byte_view
 from repro.util.units import KIB
 
 __all__ = ["SeqCDC"]
@@ -45,19 +44,16 @@ class SeqCDC(ContentDefinedChunker):
                  avg_size: int = 8 * KIB,
                  min_size: int = 2 * KIB,
                  max_size: int = 16 * KIB,
-                 seq_length: int = 7,
-                 use_numpy: bool = True) -> None:
+                 seq_length: int = 7) -> None:
         super().__init__(avg_size, min_size, max_size)
         if not 2 <= seq_length <= 256:
             raise ChunkingError("seq_length must be in [2, 256]")
         self.seq_length = seq_length
         self.window = seq_length
-        self.use_numpy = use_numpy
 
     # ------------------------------------------------------------------
-    def _candidates_numpy(self, data: bytes) -> np.ndarray:
-        arr = np.frombuffer(data, dtype=np.uint8) if not isinstance(
-            data, np.ndarray) else data.astype(np.uint8, copy=False)
+    def _candidates(self, data: bytes) -> np.ndarray:
+        arr = byte_view(data)
         n = arr.shape[0]
         w = self.seq_length
         if n < w:
@@ -69,16 +65,6 @@ class SeqCDC(ContentDefinedChunker):
         for k in range(1, w - 1):
             ok &= up[k: n - w + 1 + k]
         return np.flatnonzero(ok).astype(np.int64) + w
-
-    def _candidates_python(self, data: bytes) -> np.ndarray:
-        w = self.seq_length
-        hits: List[int] = []
-        run = 1
-        for pos in range(1, len(data)):
-            run = run + 1 if data[pos] > data[pos - 1] else 1
-            if run >= w:
-                hits.append(pos + 1)
-        return np.asarray(hits, dtype=np.int64)
 
 
 register_chunker("seqcdc", SeqCDC)

@@ -33,7 +33,8 @@ import numpy as np
 
 from repro.errors import DeltaError
 from repro.hashing.base import get_hash
-from repro.hashing.rolling import RollingRabin, window_fingerprints
+from repro.hashing.rabin import POLY64, _RabinCore
+from repro.hashing.rolling import window_fingerprints
 
 __all__ = ["Sketch", "compute_sketch", "DEFAULT_FEATURES", "DEFAULT_SUPER"]
 
@@ -100,7 +101,7 @@ def compute_sketch(data: bytes,
 
     fps = window_fingerprints(data, window=window)
     if fps.shape[0] == 0:
-        fps = np.array([RollingRabin.of(data, window=window)],
+        fps = np.array([_RabinCore(POLY64).digest_bytes(data)],
                        dtype=np.uint64)
     with np.errstate(over="ignore"):
         # (n_features, n_windows) permuted views; max-wise sampling.

@@ -27,7 +27,7 @@ from repro.hashing.rabin import (
     POLY32,
     is_irreducible,
 )
-from repro.hashing.rolling import RollingRabin, window_fingerprints
+from repro.hashing.rolling import window_fingerprints
 from repro.hashing.crypto import MD5Fingerprinter, SHA1Fingerprinter
 from repro.hashing.collision import (
     collision_probability,
@@ -46,7 +46,6 @@ __all__ = [
     "POLY64",
     "POLY32",
     "is_irreducible",
-    "RollingRabin",
     "window_fingerprints",
     "MD5Fingerprinter",
     "SHA1Fingerprinter",

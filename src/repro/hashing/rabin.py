@@ -5,8 +5,9 @@ polynomial ``m(x) = sum_i b_i(x) * x^{8(n-1-i)}`` over GF(2) and defines
 ``fp(m) = m(x) mod P(x)`` for a fixed irreducible polynomial ``P`` of
 degree ``d``; the fingerprint fits in ``d`` bits.  Because reduction mod
 ``P`` is *linear over GF(2)*, fingerprints compose with XOR — the property
-both the rolling window (:mod:`repro.hashing.rolling`) and the vectorised
-CDC boundary scan (:mod:`repro.chunking.cdc`) exploit.
+both the vectorised window scan (:mod:`repro.hashing.rolling`, behind the
+CDC boundary test) and the block digest exploit.  Both read the same
+cached shift tables ``S_m[b] = b·x^{8m} mod P`` (:func:`shift_rows`).
 
 The paper uses a *96-bit extended Rabin hash* (12 bytes) as the whole-file
 fingerprint for compressed files: cheap to compute, and at PC dataset
@@ -20,6 +21,9 @@ polynomials of degree 64 and 32.
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
+
 from repro.errors import HashError
 from repro.hashing.base import Fingerprinter, register_hash
 
@@ -30,6 +34,7 @@ __all__ = [
     "poly_mulmod",
     "is_irreducible",
     "make_shift_table",
+    "shift_rows",
     "RabinFingerprinter",
     "ExtendedRabinFingerprinter",
 ]
@@ -117,11 +122,49 @@ def is_irreducible(p: int) -> bool:
 def make_shift_table(poly: int, shift_bits: int) -> tuple:
     """Precompute ``T[b] = (b << shift_bits) mod poly`` for all bytes ``b``.
 
-    These 256-entry tables are the workhorse of every table-driven Rabin
-    operation: appending a byte, popping the oldest window byte, and the
-    vectorised window scan all reduce to XORs of table entries.
+    These 256-entry tables drive the byte-at-a-time Rabin operations:
+    appending a byte reduces to one XOR with ``T`` at ``shift_bits =
+    degree``.  The vectorised paths read :func:`shift_rows` instead.
     """
     return tuple(poly_mod(b << shift_bits, poly) for b in range(256))
+
+
+# ``poly`` -> the longest finished block of :func:`shift_rows`.  A longer
+# request extends a copy and publishes it whole, so threads racing on a
+# cold or short entry may build twice but never read a partial row.
+_SHIFT_ROWS: dict[int, np.ndarray] = {}
+
+
+def shift_rows(poly: int, count: int) -> np.ndarray:
+    """Rows ``S_m[b] = (b << 8m) mod poly`` for ``m < count`` (cached).
+
+    ``S_{m+1}`` is ``S_m`` times ``x^8``: one shift and one lookup in
+    the append table per entry, instead of a long polynomial division.
+    Returns a read-only ``(count, 256)`` uint64 array; the CDC window
+    tables and the block tables of :meth:`_RabinCore.digest_bytes_fast`
+    are both slices of it.
+    """
+    rows = _SHIFT_ROWS.get(poly)
+    if rows is None or rows.shape[0] < count:
+        degree = _degree(poly)
+        app = np.array(make_shift_table(poly, degree), dtype=np.uint64)
+        low, top = np.uint64((1 << degree) - 1), np.uint64(degree - 8)
+        grown = np.empty((max(count, 1), 256), dtype=np.uint64)
+        if rows is None:
+            grown[0] = np.arange(256, dtype=np.uint64)
+            have = 1
+        else:
+            have = rows.shape[0]
+            grown[:have] = rows
+        for m in range(have, count):
+            prev = grown[m - 1]
+            grown[m] = ((prev << np.uint64(8)) & low) ^ app[prev >> top]
+        grown.flags.writeable = False
+        current = _SHIFT_ROWS.get(poly)
+        if current is None or current.shape[0] < grown.shape[0]:
+            _SHIFT_ROWS[poly] = grown
+        rows = grown
+    return rows[:count]
 
 
 class _RabinCore:
@@ -163,28 +206,6 @@ class _RabinCore:
     #: Bytes per vectorised block (tables: (_BLOCK+8) x 256 entries).
     _BLOCK = 512
 
-    def _fast_tables(self):
-        """Lazily build ``S_m[b] = (b << 8m) mod P`` for m < BLOCK+8.
-
-        Built iteratively (``S_{m+1}[b] = shift8(S_m[b])``), so each of
-        the ~133k entries costs O(1) small-int work instead of a long
-        polynomial division.
-        """
-        tables = getattr(self, "_fast", None)
-        if tables is not None:
-            return tables
-        import numpy as np
-        shift8 = self.append_byte  # appending 0x00 == multiply by x^8
-        rows = [list(range(256))]
-        for _ in range(self._BLOCK + 7):
-            rows.append([shift8(v, 0) for v in rows[-1]])
-        # T[k] = S_{BLOCK-1-k}: contribution of block byte k.
-        block_tables = np.array(rows[self._BLOCK - 1::-1], dtype=np.uint64)
-        # C[j] = S_{BLOCK+j}: folds byte j of the running fingerprint.
-        carry_tables = rows[self._BLOCK: self._BLOCK + 8]
-        self._fast = (block_tables, carry_tables)
-        return self._fast
-
     def digest_bytes_fast(self, data: bytes, fp: int = 0) -> int:
         """Vectorised fingerprint: per-block NumPy gathers + serial fold.
 
@@ -193,7 +214,6 @@ class _RabinCore:
         once with ``BLOCK`` vectorised gathers; blocks then fold serially
         via ``fp' = fp·x^{8·BLOCK} ⊕ block_fp`` using 8 byte tables.
         """
-        import numpy as np
         n = len(data)
         block = self._BLOCK
         head = n % block
@@ -201,13 +221,15 @@ class _RabinCore:
             fp = self.append_byte(fp, b)
         if n == head:
             return fp
-        block_tables, carry = self._fast_tables()
+        rows = shift_rows(self.poly, block + 8)
         arr = np.frombuffer(data, dtype=np.uint8, offset=head).reshape(
             -1, block)
-        acc = block_tables[0][arr[:, 0]]
+        # Block byte k contributes S_{BLOCK-1-k}.
+        acc = rows[block - 1][arr[:, 0]]
         for k in range(1, block):
-            acc ^= block_tables[k][arr[:, k]]
-        c0, c1, c2, c3, c4, c5, c6, c7 = carry
+            acc ^= rows[block - 1 - k][arr[:, k]]
+        # C_j = S_{BLOCK+j} folds byte j of the running fingerprint.
+        c0, c1, c2, c3, c4, c5, c6, c7 = rows[block:].tolist()
         for block_fp in acc.tolist():
             fp = (c0[fp & 255] ^ c1[(fp >> 8) & 255]
                   ^ c2[(fp >> 16) & 255] ^ c3[(fp >> 24) & 255]

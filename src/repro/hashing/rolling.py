@@ -8,10 +8,11 @@ window starting at ``i`` equals::
 
     XOR_{k=0}^{W-1}  T_k[data[i + k]],   T_k[b] = (b << 8(W-1-k)) mod P
 
-Three evaluations of it are provided:
+The tables ``T_k`` are rows of :func:`~repro.hashing.rabin.shift_rows`,
+the one cached builder the block digest also reads.  Two evaluations of
+the sum are provided, both checked against a per-byte streaming
+reference kept with the tests:
 
-* :class:`RollingRabin` — streaming push/roll API, pure Python, exact and
-  suitable for incremental use and as a test oracle;
 * :func:`window_fingerprints` — all 64 bits of every window position of a
   buffer at once, ``W`` table gathers into one scratch buffer (the delta
   sketch's input, which needs every bit);
@@ -29,10 +30,9 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.errors import ChunkingError
-from repro.hashing.rabin import POLY64, _RabinCore, make_shift_table
+from repro.hashing.rabin import POLY64, shift_rows
 
-__all__ = ["RollingRabin", "SLAB", "pair_tables", "window_candidates",
+__all__ = ["SLAB", "byte_view", "pair_tables", "window_candidates",
            "window_fingerprints", "window_tables"]
 
 #: Window positions per slab of :func:`window_candidates`: the pair
@@ -41,92 +41,27 @@ __all__ = ["RollingRabin", "SLAB", "pair_tables", "window_candidates",
 SLAB = 64 * 1024
 
 
-class RollingRabin:
-    """Streaming Rabin fingerprint of the last ``window`` bytes pushed.
-
-    >>> r = RollingRabin(window=48)
-    >>> for b in bytes(range(48)):
-    ...     _ = r.push(b)
-    >>> r.value == RollingRabin.of(bytes(range(48)), window=48)
-    True
-    """
-
-    def __init__(self, window: int = 48, poly: int = POLY64) -> None:
-        if window < 1:
-            raise ChunkingError("window must be >= 1")
-        self.window = window
-        self._core = _RabinCore(poly)
-        # Popping the byte that leaves the window removes its contribution
-        # b * x^(8*window) (it has been shifted once more by the push).
-        self._pop = make_shift_table(poly, 8 * window)
-        self._buf = bytearray()
-        self._pos = 0
-        #: Current fingerprint of the most recent ``window`` bytes.
-        self.value = 0
-
-    @classmethod
-    def of(cls, data: bytes, window: int = 48, poly: int = POLY64) -> int:
-        """Fingerprint of exactly the last ``window`` bytes of ``data``."""
-        r = cls(window=window, poly=poly)
-        for b in data[-window:] if len(data) >= window else data:
-            r.push(b)
-        return r.value
-
-    def push(self, byte: int) -> int:
-        """Slide the window forward by one byte; return the new fingerprint.
-
-        Until ``window`` bytes have been pushed the fingerprint covers the
-        partial window (matching the conventional CDC warm-up behaviour).
-        """
-        fp = self._core.append_byte(self.value, byte)
-        if len(self._buf) < self.window:
-            self._buf.append(byte)
-        else:
-            old = self._buf[self._pos]
-            self._buf[self._pos] = byte
-            self._pos = (self._pos + 1) % self.window
-            fp ^= self._pop[old]
-        self.value = fp
-        return fp
-
-    def reset(self) -> None:
-        """Clear the window (used when a chunk boundary is emitted)."""
-        self._buf.clear()
-        self._pos = 0
-        self.value = 0
-
-
 def window_tables(window: int, poly: int = POLY64) -> np.ndarray:
     """Return the ``(window, 256)`` uint64 table ``T_k[b]`` for the scan.
 
     ``T_k[b] = (b << 8*(window-1-k)) mod poly`` — byte ``k`` of the window
     contributes this value to the window fingerprint.  The table for the
-    paper's 48-byte window is 48·256·8 B = 96 KiB, i.e. L2-resident.
+    paper's 48-byte window is 48·256·8 B = 96 KiB, i.e. L2-resident.  A
+    read-only view of the cached :func:`~repro.hashing.rabin.shift_rows`.
     """
-    tables = np.empty((window, 256), dtype=np.uint64)
-    for k in range(window):
-        tables[k, :] = make_shift_table(poly, 8 * (window - 1 - k))
-    return tables
+    return shift_rows(poly, window)[::-1]
 
 
-# Caches of immutable tables.  An entry is inserted only once fully built
+# Masked pair tables.  An entry is inserted only once fully built
 # (``setdefault`` is atomic under the GIL), so threads racing on a cold
 # key may build twice but never read a partial table, and all of them
 # end up holding the one published object.
-_TABLE_CACHE: dict[tuple[int, int], np.ndarray] = {}
 _PAIR_CACHE: dict[tuple[int, int, int],
                   Tuple[np.ndarray, np.ndarray | None]] = {}
 
 
-def _cached_window_tables(window: int, poly: int) -> np.ndarray:
-    tables = _TABLE_CACHE.get((window, poly))
-    if tables is None:
-        tables = _TABLE_CACHE.setdefault((window, poly),
-                                         window_tables(window, poly))
-    return tables
-
-
-def _as_bytes_array(data: bytes | np.ndarray) -> np.ndarray:
+def byte_view(data: bytes | np.ndarray) -> np.ndarray:
+    """``data`` as a ``uint8`` array, without a copy for bytes input."""
     return np.frombuffer(data, dtype=np.uint8) if not isinstance(
         data, np.ndarray) else data.astype(np.uint8, copy=False)
 
@@ -137,14 +72,14 @@ def window_fingerprints(data: bytes | np.ndarray, window: int = 48,
 
     Returns a uint64 array of length ``len(data) - window + 1`` where entry
     ``i`` is the Rabin fingerprint of ``data[i : i + window]`` — bit-exact
-    with :class:`RollingRabin` (property-tested).  Runs in
+    with a per-byte rolling hash (property-tested).  Runs in
     ``O(window)`` vectorised passes over the buffer.
     """
-    arr = _as_bytes_array(data)
+    arr = byte_view(data)
     n = arr.shape[0]
     if n < window:
         return np.empty(0, dtype=np.uint64)
-    tables = _cached_window_tables(window, poly)
+    tables = window_tables(window, poly)
     m = n - window + 1
     idx = arr.astype(np.intp)
     out = np.take(tables[0], idx[:m])
@@ -179,7 +114,7 @@ def pair_tables(window: int, poly: int, mask: int
     if cached is not None:
         return cached
     dtype = _mask_dtype(mask)
-    masked = (_cached_window_tables(window, poly)
+    masked = (window_tables(window, poly)
               & np.uint64(mask)).astype(dtype)
     half = window // 2
     pairs = np.empty((half, 1 << 16), dtype=dtype)
@@ -204,7 +139,7 @@ def window_candidates(data: bytes | np.ndarray, window: int, poly: int,
     (:func:`pair_tables`), so transient memory is bounded by the slab,
     not the buffer.
     """
-    arr = _as_bytes_array(data)
+    arr = byte_view(data)
     n = arr.shape[0]
     positions = n - window + 1
     if positions <= 0:

@@ -1,5 +1,6 @@
 """Tests for the chunking substrate: WFC, SC, the CDC family and shared
-invariants, including the vectorized-vs-reference differential oracles."""
+invariants, including the differential checks of every vectorised scan
+against the per-byte references in ``tests/oracles.py``."""
 
 import hashlib
 import sys
@@ -27,9 +28,14 @@ from repro.chunking.base import available_chunkers
 from repro.chunking.cdc import default_mask_bits
 from repro.chunking.gear import GEAR_WINDOW, gear_table, gear_window_hashes
 from repro.errors import ChunkingError
-from repro.hashing import rolling
-from repro.hashing.rolling import SLAB, RollingRabin, pair_tables
+from repro.hashing import rabin, rolling
+from repro.hashing.rolling import SLAB, pair_tables
 from repro.util.units import KIB
+from tests.oracles import (
+    RollingRabin,
+    reference_candidates,
+    reference_cut_points,
+)
 
 
 def assert_partition(chunker, data: bytes) -> list:
@@ -137,9 +143,8 @@ class TestRabinCDC:
 
     def test_numpy_matches_python_oracle(self, random_bytes):
         data = random_bytes[:96 * 1024]
-        fast = RabinCDC(use_numpy=True)
-        slow = RabinCDC(use_numpy=False)
-        assert fast.cut_points(data) == slow.cut_points(data)
+        cdc = RabinCDC()
+        assert cdc.cut_points(data) == reference_cut_points(cdc, data)
 
     def test_content_defined_boundaries_survive_insert(self, random_bytes):
         data = random_bytes[:128 * 1024]
@@ -333,6 +338,14 @@ class TestFastCDC:
         small, large = fast._candidate_pair(random_bytes)
         assert set(small.tolist()) <= set(large.tolist())
 
+    def test_level0_full_normal_cuts_like_gear(self, random_bytes):
+        # With no normalization and the normal point at the maximum, the
+        # two-mask walk degenerates to the plain gear walk.
+        fast = FastCDC(norm_level=0, normal_size=16 * KIB)
+        for data in (random_bytes, bytes(40_000),
+                     bytes(range(256)) * 100):
+            assert fast.cut_points(data) == GearCDC().cut_points(data)
+
     def test_normalization_tightens_distribution(self, rng):
         """The two-mask walk trades tail chunks for centre chunks: far
         fewer forced maximum-size cuts than the single-mask gear scan,
@@ -395,33 +408,46 @@ class TestSeqCDC:
         assert 0.5 * seq.avg_size < mean < 1.6 * seq.avg_size
 
 
+def _scan(chunker, data: bytes):
+    """The production candidate scan, shaped like
+    :func:`tests.oracles.reference_candidates`."""
+    if isinstance(chunker, FastCDC):
+        return chunker._candidate_pair(data)
+    return chunker._candidates(data)
+
+
+def _same_candidates(got, want) -> bool:
+    if isinstance(want, tuple):
+        return all(np.array_equal(g, w) for g, w in zip(got, want))
+    return np.array_equal(got, want)
+
+
 class TestDifferentialOracles:
-    """Vectorized slab scans must be byte-identical to the pure-Python
-    reference implementations — on random buffers and on every
-    adversarial input class from the issue."""
+    """Vectorized slab scans and the ``searchsorted`` walk must be
+    byte-identical to the per-byte references in ``tests/oracles.py`` —
+    on random buffers and on every adversarial input class."""
 
     @pytest.mark.parametrize("cls", _fast_classes(),
                              ids=lambda c: c.name)
     def test_cut_points_identical(self, cls, rng):
         for label, data in _adversarial_cases(rng).items():
-            fast = cls(use_numpy=True)
-            slow = cls(use_numpy=False)
-            assert fast.cut_points(data) == slow.cut_points(data), label
+            chunker = cls()
+            assert chunker.cut_points(data) == reference_cut_points(
+                chunker, data), label
 
     @pytest.mark.parametrize("cls", _fast_classes(),
                              ids=lambda c: c.name)
     def test_candidates_identical(self, cls, rng):
         for label, data in _adversarial_cases(rng).items():
             chunker = cls()
-            assert np.array_equal(
-                chunker._candidates_numpy(data),
-                chunker._candidates_python(data)), label
+            assert _same_candidates(_scan(chunker, data),
+                                    reference_candidates(chunker, data)), label
 
     def test_fastcdc_candidate_pair_identical(self, rng):
         fast = FastCDC()
         for label, data in _adversarial_cases(rng).items():
-            ns, nl = fast._candidate_pair_numpy(data)
-            ps, pl = fast._candidate_pair_python(data)
+            ns, nl = fast._candidate_pair(data)
+            ps, pl = reference_candidates(fast, data)
             assert np.array_equal(ns, ps) and np.array_equal(nl, pl), label
 
     @pytest.mark.parametrize("params", _RABIN_GEOMETRIES,
@@ -434,14 +460,14 @@ class TestDifferentialOracles:
         # through retarget_policy on a large SC base).
         chunker = RabinCDC(**params)
         for label, data in _adversarial_cases(rng).items():
-            assert np.array_equal(chunker._candidates_numpy(data),
-                                  chunker._candidates_python(data)), label
+            assert np.array_equal(chunker._candidates(data),
+                                  reference_candidates(chunker, data)), label
             # A magic planted from the data itself guarantees hits even
             # under masks too wide for random data to match.
             planted = RabinCDC(**{**params, "magic": _planted_magic(
                 data, chunker.window)})
-            assert np.array_equal(planted._candidates_numpy(data),
-                                  planted._candidates_python(data)), label
+            assert np.array_equal(planted._candidates(data),
+                                  reference_candidates(planted, data)), label
 
     @pytest.mark.parametrize("window", [48, 47])
     def test_rabin_slab_edges(self, window, rng, fresh_pair_cache):
@@ -452,8 +478,8 @@ class TestDifferentialOracles:
             planted = RabinCDC(window=window, mask_bits=20,
                                magic=_planted_magic(data, window))
             for c in (chunker, planted):
-                assert np.array_equal(c._candidates_numpy(data),
-                                      c._candidates_python(data)), n
+                assert np.array_equal(c._candidates(data),
+                                      reference_candidates(c, data)), n
 
     @given(window=st.integers(min_value=1, max_value=64),
            mask_bits=st.integers(min_value=1, max_value=40),
@@ -465,14 +491,15 @@ class TestDifferentialOracles:
         chunker = RabinCDC(window=window, mask_bits=mask_bits, magic=magic)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rolling, "_PAIR_CACHE", {})
-            assert np.array_equal(chunker._candidates_numpy(data),
-                                  chunker._candidates_python(data))
+            assert np.array_equal(chunker._candidates(data),
+                                  reference_candidates(chunker, data))
 
     def test_rabin_cold_cache_threads_agree(self, rng, monkeypatch):
-        """Prepare threads racing on a cold pair-table cache all cut
-        identically and end up sharing the one published table."""
+        """Prepare threads racing on cold pair-table and shift-row
+        caches all cut identically and end up sharing the one published
+        pair table."""
         data = rng.integers(0, 256, 3 * SLAB, dtype=np.uint8).tobytes()
-        expected = RabinCDC(use_numpy=False).cut_points(data)
+        expected = reference_cut_points(RabinCDC(), data)
         chunker = RabinCDC()
         key = (chunker.window, chunker.poly, chunker.mask)
         threads = 4  # more than the staged engine's two, and the cores
@@ -489,6 +516,7 @@ class TestDifferentialOracles:
         try:
             for _ in range(5):
                 monkeypatch.setattr(rolling, "_PAIR_CACHE", {})
+                monkeypatch.setattr(rabin, "_SHIFT_ROWS", {})
                 barrier = threading.Barrier(threads)
                 results: dict = {}
                 pool = [threading.Thread(target=worker,
@@ -502,6 +530,7 @@ class TestDifferentialOracles:
                 assert [results[i] for i in range(threads)] == \
                     [expected] * threads
                 assert list(rolling._PAIR_CACHE) == [key]
+                assert list(rabin._SHIFT_ROWS) == [chunker.poly]
                 assert pair_tables(*key) is rolling._PAIR_CACHE[key]
         finally:
             sys.setswitchinterval(old)

@@ -33,8 +33,10 @@ from repro.delta import (
     encode_if_worthwhile,
     validate_delta,
 )
+from repro.delta.sketch import DEFAULT_FEATURES, DEFAULT_SUPER, _feature_params
 from repro.errors import ConfigError, RestoreError
 from repro.hashing import get_hash, hash_for_digest_len
+from tests.oracles import RollingRabin
 
 
 def _delta_config(**overrides) -> SchemeConfig:
@@ -122,6 +124,28 @@ class TestSketchAndSimIndex:
         assert compute_sketch(data) == compute_sketch(data)
         assert compute_sketch(data).matches(compute_sketch(near)) > 0
         assert compute_sketch(data).matches(compute_sketch(far)) == 0
+
+    def test_short_chunk_sketch_matches_rolling_oracle(self):
+        # Chunks up to one window long take the whole-buffer fallback;
+        # both it and the one-window scan must equal the sketch built
+        # from the streaming reference's fingerprints.
+        md5 = get_hash("md5")
+        a, b = _feature_params(DEFAULT_FEATURES)
+        group = DEFAULT_FEATURES // DEFAULT_SUPER
+        data = np.random.default_rng(48).integers(
+            0, 256, 48, dtype=np.uint8).tobytes()
+        for n in range(49):
+            chunk = data[:n]
+            fps = [RollingRabin.of(chunk[:end], window=48)
+                   for end in range(min(n, 48), n + 1)]
+            with np.errstate(over="ignore"):
+                features = [max((int(x) * int(ai) + int(bi)) % 2**64
+                                for x in fps) for ai, bi in zip(a, b)]
+            expected = tuple(
+                md5.hash(np.array(features[g * group:(g + 1) * group],
+                                  dtype=np.uint64).tobytes())[:8]
+                for g in range(DEFAULT_SUPER))
+            assert compute_sketch(chunk).super_features == expected, n
 
     def test_probe_insert_discard(self, rng):
         data = rng.integers(0, 256, 8_000, dtype=np.uint8).tobytes()

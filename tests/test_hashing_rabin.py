@@ -1,20 +1,24 @@
 """Unit + property tests for Rabin fingerprinting (repro.hashing.rabin)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import HashError
+from repro.hashing import rabin
 from repro.hashing.base import available_hashes, get_hash
 from repro.hashing.rabin import (
     POLY32,
     POLY64,
     ExtendedRabinFingerprinter,
     RabinFingerprinter,
+    _RabinCore,
     is_irreducible,
     make_shift_table,
     poly_mod,
     poly_mulmod,
+    shift_rows,
 )
 
 
@@ -71,6 +75,25 @@ class TestShiftTable:
         table = make_shift_table(POLY64, 24)
         for b in (1, 7, 255):
             assert table[b] == poly_mod(b << 24, POLY64)
+
+    @pytest.mark.parametrize("poly", [POLY64, POLY32], ids=["64", "32"])
+    def test_shift_rows_grow_from_cold_cache(self, poly, monkeypatch):
+        # The one builder behind the CDC window tables and the block
+        # digest: a short request, then a longer one that extends it.
+        monkeypatch.setattr(rabin, "_SHIFT_ROWS", {})
+        short = shift_rows(poly, 48)
+        rows = shift_rows(poly, 520)
+        assert rabin._SHIFT_ROWS[poly].shape == (520, 256)
+        assert np.array_equal(rows[:48], short)
+        assert not rows.flags.writeable
+        for m in (0, 1, 8, 47, 48, 511, 519):
+            assert tuple(rows[m].tolist()) == make_shift_table(poly, 8 * m)
+        data = bytes(range(256)) * 20
+        core = _RabinCore(poly)
+        slow = 0
+        for b in data:
+            slow = core.append_byte(slow, b)
+        assert core.digest_bytes_fast(data) == slow
 
 
 class TestRabinFingerprinter:

@@ -1,4 +1,4 @@
-"""Tests for the rolling Rabin window and the vectorised batch scan."""
+"""Tests for the streaming Rabin reference and the vectorised batch scan."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ChunkingError
 from repro.hashing.rabin import POLY64, RabinFingerprinter
-from repro.hashing.rolling import RollingRabin, window_fingerprints, window_tables
+from repro.hashing.rolling import window_fingerprints, window_tables
+from tests.oracles import RollingRabin
 
 
 class TestRollingRabin:

@@ -153,6 +153,7 @@ class TestContainerProperty:
 # satisfy the same partition contract on arbitrary inputs.
 from repro.chunking import CDC_FAMILY  # noqa: E402
 from repro.chunking.base import available_chunkers, get_chunker  # noqa: E402
+from tests.oracles import reference_cut_points  # noqa: E402
 
 _chunk_inputs = st.one_of(
     st.binary(max_size=200),
@@ -192,12 +193,10 @@ class TestChunkerFamilyInvariants:
     @given(data=_chunk_inputs)
     @_slow
     def test_vectorized_matches_reference(self, name, data):
-        """Differential oracle: the NumPy slab scan of every CDC-family
-        engine cuts exactly where its pure-Python reference does."""
-        fast = get_chunker(name)
-        slow = get_chunker(name)
-        slow.use_numpy = False
-        assert fast.cut_points(data) == slow.cut_points(data)
+        """Differential oracle: every CDC-family engine cuts exactly
+        where its byte-loop reference chunker does."""
+        chunker = get_chunker(name)
+        assert chunker.cut_points(data) == reference_cut_points(chunker, data)
 
     @pytest.mark.parametrize("name", ["cdc", "gear", "fastcdc"])
     @pytest.mark.parametrize("prefix_len", [1, 7, 2 * KIB])
