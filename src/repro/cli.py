@@ -114,7 +114,7 @@ def cmd_backup(args) -> int:
                   f"saved beyond exact dedup "
                   f"({stats.delta_rejected} rejected by cutoff)")
         if stats.stage_busy_seconds:
-            order = ("read", "chunk", "hash", "commit", "pack", "upload")
+            order = ("read", "chunk", "hash", "commit", "upload")
             busy = stats.stage_busy_seconds
             parts = [f"{name} {format_seconds(busy[name])}"
                      for name in order if name in busy]
@@ -458,8 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "manifests are byte-identical either way)")
     p.add_argument("--pipeline", action=argparse.BooleanOptionalAction,
                    default=None,
-                   help="enable/disable overlapping container pack + "
-                        "upload with dedup (default: scheme setting)")
+                   help="enable/disable uploading sealed containers on "
+                        "one thread overlapping dedup (default: scheme "
+                        "setting)")
     p.add_argument("--quiet", action="store_true")
     p.add_argument("--profile", action="store_true",
                    help="trace the run; print a stage profile and write "

@@ -51,10 +51,11 @@ class ContainerManagerStats:
 class ContainerManager:
     """Packs unique chunks into fixed-size containers and uploads them.
 
-    ``upload(container_id, blob)`` is invoked synchronously when a
-    container seals — the core engine passes a callback that enqueues to
-    the (possibly pipelined) cloud uploader.  ``container_size`` defaults
-    to the paper's 1 MB.
+    A container seals (serialise, pad, CRC) inline, in the :meth:`add`
+    that fills it, and ``upload(container_id, blob)`` is invoked
+    synchronously with the sealed blob — the core engine passes a
+    callback that PUTs it, or hands it to the pipelined uploader.
+    ``container_size`` defaults to the paper's 1 MB.
     """
 
     def __init__(self,
@@ -62,8 +63,7 @@ class ContainerManager:
                  container_size: int = 1 * MIB,
                  pad_containers: bool = True,
                  first_container_id: int = 0,
-                 tracer=None,
-                 pack_async: bool = False) -> None:
+                 tracer=None) -> None:
         if container_size < 4096:
             raise ContainerError("container_size must be >= 4096")
         self._upload = upload
@@ -73,24 +73,9 @@ class ContainerManager:
         self._open: Dict[str, ContainerWriter] = {}
         self.stats = ContainerManagerStats()
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        # Parallel per-application dedup workers append to different
-        # streams but share id allocation, stats and the upload path.
+        # Callers on several threads append to different streams but
+        # share id allocation, stats and the upload path.
         self._lock = threading.RLock()
-        # -- async pack stage (pipelined engine only) -------------------
-        # Serialize + pad + upload hand-off runs on one dedicated
-        # thread so the commit path returns as soon as the chunk is
-        # appended.  Offsets and container ids are assigned at append
-        # time under the lock, so moving the seal off-thread cannot
-        # change manifest bytes.  One thread (not a pool) keeps seal
-        # spans and journal records ordered per manager.
-        self._packer = None
-        if pack_async:
-            # Imported here: repro.core's package import pulls in the
-            # engine, which imports this module.
-            from repro.core.pipeline import BackgroundWorker
-            self._packer = BackgroundWorker(
-                self._seal_now, name="aa-pack", what="container pack",
-                error_cls=ContainerError)
 
     # ------------------------------------------------------------------
     def _new_writer(self, capacity: int | None = None) -> ContainerWriter:
@@ -101,13 +86,6 @@ class ContainerManager:
 
     def _seal(self, writer: ContainerWriter, *, pad: bool,
               stream: str = "default") -> None:
-        if self._packer is not None:
-            self._pack(self._packer.submit, writer, pad, stream)
-            return
-        self._seal_now(writer, pad, stream)
-
-    def _seal_now(self, writer: ContainerWriter, pad: bool,
-                  stream: str) -> None:
         tracer = self.tracer
         with tracer.span("container.seal", app=stream,
                          container=writer.container_id,
@@ -124,24 +102,6 @@ class ContainerManager:
                 "container_payload_bytes",
                 CHUNK_SIZE_BUCKETS).observe(writer.data_size)
 
-    def _pack(self, call: Callable[..., None], *args) -> None:
-        """Run one pack-worker call.  A seal failure is reported once:
-        the manager outlives the session that hit it, so the worker is
-        reset for the next one (seals queued behind the failure were
-        dropped, not uploaded)."""
-        try:
-            call(*args)
-        except ContainerError:
-            self._packer.reset()
-            raise
-
-    @property
-    def pack_busy_seconds(self) -> float:
-        """Seconds the async pack thread has spent sealing (0 when
-        seals run synchronously)."""
-        return (self._packer.busy_seconds if self._packer is not None
-                else 0.0)
-
     # ------------------------------------------------------------------
     def add(self, fingerprint: bytes, data: bytes,
             stream: str = "default", *, tiny_file: bool = False,
@@ -153,11 +113,10 @@ class ContainerManager:
         time) even though the container uploads later — this is what lets
         the deduplicator insert the index entry before the seal.
         ``delta`` marks the extent as a delta blob (scrub then validates
-        its encoding instead of expecting chunk plaintext).
-        Thread-safe (parallel per-application workers share the manager).
+        its encoding instead of expecting chunk plaintext).  An add that
+        fills a container seals it and raises whatever the upload
+        callback raises.  Thread-safe.
         """
-        if self._packer is not None:
-            self._pack(self._packer.check)  # surface seal failures early
         with self._lock:
             return self._add_locked(fingerprint, data, stream,
                                     tiny_file=tiny_file, delta=delta)
@@ -194,10 +153,8 @@ class ContainerManager:
 
         End-of-session flush pads the final container to full size, per
         the paper ("if a container is not full but needs to be written to
-        disk, it is padded out to its full size").  With the async pack
-        stage, returns only after every queued seal has been handed to
-        the uploader — callers rely on flush as the "all containers
-        submitted" barrier before the manifest upload.
+        disk, it is padded out to its full size").  On return every
+        container has been handed to the upload callback.
         """
         with self._lock:
             streams = ([stream] if stream is not None
@@ -207,16 +164,16 @@ class ContainerManager:
                 if writer is not None and writer.chunk_count:
                     self._seal(writer, pad=self.pad_containers,
                                stream=name)
-        if self._packer is not None:
-            self._pack(self._packer.drain)
 
     def close(self) -> None:
-        """Flush open containers and stop the pack worker (if any)."""
-        try:
-            self.flush()
-        finally:
-            if self._packer is not None:
-                self._packer.close()
+        """Flush open containers."""
+        self.flush()
+
+    def discard_open(self) -> None:
+        """Drop every open container unsealed (its session failed, so
+        nothing may reference its extents)."""
+        with self._lock:
+            self._open.clear()
 
     @property
     def next_container_id(self) -> int:

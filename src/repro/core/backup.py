@@ -17,8 +17,9 @@ bare backend).  Every session is the paper's linear pipeline (Sec. III):
    against the per-app subindex (unique CDC/SC chunks optionally pass
    the :class:`~repro.delta.DeltaStage` first);
 4. **container management** — unique data accumulates into 1 MB padded
-   containers, optionally sealed and uploaded by background workers
-   overlapping deduplication (the paper's pipelined design);
+   containers, sealed by the append that fills them and uploaded inline
+   or, with ``pipeline_uploads``, on one uploader thread overlapping
+   deduplication (the paper's pipelined design);
 5. **manifest + periodic index synchronisation** to the cloud.
 
 All work is charged to :class:`~repro.core.stats.OpCounters` so the
@@ -30,9 +31,10 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import closing, contextmanager
 from dataclasses import replace
+from functools import partial
 from itertools import islice
 from typing import Callable, Dict, Iterable, Iterator, Optional
 
@@ -46,7 +48,7 @@ from repro.cloud.retry import RetryPolicy
 from repro.core.filecache import FileCache, read_epoch, unchanged
 from repro.core.journal import SessionJournal
 from repro.core.options import SchemeConfig, aa_dedupe_config
-from repro.core.pipeline import BackgroundWorker, WorkItem
+from repro.core.pipeline import WorkItem
 from repro.core.recipe import ChunkRef, FileEntry, Manifest
 from repro.core.source import SourceFile
 from repro.core.stats import SessionStats
@@ -66,6 +68,15 @@ __all__ = ["BackupClient"]
 #: Sealed containers / blobs that may wait for the WAN before the commit
 #: loop blocks (``pipeline_uploads``).
 _UPLOAD_QUEUE_DEPTH = 4
+
+
+class _Retried:
+    """The reads of ``cloud``, each one request under ``call`` (the
+    client's retry policy)."""
+
+    def __init__(self, call, cloud) -> None:
+        self.list = partial(call, cloud.list)
+        self.get = partial(call, cloud.get)
 
 
 class BackupClient:
@@ -107,7 +118,14 @@ class BackupClient:
         self._next_session = 0
         self._chunkers: Dict[tuple, Chunker] = {}
         self._chunkers_lock = threading.Lock()
-        self._uploader: Optional[BackgroundWorker] = None
+        #: The pipelined uploader's one thread and its window of
+        #: in-flight PUTs, oldest first (``None`` outside a pipelined
+        #: session); the flag fails the window fast, the seconds are
+        #: the thread's busy time.
+        self._uploader: Optional[ThreadPoolExecutor] = None
+        self._uploads: Optional[deque] = None
+        self._upload_failed = False
+        self._upload_busy = 0.0
         self._upload_watch = ConcurrentStopwatch()
         self._cloud_lock = threading.Lock()
         # -- cross-session stat cache (see repro.core.filecache) --------
@@ -116,9 +134,10 @@ class BackupClient:
             else None)
         #: Replays allowed this session (epoch validated, cache warm).
         self._replay_enabled = False
-        #: Per-thread application label of the file being committed, so
-        #: uploads triggered mid-file can be attributed to its app.
-        self._app_ctx = threading.local()
+        #: Application label of the file being committed, so uploads
+        #: triggered mid-file are attributed to its app (only the commit
+        #: thread sets or reads it).
+        self._app: Optional[str] = None
         self._journal: Optional[SessionJournal] = None
         self._sync = IndexSynchronizer(cloud, retry=retry)
         #: The store's GC epoch when this client's state was last
@@ -139,10 +158,6 @@ class BackupClient:
                                 if first_container_id is not None
                                 else self._resume_container_id()),
             tracer=self.tracer,
-            # Sealing (serialize + pad) moves off the commit thread only
-            # in pipelined mode; the paper-faithful serial schemes keep
-            # synchronous sealing so their accounting is unperturbed.
-            pack_async=self.config.pipeline_uploads,
         ) if self.config.use_containers else None
 
     def _resume_container_id(self) -> int:
@@ -170,23 +185,74 @@ class BackupClient:
             self._cloud_call(self.cloud.put, key, blob)
 
     def _put(self, key: str, blob: bytes) -> None:
-        """Upload a data object: inline, or queued to the uploader."""
+        """Upload a data object: inline, or into the uploader's window.
+        Runs on the commit thread only."""
         journal = self._journal
         if journal is not None and journal.completed(key, blob):
             return  # durably uploaded by the interrupted run
-        app = getattr(self._app_ctx, "label", None)
-        uploader = self._uploader
-        if uploader is None:
-            self._upload(key, blob, app)
+        uploads = self._uploads
+        if uploads is None:
+            self._upload(key, blob, self._app)
             return
+        # Backpressure, and fail fast: a full window (or a failed PUT)
+        # waits on the oldest job, and a failure raises from there.
+        while uploads and (len(uploads) >= _UPLOAD_QUEUE_DEPTH
+                           or self._upload_failed):
+            self._settle(uploads.popleft())
+        uploads.append(self._uploader.submit(self._upload_job, key, blob,
+                                             self._app))
         if self.tracer.enabled:
             self.tracer.metrics.gauge("uploader_queue_depth").set(
-                uploader.queue_depth + 1)
-        uploader.submit(key, blob, app)
+                len(uploads))
+
+    def _upload_job(self, key: str, blob: bytes, app: Optional[str]) -> None:
+        """One job on the uploader thread.  Once a PUT has failed, the
+        jobs queued behind it skip theirs."""
+        if self._upload_failed:
+            return
+        start = time.perf_counter()
+        try:
+            self._upload(key, blob, app)
+        except BaseException:
+            self._upload_failed = True
+            raise
+        finally:
+            self._upload_busy += time.perf_counter() - start
+
+    @staticmethod
+    def _settle(future: Future) -> None:
+        """Wait for one pipelined upload; re-raise its failure."""
+        try:
+            future.result()
+        except Exception as exc:
+            raise BackupError("pipelined upload failed") from exc
+
+    @contextmanager
+    def _upload_window(self, stats: SessionStats) -> Iterator[None]:
+        """With ``pipeline_uploads``, run the session's data PUTs on one
+        uploader thread; on a clean exit, wait for every one of them."""
+        if not self.config.pipeline_uploads:
+            yield
+            return
+        self._uploader = ThreadPoolExecutor(
+            1, thread_name_prefix="aa-uploader")
+        self._uploads = deque()
+        self._upload_failed = False
+        self._upload_busy = 0.0
+        try:
+            yield
+            while self._uploads:
+                self._settle(self._uploads.popleft())
+        finally:
+            # On an error this drops the queued PUTs and waits only for
+            # the one running.
+            self._uploader.shutdown(wait=True, cancel_futures=True)
+            self._uploader = self._uploads = None
+            stats.stage_busy_seconds["upload"] = self._upload_busy
 
     def _upload(self, key: str, blob: bytes, app: Optional[str]) -> None:
         """One durable upload: PUT, then journal it.  Runs on the
-        calling thread, or on the uploader's with ``pipeline_uploads``."""
+        commit thread, or on the uploader's with ``pipeline_uploads``."""
         attrs = {"key": key, "bytes": len(blob)}
         if app is not None:
             attrs["app"] = app
@@ -274,6 +340,25 @@ class BackupClient:
         if self._delta is not None:
             self._delta = DeltaStage(tracer=self.tracer)
 
+    def _abandon(self, first_id: int) -> None:
+        """Forget what a session that failed before its manifest placed.
+
+        Some of its uploads may never have become durable (the failed
+        PUT, and every pipelined one queued behind it), and a resumed
+        re-run renumbers its containers from the start.  So its open
+        containers are dropped unsealed, index entries into the
+        containers it numbered are discarded, and the next session
+        reconciles everything else (:meth:`_forget_swept`).
+        """
+        self._epoch = -1  # never an epoch: the next read reconciles
+        if self._containers is None:
+            return
+        self._containers.discard_open()
+        last_id = self._containers.next_container_id
+        for app, entry in list(self.index.entries()):
+            if first_id <= entry.container_id < last_id:
+                self.index.subindex(app).discard(entry.fingerprint)
+
     # -- the session ----------------------------------------------------
     def backup(self, source: Iterable[SourceFile],
                session_id: int | None = None) -> SessionStats:
@@ -302,8 +387,6 @@ class BackupClient:
         self.index.reset_stats()
         puts_before = self.cloud.stats.put_requests
         up_before = self.cloud.stats.bytes_uploaded
-        pack_before = (self._containers.pack_busy_seconds
-                       if self._containers is not None else 0.0)
         self._upload_watch = ConcurrentStopwatch()
         epoch = self._open_epoch(stats.warnings)
         cache = self._filecache
@@ -311,42 +394,33 @@ class BackupClient:
                                 and cache.open_session(epoch))
         self._journal = self._open_journal(session_id) \
             if cfg.resumable else None
-        uploader = None
-        if cfg.pipeline_uploads:
-            uploader = self._uploader = BackgroundWorker(
-                self._upload, name="aa-uploader", what="pipelined upload",
-                depth=_UPLOAD_QUEUE_DEPTH)
+        first_id = (self._containers.next_container_id
+                    if self._containers is not None else 0)
         dedup_watch = Stopwatch().start()
         try:
-            self._commit_files(source, stats, manifest)
-            if self._containers is not None:
-                self._containers.flush()
-        finally:
-            dedup_watch.stop()
-            if uploader is not None:
-                self._uploader = None
-                uploader.close()
-                busy = stats.stage_busy_seconds
-                busy["upload"] = uploader.busy_seconds
+            with self._upload_window(stats):
+                self._commit_files(source, stats, manifest)
                 if self._containers is not None:
-                    pack = self._containers.pack_busy_seconds - pack_before
-                    if pack > 0:
-                        busy["pack"] = pack
+                    self._containers.flush()
+                dedup_watch.stop()  # the wait for the WAN is not dedup
             if self._journal is not None:
-                stats.resume_skipped_objects = \
-                    self._journal.skipped_objects
+                stats.resume_skipped_objects = self._journal.skipped_objects
                 stats.resume_skipped_bytes = self._journal.skipped_bytes
 
-        # Manifest upload (timed like any other transfer).  Its success
-        # is the session's commit record: afterwards the journal (if
-        # any) is obsolete and is deleted.
-        manifest_blob = manifest.to_json().encode("utf-8")
-        with self.tracer.span("manifest", bytes=len(manifest_blob)):
-            self._cloud_put(naming.manifest_key(session_id), manifest_blob)
-        if self._journal is not None:
-            self._journal.commit()
-            stats.warnings.extend(self._journal.warnings)
-            self._journal = None
+            # Manifest upload (timed like any other transfer).  Its
+            # success is the session's commit record: afterwards the
+            # journal (if any) is obsolete and is deleted.
+            manifest_blob = manifest.to_json().encode("utf-8")
+            with self.tracer.span("manifest", bytes=len(manifest_blob)):
+                self._cloud_put(naming.manifest_key(session_id),
+                                manifest_blob)
+            if self._journal is not None:
+                self._journal.commit()
+                stats.warnings.extend(self._journal.warnings)
+                self._journal = None
+        except BaseException:
+            self._abandon(first_id)
+            raise
 
         # The manifest upload committed the session, so the recipes
         # staged during it become the next session's stat cache.
@@ -490,10 +564,9 @@ class BackupClient:
                       stats: SessionStats) -> FileEntry:
         """Commit a file with no usable cached recipe."""
         sf, app = item.sf, item.app
-        # The thread-local app label lets uploads fired mid-file (a
-        # container sealing under this file's chunks) carry the right
-        # application attribution in the trace.
-        self._app_ctx.label = app.label
+        # Uploads fired mid-file (a container sealing under this file's
+        # chunks) carry the file's application in the trace.
+        self._app = app.label
         try:
             if item.local is not None:  # prepared on the pool
                 # Fold in everything the stages can record: work done
@@ -513,7 +586,7 @@ class BackupClient:
                 self._hash_file(item)
                 return self._place_file(item, stats)
         finally:
-            self._app_ctx.label = None
+            self._app = None
 
     def _fingerprint(self, hash_name: str, payload: bytes, length: int,
                      app_label: str, stats: SessionStats) -> bytes:
@@ -756,17 +829,18 @@ class BackupClient:
         Returns the number of index entries recovered.  Together with
         the containers being self-describing, this makes the client
         fully stateless across invocations — the CLI calls it on
-        startup.
+        startup.  Every request goes through the client's retry policy.
         """
+        cloud = _Retried(self._cloud_call, self.cloud)
         restored = self._sync.pull(self.index)
         self._epoch = self._cloud_call(read_epoch, self.cloud)
         self._forget_swept()
         if self._filecache is not None:
-            self._filecache.load(self.cloud, self._epoch)
-        latest_id = max(naming.session_ids(self.cloud), default=-1)
+            self._filecache.load(cloud, self._epoch)
+        latest_id = max(naming.session_ids(cloud), default=-1)
         if latest_id >= 0:
             manifest = Manifest.from_json(
-                self.cloud.get(naming.manifest_key(latest_id)))
+                cloud.get(naming.manifest_key(latest_id)))
             self.manifests[latest_id] = manifest
             self._prev_manifest = manifest
             self._next_session = latest_id + 1

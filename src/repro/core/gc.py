@@ -157,4 +157,9 @@ def collect_garbage(cloud, retain_sessions: Iterable[int]) -> GCReport:
         report.statcache_blobs_deleted = invalidate_statcache(
             cloud, walk.tenant_keys)
         report.statcache_invalidated = True
+        # An interrupted session's journal vouches for uploads no
+        # manifest references, which this sweep just took: a resumed
+        # re-run must upload them again, not skip them.
+        for key in walk.keys(naming.JOURNAL_PREFIX):
+            cloud.delete(key)
     return report

@@ -136,7 +136,7 @@ class SessionStats:
     upload_wall_seconds: float = 0.0
     #: Accumulated busy seconds of every stage that ran on its own
     #: thread(s) ("read"/"chunk"/"hash"/"commit" with parallel_workers
-    #: > 1, "pack"/"upload" with pipeline_uploads; empty otherwise).
+    #: > 1, "upload" with pipeline_uploads; empty otherwise).
     #: Busy times sum past the session wall time exactly when stages
     #: overlapped — the paper's pipelining claim made measurable.
     stage_busy_seconds: Dict[str, float] = field(default_factory=dict)

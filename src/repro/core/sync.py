@@ -39,7 +39,8 @@ class IndexSynchronizer:
 
     def __init__(self, cloud, retry=None) -> None:
         self.cloud = cloud
-        #: Optional :class:`~repro.cloud.retry.RetryPolicy` for pushes.
+        #: Optional :class:`~repro.cloud.retry.RetryPolicy` for every
+        #: request, push and pull.
         self.retry = retry
         #: Subindex ``generation`` at the last successful push — fast
         #: path: an unchanged generation means no insert happened, so
@@ -49,6 +50,12 @@ class IndexSynchronizer:
         #: ever recorded from bytes that were actually uploaded (push)
         #: or downloaded (pull) — never inferred from local state.
         self._replica_digests: Dict[str, bytes] = {}
+
+    def _call(self, fn, *args):
+        """One cloud request, retried per :attr:`retry` if set."""
+        if self.retry is not None:
+            return self.retry.call(fn, *args)
+        return fn(*args)
 
     # ------------------------------------------------------------------
     def push(self, index: AppAwareIndex) -> int:
@@ -79,11 +86,7 @@ class IndexSynchronizer:
                 self._pushed_generations[app] = generation
                 continue
             try:
-                if self.retry is not None:
-                    self.retry.call(self.cloud.put,
-                                    naming.index_key(app), blob)
-                else:
-                    self.cloud.put(naming.index_key(app), blob)
+                self._call(self.cloud.put, naming.index_key(app), blob)
             except CloudError as exc:
                 failures.append(f"{app}: {exc}")
                 continue
@@ -108,9 +111,9 @@ class IndexSynchronizer:
         """
         restored = 0
         record = IndexEntry.RECORD_SIZE
-        for key in self.cloud.list(naming.INDEX_PREFIX):
+        for key in self._call(self.cloud.list, naming.INDEX_PREFIX):
             app = key[len(naming.INDEX_PREFIX):].rsplit(".", 1)[0]
-            blob = self.cloud.get(key)
+            blob = self._call(self.cloud.get, key)
             sub = index.subindex(app)
             was_empty = len(sub) == 0
             for pos in range(0, len(blob), record):

@@ -373,6 +373,30 @@ class TestEndToEndProfiling:
         assert chunk_hist.count > 0
         assert tracer.metrics.counter("index_lookups_total").value > 0
 
+    def test_pipelined_uploads_keep_app_labels(self):
+        # Regression: a pipelined upload used to read the app label on
+        # the thread that sealed the container, which never had one.
+        # Own generator: the session-wide `rng` stream feeds later tests.
+        rng = np.random.default_rng(29)
+        files = {f"docs/d{i}.doc": rng.integers(
+            0, 256, 90_000, dtype=np.uint8).tobytes() for i in range(4)}
+        files.update({f"vm/disk{i}.vmdk": rng.integers(
+            0, 256, 150_000, dtype=np.uint8).tobytes() for i in range(3)})
+
+        def upload_apps(pipelined):
+            tracer = Tracer(clock=VirtualClock())
+            client = BackupClient(InMemoryBackend(), aa_dedupe_config(
+                container_size=64 * KIB, pipeline_uploads=pipelined),
+                tracer=tracer)
+            client.backup(MemorySource(files))
+            client.close()
+            return sorted(str(s.attrs.get("app")) for s in tracer.spans()
+                          if s.name == "upload")
+
+        serial = upload_apps(False)
+        assert {"doc", "vmdk"} <= set(serial)
+        assert upload_apps(True) == serial
+
     def test_restore_spans_cover_fetches(self, rng):
         files = {"docs/a.doc": rng.integers(
             0, 256, 40_000, dtype=np.uint8).tobytes()}

@@ -14,7 +14,6 @@ from repro.core import (
     aa_dedupe_config,
 )
 from repro.core import naming
-from repro.core.pipeline import BackgroundWorker
 from repro.core.source import SourceFile
 from repro.simulate.clock import VirtualClock
 from repro.errors import BackupError, ConfigError
@@ -178,47 +177,46 @@ class TestPipelineBugfixes:
             assert len(reads) == 2, config.name
             assert stats.ops.read_bytes == 2 * len(payload)
 
-    @pytest.mark.filterwarnings(
-        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
-    def test_uploader_poison_item_raises_instead_of_hanging(self):
-        # Bugfix 2: drain()/close() used queue.join(); a worker thread
-        # killed by a malformed queue item never called task_done(), so
-        # the session hung forever.  The outstanding-counter + liveness
-        # guard turns that into a prompt BackupError.
-        uploader = BackgroundWorker(lambda key, blob: None,
-                                    name="test-uploader",
-                                    what="pipelined upload")
-        uploader._queue.put(object())  # poison: kills the worker thread
+    def test_uploader_poison_item_raises_instead_of_hanging(self,
+                                                            monkeypatch):
+        # An upload job that dies of something other than a cloud error
+        # (a bug in the machinery) must fail the session promptly, not
+        # strand it waiting for a worker that is gone.
+        def poison(self, key, blob, app):
+            raise TypeError("malformed upload job")
+
+        monkeypatch.setattr(BackupClient, "_upload", poison)
+        client = BackupClient(InMemoryBackend(), aa_dedupe_config(
+            container_size=64 * KIB, parallel_workers=2,
+            pipeline_uploads=True))
         start = time.monotonic()
-        with pytest.raises(BackupError):
-            # Real work behind the poison is stranded: either submit
-            # notices the dead worker or close() reports the stranded
-            # item — both must raise rather than hang.
-            uploader.submit("containers/c-000000", b"payload")
-            uploader.close()
+        with pytest.raises(BackupError) as info:
+            client.backup(_doc_files(40))
+        assert isinstance(info.value.__cause__, TypeError)
         assert time.monotonic() - start < 8.0
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("aa-")]
 
     def test_uploader_error_drops_queued_work(self):
-        # Fail-fast: after the first failed upload nothing else is
-        # uploaded and the error resurfaces on close().
-        seen = []
+        # Fail-fast on the staged engine: after the first failed upload
+        # no later container is PUT, however far the prepare pool ran
+        # ahead.
+        attempts = []
 
-        def put(key, blob):
-            if key == "bad":
-                raise IOError("backend exploded")
-            seen.append(key)
+        class FailSecond(InMemoryBackend):
+            def _put(self, key, data):
+                if key.startswith(naming.CONTAINER_PREFIX):
+                    attempts.append(key)
+                    if len(attempts) == 2:
+                        raise IOError("backend exploded")
+                super()._put(key, data)
 
-        uploader = BackgroundWorker(put, name="test-uploader",
-                                    what="pipelined upload", depth=8)
-        uploader.submit("ok-1", b"x")
-        uploader.submit("bad", b"x")
-        deadline = time.monotonic() + 5.0
-        with pytest.raises(BackupError):
-            while time.monotonic() < deadline:
-                uploader.submit("late", b"x")
-                time.sleep(0.01)
-            uploader.close()
-        assert "late" not in seen
+        client = BackupClient(FailSecond(), aa_dedupe_config(
+            container_size=64 * KIB, parallel_workers=2,
+            pipeline_uploads=True))
+        with pytest.raises(BackupError, match="pipelined upload failed"):
+            client.backup(_doc_files(40))
+        assert len(attempts) == 2
 
     def test_placement_error_aborts_stages_promptly(self, monkeypatch):
         # Bugfix 3: a placement (commit) error used to let the stage
@@ -375,8 +373,8 @@ class TestStagePipeline:
         assert stats.ops.read_bytes == 0
 
     def test_thread_budget(self, snapshot):
-        # One prepare pool: `parallel_workers` threads, plus the pack
-        # and upload workers — not a pool per stage.
+        # One prepare pool of `parallel_workers` threads plus the one
+        # uploader thread: containers seal on the commit thread.
         before = set(threading.enumerate())
         seen = set()
         source = snapshot_to_memory_source(snapshot)
@@ -396,7 +394,7 @@ class TestStagePipeline:
         client.close()
         prepare = {name for name in seen if name.startswith("aa-prepare")}
         assert len(prepare) == 2
-        assert seen - prepare == {"aa-pack", "aa-uploader"}
+        assert seen - prepare == {"aa-uploader_0"}
         assert set(threading.enumerate()) <= before
 
 

@@ -26,14 +26,11 @@ from repro.core import (
     aa_dedupe_config,
     naming,
 )
-from repro.container.manager import ContainerManager
-from repro.core.pipeline import BackgroundWorker
 from repro.core.scrub import scrub_cloud
 from repro.core.sync import IndexSynchronizer
 from repro.errors import (
     BackupError,
     CloudError,
-    ContainerError,
     ObjectNotFound,
     PermanentCloudError,
     TransientCloudError,
@@ -336,216 +333,148 @@ class TestSimulatedCloudResilience:
 
 
 # ---------------------------------------------------------------------------
-def _uploader(put, depth=4):
-    """The engine's pipelined uploader: a BackgroundWorker over put."""
-    return BackgroundWorker(put, name="test-uploader",
-                            what="pipelined upload", depth=depth)
+class _FailingContainerBackend(InMemoryBackend):
+    """Fails the ``fail_at``-th container PUT (1-based) while armed;
+    records every container PUT attempted, in order."""
+
+    def __init__(self, fail_at):
+        super().__init__()
+        self.fail_at = fail_at
+        self.armed = True
+        self.attempts = []
+
+    def _put(self, key, data):
+        if key.startswith(naming.CONTAINER_PREFIX):
+            self.attempts.append(key)
+            if self.armed and len(self.attempts) == self.fail_at:
+                raise TransientCloudError(f"injected failure: {key}")
+        super()._put(key, data)
+
+
+def _engine_threads():
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith("aa-")]
 
 
 class TestPipelinedUploaderFailFast:
-    def test_drops_queued_work_after_first_error(self):
-        uploaded, started = [], threading.Event()
+    """The pipelined uploader's failure contract, end to end: a
+    ``pipeline_uploads`` session whose k-th container PUT fails."""
 
-        def put(key, blob):
-            started.wait(5)
-            if key == "bad":
-                raise CloudError("boom")
-            uploaded.append(key)
+    FAIL_AT = 3
 
-        up = _uploader(put, depth=10)
-        up.submit("ok-1", b"x")
-        up.submit("bad", b"x")
-        up.submit("after-1", b"x")
-        up.submit("after-2", b"x")
-        started.set()
-        with pytest.raises(BackupError, match="pipelined upload failed"):
-            up.close()
-        assert uploaded == ["ok-1"]  # nothing after the failure
-
-    def test_rejects_submit_after_error(self):
-        up = _uploader(
-            lambda k, b: (_ for _ in ()).throw(CloudError("boom")))
-        up.submit("a", b"x")
-        # Completion tracking is the outstanding counter (not
-        # queue.join()); wait on it until the failed upload lands.
-        with up._cond:
-            assert up._cond.wait_for(
-                lambda: up._outstanding == 0, timeout=5.0)
-        with pytest.raises(BackupError):
-            up.submit("b", b"x")
-        with pytest.raises(BackupError):
-            up.check()
-        with pytest.raises(BackupError):
-            up.close()
-        assert not up._thread.is_alive()
-
-    def test_close_joins_worker_thread_on_success(self):
-        up = _uploader(lambda k, b: None)
-        up.submit("a", b"x")
-        up.close()
-        assert not up._thread.is_alive()
-        up.close()  # idempotent
-
-    def test_on_success_runs_per_durable_upload(self):
-        # The engine's job is "PUT, then journal the key": each job
-        # runs exactly once, whole, in submission order.
-        seen = []
-
-        def upload(key, blob):
-            seen.append(("put", key))
-            seen.append(("journal", key))
-
-        up = _uploader(upload)
-        up.submit("a", b"x")
-        up.submit("b", b"y")
-        up.close()
-        assert seen == [("put", "a"), ("journal", "a"),
-                        ("put", "b"), ("journal", "b")]
-        assert up.busy_seconds >= 0.0
-
-    def test_reset_accepts_work_again(self):
-        ran = []
-
-        def job(key):
-            if key == "bad":
-                raise CloudError("boom")
-            ran.append(key)
-
-        worker = BackgroundWorker(job, name="test-worker", what="job")
-        worker.submit("bad")
-        with pytest.raises(BackupError, match="job failed"):
-            worker.drain()
-        worker.reset()
-        worker.submit("good")
-        worker.close()
-        assert ran == ["good"]
-        assert not worker._thread.is_alive()
-
-
-    def test_concurrent_submitters_lose_no_job(self):
-        # Stress the outstanding counter: more producers than cores,
-        # aggressive thread switching, a tiny queue (constant
-        # backpressure).  A lost update would strand drain() or drop
-        # a job.
-        import sys
-
-        ran = []
-        worker = BackgroundWorker(ran.append, name="test-worker",
-                                  what="job", depth=2)
-        per_thread, n_threads = 200, 16
-
-        def produce(base):
-            for i in range(per_thread):
-                worker.submit(base + i)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=produce,
-                                        args=(t * per_thread,))
-                       for t in range(n_threads)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(30.0)
-                assert not thread.is_alive()
-            worker.drain()
-        finally:
-            sys.setswitchinterval(interval)
-        assert worker._outstanding == 0
-        assert sorted(ran) == list(range(per_thread * n_threads))
-        worker.close()
-        assert not worker._thread.is_alive()
-
-
-class TestAsyncPackFailFast:
-    """The same properties through ``ContainerManager(pack_async=True)``,
-    whose seal + upload hand-off runs on a BackgroundWorker."""
+    @pytest.fixture()
+    def files(self):
+        # Own generator: the session-wide `rng` stream feeds later tests.
+        rng = np.random.default_rng(29)
+        return {f"docs/report{i}.doc": rng.integers(
+            0, 256, 40_000, dtype=np.uint8).tobytes() for i in range(8)}
 
     @staticmethod
-    def _fill(manager, n, start=0):
-        # Each add overflows the 4 KiB container, sealing the previous.
-        for i in range(start, start + n):
-            manager.add(bytes([i]) * 20, bytes([i]) * 3000, stream="s")
+    def _config(**overrides):
+        return aa_dedupe_config(container_size=32 * KIB,
+                                pipeline_uploads=True, **overrides)
 
-    def test_drops_queued_seals_after_first_error(self):
-        uploaded, started = [], threading.Event()
+    def _failed_session(self, files, **overrides):
+        cloud = _FailingContainerBackend(self.FAIL_AT)
+        client = BackupClient(cloud, self._config(**overrides))
+        with pytest.raises(BackupError) as info:
+            client.backup(MemorySource(files), session_id=0)
+        return cloud, client, info.value
 
-        def upload(container_id, blob):
-            started.wait(5)
-            if container_id == 1:
-                raise CloudError("boom")
-            uploaded.append(container_id)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raises_backup_error_chained_from_cloud_error(self, files,
+                                                          workers):
+        _, _, error = self._failed_session(files,
+                                           parallel_workers=workers)
+        assert str(error) == "pipelined upload failed"
+        assert isinstance(error.__cause__, CloudError)
 
-        manager = ContainerManager(upload, container_size=4096,
-                                   pack_async=True)
-        self._fill(manager, 5)  # seals 0..3 queue behind the gate
-        started.set()
-        with pytest.raises(ContainerError, match="container pack failed"):
-            manager.flush()
-        assert uploaded == [0]  # nothing after the failure
-        manager.close()
+    def test_drops_queued_work_after_first_error(self, files):
+        for workers in (1, 2):
+            cloud, _, _ = self._failed_session(files,
+                                               parallel_workers=workers)
+            # The failing PUT was the last container PUT attempted.
+            assert len(cloud.attempts) == self.FAIL_AT
+            assert (len(cloud.list(naming.CONTAINER_PREFIX))
+                    == self.FAIL_AT - 1)
+            assert cloud.list(naming.MANIFEST_PREFIX) == []
 
-    def test_failure_is_reported_once_then_manager_recovers(self):
-        fail = {"on": True}
-        uploaded = []
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_thread_left_after_failure(self, files, workers):
+        self._failed_session(files, parallel_workers=workers)
+        assert _engine_threads() == []
 
-        def upload(container_id, blob):
-            if fail["on"]:
-                raise CloudError("boom")
-            uploaded.append(container_id)
+    def test_close_joins_worker_thread_on_success(self, files):
+        for workers in (1, 2):
+            client = BackupClient(InMemoryBackend(),
+                                  self._config(parallel_workers=workers))
+            stats = client.backup(MemorySource(files))
+            assert _engine_threads() == []
+            assert stats.stage_busy_seconds["upload"] > 0.0
+            client.close()
+            assert _engine_threads() == []
 
-        manager = ContainerManager(upload, container_size=4096,
-                                   pack_async=True)
-        self._fill(manager, 1)
-        with pytest.raises(ContainerError) as info:
-            manager.flush()
-        assert isinstance(info.value.__cause__, CloudError)
-        # The next session on the same manager works again.
-        fail["on"] = False
-        self._fill(manager, 2, start=10)
-        manager.flush()
-        assert len(uploaded) == 2
-        manager.close()
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_same_client_next_session_restores(self, files, workers):
+        # Nothing of the failed session may be deduplicated against:
+        # the containers queued behind the failed PUT never went up.
+        cloud, client, _ = self._failed_session(files,
+                                                parallel_workers=workers)
+        cloud.armed = False
+        client.backup(MemorySource(files), session_id=1)
+        restored, _ = RestoreClient(cloud).restore_to_memory(1)
+        assert restored == files
+        assert scrub_cloud(cloud).clean
 
-    def test_add_surfaces_async_failure_early(self):
-        def upload(container_id, blob):
-            if container_id == 0:
-                raise CloudError("boom")
+    def test_same_client_resumed_rerun_restores(self, files):
+        # The re-run renumbers from the failed run's first container:
+        # had the client kept index entries into those ids, new bytes
+        # would overwrite a durable container they still point into.
+        cloud, client, _ = self._failed_session(files, resumable=True)
+        cloud.armed = False
+        client.backup(MemorySource(files), session_id=0)
+        restored, _ = RestoreClient(cloud).restore_to_memory(0)
+        assert restored == files
+        assert scrub_cloud(cloud).clean
 
-        manager = ContainerManager(upload, container_size=4096,
-                                   pack_async=True)
-        self._fill(manager, 2)  # second add seals the first container
-        packer = manager._packer
-        with packer._cond:
-            assert packer._cond.wait_for(
-                lambda: packer._outstanding == 0, timeout=5.0)
-        with pytest.raises(ContainerError):
-            manager.add(b"f" * 20, b"x" * 100, stream="s")
-        manager.close()
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resumed_rerun_skips_durable_uploads(self, files, workers):
+        cloud, _, _ = self._failed_session(files, resumable=True,
+                                           parallel_workers=workers)
+        durable = set(cloud.list(naming.CONTAINER_PREFIX))
+        assert len(durable) == self.FAIL_AT - 1
+        cloud.armed = False
+        cloud.attempts.clear()
+        stats = BackupClient(cloud, self._config(
+            resumable=True, parallel_workers=workers)).backup(
+                MemorySource(files), session_id=0)
+        assert stats.resume_skipped_objects == len(durable)
+        assert durable.isdisjoint(cloud.attempts)
+        restored, _ = RestoreClient(cloud).restore_to_memory(0)
+        assert restored == files
 
-    def test_close_joins_pack_thread(self):
-        sealed = []
-        manager = ContainerManager(
-            lambda cid, blob: sealed.append(cid),
-            container_size=4096, pack_async=True)
-        self._fill(manager, 3)
-        manager.close()
-        assert sealed == [0, 1, 2]
-        assert manager.pack_busy_seconds > 0.0
-        assert not manager._packer._thread.is_alive()
-        manager.close()  # idempotent
+    def test_on_success_runs_per_durable_upload(self, files, monkeypatch):
+        # Each job is "PUT, then journal the key", whole, in order.
+        seen = []
+        record = SessionJournal.record
 
-    @pytest.mark.filterwarnings(
-        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
-    def test_dead_pack_worker_raises_instead_of_hanging(self):
-        manager = ContainerManager(lambda cid, blob: None,
-                                   container_size=4096, pack_async=True)
-        manager._packer._queue.put(object())  # poison: kills the thread
-        manager._packer._thread.join(5.0)
-        self._fill(manager, 1)
-        with pytest.raises(ContainerError, match="worker died"):
-            manager.flush()
+        def journaled(journal, key, blob):
+            seen.append(("journal", key))
+            record(journal, key, blob)
+
+        class Recording(InMemoryBackend):
+            def _put(self, key, data):
+                if key.startswith(naming.CONTAINER_PREFIX):
+                    seen.append(("put", key))
+                super()._put(key, data)
+
+        monkeypatch.setattr(SessionJournal, "record", journaled)
+        cloud = Recording()
+        BackupClient(cloud, self._config(resumable=True)).backup(
+            MemorySource(files))
+        keys = sorted(cloud.list(naming.CONTAINER_PREFIX))
+        assert seen == [(step, key) for key in keys
+                        for step in ("put", "journal")]
 
 
 # ---------------------------------------------------------------------------
@@ -804,6 +733,39 @@ class TestContainerNumberingUnderFaults:
         assert chaos.chaos.transient_errors == 1
         assert retry.stats.retries == 1
         assert client._containers.next_container_id == 3
+
+
+class TestResumeFromCloudRetries:
+    """``resume_from_cloud`` reads the index replicas, the stat cache,
+    the manifest listing and the latest manifest — every request under
+    the client's retry policy."""
+
+    @pytest.fixture(scope="class")
+    def store(self):
+        rng = np.random.default_rng(29)
+        files = {f"docs/r{i}.doc": rng.integers(
+            0, 256, 30_000, dtype=np.uint8).tobytes() for i in range(6)}
+        store = InMemoryBackend()
+        client = BackupClient(store, aa_dedupe_config(
+            container_size=32 * KIB, stat_cache=True))
+        for session in range(3):
+            files[f"docs/new{session}.txt"] = bytes([session]) * 9_000
+            client.backup(MemorySource(files, dict.fromkeys(files, 1)))
+        return store
+
+    @staticmethod
+    def _resumed(cloud, retry=None):
+        client = BackupClient(cloud, aa_dedupe_config(
+            container_size=32 * KIB, stat_cache=True), retry=retry)
+        restored = client.resume_from_cloud()
+        return (restored, client._next_session, len(client._filecache),
+                sorted(client.manifests))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_transient_faults_are_retried(self, store, seed):
+        chaos = ChaosBackend(store, seed=seed, transient_error_rate=0.3)
+        retry = RetryPolicy(max_attempts=8, clock=VirtualClock())
+        assert self._resumed(chaos, retry) == self._resumed(store)
 
 
 class _SlowManifestBackend(InMemoryBackend):

@@ -1,0 +1,244 @@
+"""The restore invariant, hunted by a machine.
+
+A hypothesis ``RuleBasedStateMachine`` drives one store through the
+system's public verbs — back up an edited source, back up with a fresh
+client after ``resume_from_cloud``, drop the oldest session and collect
+garbage, run a session whose k-th PUT fails — under one legal
+:class:`~repro.core.options.SchemeConfig` drawn per run.  After every
+step, every retained session must restore bit-exactly to the reference
+model (``tests/model.py``), and the store must hold a manifest for
+exactly the sessions the model retains.
+
+The budget comes from a hypothesis profile registered in
+``tests/conftest.py``: a small derandomised one by default, the large
+``state-machine`` one when ``STATE_MACHINE_PROFILE=state-machine``.
+"""
+
+from __future__ import annotations
+
+import os
+import random
+
+import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, rule)
+
+from repro.baselines import all_scheme_configs, jungle_disk_config
+from repro.cloud import InMemoryBackend
+from repro.core import (BackupClient, MemorySource, RestoreClient,
+                        aa_dedupe_config, collect_garbage, naming)
+from repro.errors import BackupError, CloudError, TransientCloudError
+from tests.model import StoreModel
+from tests.strategies import legal_scheme_configs
+
+MASTER_KEY = b"state-machine-master-key-32byte!"
+
+#: Paths over every category plus tiny files (sizes are drawn).
+PATHS = ("docs/report.doc", "docs/notes.txt", "docs/deck.ppt",
+         "docs/paper.pdf", "vm/disk.vmdk", "bin/tool.exe",
+         "media/song.mp3", "media/photo.jpg")
+
+#: Shared blocks, so files and sessions have content in common.
+_BLOCKS = [random.Random(seed).randbytes(4096) for seed in range(4)]
+
+
+def _content(seed: int, size: int) -> bytes:
+    """Deterministic file bytes: odd seeds are unique noise, even seeds
+    repeat the shared blocks from a seed-dependent start."""
+    if seed % 2:
+        return random.Random(seed).randbytes(size)
+    blocks = (_BLOCKS[(seed // 2 + i) % len(_BLOCKS)]
+              for i in range(size // 4096 + 1))
+    return b"".join(blocks)[:size]
+
+
+#: One source change: (kind, path, size, seed).  ``put`` writes a whole
+#: new file, ``splice`` rewrites the middle of an existing one (so
+#: content-defined chunking keeps its ends), ``delete`` removes it.
+_changes = st.lists(st.tuples(
+    st.sampled_from(("put", "splice", "delete")), st.sampled_from(PATHS),
+    st.integers(0, 40_000), st.integers(0, 63)), max_size=5)
+
+
+class _FaultyStore(InMemoryBackend):
+    """An in-memory store whose ``fail_at``-th PUT (1-based, counted
+    from arming) fails once."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.fail_at = 0
+
+    def _put(self, key, data):
+        if self.fail_at:
+            self.fail_at -= 1
+            if not self.fail_at:
+                raise TransientCloudError(f"injected failure: put {key}")
+        super()._put(key, data)
+
+
+class StoreMachine(RuleBasedStateMachine):
+    """One store, one scheme, any interleaving of the public verbs."""
+
+    @initialize(config=legal_scheme_configs())
+    def start(self, config) -> None:
+        self.config = config
+        self.store = _FaultyStore()
+        self.model = StoreModel()
+        #: The live source: path -> (bytes, mtime_ns).
+        self.source: dict = {}
+        self.mtime = 0
+        self.next_session = 0
+        self.client = self._client()
+
+    def _client(self) -> BackupClient:
+        key = MASTER_KEY if self.config.encrypt_chunks else None
+        return BackupClient(self.store, self.config, master_key=key)
+
+    def _edit(self, changes) -> None:
+        """Apply ``changes``; edited files get a fresh mtime, the rest
+        keep theirs (so the stat cache replays them)."""
+        for kind, path, size, seed in changes:
+            old = self.source.get(path)
+            if kind == "delete":
+                self.source.pop(path, None)
+                continue
+            data = _content(seed, size)
+            if kind == "splice" and old is not None:
+                cut = len(old[0]) // 3
+                data = old[0][:cut] + data[:size // 4] + old[0][2 * cut:]
+            self.mtime += 1
+            self.source[path] = (data, self.mtime)
+
+    def _backup(self) -> None:
+        files = {path: data for path, (data, _) in self.source.items()}
+        mtimes = {path: mtime for path, (_, mtime) in self.source.items()}
+        self.client.backup(MemorySource(files, mtimes),
+                           session_id=self.next_session)
+        self.model.commit(self.next_session, files)
+        self.next_session += 1
+
+    # -- rules ----------------------------------------------------------
+    @rule(changes=_changes)
+    def backup(self, changes) -> None:
+        self._edit(changes)
+        self._backup()
+
+    @rule(changes=_changes)
+    def backup_resumed(self, changes) -> None:
+        """A new process: fresh client, state rebuilt from the cloud."""
+        self.client.close()
+        self.client = self._client()
+        self.client.resume_from_cloud()
+        self.backup(changes)
+
+    @rule()
+    def drop_oldest_and_collect(self) -> None:
+        """Drop the oldest session (if any), then collect garbage — which
+        also sweeps whatever failed sessions left behind."""
+        if self.model.sessions:
+            self.model.drop(self.model.retained()[0])
+        report = collect_garbage(self.store, self.model.retained())
+        assert not report.problems, report.problems
+
+    @rule(changes=_changes, k=st.integers(1, 10))
+    def backup_with_failing_put(self, changes, k) -> None:
+        """The session's k-th PUT fails; if that fails the session, it
+        leaves no manifest and the next backup re-runs its id."""
+        self._edit(changes)
+        self.store.fail_at = k
+        try:
+            self._backup()
+        except (BackupError, CloudError):
+            pass
+        finally:
+            self.store.fail_at = 0
+
+    # -- the invariant --------------------------------------------------
+    @invariant()
+    def every_retained_session_restores(self) -> None:
+        assert naming.session_ids(self.store) == self.model.retained()
+        key = MASTER_KEY if self.config.encrypt_chunks else None
+        restore = RestoreClient(self.store, master_key=key)
+        for session_id, files in self.model.sessions.items():
+            restored, _ = restore.restore_to_memory(session_id)
+            assert restored == files, session_id
+
+    def teardown(self) -> None:
+        self.client.close()
+
+
+StoreMachine.TestCase.settings = settings.get_profile(
+    os.environ.get("STATE_MACHINE_PROFILE", "state-machine-tier1"))
+TestStoreMachine = StoreMachine.TestCase
+
+
+# -- explicit examples through the same rules ---------------------------
+_DROPPED = "docs/report.doc"
+
+_SCHEMES = {config.name: config for config in all_scheme_configs()}
+_SCHEMES["AA-Dedupe+delta"] = aa_dedupe_config(delta_compress=True)
+
+
+@pytest.mark.parametrize("resumed", [False, True],
+                         ids=["same_client", "resumed_client"])
+@pytest.mark.parametrize("scheme", sorted(_SCHEMES))
+def test_drop_file_collect_bring_back(scheme, resumed):
+    """Back a file up, drop it, collect garbage, bring it back: the
+    sweep took its extents, so the client must not dedup against them
+    (at one point this raised ``ObjectNotFound`` on restore)."""
+    machine = StoreMachine()
+    machine.start(_SCHEMES[scheme])
+    machine.backup([("put", _DROPPED, 20_000, 1),
+                    ("put", "docs/paper.pdf", 20_000, 3)])
+    machine.backup([("delete", _DROPPED, 0, 0)])
+    machine.drop_oldest_and_collect()
+    machine.every_retained_session_restores()
+    comeback = [("put", _DROPPED, 20_000, 1)]
+    if resumed:
+        machine.backup_resumed(comeback)
+    else:
+        machine.backup(comeback)
+    machine.every_retained_session_restores()
+    machine.teardown()
+
+
+#: A resumable session that fails after some of its uploads went up,
+#: per scheme: (config, source changes, the k-th PUT that fails).
+#: Resumable PUT order: the journal at open, then data, journal, data,
+#: journal ... and last the manifest.
+_INTERRUPTED = {
+    # The third container fails.
+    "AA-Dedupe": (aa_dedupe_config(container_size=4096, resumable=True),
+                  [("put", path, 20_000, seed)
+                   for seed, path in enumerate(PATHS[:4], start=3)], 6),
+    # The file object went up and the manifest failed (found by the
+    # machine at the large budget).
+    "JungleDisk": (jungle_disk_config(resumable=True),
+                   [("put", "docs/report.doc", 1, 0)], 4),
+}
+
+
+@pytest.mark.parametrize("resumed", [False, True],
+                         ids=["same_client", "resumed_client"])
+@pytest.mark.parametrize("scheme", sorted(_INTERRUPTED))
+def test_interrupted_session_collect_rerun(scheme, resumed):
+    """GC sweeps what an interrupted session uploaded (no manifest
+    references it); the re-run must upload it again rather than trust
+    the journal's record of it (which raised ``ObjectNotFound`` on
+    restore)."""
+    config, changes, k = _INTERRUPTED[scheme]
+    machine = StoreMachine()
+    machine.start(config)
+    machine.backup([("put", "docs/notes.txt", 12_000, 1)])
+    machine.backup_with_failing_put(changes, k=k)
+    assert machine.model.retained() == [0]
+    assert machine.store.list(naming.JOURNAL_PREFIX)
+    machine.drop_oldest_and_collect()
+    machine.every_retained_session_restores()
+    if resumed:
+        machine.backup_resumed([])
+    else:
+        machine.backup([])
+    machine.every_retained_session_restores()
+    machine.teardown()
