@@ -34,7 +34,6 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import replace
-from functools import partial
 from itertools import islice
 from typing import Callable, Dict, Iterable, Iterator, Optional
 
@@ -44,7 +43,6 @@ from repro.classify.filetype import classify_name
 from repro.classify.policy import DedupPolicy
 from repro.container.manager import ContainerManager
 from repro.core import naming
-from repro.cloud.retry import RetryPolicy
 from repro.core.filecache import FileCache, read_epoch, unchanged
 from repro.core.journal import SessionJournal
 from repro.core.options import SchemeConfig, aa_dedupe_config
@@ -70,15 +68,6 @@ __all__ = ["BackupClient"]
 _UPLOAD_QUEUE_DEPTH = 4
 
 
-class _Retried:
-    """The reads of ``cloud``, each one request under ``call`` (the
-    client's retry policy)."""
-
-    def __init__(self, call, cloud) -> None:
-        self.list = partial(call, cloud.list)
-        self.get = partial(call, cloud.get)
-
-
 class BackupClient:
     """Stateful backup client for one scheme against one cloud store.
 
@@ -92,7 +81,6 @@ class BackupClient:
                  config: SchemeConfig | None = None,
                  index_factory: Callable[[str], ChunkIndex] | None = None,
                  master_key: bytes | None = None,
-                 retry: Optional[RetryPolicy] = None,
                  tracer=None,
                  first_container_id: Optional[int] = None,
                  ) -> None:
@@ -102,15 +90,9 @@ class BackupClient:
             raise BackupError(
                 "encrypt_chunks requires a master_key")
         self.master_key = master_key
-        #: Optional client-side retry for the upload path.  When the
-        #: cloud facade already retries (SimulatedCloud(retry=...)),
-        #: leave this None — stacking both would retry retries.
-        self.retry = retry
         #: Profiling tracer, propagated into every instrumented layer
         #: this client owns (index, containers, chunkers, delta stage).
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        if retry is not None and retry.tracer is NOOP_TRACER:
-            retry.tracer = self.tracer
         self.index = AppAwareIndex(factory=index_factory,
                                    tracer=self.tracer)
         self.manifests: Dict[int, Manifest] = {}
@@ -139,7 +121,7 @@ class BackupClient:
         #: thread sets or reads it).
         self._app: Optional[str] = None
         self._journal: Optional[SessionJournal] = None
-        self._sync = IndexSynchronizer(cloud, retry=retry)
+        self._sync = IndexSynchronizer(cloud)
         #: The store's GC epoch when this client's state was last
         #: reconciled with it (``None``: no store state held yet).
         self._epoch: Optional[int] = None
@@ -167,22 +149,15 @@ class BackupClient:
         same reason a failed listing raises: guessing 0 is the one
         answer that is never safe."""
         ids = map(naming.container_id_of,
-                  self._cloud_call(self.cloud.list,
-                                   naming.CONTAINER_PREFIX))
+                  self.cloud.list(naming.CONTAINER_PREFIX))
         return max((cid for cid in ids if cid is not None),
                    default=-1) + 1
 
     # -- cloud I/O ------------------------------------------------------
-    def _cloud_call(self, fn, *args):
-        """One cloud request, retried per the client retry policy if set."""
-        if self.retry is not None:
-            return self.retry.call(fn, *args)
-        return fn(*args)
-
     def _cloud_put(self, key: str, blob: bytes) -> None:
         """One timed cloud PUT."""
         with self._upload_watch:
-            self._cloud_call(self.cloud.put, key, blob)
+            self.cloud.put(key, blob)
 
     def _put(self, key: str, blob: bytes) -> None:
         """Upload a data object: inline, or into the uploader's window.
@@ -306,7 +281,7 @@ class BackupClient:
         cache sits the session out and the next session reconciles).
         """
         try:
-            epoch = self._cloud_call(read_epoch, self.cloud)
+            epoch = read_epoch(self.cloud)
         except CloudError as exc:
             warnings.append(f"stat cache disabled this session "
                             f"(GC epoch unreadable): {exc}")
@@ -328,9 +303,8 @@ class BackupClient:
         the epoch itself (:meth:`FileCache.open_session`).
         """
         containers = self._containers is not None
-        listed = set(self._cloud_call(
-            self.cloud.list, naming.CONTAINER_PREFIX if containers
-            else naming.CHUNK_PREFIX))
+        listed = set(self.cloud.list(
+            naming.CONTAINER_PREFIX if containers else naming.CHUNK_PREFIX))
         for app, entry in list(self.index.entries()):
             key = (naming.container_key(entry.container_id) if containers
                    else naming.chunk_key(entry.fingerprint))
@@ -685,7 +659,6 @@ class BackupClient:
         for fp, payload, key, length in item.chunks:
             existing = self.index.lookup(namespace, fp)
             if existing is not None:
-                self.index.insert(namespace, existing.bumped())
                 ref = self._ref(fp, existing.length, existing)
             else:
                 ref = self._place_unique(item, fp, payload, length, stats)
@@ -737,9 +710,9 @@ class BackupClient:
         """Stat-cache fast path: replay an unchanged file's recipe.
 
         Returns ``None`` on a stale hit (caller runs the full pipeline).
-        On a hit the file is never ``read()``, chunked or hashed;
-        refcounts are still bumped and the dedup accounting still sees
-        the file's logical bytes.
+        On a hit the file is never ``read()``, chunked or hashed, and
+        the index is only read; the dedup accounting still sees the
+        file's logical bytes.
         """
         sf, app, cached = item.sf, item.app, item.replay
         tracer = self.tracer
@@ -829,18 +802,17 @@ class BackupClient:
         Returns the number of index entries recovered.  Together with
         the containers being self-describing, this makes the client
         fully stateless across invocations — the CLI calls it on
-        startup.  Every request goes through the client's retry policy.
+        startup.
         """
-        cloud = _Retried(self._cloud_call, self.cloud)
         restored = self._sync.pull(self.index)
-        self._epoch = self._cloud_call(read_epoch, self.cloud)
+        self._epoch = read_epoch(self.cloud)
         self._forget_swept()
         if self._filecache is not None:
-            self._filecache.load(cloud, self._epoch)
-        latest_id = max(naming.session_ids(cloud), default=-1)
+            self._filecache.load(self.cloud, self._epoch)
+        latest_id = max(naming.session_ids(self.cloud), default=-1)
         if latest_id >= 0:
             manifest = Manifest.from_json(
-                cloud.get(naming.manifest_key(latest_id)))
+                self.cloud.get(naming.manifest_key(latest_id)))
             self.manifests[latest_id] = manifest
             self._prev_manifest = manifest
             self._next_session = latest_id + 1

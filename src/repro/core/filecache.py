@@ -9,8 +9,7 @@ session the client remembers, per application, each file's
 recipe (:class:`~repro.core.recipe.FileEntry`).  On the next session a
 file whose triple matches replays the cached :class:`ChunkRef` chain
 straight into the manifest — no ``read()``, no chunking, no hashing —
-while the engine still bumps index refcounts and feeds the dedup
-accounting.
+while the engine still feeds the dedup accounting.
 
 Safety rules (see docs/STATCACHE.md):
 
@@ -135,18 +134,15 @@ class FileCache:
 
     @staticmethod
     def revalidate(cached: FileEntry, index, namespace: str) -> bool:
-        """Revalidate a matched recipe against the live index and bump.
+        """Revalidate a matched recipe against the live index.
 
         Every non-delta ref in every chain must still resolve to the
         same container extent (or standalone object) in ``index`` (an
         :class:`~repro.index.appaware.AppAwareIndex`); tiny-file refs
         bypass the index by design and are covered by the GC-epoch
-        check alone.  Refcounts are bumped only after *all* refs
-        validate, so a stale entry leaves no partial refcount churn
-        behind.  On ``False`` the caller discards the entry and runs
-        the full pipeline.
+        check alone.  Only looks up, never writes.  On ``False`` the
+        caller discards the entry and runs the full pipeline.
         """
-        bumps = []
         for top in cached.refs:
             ref = top
             while ref is not None:
@@ -158,10 +154,7 @@ class FileCache:
                             existing.container_id != ref.container_id
                             or existing.offset != ref.offset):
                         return False
-                    bumps.append(existing)
                 ref = ref.delta_base
-        for existing in bumps:
-            index.insert(namespace, existing.bumped())
         return True
 
     def discard(self, app: str, path: str) -> None:

@@ -7,15 +7,12 @@ subindex is serialised as one object (its partition is a free sharding),
 so after a client loss the index — and with it dedup continuity — is
 recoverable from the cloud alone.
 
-Change detection is *content-exact*.  An earlier revision skipped any
-subindex whose entry count matched the last push, which silently
-dropped refcount-only updates (last-writer-wins re-inserts keep the
-count constant) and fed GC stale refcounts after a disaster recovery.
-Replication now keys off two signals per subindex:
+Change detection is *content-exact*.  A dedup hit only reads the
+index, so a subindex changes only when it gains or loses an entry.
+Replication keys off two signals per subindex:
 
-* the subindex ``generation`` (bumped by every insert, including
-  refcount re-inserts) — a cheap skip that avoids serialising an
-  untouched subindex at all;
+* the subindex ``generation`` (advanced by every insert) — a cheap skip
+  that avoids serialising an untouched subindex at all;
 * a SHA-1 digest of the serialised subindex — the authoritative
   comparison against what the cloud replica actually contains, so a
   recovered-then-extended local subindex is always re-replicated.
@@ -37,11 +34,8 @@ __all__ = ["IndexSynchronizer"]
 class IndexSynchronizer:
     """Pushes/pulls the application-aware index to/from cloud storage."""
 
-    def __init__(self, cloud, retry=None) -> None:
+    def __init__(self, cloud) -> None:
         self.cloud = cloud
-        #: Optional :class:`~repro.cloud.retry.RetryPolicy` for every
-        #: request, push and pull.
-        self.retry = retry
         #: Subindex ``generation`` at the last successful push — fast
         #: path: an unchanged generation means no insert happened, so
         #: the subindex need not even be serialised.
@@ -50,12 +44,6 @@ class IndexSynchronizer:
         #: ever recorded from bytes that were actually uploaded (push)
         #: or downloaded (pull) — never inferred from local state.
         self._replica_digests: Dict[str, bytes] = {}
-
-    def _call(self, fn, *args):
-        """One cloud request, retried per :attr:`retry` if set."""
-        if self.retry is not None:
-            return self.retry.call(fn, *args)
-        return fn(*args)
 
     # ------------------------------------------------------------------
     def push(self, index: AppAwareIndex) -> int:
@@ -86,7 +74,7 @@ class IndexSynchronizer:
                 self._pushed_generations[app] = generation
                 continue
             try:
-                self._call(self.cloud.put, naming.index_key(app), blob)
+                self.cloud.put(naming.index_key(app), blob)
             except CloudError as exc:
                 failures.append(f"{app}: {exc}")
                 continue
@@ -111,9 +99,9 @@ class IndexSynchronizer:
         """
         restored = 0
         record = IndexEntry.RECORD_SIZE
-        for key in self._call(self.cloud.list, naming.INDEX_PREFIX):
+        for key in self.cloud.list(naming.INDEX_PREFIX):
             app = key[len(naming.INDEX_PREFIX):].rsplit(".", 1)[0]
-            blob = self._call(self.cloud.get, key)
+            blob = self.cloud.get(key)
             sub = index.subindex(app)
             was_empty = len(sub) == 0
             for pos in range(0, len(blob), record):

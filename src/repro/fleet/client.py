@@ -140,15 +140,12 @@ class FleetIndex(ChunkIndex):
     def insert(self, entry: IndexEntry) -> None:
         self.stats.inserts += 1
         self.generation += 1
-        fresh = entry.fingerprint not in self._local
+        # A chunk this client just stored after a miss: offer it to the
+        # fleet (adopted entries enter ``_local`` in :meth:`_probe`).
         self._local[entry.fingerprint] = entry
-        if fresh:
-            # Brand-new chunk this client just stored: offer it to the
-            # fleet.  Refcount re-inserts and adopted entries are local
-            # bookkeeping the directory does not need.
-            self._outbox.append(entry)
-            if len(self._outbox) >= self._publish_batch:
-                self.flush_publishes()
+        self._outbox.append(entry)
+        if len(self._outbox) >= self._publish_batch:
+            self.flush_publishes()
 
     def flush_publishes(self) -> None:
         """Push the outbox to the directory's pending buffer."""

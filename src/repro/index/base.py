@@ -14,7 +14,7 @@ __all__ = ["IndexEntry", "IndexStats", "ChunkIndex"]
 #: Maximum fingerprint width we store (SHA-1 = 20 bytes).
 MAX_FP_LEN = 20
 
-_ENTRY_STRUCT = struct.Struct(">B20sQQII")  # fp_len, fp(padded), cid, off, len, refs
+_ENTRY_STRUCT = struct.Struct(">B20sQQI")  # fp_len, fp(padded), cid, off, len
 
 
 @dataclass(frozen=True)
@@ -22,14 +22,15 @@ class IndexEntry:
     """Location record for one stored chunk.
 
     ``container_id``/``offset`` locate the chunk inside the container
-    store (paper Sec. III-F); ``refcount`` supports deletion/GC.
+    store (paper Sec. III-F).  The index counts no references: GC,
+    scrub and durability count them from the manifests
+    (:func:`repro.core.walk.mark_store`), so a dedup hit only reads.
     """
 
     fingerprint: bytes
     container_id: int
     offset: int
     length: int
-    refcount: int = 1
 
     def __post_init__(self) -> None:
         if not (1 <= len(self.fingerprint) <= MAX_FP_LEN):
@@ -38,7 +39,7 @@ class IndexEntry:
         if self.length < 0 or self.offset < 0 or self.container_id < 0:
             raise IndexError_("negative field in index entry")
 
-    # -- fixed-width binary codec (used by the on-disk index runs) -----
+    # -- fixed-width binary codec (cloud replicas, disk runs, scrub) ---
     RECORD_SIZE = _ENTRY_STRUCT.size
 
     def pack(self) -> bytes:
@@ -46,19 +47,19 @@ class IndexEntry:
         fp = self.fingerprint.ljust(MAX_FP_LEN, b"\0")
         return _ENTRY_STRUCT.pack(len(self.fingerprint), fp,
                                   self.container_id, self.offset,
-                                  self.length, self.refcount)
+                                  self.length)
 
     @classmethod
     def unpack(cls, record: bytes) -> "IndexEntry":
         """Inverse of :meth:`pack`."""
-        fp_len, fp, cid, off, length, refs = _ENTRY_STRUCT.unpack(record)
+        fp_len, fp, cid, off, length = _ENTRY_STRUCT.unpack(record)
         return cls(fingerprint=fp[:fp_len], container_id=cid, offset=off,
-                   length=length, refcount=refs)
+                   length=length)
 
-    def bumped(self, delta: int = 1) -> "IndexEntry":
-        """Copy with ``refcount`` adjusted by ``delta``."""
-        return IndexEntry(self.fingerprint, self.container_id, self.offset,
-                          self.length, self.refcount + delta)
+    def bumped(self) -> "IndexEntry":
+        """This entry, unchanged — the index keeps no reference count.
+        Kept for the placement probe of ``benchmarks/ledger/layers.py``."""
+        return self
 
 
 @dataclass
@@ -105,12 +106,11 @@ class ChunkIndex(abc.ABC):
     def __init__(self) -> None:
         #: Running counters; reset by the caller between sessions.
         self.stats = IndexStats()
-        #: Monotonic mutation counter, bumped by every :meth:`insert`
-        #: (including last-writer-wins refcount re-inserts).  Unlike
-        #: ``stats.inserts`` it is never reset, so replication code can
-        #: use it as a dirty marker: equal generations mean no mutation
-        #: happened in between — a pure entry-count comparison cannot
-        #: see refcount-only updates.
+        #: Monotonic mutation counter, advanced by every :meth:`insert`.
+        #: Unlike ``stats.inserts`` it is never reset, so replication
+        #: code can use it as a dirty marker: equal generations mean no
+        #: mutation happened in between — a pure entry-count comparison
+        #: cannot see a re-insert that moved a fingerprint.
         self.generation = 0
 
     @abc.abstractmethod
@@ -120,7 +120,9 @@ class ChunkIndex(abc.ABC):
     @abc.abstractmethod
     def insert(self, entry: IndexEntry) -> None:
         """Insert ``entry``; replaces any previous entry for the same
-        fingerprint (last-writer-wins, used by refcount updates)."""
+        fingerprint (last-writer-wins).  The engine inserts only after
+        a miss, but a miss may be approximate (a sparse shard's
+        sampled answer), so a chunk can return at a new location."""
 
     @abc.abstractmethod
     def __len__(self) -> int:

@@ -128,7 +128,7 @@ class DiskIndex(ChunkIndex):
                 default=-1) + 1)
         # Fingerprints deleted/overwritten since the last flush would need
         # tombstones in a general LSM; dedup indices are insert-mostly and
-        # replace-on-refcount, so the memtable simply shadows older runs.
+        # last-writer-wins, so the memtable simply shadows older runs.
 
     # ------------------------------------------------------------------
     def lookup(self, fingerprint: bytes) -> Optional[IndexEntry]:

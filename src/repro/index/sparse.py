@@ -131,8 +131,8 @@ class SparseShardIndex(ChunkIndex):
             self._seal()
 
     def __len__(self) -> int:
-        """Distinct fingerprints — a re-insert (the engine's refcount
-        bump on every dedup hit) may leave a stale copy in an older
+        """Distinct fingerprints — a re-insert (a chunk stored again
+        after an approximate miss) may leave a stale copy in an older
         sealed segment, which counts once."""
         return len(set(self._open).union(*self._segments.values()))
 

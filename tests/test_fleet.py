@@ -30,7 +30,7 @@ def fp(i: int) -> bytes:
 
 def entry(i: int, length: int = 64) -> IndexEntry:
     return IndexEntry(fingerprint=fp(i), container_id=i, offset=0,
-                      length=length, refcount=1)
+                      length=length)
 
 
 class TestGlobalDedupDirectory:
@@ -64,7 +64,7 @@ class TestGlobalDedupDirectory:
     def test_lowest_rank_wins_conflicts(self):
         d = GlobalDedupDirectory()
         late = IndexEntry(fingerprint=fp(1), container_id=777, offset=0,
-                          length=64, refcount=1)
+                          length=64)
         d.publish_batch("doc", [late], rank=5)
         d.publish_batch("doc", [entry(1)], rank=2)  # lower rank, later
         d.commit_epoch()
@@ -75,7 +75,7 @@ class TestGlobalDedupDirectory:
         d.publish_batch("doc", [entry(1)], rank=3)
         assert d.commit_epoch() == 1
         other = IndexEntry(fingerprint=fp(1), container_id=42, offset=0,
-                           length=64, refcount=1)
+                           length=64)
         d.publish_batch("doc", [other], rank=0)
         assert d.commit_epoch() == 0  # location already settled
         assert d.lookup("doc", fp(1)).container_id == 1
@@ -337,9 +337,10 @@ class TestFleetIndex:
         d.publish_batch("doc", [entry(1)], rank=0)
         d.commit_epoch()
         ix = FleetIndex(d, "doc", rank=1, publish_batch=1)
-        adopted = ix.lookup(fp(1))
-        ix.insert(adopted.bumped())   # refcount bookkeeping
-        ix.insert(adopted.bumped(2))
+        assert ix.lookup(fp(1)) is not None   # adopted
+        assert ix.lookup(fp(1)) is not None   # local hit: a read only
+        ix.flush_publishes()
+        assert ix.stats.inserts == 0
         assert d.shards()[0].publishes == 1  # only the original publish
 
     def test_stat_invariants(self):

@@ -26,8 +26,7 @@ def fp(i: int, size: int = 20) -> bytes:
 def entry(i: int, **kw) -> IndexEntry:
     return IndexEntry(fingerprint=fp(i), container_id=kw.get("cid", i // 10),
                       offset=kw.get("offset", i * 100),
-                      length=kw.get("length", 100),
-                      refcount=kw.get("refcount", 1))
+                      length=kw.get("length", 100))
 
 
 class TestIndexEntry:
@@ -37,11 +36,12 @@ class TestIndexEntry:
 
     def test_pack_unpack_short_fingerprint(self):
         e = IndexEntry(fingerprint=b"\x01" * 12, container_id=7, offset=3,
-                       length=9, refcount=2)
+                       length=9)
         assert IndexEntry.unpack(e.pack()) == e
 
     def test_record_size_fixed(self):
         assert len(entry(1).pack()) == IndexEntry.RECORD_SIZE
+        assert IndexEntry.RECORD_SIZE == 41   # len, fp, cid, offset, length
 
     def test_invalid_fingerprint_length(self):
         with pytest.raises(IndexError_):
@@ -53,9 +53,6 @@ class TestIndexEntry:
     def test_negative_fields_rejected(self):
         with pytest.raises(IndexError_):
             IndexEntry(fingerprint=b"x", container_id=-1, offset=0, length=0)
-
-    def test_bumped(self):
-        assert entry(1).bumped(3).refcount == 4
 
     @given(st.binary(min_size=1, max_size=20), st.integers(0, 2**40),
            st.integers(0, 2**40), st.integers(0, 2**31 - 1))
@@ -75,8 +72,8 @@ class TestMemoryIndex:
     def test_replace(self):
         idx = MemoryIndex()
         idx.insert(entry(1))
-        idx.insert(entry(1, refcount=5))
-        assert idx.lookup(fp(1)).refcount == 5
+        idx.insert(entry(1, cid=5))
+        assert idx.lookup(fp(1)).container_id == 5
         assert len(idx) == 1
 
     def test_stats(self):
@@ -94,7 +91,7 @@ class TestMemoryIndex:
         idx = MemoryIndex()
         assert idx.generation == 0
         idx.insert(entry(1))
-        idx.insert(entry(1, refcount=5))  # same key: still a mutation
+        idx.insert(entry(1, cid=5))  # same key: still a mutation
         assert idx.generation == 2
 
     def test_entries_iteration(self):
@@ -245,9 +242,9 @@ class TestDiskIndex:
         for i in range(10):
             idx.insert(entry(i))
         idx.flush()
-        idx.insert(entry(3, refcount=9))
+        idx.insert(entry(3, cid=9))
         idx.flush()
-        assert idx.lookup(fp(3)).refcount == 9
+        assert idx.lookup(fp(3)).container_id == 9
 
     def test_compaction_preserves_content(self, tmp_path):
         idx = DiskIndex(tmp_path, memtable_limit=5, max_runs=3)
@@ -264,9 +261,9 @@ class TestDiskIndex:
         for i in range(10):
             idx.insert(entry(i))
         idx.flush()
-        idx.insert(entry(2, refcount=7))
+        idx.insert(entry(2, cid=7))
         found = {e.fingerprint: e for e in idx.entries()}
-        assert found[fp(2)].refcount == 7
+        assert found[fp(2)].container_id == 7
         assert len(found) == 10
 
     def test_validation(self, tmp_path):

@@ -30,7 +30,13 @@ def fp(i: int) -> bytes:
 
 def entry(i: int) -> IndexEntry:
     return IndexEntry(fingerprint=fp(i), container_id=i, offset=i * 10,
-                      length=64, refcount=1)
+                      length=64)
+
+
+def moved(i: int) -> IndexEntry:
+    """``entry(i)`` stored again at a new offset of the same container."""
+    return IndexEntry(fingerprint=fp(i), container_id=i, offset=i * 10 + 1,
+                      length=64)
 
 
 def _disk(tmp_path):
@@ -79,15 +85,15 @@ class TestChunkIndexProtocol:
 
     def test_reinsert_replaces_and_len_counts_distinct(self, index):
         _populate(index)
-        bumped = {i: entry(i).bumped() for i in range(0, N, 3)}
-        for e in bumped.values():       # the engine's dedup-hit update
+        relocated = {i: moved(i) for i in range(0, N, 3)}
+        for e in relocated.values():    # last writer wins
             index.insert(e)
         index.begin_batch([fp(i) for i in range(N)])
         for i in range(N):
-            assert index.lookup(fp(i)) == bumped.get(i, entry(i))
+            assert index.lookup(fp(i)) == relocated.get(i, entry(i))
         assert len(index) == N
         listed = sorted(index.entries(), key=lambda e: e.container_id)
-        assert listed == [bumped.get(i, entry(i)) for i in range(N)]
+        assert listed == [relocated.get(i, entry(i)) for i in range(N)]
 
     def test_stats_invariants_and_generation(self, index):
         _populate(index)
@@ -98,7 +104,7 @@ class TestChunkIndexProtocol:
         assert stats.memory_hits <= stats.hits <= stats.lookups
         assert (stats.lookups, stats.hits, stats.inserts) == (N + 8, N, N)
         assert index.generation == generation   # lookups never mutate
-        index.insert(entry(0).bumped())
+        index.insert(moved(0))
         assert index.generation == generation + 1
 
     def test_empty_index(self, index):

@@ -30,7 +30,7 @@ def fp(i: int) -> bytes:
 
 def entry(i: int) -> IndexEntry:
     return IndexEntry(fingerprint=fp(i), container_id=i, offset=0,
-                      length=64, refcount=1)
+                      length=64)
 
 
 def make(capacity=4, alpha=0.25, preload=()):

@@ -728,8 +728,10 @@ class TestContainerNumberingUnderFaults:
         # Seed 1 at rate 0.5: the first operation fails, the second
         # does not (asserted below via the fault count).
         chaos = ChaosBackend(inner, seed=1, transient_error_rate=0.5)
-        retry = RetryPolicy(clock=VirtualClock())
-        client = BackupClient(chaos, aa_dedupe_config(), retry=retry)
+        retry = RetryPolicy()
+        client = BackupClient(
+            SimulatedCloud(chaos, clock=VirtualClock(), retry=retry),
+            aa_dedupe_config())
         assert chaos.chaos.transient_errors == 1
         assert retry.stats.retries == 1
         assert client._containers.next_container_id == 3
@@ -738,7 +740,7 @@ class TestContainerNumberingUnderFaults:
 class TestResumeFromCloudRetries:
     """``resume_from_cloud`` reads the index replicas, the stat cache,
     the manifest listing and the latest manifest — every request under
-    the client's retry policy."""
+    the cloud facade's retry policy."""
 
     @pytest.fixture(scope="class")
     def store(self):
@@ -754,9 +756,9 @@ class TestResumeFromCloudRetries:
         return store
 
     @staticmethod
-    def _resumed(cloud, retry=None):
+    def _resumed(cloud):
         client = BackupClient(cloud, aa_dedupe_config(
-            container_size=32 * KIB, stat_cache=True), retry=retry)
+            container_size=32 * KIB, stat_cache=True))
         restored = client.resume_from_cloud()
         return (restored, client._next_session, len(client._filecache),
                 sorted(client.manifests))
@@ -764,8 +766,9 @@ class TestResumeFromCloudRetries:
     @pytest.mark.parametrize("seed", range(20))
     def test_transient_faults_are_retried(self, store, seed):
         chaos = ChaosBackend(store, seed=seed, transient_error_rate=0.3)
-        retry = RetryPolicy(max_attempts=8, clock=VirtualClock())
-        assert self._resumed(chaos, retry) == self._resumed(store)
+        cloud = SimulatedCloud(chaos, clock=VirtualClock(),
+                               retry=RetryPolicy(max_attempts=8))
+        assert self._resumed(cloud) == self._resumed(store)
 
 
 class _SlowManifestBackend(InMemoryBackend):

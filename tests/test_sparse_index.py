@@ -163,9 +163,9 @@ class TestSparseIndexDeduper:
 
 
 class TestReinsertAcrossSeal:
-    """Regression: ``insert`` only checked the open segment, so the
-    engine's refcount re-insert of a sealed fingerprint was counted as
-    a new entry and listed twice."""
+    """Regression: ``insert`` only checked the open segment, so a
+    re-insert of a sealed fingerprint (a chunk stored again after an
+    approximate miss) was counted as a new entry and listed twice."""
 
     def test_len_and_entries_are_distinct_fingerprints(self):
         index = SparseShardIndex(segment_chunks=2)
@@ -173,10 +173,11 @@ class TestReinsertAcrossSeal:
         b = IndexEntry(fp_of(2), 0, 10, 10)
         index.insert(a)
         index.insert(b)              # seals {a, b}
-        index.insert(a.bumped())     # the dedup-hit refcount update
+        moved = IndexEntry(fp_of(1), 1, 0, 10)
+        index.insert(moved)          # stored again, in a new container
         assert len(index) == 2
         listed = sorted(index.entries(), key=lambda e: e.fingerprint)
-        assert listed == [a.bumped(), b]   # newest version, once
+        assert listed == [moved, b]   # newest version, once
 
     def test_champion_load_prefers_the_newest_copy(self):
         # Chunk 1 is no hook (hooks are ids = 0 mod 4), so its answer
@@ -185,8 +186,9 @@ class TestReinsertAcrossSeal:
         a = IndexEntry(fp_of(1), 0, 0, 10)
         index.insert(a)
         index.insert(IndexEntry(fp_of(4), 0, 10, 10))    # seals segment 0
-        index.insert(a.bumped())
+        moved = IndexEntry(fp_of(1), 1, 0, 10)
+        index.insert(moved)
         index.insert(IndexEntry(fp_of(8), 0, 20, 10))    # seals segment 1
         index.begin_batch([fp_of(4), fp_of(8)])
         assert index.champions_loaded == 2
-        assert index.lookup(fp_of(1)) == a.bumped()
+        assert index.lookup(fp_of(1)) == moved

@@ -6,8 +6,10 @@ client after ``resume_from_cloud``, drop the oldest session and collect
 garbage, run a session whose k-th PUT fails — under one legal
 :class:`~repro.core.options.SchemeConfig` drawn per run.  After every
 step, every retained session must restore bit-exactly to the reference
-model (``tests/model.py``), and the store must hold a manifest for
-exactly the sessions the model retains.
+model (``tests/model.py``), the store must hold a manifest for exactly
+the sessions the model retains, and a scrub must find no problem.
+After a session that synced the index, the cloud replicas must hold
+exactly the live client's entries, app by app.
 
 The budget comes from a hypothesis profile registered in
 ``tests/conftest.py``: a small derandomised one by default, the large
@@ -26,9 +28,12 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
 
 from repro.baselines import all_scheme_configs, jungle_disk_config
 from repro.cloud import InMemoryBackend
-from repro.core import (BackupClient, MemorySource, RestoreClient,
-                        aa_dedupe_config, collect_garbage, naming)
+from repro.core import (BackupClient, IndexSynchronizer, MemorySource,
+                        RestoreClient, aa_dedupe_config, collect_garbage,
+                        naming)
+from repro.core.scrub import scrub_cloud
 from repro.errors import BackupError, CloudError, TransientCloudError
+from repro.index import AppAwareIndex
 from tests.model import StoreModel
 from tests.strategies import legal_scheme_configs
 
@@ -77,6 +82,14 @@ class _FaultyStore(InMemoryBackend):
         super()._put(key, data)
 
 
+def _by_app(index: AppAwareIndex) -> dict:
+    """``{app: set of entries}`` over the non-empty subindices."""
+    by_app: dict = {}
+    for app, entry in index.entries():
+        by_app.setdefault(app, set()).add(entry)
+    return by_app
+
+
 class StoreMachine(RuleBasedStateMachine):
     """One store, one scheme, any interleaving of the public verbs."""
 
@@ -89,6 +102,9 @@ class StoreMachine(RuleBasedStateMachine):
         self.source: dict = {}
         self.mtime = 0
         self.next_session = 0
+        #: Whether the last step ran a warning-free session that was due
+        #: an index sync (so every subindex was pushed).
+        self.synced = False
         self.client = self._client()
 
     def _client(self) -> BackupClient:
@@ -113,9 +129,12 @@ class StoreMachine(RuleBasedStateMachine):
     def _backup(self) -> None:
         files = {path: data for path, (data, _) in self.source.items()}
         mtimes = {path: mtime for path, (_, mtime) in self.source.items()}
-        self.client.backup(MemorySource(files, mtimes),
-                           session_id=self.next_session)
+        stats = self.client.backup(MemorySource(files, mtimes),
+                                   session_id=self.next_session)
         self.model.commit(self.next_session, files)
+        interval = self.config.index_sync_interval
+        self.synced = bool(interval and not stats.warnings
+                           and (self.next_session + 1) % interval == 0)
         self.next_session += 1
 
     # -- rules ----------------------------------------------------------
@@ -163,6 +182,22 @@ class StoreMachine(RuleBasedStateMachine):
         for session_id, files in self.model.sessions.items():
             restored, _ = restore.restore_to_memory(session_id)
             assert restored == files, session_id
+
+    @invariant()
+    def scrub_finds_no_problem(self) -> None:
+        report = scrub_cloud(self.store)
+        assert not report.problems, report.problems
+
+    @invariant()
+    def synced_replicas_equal_the_live_index(self) -> None:
+        """A dedup hit writes nothing, so no insert may be lost: a
+        recovery from the replicas sees every live entry."""
+        if not self.synced:
+            return
+        self.synced = False
+        recovered = AppAwareIndex()
+        IndexSynchronizer(self.store).pull(recovered)
+        assert _by_app(recovered) == _by_app(self.client.index)
 
     def teardown(self) -> None:
         self.client.close()

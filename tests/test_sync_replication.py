@@ -3,8 +3,8 @@
 Two bugs made cloud index replicas silently stale:
 
 * ``push`` skipped any subindex whose entry *count* matched the last
-  push, so refcount-only updates (last-writer-wins re-inserts) never
-  re-replicated — a recovered index fed GC stale refcounts;
+  push, so a last-writer-wins re-insert that moved a fingerprint never
+  re-replicated;
 * ``pull`` recorded the *merged local* size as pushed, so local-only
   entries that survived a recovery were treated as already replicated
   and never reached the cloud.
@@ -15,10 +15,11 @@ content digest of what the replica actually holds.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.cloud import InMemoryBackend
-from repro.core import naming
+from repro.core import BackupClient, MemorySource, aa_dedupe_config, naming
 from repro.core.sync import IndexSynchronizer
 from repro.index import AppAwareIndex, IndexEntry
 
@@ -27,17 +28,19 @@ def fp(i: int) -> bytes:
     return hashlib.sha1(str(i).encode()).digest()
 
 
-def entry(i: int, refcount: int = 1) -> IndexEntry:
-    return IndexEntry(fingerprint=fp(i), container_id=i // 8,
-                      offset=i * 64, length=64, refcount=refcount)
+def entry(i: int, container_id: int | None = None) -> IndexEntry:
+    return IndexEntry(fingerprint=fp(i),
+                      container_id=(i // 8 if container_id is None
+                                    else container_id),
+                      offset=i * 64, length=64)
 
 
-def replica_refcounts(cloud, app: str) -> dict:
+def replica_containers(cloud, app: str) -> dict:
     blob = cloud.get(naming.index_key(app))
     record = IndexEntry.RECORD_SIZE
     entries = [IndexEntry.unpack(blob[pos:pos + record])
                for pos in range(0, len(blob), record)]
-    return {e.fingerprint: e.refcount for e in entries}
+    return {e.fingerprint: e.container_id for e in entries}
 
 
 @pytest.fixture
@@ -54,24 +57,17 @@ def populated():
 
 
 class TestRefcountReplication:
-    def test_refcount_bump_triggers_repush(self, populated):
-        # THE regression: same entry count, different refcount — the
-        # old size heuristic skipped this push entirely.
-        cloud, index, sync = populated
-        existing = index.lookup("doc", fp(0))
-        index.insert("doc", existing.bumped(3))
-        assert index.sizes()["doc"] == 5  # count unchanged
-        assert sync.push(index) == 1
-        assert replica_refcounts(cloud, "doc")[fp(0)] == 4
-
     def test_only_dirty_subindices_reupload(self, populated):
         # Exactly the mutated subindex replicates; the clean one skips.
+        # The mutation keeps the entry count (a moved fingerprint), which
+        # the old size heuristic could not see.
         cloud, index, sync = populated
         puts_before = cloud.stats.put_requests
-        index.insert("mp3", index.lookup("mp3", fp(11)).bumped())
+        index.insert("mp3", entry(11, container_id=9))
+        assert index.sizes()["mp3"] == 3  # count unchanged
         assert sync.push(index) == 1
         assert cloud.stats.put_requests - puts_before == 1
-        assert replica_refcounts(cloud, "mp3")[fp(11)] == 2
+        assert replica_containers(cloud, "mp3")[fp(11)] == 9
 
     def test_clean_push_uploads_nothing(self, populated):
         cloud, _index, sync = populated
@@ -111,29 +107,69 @@ class TestPullAccounting:
         resync.pull(survivor)
         assert survivor.lookup("doc", fp(99)) is not None
         assert resync.push(survivor) == 1  # doc re-replicates
-        assert fp(99) in replica_refcounts(cloud, "doc")
+        assert fp(99) in replica_containers(cloud, "doc")
         # Round-trip: a second recovery sees the survivor.
         rebuilt = AppAwareIndex()
         IndexSynchronizer(cloud).pull(rebuilt)
         assert rebuilt.lookup("doc", fp(99)) == entry(99)
-
-    def test_pull_then_refcount_bump_still_repushes(self, populated):
-        cloud, _index, _sync = populated
-        fresh = AppAwareIndex()
-        resync = IndexSynchronizer(cloud)
-        resync.pull(fresh)
-        fresh.insert("mp3", fresh.lookup("mp3", fp(10)).bumped())
-        assert resync.push(fresh) == 1
-        assert replica_refcounts(cloud, "mp3")[fp(10)] == 2
 
     def test_pull_preserves_newer_local_state(self, populated):
         # Local entries win over replica entries for the same key, and
         # the divergence is pushed back out.
         cloud, _index, _sync = populated
         local = AppAwareIndex()
-        local.insert("doc", entry(0, refcount=7))
+        local.insert("doc", entry(0, container_id=7))
         resync = IndexSynchronizer(cloud)
         resync.pull(local)
-        assert local.lookup("doc", fp(0)).refcount == 7
+        assert local.lookup("doc", fp(0)).container_id == 7
         assert resync.push(local) == 1
-        assert replica_refcounts(cloud, "doc")[fp(0)] == 7
+        assert replica_containers(cloud, "doc")[fp(0)] == 7
+
+
+class _PutLog(InMemoryBackend):
+    """Records the key of every PUT."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.put_keys = []
+
+    def _put(self, key, data):
+        self.put_keys.append(key)
+        super()._put(key, data)
+
+
+class TestDedupHitIsARead:
+    """A dedup hit or a stat-cache replay only looks the index up, so a
+    session re-replicates exactly the subindices that gained entries."""
+
+    FILES = {name: np.random.default_rng(i).integers(
+        0, 256, 40_000, dtype=np.uint8).tobytes()
+        for i, name in enumerate(["docs/a.doc", "music/b.mp3",
+                                  "vm/c.vmdk"])}
+
+    @staticmethod
+    def _index_puts(cloud, client, files, mtimes):
+        before = len(cloud.put_keys)
+        client.backup(MemorySource(files, mtimes))
+        return [k for k in cloud.put_keys[before:]
+                if k.startswith(naming.INDEX_PREFIX)]
+
+    @pytest.mark.parametrize("stat_cache", [False, True])
+    def test_unchanged_source_puts_no_index_key(self, stat_cache):
+        cloud = _PutLog()
+        client = BackupClient(cloud, aa_dedupe_config(stat_cache=stat_cache))
+        mtimes = dict.fromkeys(self.FILES, 1)
+        assert len(self._index_puts(cloud, client, self.FILES, mtimes)) == 3
+        assert self._index_puts(cloud, client, self.FILES, mtimes) == []
+
+    def test_one_edited_app_puts_only_its_replica(self):
+        cloud = _PutLog()
+        client = BackupClient(cloud, aa_dedupe_config())
+        mtimes = dict.fromkeys(self.FILES, 1)
+        self._index_puts(cloud, client, self.FILES, mtimes)
+        edited = dict(self.FILES)
+        edited["docs/a.doc"] = bytes(8_000) + edited["docs/a.doc"]
+        mtimes["docs/a.doc"] = 2
+        doc_label = client.manifests[0].get("docs/a.doc").app
+        assert self._index_puts(cloud, client, edited, mtimes) == [
+            naming.index_key(doc_label)]
