@@ -1,4 +1,5 @@
-"""Golden-file tests: profile rendering and one benchmark table.
+"""Golden-file tests: profile rendering, one benchmark table and the
+paper's Figs. 7–11.
 
 Each golden under ``tests/golden/`` is byte-compared against output
 regenerated from a fully seeded, virtual-clock recipe, so any change to
@@ -9,25 +10,29 @@ change with::
     PYTHONPATH=src python tests/test_golden.py --regen
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.analysis import table1_redundancy
+from repro.analysis.export import figures_to_json
+from repro.analysis.figures import paper_figures_7_to_11
 from repro.cli import main
 from repro.cloud import InMemoryBackend, SimulatedCloud
 from repro.core import BackupClient, MemorySource, aa_dedupe_config
 from repro.metrics import Table
 from repro.obs import MetricsRegistry, Tracer, load_spans, render_profile
 from repro.simulate.clock import VirtualClock
+from repro.trace.driver import run_paper_evaluation
 from repro.util.units import KIB
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 TRACE_GOLDEN = GOLDEN_DIR / "session_trace.jsonl"
 PROFILE_GOLDEN = GOLDEN_DIR / "trace_profile.txt"
 TABLE1_GOLDEN = GOLDEN_DIR / "table1_small.txt"
-
+FIGURES_GOLDEN = GOLDEN_DIR / "paper_figures.json"
 
 
 def _golden_dataset():
@@ -78,6 +83,13 @@ def generate_table1_text() -> str:
     return table.render() + "\n"
 
 
+def generate_paper_figures_json() -> str:
+    """Figs. 7–11 of the trace-driven paper evaluation at 0.4 % scale."""
+    figures = paper_figures_7_to_11(
+        result=run_paper_evaluation(scale=0.004))
+    return json.dumps(figures_to_json(figures), indent=1) + "\n"
+
+
 # ---------------------------------------------------------------------------
 class TestTraceProfileGolden:
     def test_trace_regenerates_byte_identically(self):
@@ -109,6 +121,11 @@ class TestBenchTableGolden:
         assert generate_table1_text() == TABLE1_GOLDEN.read_text()
 
 
+class TestPaperFiguresGolden:
+    def test_figures_7_to_11_match_golden(self):
+        assert generate_paper_figures_json() == FIGURES_GOLDEN.read_text()
+
+
 # ---------------------------------------------------------------------------
 if __name__ == "__main__":
     import sys
@@ -120,4 +137,5 @@ if __name__ == "__main__":
     PROFILE_GOLDEN.write_text(
         render_profile(load_spans(TRACE_GOLDEN.read_text())) + "\n")
     TABLE1_GOLDEN.write_text(generate_table1_text())
+    FIGURES_GOLDEN.write_text(generate_paper_figures_json())
     print(f"regenerated goldens under {GOLDEN_DIR}")
