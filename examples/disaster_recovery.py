@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Disaster recovery: lose the client, keep the cloud, carry on.
 
-Demonstrates the paper's index-synchronisation design (Sec. III-E):
+Dedup continuity after losing the client (the goal of the paper's
+index synchronisation, Sec. III-E), here from the manifests alone:
 
-1. a client backs up two weekly snapshots (index synced to the cloud);
+1. a client backs up two weekly snapshots;
 2. the laptop "dies" — all local state (index, manifests) is discarded;
-3. a brand-new client pulls the application-aware index from the cloud,
-   continues deduplicating against the data already stored, and the
-   whole history remains restorable.
+3. a brand-new client rebuilds the application-aware index from the
+   manifests in the cloud, continues deduplicating against the data
+   already stored, and the whole history remains restorable.
 
 Usage::
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 from repro import BackupClient, RestoreClient, aa_dedupe_config
 from repro.cloud import InMemoryBackend
-from repro.core.sync import IndexSynchronizer
 from repro.util.units import MB, format_bytes
 from repro.workloads import (
     WorkloadGenerator,
@@ -47,10 +47,10 @@ def main() -> None:
     print("\n== laptop stolen; local state gone ==")
     del client
 
-    print("\n== new machine: pull index, resume backups ==")
+    print("\n== new machine: rebuild the index, resume backups ==")
     new_client = BackupClient(cloud, aa_dedupe_config())
-    restored_entries = IndexSynchronizer(cloud).pull(new_client.index)
-    print(f"  recovered {restored_entries} index entries from the cloud")
+    restored_entries = new_client.resume_from_cloud()
+    print(f"  rebuilt {restored_entries} index entries from the manifests")
     assert restored_entries == index_size
 
     stats = new_client.backup(snapshot_to_memory_source(snapshots[2]),

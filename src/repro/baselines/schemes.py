@@ -50,7 +50,6 @@ def jungle_disk_config(**overrides) -> SchemeConfig:
         incremental_only=True,
         tiny_file_threshold=0,
         use_containers=False,
-        index_sync_interval=0,
     )
     base.update(overrides)
     return SchemeConfig(**base)
@@ -64,7 +63,6 @@ def backuppc_config(**overrides) -> SchemeConfig:
         use_containers=False,
         policy_table=dict.fromkeys(Category, DedupPolicy("wfc", "md5")),
         index_layout="global",
-        index_sync_interval=0,
         # BackupPC's pool is a hardlink forest on the filesystem: every
         # whole-file probe and insert is filesystem metadata IO.
         index_media="fs",
@@ -81,7 +79,6 @@ def avamar_config(**overrides) -> SchemeConfig:
         use_containers=False,
         policy_table=dict.fromkeys(Category, _CDC_SHA1),
         index_layout="global",
-        index_sync_interval=0,
     )
     base.update(overrides)
     return SchemeConfig(**base)
@@ -106,7 +103,6 @@ def sam_config(**overrides) -> SchemeConfig:
             Category.DYNAMIC: _CDC_SHA1,
         },
         index_layout="tier",
-        index_sync_interval=0,
     )
     base.update(overrides)
     return SchemeConfig(**base)

@@ -219,9 +219,7 @@ def cmd_gc(args) -> int:
           f"{report.deleted_objects} objects; "
           f"{report.live_containers} containers live")
     if report.statcache_invalidated:
-        print(f"stat caches invalidated "
-              f"({report.statcache_blobs_deleted} blobs dropped, "
-              f"GC epoch bumped)")
+        print("stat caches invalidated (GC epoch bumped)")
     return 0
 
 
@@ -234,8 +232,7 @@ def cmd_scrub(args) -> int:
           f"({report.extents_verified} extents verified), "
           f"{report.replicas_checked} replicas, "
           f"{report.manifests_checked} manifests "
-          f"({report.refs_resolved} refs resolved), "
-          f"{report.index_replicas_checked} index replicas")
+          f"({report.refs_resolved} refs resolved)")
     print(report.summary_line())
     if report.clean:
         print("store is clean")

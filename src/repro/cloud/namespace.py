@@ -2,7 +2,7 @@
 
 A fleet of backup clients hitting one storage account needs two things
 from the key space: *isolation* for client-private state (manifests,
-journals, index replicas — a client must never read or clobber another
+journals, the GC epoch — a client must never read or clobber another
 client's), and *sharing* for the container pool (cross-client dedup only
 pays off when a chunk one client uploaded is addressable by every
 other).  :class:`NamespacedBackend` provides both through the one key

@@ -5,7 +5,7 @@ The pipeline (paper Fig. 5)::
     source files ──> file size filter ──> intelligent chunker
         ──> application-aware deduplicator (per-app indices)
         ──> container management ──> cloud storage
-                                     └─> manifests + index sync
+                                     └─> manifests
 
 :class:`~repro.core.backup.BackupClient` executes this pipeline for any
 :class:`~repro.core.options.SchemeConfig`; the AA-Dedupe configuration is
@@ -22,7 +22,6 @@ from repro.core.backup import BackupClient
 from repro.core.filecache import FileCache, invalidate_statcache
 from repro.core.journal import SessionJournal
 from repro.core.restore import RestoreClient, restore_session
-from repro.core.sync import IndexSynchronizer
 from repro.core.gc import collect_garbage, GCReport
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "SessionJournal",
     "RestoreClient",
     "restore_session",
-    "IndexSynchronizer",
     "collect_garbage",
     "GCReport",
 ]

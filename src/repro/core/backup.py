@@ -20,7 +20,8 @@ bare backend).  Every session is the paper's linear pipeline (Sec. III):
    containers, sealed by the append that fills them and uploaded inline
    or, with ``pipeline_uploads``, on one uploader thread overlapping
    deduplication (the paper's pipelined design);
-5. **manifest + periodic index synchronisation** to the cloud.
+5. **manifest** — the one metadata object a session persists; a new
+   process rebuilds the index and stat cache from the retained ones.
 
 All work is charged to :class:`~repro.core.stats.OpCounters` so the
 virtual platform model can price a session on the paper's hardware.
@@ -50,7 +51,7 @@ from repro.core.pipeline import WorkItem
 from repro.core.recipe import ChunkRef, FileEntry, Manifest
 from repro.core.source import SourceFile
 from repro.core.stats import SessionStats
-from repro.core.sync import IndexSynchronizer
+from repro.core.walk import StoreWalk
 from repro.delta import DeltaStage
 from repro.errors import BackupError, CloudError
 from repro.hashing.base import get_hash
@@ -66,6 +67,13 @@ __all__ = ["BackupClient"]
 #: Sealed containers / blobs that may wait for the WAN before the commit
 #: loop blocks (``pipeline_uploads``).
 _UPLOAD_QUEUE_DEPTH = 4
+
+
+def _index_entry(ref: ChunkRef) -> IndexEntry:
+    """The index entry of a fully stored extent, for placement and resume
+    alike (a standalone object has no container: id 0)."""
+    return IndexEntry(ref.fingerprint, max(ref.container_id, 0),
+                      ref.offset, ref.length)
 
 
 class BackupClient:
@@ -110,10 +118,8 @@ class BackupClient:
         self._upload_busy = 0.0
         self._upload_watch = ConcurrentStopwatch()
         self._cloud_lock = threading.Lock()
-        # -- cross-session stat cache (see repro.core.filecache) --------
-        self._filecache: Optional[FileCache] = (
-            FileCache(self.config.name) if self.config.stat_cache
-            else None)
+        # The cross-session stat cache (see repro.core.filecache).
+        self._filecache = FileCache() if self.config.stat_cache else None
         #: Replays allowed this session (epoch validated, cache warm).
         self._replay_enabled = False
         #: Application label of the file being committed, so uploads
@@ -121,7 +127,6 @@ class BackupClient:
         #: thread sets or reads it).
         self._app: Optional[str] = None
         self._journal: Optional[SessionJournal] = None
-        self._sync = IndexSynchronizer(cloud)
         #: The store's GC epoch when this client's state was last
         #: reconciled with it (``None``: no store state held yet).
         self._epoch: Optional[int] = None
@@ -399,23 +404,8 @@ class BackupClient:
         # The manifest upload committed the session, so the recipes
         # staged during it become the next session's stat cache.
         if cache is not None:
-            cache.close_session(self._cloud_put, stats.warnings,
-                                self.tracer)
-        # Every data, manifest and stat-cache PUT is behind us.
-        stats.upload_wall_seconds = self._upload_watch.elapsed
-
-        # Periodic index replication for disaster recovery (Sec. III-E).
-        # A failed push degrades to a warning: dedup continuity is
-        # recoverable (the next sync retries the stale subindices), so
-        # it must not fail an otherwise-complete backup.
-        if (cfg.index_sync_interval
-                and (session_id + 1) % cfg.index_sync_interval == 0):
-            try:
-                with self.tracer.span("index.sync"):
-                    self._sync.push(self.index)
-            except CloudError as exc:
-                stats.warnings.append(
-                    f"index sync failed (retried next sync): {exc}")
+            cache.commit()
+        stats.upload_wall_seconds = self._upload_watch.elapsed  # all PUTs
 
         # Merge index accounting into the op counters.
         idx_stats = self.index.combined_stats()
@@ -745,8 +735,7 @@ class BackupClient:
                             self._store(fp, payload, namespace))
             stats.bytes_unique += length
             stats.chunks_unique += 1
-            self.index.insert(namespace, IndexEntry(
-                fp, max(ref.container_id, 0), ref.offset, ref.length))
+            self.index.insert(namespace, _index_entry(ref))
             return ref
 
         if self._delta is None:
@@ -791,32 +780,43 @@ class BackupClient:
 
     # ------------------------------------------------------------------
     def resume_from_cloud(self) -> int:
-        """Rebuild dedup state from cloud replicas (new process/machine).
+        """Rebuild client state from the retained manifests, the only
+        metadata a session persists (a new process; the CLI's startup).
 
-        Pulls every synced application subindex — and prunes what a GC
-        sweep deleted under it, since replicas are never pruned in the
-        cloud — loads the most recent manifest (for incremental change
-        detection), reloads the persisted stat cache (so unchanged files
-        skip re-chunking even across process restarts), and
-        fast-forwards the session counter past existing manifests.
-        Returns the number of index entries recovered.  Together with
-        the containers being self-describing, this makes the client
-        fully stateless across invocations — the CLI calls it on
-        startup.
-        """
-        restored = self._sync.pull(self.index)
+        Each ref this scheme could have placed goes back into the subindex
+        :meth:`SchemeConfig.plan_file` routes its file to, the newest
+        session winning; the newest manifest becomes the previous manifest
+        and, if this scheme wrote it, the stat cache.  GC keeps what they
+        name, so all of it is live; the epoch is read first, so a racing
+        sweep shows at the next session open.  Returns the index size."""
+        cfg = self.config
         self._epoch = read_epoch(self.cloud)
-        self._forget_swept()
+        walk = StoreWalk(self.cloud)
+        newest: Optional[Manifest] = None
+        for record in sorted((r for r in walk.manifests if r.namespace
+                              is None and r.session_id is not None),
+                             key=lambda r: r.session_id):
+            newest = self.manifests[record.session_id] = walk.load(record)
+            self._next_session = record.session_id + 1
+            for entry in newest:
+                plan = cfg.plan_file(classify_name(entry.path), entry.size)
+                if not entry.tiny and plan.policy is not None:
+                    for ref in filter(self._owns, entry.refs):
+                        self.index.subindex(plan.namespace).insert(
+                            _index_entry(ref))
         if self._filecache is not None:
-            self._filecache.load(self.cloud, self._epoch)
-        latest_id = max(naming.session_ids(self.cloud), default=-1)
-        if latest_id >= 0:
-            manifest = Manifest.from_json(
-                self.cloud.get(naming.manifest_key(latest_id)))
-            self.manifests[latest_id] = manifest
-            self._prev_manifest = manifest
-            self._next_session = latest_id + 1
-        return restored
+            self._filecache.rebuild(newest if newest is not None and
+                                    newest.scheme == cfg.name else (),
+                                    self._epoch)
+        self._prev_manifest = newest
+        return len(self.index)
+
+    def _owns(self, ref: ChunkRef) -> bool:
+        """Whether an index hit on ``ref`` rebuilds it: a full extent
+        stored as this scheme stores one (another may share the store)."""
+        return not ref.is_delta and (
+            ref.in_container if self._containers is not None
+            else ref.object_key == naming.chunk_key(ref.fingerprint))
 
     def close(self) -> None:
         """Flush containers/index and release resources."""

@@ -18,25 +18,27 @@ Safety rules (see docs/STATCACHE.md):
   sources without modification stamps always take the full pipeline;
 * replayed refs are revalidated against the live index before use, and
   a stale hit falls back to the full pipeline;
-* every persisted blob and the resident cache are stamped with the
-  cloud's **GC epoch** (:data:`repro.core.naming.STATCACHE_EPOCH_KEY`);
-  a ``repro gc`` sweep that deletes data bumps the epoch via
-  :func:`invalidate_statcache`, so no cached ref can outlive a
-  collection that may have removed its extents.
+* the resident cache is stamped with the cloud's **GC epoch**
+  (:data:`repro.core.naming.STATCACHE_EPOCH_KEY`); a ``repro gc`` sweep
+  that deletes data bumps the epoch via :func:`invalidate_statcache`,
+  so no cached ref can outlive a collection that may have removed its
+  extents.
 
-The cache is a pure performance hint: losing it (crash, failed save,
-epoch bump) costs re-chunking work on the next session, never
-correctness.
+Nothing is persisted: the cache after a committed session is exactly
+that session's manifest entries with a known mtime, so a new process
+rebuilds it from the newest manifest
+(:meth:`~repro.core.backup.BackupClient.resume_from_cloud`).  The cache
+is a pure performance hint: losing it (crash, epoch bump) costs
+re-chunking work on the next session, never correctness.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.core import naming
 from repro.core.recipe import FileEntry
-from repro.errors import CloudError, ObjectNotFound
+from repro.errors import ObjectNotFound
 
 __all__ = ["FileCache", "read_epoch", "invalidate_statcache", "unchanged"]
 
@@ -53,29 +55,18 @@ def read_epoch(cloud, key: str = naming.STATCACHE_EPOCH_KEY) -> int:
         return 0
 
 
-def invalidate_statcache(cloud, tenant_keys: Iterable[str] = ()) -> int:
-    """Drop every persisted stat-cache blob and bump the GC epoch, at
-    the root and in every tenant namespace ``tenant_keys`` (a listing of
-    the tenant subtree) names — blob-less ones included, since the epoch
-    guards every client-side copy of store state.
+def invalidate_statcache(cloud, tenant_keys: Iterable[str] = ()) -> None:
+    """Bump the GC epoch at the root and in every tenant namespace
+    ``tenant_keys`` (a listing of the tenant subtree) names.
 
     Called by the garbage collector after a sweep that deleted data:
-    client caches and indexes may reference the deleted extents.
-    Returns the number of blobs deleted.
+    live clients' caches and indexes may reference the deleted extents,
+    and each client learns it from the epoch at its next session open.
     """
-    namespaces = set()
-    deleted = 0
-    for key in [*cloud.list(naming.STATCACHE_PREFIX), *tenant_keys]:
-        namespace, private = naming.split_tenant_key(key)
-        namespaces.add(namespace)
-        if private.startswith(naming.STATCACHE_PREFIX) \
-                and private != naming.STATCACHE_EPOCH_KEY:
-            cloud.delete(key)
-            deleted += 1
+    namespaces = {naming.split_tenant_key(key)[0] for key in tenant_keys}
     for namespace in [None, *sorted(namespaces - {None})]:
         key = naming.tenant_key(namespace, naming.STATCACHE_EPOCH_KEY)
         cloud.put(key, str(read_epoch(cloud, key) + 1).encode("ascii"))
-    return deleted
 
 
 def unchanged(entry: FileEntry, size: int, mtime_ns: int) -> bool:
@@ -96,29 +87,23 @@ class FileCache:
     a failed run, :meth:`record` stages every entry the session commits
     to its manifest (replayed or freshly processed), and
     :meth:`commit` — called only after the manifest upload succeeded —
-    promotes the staged generation, returning the application labels
-    whose persisted blob is now out of date.  Until ``commit``, lookups
-    keep serving the previous successful session, so a crashed session
-    never poisons the cache.  :meth:`open_session` / :meth:`close_session`
-    wrap that lifecycle in the cloud protocol (GC-epoch validation and
-    blob persistence) the backup engine drives.
+    promotes the staged generation.  Until ``commit``, lookups keep
+    serving the previous successful session, so a crashed session never
+    poisons the cache.  :meth:`open_session` validates the GC epoch at
+    the start of each session; :meth:`rebuild` installs a resumed
+    client's cache from the newest manifest.
 
     All access happens on the backup coordinator thread; the class is
     intentionally unsynchronised.
     """
 
-    FORMAT = 1
-
-    def __init__(self, scheme: str) -> None:
-        self._scheme = scheme
+    def __init__(self) -> None:
         #: Committed generation: app label -> path -> FileEntry.
         self._apps: Dict[str, Dict[str, FileEntry]] = {}
         #: Staging area for the in-flight session.
         self._staged: Dict[str, Dict[str, FileEntry]] = {}
         #: GC epoch the committed generation is valid for.
         self.epoch: int = 0
-        #: Whether the cache may be persisted at session close.
-        self._persist_ok = False
 
     def __len__(self) -> int:
         return sum(len(files) for files in self._apps.values())
@@ -172,116 +157,38 @@ class FileCache:
             return  # unknown mtime can never be matched — don't keep it
         self._staged.setdefault(entry.app, {})[entry.path] = entry
 
-    def commit(self) -> List[str]:
-        """Promote the staged generation; return dirty app labels.
-
-        An application is dirty when its staged map differs from the
-        committed one — including apps whose files all vanished this
-        session (their blob must be rewritten as empty).
-        """
-        dirty = [app for app in sorted(set(self._staged) | set(self._apps))
-                 if self._staged.get(app, {}) != self._apps.get(app, {})]
-        self._apps = self._staged
-        self._staged = {}
-        return dirty
+    def commit(self) -> None:
+        """Promote the staged generation."""
+        self._apps, self._staged = self._staged, {}
 
     def clear(self) -> None:
-        """Drop everything (epoch mismatch / load failure)."""
+        """Drop everything (epoch mismatch)."""
         self._apps = {}
         self._staged = {}
 
-    # -- cloud protocol -------------------------------------------------
+    def rebuild(self, entries: Iterable[FileEntry], epoch: int) -> None:
+        """Replace the cache with ``entries`` — a resumed client passes
+        the newest manifest's — valid for GC epoch ``epoch``."""
+        self.begin_session()
+        for entry in entries:
+            self.record(entry)
+        self.commit()
+        self.epoch = epoch
+
+    # -- the GC epoch ---------------------------------------------------
     def open_session(self, epoch: Optional[int]) -> bool:
         """Start-of-session epoch validation; returns whether replays
         are allowed this session.
 
         ``epoch`` is the cloud's GC epoch the engine read at session
-        open (``None``: unreadable — no replay, no persistence).  A
-        sweep between sessions may have deleted extents the cached
-        recipes reference, so a changed epoch drops the cache.
+        open (``None``: unreadable — no replay).  A sweep between
+        sessions may have deleted extents the cached recipes reference,
+        so a changed epoch drops the cache.
         """
         self.begin_session()
-        self._persist_ok = epoch is not None
         if epoch is None:
             return False
         if epoch != self.epoch:
             self.clear()
             self.epoch = epoch
         return len(self) > 0
-
-    def close_session(self, put, warnings: list, tracer) -> None:
-        """Promote and (best-effort) persist the cache post-manifest.
-
-        Call only after the manifest upload succeeded — the session is
-        committed, so every staged recipe is durably referenced.  Dirty
-        blobs go out through ``put(key, blob)``, stamped with the epoch
-        the session opened under.  A failed save degrades to a warning:
-        the resident cache is already current, and a stale cloud blob
-        is safe (its refs stay live until a GC sweep, which bumps the
-        epoch it is stamped with).
-        """
-        dirty = self.commit()
-        if not self._persist_ok:
-            return
-        for app in dirty:
-            blob = self.blob_for(app)
-            try:
-                with tracer.span("statcache.save", app=app,
-                                 bytes=len(blob)):
-                    put(naming.statcache_key(app), blob)
-            except CloudError as exc:
-                warnings.append(
-                    f"stat cache save failed for {app!r} "
-                    f"(retried next session): {exc}")
-
-    def load(self, cloud, epoch: int) -> int:
-        """Pull persisted blobs (disaster-recovery resume); returns the
-        number of file entries recovered.  Blobs stamped with another GC
-        epoch than ``epoch`` or another scheme are ignored; any cloud
-        failure degrades to an empty cache."""
-        loaded = 0
-        self.epoch = epoch
-        try:
-            for key in cloud.list(naming.STATCACHE_PREFIX):
-                if key == naming.STATCACHE_EPOCH_KEY:
-                    continue
-                try:
-                    loaded += self.load_blob(cloud.get(key))
-                except (ValueError, KeyError):
-                    continue  # corrupt blob: equivalent to a cache miss
-        except CloudError:
-            self.clear()
-            return 0
-        return loaded
-
-    # -- persistence ----------------------------------------------------
-    def blob_for(self, app: str) -> bytes:
-        """Serialised cache blob for one application."""
-        files = self._apps.get(app, {})
-        doc = {
-            "format": self.FORMAT,
-            "scheme": self._scheme,
-            "epoch": self.epoch,
-            "app": app,
-            "files": [files[path].to_json() for path in sorted(files)],
-        }
-        return json.dumps(doc, separators=(",", ":")).encode("utf-8")
-
-    def load_blob(self, blob: bytes) -> int:
-        """Install one persisted blob; returns entries loaded.
-
-        Blobs from another scheme, another format or another GC epoch
-        are ignored — their refs cannot be trusted.  Raises ``ValueError``
-        / ``KeyError`` on structurally-corrupt input (callers treat that
-        the same as a missing blob).
-        """
-        doc = json.loads(blob)
-        if (doc.get("format") != self.FORMAT
-                or doc.get("scheme") != self._scheme
-                or int(doc.get("epoch", -1)) != self.epoch):
-            return 0
-        entries = {e["path"]: FileEntry.from_json(e)
-                   for e in doc["files"]}
-        if entries:
-            self._apps[str(doc["app"])] = entries
-        return len(entries)

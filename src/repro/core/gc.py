@@ -56,8 +56,6 @@ class GCReport:
     #: Whether the sweep deleted data and therefore bumped the GC epoch,
     #: invalidating all stat caches (see docs/STATCACHE.md).
     statcache_invalidated: bool = False
-    #: Persisted stat-cache blobs removed by the invalidation.
-    statcache_blobs_deleted: int = 0
 
 
 def session_catalog(cloud) -> Dict[int, float]:
@@ -150,12 +148,11 @@ def collect_garbage(cloud, retain_sessions: Iterable[int]) -> GCReport:
     # --- invalidate stat caches ----------------------------------------
     # Cached recipes may reference the extents just deleted, so any
     # sweep that removed data bumps the GC epoch of the root and of
-    # every tenant: persisted blobs are dropped here, client-side state
-    # on the next session open (see docs/STATCACHE.md).  Manifest-only
-    # deletions leave every extent in place, so caches stay warm.
+    # every tenant: live clients drop their state on the next session
+    # open (see docs/STATCACHE.md).  Manifest-only deletions leave every
+    # extent in place, so caches stay warm.
     if report.deleted_containers or report.deleted_objects:
-        report.statcache_blobs_deleted = invalidate_statcache(
-            cloud, walk.tenant_keys)
+        invalidate_statcache(cloud, walk.tenant_keys)
         report.statcache_invalidated = True
         # An interrupted session's journal vouches for uploads no
         # manifest references, which this sweep just took: a resumed

@@ -1,4 +1,4 @@
-"""Cloud object key conventions shared by backup, restore, sync and GC,
+"""Cloud object key conventions shared by backup, restore and GC,
 and the one tenant key map: private keys nest under ``clients/<ns>/``,
 the :data:`SHARED_PREFIXES` subtrees are one pool every tenant addresses
 verbatim (:class:`repro.cloud.NamespacedBackend`, :mod:`repro.core.walk`).
@@ -10,12 +10,11 @@ import hashlib
 from typing import List, Optional, Tuple
 
 __all__ = ["container_key", "container_id_of", "chunk_key", "file_key",
-           "manifest_key", "session_id_of", "session_ids", "index_key",
-           "journal_key", "delta_key", "statcache_key", "replica_key",
-           "parse_replica_key", "tenant_key", "split_tenant_key",
-           "tenant_keys", "MANIFEST_PREFIX", "CONTAINER_PREFIX",
-           "CHUNK_PREFIX", "FILE_PREFIX", "INDEX_PREFIX", "JOURNAL_PREFIX",
-           "DELTA_PREFIX", "STATCACHE_PREFIX", "STATCACHE_EPOCH_KEY",
+           "manifest_key", "session_id_of", "session_ids", "journal_key",
+           "delta_key", "replica_key", "parse_replica_key", "tenant_key",
+           "split_tenant_key", "tenant_keys", "MANIFEST_PREFIX",
+           "CONTAINER_PREFIX", "CHUNK_PREFIX", "FILE_PREFIX",
+           "JOURNAL_PREFIX", "DELTA_PREFIX", "STATCACHE_EPOCH_KEY",
            "REPLICA_PREFIX", "DURABILITY_PREFIX", "DURABILITY_PLAN_KEY",
            "SHARED_PREFIXES", "CONTAINER_ID_STRIDE"]
 
@@ -23,12 +22,10 @@ CONTAINER_PREFIX = "containers/"
 CHUNK_PREFIX = "chunks/"
 FILE_PREFIX = "files/"
 MANIFEST_PREFIX = "manifests/"
-INDEX_PREFIX = "index/"
 JOURNAL_PREFIX = "journals/"
 DELTA_PREFIX = "deltas/"
-STATCACHE_PREFIX = "statcache/"
 #: Monotonic GC generation stamp; every sweep that deletes data bumps
-#: it, invalidating any persisted (or resident) stat-cache state.
+#: it, so a live client forgets what the sweep may have deleted.
 STATCACHE_EPOCH_KEY = "statcache/EPOCH"
 #: Container replicas, segregated by fault domain (see
 #: :mod:`repro.durability`): ``replicas/<domain>/containers/<id>``.
@@ -110,18 +107,6 @@ def session_ids(cloud) -> list:
 def journal_key(session_id: int) -> str:
     """Key of an in-flight session's upload journal (resume support)."""
     return f"{JOURNAL_PREFIX}session-{session_id:06d}.json"
-
-
-def index_key(app: str) -> str:
-    """Key of one application subindex replica (periodic sync)."""
-    safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in app)
-    return f"{INDEX_PREFIX}{safe}.idx"
-
-
-def statcache_key(app: str) -> str:
-    """Key of one application's persisted stat-cache blob."""
-    safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in app)
-    return f"{STATCACHE_PREFIX}{safe}.fc"
 
 
 def replica_key(domain: str, container_id: int) -> str:

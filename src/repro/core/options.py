@@ -84,9 +84,6 @@ class SchemeConfig:
     #: changed files are uploaded whole.
     incremental_only: bool = False
 
-    #: Replicate the chunk index to the cloud every N sessions (0 = never).
-    index_sync_interval: int = 1
-
     #: Overlap container uploads with deduplication via a worker thread
     #: (the paper's pipelined design).
     pipeline_uploads: bool = False
@@ -280,7 +277,7 @@ def aa_dedupe_config(**overrides) -> SchemeConfig:
 
     10 KB tiny-file filter, per-category intelligent chunking with
     adaptive hashing (Fig. 6), application-aware index, 1 MB padded
-    containers, index sync every session.
+    containers, and the stat cache.
     """
     base = dict(
         name="AA-Dedupe",
@@ -289,7 +286,6 @@ def aa_dedupe_config(**overrides) -> SchemeConfig:
         container_size=1 * MIB,
         policy_table=AA_POLICY_TABLE,
         index_layout="app",
-        index_sync_interval=1,
         stat_cache=True,
     )
     base.update(overrides)

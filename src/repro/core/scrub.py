@@ -16,8 +16,7 @@
   within depth bounds with no dangling base, and — for standalone
   objects — the stored bytes re-hash to the recipe fingerprint (delta
   objects are validated structurally instead: their bytes are a delta
-  blob, not the chunk plaintext);
-* every **index replica** parses into valid entries.
+  blob, not the chunk plaintext).
 
 One :class:`~repro.core.walk.StoreWalk` covers the tenant namespaces of
 a shared fleet backend too.
@@ -48,7 +47,6 @@ from repro.delta import delta_target_length, validate_delta
 from repro.durability.policy import ReplicationPlan
 from repro.errors import ContainerFormatError, DeltaError, ReproError
 from repro.hashing import hash_for_digest_len
-from repro.index.base import IndexEntry
 
 __all__ = ["ScrubFinding", "ScrubReport", "scrub_cloud"]
 
@@ -81,7 +79,6 @@ class ScrubReport:
     deltas_validated: int = 0
     #: Replica copies that parsed and matched their container id.
     replicas_checked: int = 0
-    index_replicas_checked: int = 0
     #: Human-readable integrity problems; a subset of ``findings``.
     problems: List[str] = field(default_factory=list)
     #: Every observation, problems and repairable degradations alike.
@@ -116,8 +113,7 @@ class ScrubReport:
 
 def scrub_cloud(cloud, verify_extents: bool = True,
                 max_delta_depth: int = 8) -> ScrubReport:
-    """Validate all containers, replicas, manifests and index replicas
-    in ``cloud``."""
+    """Validate all containers, replicas and manifests in ``cloud``."""
     report = ScrubReport()
 
     # --- containers ------------------------------------------------------
@@ -276,20 +272,6 @@ def scrub_cloud(cloud, verify_extents: bool = True,
                 while ref is not None:
                     check_ref(ref, record.namespace, where, role)
                     ref, role = ref.delta_base, "delta base"
-
-    # --- index replicas ---------------------------------------------------
-    record = IndexEntry.RECORD_SIZE
-    for key in walk.keys(naming.INDEX_PREFIX):
-        blob = cloud.get(key)
-        try:
-            if len(blob) % record:
-                raise ReproError("truncated index replica")
-            for pos in range(0, len(blob), record):
-                IndexEntry.unpack(blob[pos:pos + record])
-        except ReproError as exc:
-            report.problem("corrupt_index", f"{key}: {exc}")
-            continue
-        report.index_replicas_checked += 1
 
     return report
 

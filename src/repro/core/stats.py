@@ -104,7 +104,7 @@ class SessionStats:
     #: Uploads skipped on session resume (journal proved them durable).
     resume_skipped_objects: int = 0
     resume_skipped_bytes: int = 0
-    #: Non-fatal degradations (failed index sync, journal maintenance).
+    #: Non-fatal degradations (unreadable GC epoch, journal maintenance).
     warnings: list = field(default_factory=list)
 
     # -- work -------------------------------------------------------------

@@ -3,8 +3,8 @@
 :class:`FleetService` stands up a fleet of AA-Dedupe
 :class:`~repro.core.backup.BackupClient` instances against **one shared
 backend**: each client gets its own
-:class:`~repro.cloud.NamespacedBackend` view (private manifests,
-journals and index replicas; shared container/chunk pools), its own
+:class:`~repro.cloud.NamespacedBackend` view (private manifests
+and journals; shared container/chunk pools), its own
 :class:`~repro.simulate.clock.VirtualClock` +
 :class:`~repro.cloud.SimulatedCloud` WAN accounting, a disjoint
 container-id range, and per-app :class:`~repro.fleet.client.FleetIndex`

@@ -8,9 +8,11 @@ paper claims, all realised here:
 * each subindex stays small enough to be RAM-resident (no disk-bottleneck
   seeks — measurable via each subindex's :class:`IndexStats`);
 * lookups for different applications are independent: no operation
-  ever touches two subindices;
-* the partition also yields natural sharding for the periodic cloud
-  synchronisation of the index (:mod:`repro.core.sync`).
+  ever touches two subindices.
+
+A new process rebuilds the subindices from the retained manifests
+(:meth:`repro.core.backup.BackupClient.resume_from_cloud`); no index
+copy is kept in the cloud.
 """
 
 from __future__ import annotations

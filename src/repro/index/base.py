@@ -39,7 +39,7 @@ class IndexEntry:
         if self.length < 0 or self.offset < 0 or self.container_id < 0:
             raise IndexError_("negative field in index entry")
 
-    # -- fixed-width binary codec (cloud replicas, disk runs, scrub) ---
+    # -- fixed-width binary codec (disk runs) ---------------------------
     RECORD_SIZE = _ENTRY_STRUCT.size
 
     def pack(self) -> bytes:

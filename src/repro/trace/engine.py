@@ -38,8 +38,14 @@ _DESCRIPTOR_BYTES = 34
 #: Modelled manifest bytes per file entry / per chunk reference.
 _MANIFEST_FILE_BYTES = 96
 _MANIFEST_REF_BYTES = 56
-#: Serialized index entry bytes (sync traffic).
+#: Bytes per new index entry of the paper's periodic index sync to the
+#: cloud (Sec. III-E).  A paper-model term: the real engine persists no
+#: index (a resumed client rebuilds it from the manifests), and its
+#: 41-byte ``IndexEntry`` record is not this figure.
 _SYNC_ENTRY_BYTES = 48
+#: The four baselines, which sync no index; AA-Dedupe and every
+#: variant of it are charged the sync.
+_BASELINE_SCHEMES = frozenset({"JungleDisk", "BackupPC", "Avamar", "SAM"})
 #: Filesystem-pool index (BackupPC): metadata IOs per probe/insert.
 _FS_IOS_PER_OP = 1.0
 
@@ -276,9 +282,8 @@ class TraceBackupClient:
         stats.bytes_uploaded += manifest_bytes
         stats.put_requests += 1
 
-        # Incremental index sync (new entries since last sync).
-        if cfg.index_sync_interval and (
-                (self._session + 1) % cfg.index_sync_interval == 0):
+        # The paper's index sync: the entries new since the last one.
+        if cfg.name not in _BASELINE_SCHEMES:
             total_entries = sum(len(s) for s in self.indices.values())
             delta = total_entries - self._synced_entries
             if delta > 0:

@@ -1,6 +1,6 @@
 """Integration tests for the backup engine: the AA-Dedupe pipeline and
 its observable behaviours (filtering, chunking policy, dedup, containers,
-index sync, manifests)."""
+resume, manifests)."""
 
 import numpy as np
 import pytest
@@ -123,17 +123,20 @@ class TestAAPipeline:
         assert cloud.exists(naming.manifest_key(0))
 
     def test_index_synced_to_cloud(self, dataset):
+        # The manifest carries the index: a new process rebuilds it.
         cloud = InMemoryBackend()
-        client = BackupClient(cloud, small_config(index_sync_interval=1))
-        client.backup(MemorySource(dataset))
-        keys = cloud.list(naming.INDEX_PREFIX)
-        assert any("mp3" in k for k in keys)
+        BackupClient(cloud, small_config()).backup(MemorySource(dataset))
+        resumed = BackupClient(cloud, small_config())
+        resumed.resume_from_cloud()
+        assert any("mp3" in app for app in resumed.index.apps)
 
     def test_index_sync_disabled(self, dataset):
+        # No index replica is ever written: containers and the manifest.
         cloud = InMemoryBackend()
-        client = BackupClient(cloud, small_config(index_sync_interval=0))
+        client = BackupClient(cloud, small_config())
         client.backup(MemorySource(dataset))
-        assert cloud.list(naming.INDEX_PREFIX) == []
+        assert {key.split("/")[0] for key in cloud.list("")} == {
+            "containers", "manifests"}
 
     def test_op_accounting(self, dataset):
         client = BackupClient(InMemoryBackend(), small_config())

@@ -95,6 +95,3 @@ class TestNaming:
 
     def test_manifest_key(self):
         assert naming.manifest_key(12) == "manifests/session-000012.json"
-
-    def test_index_key_sanitised(self):
-        assert naming.index_key("my app/2") == "index/my_app_2.idx"

@@ -1,4 +1,5 @@
-"""Tests for restore verification, directory restore, GC and index sync."""
+"""Tests for restore verification, directory restore, GC and resuming
+the index from the manifests."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from repro.cloud import InMemoryBackend, LocalDirectoryBackend
 from repro.core import (
     BackupClient,
     DirectorySource,
-    IndexSynchronizer,
     Manifest,
     MemorySource,
     RestoreClient,
@@ -18,7 +18,6 @@ from repro.core import (
 from repro.core import naming
 from repro.core.scrub import scrub_cloud
 from repro.errors import IntegrityError, ObjectNotFound, RestoreError
-from repro.index.appaware import AppAwareIndex
 from repro.util.units import KIB
 
 
@@ -168,26 +167,31 @@ class TestGarbageCollection:
 
 
 class TestIndexSync:
+    """The manifests are the index's cloud copy: a new process rebuilds
+    it with ``resume_from_cloud``."""
+
     def test_push_pull_roundtrip(self, backed_up):
         cloud, client, _f, _f2 = backed_up
-        fresh = AppAwareIndex()
-        restored = IndexSynchronizer(cloud).pull(fresh)
+        fresh = BackupClient(cloud, client.config)
+        restored = fresh.resume_from_cloud()
         assert restored == len(client.index)
-        assert fresh.sizes() == client.index.sizes()
+        assert fresh.index.sizes() == client.index.sizes()
 
     def test_push_skips_unchanged(self, backed_up):
-        cloud, client, _f, _f2 = backed_up
-        sync = IndexSynchronizer(cloud)
-        first = sync.push(client.index)
-        assert first > 0
-        assert sync.push(client.index) == 0  # nothing changed
+        # A session that adds no chunk writes no index anywhere: only
+        # the tiny-file repack and the manifest go up.
+        cloud, client, _f, files2 = backed_up
+        before = set(cloud.list(""))
+        client.backup(MemorySource(files2))
+        added = {key.split("/")[0] for key in set(cloud.list("")) - before}
+        assert added == {"containers", "manifests"}
 
     def test_disaster_recovery_dedup_continuity(self, backed_up, rng):
-        # A brand-new client that pulls the index keeps deduplicating
-        # against data already in the cloud.
+        # A brand-new client that resumes from the manifests keeps
+        # deduplicating against data already in the cloud.
         cloud, old_client, files, files2 = backed_up
         new_client = BackupClient(cloud, old_client.config)
-        IndexSynchronizer(cloud).pull(new_client.index)
+        new_client.resume_from_cloud()
         stats = new_client.backup(MemorySource(files2), session_id=5)
         # Only tiny repack bytes are re-uploaded; all chunks dedup.
         assert stats.bytes_unique <= 200

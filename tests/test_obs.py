@@ -357,7 +357,7 @@ class TestEndToEndProfiling:
         assert {"session", "file", "chunk", "chunk.cut", "hash",
                 "index.lookup", "index.insert", "container.seal",
                 "upload", "cloud.put", "cloud.put.attempt",
-                "manifest", "index.sync"} <= names
+                "manifest"} <= names
 
         profile = stage_breakdown(spans)
         # single-threaded: per-stage self times sum exactly to the

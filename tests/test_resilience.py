@@ -27,7 +27,6 @@ from repro.core import (
     naming,
 )
 from repro.core.scrub import scrub_cloud
-from repro.core.sync import IndexSynchronizer
 from repro.errors import (
     BackupError,
     CloudError,
@@ -478,73 +477,6 @@ class TestPipelinedUploaderFailFast:
 
 
 # ---------------------------------------------------------------------------
-class _FlakyIndexBackend(InMemoryBackend):
-    """Fails every put under index/ while ``failing`` is True."""
-
-    def __init__(self):
-        super().__init__()
-        self.failing = False
-
-    def _put(self, key, data):
-        if self.failing and key.startswith(naming.INDEX_PREFIX):
-            raise TransientCloudError("index replica put failed")
-        super()._put(key, data)
-
-
-class TestIndexSyncDegradation:
-    def test_push_failure_degrades_to_warning(self, files):
-        cloud = _FlakyIndexBackend()
-        client = BackupClient(cloud, aa_dedupe_config(
-            container_size=32 * KIB))
-        cloud.failing = True
-        stats = client.backup(MemorySource(files), session_id=0)
-        assert stats.files_total == len(files)
-        assert any("index sync failed" in w for w in stats.warnings)
-        assert cloud.list(naming.INDEX_PREFIX) == []
-
-    def test_failed_push_retried_on_next_sync(self, files):
-        cloud = _FlakyIndexBackend()
-        client = BackupClient(cloud, aa_dedupe_config(
-            container_size=32 * KIB))
-        cloud.failing = True
-        client.backup(MemorySource(files), session_id=0)
-        cloud.failing = False
-        stats = client.backup(MemorySource(files), session_id=1)
-        assert stats.warnings == []
-        assert cloud.list(naming.INDEX_PREFIX) != []
-
-    def test_partial_push_keeps_successes(self):
-        # Subindices after the failing one still replicate; only the
-        # failed one stays stale (and is retried next push).
-        from repro.index.appaware import AppAwareIndex
-        from repro.index.base import IndexEntry
-
-        class OnePoisonBackend(InMemoryBackend):
-            def _put(self, key, data):
-                if key == naming.index_key("bad"):
-                    raise TransientCloudError("nope")
-                super()._put(key, data)
-
-        cloud = OnePoisonBackend()
-        index = AppAwareIndex()
-        for app in ("aaa", "bad", "zzz"):
-            index.subindex(app).insert(IndexEntry(
-                fingerprint=app.encode() * 4, container_id=0,
-                offset=0, length=1))
-        sync = IndexSynchronizer(cloud)
-        with pytest.raises(CloudError, match="index sync incomplete"):
-            sync.push(index)
-        stored = cloud.list(naming.INDEX_PREFIX)
-        assert naming.index_key("aaa") in stored
-        assert naming.index_key("zzz") in stored
-        assert naming.index_key("bad") not in stored
-        # the failed subindex is re-pushed once the fault clears
-        cloud.__class__ = InMemoryBackend
-        assert sync.push(index) == 1
-        assert naming.index_key("bad") in cloud.list(naming.INDEX_PREFIX)
-
-
-# ---------------------------------------------------------------------------
 class TestSessionJournal:
     def test_fresh_when_absent(self):
         journal = SessionJournal.load(InMemoryBackend(), 0,
@@ -738,9 +670,9 @@ class TestContainerNumberingUnderFaults:
 
 
 class TestResumeFromCloudRetries:
-    """``resume_from_cloud`` reads the index replicas, the stat cache,
-    the manifest listing and the latest manifest — every request under
-    the cloud facade's retry policy."""
+    """``resume_from_cloud`` reads the GC epoch, the manifest listing and
+    every retained manifest — every request under the cloud facade's
+    retry policy."""
 
     @pytest.fixture(scope="class")
     def store(self):

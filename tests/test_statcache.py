@@ -1,7 +1,8 @@
 """Tests for the cross-session stat cache (repro.core.filecache) and its
 wiring into the backup engine: replay semantics, safety rules (size+mtime
-triple, GC-epoch invalidation, stale-ref fallback), persistence across
-process restarts, and parity with cache-off runs."""
+triple, GC-epoch invalidation, stale-ref fallback), the rebuild from the
+newest manifest across process restarts, and parity with cache-off
+runs."""
 
 import dataclasses
 
@@ -123,13 +124,11 @@ class TestStatCacheReplay:
         extra_mtimes = dict(mtimes, **{"docs/old.doc": 77})
         client.backup(MemorySource(extra_files, extra_mtimes))
         client.backup(MemorySource(files, mtimes))     # old.doc vanishes
-        assert cloud.list(naming.STATCACHE_PREFIX)
         report = collect_garbage(cloud, retain_sessions=[1])
-        # old.doc's extents died, so the sweep must bump the epoch and
-        # drop every persisted blob.
+        # old.doc's extents died, so the sweep must bump the epoch (the
+        # only stat-cache object the store ever holds).
         assert report.statcache_invalidated
-        assert [k for k in cloud.list(naming.STATCACHE_PREFIX)
-                if k != naming.STATCACHE_EPOCH_KEY] == []
+        assert cloud.list("statcache/") == [naming.STATCACHE_EPOCH_KEY]
         # The resident cache is now a different epoch: session 2 must
         # re-chunk everything instead of replaying possibly-dead refs.
         s3 = client.backup(MemorySource(files, mtimes))
@@ -209,7 +208,7 @@ class TestStatCacheReplay:
         first = BackupClient(cloud, small_config())
         first.backup(MemorySource(files, mtimes))
         first.close()
-        # A brand-new process: state rebuilt from cloud replicas only.
+        # A brand-new process: state rebuilt from the manifests only.
         second = BackupClient(cloud, small_config())
         second.resume_from_cloud()
         s2 = second.backup(MemorySource(files, mtimes))
@@ -226,7 +225,7 @@ class TestStatCacheReplay:
         client.backup(MemorySource(files, mtimes))
         s2 = client.backup(MemorySource(files, mtimes))
         assert s2.files_unchanged == 0
-        assert cloud.list(naming.STATCACHE_PREFIX) == []
+        assert cloud.list("statcache/") == []
 
     def test_parallel_warm_session_matches_serial(self, dataset):
         files, mtimes = dataset
@@ -255,7 +254,7 @@ class TestFileCacheUnit:
                          category="dynamic", refs=[ref], **kw)
 
     def committed(self, *entries):
-        cache = FileCache("AA-Dedupe")
+        cache = FileCache()
         cache.begin_session()
         for e in entries:
             cache.record(e)
@@ -276,54 +275,34 @@ class TestFileCacheUnit:
         cache2 = self.committed(self.entry(mtime=5))
         assert cache2.match("txt", "a.txt", 100, 0) is None
 
-    def test_commit_reports_dirty_apps_only(self):
-        cache = self.committed(self.entry())
-        cache.begin_session()
-        cache.record(self.entry())          # identical generation
-        assert cache.commit() == []
-        cache.begin_session()
-        cache.record(self.entry(mtime=9))   # changed
-        assert cache.commit() == ["txt"]
-
-    def test_vanished_app_is_dirty(self):
-        cache = self.committed(self.entry())
-        cache.begin_session()
-        assert cache.commit() == ["txt"]    # blob must be rewritten empty
-        assert len(cache) == 0
-
     def test_uncommitted_session_never_served(self):
-        cache = FileCache("AA-Dedupe")
+        cache = FileCache()
         cache.begin_session()
         cache.record(self.entry())
         # Crash before commit: the staged generation must not leak.
         cache.begin_session()
-        assert cache.commit() == []
+        cache.commit()
         assert cache.match("txt", "a.txt", 100, 5) is None
 
-    def test_blob_roundtrip(self):
-        cache = self.committed(self.entry(), self.entry(path="b.txt"))
-        blob = cache.blob_for("txt")
-        other = FileCache("AA-Dedupe")
-        assert other.load_blob(blob) == 2
-        assert other.match("txt", "b.txt", 100, 5) is not None
-
-    def test_blob_rejected_on_mismatch(self):
-        cache = self.committed(self.entry())
-        blob = cache.blob_for("txt")
-        assert FileCache("SAM").load_blob(blob) == 0       # scheme
-        stale = FileCache("AA-Dedupe")
-        stale.epoch = 3
-        assert stale.load_blob(blob) == 0                  # epoch
-        with pytest.raises((ValueError, KeyError)):
-            FileCache("AA-Dedupe").load_blob(b"not json")  # corrupt
+    def test_rebuild_replaces_cache_and_stamps_epoch(self):
+        cache = self.committed(self.entry(path="old.txt"))
+        cache.rebuild([self.entry(), self.entry(path="b.txt", mtime=0)],
+                      epoch=4)
+        assert len(cache) == 1              # the zero mtime is not kept
+        assert cache.match("txt", "a.txt", 100, 5) is not None
+        assert cache.match("txt", "old.txt", 100, 5) is None
+        assert cache.epoch == 4
+        assert cache.open_session(4)        # same epoch: replays allowed
+        assert not cache.open_session(5)    # moved: the cache is dropped
+        assert len(cache) == 0
 
     def test_epoch_helpers(self):
         cloud = InMemoryBackend()
         assert read_epoch(cloud) == 0
-        cloud.put(naming.statcache_key("txt"), b"{}")
-        assert invalidate_statcache(cloud) == 1
+        invalidate_statcache(cloud)
         assert read_epoch(cloud) == 1
-        assert invalidate_statcache(cloud) == 0
+        invalidate_statcache(cloud, ["clients/job/manifests/x"])
         assert read_epoch(cloud) == 2
+        assert read_epoch(cloud, "clients/job/statcache/EPOCH") == 1
         cloud.put(naming.STATCACHE_EPOCH_KEY, b"garbage")
         assert read_epoch(cloud) == 0

@@ -3,13 +3,15 @@
 A hypothesis ``RuleBasedStateMachine`` drives one store through the
 system's public verbs — back up an edited source, back up with a fresh
 client after ``resume_from_cloud``, drop the oldest session and collect
-garbage, run a session whose k-th PUT fails — under one legal
+garbage, keep the last n sessions through ``apply_retention``, run a
+session whose k-th PUT fails — under one legal
 :class:`~repro.core.options.SchemeConfig` drawn per run.  After every
 step, every retained session must restore bit-exactly to the reference
 model (``tests/model.py``), the store must hold a manifest for exactly
 the sessions the model retains, and a scrub must find no problem.
-After a session that synced the index, the cloud replicas must hold
-exactly the live client's entries, app by app.
+After every resume, the client's index must equal a recount from the
+retained manifests, app by app, and its stat cache the newest
+manifest's entries with a known mtime.
 
 The budget comes from a hypothesis profile registered in
 ``tests/conftest.py``: a small derandomised one by default, the large
@@ -27,13 +29,17 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, rule)
 
 from repro.baselines import all_scheme_configs, jungle_disk_config
+from repro.classify.filetype import classify_name
 from repro.cloud import InMemoryBackend
-from repro.core import (BackupClient, IndexSynchronizer, MemorySource,
+from repro.core import (BackupClient, Manifest, MemorySource,
                         RestoreClient, aa_dedupe_config, collect_garbage,
                         naming)
+from repro.core.retention import RetainLastN
 from repro.core.scrub import scrub_cloud
 from repro.errors import BackupError, CloudError, TransientCloudError
-from repro.index import AppAwareIndex
+from repro.index import AppAwareIndex, IndexEntry
+from repro.service.retention import apply_retention
+from repro.simulate.clock import VirtualClock
 from tests.model import StoreModel
 from tests.strategies import legal_scheme_configs
 
@@ -68,11 +74,13 @@ _changes = st.lists(st.tuples(
 
 class _FaultyStore(InMemoryBackend):
     """An in-memory store whose ``fail_at``-th PUT (1-based, counted
-    from arming) fails once."""
+    from arming) fails once.  Its clock never moves, so every manifest
+    has the same ``created`` stamp and retention orders by session id."""
 
     def __init__(self) -> None:
         super().__init__()
         self.fail_at = 0
+        self.clock = VirtualClock()
 
     def _put(self, key, data):
         if self.fail_at:
@@ -102,9 +110,6 @@ class StoreMachine(RuleBasedStateMachine):
         self.source: dict = {}
         self.mtime = 0
         self.next_session = 0
-        #: Whether the last step ran a warning-free session that was due
-        #: an index sync (so every subindex was pushed).
-        self.synced = False
         self.client = self._client()
 
     def _client(self) -> BackupClient:
@@ -129,13 +134,39 @@ class StoreMachine(RuleBasedStateMachine):
     def _backup(self) -> None:
         files = {path: data for path, (data, _) in self.source.items()}
         mtimes = {path: mtime for path, (_, mtime) in self.source.items()}
-        stats = self.client.backup(MemorySource(files, mtimes),
-                                   session_id=self.next_session)
+        self.client.backup(MemorySource(files, mtimes),
+                           session_id=self.next_session)
         self.model.commit(self.next_session, files)
-        interval = self.config.index_sync_interval
-        self.synced = bool(interval and not stats.warnings
-                           and (self.next_session + 1) % interval == 0)
         self.next_session += 1
+
+    def _check_resumed(self) -> None:
+        """A resumed client holds exactly what the retained manifests
+        say: its index is a recount of their non-tiny, non-delta refs
+        (the newest session wins), app by app, and its stat cache the
+        newest manifest's entries with a known mtime."""
+        manifests = [Manifest.from_json(self.store.get(
+            naming.manifest_key(sid))) for sid in self.model.retained()]
+        recount: dict = {}
+        for entry in (e for manifest in manifests for e in manifest):
+            plan = self.config.plan_file(classify_name(entry.path),
+                                         entry.size)
+            if entry.tiny or plan.policy is None:
+                continue
+            for ref in entry.refs:
+                if not ref.is_delta:
+                    recount.setdefault(plan.namespace, {})[
+                        ref.fingerprint] = IndexEntry(
+                            ref.fingerprint, max(ref.container_id, 0),
+                            ref.offset, ref.length)
+        assert _by_app(self.client.index) == {
+            app: set(entries.values()) for app, entries in recount.items()}
+        cache = self.client._filecache
+        if cache is not None:
+            newest: dict = {}
+            for entry in manifests[-1] if manifests else ():
+                if entry.mtime_ns:
+                    newest.setdefault(entry.app, {})[entry.path] = entry
+            assert cache._apps == newest
 
     # -- rules ----------------------------------------------------------
     @rule(changes=_changes)
@@ -149,6 +180,7 @@ class StoreMachine(RuleBasedStateMachine):
         self.client.close()
         self.client = self._client()
         self.client.resume_from_cloud()
+        self._check_resumed()
         self.backup(changes)
 
     @rule()
@@ -159,6 +191,16 @@ class StoreMachine(RuleBasedStateMachine):
             self.model.drop(self.model.retained()[0])
         report = collect_garbage(self.store, self.model.retained())
         assert not report.problems, report.problems
+
+    @rule(n=st.integers(1, 3))
+    def retain_last_n(self, n) -> None:
+        """Retention through the service layer's entry point: keep the
+        n newest sessions and sweep what only the dropped ones held."""
+        outcome = apply_retention(self.store, self.store, RetainLastN(n),
+                                  now=0.0)
+        for session_id in self.model.retained()[:-n]:
+            self.model.drop(session_id)
+        assert outcome is None or not outcome.problems, outcome.problems
 
     @rule(changes=_changes, k=st.integers(1, 10))
     def backup_with_failing_put(self, changes, k) -> None:
@@ -187,17 +229,6 @@ class StoreMachine(RuleBasedStateMachine):
     def scrub_finds_no_problem(self) -> None:
         report = scrub_cloud(self.store)
         assert not report.problems, report.problems
-
-    @invariant()
-    def synced_replicas_equal_the_live_index(self) -> None:
-        """A dedup hit writes nothing, so no insert may be lost: a
-        recovery from the replicas sees every live entry."""
-        if not self.synced:
-            return
-        self.synced = False
-        recovered = AppAwareIndex()
-        IndexSynchronizer(self.store).pull(recovered)
-        assert _by_app(recovered) == _by_app(self.client.index)
 
     def teardown(self) -> None:
         self.client.close()

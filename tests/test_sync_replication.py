@@ -1,129 +1,24 @@
-"""Regression tests for index-replication staleness (ISSUE 3).
+"""Dedup continuity across processes, from the manifests alone.
 
-Two bugs made cloud index replicas silently stale:
-
-* ``push`` skipped any subindex whose entry *count* matched the last
-  push, so a last-writer-wins re-insert that moved a fingerprint never
-  re-replicated;
-* ``pull`` recorded the *merged local* size as pushed, so local-only
-  entries that survived a recovery were treated as already replicated
-  and never reached the cloud.
-
-Replication now keys off per-subindex mutation generations plus a
-content digest of what the replica actually holds.
+A session persists one metadata object, its manifest.  A new process
+rebuilds the chunk index and the stat cache from the retained
+manifests (``BackupClient.resume_from_cloud``), so a dedup hit or a
+stat-cache replay writes nothing, and an unchanged source costs one PUT.
 """
-
-import hashlib
 
 import numpy as np
 import pytest
 
+from repro.baselines import all_scheme_configs, build_scheme, sam_config
 from repro.cloud import InMemoryBackend
-from repro.core import BackupClient, MemorySource, aa_dedupe_config, naming
-from repro.core.sync import IndexSynchronizer
-from repro.index import AppAwareIndex, IndexEntry
+from repro.core import (BackupClient, MemorySource, RestoreClient,
+                        aa_dedupe_config, naming)
+from repro.core.scrub import scrub_cloud
 
-
-def fp(i: int) -> bytes:
-    return hashlib.sha1(str(i).encode()).digest()
-
-
-def entry(i: int, container_id: int | None = None) -> IndexEntry:
-    return IndexEntry(fingerprint=fp(i),
-                      container_id=(i // 8 if container_id is None
-                                    else container_id),
-                      offset=i * 64, length=64)
-
-
-def replica_containers(cloud, app: str) -> dict:
-    blob = cloud.get(naming.index_key(app))
-    record = IndexEntry.RECORD_SIZE
-    entries = [IndexEntry.unpack(blob[pos:pos + record])
-               for pos in range(0, len(blob), record)]
-    return {e.fingerprint: e.container_id for e in entries}
-
-
-@pytest.fixture
-def populated():
-    cloud = InMemoryBackend()
-    index = AppAwareIndex()
-    for i in range(5):
-        index.insert("doc", entry(i))
-    for i in range(10, 13):
-        index.insert("mp3", entry(i))
-    sync = IndexSynchronizer(cloud)
-    assert sync.push(index) == 2
-    return cloud, index, sync
-
-
-class TestRefcountReplication:
-    def test_only_dirty_subindices_reupload(self, populated):
-        # Exactly the mutated subindex replicates; the clean one skips.
-        # The mutation keeps the entry count (a moved fingerprint), which
-        # the old size heuristic could not see.
-        cloud, index, sync = populated
-        puts_before = cloud.stats.put_requests
-        index.insert("mp3", entry(11, container_id=9))
-        assert index.sizes()["mp3"] == 3  # count unchanged
-        assert sync.push(index) == 1
-        assert cloud.stats.put_requests - puts_before == 1
-        assert replica_containers(cloud, "mp3")[fp(11)] == 9
-
-    def test_clean_push_uploads_nothing(self, populated):
-        cloud, _index, sync = populated
-        puts_before = cloud.stats.put_requests
-        assert sync.push(_index) == 0
-        assert cloud.stats.put_requests == puts_before
-
-    def test_identical_reinsert_skips_upload(self, populated):
-        # A mutation that leaves the serialised content byte-identical
-        # (re-insert of the same entry) is detected by the digest and
-        # does not burn an upload.
-        cloud, index, sync = populated
-        index.insert("doc", index.lookup("doc", fp(1)))
-        puts_before = cloud.stats.put_requests
-        assert sync.push(index) == 0
-        assert cloud.stats.put_requests == puts_before
-
-
-class TestPullAccounting:
-    def test_pull_into_empty_is_clean(self, populated):
-        # Recovery into a fresh index: local equals the replica, so the
-        # next push has nothing to do.
-        cloud, index, _sync = populated
-        fresh = AppAwareIndex()
-        resync = IndexSynchronizer(cloud)
-        assert resync.pull(fresh) == len(index)
-        assert resync.push(fresh) == 0
-
-    def test_local_survivors_reach_cloud_after_pull(self, populated):
-        # THE regression: pull into a non-empty subindex used to record
-        # the merged size as pushed, so local-only entries never
-        # replicated on the next push.
-        cloud, _index, _sync = populated
-        survivor = AppAwareIndex()
-        survivor.insert("doc", entry(99))  # local-only, not in replica
-        resync = IndexSynchronizer(cloud)
-        resync.pull(survivor)
-        assert survivor.lookup("doc", fp(99)) is not None
-        assert resync.push(survivor) == 1  # doc re-replicates
-        assert fp(99) in replica_containers(cloud, "doc")
-        # Round-trip: a second recovery sees the survivor.
-        rebuilt = AppAwareIndex()
-        IndexSynchronizer(cloud).pull(rebuilt)
-        assert rebuilt.lookup("doc", fp(99)) == entry(99)
-
-    def test_pull_preserves_newer_local_state(self, populated):
-        # Local entries win over replica entries for the same key, and
-        # the divergence is pushed back out.
-        cloud, _index, _sync = populated
-        local = AppAwareIndex()
-        local.insert("doc", entry(0, container_id=7))
-        resync = IndexSynchronizer(cloud)
-        resync.pull(local)
-        assert local.lookup("doc", fp(0)).container_id == 7
-        assert resync.push(local) == 1
-        assert replica_containers(cloud, "doc")[fp(0)] == 7
+FILES = {name: np.random.default_rng(i).integers(
+    0, 256, 40_000, dtype=np.uint8).tobytes()
+    for i, name in enumerate(["docs/a.doc", "music/b.mp3", "vm/c.vmdk"])}
+MTIMES = dict.fromkeys(FILES, 1)
 
 
 class _PutLog(InMemoryBackend):
@@ -138,38 +33,85 @@ class _PutLog(InMemoryBackend):
         super()._put(key, data)
 
 
+def _resumed(cloud, config) -> BackupClient:
+    client = BackupClient(cloud, config)
+    client.resume_from_cloud()
+    return client
+
+
 class TestDedupHitIsARead:
-    """A dedup hit or a stat-cache replay only looks the index up, so a
-    session re-replicates exactly the subindices that gained entries."""
-
-    FILES = {name: np.random.default_rng(i).integers(
-        0, 256, 40_000, dtype=np.uint8).tobytes()
-        for i, name in enumerate(["docs/a.doc", "music/b.mp3",
-                                  "vm/c.vmdk"])}
-
-    @staticmethod
-    def _index_puts(cloud, client, files, mtimes):
-        before = len(cloud.put_keys)
-        client.backup(MemorySource(files, mtimes))
-        return [k for k in cloud.put_keys[before:]
-                if k.startswith(naming.INDEX_PREFIX)]
-
     @pytest.mark.parametrize("stat_cache", [False, True])
     def test_unchanged_source_puts_no_index_key(self, stat_cache):
         cloud = _PutLog()
-        client = BackupClient(cloud, aa_dedupe_config(stat_cache=stat_cache))
-        mtimes = dict.fromkeys(self.FILES, 1)
-        assert len(self._index_puts(cloud, client, self.FILES, mtimes)) == 3
-        assert self._index_puts(cloud, client, self.FILES, mtimes) == []
+        config = aa_dedupe_config(stat_cache=stat_cache)
+        BackupClient(cloud, config).backup(MemorySource(FILES, MTIMES))
+        before = len(cloud.put_keys)
+        _resumed(cloud, config).backup(MemorySource(FILES, MTIMES))
+        assert cloud.put_keys[before:] == [naming.manifest_key(1)]
 
-    def test_one_edited_app_puts_only_its_replica(self):
-        cloud = _PutLog()
-        client = BackupClient(cloud, aa_dedupe_config())
-        mtimes = dict.fromkeys(self.FILES, 1)
-        self._index_puts(cloud, client, self.FILES, mtimes)
-        edited = dict(self.FILES)
-        edited["docs/a.doc"] = bytes(8_000) + edited["docs/a.doc"]
-        mtimes["docs/a.doc"] = 2
-        doc_label = client.manifests[0].get("docs/a.doc").app
-        assert self._index_puts(cloud, client, edited, mtimes) == [
-            naming.index_key(doc_label)]
+
+@pytest.mark.parametrize("config", all_scheme_configs(),
+                         ids=lambda c: c.name)
+def test_resumed_unchanged_source_puts_only_the_manifest(config):
+    cloud = _PutLog()
+    BackupClient(cloud, config).backup(MemorySource(FILES, MTIMES))
+    before = len(cloud.put_keys)
+    stats = _resumed(cloud, config).backup(MemorySource(FILES, MTIMES))
+    assert stats.bytes_unique == 0
+    assert stats.put_requests == 1
+    assert cloud.put_keys[before:] == [naming.manifest_key(1)]
+
+
+def test_newest_manifest_of_another_scheme_builds_no_stat_cache():
+    cloud = InMemoryBackend()
+    BackupClient(cloud, aa_dedupe_config()).backup(
+        MemorySource(FILES, MTIMES), session_id=0)
+    BackupClient(cloud, sam_config()).backup(
+        MemorySource(FILES, MTIMES), session_id=1)
+    client = _resumed(cloud, aa_dedupe_config())
+    assert len(client._filecache) == 0
+    assert len(client.index) > 0  # session 0's refs still dedup
+    stats = client.backup(MemorySource(FILES, MTIMES))
+    assert stats.files_unchanged == 0
+    assert stats.bytes_unique == 0
+    assert RestoreClient(cloud).restore_to_memory(2)[0] == FILES
+
+
+#: A whole file no larger than one CDC chunk: its whole-file and its
+#: chunk fingerprints coincide across schemes.
+_SMALL = {"docs/small.doc": np.random.default_rng(9).integers(
+    0, 256, 1_500, dtype=np.uint8).tobytes()}
+
+
+@pytest.mark.parametrize("writer, resumer", [
+    ("jungledisk", "avamar"), ("avamar", "aa-dedupe"),
+    ("aa-dedupe", "backuppc")])
+def test_resume_skips_refs_the_scheme_cannot_address(writer, resumer):
+    # A store two schemes share holds refs the resuming scheme stores
+    # differently (a whole-file object, a standalone chunk, a container
+    # extent); indexing them would rebuild refs to objects that do not
+    # exist.
+    files = {**FILES, **_SMALL}
+    cloud = InMemoryBackend()
+    BackupClient(cloud, build_scheme(writer)).backup(MemorySource(files))
+    client = _resumed(cloud, build_scheme(resumer))
+    assert len(client.index) == 0
+    client.backup(MemorySource(files))
+    assert RestoreClient(cloud).restore_to_memory(1)[0] == files
+    assert scrub_cloud(cloud).clean
+
+
+def test_newest_session_wins_a_repeated_fingerprint():
+    # A client that never resumed stores every chunk again, so two
+    # retained sessions name each fingerprint at two locations.
+    cloud = InMemoryBackend()
+    config = aa_dedupe_config(stat_cache=False)
+    for session_id in (0, 1):
+        BackupClient(cloud, config).backup(MemorySource(FILES),
+                                           session_id=session_id)
+    client = _resumed(cloud, config)
+    old, new = (client.manifests[sid].get("docs/a.doc") for sid in (0, 1))
+    assert old.refs[0].container_id != new.refs[0].container_id
+    entry = client.index.lookup(new.app, new.refs[0].fingerprint)
+    assert (entry.container_id, entry.offset) == (
+        new.refs[0].container_id, new.refs[0].offset)
