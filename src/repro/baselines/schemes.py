@@ -63,9 +63,6 @@ def backuppc_config(**overrides) -> SchemeConfig:
         use_containers=False,
         policy_table=dict.fromkeys(Category, DedupPolicy("wfc", "md5")),
         index_layout="global",
-        # BackupPC's pool is a hardlink forest on the filesystem: every
-        # whole-file probe and insert is filesystem metadata IO.
-        index_media="fs",
     )
     base.update(overrides)
     return SchemeConfig(**base)

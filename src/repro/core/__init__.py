@@ -19,7 +19,7 @@ from repro.core.recipe import ChunkRef, FileEntry, Manifest
 from repro.core.stats import OpCounters, SessionStats
 from repro.core.options import SchemeConfig, aa_dedupe_config
 from repro.core.backup import BackupClient
-from repro.core.filecache import FileCache, invalidate_statcache
+from repro.core.filecache import invalidate_statcache
 from repro.core.journal import SessionJournal
 from repro.core.restore import RestoreClient, restore_session
 from repro.core.gc import collect_garbage, GCReport
@@ -36,7 +36,6 @@ __all__ = [
     "SchemeConfig",
     "aa_dedupe_config",
     "BackupClient",
-    "FileCache",
     "invalidate_statcache",
     "SessionJournal",
     "RestoreClient",

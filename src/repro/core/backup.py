@@ -13,15 +13,17 @@ bare backend).  Every session is the paper's linear pipeline (Sec. III):
    file per job on a ``concurrent.futures`` thread pool (the paper's
    per-file parallelism: applications share no data, Sec. III);
 3. **application-aware deduplicator** — the single source-ordered
-   commit loop: replay an unchanged file's recipe, or place its chunks
-   against the per-app subindex (unique CDC/SC chunks optionally pass
-   the :class:`~repro.delta.DeltaStage` first);
+   commit loop: replay an unchanged file's recipe from the previous
+   manifest, or place its chunks against the per-app subindex (unique
+   CDC/SC chunks optionally pass the :class:`~repro.delta.DeltaStage`
+   first);
 4. **container management** — unique data accumulates into 1 MB padded
    containers, sealed by the append that fills them and uploaded inline
    or, with ``pipeline_uploads``, on one uploader thread overlapping
    deduplication (the paper's pipelined design);
 5. **manifest** — the one metadata object a session persists; a new
-   process rebuilds the index and stat cache from the retained ones.
+   process rebuilds the index from the retained ones and takes the
+   newest as its previous manifest.
 
 All work is charged to :class:`~repro.core.stats.OpCounters` so the
 virtual platform model can price a session on the paper's hardware.
@@ -44,7 +46,7 @@ from repro.classify.filetype import classify_name
 from repro.classify.policy import DedupPolicy
 from repro.container.manager import ContainerManager
 from repro.core import naming
-from repro.core.filecache import FileCache, read_epoch, unchanged
+from repro.core.filecache import read_epoch, revalidate, unchanged
 from repro.core.journal import SessionJournal
 from repro.core.options import SchemeConfig, aa_dedupe_config
 from repro.core.pipeline import WorkItem
@@ -80,8 +82,9 @@ class BackupClient:
     """Stateful backup client for one scheme against one cloud store.
 
     The client owns the chunk index (layout per config), the container
-    manager (container ids persist across sessions) and the manifest
-    history; call :meth:`backup` once per session with a source snapshot.
+    manager (container ids persist across sessions) and the previous
+    session's manifest; call :meth:`backup` once per session with a
+    source snapshot.
     """
 
     def __init__(self,
@@ -103,7 +106,8 @@ class BackupClient:
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.index = AppAwareIndex(factory=index_factory,
                                    tracer=self.tracer)
-        self.manifests: Dict[int, Manifest] = {}
+        #: The last committed session's manifest, the one source of
+        #: unchanged-file replays (stat cache, Jungle-Disk detection).
         self._prev_manifest: Optional[Manifest] = None
         self._next_session = 0
         self._chunkers: Dict[tuple, Chunker] = {}
@@ -118,10 +122,6 @@ class BackupClient:
         self._upload_busy = 0.0
         self._upload_watch = ConcurrentStopwatch()
         self._cloud_lock = threading.Lock()
-        # The cross-session stat cache (see repro.core.filecache).
-        self._filecache = FileCache() if self.config.stat_cache else None
-        #: Replays allowed this session (epoch validated, cache warm).
-        self._replay_enabled = False
         #: Application label of the file being committed, so uploads
         #: triggered mid-file are attributed to its app (only the commit
         #: thread sets or reads it).
@@ -276,26 +276,23 @@ class BackupClient:
         return chunker
 
     # -- the GC epoch ---------------------------------------------------
-    def _open_epoch(self, warnings: list) -> Optional[int]:
+    def _open_epoch(self, warnings: list) -> None:
         """Read the store's GC epoch at session open.
 
         A changed epoch means a sweep ran since the client last looked,
         so its copies of store state may point into deleted extents:
-        they are reconciled before the session places anything.
-        Returns the epoch, or ``None`` when it is unreadable (the stat
-        cache sits the session out and the next session reconciles).
+        they are reconciled before the session places anything.  An
+        unreadable epoch cannot rule a sweep out: it counts as changed,
+        and the next session reconciles again.
         """
         try:
             epoch = read_epoch(self.cloud)
         except CloudError as exc:
-            warnings.append(f"stat cache disabled this session "
-                            f"(GC epoch unreadable): {exc}")
-            self._epoch = -1  # never an epoch: the next read reconciles
-            return None
-        if self._epoch is not None and epoch != self._epoch:
+            warnings.append(f"GC epoch unreadable (reconciling): {exc}")
+            epoch = -1  # never an epoch: the next read reconciles
+        if self._epoch is not None and (epoch != self._epoch or epoch == -1):
             self._forget_swept()
         self._epoch = epoch
-        return epoch
 
     def _forget_swept(self) -> None:
         """Reconcile client-side state with a store a GC sweep changed.
@@ -304,8 +301,7 @@ class BackupClient:
         object) the store no longer lists are discarded, after one LIST;
         state no index lookup guards is dropped whole — the delta
         stage's bases and delta refs, and the previous manifest
-        Jungle-Disk change detection replays.  The stat cache checks
-        the epoch itself (:meth:`FileCache.open_session`).
+        unchanged files replay.
         """
         containers = self._containers is not None
         listed = set(self.cloud.list(
@@ -324,13 +320,18 @@ class BackupClient:
 
         Some of its uploads may never have become durable (the failed
         PUT, and every pipelined one queued behind it), and a resumed
-        re-run renumbers its containers from the start.  So its open
-        containers are dropped unsealed, index entries into the
-        containers it numbered are discarded, and the next session
-        reconciles everything else (:meth:`_forget_swept`).
+        re-run renumbers its containers from the start.  So the delta
+        stage, which may hold its extents, restarts cold; its open
+        containers are dropped unsealed and index entries into the
+        containers it numbered are discarded.  A scheme without
+        containers cannot name its entries, so the next session
+        reconciles them (:meth:`_forget_swept`).  The previous manifest
+        stays: the failed session never replaced it.
         """
-        self._epoch = -1  # never an epoch: the next read reconciles
+        if self._delta is not None:
+            self._delta = DeltaStage(tracer=self.tracer)
         if self._containers is None:
+            self._epoch = -1  # never an epoch: the next read reconciles
             return
         self._containers.discard_open()
         last_id = self._containers.next_container_id
@@ -367,10 +368,7 @@ class BackupClient:
         puts_before = self.cloud.stats.put_requests
         up_before = self.cloud.stats.bytes_uploaded
         self._upload_watch = ConcurrentStopwatch()
-        epoch = self._open_epoch(stats.warnings)
-        cache = self._filecache
-        self._replay_enabled = (cache is not None
-                                and cache.open_session(epoch))
+        self._open_epoch(stats.warnings)
         self._journal = self._open_journal(session_id) \
             if cfg.resumable else None
         first_id = (self._containers.next_container_id
@@ -400,11 +398,6 @@ class BackupClient:
         except BaseException:
             self._abandon(first_id)
             raise
-
-        # The manifest upload committed the session, so the recipes
-        # staged during it become the next session's stat cache.
-        if cache is not None:
-            cache.commit()
         stats.upload_wall_seconds = self._upload_watch.elapsed  # all PUTs
 
         # Merge index accounting into the op counters.
@@ -416,7 +409,8 @@ class BackupClient:
         stats.dedup_wall_seconds = dedup_watch.elapsed
         stats.put_requests = self.cloud.stats.put_requests - puts_before
         stats.bytes_uploaded = self.cloud.stats.bytes_uploaded - up_before
-        self.manifests[session_id] = manifest
+        # The manifest upload committed the session: its recipes are
+        # what the next session replays.
         self._prev_manifest = manifest
         return stats
 
@@ -426,13 +420,11 @@ class BackupClient:
         """The one commit loop: every file, strictly in source order.
 
         All shared dedup state — index, container streams, delta stage,
-        manifest, stat cache — is touched here and only here, on the
-        calling thread.  Container ids and offsets, and
-        therefore manifest bytes, depend on nothing but the source
-        order, whichever way :meth:`_staged` runs the CPU stages (see
-        docs/PIPELINE.md).
+        manifest — is touched here and only here, on the calling
+        thread.  Container ids and offsets, and therefore manifest
+        bytes, depend on nothing but the source order, whichever way
+        :meth:`_staged` runs the CPU stages (see docs/PIPELINE.md).
         """
-        cache = self._filecache
         # After an error, closing the iterator is what stops the prepare
         # pool (see the ``finally`` in :meth:`_staged`).
         with closing(self._staged(source, stats)) as items:
@@ -448,19 +440,22 @@ class BackupClient:
                 stats.note_app(app.label, sf.size,
                                stats.bytes_unique - unique_before)
                 manifest.add(entry)
-                if cache is not None:
-                    cache.record(entry)
 
     def _admit(self, sf: SourceFile) -> WorkItem:
-        """Classify and plan one source file.  A stat-cache match rides
-        along as ``item.replay``: the file skips the stages and its
-        cached recipe is replayed at commit time."""
+        """Classify and plan one source file.  With the stat cache or
+        Jungle-Disk change detection, the previous manifest's entry for
+        an unchanged file rides along as ``item.replay``: the file skips
+        the stages and that recipe is replayed at commit time."""
         app = classify_name(sf.path)
-        cached = (self._filecache.match(app.label, sf.path, sf.size,
-                                        sf.mtime_ns)
-                  if self._replay_enabled else None)
+        cfg, prev = self.config, self._prev_manifest
+        replays = prev is not None and (cfg.stat_cache
+                                        or cfg.incremental_only)
+        cached = prev.get(sf.path) if replays else None
+        if cached is not None and not unchanged(cached, sf.size,
+                                                sf.mtime_ns):
+            cached = None
         return WorkItem(sf, app, replay=cached,
-                        plan=self.config.plan_file(app, sf.size))
+                        plan=cfg.plan_file(app, sf.size))
 
     def _staged(self, source: Iterable[SourceFile],
                 stats: SessionStats) -> Iterator[WorkItem]:
@@ -657,15 +652,10 @@ class BackupClient:
 
     def _place_incremental(self, item: WorkItem,
                            stats: SessionStats) -> FileEntry:
-        """Jungle-Disk mode: metadata-based change detection, whole-file
-        upload of anything new or modified — one object per file, or one
-        container extent when the scheme packs containers."""
+        """Jungle-Disk mode: whole-file upload of anything new or
+        modified (unchanged files were replayed) — one object per file,
+        or one container extent when the scheme packs containers."""
         sf = item.sf
-        prev = (self._prev_manifest.get(sf.path)
-                if self._prev_manifest is not None else None)
-        if prev is not None and unchanged(prev, sf.size, sf.mtime_ns):
-            stats.files_unchanged += 1
-            return self._entry_for(item, list(prev.refs), prev.tiny)
         self._read_file(item)
         data, item.data = item.data, None
         entry = self._entry_for(item)
@@ -694,22 +684,22 @@ class BackupClient:
         return replace(ref, wrapped_key=wrap_key(key, self.master_key,
                                                  ref.fingerprint))
 
-    # -- stat-cache replay (see repro.core.filecache) -------------------
+    # -- unchanged-file replay (see repro.core.filecache) ----------------
     def _replay_cached(self, item: WorkItem,
                        stats: SessionStats) -> Optional[FileEntry]:
-        """Stat-cache fast path: replay an unchanged file's recipe.
+        """Replay an unchanged file's recipe from the previous manifest.
 
-        Returns ``None`` on a stale hit (caller runs the full pipeline).
-        On a hit the file is never ``read()``, chunked or hashed, and
-        the index is only read; the dedup accounting still sees the
-        file's logical bytes.
+        A dedup scheme first revalidates it against the index and
+        returns ``None`` on a stale hit (caller runs the full pipeline);
+        Jungle Disk keeps no index.  On a hit the file is never
+        ``read()``, chunked or hashed, and the index is only read; the
+        dedup accounting still sees the file's logical bytes.
         """
         sf, app, cached = item.sf, item.app, item.replay
         tracer = self.tracer
-        if not self._filecache.revalidate(cached, self.index,
-                                          item.plan.namespace):
+        if not self.config.incremental_only and not revalidate(
+                cached, self.index, item.plan.namespace):
             stats.statcache_stale += 1
-            self._filecache.discard(app.label, sf.path)
             if tracer.enabled:
                 tracer.metrics.counter("statcache_stale_total").inc()
             return None
@@ -785,10 +775,10 @@ class BackupClient:
 
         Each ref this scheme could have placed goes back into the subindex
         :meth:`SchemeConfig.plan_file` routes its file to, the newest
-        session winning; the newest manifest becomes the previous manifest
-        and, if this scheme wrote it, the stat cache.  GC keeps what they
-        name, so all of it is live; the epoch is read first, so a racing
-        sweep shows at the next session open.  Returns the index size."""
+        session winning; the newest manifest, if this scheme wrote it,
+        becomes the previous manifest.  GC keeps what they name, so all
+        of it is live; the epoch is read first, so a racing sweep shows
+        at the next session open.  Returns the index size."""
         cfg = self.config
         self._epoch = read_epoch(self.cloud)
         walk = StoreWalk(self.cloud)
@@ -796,7 +786,7 @@ class BackupClient:
         for record in sorted((r for r in walk.manifests if r.namespace
                               is None and r.session_id is not None),
                              key=lambda r: r.session_id):
-            newest = self.manifests[record.session_id] = walk.load(record)
+            newest = walk.load(record)
             self._next_session = record.session_id + 1
             for entry in newest:
                 plan = cfg.plan_file(classify_name(entry.path), entry.size)
@@ -804,11 +794,8 @@ class BackupClient:
                     for ref in filter(self._owns, entry.refs):
                         self.index.subindex(plan.namespace).insert(
                             _index_entry(ref))
-        if self._filecache is not None:
-            self._filecache.rebuild(newest if newest is not None and
-                                    newest.scheme == cfg.name else (),
-                                    self._epoch)
-        self._prev_manifest = newest
+        self._prev_manifest = (newest if newest is not None
+                               and newest.scheme == cfg.name else None)
         return len(self.index)
 
     def _owns(self, ref: ChunkRef) -> bool:

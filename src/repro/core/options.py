@@ -133,17 +133,9 @@ class SchemeConfig:
     #: lives in the manifest.
     app_chunkers: Optional[Mapping[str, str]] = None
 
-    #: Where the fingerprint index physically lives — a modelling knob
-    #: consumed by the trace engine: ``"ram"`` (hash table with the
-    #: residency model) or ``"fs"`` (a filesystem pool à la BackupPC,
-    #: where every probe/insert costs fixed file-system IOs).
-    index_media: str = "ram"
-
     def __post_init__(self) -> None:
         if self.index_layout not in ("app", "global", "tier"):
             raise ConfigError(f"bad index_layout {self.index_layout!r}")
-        if self.index_media not in ("ram", "fs"):
-            raise ConfigError(f"bad index_media {self.index_media!r}")
         if self.parallel_workers < 1:
             raise ConfigError("parallel_workers must be >= 1")
         if self.incremental_only:

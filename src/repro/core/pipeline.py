@@ -42,7 +42,8 @@ class WorkItem:
         self.sf = sf
         self.app = app
         self.plan = plan
-        #: Cached recipe to replay instead of running the stages.
+        #: The previous manifest's recipe to replay instead of running
+        #: the stages.
         self.replay = replay
         self.local = None
         #: Read-stage output (dropped once chunked).

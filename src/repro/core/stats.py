@@ -77,8 +77,8 @@ class SessionStats:
     # -- population -----------------------------------------------------
     files_total: int = 0
     files_tiny: int = 0
-    #: Files skipped by metadata: incremental mode's size+mtime check,
-    #: or a stat-cache recipe replay (see docs/STATCACHE.md).
+    #: Files replayed from the previous manifest by size+mtime: stat-cache
+    #: hits and Jungle Disk's unchanged files (see docs/STATCACHE.md).
     files_unchanged: int = 0
     #: Stat-cache hits whose cached refs failed revalidation against
     #: the live index (the file fell back to the full pipeline).
@@ -131,8 +131,8 @@ class SessionStats:
 
     # -- measured wall time (real engine only; simulators use cpumodel) --
     dedup_wall_seconds: float = 0.0
-    #: Seconds inside cloud PUTs — containers, manifest and stat-cache
-    #: blobs alike — on whichever thread issued them.
+    #: Seconds inside cloud PUTs — data objects and the manifest alike —
+    #: on whichever thread issued them.
     upload_wall_seconds: float = 0.0
     #: Accumulated busy seconds of every stage that ran on its own
     #: thread(s) ("read"/"chunk"/"hash"/"commit" with parallel_workers

@@ -46,7 +46,11 @@ _SYNC_ENTRY_BYTES = 48
 #: The four baselines, which sync no index; AA-Dedupe and every
 #: variant of it are charged the sync.
 _BASELINE_SCHEMES = frozenset({"JungleDisk", "BackupPC", "Avamar", "SAM"})
-#: Filesystem-pool index (BackupPC): metadata IOs per probe/insert.
+#: Schemes whose index is a filesystem pool, not a RAM table: BackupPC's
+#: pool is a hardlink forest, so every whole-file probe and insert is
+#: filesystem metadata IO.
+_FS_INDEX_SCHEMES = frozenset({"BackupPC"})
+#: Filesystem-pool index: metadata IOs per probe/insert.
 _FS_IOS_PER_OP = 1.0
 
 
@@ -137,7 +141,7 @@ class TraceBackupClient:
                 stats: SessionStats) -> bool:
         idx = self._index(namespace)
         stats.ops.index_lookups += 1
-        if self.config.index_media == "fs":
+        if self.config.name in _FS_INDEX_SCHEMES:
             self._disk_ios += _FS_IOS_PER_OP
         else:
             self._disk_ios += self.residency.lookup_io_count(1, len(idx))
@@ -148,7 +152,7 @@ class TraceBackupClient:
 
     def _insert(self, namespace: str, chunk_id: int) -> None:
         idx = self._index(namespace)
-        if self.config.index_media == "fs":
+        if self.config.name in _FS_INDEX_SCHEMES:
             self._disk_ios += _FS_IOS_PER_OP
         else:
             self._disk_ios += self.residency.insert_io_count(1, len(idx))

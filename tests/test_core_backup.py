@@ -62,7 +62,7 @@ class TestAAPipeline:
         stats = client.backup(MemorySource(dataset))
         # tiny.txt (512 B) and empty.log are under the 10 KiB threshold.
         assert stats.files_tiny == 2
-        manifest = client.manifests[0]
+        manifest = client._prev_manifest
         assert manifest.get("misc/tiny.txt").tiny
         assert not manifest.get("misc/readme.txt").tiny
 
@@ -78,7 +78,7 @@ class TestAAPipeline:
         client = BackupClient(cloud, small_config())
         stats = client.backup(MemorySource(dataset))
         # report_v2.doc shares most chunks with report.doc via CDC.
-        manifest = client.manifests[0]
+        manifest = client._prev_manifest
         refs1 = {r.fingerprint for r in manifest.get("docs/report.doc").refs}
         refs2 = {r.fingerprint
                  for r in manifest.get("docs/report_v2.doc").refs}
@@ -193,7 +193,7 @@ class TestAAPipeline:
         stats = client.backup(MemorySource(dataset))    # auto id again
         assert stats.session_id == 2
         assert cloud.get(naming.manifest_key(1)) == newer
-        assert set(client.manifests) == {0, 1, 2}
+        assert naming.session_ids(cloud) == [0, 1, 2]
 
 
 class TestConfigValidation:

@@ -1,12 +1,12 @@
 """A GC sweep must not corrupt the client's next backups.
 
-Every client-side copy of store state — the chunk index and its cloud
-replicas, the SAM file tier, the delta stage's bases and refs, Jungle
-Disk's previous manifest, the stat cache — may point into extents a
-sweep just deleted.  The client reads the GC epoch at every session
-open and reconciles when it moved, and once after
-``resume_from_cloud``'s pull; every later session must restore
-bit-exactly.
+Every client-side copy of store state — the chunk index, the SAM file
+tier, the delta stage's bases and refs, the previous manifest that the
+stat cache and Jungle Disk replay — may point into extents a sweep just
+deleted.  The client reads the GC epoch at every session open and
+reconciles when it moved or cannot be read; a resumed client rebuilds
+its state from the retained manifests, which GC keeps live.  Every
+later session must restore bit-exactly.
 """
 
 import numpy as np
@@ -17,7 +17,9 @@ from repro.baselines import (avamar_config, backuppc_config,
 from repro.cloud import InMemoryBackend
 from repro.core import (BackupClient, MemorySource, RestoreClient,
                         aa_dedupe_config, collect_garbage)
+from repro.core import naming
 from repro.core.scrub import scrub_cloud
+from repro.errors import TransientCloudError
 
 SCHEMES = {
     "AA-Dedupe": aa_dedupe_config,
@@ -36,6 +38,18 @@ def _blob(seed: int, n: int = 40_000) -> bytes:
 
 
 A, A2, B = _blob(1), _blob(2), _blob(3)
+
+
+class _EpochOutage(InMemoryBackend):
+    """Fails the next GET of the GC epoch once ``down`` is set."""
+
+    down = False
+
+    def _get(self, key):
+        if self.down and key == naming.STATCACHE_EPOCH_KEY:
+            self.down = False
+            raise TransientCloudError(f"injected failure: get {key}")
+        return super()._get(key)
 
 
 def _snapshot(files: dict) -> MemorySource:
@@ -60,23 +74,27 @@ SCENARIOS = {
 }
 
 
-@pytest.mark.parametrize("resumed", [False, True],
-                         ids=["same_client", "resumed_client"])
+@pytest.mark.parametrize("arm", ["same_client", "resumed_client",
+                                 "epoch_unreadable"])
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-def test_backup_after_sweep_restores(scheme, scenario, resumed):
+def test_backup_after_sweep_restores(scheme, scenario, arm):
+    # ``epoch_unreadable``: the same client, but session 2 cannot read
+    # the epoch the sweep bumped.
     before, retain, after = SCENARIOS[scenario]
-    cloud = InMemoryBackend()
+    cloud = _EpochOutage()
     client = BackupClient(cloud, SCHEMES[scheme]())
     for files in before:
         client.backup(_snapshot(files))
     report = collect_garbage(cloud, retain)
     assert report.deleted_containers + report.deleted_objects > 0
-    if resumed:
+    if arm == "resumed_client":
         client.close()
         client = BackupClient(cloud, SCHEMES[scheme]())
         client.resume_from_cloud()
+    cloud.down = arm == "epoch_unreadable"
     stats = client.backup(_snapshot(after), session_id=2)
+    assert not cloud.down
     client.close()
     assert stats.session_id == 2
     out, _ = RestoreClient(cloud).restore_to_memory(2)

@@ -692,8 +692,8 @@ class TestResumeFromCloudRetries:
         client = BackupClient(cloud, aa_dedupe_config(
             container_size=32 * KIB, stat_cache=True))
         restored = client.resume_from_cloud()
-        return (restored, client._next_session, len(client._filecache),
-                sorted(client.manifests))
+        return (restored, client._next_session,
+                client._prev_manifest.to_json())
 
     @pytest.mark.parametrize("seed", range(20))
     def test_transient_faults_are_retried(self, store, seed):

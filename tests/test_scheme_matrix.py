@@ -67,7 +67,6 @@ def test_constructor_raises_exactly_on_illegal_combinations():
 
 @pytest.mark.parametrize("changes", [
     {"index_layout": "nope"},
-    {"index_media": "ssd"},
     {"parallel_workers": 0},
     {"tiny_file_threshold": -1},
     {"container_size": 1024},
@@ -75,7 +74,7 @@ def test_constructor_raises_exactly_on_illegal_combinations():
     {"app_chunkers": {"nosuchapp": "gear"}},
     {"app_chunkers": {"doc": "nosuchengine"}},
     {"app_chunkers": {"mp3": "gear"}},  # WFC base: nothing to re-chunk
-], ids=["layout", "media", "workers", "tiny", "container", "table",
+], ids=["layout", "workers", "tiny", "container", "table",
         "app-label", "app-engine", "app-wfc"])
 def test_single_field_guards(changes):
     with pytest.raises(ConfigError):

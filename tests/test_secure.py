@@ -189,7 +189,7 @@ class TestSecureBackup:
         cloud = InMemoryBackend()
         client = secure_client(cloud)
         client.backup(MemorySource(files))
-        manifest = client.manifests[0]
+        manifest = client._prev_manifest
         for entry in manifest:
             for ref in entry.refs:
                 assert ref.wrapped_key is not None

@@ -1,8 +1,8 @@
-"""Tests for the cross-session stat cache (repro.core.filecache) and its
-wiring into the backup engine: replay semantics, safety rules (size+mtime
-triple, GC-epoch invalidation, stale-ref fallback), the rebuild from the
-newest manifest across process restarts, and parity with cache-off
-runs."""
+"""Tests for the cross-session stat cache: the backup engine replays an
+unchanged file's recipe from its previous manifest.  Replay semantics,
+safety rules (size+mtime pair, GC-epoch invalidation, stale-ref
+fallback, failed sessions), the previous manifest across process
+restarts, and parity with cache-off runs."""
 
 import dataclasses
 
@@ -12,7 +12,6 @@ import pytest
 from repro.cloud import InMemoryBackend, SimulatedCloud
 from repro.core import (
     BackupClient,
-    FileCache,
     MemorySource,
     RestoreClient,
     aa_dedupe_config,
@@ -21,10 +20,23 @@ from repro.core import (
 )
 from repro.core import naming
 from repro.core.filecache import read_epoch
-from repro.core.recipe import ChunkRef, FileEntry
+from repro.core.recipe import Manifest
 from repro.core.scrub import scrub_cloud
+from repro.errors import BackupError, TransientCloudError
 from repro.simulate.clock import VirtualClock
 from repro.util.units import KIB
+
+
+class _FailOnce(InMemoryBackend):
+    """Fails the first PUT under ``prefix`` after it is armed."""
+
+    prefix = None
+
+    def _put(self, key, data):
+        if self.prefix is not None and key.startswith(self.prefix):
+            self.prefix = None
+            raise TransientCloudError(f"injected failure: put {key}")
+        super()._put(key, data)
 
 
 def small_config(**overrides):
@@ -89,7 +101,7 @@ class TestStatCacheReplay:
         s2 = client.backup(MemorySource(files))
         assert s2.files_unchanged == 0
         assert s2.ops.read_bytes == sum(len(v) for v in files.values())
-        assert len(client._filecache) == 0
+        assert all(entry.mtime_ns == 0 for entry in client._prev_manifest)
 
     def test_triple_requires_both_size_and_mtime(self):
         # An mtime rollback with a content change must never replay
@@ -148,12 +160,11 @@ class TestStatCacheReplay:
         cloud = InMemoryBackend()
         client = BackupClient(cloud, small_config())
         client.backup(MemorySource(files, mtimes))
-        cache = client._filecache
-        entry = cache._apps["doc"]["docs/report.doc"]
+        prev = client._prev_manifest
+        entry = prev.get("docs/report.doc")
         bogus = [dataclasses.replace(r, fingerprint=b"\x00" * len(
             r.fingerprint)) for r in entry.refs]
-        cache._apps["doc"]["docs/report.doc"] = dataclasses.replace(
-            entry, refs=bogus)
+        prev._files[entry.path] = dataclasses.replace(entry, refs=bogus)
         s2 = client.backup(MemorySource(files, mtimes))
         assert s2.statcache_stale == 1
         assert s2.files_unchanged == len(files) - 1
@@ -193,7 +204,7 @@ class TestStatCacheReplay:
         s2 = client.backup(MemorySource(files, mtimes))
         assert s2.files_unchanged == 2
         assert s2.ops.read_bytes == 0
-        manifest = client.manifests[1]
+        manifest = Manifest.from_json(cloud.get(naming.manifest_key(1)))
         assert any(r.is_delta for r in manifest.get("b.doc").refs)
         client.close()
         restored, report = RestoreClient(cloud).restore_to_memory(1)
@@ -245,56 +256,55 @@ class TestStatCacheReplay:
         assert stats.ops.read_bytes == 0
         assert parallel_bytes == serial_bytes
 
+    @pytest.mark.parametrize("engine", [
+        {}, {"pipeline_uploads": True, "parallel_workers": 2}],
+        ids=["serial", "pipelined"])
+    def test_failed_session_keeps_replay_source(self, dataset, rng,
+                                                engine):
+        # A session that fails mid-upload never replaced the previous
+        # manifest, so the next session still replays every unchanged
+        # file from it.
+        files, mtimes = dataset
+        cloud = _FailOnce()
+        client = BackupClient(cloud, small_config(**engine))
+        client.backup(MemorySource(files, mtimes))
+        grown = dict(files, **{"docs/new.doc": rng.integers(
+            0, 256, size=200_000, dtype=np.uint8).tobytes()})
+        cloud.prefix = naming.CONTAINER_PREFIX
+        with pytest.raises((BackupError, TransientCloudError)):
+            client.backup(MemorySource(grown, dict(mtimes, **{
+                "docs/new.doc": 55})), session_id=1)
+        s2 = client.backup(MemorySource(files, mtimes), session_id=1)
+        assert s2.files_unchanged == len(files)
+        assert s2.ops.read_bytes == 0
+        restored, _ = RestoreClient(cloud).restore_to_memory(1)
+        assert restored == files
+
+    def test_failed_session_recipes_never_replay(self, dataset):
+        # The failed session's recipe for an edited file never became a
+        # manifest: re-running the same snapshot must process the file
+        # again, not replay what the failed session placed.
+        files, mtimes = dataset
+        cloud = _FailOnce()
+        client = BackupClient(cloud, small_config())
+        client.backup(MemorySource(files, mtimes))
+        edited = dict(files, **{
+            "docs/report.doc": files["docs/report.doc"][::-1]})
+        edited_mtimes = dict(mtimes, **{"docs/report.doc": 9_999})
+        cloud.prefix = naming.MANIFEST_PREFIX
+        with pytest.raises(TransientCloudError):
+            client.backup(MemorySource(edited, edited_mtimes),
+                          session_id=1)
+        s2 = client.backup(MemorySource(edited, edited_mtimes),
+                           session_id=1)
+        assert s2.files_unchanged == len(files) - 1
+        assert s2.ops.read_bytes == len(edited["docs/report.doc"])
+        restored, _ = RestoreClient(cloud).restore_to_memory(1)
+        assert restored == edited
+
 
 class TestFileCacheUnit:
-    def entry(self, path="a.txt", size=100, mtime=5, app="txt", **kw):
-        ref = ChunkRef(fingerprint=b"\x11" * 20, length=size,
-                       container_id=3, offset=0)
-        return FileEntry(path=path, size=size, mtime_ns=mtime, app=app,
-                         category="dynamic", refs=[ref], **kw)
-
-    def committed(self, *entries):
-        cache = FileCache()
-        cache.begin_session()
-        for e in entries:
-            cache.record(e)
-        cache.commit()
-        return cache
-
-    def test_match_requires_exact_triple(self):
-        cache = self.committed(self.entry())
-        assert cache.match("txt", "a.txt", 100, 5) is not None
-        assert cache.match("txt", "a.txt", 101, 5) is None
-        assert cache.match("txt", "a.txt", 100, 6) is None
-        assert cache.match("txt", "b.txt", 100, 5) is None
-        assert cache.match("doc", "a.txt", 100, 5) is None
-
-    def test_zero_mtime_never_matches_or_records(self):
-        cache = self.committed(self.entry(mtime=0))
-        assert len(cache) == 0
-        cache2 = self.committed(self.entry(mtime=5))
-        assert cache2.match("txt", "a.txt", 100, 0) is None
-
-    def test_uncommitted_session_never_served(self):
-        cache = FileCache()
-        cache.begin_session()
-        cache.record(self.entry())
-        # Crash before commit: the staged generation must not leak.
-        cache.begin_session()
-        cache.commit()
-        assert cache.match("txt", "a.txt", 100, 5) is None
-
-    def test_rebuild_replaces_cache_and_stamps_epoch(self):
-        cache = self.committed(self.entry(path="old.txt"))
-        cache.rebuild([self.entry(), self.entry(path="b.txt", mtime=0)],
-                      epoch=4)
-        assert len(cache) == 1              # the zero mtime is not kept
-        assert cache.match("txt", "a.txt", 100, 5) is not None
-        assert cache.match("txt", "old.txt", 100, 5) is None
-        assert cache.epoch == 4
-        assert cache.open_session(4)        # same epoch: replays allowed
-        assert not cache.open_session(5)    # moved: the cache is dropped
-        assert len(cache) == 0
+    """The ``filecache`` module's store-level helpers."""
 
     def test_epoch_helpers(self):
         cloud = InMemoryBackend()

@@ -4,14 +4,15 @@ A hypothesis ``RuleBasedStateMachine`` drives one store through the
 system's public verbs — back up an edited source, back up with a fresh
 client after ``resume_from_cloud``, drop the oldest session and collect
 garbage, keep the last n sessions through ``apply_retention``, run a
-session whose k-th PUT fails — under one legal
-:class:`~repro.core.options.SchemeConfig` drawn per run.  After every
-step, every retained session must restore bit-exactly to the reference
-model (``tests/model.py``), the store must hold a manifest for exactly
-the sessions the model retains, and a scrub must find no problem.
-After every resume, the client's index must equal a recount from the
-retained manifests, app by app, and its stat cache the newest
-manifest's entries with a known mtime.
+session whose k-th PUT fails, run a session that cannot read the GC
+epoch — under one legal :class:`~repro.core.options.SchemeConfig`
+drawn per run.  After every step, every retained session must restore
+bit-exactly to the reference model (``tests/model.py``), the store must
+hold a manifest for exactly the sessions the model retains, and a scrub
+must find no problem.  After every resume, the client's index must
+equal a recount from the retained manifests, app by app, and its
+previous manifest (the one source of unchanged-file replays) must be
+the newest retained manifest when this scheme wrote it, else ``None``.
 
 The budget comes from a hypothesis profile registered in
 ``tests/conftest.py``: a small derandomised one by default, the large
@@ -74,13 +75,20 @@ _changes = st.lists(st.tuples(
 
 class _FaultyStore(InMemoryBackend):
     """An in-memory store whose ``fail_at``-th PUT (1-based, counted
-    from arming) fails once.  Its clock never moves, so every manifest
+    from arming) fails once, and whose GC epoch GETs fail while
+    ``epoch_down`` is set.  Its clock never moves, so every manifest
     has the same ``created`` stamp and retention orders by session id."""
 
     def __init__(self) -> None:
         super().__init__()
         self.fail_at = 0
+        self.epoch_down = False
         self.clock = VirtualClock()
+
+    def _get(self, key):
+        if self.epoch_down and key == naming.STATCACHE_EPOCH_KEY:
+            raise TransientCloudError(f"injected failure: get {key}")
+        return super()._get(key)
 
     def _put(self, key, data):
         if self.fail_at:
@@ -142,8 +150,8 @@ class StoreMachine(RuleBasedStateMachine):
     def _check_resumed(self) -> None:
         """A resumed client holds exactly what the retained manifests
         say: its index is a recount of their non-tiny, non-delta refs
-        (the newest session wins), app by app, and its stat cache the
-        newest manifest's entries with a known mtime."""
+        (the newest session wins), app by app, and its previous
+        manifest is the newest one if this scheme wrote it."""
         manifests = [Manifest.from_json(self.store.get(
             naming.manifest_key(sid))) for sid in self.model.retained()]
         recount: dict = {}
@@ -160,13 +168,11 @@ class StoreMachine(RuleBasedStateMachine):
                             ref.offset, ref.length)
         assert _by_app(self.client.index) == {
             app: set(entries.values()) for app, entries in recount.items()}
-        cache = self.client._filecache
-        if cache is not None:
-            newest: dict = {}
-            for entry in manifests[-1] if manifests else ():
-                if entry.mtime_ns:
-                    newest.setdefault(entry.app, {})[entry.path] = entry
-            assert cache._apps == newest
+        newest = manifests[-1] if manifests else None
+        if newest is None or newest.scheme != self.config.name:
+            assert self.client._prev_manifest is None
+        else:
+            assert self.client._prev_manifest.to_json() == newest.to_json()
 
     # -- rules ----------------------------------------------------------
     @rule(changes=_changes)
@@ -215,6 +221,17 @@ class StoreMachine(RuleBasedStateMachine):
         finally:
             self.store.fail_at = 0
 
+    @rule(changes=_changes)
+    def backup_epoch_unreadable(self, changes) -> None:
+        """A session that cannot read the GC epoch: it cannot rule out
+        a sweep since the last one, so it must not trust what the
+        client holds."""
+        self.store.epoch_down = True
+        try:
+            self.backup(changes)
+        finally:
+            self.store.epoch_down = False
+
     # -- the invariant --------------------------------------------------
     @invariant()
     def every_retained_session_restores(self) -> None:
@@ -246,13 +263,14 @@ _SCHEMES = {config.name: config for config in all_scheme_configs()}
 _SCHEMES["AA-Dedupe+delta"] = aa_dedupe_config(delta_compress=True)
 
 
-@pytest.mark.parametrize("resumed", [False, True],
-                         ids=["same_client", "resumed_client"])
+@pytest.mark.parametrize("arm", ["same_client", "resumed_client",
+                                 "epoch_unreadable"])
 @pytest.mark.parametrize("scheme", sorted(_SCHEMES))
-def test_drop_file_collect_bring_back(scheme, resumed):
+def test_drop_file_collect_bring_back(scheme, arm):
     """Back a file up, drop it, collect garbage, bring it back: the
     sweep took its extents, so the client must not dedup against them
-    (at one point this raised ``ObjectNotFound`` on restore)."""
+    (at one point this raised ``ObjectNotFound`` on restore), also when
+    the comeback session cannot read the epoch the sweep bumped."""
     machine = StoreMachine()
     machine.start(_SCHEMES[scheme])
     machine.backup([("put", _DROPPED, 20_000, 1),
@@ -261,10 +279,10 @@ def test_drop_file_collect_bring_back(scheme, resumed):
     machine.drop_oldest_and_collect()
     machine.every_retained_session_restores()
     comeback = [("put", _DROPPED, 20_000, 1)]
-    if resumed:
-        machine.backup_resumed(comeback)
-    else:
-        machine.backup(comeback)
+    verb = {"same_client": machine.backup,
+            "resumed_client": machine.backup_resumed,
+            "epoch_unreadable": machine.backup_epoch_unreadable}[arm]
+    verb(comeback)
     machine.every_retained_session_restores()
     machine.teardown()
 

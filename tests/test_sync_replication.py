@@ -1,9 +1,10 @@
 """Dedup continuity across processes, from the manifests alone.
 
 A session persists one metadata object, its manifest.  A new process
-rebuilds the chunk index and the stat cache from the retained
-manifests (``BackupClient.resume_from_cloud``), so a dedup hit or a
-stat-cache replay writes nothing, and an unchanged source costs one PUT.
+rebuilds the chunk index from the retained manifests and takes the
+newest as its stat cache (``BackupClient.resume_from_cloud``), so a
+dedup hit or a stat-cache replay writes nothing, and an unchanged source
+costs one PUT.
 """
 
 import numpy as np
@@ -11,8 +12,8 @@ import pytest
 
 from repro.baselines import all_scheme_configs, build_scheme, sam_config
 from repro.cloud import InMemoryBackend
-from repro.core import (BackupClient, MemorySource, RestoreClient,
-                        aa_dedupe_config, naming)
+from repro.core import (BackupClient, Manifest, MemorySource,
+                        RestoreClient, aa_dedupe_config, naming)
 from repro.core.scrub import scrub_cloud
 
 FILES = {name: np.random.default_rng(i).integers(
@@ -69,7 +70,7 @@ def test_newest_manifest_of_another_scheme_builds_no_stat_cache():
     BackupClient(cloud, sam_config()).backup(
         MemorySource(FILES, MTIMES), session_id=1)
     client = _resumed(cloud, aa_dedupe_config())
-    assert len(client._filecache) == 0
+    assert client._prev_manifest is None
     assert len(client.index) > 0  # session 0's refs still dedup
     stats = client.backup(MemorySource(FILES, MTIMES))
     assert stats.files_unchanged == 0
@@ -110,7 +111,8 @@ def test_newest_session_wins_a_repeated_fingerprint():
         BackupClient(cloud, config).backup(MemorySource(FILES),
                                            session_id=session_id)
     client = _resumed(cloud, config)
-    old, new = (client.manifests[sid].get("docs/a.doc") for sid in (0, 1))
+    old, new = (Manifest.from_json(cloud.get(naming.manifest_key(sid)))
+                .get("docs/a.doc") for sid in (0, 1))
     assert old.refs[0].container_id != new.refs[0].container_id
     entry = client.index.lookup(new.app, new.refs[0].fingerprint)
     assert (entry.container_id, entry.offset) == (
