@@ -1,75 +1,100 @@
-"""Restore performance — the chunk-locality claim, quantified.
+"""Restore locality — one fetch per container, fresh store or aged.
 
 Sec. III-F: the container manager "uses chunk locality to group chunks
 likely to be retrieved together so that the data restoration performance
-will be reasonably good."  This bench restores a real backed-up session
-under different container-cache sizes and measures container fetches:
-with locality-preserving packing, even a small cache keeps re-fetches
-near the theoretical minimum of one fetch per container.
+will be reasonably good."  A restore is planned from the recipe before
+its first GET, so it loads each container its session references
+exactly once.  This bench restores sessions of two stores and reports
+container fetches against the distinct containers referenced:
+
+* **fresh** — one session into 256 KiB containers;
+* **aged** — several weekly sessions into 256 KiB containers, with
+  keep-last retention and garbage collection between them, so a late
+  session's extents are scattered over containers written weeks apart.
+
+Set ``BENCH_SMOKE=1`` to run a down-scaled configuration (CI).
 """
 
 import pytest
-from conftest import emit
+from conftest import SMOKE, emit
 
 from repro.cloud import InMemoryBackend
-from repro.core import BackupClient, RestoreClient, aa_dedupe_config
-from repro.core import naming
+from repro.core import (BackupClient, RestoreClient, aa_dedupe_config,
+                        collect_garbage)
+from repro.core.gc import session_catalog
+from repro.core.retention import RetainLastN
 from repro.metrics import Table
-from repro.util.units import KIB, MB
-from repro.workloads import WorkloadGenerator, snapshot_to_memory_source
+from repro.util.units import GB, KIB, MB
+from repro.workloads import (WorkloadGenerator, materialize_snapshot,
+                             snapshot_to_memory_source)
+
+TOTAL = (10 if SMOKE else 14) * MB
+SESSIONS = 6 if SMOKE else 16
+#: Every ``GC_EVERY`` sessions, retention keeps the ``KEEP`` newest.
+GC_EVERY = 3 if SMOKE else 4
+KEEP = 2
+
+
+def _store(sessions: int):
+    """Back up ``sessions`` weekly snapshots; returns (cloud, retained
+    snapshots by session id)."""
+    generator = WorkloadGenerator(total_bytes=TOTAL, seed=33,
+                                  max_mean_file_size=1 * MB)
+    cloud = InMemoryBackend()
+    client = BackupClient(cloud,
+                          aa_dedupe_config(container_size=256 * KIB))
+    snapshots = {}
+    for sid, snapshot in enumerate(generator.sessions(sessions)):
+        client.backup(snapshot_to_memory_source(snapshot))
+        snapshots[sid] = snapshot
+        if sid + 1 < sessions and (sid + 1) % GC_EVERY == 0:
+            collect_garbage(cloud,
+                            RetainLastN(KEEP).select(session_catalog(cloud)))
+    client.close()
+    return cloud, {sid: snapshots[sid] for sid in session_catalog(cloud)}
 
 
 @pytest.fixture(scope="module")
-def backed_up_cloud():
-    generator = WorkloadGenerator(total_bytes=12 * MB, seed=33,
-                                  max_mean_file_size=1 * MB)
-    snapshot = generator.initial_snapshot()
-    cloud = InMemoryBackend()
-    client = BackupClient(cloud,
-                          aa_dedupe_config(container_size=64 * KIB))
-    client.backup(snapshot_to_memory_source(snapshot))
-    return cloud
+def stores():
+    return {"fresh": _store(1), "aged": _store(SESSIONS)}
 
 
-def test_restore_container_cache_sweep(benchmark, backed_up_cloud):
-    cloud = backed_up_cloud
-    containers = len(cloud.list(naming.CONTAINER_PREFIX))
-
+def test_restore_fetches_each_container_once(benchmark, stores):
     def run():
-        results = {}
-        for cache_size in (1, 2, 8, 64):
-            before = cloud.stats.get_requests
-            client = RestoreClient(cloud, container_cache_size=cache_size)
-            _files, report = client.restore_to_memory(0)
-            results[cache_size] = (report.containers_fetched,
-                                   cloud.stats.get_requests - before)
-        return results
+        rows = []
+        for name, (cloud, snapshots) in stores.items():
+            for sid, snapshot in snapshots.items():
+                client = RestoreClient(cloud)
+                restored, report = client.restore_to_memory(sid)
+                assert restored == materialize_snapshot(snapshot), sid
+                distinct = len(client.load_manifest(sid)
+                               .referenced_containers())
+                rows.append((name, sid, distinct, report))
+        return rows
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    table = Table(["cache (containers)", "container fetches",
-                   "min possible", "overfetch"],
-                  title="Restore: container cache vs fetches "
-                        f"({containers} containers in store)")
-    for cache_size, (fetched, _gets) in results.items():
-        table.add_row([cache_size, fetched, containers,
-                       f"{fetched / containers:.2f}x"])
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    table = Table(["store", "session", "containers referenced",
+                   "container fetches", "refetch ratio", "GETs / GB"],
+                  title="Restore: container fetches against distinct "
+                        "containers referenced (256 KiB containers)")
+    for name, sid, distinct, report in rows:
+        fetched = report.containers_fetched
+        table.add_row([name, sid, distinct, fetched,
+                       f"{fetched / distinct:.2f}",
+                       f"{fetched * GB / report.bytes_restored:,.0f}"])
     emit(table.render())
 
-    # A generous cache achieves the minimum: one fetch per container.
-    assert results[64][0] == containers
-    # Thanks to chunk locality, even a tiny cache stays within 2x of the
-    # minimum rather than degenerating to one fetch per chunk.
-    assert results[2][0] <= 2 * containers
-    # More cache never means more fetches.
-    fetches = [results[c][0] for c in (1, 2, 8, 64)]
-    assert fetches == sorted(fetches, reverse=True)
+    assert {name for name, *_ in rows} == {"fresh", "aged"}
+    for name, sid, distinct, report in rows:
+        assert report.containers_fetched == distinct, (name, sid)
 
 
-def test_restore_throughput_real(benchmark, backed_up_cloud):
-    """Wall-clock restore of the session (pytest-benchmark rows)."""
+def test_restore_throughput_real(benchmark, stores):
+    """Wall-clock restore of the fresh session (pytest-benchmark rows)."""
+    cloud, _snapshots = stores["fresh"]
+
     def restore():
-        client = RestoreClient(backed_up_cloud, container_cache_size=16)
-        files, report = client.restore_to_memory(0)
+        _files, report = RestoreClient(cloud).restore_to_memory(0)
         return report
 
     report = benchmark.pedantic(restore, rounds=3, iterations=1)

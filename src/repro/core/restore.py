@@ -1,17 +1,26 @@
 """Restore engine: reassemble any backed-up session from the cloud.
 
 Restore needs only the session manifest and the self-describing
-containers/objects it references.  Containers are fetched once and kept
-in a small LRU cache — the *chunk locality* preserved by the container
-manager (Sec. III-F) is what makes this effective, and the restore tests
-assert both bit-exactness and the bounded fetch count.
+containers/objects it references.  The recipe is known before the first
+container GET, so a restore is *planned*: the selected files get one
+slot per extent, and every in-container extent — each hop of a delta
+chain included — is grouped by container in first-use order.  One pass
+then fetches each container exactly once, fills its slots and keeps the
+raw bytes delta chains need; the reader is dropped before the next
+fetch.  This is forward assembly (Lillibridge et al., FAST'13): the
+*chunk locality* the container manager preserves (Sec. III-F) bounds
+how many containers a session touches, and the plan makes that number
+the fetch count, however fragmented the store has become.
 
 Every extent is verified against its recipe fingerprint: the digest
 length identifies the hash (see
 :func:`repro.hashing.hash_for_digest_len`), so verification needs no
-side channel.  Delta extents (see :mod:`repro.delta`) are decoded by
-recursively materialising their base chain, whose depth is capped by
-``max_delta_depth``.
+side channel.  Delta extents (see :mod:`repro.delta`) are decoded after
+the pass from their kept base chain, whose depth is capped by
+``max_delta_depth``; a target several files share is decoded once per
+restore.  Standalone objects are fetched in recipe order after the
+pass.  A bad ``paths`` selection and an over-deep chain fail while
+planning, before any container GET.
 
 Verification failures are not immediately fatal: a transport-level bit
 flip (modelled by ``ChaosBackend.corrupt_rate``) and at-rest corruption
@@ -27,14 +36,13 @@ over** to the replica copies recorded in the durability plan
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional
+from pathlib import Path, PurePath
+from typing import Dict, List, Optional, Tuple
 
 from repro.container.format import ContainerFormatError, ContainerReader
 from repro.core import naming
-from repro.core.recipe import ChunkRef, Manifest
+from repro.core.recipe import ChunkRef, FileEntry, Manifest
 from repro.delta import DeltaError, apply_delta
 from repro.errors import (CloudError, IntegrityError, PermanentCloudError,
                           RestoreError)
@@ -42,6 +50,20 @@ from repro.hashing import hash_for_digest_len
 from repro.obs.tracer import NOOP_TRACER
 
 __all__ = ["RestoreClient", "RestoreReport", "restore_session"]
+
+#: One container-pass job: the extent, and the file's slot list and
+#: index it fills — ``None`` for a delta hop or base kept raw.
+_Job = Tuple[ChunkRef, Optional[list], int]
+
+
+@dataclass
+class _FilePlan:
+    """One selected file: a slot per ref, and the refs the container
+    pass leaves open (deltas and standalone objects) by slot index."""
+
+    entry: FileEntry
+    pieces: list
+    later: List[Tuple[int, ChunkRef]]
 
 
 @dataclass
@@ -66,11 +88,24 @@ class RestoreReport:
     corrupt: list = field(default_factory=list)
 
 
+def _location(ref: ChunkRef):
+    """Where ``ref``'s stored extent lives: (container, offset) or key."""
+    return ((ref.container_id, ref.offset) if ref.in_container
+            else ref.object_key)
+
+
+def _sized(data: bytes, length: int) -> bytes:
+    """``data``, checked to be the ``length`` bytes the recipe names."""
+    if len(data) != length:
+        raise IntegrityError(
+            f"extent length mismatch ({len(data)} != {length})")
+    return data
+
+
 class RestoreClient:
     """Reassembles files of a session from cloud storage."""
 
     def __init__(self, cloud, verify: bool = True,
-                 container_cache_size: int = 8,
                  master_key: Optional[bytes] = None,
                  max_delta_depth: int = 8,
                  tracer=None) -> None:
@@ -83,8 +118,6 @@ class RestoreClient:
         #: rather than recurse without bound.
         self.max_delta_depth = max(1, max_delta_depth)
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        self._cache_size = max(1, container_cache_size)
-        self._containers: "OrderedDict[int, ContainerReader]" = OrderedDict()
         self._fetched = 0
         self._retries = 0
         self._failovers = 0
@@ -92,9 +125,6 @@ class RestoreClient:
         #: (the healthy path never pays for it).
         self._plan_loaded = False
         self._plan = None
-        #: Reconstructed delta targets by extent location — duplicate
-        #: refs to a delta chunk decode its chain once, not per file.
-        self._delta_memo: "OrderedDict[tuple, bytes]" = OrderedDict()
 
     # ------------------------------------------------------------------
     def load_manifest(self, session_id: int) -> Manifest:
@@ -111,20 +141,6 @@ class RestoreClient:
         if self._plan is None:
             return []
         return self._plan.replica_keys(container_id)
-
-    def _container(self, container_id: int) -> ContainerReader:
-        reader = self._containers.get(container_id)
-        if reader is not None:
-            self._containers.move_to_end(container_id)
-            return reader
-        with self.tracer.span("restore.container_fetch",
-                              container=container_id):
-            reader = self._fetch_container(container_id)
-        self._fetched += 1
-        self._containers[container_id] = reader
-        while len(self._containers) > self._cache_size:
-            self._containers.popitem(last=False)
-        return reader
 
     def _fetch_container(self, container_id: int) -> ContainerReader:
         """Primary, retried once on corruption, then replica failover."""
@@ -158,19 +174,80 @@ class RestoreClient:
             ) from failure
         raise failure
 
-    def _read_extent(self, ref: ChunkRef, length: int,
-                     report: RestoreReport) -> bytes:
-        """Raw stored bytes of ``ref`` (container slice or object)."""
-        if ref.in_container:
-            data = self._container(ref.container_id).read_at(ref.offset,
-                                                             length)
+    # ------------------------------------------------------------------
+    def _plan_restore(self, manifest: Manifest, paths: Optional[list[str]]
+                      ) -> Tuple[List[_FilePlan], Dict[int, List[_Job]]]:
+        """Select the files and group their container extents.
+
+        Returns the selected files in manifest order and, per container
+        in first-use order, the extents the pass reads from it.
+        """
+        if paths is None:
+            entries = list(manifest)
         else:
-            data = self.cloud.get(ref.object_key)
-            report.objects_fetched += 1
-        if len(data) != length:
-            raise IntegrityError(
-                f"extent length mismatch ({len(data)} != {length})")
-        return data
+            missing = sorted({p for p in paths if manifest.get(p) is None})
+            if missing:
+                raise RestoreError(f"paths not in session: {missing}")
+            wanted = set(paths)
+            entries = [e for e in manifest if e.path in wanted]
+        files: List[_FilePlan] = []
+        jobs: Dict[int, List[_Job]] = {}
+        kept = set()
+        for entry in entries:
+            plan = _FilePlan(entry, [b""] * len(entry.refs), [])
+            files.append(plan)
+            for index, ref in enumerate(entry.refs):
+                if not ref.is_delta:
+                    if ref.in_container:
+                        jobs.setdefault(ref.container_id, []).append(
+                            (ref, plan.pieces, index))
+                    else:
+                        plan.later.append((index, ref))
+                    continue
+                if ref.chain_depth() > self.max_delta_depth:
+                    raise RestoreError(
+                        f"delta chain deeper than max_delta_depth="
+                        f"{self.max_delta_depth}")
+                plan.later.append((index, ref))
+                hop = ref
+                while hop is not None:  # every hop is read raw
+                    location = _location(hop)
+                    if hop.in_container and location not in kept:
+                        kept.add(location)
+                        jobs.setdefault(hop.container_id, []).append(
+                            (hop, None, 0))
+                    hop = hop.delta_base
+        return files, jobs
+
+    def _container_pass(self, jobs: Dict[int, List[_Job]],
+                        report: RestoreReport) -> Dict[tuple, bytes]:
+        """Fetch each planned container once and fill its slots.
+
+        Returns the raw bytes of the delta hops and bases, by location.
+        """
+        kept: Dict[tuple, bytes] = {}
+        for container_id, extents in jobs.items():
+            with self.tracer.span("restore.container_fetch",
+                                  container=container_id):
+                reader = self._fetch_container(container_id)
+            self._fetched += 1
+            for ref, pieces, index in extents:
+                if pieces is None:
+                    kept[_location(ref)] = _sized(
+                        reader.read_at(ref.offset, ref.cloud_length),
+                        ref.cloud_length)
+                else:
+                    data = _sized(reader.read_at(ref.offset, ref.length),
+                                  ref.length)
+                    pieces[index] = self._finish(data, ref, report)
+        return kept
+
+    def _read_object(self, ref: ChunkRef, length: int,
+                     report: RestoreReport) -> bytes:
+        """Stored bytes of a standalone object."""
+        data = self.cloud.get(ref.object_key)
+        report.objects_fetched += 1
+        return _sized(data, length)
 
     def _verify_payload(self, data: bytes, ref: ChunkRef,
                         report: RestoreReport) -> None:
@@ -180,36 +257,29 @@ class RestoreClient:
                 raise IntegrityError("fingerprint mismatch on restore")
             report.chunks_verified += 1
 
-    def _fetch_delta(self, ref: ChunkRef, report: RestoreReport,
-                     depth: int) -> bytes:
-        """Materialise a delta extent by resolving its base chain."""
-        if depth > self.max_delta_depth:
-            raise RestoreError(
-                f"delta chain deeper than max_delta_depth="
-                f"{self.max_delta_depth}")
-        memo_key = ((ref.container_id, ref.offset) if ref.in_container
-                    else ref.object_key)
-        cached = self._delta_memo.get(memo_key)
-        if cached is not None:
-            self._delta_memo.move_to_end(memo_key)
-            return cached
-        blob = self._read_extent(ref, ref.stored_length, report)
-        base = self._fetch_ref(ref.delta_base, report, depth=depth + 1)
-        try:
-            data = self._apply_delta(base, blob, ref)
-        except IntegrityError:
-            if ref.in_container:
-                # Container extents are CRC-covered at fetch time, so
-                # the blob is what was stored — a decode failure is
-                # real corruption, not transport noise.
-                raise
-            self._retries += 1
-            blob = self._read_extent(ref, ref.stored_length, report)
-            data = self._apply_delta(base, blob, ref)
-        report.deltas_applied += 1
-        self._delta_memo[memo_key] = data
-        while len(self._delta_memo) > 128:
-            self._delta_memo.popitem(last=False)
+    def _finish(self, data: bytes, ref: ChunkRef,
+                report: RestoreReport) -> bytes:
+        """Verify ``data`` against ``ref``'s fingerprint, then decrypt."""
+        if self.verify:
+            try:
+                self._verify_payload(data, ref, report)
+            except IntegrityError:
+                if ref.is_delta or ref.in_container:
+                    # Decoded deltas and CRC-covered container extents
+                    # cannot be transport flips — the mismatch is real.
+                    raise
+                self._retries += 1
+                data = self._read_object(ref, ref.length, report)
+                self._verify_payload(data, ref, report)
+        if ref.wrapped_key is not None:
+            # Convergently encrypted extent: recover and apply its key.
+            if self.master_key is None:
+                raise RestoreError(
+                    "session is encrypted; a master_key is required")
+            from repro.secure import ConvergentCipher, unwrap_key
+            key = unwrap_key(ref.wrapped_key, self.master_key,
+                             ref.fingerprint)
+            data = ConvergentCipher.decrypt(data, key)
         return data
 
     def _apply_delta(self, base: bytes, blob: bytes,
@@ -224,36 +294,35 @@ class RestoreClient:
                 f"({len(data)} != {ref.length})")
         return data
 
-    def _fetch_ref(self, ref: ChunkRef, report: RestoreReport,
-                   depth: int = 1) -> bytes:
-        if ref.is_delta and depth == 1:  # one span per chain head
-            with self.tracer.span("restore.delta_chain",
-                                  depth=ref.chain_depth()):
-                data = self._fetch_delta(ref, report, depth)
-        elif ref.is_delta:
-            data = self._fetch_delta(ref, report, depth)
-        else:
-            data = self._read_extent(ref, ref.length, report)
-        if self.verify:
-            try:
-                self._verify_payload(data, ref, report)
-            except IntegrityError:
-                if ref.is_delta or ref.in_container:
-                    # Decoded deltas and CRC-covered container extents
-                    # cannot be transport flips — the mismatch is real.
-                    raise
-                self._retries += 1
-                data = self._read_extent(ref, ref.length, report)
-                self._verify_payload(data, ref, report)
-        if ref.wrapped_key is not None:
-            # Convergently encrypted extent: recover and apply its key.
-            if self.master_key is None:
-                raise RestoreError(
-                    "session is encrypted; a master_key is required")
-            from repro.secure import ConvergentCipher, unwrap_key
-            key = unwrap_key(ref.wrapped_key, self.master_key,
-                             ref.fingerprint)
-            data = ConvergentCipher.decrypt(data, key)
+    def _resolve(self, ref: ChunkRef, kept: Dict[tuple, bytes],
+                 decoded: dict, report: RestoreReport) -> bytes:
+        """Bytes of a ref the container pass left open: a standalone
+        object, a kept delta base, or a delta (decoded once per restore
+        into ``decoded``)."""
+        if not ref.is_delta:
+            data = (kept[_location(ref)] if ref.in_container
+                    else self._read_object(ref, ref.length, report))
+            return self._finish(data, ref, report)
+        location = _location(ref)
+        data = decoded.get(location)
+        if data is not None:
+            return data
+        blob = (kept[location] if ref.in_container
+                else self._read_object(ref, ref.stored_length, report))
+        base = self._resolve(ref.delta_base, kept, decoded, report)
+        try:
+            data = self._apply_delta(base, blob, ref)
+        except IntegrityError:
+            if ref.in_container:
+                # Container extents are CRC-covered at fetch time, so
+                # the blob is what was stored — a decode failure is
+                # real corruption, not transport noise.
+                raise
+            self._retries += 1
+            blob = self._read_object(ref, ref.stored_length, report)
+            data = self._apply_delta(base, blob, ref)
+        report.deltas_applied += 1
+        data = decoded[location] = self._finish(data, ref, report)
         return data
 
     # ------------------------------------------------------------------
@@ -264,25 +333,32 @@ class RestoreClient:
         with self.tracer.span("restore", session=session_id):
             manifest = self.load_manifest(session_id)
             report = RestoreReport(session_id=session_id)
-            wanted = set(paths) if paths is not None else None
+            files, jobs = self._plan_restore(manifest, paths)
+            kept = self._container_pass(jobs, report)
+            decoded: dict = {}
             out: Dict[str, bytes] = {}
-            for entry in manifest:
-                if wanted is not None and entry.path not in wanted:
-                    continue
+            for plan in files:
+                entry, pieces = plan.entry, plan.pieces
                 with self.tracer.span("restore.file", app=entry.app,
                                       bytes=entry.size):
-                    pieces = [self._fetch_ref(ref, report)
-                              for ref in entry.refs]
+                    for index, ref in plan.later:
+                        if ref.is_delta:  # one span per chain head
+                            with self.tracer.span(
+                                    "restore.delta_chain",
+                                    depth=ref.chain_depth()):
+                                pieces[index] = self._resolve(
+                                    ref, kept, decoded, report)
+                        else:
+                            pieces[index] = self._resolve(
+                                ref, kept, decoded, report)
                     data = b"".join(pieces)
+                pieces.clear()  # the joined copy replaces the slots
                 if len(data) != entry.size:
                     raise IntegrityError(
                         f"file size mismatch for {entry.path!r}")
                 out[entry.path] = data
                 report.files_restored += 1
                 report.bytes_restored += len(data)
-            if wanted is not None and len(out) != len(wanted):
-                missing = sorted(wanted - set(out))
-                raise RestoreError(f"paths not in session: {missing}")
             report.containers_fetched = self._fetched
             report.fetch_retries = self._retries
             report.failovers = self._failovers
@@ -292,8 +368,18 @@ class RestoreClient:
                              dest: str | os.PathLike,
                              paths: Optional[list[str]] = None
                              ) -> RestoreReport:
-        """Restore a session into a directory tree."""
+        """Restore a session into a directory tree.
+
+        Every path must stay inside ``dest``: an absolute path or a
+        ``..`` component raises :class:`RestoreError` before any file
+        is written.
+        """
         files, report = self.restore_to_memory(session_id, paths)
+        for relpath in files:
+            path = PurePath(relpath)
+            if path.is_absolute() or ".." in path.parts:
+                raise RestoreError(
+                    f"manifest path escapes the destination: {relpath!r}")
         dest = Path(dest)
         for relpath, data in files.items():
             target = dest / relpath

@@ -1,6 +1,8 @@
 """Tests for restore verification, directory restore, GC and resuming
 the index from the manifests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from repro.core import (
 from repro.core import naming
 from repro.core.scrub import scrub_cloud
 from repro.errors import IntegrityError, ObjectNotFound, RestoreError
+from repro.obs.tracer import Tracer
+from repro.simulate.clock import VirtualClock
 from repro.util.units import KIB
 
 
@@ -54,9 +58,13 @@ class TestRestore:
         assert report.files_restored == 1
 
     def test_selective_restore_missing_path(self, backed_up):
+        # A bad selection fails while planning, before any container GET.
         cloud = backed_up[0]
-        with pytest.raises(RestoreError):
-            RestoreClient(cloud).restore_to_memory(0, paths=["ghost.txt"])
+        before = cloud.stats.get_requests
+        with pytest.raises(RestoreError, match="paths not in session"):
+            RestoreClient(cloud).restore_to_memory(
+                0, paths=["b/doc.doc", "ghost.txt"])
+        assert cloud.stats.get_requests - before == 1  # the manifest only
 
     def test_restore_to_directory(self, backed_up, tmp_path):
         cloud, _c, files, _ = backed_up
@@ -88,18 +96,53 @@ class TestRestore:
 
     def test_container_cache_bounds_fetches(self, backed_up):
         cloud = backed_up[0]
+        manifest = Manifest.from_json(cloud.get(naming.manifest_key(1)))
+        containers = len(manifest.referenced_containers())
         before = cloud.stats.get_requests
-        rc = RestoreClient(cloud, container_cache_size=16)
-        rc.restore_to_memory(1)
-        fetches = cloud.stats.get_requests - before
-        containers = len(cloud.list(naming.CONTAINER_PREFIX))
-        # manifest + at most one fetch per container.
-        assert fetches <= containers + 1
+        _out, report = RestoreClient(cloud).restore_to_memory(1)
+        # The manifest, then exactly one fetch per referenced container.
+        assert cloud.stats.get_requests - before == containers + 1
+        assert report.containers_fetched == containers
 
     def test_chunks_verified_counted(self, backed_up):
         cloud = backed_up[0]
         _out, report = RestoreClient(cloud).restore_to_memory(0)
         assert report.chunks_verified >= 4
+
+    def test_selection_fetches_only_its_containers(self, backed_up):
+        cloud = backed_up[0]
+        manifest = Manifest.from_json(cloud.get(naming.manifest_key(1)))
+        want = {ref.container_id
+                for ref in manifest.get("b/doc.doc").refs}
+        assert want < manifest.referenced_containers()
+        tracer = Tracer(clock=VirtualClock())
+        _out, report = RestoreClient(cloud, tracer=tracer).restore_to_memory(
+            1, paths=["b/doc.doc"])
+        fetched = [s.attrs["container"] for s in tracer.spans()
+                   if s.name == "restore.container_fetch"]
+        assert sorted(fetched) == sorted(want)
+        assert report.containers_fetched == len(want)
+
+    @pytest.mark.parametrize("escape", ["../escaped.txt", "a/../../escaped.txt",
+                                        "absolute"])
+    def test_directory_restore_refuses_escaping_path(self, backed_up,
+                                                     tmp_path, escape):
+        # A manifest path must not write outside ``dest``.
+        cloud = backed_up[0]
+        if escape == "absolute":
+            escape = str(tmp_path / "escaped.txt")
+        manifest = Manifest.from_json(cloud.get(naming.manifest_key(0)))
+        forged = Manifest(0, manifest.scheme, created=manifest.created)
+        for entry in manifest:
+            if entry.path == "b/tiny.txt":
+                entry = dataclasses.replace(entry, path=escape)
+            forged.add(entry)
+        cloud.put(naming.manifest_key(0), forged.to_json().encode("utf-8"))
+        dest = tmp_path / "out"
+        with pytest.raises(RestoreError, match="escapes the destination"):
+            RestoreClient(cloud).restore_to_directory(0, dest)
+        assert not (tmp_path / "escaped.txt").exists()
+        assert not dest.exists()
 
 
 class TestGarbageCollection:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.memory import InMemoryBackend
+from repro.container.format import ContainerWriter
 from repro.core import naming
 from repro.core.backup import BackupClient
 from repro.core.gc import collect_garbage
@@ -315,6 +316,53 @@ def _store_chain(cloud, depth: int, rng) -> tuple:
     return version, ref
 
 
+class _GetLog(InMemoryBackend):
+    """Records the key of every read."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.gets: list = []
+
+    def _get(self, key):
+        self.gets.append(key)
+        return super()._get(key)
+
+
+def _container_chain(cloud, rng) -> tuple:
+    """Hand-build a two-hop delta chain across three containers: the
+    base in container 0, the delta base -> mid in container 1 and the
+    delta mid -> head in container 2.  Returns (versions, refs), each
+    ordered base, mid, head."""
+    sha1 = get_hash("sha1")
+    base = rng.integers(0, 256, 12_000, dtype=np.uint8).tobytes()
+    versions = [base, _edit(base, 401)]
+    versions.append(_edit(versions[1], 402))
+    refs = []
+    for cid, version in enumerate(versions):
+        writer = ContainerWriter(cid, 64 * 1024)
+        if cid == 0:
+            stored, extra = version, {}
+        else:
+            stored = encode_delta(versions[cid - 1], version)
+            extra = dict(stored_length=len(stored), delta_base=refs[-1])
+        offset = writer.append(sha1.hash(stored), stored)
+        cloud.put(naming.container_key(cid), writer.seal(False))
+        refs.append(ChunkRef(fingerprint=sha1.hash(version),
+                             length=len(version), container_id=cid,
+                             offset=offset, **extra))
+    return versions, refs
+
+
+def _put_manifest(cloud, files: dict) -> None:
+    """Session 0 whose files are {path: (content, refs)}."""
+    manifest = Manifest(0, "test", created=1.0)
+    for path, (data, refs) in files.items():
+        manifest.add(FileEntry(path=path, size=len(data), mtime_ns=0,
+                               app="doc", category="uncompressed",
+                               refs=list(refs)))
+    cloud.put(naming.manifest_key(0), manifest.to_json().encode("utf-8"))
+
+
 class TestDeltaChains:
     def test_restore_at_exactly_max_depth(self, rng):
         cloud = InMemoryBackend()
@@ -338,6 +386,42 @@ class TestDeltaChains:
         report = scrub_cloud(cloud, max_delta_depth=3)
         assert not report.clean
         assert any("chain deeper" in p for p in report.problems)
+
+    def test_base_container_reached_after_head(self, rng):
+        cloud = _GetLog()
+        versions, (_base, _mid, head) = _container_chain(cloud, rng)
+        _put_manifest(cloud, {"t.doc": (versions[2], [head])})
+        cloud.gets.clear()
+        out, report = RestoreClient(cloud).restore_to_memory(0)
+        assert out == {"t.doc": versions[2]}
+        assert cloud.gets[1:] == [naming.container_key(c) for c in (2, 1, 0)]
+        assert report.containers_fetched == 3
+        assert report.deltas_applied == 2
+
+    def test_base_container_reached_before_head(self, rng):
+        cloud = _GetLog()
+        versions, (base, _mid, head) = _container_chain(cloud, rng)
+        _put_manifest(cloud, {"a.doc": (versions[0], [base]),
+                              "t.doc": (versions[2], [head])})
+        cloud.gets.clear()
+        out, report = RestoreClient(cloud).restore_to_memory(0)
+        assert out == {"a.doc": versions[0], "t.doc": versions[2]}
+        assert cloud.gets[1:] == [naming.container_key(c) for c in (0, 2, 1)]
+        assert report.containers_fetched == 3
+
+    def test_shared_delta_decoded_once(self, rng):
+        cloud = _GetLog()
+        versions, (_base, mid, head) = _container_chain(cloud, rng)
+        _put_manifest(cloud, {
+            "a.doc": (versions[2], [head]),
+            "b.doc": (versions[2], [head]),
+            "c.doc": (versions[2] + versions[1], [head, mid])})
+        out, report = RestoreClient(cloud).restore_to_memory(0)
+        assert out["a.doc"] == out["b.doc"] == versions[2]
+        assert out["c.doc"] == versions[2] + versions[1]
+        # Three heads and one mid hop, but each delta decodes once.
+        assert report.deltas_applied == 2
+        assert report.containers_fetched == 3
 
 
 class TestDeltaGCAndScrub:

@@ -7,7 +7,8 @@ garbage, keep the last n sessions through ``apply_retention``, run a
 session whose k-th PUT fails, run a session that cannot read the GC
 epoch — under one legal :class:`~repro.core.options.SchemeConfig`
 drawn per run.  After every step, every retained session must restore
-bit-exactly to the reference model (``tests/model.py``), the store must
+bit-exactly to the reference model (``tests/model.py``), loading each
+container its manifest references exactly once, the store must
 hold a manifest for exactly the sessions the model retains, and a scrub
 must find no problem.  After every resume, the client's index must
 equal a recount from the retained manifests, app by app, and its
@@ -237,10 +238,14 @@ class StoreMachine(RuleBasedStateMachine):
     def every_retained_session_restores(self) -> None:
         assert naming.session_ids(self.store) == self.model.retained()
         key = MASTER_KEY if self.config.encrypt_chunks else None
-        restore = RestoreClient(self.store, master_key=key)
         for session_id, files in self.model.sessions.items():
-            restored, _ = restore.restore_to_memory(session_id)
+            restore = RestoreClient(self.store, master_key=key)
+            restored, report = restore.restore_to_memory(session_id)
             assert restored == files, session_id
+            # A planned restore loads each container it needs once.
+            manifest = restore.load_manifest(session_id)
+            assert report.containers_fetched == len(
+                manifest.referenced_containers()), session_id
 
     @invariant()
     def scrub_finds_no_problem(self) -> None:
