@@ -145,7 +145,7 @@ def _race_chunker(chunker, buffers):
 def test_chunker_head_to_head():
     """Every fast engine keeps its dedup ratio within 5% of Rabin's, and
     SeqCDC out-scans Rabin.  Gear/FastCDC carry no throughput floor: the
-    masked byte-pair Rabin scan outruns their 32 uint32 passes, so the
+    lane-packed masked Rabin scan outruns their 32 uint32 passes, so the
     table reports their speed without asserting an ordering."""
     if SMOKE:
         versions = _versioned_documents(docs=3, sessions=4, doc_kib=128)

@@ -11,10 +11,11 @@ rather than position makes boundaries survive byte insertions/deletions
 Performance: the boundary scan is the hot loop of every CDC system.  The
 boundary test reads only the low ``mask_bits`` of the fingerprint, and by
 GF(2) linearity those bits are an XOR of masked per-byte tables, so
-:func:`~repro.hashing.rolling.window_candidates` evaluates just them:
-⌊window/2⌋ vectorised gathers of masked byte-pair tables per slab instead
-of a per-byte interpreter loop; min/max enforcement then walks only the
-(sparse) candidate cut list.  The scan is the only path; the per-byte
+:func:`~repro.hashing.rolling.window_candidates` evaluates just them,
+four adjacent positions to one ``uint64`` word: ``window + 3`` vectorised
+gathers of masked lane tables per slab instead of a per-byte interpreter
+loop (at masks of up to 16 bits); min/max enforcement then walks only
+the (sparse) candidate cut list.  The scan is the only path; the per-byte
 streaming reference it is checked against lives with the tests
 (``tests/oracles.py``).
 """

@@ -17,27 +17,27 @@ reference kept with the tests:
   buffer at once, ``W`` table gathers into one scratch buffer (the delta
   sketch's input, which needs every bit);
 * :func:`window_candidates` — only the boundary test.  Masking commutes
-  with XOR, so ``fp & mask`` is an XOR of masked tables, and adjacent
-  positions fold into ⌊W/2⌋ byte-pair tables of 65,536 entries in the
-  narrowest dtype that holds ``mask``.  The paper's geometry (48-byte
-  window, 13-bit mask) scans with 24 ``uint16`` gathers per byte over one
-  ``uint16`` pair index built once per L2-sized slab.
+  with XOR, so ``fp & mask`` is an XOR of masked tables, and the masked
+  fingerprints of four adjacent positions (a mask of up to 16 bits) fit
+  the lanes of one ``uint64``.  The paper's geometry (48-byte window,
+  13-bit mask) scans with 51 byte-indexed gathers per four positions
+  over 256-entry lane tables that stay cache-resident.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
 from repro.hashing.rabin import POLY64, shift_rows
 
-__all__ = ["SLAB", "byte_view", "pair_tables", "window_candidates",
+__all__ = ["SLAB", "byte_view", "lane_tables", "window_candidates",
            "window_fingerprints", "window_tables"]
 
-#: Window positions per slab of :func:`window_candidates`: the pair
-#: index, accumulator and gather temporary of one slab (0.375 MiB at the
-#: default geometry) stay L2-sized whatever the buffer length.
+#: Window positions per slab of :func:`window_candidates`: the byte
+#: columns, accumulator and gather temporary of one slab (0.375 MiB)
+#: stay L2-sized whatever the buffer length.
 SLAB = 64 * 1024
 
 
@@ -52,12 +52,11 @@ def window_tables(window: int, poly: int = POLY64) -> np.ndarray:
     return shift_rows(poly, window)[::-1]
 
 
-# Masked pair tables.  An entry is inserted only once fully built
+# Masked lane tables.  An entry is inserted only once fully built
 # (``setdefault`` is atomic under the GIL), so threads racing on a cold
 # key may build twice but never read a partial table, and all of them
 # end up holding the one published object.
-_PAIR_CACHE: dict[tuple[int, int, int],
-                  Tuple[np.ndarray, np.ndarray | None]] = {}
+_LANE_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
 
 
 def byte_view(data: bytes | np.ndarray) -> np.ndarray:
@@ -92,38 +91,31 @@ def window_fingerprints(data: bytes | np.ndarray, window: int = 48,
     return out
 
 
-def _mask_dtype(mask: int) -> type:
-    bits = mask.bit_length()
-    return np.uint16 if bits <= 16 else np.uint32 if bits <= 32 else np.uint64
+def lane_tables(window: int, poly: int, mask: int) -> np.ndarray:
+    """Masked lane tables for :func:`window_candidates` (cached).
 
-
-def pair_tables(window: int, poly: int, mask: int
-                ) -> Tuple[np.ndarray, np.ndarray | None]:
-    """Masked byte-pair tables for :func:`window_candidates` (cached).
-
-    Returns ``(pairs, tail)``: ``pairs[j][b0 | b1 << 8]`` is
-    ``(T_{2j}[b0] ^ T_{2j+1}[b1]) & mask`` for ``j < window // 2``, and
-    ``tail`` is ``T_{window-1} & mask`` when ``window`` is odd, else
-    ``None``.  The dtype is the narrowest of ``uint16``/``uint32``/
-    ``uint64`` that holds ``mask``; at the paper's geometry the pairs
-    are 24 · 128 KiB.  The same ``(window, poly, mask)`` always returns
-    the same objects.
+    Four, two or one window positions (masks of up to 16, 32 or 64 bits)
+    share one ``uint64`` word, lane ``r`` (bits ``w·r`` up, ``w = 64 /
+    lanes``) holding position ``r``'s masked fingerprint.  Row
+    ``j < window + lanes - 1`` is ``P_j[b] = OR_r ((T_{j-r}[b] & mask)
+    << w·r)`` over the lanes with ``0 <= j - r < window``.  At the
+    paper's geometry that is 51 · 256 · 8 B = 102 KiB.  The same
+    ``(window, poly, mask)`` always returns the same object.
     """
     key = (window, poly, mask)
-    cached = _PAIR_CACHE.get(key)
+    cached = _LANE_CACHE.get(key)
     if cached is not None:
         return cached
-    dtype = _mask_dtype(mask)
-    masked = (window_tables(window, poly)
-              & np.uint64(mask)).astype(dtype)
-    half = window // 2
-    pairs = np.empty((half, 1 << 16), dtype=dtype)
-    for j in range(half):
-        # Row b1, column b0: the flat index is b0 | b1 << 8.
-        pairs[j] = (masked[2 * j + 1][:, np.newaxis]
-                    ^ masked[2 * j][np.newaxis, :]).ravel()
-    tail = masked[window - 1].copy() if window % 2 else None
-    return _PAIR_CACHE.setdefault(key, (pairs, tail))
+    bits = mask.bit_length()
+    lanes = 4 if bits <= 16 else 2 if bits <= 32 else 1
+    width = 64 // lanes
+    masked = window_tables(window, poly) & np.uint64(mask)
+    # Little-endian words on any host, so lane r is the r-th narrow word
+    # in memory and the scan's narrow view lists positions in order.
+    tables = np.zeros((window + lanes - 1, 256), dtype="<u8")
+    for r in range(lanes):
+        tables[r:r + window] |= masked << np.uint64(width * r)
+    return _LANE_CACHE.setdefault(key, tables)
 
 
 def window_candidates(data: bytes | np.ndarray, window: int, poly: int,
@@ -133,45 +125,48 @@ def window_candidates(data: bytes | np.ndarray, window: int, poly: int,
     Returns the sorted int64 offsets ``i + window`` for every ``i`` with
     ``window_fingerprints(data)[i] & mask == magic`` — the CDC boundary
     candidates — without computing the fingerprint bits the test does not
-    read (``magic`` must lie under ``mask``).  Each slab of :data:`SLAB`
-    positions builds one ``uint16`` index of adjacent byte pairs into a
-    reused buffer and gathers ⌊window/2⌋ masked pair tables
-    (:func:`pair_tables`), so transient memory is bounded by the slab,
-    not the buffer.
+    read; a ``magic`` with bits outside ``mask`` raises ``ValueError``.
+    Each slab of :data:`SLAB` positions de-interleaves its bytes into one
+    column per lane and XORs ``window + lanes - 1`` gathers of the
+    :func:`lane_tables` into one ``uint64`` per group of adjacent
+    positions, so transient memory is bounded by the slab, not the buffer.
     """
+    if magic & ~mask:
+        raise ValueError(f"magic {magic:#x} has bits outside mask {mask:#x}")
     arr = byte_view(data)
-    n = arr.shape[0]
-    positions = n - window + 1
+    positions = arr.shape[0] - window + 1
     if positions <= 0:
         return np.empty(0, dtype=np.int64)
-    pairs, tail = pair_tables(window, poly, mask)
-    half = pairs.shape[0]
-    target = pairs.dtype.type(magic)
-    pair_index = np.empty(min(positions, SLAB) + window - 2, dtype=np.uint16)
+    tables = lane_tables(window, poly, mask)
+    lanes = tables.shape[0] - window + 1
+    lane_view = np.dtype(f"<u{8 // lanes}")
+    target = lane_view.type(magic)
+    reach = (window + lanes - 2) // lanes
+    wide = -(-min(positions, SLAB) // lanes) + reach
+    flat = np.empty(wide * lanes, dtype=np.uint8)
+    columns = np.empty((lanes, wide), dtype=np.uint8)
     hits: List[np.ndarray] = []
     for start in range(0, positions, SLAB):
         m = min(SLAB, positions - start)
+        groups = -(-m // lanes)
+        # columns[q][g] = span[g * lanes + q]; the zero padding only feeds
+        # the lanes past m, which are dropped below.
         span = arr[start:start + m + window - 1]
-        gathers = []
-        if half:
-            # index[p] = span[p] | span[p + 1] << 8
-            index = pair_index[:m + window - 2]
-            np.left_shift(span[1:], 8, out=index, dtype=np.uint16)
-            index |= span[:-1]
-            gathers = [(pairs[j], index[2 * j:2 * j + m])
-                       for j in range(half)]
-        if tail is not None:
-            gathers.append((tail, span[window - 1:]))
-        # Plain indexing with the narrow index, not np.take(out=) with an
-        # intp one: on a shared 2-vCPU VM the take loop is ~3x faster when
-        # the core is quiet but runs up to 1.8x slower whenever the host
-        # contends for it, while this path slows by about 1.1x, so backup
-        # throughput stays steady from one run to the next.
-        (table, idx), *rest = gathers
-        out = table[idx]
-        for table, idx in rest:
-            out ^= table[idx]
-        found = np.flatnonzero(out == target)
+        padded = flat[:(groups + reach) * lanes]
+        padded[:span.shape[0]] = span
+        padded[span.shape[0]:] = 0
+        cols = columns[:, :groups + reach]
+        np.copyto(cols, padded.reshape(-1, lanes).T)
+        # Plain indexing with the byte columns, not np.take(out=) with an
+        # intp index: on a shared 2-vCPU VM the take loop is several times
+        # faster when the core is quiet but runs up to 1.8x slower
+        # whenever the host contends for it, while this path slows by
+        # about 1.1x, so backup throughput stays steady from run to run.
+        out = tables[0][cols[0, :groups]]
+        for j in range(1, tables.shape[0]):
+            shift, q = divmod(j, lanes)
+            out ^= tables[j][cols[q, shift:shift + groups]]
+        found = np.flatnonzero(out.view(lane_view)[:m] == target)
         if found.shape[0]:
             hits.append(found + (start + window))
     if not hits:

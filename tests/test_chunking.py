@@ -29,7 +29,8 @@ from repro.chunking.cdc import default_mask_bits
 from repro.chunking.gear import GEAR_WINDOW, gear_table, gear_window_hashes
 from repro.errors import ChunkingError
 from repro.hashing import rabin, rolling
-from repro.hashing.rolling import SLAB, pair_tables
+from repro.hashing.rabin import POLY64
+from repro.hashing.rolling import SLAB, lane_tables, window_candidates
 from repro.util.units import KIB
 from tests.oracles import (
     RollingRabin,
@@ -242,12 +243,27 @@ _RABIN_GEOMETRIES = [
     {"magic": 0x0A5A},
 ]
 
+#: Geometries at the lane-scan boundaries: windows around the four-lane
+#: group, masks on each side of the 16- and 32-bit lane widths (four,
+#: two and one positions per ``uint64``).  Their cases draw data from
+#: :func:`_lane_rng`, not the session ``rng``, so adding them left every
+#: later test's data as it was.
+_LANE_GEOMETRIES = [
+    {"window": 3}, {"window": 4}, {"window": 5},
+    {"mask_bits": 16}, {"mask_bits": 32}, {"mask_bits": 33},
+    {"mask_bits": 63},
+]
+
+
+def _lane_rng() -> np.random.Generator:
+    return np.random.default_rng(0x1A4E)
+
 
 @pytest.fixture
-def fresh_pair_cache(monkeypatch):
-    """A cold pair-table cache for one test; the tables it builds (up to
-    12 MiB for a 40-bit mask) are dropped afterwards."""
-    monkeypatch.setattr(rolling, "_PAIR_CACHE", {})
+def fresh_lane_cache(monkeypatch):
+    """A cold lane-table cache for one test; the tables it builds are
+    dropped afterwards."""
+    monkeypatch.setattr(rolling, "_LANE_CACHE", {})
 
 
 def _planted_magic(data: bytes, window: int) -> int:
@@ -450,14 +466,16 @@ class TestDifferentialOracles:
             ps, pl = reference_candidates(fast, data)
             assert np.array_equal(ns, ps) and np.array_equal(nl, pl), label
 
-    @pytest.mark.parametrize("params", _RABIN_GEOMETRIES,
+    @pytest.mark.parametrize("params", _RABIN_GEOMETRIES + _LANE_GEOMETRIES,
                              ids=lambda p: ",".join(f"{k}={v}"
                                                     for k, v in p.items()))
     def test_rabin_geometries_identical(self, params, rng,
-                                        fresh_pair_cache):
-        # Odd and degenerate windows take the tail table / no pair table;
-        # masks over 16 bits take the uint32 and uint64 tables (reachable
-        # through retarget_policy on a large SC base).
+                                        fresh_lane_cache):
+        if params in _LANE_GEOMETRIES:
+            rng = _lane_rng()
+        # Windows shorter than the four-lane group leave lane tables with
+        # zero rows; masks over 16 and 32 bits take the two- and one-lane
+        # scans (reachable through retarget_policy on a large SC base).
         chunker = RabinCDC(**params)
         for label, data in _adversarial_cases(rng).items():
             assert np.array_equal(chunker._candidates(data),
@@ -470,11 +488,18 @@ class TestDifferentialOracles:
                                   reference_candidates(planted, data)), label
 
     @pytest.mark.parametrize("window", [48, 47])
-    def test_rabin_slab_edges(self, window, rng, fresh_pair_cache):
+    def test_rabin_slab_edges(self, window, rng, fresh_lane_cache):
         chunker = RabinCDC(window=window)
-        for n in (SLAB - 1, SLAB, SLAB + window - 1, SLAB + window,
-                  2 * SLAB + window - 1):
-            data = rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+        # With the lengths drawn from _lane_rng, positions n - window + 1
+        # cover every remainder mod the four lanes, in a lone slab and in
+        # a last slab after a full one.
+        cases = [(n, rng) for n in (SLAB - 1, SLAB, SLAB + window - 1,
+                                    SLAB + window, 2 * SLAB + window - 1)]
+        cases += [(n, _lane_rng()) for n in (window + 1, window + 2,
+                                             SLAB + window + 1,
+                                             SLAB + window + 2)]
+        for n, gen in cases:
+            data = gen.integers(0, 256, n, dtype=np.uint8).tobytes()
             planted = RabinCDC(window=window, mask_bits=20,
                                magic=_planted_magic(data, window))
             for c in (chunker, planted):
@@ -482,22 +507,22 @@ class TestDifferentialOracles:
                                       reference_candidates(c, data)), n
 
     @given(window=st.integers(min_value=1, max_value=64),
-           mask_bits=st.integers(min_value=1, max_value=40),
-           magic=st.integers(min_value=0, max_value=(1 << 40) - 1),
+           mask_bits=st.integers(min_value=1, max_value=63),
+           magic=st.integers(min_value=0, max_value=(1 << 63) - 1),
            data=st.binary(max_size=600))
     @settings(max_examples=60, deadline=None)
     def test_rabin_property_any_geometry(self, window, mask_bits, magic,
                                          data):
         chunker = RabinCDC(window=window, mask_bits=mask_bits, magic=magic)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rolling, "_PAIR_CACHE", {})
+            mp.setattr(rolling, "_LANE_CACHE", {})
             assert np.array_equal(chunker._candidates(data),
                                   reference_candidates(chunker, data))
 
     def test_rabin_cold_cache_threads_agree(self, rng, monkeypatch):
-        """Prepare threads racing on cold pair-table and shift-row
+        """Prepare threads racing on cold lane-table and shift-row
         caches all cut identically and end up sharing the one published
-        pair table."""
+        lane table."""
         data = rng.integers(0, 256, 3 * SLAB, dtype=np.uint8).tobytes()
         expected = reference_cut_points(RabinCDC(), data)
         chunker = RabinCDC()
@@ -515,7 +540,7 @@ class TestDifferentialOracles:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                monkeypatch.setattr(rolling, "_PAIR_CACHE", {})
+                monkeypatch.setattr(rolling, "_LANE_CACHE", {})
                 monkeypatch.setattr(rabin, "_SHIFT_ROWS", {})
                 barrier = threading.Barrier(threads)
                 results: dict = {}
@@ -529,11 +554,30 @@ class TestDifferentialOracles:
                     assert not t.is_alive()
                 assert [results[i] for i in range(threads)] == \
                     [expected] * threads
-                assert list(rolling._PAIR_CACHE) == [key]
+                assert list(rolling._LANE_CACHE) == [key]
                 assert list(rabin._SHIFT_ROWS) == [chunker.poly]
-                assert pair_tables(*key) is rolling._PAIR_CACHE[key]
+                assert lane_tables(*key) is rolling._LANE_CACHE[key]
         finally:
             sys.setswitchinterval(old)
+
+    def test_paper_geometry_lane_table_is_cache_sized(self):
+        # Four 16-bit lanes: window + 3 rows of 256 uint64, not the
+        # 24 x 128 KiB byte-pair tables this scan replaced.
+        tables = lane_tables(48, POLY64, RabinCDC().mask)
+        assert tables.shape == (51, 256) and tables.dtype == np.uint64
+        assert tables.nbytes <= 128 * KIB
+
+    @pytest.mark.parametrize("mask,magic", [
+        (0x1FFF, 0x11FFF), (0xFFFF, 0x10000),
+        ((1 << 32) - 1, 1 << 32), ((1 << 40) - 1, 1 << 40),
+        ((1 << 63) - 1, 1 << 63)],
+        ids=["13bit", "16bit", "32bit", "40bit", "63bit"])
+    def test_magic_outside_mask_rejected(self, mask, magic):
+        # Every lane width refuses it up front, instead of overflowing a
+        # narrow dtype or silently matching nothing in a wide one.
+        data = bytes(range(256)) * 4
+        with pytest.raises(ValueError, match="outside mask"):
+            window_candidates(data, 48, POLY64, mask, magic)
 
 
 def _versioned_documents(docs=4, sessions=4, doc_kib=64, seed=2011):

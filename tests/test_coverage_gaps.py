@@ -8,7 +8,7 @@ from repro.classify import sniff_bytes
 from repro.cloud import InMemoryBackend
 from repro.core import BackupClient, MemorySource, RestoreClient, aa_dedupe_config
 from repro.core.options import SchemeConfig
-from repro.hashing.rolling import pair_tables
+from repro.hashing.rolling import lane_tables
 from repro.metrics.report import Table
 from repro.trace import run_paper_evaluation
 from repro.util.units import KIB
@@ -90,9 +90,9 @@ class TestMiscGaps:
 
     def test_window_tables_cached_identity(self):
         from repro.hashing.rabin import POLY64
-        tables = pair_tables(8, POLY64, 0x1FFF)
-        assert pair_tables(8, POLY64, 0x1FFF) is tables
-        assert pair_tables(8, POLY64, 0x3FFF) is not tables
+        tables = lane_tables(8, POLY64, 0x1FFF)
+        assert lane_tables(8, POLY64, 0x1FFF) is tables
+        assert lane_tables(8, POLY64, 0x3FFF) is not tables
 
     def test_sniff_short_head(self):
         # Heads shorter than any signature must not crash.

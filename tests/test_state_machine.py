@@ -5,8 +5,9 @@ system's public verbs — back up an edited source, back up with a fresh
 client after ``resume_from_cloud``, drop the oldest session and collect
 garbage, keep the last n sessions through ``apply_retention``, run a
 session whose k-th PUT fails, run a session that cannot read the GC
-epoch — under one legal :class:`~repro.core.options.SchemeConfig`
-drawn per run.  After every step, every retained session must restore
+epoch, switch the content-defined chunker between two processes —
+under one legal :class:`~repro.core.options.SchemeConfig` drawn per
+run.  After every step, every retained session must restore
 bit-exactly to the reference model (``tests/model.py``), loading each
 container its manifest references exactly once, the store must
 hold a manifest for exactly the sessions the model retains, and a scrub
@@ -28,9 +29,10 @@ import random
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
-                                 invariant, rule)
+                                 invariant, precondition, rule)
 
 from repro.baselines import all_scheme_configs, jungle_disk_config
+from repro.chunking import CDC_FAMILY
 from repro.classify.filetype import classify_name
 from repro.cloud import InMemoryBackend
 from repro.core import (BackupClient, Manifest, MemorySource,
@@ -185,6 +187,26 @@ class StoreMachine(RuleBasedStateMachine):
     def backup_resumed(self, changes) -> None:
         """A new process: fresh client, state rebuilt from the cloud."""
         self.client.close()
+        self.client = self._client()
+        self.client.resume_from_cloud()
+        self._check_resumed()
+        self.backup(changes)
+
+    @precondition(lambda self: not self.config.incremental_only and any(
+        policy.chunker in CDC_FAMILY
+        for policy in self.config.policy_table.values()))
+    @rule(changes=_changes, step=st.integers(1, len(CDC_FAMILY) - 1))
+    def backup_rechunked(self, changes, step) -> None:
+        """A new process under another content-defined engine on the
+        same store: the resumed client still holds exactly what the
+        retained manifests say, read under the new config."""
+        current = next(policy.chunker
+                       for policy in self.config.policy_table.values()
+                       if policy.chunker in CDC_FAMILY)
+        other = CDC_FAMILY[(CDC_FAMILY.index(current) + step)
+                           % len(CDC_FAMILY)]
+        self.client.close()
+        self.config = self.config.with_chunker(other)
         self.client = self._client()
         self.client.resume_from_cloud()
         self._check_resumed()
