@@ -35,7 +35,7 @@ def test_container_size_sweep(benchmark, workload_snapshots):
     stats = {}
     for size, (name, run_) in zip(SIZES, result.runs.items()):
         puts = run_.total_put_requests() * up
-        cost = run_.monthly_cost(scale_to_paper=up)
+        cost = run_.bill(scale_to_paper=up).total
         window = sum(r.window_seconds for r in run_.sessions) / len(
             run_.sessions) * up / 3600
         stats[size] = (puts, cost, window)

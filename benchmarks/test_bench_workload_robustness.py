@@ -38,7 +38,7 @@ def test_office_workload_preserves_shapes(benchmark):
         de[name] = run_.mean_efficiency()
         window[name] = sum(r.window_seconds for r in run_.sessions) / len(
             run_.sessions)
-        cost[name] = run_.monthly_cost(scale_to_paper=up)
+        cost[name] = run_.bill(scale_to_paper=up).total
         table.add_row([name,
                        format_bytes(stored[name] * up, decimal=True),
                        format_bytes(de[name], decimal=True) + "/s",

@@ -18,7 +18,8 @@ import sys
 
 from repro.cloud.pricing import S3_APRIL_2011
 from repro.cloud.wan import WANLink
-from repro.metrics import Table, backup_window_seconds, cloud_cost
+from repro.metrics import Table
+from repro.simulate.pipeline import backup_window
 from repro.util.units import GB, KB, KIB, MIB, format_bytes, format_seconds
 
 
@@ -36,9 +37,8 @@ def main() -> None:
     table = Table(["dedup throughput", "backup window", "bound by"],
                   title="Backup window: BWS = DS x max(1/DT, 1/(DR*NT))")
     for dt_mb in (1, 5, 20, 50, 200):
-        dt = dt_mb * 1e6
-        window = backup_window_seconds(dataset, dt, dedup_ratio, uplink)
         transfer = dataset / (dedup_ratio * uplink)
+        window = backup_window(dataset / (dt_mb * 1e6), transfer)
         bound = "transfer (WAN)" if window == transfer else "dedup (CPU/IO)"
         table.add_row([f"{dt_mb} MB/s", format_seconds(window), bound])
     print(table.render(), "\n")
@@ -51,7 +51,7 @@ def main() -> None:
     wan = WANLink(up_bandwidth=uplink, concurrent_requests=1)
     for size in (10 * KIB, 100 * KIB, 1 * MIB, 4 * MIB):
         puts = int(stored / size)
-        bill = cloud_cost(stored, stored, puts, S3_APRIL_2011)
+        bill = S3_APRIL_2011.breakdown(stored, stored, puts)
         table.add_row([format_bytes(size), f"{puts:,}",
                        format_bytes(wan.effective_upload_rate(size),
                                     decimal=True) + "/s",

@@ -27,7 +27,7 @@ Package map (see DESIGN.md for the full inventory):
 ``repro.workloads`` Table-1-calibrated synthetic PC workload
 ``repro.trace``     paper-scale trace evaluation (Figs. 7-11)
 ``repro.simulate``  virtual platform (CPU/disk/power models)
-``repro.metrics``   DR, bytes-saved-per-second, BWS, CC, energy
+``repro.metrics``   fixed-width text tables for bench output
 ``repro.analysis``  one function per paper table/figure
 ==================  ====================================================
 """

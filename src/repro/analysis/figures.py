@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.metrics.cost import CostBreakdown, cloud_cost
+from repro.cloud.pricing import CostBreakdown
 from repro.simulate.cpumodel import CPUModel, PAPER_CPU
 from repro.simulate.diskmodel import PAPER_DISK
 from repro.trace.driver import EvaluationResult, run_paper_evaluation
@@ -275,8 +275,5 @@ def paper_figures_7_to_11(scale: float = 0.004, sessions: int = 10,
             r.window_seconds * up for r in run.sessions]
         figures.fig11_energy[name] = [
             r.energy_joules * up for r in run.sessions]
-        figures.fig10_cost[name] = cloud_cost(
-            stored_bytes=run.total_uploaded() * up,
-            uploaded_bytes=run.total_uploaded() * up,
-            put_requests=int(run.total_put_requests() * up))
+        figures.fig10_cost[name] = run.bill(scale_to_paper=up)
     return figures

@@ -61,6 +61,12 @@ def _scheme(args, **overrides) -> SchemeConfig:
         raise SystemExit(f"--{exc}" if flag in overrides else str(exc))
 
 
+def _print_warnings(stats) -> None:
+    """Every non-fatal degradation of a session, on stderr."""
+    for warning in stats.warnings:
+        print(f"WARNING: {warning}", file=sys.stderr)
+
+
 # ----------------------------------------------------------------------
 def cmd_backup(args) -> int:
     """Run one backup session of SOURCE into the store."""
@@ -78,6 +84,7 @@ def cmd_backup(args) -> int:
         print(f"resumed {recovered} index entries from the store")
     stats = client.backup(DirectorySource(args.source))
     client.close()
+    _print_warnings(stats)
     print(stats.summary())
     if args.replication:
         from repro.durability import (DurabilityPolicy, default_domains,
@@ -268,14 +275,16 @@ def cmd_estimate(args) -> int:
     from repro.analysis.estimate import estimate_directory
 
     est = estimate_directory(args.source, delta=args.delta)
-    print(f"{est.files} files, {format_bytes(est.bytes_scanned)} scanned "
-          f"({est.tiny_files} tiny)")
-    print(f"predicted unique data: {format_bytes(est.bytes_unique)} "
-          f"(dedup ratio {est.dedup_ratio:.2f})")
+    stats = est.stats
+    _print_warnings(stats)
+    print(f"{stats.files_total} files, {format_bytes(stats.bytes_scanned)} "
+          f"scanned ({stats.files_tiny} tiny)")
+    print(f"predicted unique data: {format_bytes(stats.bytes_unique)} "
+          f"(dedup ratio {stats.dedup_ratio:.2f})")
     if args.delta:
-        print(f"delta stage: {est.delta_chunks} chunks stored as deltas, "
-              f"{format_bytes(est.delta_bytes_saved)} saved beyond "
-              f"exact dedup")
+        print(f"delta stage: {stats.chunks_delta} chunks stored as "
+              f"deltas, {format_bytes(stats.delta_bytes_saved)} saved "
+              f"beyond exact dedup")
     table = Table(["category", "scanned", "unique", "DR"])
     for category, (scanned, unique) in sorted(est.by_category.items()):
         table.add_row([category, format_bytes(scanned),
@@ -283,8 +292,10 @@ def cmd_estimate(args) -> int:
                        scanned / unique if unique else float("inf")])
     print(table.render())
     print(f"first backup over a 500 KB/s uplink: "
-          f"~{format_seconds(est.upload_seconds())}; first-month bill "
-          f"~${est.monthly_cost():.2f} (April-2011 S3 prices)")
+          f"~{format_seconds(est.upload_seconds)} "
+          f"({format_bytes(stats.bytes_uploaded)} in {stats.put_requests} "
+          f"PUTs); first-month bill ~${est.monthly_cost:.2f} "
+          f"(April-2011 S3 prices)")
     return 0
 
 

@@ -29,7 +29,7 @@ from repro.cloud.faults import ChaosBackend, ChaosStats
 from repro.cloud.namespace import NamespacedBackend
 from repro.cloud.retry import RetryPolicy, RetryStats
 from repro.cloud.wan import WANLink
-from repro.cloud.pricing import PriceBook, S3_APRIL_2011
+from repro.cloud.pricing import CostBreakdown, PriceBook, S3_APRIL_2011
 from repro.cloud.simulated import SimulatedCloud
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "RetryPolicy",
     "RetryStats",
     "WANLink",
+    "CostBreakdown",
     "PriceBook",
     "S3_APRIL_2011",
     "SimulatedCloud",

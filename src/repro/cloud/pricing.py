@@ -8,7 +8,9 @@ requests", and the monthly cost of a backup service is::
 
 where ``DS/DR`` is the post-dedup stored/transferred volume and ``OC``
 the number of upload requests.  :class:`PriceBook` keeps the constants
-and evaluates the bill from raw byte/request counts.
+and evaluates the bill from raw byte/request counts, as a total or as a
+:class:`CostBreakdown` that shows where the money goes (the request
+column is what container aggregation wins).
 """
 
 from __future__ import annotations
@@ -17,7 +19,21 @@ from dataclasses import dataclass
 
 from repro.util.units import GB
 
-__all__ = ["PriceBook", "S3_APRIL_2011"]
+__all__ = ["CostBreakdown", "PriceBook", "S3_APRIL_2011"]
+
+
+@dataclass(frozen=True)
+class CostBreakdown:
+    """A bill split into the three S3 components (USD)."""
+
+    storage: float
+    transfer: float
+    requests: float
+
+    @property
+    def total(self) -> float:
+        """Sum of all components."""
+        return self.storage + self.transfer + self.requests
 
 
 @dataclass(frozen=True)
@@ -43,12 +59,19 @@ class PriceBook:
         """PUT request charge."""
         return (put_requests / 1000.0) * self.per_1000_put_requests
 
+    def breakdown(self, stored_bytes: float, uploaded_bytes: float,
+                  put_requests: int, months: float = 1.0) -> CostBreakdown:
+        """The paper's ``CC``, component by component."""
+        return CostBreakdown(
+            storage=self.storage_cost(stored_bytes, months),
+            transfer=self.transfer_cost(uploaded_bytes),
+            requests=self.request_cost(put_requests))
+
     def monthly_cost(self, stored_bytes: float, uploaded_bytes: float,
                      put_requests: int, months: float = 1.0) -> float:
         """The paper's ``CC`` for one month of service."""
-        return (self.storage_cost(stored_bytes, months)
-                + self.transfer_cost(uploaded_bytes)
-                + self.request_cost(put_requests))
+        return self.breakdown(stored_bytes, uploaded_bytes, put_requests,
+                              months).total
 
 
 #: The tariff quoted in the paper (April 2011).

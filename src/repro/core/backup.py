@@ -71,6 +71,10 @@ __all__ = ["BackupClient"]
 _UPLOAD_QUEUE_DEPTH = 4
 
 
+class _Unreadable(Exception):
+    """A source file whose read failed: it is left out of the session."""
+
+
 def _index_entry(ref: ChunkRef) -> IndexEntry:
     """The index entry of a fully stored extent, for placement and resume
     alike (a standalone object has no container: id 0)."""
@@ -423,20 +427,26 @@ class BackupClient:
         manifest — is touched here and only here, on the calling
         thread.  Container ids and offsets, and therefore manifest
         bytes, depend on nothing but the source order, whichever way
-        :meth:`_staged` runs the CPU stages (see docs/PIPELINE.md).
+        :meth:`_staged` runs the CPU stages (see docs/PIPELINE.md).  A
+        file whose read fails is left out: no manifest entry, no counts,
+        one warning naming it.
         """
         # After an error, closing the iterator is what stops the prepare
         # pool (see the ``finally`` in :meth:`_staged`).
         with closing(self._staged(source, stats)) as items:
             for item in items:
                 sf, app = item.sf, item.app
+                unique_before = stats.bytes_unique
+                try:
+                    entry = (self._replay_cached(item, stats)
+                             if item.replay is not None else None)
+                    if entry is None:
+                        entry = self._commit_fresh(item, stats)
+                except _Unreadable as exc:
+                    stats.warnings.append(str(exc))
+                    continue
                 stats.files_total += 1
                 stats.bytes_scanned += sf.size
-                unique_before = stats.bytes_unique
-                entry = (self._replay_cached(item, stats)
-                         if item.replay is not None else None)
-                if entry is None:
-                    entry = self._commit_fresh(item, stats)
                 stats.note_app(app.label, sf.size,
                                stats.bytes_unique - unique_before)
                 manifest.add(entry)
@@ -466,7 +476,8 @@ class BackupClient:
         Otherwise each admitted file is one :meth:`_prepare` job on a
         pool of ``parallel_workers`` threads and items are yielded,
         prepared, **strictly in source order**; a stage error re-raises
-        here, at its own file's turn.  The source-ordered window of
+        here, at its own file's turn (a failed read only drops its file,
+        with a warning).  The source-ordered window of
         in-flight files is the one bound on resident payloads and on
         how far the pool runs ahead of the commit loop.  None of the
         stages touches shared dedup state.
@@ -494,12 +505,16 @@ class BackupClient:
             pending = deque(map(enqueue, islice(files, 6 * workers)))
             while pending:
                 item, future = pending.popleft()
-                if future is not None:
-                    for stage, seconds in future.result().items():
-                        busy[stage] += seconds
-                start = time.perf_counter()
-                yield item  # the commit loop works until it asks again
-                busy["commit"] += time.perf_counter() - start
+                try:
+                    if future is not None:
+                        for stage, seconds in future.result().items():
+                            busy[stage] += seconds
+                except _Unreadable as exc:
+                    stats.warnings.append(str(exc))
+                else:
+                    start = time.perf_counter()
+                    yield item  # the commit loop works until it asks again
+                    busy["commit"] += time.perf_counter() - start
                 pending.extend(map(enqueue, islice(files, 1)))
         finally:
             # On a commit or stage error this cancels the queued jobs, so
@@ -560,10 +575,17 @@ class BackupClient:
     # containers, delta stage), so they are safe on any thread; all
     # side effects are charged to ``item.local``.
     def _read_file(self, item: WorkItem) -> None:
-        """Read stage: pull the file's bytes off the source device."""
+        """Read stage: pull the file's bytes off the source device.  A
+        file that vanished or became unreadable since the walk raises
+        :class:`_Unreadable`; the commit loop leaves it out."""
         sf, stats = item.sf, item.local
         with self.tracer.span("read", app=item.app.label, bytes=sf.size):
-            data = sf.read()
+            try:
+                data = sf.read()
+            except OSError as exc:
+                raise _Unreadable(
+                    f"{sf.path}: unreadable, left out of the session "
+                    f"({exc})") from exc
         stats.ops.read_bytes += len(data)
         if len(data) != sf.size:
             stats.warnings.append(

@@ -220,9 +220,9 @@ class SchemeConfig:
 
     def plan_file(self, app: AppType, size: int) -> FilePlan:
         """The scheme's whole per-file decision, with no I/O: size
-        filter, policy, namespace.  The backup engine, the trace engine
-        and the estimator all ask here, so the three cannot disagree on
-        what happens to a file."""
+        filter, policy, namespace.  The backup engine (and with it the
+        estimator) and the trace engine both ask here, so they cannot
+        disagree on what happens to a file."""
         if self.incremental_only:
             return FilePlan(False, None, "")
         if size < self.tiny_file_threshold:

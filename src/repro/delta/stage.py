@@ -4,9 +4,9 @@ One :class:`DeltaStage` holds all similarity state of one client — the
 bounded similarity index, the resident base payloads and the refs of
 chunks already stored as deltas — and makes the one decision the stage
 exists for: reuse / store as a delta / store in full.  The backup
-engine drives it with callbacks that really store bytes; the sampling
-estimator (:mod:`repro.analysis.estimate`) drives the same object with
-callbacks that only count them, so the two cannot drift apart.
+engine drives it with callbacks that store bytes (the estimator,
+:mod:`repro.analysis.estimate`, is that engine over a store that keeps
+only sizes).
 
 Everything here is a *client-local hint*: losing it costs dedup
 opportunity, never correctness.  Delta targets deliberately never enter

@@ -1,27 +1,12 @@
-"""Evaluation metrics: the paper's Sec. IV quantities as functions.
+"""Bench output: fixed-width text tables (:mod:`repro.metrics.report`).
 
-* :mod:`repro.metrics.dedup` — dedup ratio DR and the paper's new metric
-  *bytes saved per second* (deduplication efficiency DE);
-* :mod:`repro.metrics.window` — backup window BWS;
-* :mod:`repro.metrics.cost` — cloud cost CC;
-* :mod:`repro.metrics.energy` — session energy;
-* :mod:`repro.metrics.report` — fixed-width text tables for the bench
-  harness output.
+The paper's Sec. IV quantities each have one home elsewhere: DR and SC
+on :class:`~repro.core.stats.SessionStats`, BWS and DT in
+:mod:`repro.simulate.pipeline`, CC in :mod:`repro.cloud.pricing`,
+energy in :mod:`repro.simulate.powermodel`; the paper evaluation
+(:mod:`repro.trace`) computes DE from them.
 """
 
-from repro.metrics.dedup import dedup_ratio, bytes_saved_per_second, dedup_efficiency
-from repro.metrics.window import backup_window_seconds
-from repro.metrics.cost import cloud_cost, CostBreakdown
-from repro.metrics.energy import session_energy_joules
 from repro.metrics.report import Table
 
-__all__ = [
-    "dedup_ratio",
-    "bytes_saved_per_second",
-    "dedup_efficiency",
-    "backup_window_seconds",
-    "cloud_cost",
-    "CostBreakdown",
-    "session_energy_joules",
-    "Table",
-]
+__all__ = ["Table"]

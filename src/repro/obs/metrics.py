@@ -18,6 +18,8 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.metrics.report import Table
+
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
            "CHUNK_SIZE_BUCKETS", "LATENCY_BUCKETS"]
 
@@ -176,10 +178,6 @@ class MetricsRegistry:
 
     def render(self) -> str:
         """Fixed-width report of all instruments (empty string if none)."""
-        # Imported here: repro.metrics pulls in the cloud layer, which
-        # itself imports repro.obs — a top-level import would cycle.
-        from repro.metrics.report import Table
-
         snap = self.snapshot()
         sections: List[str] = []
         if snap["counters"]:

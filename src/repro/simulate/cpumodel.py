@@ -72,10 +72,6 @@ class CPUModel:
             raise KeyError(f"no cycle cost for hash {hash_name!r}")
         return nbytes * cpb / self.frequency_hz
 
-    def hash_throughput(self, hash_name: str) -> float:
-        """Modelled hash throughput in bytes/second."""
-        return self.frequency_hz / self.hash_cycles_per_byte[hash_name]
-
     def cdc_scan_seconds(self, nbytes: float) -> float:
         """Seconds of rolling-hash boundary scanning over ``nbytes``."""
         return nbytes * self.cdc_scan_cycles_per_byte / self.frequency_hz

@@ -29,18 +29,12 @@ class DiskModel:
 
     #: Sequential read bandwidth, bytes/second.
     sequential_read_bw: float = 70 * MB
-    #: Sequential write bandwidth, bytes/second.
-    sequential_write_bw: float = 60 * MB
     #: Average random access (seek + rotation), seconds.
     seek_seconds: float = 0.009
 
     def read_seconds(self, nbytes: float) -> float:
         """Time to stream-read ``nbytes``."""
         return nbytes / self.sequential_read_bw
-
-    def write_seconds(self, nbytes: float) -> float:
-        """Time to stream-write ``nbytes``."""
-        return nbytes / self.sequential_write_bw
 
     def random_io_seconds(self, count: float) -> float:
         """Time for ``count`` independent random IOs."""

@@ -2,9 +2,9 @@
 
 The paper measures whole-PC wall power with an electricity usage monitor
 while each scheme deduplicates.  We model the 2009 MacBook Pro as an
-idle floor plus a CPU-activity premium plus a small network/disk
-premium; energy for a session is then power × modelled time for each
-phase.  The scheme ranking in Fig. 11 follows directly from dedup CPU
+idle floor plus a CPU-activity premium; the energy of a session's
+dedup phase — what Fig. 11 meters — is that power × the modelled dedup
+time.  The scheme ranking in Fig. 11 follows directly from dedup CPU
 time, which is what the model preserves.
 """
 
@@ -23,33 +23,11 @@ class PowerModel:
     idle_watts: float = 16.0
     #: Additional draw while the CPU crunches (hashing/chunking).
     cpu_active_watts: float = 26.0
-    #: Additional draw while the WiFi/disk move data.
-    io_active_watts: float = 6.0
 
     def dedup_energy_joules(self, dedup_seconds: float) -> float:
         """Energy consumed by the deduplication phase (what Fig. 11
         compares): busy CPU + baseline for its duration."""
         return dedup_seconds * (self.idle_watts + self.cpu_active_watts)
-
-    def transfer_energy_joules(self, transfer_seconds: float) -> float:
-        """Energy of the WAN upload phase."""
-        return transfer_seconds * (self.idle_watts + self.io_active_watts)
-
-    def session_energy_joules(self, dedup_seconds: float,
-                              transfer_seconds: float,
-                              pipelined: bool = True) -> float:
-        """Whole-session energy.
-
-        With pipelining the phases overlap: the window is their max and
-        both premiums apply during the overlap.
-        """
-        if pipelined:
-            window = max(dedup_seconds, transfer_seconds)
-            return (window * self.idle_watts
-                    + dedup_seconds * self.cpu_active_watts
-                    + transfer_seconds * self.io_active_watts)
-        return (self.dedup_energy_joules(dedup_seconds)
-                + self.transfer_energy_joules(transfer_seconds))
 
 
 #: The paper's client machine.

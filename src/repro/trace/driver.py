@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.baselines import all_scheme_configs
-from repro.cloud.pricing import PriceBook, S3_APRIL_2011
+from repro.cloud.pricing import CostBreakdown, PriceBook, S3_APRIL_2011
 from repro.cloud.wan import PAPER_WAN, WANLink
 from repro.core.options import SchemeConfig
 from repro.core.stats import SessionStats
@@ -88,13 +88,13 @@ class SchemeRun:
             return 0.0
         return sum(r.efficiency for r in self.sessions) / len(self.sessions)
 
-    def monthly_cost(self, prices: PriceBook = S3_APRIL_2011,
-                     scale_to_paper: float = 1.0) -> float:
+    def bill(self, prices: PriceBook = S3_APRIL_2011,
+             scale_to_paper: float = 1.0) -> CostBreakdown:
         """Fig. 10: one month's bill after the whole backup series."""
-        stored = self.total_uploaded() * scale_to_paper
         uploaded = self.total_uploaded() * scale_to_paper
-        puts = int(self.total_put_requests() * scale_to_paper)
-        return prices.monthly_cost(stored, uploaded, puts)
+        return prices.breakdown(
+            uploaded, uploaded,
+            int(self.total_put_requests() * scale_to_paper))
 
 
 @dataclass

@@ -24,13 +24,11 @@ from repro.classify.filetype import classify_name
 from repro.core.filecache import unchanged
 from repro.core.options import SchemeConfig
 from repro.core.stats import SessionStats
-from repro.simulate.cpumodel import CPUModel, PAPER_CPU
-from repro.simulate.diskmodel import (DiskModel, IndexResidencyModel,
-                                      PAPER_DISK, PAPER_RESIDENCY)
+from repro.simulate.diskmodel import IndexResidencyModel, PAPER_RESIDENCY
 from repro.trace.simchunk import BoundaryModel, sim_chunks
 from repro.workloads.compose import Snapshot
 
-__all__ = ["TraceBackupClient", "modelled_stage_seconds"]
+__all__ = ["TraceBackupClient"]
 
 #: Serialized container framing overhead and per-chunk descriptor bytes.
 _CONTAINER_OVERHEAD = 64
@@ -52,47 +50,6 @@ _BASELINE_SCHEMES = frozenset({"JungleDisk", "BackupPC", "Avamar", "SAM"})
 _FS_INDEX_SCHEMES = frozenset({"BackupPC"})
 #: Filesystem-pool index: metadata IOs per probe/insert.
 _FS_IOS_PER_OP = 1.0
-
-
-def modelled_stage_seconds(stats: SessionStats,
-                           cpu: CPUModel = PAPER_CPU,
-                           disk: DiskModel = PAPER_DISK,
-                           disk_ios: float | None = None) -> Dict[str, float]:
-    """Decompose a session's modelled dedup time into pipeline stages.
-
-    Returns ``{"read", "chunk", "hash", "index", "commit"}`` seconds whose
-    sum equals the trace driver's ``dedup_seconds`` exactly::
-
-        dedup_cpu_seconds(stats.ops, cpu, files=stats.files_total)
-        + disk.read_seconds(stats.ops.read_bytes)
-        + disk.random_io_seconds(disk_ios)
-
-    ``disk_ios`` is the expected random index IO count for the session
-    (``TraceBackupClient.disk_ios_last_session``); it defaults to the
-    integer probe count recorded in the op ledger.  The decomposition
-    mirrors the real engine's stage graph: file read (sequential disk),
-    CDC boundary scan + per-chunk bookkeeping (chunk stage),
-    fingerprinting (hash stage), index probes RAM + disk (probe stage),
-    and per-file overhead (serial commit stage).
-    """
-    ops = stats.ops
-    if disk_ios is None:
-        disk_ios = float(ops.index_disk_probes)
-    f = cpu.frequency_hz
-    hash_s = sum(cpu.hash_seconds(name, nbytes)
-                 for name, nbytes in ops.hashed_bytes.items())
-    chunk_s = (cpu.cdc_scan_seconds(ops.cdc_scanned_bytes)
-               + ops.chunks_produced * cpu.cycles_per_chunk / f)
-    memory_lookups = max(0, ops.index_lookups - ops.index_disk_probes)
-    index_s = (memory_lookups * cpu.cycles_per_memory_lookup / f
-               + disk.random_io_seconds(disk_ios))
-    return {
-        "read": disk.read_seconds(ops.read_bytes),
-        "chunk": chunk_s,
-        "hash": hash_s,
-        "index": index_s,
-        "commit": stats.files_total * cpu.cycles_per_file / f,
-    }
 
 
 class _Meta(NamedTuple):

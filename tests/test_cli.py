@@ -45,6 +45,31 @@ class TestBackupRestoreCycle:
             (source_tree / "docs" / "report.doc").read_bytes()
         assert (dest / "note.txt").read_bytes() == b"a tiny note"
 
+    def test_vanished_file_warned_on_stderr(self, tmp_path, capsys,
+                                            monkeypatch):
+        # A file deleted between the walk and its read is left out of
+        # the session, which commits; the warning reaches stderr.
+        import repro.cli
+        from repro.core import DirectorySource
+
+        src = tmp_path / "src"
+        src.mkdir()
+        for name in ("a.doc", "b.doc", "c.doc"):
+            (src / name).write_bytes(name.encode() * 5_000)
+
+        class Vanishing(DirectorySource):
+            def __iter__(self):
+                for sf in super().__iter__():
+                    if sf.path == "b.doc":
+                        (self.root / sf.path).unlink()
+                    yield sf
+
+        monkeypatch.setattr(repro.cli, "DirectorySource", Vanishing)
+        assert run("backup", src, "--store", tmp_path / "cloud") == 0
+        captured = capsys.readouterr()
+        assert "WARNING: b.doc" in captured.err
+        assert "files=2" in captured.out
+
     def test_selective_restore(self, source_tree, tmp_path):
         store = tmp_path / "cloud"
         run("backup", source_tree, "--store", store)

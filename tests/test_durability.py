@@ -371,19 +371,35 @@ class TestRestoreCorruptionRetry:
         assert report.fetch_retries >= 1
         assert chaos.chaos.corruptions >= 1
 
-    def test_standalone_object_corruption_retried(self, rng):
+    def test_standalone_object_corruption_retried(self):
         from repro.baselines import avamar_config
-        from repro.cloud.faults import ChaosBackend
-        files = make_files(rng)
-        cloud = InMemoryBackend()
+
+        class FlipFirstChunkGet(InMemoryBackend):
+            """Flips one byte of the first GET of every chunk object."""
+
+            def __init__(self) -> None:
+                super().__init__()
+                self.flipped: set = set()
+
+            def _get(self, key):
+                data = super()._get(key)
+                if (data and key.startswith(naming.CHUNK_PREFIX)
+                        and key not in self.flipped):
+                    self.flipped.add(key)
+                    data = bytes([data[0] ^ 0x01]) + data[1:]
+                return data
+
+        files = make_files(np.random.default_rng(374))
+        cloud = FlipFirstChunkGet()
         client = BackupClient(cloud, avamar_config())
         client.backup(MemorySource(files))
         client.close()
-        chaos = ChaosBackend(cloud, seed=0, corrupt_rate=0.3)
-        restored, report = RestoreClient(chaos).restore_to_memory(0)
+        restored, report = RestoreClient(cloud).restore_to_memory(0)
         assert restored == files
-        assert report.fetch_retries >= 1
         assert report.objects_fetched > 0
+        # Every standalone object was flipped once and retried once.
+        assert cloud.flipped == set(cloud.list(naming.CHUNK_PREFIX))
+        assert report.fetch_retries == len(cloud.flipped)
 
     def test_at_rest_corruption_still_surfaces(self, store):
         from repro.errors import IntegrityError

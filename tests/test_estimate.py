@@ -1,10 +1,10 @@
-"""Tests for the sampling-based dedup estimator."""
+"""Tests for the dedup estimator: a first backup that stores nothing."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import estimate_directory
-from repro.cloud import InMemoryBackend
+from repro.analysis import estimate, estimate_directory
+from repro.cloud import InMemoryBackend, S3_APRIL_2011
 from repro.core import BackupClient, DirectorySource, aa_dedupe_config
 from repro.util.units import KIB
 
@@ -28,28 +28,27 @@ def tree(tmp_path, rng):
 
 class TestEstimateDirectory:
     def test_counts(self, tree):
-        est = estimate_directory(tree)
-        assert est.files == 5
-        assert est.tiny_files == 1
-        assert est.bytes_scanned == 50_000 * 2 + 50_000 + 40_000 + 5
+        stats = estimate_directory(tree).stats
+        assert stats.files_total == 5
+        assert stats.files_tiny == 1
+        assert stats.bytes_scanned == 50_000 * 2 + 50_000 + 40_000 + 5
 
     def test_detects_duplicate_and_overlap(self, tree):
-        est = estimate_directory(tree)
+        stats = estimate_directory(tree).stats
         # The full copy (50k) and ~half of b.doc dedup away.
-        assert est.bytes_unique < est.bytes_scanned - 50_000
-        assert est.dedup_ratio > 1.3
+        assert stats.bytes_unique < stats.bytes_scanned - 50_000
+        assert stats.dedup_ratio > 1.3
 
     def test_matches_actual_backup(self, tree):
-        est = estimate_directory(tree)
+        est = estimate_directory(tree).stats
         client = BackupClient(InMemoryBackend(),
                               aa_dedupe_config(container_size=32 * KIB))
         stats = client.backup(DirectorySource(tree))
-        assert est.bytes_unique == pytest.approx(stats.bytes_unique,
-                                                 rel=0.05)
+        assert est.bytes_unique == stats.bytes_unique
+        assert est.app_unique == stats.app_unique
 
     def test_delta_estimate_equals_actual_delta_backup(self, tree, rng):
-        # Estimator and engine drive the same DeltaStage object, so on
-        # an unsampled tree they must count the same deltas, exactly.
+        # The estimator is the engine, so it counts the same deltas.
         doc = (tree / "docs" / "a.doc").read_bytes()
         for version in range(1, 5):  # lightly edited versions
             edited = bytearray(doc)
@@ -58,41 +57,56 @@ class TestEstimateDirectory:
                     0, 256, 8, dtype=np.uint8))
             doc = bytes(edited)
             (tree / "docs" / f"a_v{version}.doc").write_bytes(doc)
-        est = estimate_directory(tree, delta=True)
+        est = estimate_directory(tree, delta=True).stats
         client = BackupClient(InMemoryBackend(), aa_dedupe_config(
             container_size=32 * KIB, delta_compress=True))
         stats = client.backup(DirectorySource(tree))
         assert stats.chunks_delta > 0
-        assert est.delta_chunks == stats.chunks_delta
+        assert est.chunks_delta == stats.chunks_delta
         assert est.delta_bytes_saved == stats.delta_bytes_saved
         assert est.bytes_unique == stats.bytes_unique
-        assert estimate_directory(tree).delta_chunks == 0
+        assert estimate_directory(tree).stats.chunks_delta == 0
 
     def test_by_category_breakdown(self, tree):
         est = estimate_directory(tree)
         assert "dynamic_uncompressed" in est.by_category
         assert "compressed" in est.by_category
-        scanned = sum(s for s, _u in est.by_category.values())
-        assert scanned == est.bytes_scanned
-
-    def test_sampling_cap(self, tree, rng):
-        big = rng.integers(0, 256, 300_000, dtype=np.uint8).tobytes()
-        (tree / "media" / "big.mp3").write_bytes(big)
-        capped = estimate_directory(tree, max_file_bytes=100_000)
-        full = estimate_directory(tree)
-        # Extrapolation keeps the estimates close for media (no sub-file
-        # redundancy either way).
-        assert capped.bytes_unique == pytest.approx(full.bytes_unique,
-                                                    rel=0.05)
+        assert sum(s for s, _u in est.by_category.values()) == \
+            est.stats.bytes_scanned
+        assert sum(u for _s, u in est.by_category.values()) == \
+            est.stats.bytes_unique
 
     def test_derived_predictions(self, tree):
         est = estimate_directory(tree)
-        assert est.upload_seconds() > 0
-        assert est.monthly_cost() > 0
-        # Smaller unique volume => cheaper and faster, trivially.
-        assert est.upload_seconds() < est.bytes_scanned / 100  # sanity
+        # Priced from what the first backup uploads: padded containers
+        # and the manifest, more than the unique payload.
+        assert est.stats.bytes_uploaded > est.stats.bytes_unique
+        assert est.upload_seconds > 0
+        assert est.monthly_cost == S3_APRIL_2011.monthly_cost(
+            est.stats.bytes_uploaded, est.stats.bytes_uploaded,
+            est.stats.put_requests)
+        assert est.upload_seconds < est.stats.bytes_scanned / 100  # sanity
 
     def test_empty_directory(self, tmp_path):
-        est = estimate_directory(tmp_path)
-        assert est.files == 0
-        assert est.dedup_ratio == 1.0
+        stats = estimate_directory(tmp_path).stats
+        assert stats.files_total == 0
+        assert stats.dedup_ratio == 1.0
+
+    def test_vanished_file_left_out(self, tree, monkeypatch):
+        # A file deleted between the walk and its read is left out of
+        # the estimate with a warning, as a backup leaves it out.
+        victim = "docs/b.doc"
+
+        class Vanishing(DirectorySource):
+            def __iter__(self):
+                for sf in super().__iter__():
+                    if sf.path == victim:
+                        (self.root / victim).unlink()
+                    yield sf
+
+        monkeypatch.setattr(estimate, "DirectorySource", Vanishing)
+        stats = estimate_directory(tree).stats
+        assert stats.files_total == 4
+        assert stats.bytes_scanned == 50_000 * 2 + 40_000 + 5
+        [warning] = stats.warnings
+        assert victim in warning

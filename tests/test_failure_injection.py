@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.baselines import jungle_disk_config
 from repro.cloud import InMemoryBackend
 from repro.core import (
     BackupClient,
+    DirectorySource,
     MemorySource,
     RestoreClient,
     aa_dedupe_config,
+    naming,
 )
 from repro.errors import BackupError, CloudError, ObjectNotFound
 from repro.util.units import KIB
@@ -75,6 +78,8 @@ class TestUploadFailures:
 
 class TestSourceFailures:
     def test_unreadable_file_aborts_cleanly(self, files):
+        # A reader failing with anything but an OSError is a bug, not a
+        # file that went away: it still fails the session.
         from repro.core.source import SourceFile
 
         def broken_source():
@@ -82,12 +87,48 @@ class TestSourceFailures:
                              reader=lambda: bytes(100))
             yield SourceFile(path="bad.doc", size=100, mtime_ns=0,
                              reader=lambda: (_ for _ in ()).throw(
-                                 OSError("disk error")))
+                                 RuntimeError("reader bug")))
 
         cloud = InMemoryBackend()
         client = BackupClient(cloud, aa_dedupe_config())
-        with pytest.raises(OSError):
+        with pytest.raises(RuntimeError):
             client.backup(broken_source())
+        assert not cloud.list(naming.MANIFEST_PREFIX)
+
+    @pytest.mark.parametrize("config", [
+        aa_dedupe_config(container_size=32 * KIB),
+        aa_dedupe_config(container_size=32 * KIB, parallel_workers=2),
+        jungle_disk_config()], ids=["serial", "parallel", "jungle_disk"])
+    def test_vanished_file_left_out(self, tmp_path, config):
+        # A file deleted between the walk and its read is left out of
+        # the session with a warning; the rest of the session commits.
+        gen = np.random.default_rng(76)
+        files = {f"d/file{i}.doc": gen.integers(
+            0, 256, 30_000, dtype=np.uint8).tobytes() for i in range(6)}
+        for path, data in files.items():
+            (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / path).write_bytes(data)
+        victim = "d/file2.doc"
+
+        def vanishing():
+            for sf in DirectorySource(tmp_path):
+                if sf.path == victim:
+                    (tmp_path / victim).unlink()
+                yield sf
+
+        cloud = InMemoryBackend()
+        client = BackupClient(cloud, config)
+        stats = client.backup(vanishing())
+        client.close()
+        del files[victim]
+        assert stats.files_total == len(files)
+        assert stats.bytes_scanned == sum(map(len, files.values()))
+        [warning] = stats.warnings
+        assert victim in warning
+        restore = RestoreClient(cloud)
+        assert restore.load_manifest(0).get(victim) is None
+        restored, _ = restore.restore_to_memory(0)
+        assert restored == files
 
     def test_walk_skips_vanished_files(self, tmp_path):
         # walk_files tolerates entries disappearing mid-scan.

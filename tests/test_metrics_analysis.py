@@ -11,90 +11,81 @@ from repro.analysis import (
     fig4_throughputs,
     table1_redundancy,
 )
-from repro.metrics import (
-    Table,
-    backup_window_seconds,
-    bytes_saved_per_second,
-    cloud_cost,
-    dedup_efficiency,
-    dedup_ratio,
-    session_energy_joules,
-)
+from repro.cloud.pricing import S3_APRIL_2011
+from repro.core.stats import SessionStats
+from repro.metrics import Table
+from repro.simulate import PAPER_POWER, backup_window
 from repro.util.units import GB, MB
+
+
+def _stats(before: int, after: int) -> SessionStats:
+    return SessionStats(0, "s", bytes_scanned=before, bytes_unique=after)
 
 
 class TestDedupMetrics:
     def test_dedup_ratio(self):
-        assert dedup_ratio(100, 50) == 2.0
-        assert dedup_ratio(0, 0) == 1.0
-        assert dedup_ratio(10, 0) == float("inf")
-
-    def test_bytes_saved_per_second(self):
-        assert bytes_saved_per_second(100, 40, 10) == 6.0
+        assert _stats(100, 50).dedup_ratio == 2.0
+        assert _stats(0, 0).dedup_ratio == 1.0
+        assert _stats(10, 0).dedup_ratio == float("inf")
 
     def test_formulations_agree(self):
-        # DE = SC/time == (1 - 1/DR) * DT.
-        before, after, seconds = 1000.0, 250.0, 8.0
-        by_definition = bytes_saved_per_second(before, after, seconds)
-        dr = dedup_ratio(before, after)
-        dt = before / seconds
-        assert dedup_efficiency(dr, dt) == pytest.approx(by_definition)
+        # DE = SC/time == (1 - 1/DR) * DT, over one session's stats.
+        stats, seconds = _stats(1000, 250), 8.0
+        by_definition = stats.bytes_saved / seconds
+        dt = stats.bytes_scanned / seconds
+        assert (1.0 - 1.0 / stats.dedup_ratio) * dt == pytest.approx(
+            by_definition)
 
-    @given(st.floats(1, 1e12), st.floats(0.5, 1e12), st.floats(0.001, 1e6))
+    @given(st.integers(1, 10**12), st.integers(1, 10**12),
+           st.floats(0.001, 1e6))
     @settings(max_examples=40)
     def test_property_equivalence(self, before, after, seconds):
         if after > before:
             before, after = after, before
-        lhs = bytes_saved_per_second(before, after, seconds)
-        rhs = dedup_efficiency(dedup_ratio(before, after), before / seconds)
+        stats = _stats(before, after)
+        lhs = stats.bytes_saved / seconds
+        rhs = (1.0 - 1.0 / stats.dedup_ratio) * (before / seconds)
         # The (1 - 1/DR) form cancels catastrophically when after is
         # within a few ULPs of before at the 1e12 scale, so the two
         # formulations only agree to ~1e-7 relative there.
         assert lhs == pytest.approx(rhs, rel=1e-6)
 
-    def test_efficiency_validation(self):
-        with pytest.raises(ValueError):
-            dedup_efficiency(0, 100)
-
 
 class TestWindowMetric:
+    """BWS = DS · max(1/DT, 1/(DR·NT)) at the paper's 35 GB session."""
+
     def test_transfer_bound(self):
         # DT huge -> window = DS/(DR*NT).
-        w = backup_window_seconds(35 * GB, dedup_throughput=1e12,
-                                  dedup_ratio=20, network_throughput=500_000)
-        assert w == pytest.approx(35 * GB / (20 * 500_000))
+        transfer = 35 * GB / (20 * 500_000)
+        assert backup_window(35 * GB / 1e12, transfer) == transfer
 
     def test_dedup_bound(self):
-        w = backup_window_seconds(35 * GB, dedup_throughput=500_000,
-                                  dedup_ratio=20, network_throughput=1e12)
-        assert w == pytest.approx(35 * GB / 500_000)
+        dedup = 35 * GB / 500_000
+        assert backup_window(dedup, 35 * GB / (20 * 1e12)) == dedup
 
     def test_serial(self):
-        w = backup_window_seconds(GB, 1e6, 1.0, 1e6, pipelined=False)
+        w = backup_window(GB / 1e6, GB / (1.0 * 1e6), pipelined=False)
         assert w == pytest.approx(2 * GB / 1e6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            backup_window_seconds(GB, 0, 1, 1)
 
 
 class TestCostMetric:
     def test_breakdown(self):
-        b = cloud_cost(stored_bytes=10 * GB, uploaded_bytes=5 * GB,
-                       put_requests=20_000)
+        b = S3_APRIL_2011.breakdown(stored_bytes=10 * GB,
+                                    uploaded_bytes=5 * GB,
+                                    put_requests=20_000)
         assert b.storage == pytest.approx(1.4)
         assert b.transfer == pytest.approx(0.5)
         assert b.requests == pytest.approx(0.2)
         assert b.total == pytest.approx(2.1)
+        assert b.total == S3_APRIL_2011.monthly_cost(10 * GB, 5 * GB,
+                                                     20_000)
 
 
 class TestEnergyMetric:
     def test_dedup_only(self):
-        assert session_energy_joules(100) == pytest.approx(100 * 42)
-
-    def test_full_session(self):
-        full = session_energy_joules(100, 50, dedup_only=False)
-        assert full > session_energy_joules(100)
+        # Fig. 11 meters the dedup phase only.
+        assert PAPER_POWER.dedup_energy_joules(100) == pytest.approx(
+            100 * 42)
 
 
 class TestTableFormatter:

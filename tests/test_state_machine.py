@@ -5,7 +5,8 @@ system's public verbs — back up an edited source, back up with a fresh
 client after ``resume_from_cloud``, drop the oldest session and collect
 garbage, keep the last n sessions through ``apply_retention``, run a
 session whose k-th PUT fails, run a session that cannot read the GC
-epoch, switch the content-defined chunker between two processes —
+epoch, switch the content-defined chunker between two processes,
+flip the stat cache or delta compression between two processes —
 under one legal :class:`~repro.core.options.SchemeConfig` drawn per
 run.  After every step, every retained session must restore
 bit-exactly to the reference model (``tests/model.py``), loading each
@@ -207,6 +208,27 @@ class StoreMachine(RuleBasedStateMachine):
                            % len(CDC_FAMILY)]
         self.client.close()
         self.config = self.config.with_chunker(other)
+        self.client = self._client()
+        self.client.resume_from_cloud()
+        self._check_resumed()
+        self.backup(changes)
+
+    @precondition(lambda self: not self.config.incremental_only)
+    @rule(changes=_changes, data=st.data())
+    def backup_reconfigured(self, changes, data) -> None:
+        """A new process with the stat cache or delta compression
+        flipped, on the same store: the resumed client still holds
+        exactly what the retained manifests say, read under the new
+        config."""
+        knobs = ["stat_cache"]
+        if not self.config.encrypt_chunks:
+            # Convergent ciphertexts destroy resemblance: delta may
+            # only flip on without encryption (and is off with it).
+            knobs.append("delta_compress")
+        knob = data.draw(st.sampled_from(knobs))
+        self.client.close()
+        self.config = self.config.with_(
+            **{knob: not getattr(self.config, knob)})
         self.client = self._client()
         self.client.resume_from_cloud()
         self._check_resumed()

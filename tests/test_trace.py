@@ -166,51 +166,6 @@ class TestTraceEngine:
         assert stats.put_requests == stats.chunks_unique + 1
 
 
-class TestModelledStageSeconds:
-    """The per-stage decomposition must sum exactly to the driver's
-    modelled dedup time (trace/driver.py's ``dedup_seconds`` formula)."""
-
-    def _stats_and_ios(self, config):
-        gen = WorkloadGenerator(total_bytes=20 * MB, seed=11,
-                                max_mean_file_size=1 * MB)
-        snaps = list(gen.sessions(2))
-        client = TraceBackupClient(config)
-        records = []
-        for snap in snaps:
-            stats = client.backup(snap)
-            records.append((stats, client.disk_ios_last_session))
-        return records
-
-    @pytest.mark.parametrize("config_factory",
-                             [aa_dedupe_config, jungle_disk_config,
-                              avamar_config])
-    def test_sums_to_driver_formula(self, config_factory):
-        from repro.simulate.cpumodel import PAPER_CPU, dedup_cpu_seconds
-        from repro.simulate.diskmodel import PAPER_DISK
-        from repro.trace.engine import modelled_stage_seconds
-
-        for stats, disk_ios in self._stats_and_ios(config_factory()):
-            stages = modelled_stage_seconds(stats, disk_ios=disk_ios)
-            assert set(stages) == {"read", "chunk", "hash", "index",
-                                   "commit"}
-            assert all(v >= 0.0 for v in stages.values())
-            driver_seconds = (
-                dedup_cpu_seconds(stats.ops, PAPER_CPU,
-                                  files=stats.files_total)
-                + PAPER_DISK.read_seconds(stats.ops.read_bytes)
-                + PAPER_DISK.random_io_seconds(disk_ios))
-            assert sum(stages.values()) == pytest.approx(
-                driver_seconds, rel=1e-12)
-
-    def test_default_disk_ios_from_ledger(self):
-        from repro.trace.engine import modelled_stage_seconds
-
-        (stats, _ios), _ = self._stats_and_ios(aa_dedupe_config())
-        explicit = modelled_stage_seconds(
-            stats, disk_ios=float(stats.ops.index_disk_probes))
-        assert modelled_stage_seconds(stats) == explicit
-
-
 class TestCrossValidation:
     """The trace engine and the real-bytes engine must agree."""
 
@@ -330,7 +285,7 @@ class TestDriver:
 
     def test_paper_shape_cost(self, result):
         up = result.scale_to_paper()
-        cost = {n: r.monthly_cost(scale_to_paper=up)
+        cost = {n: r.bill(scale_to_paper=up).total
                 for n, r in result.runs.items()}
         assert cost["AA-Dedupe"] == min(cost.values())
 
