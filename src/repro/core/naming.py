@@ -7,9 +7,10 @@ verbatim (:class:`repro.cloud.NamespacedBackend`, :mod:`repro.core.walk`).
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-__all__ = ["container_key", "container_id_of", "chunk_key", "file_key",
+__all__ = ["container_key", "container_id_of", "next_container_ids",
+           "chunk_key", "file_key",
            "manifest_key", "session_id_of", "session_ids", "journal_key",
            "delta_key", "replica_key", "parse_replica_key", "tenant_key",
            "split_tenant_key", "tenant_keys", "MANIFEST_PREFIX",
@@ -57,6 +58,20 @@ def container_id_of(key: str) -> Optional[int]:
     if not key.startswith(CONTAINER_PREFIX) or not stem.isdecimal():
         return None
     return int(stem)
+
+
+def next_container_ids(cloud) -> Dict[int, int]:
+    """Per-rank next free container id of a shared pool (rank ``r``
+    allocates in ``[r·stride, (r+1)·stride)``); a rank with no container
+    is absent.  A re-instantiated orchestrator must allocate *above*
+    every container its rank ever sealed, and container keys are the
+    only durable record of them, so scan them (one listing)."""
+    next_ids: Dict[int, int] = {}
+    for container_id in map(container_id_of, cloud.list(CONTAINER_PREFIX)):
+        if container_id is not None:
+            rank = container_id // CONTAINER_ID_STRIDE
+            next_ids[rank] = max(next_ids.get(rank, 0), container_id + 1)
+    return next_ids
 
 
 def chunk_key(fingerprint: bytes) -> str:

@@ -1,44 +1,28 @@
 """Restore engine: reassemble any backed-up session from the cloud.
 
-Restore needs only the session manifest and the self-describing
-containers/objects it references.  The recipe is known before the first
-container GET, so a restore is *planned*: the selected files get one
-slot per extent, and every in-container extent — each hop of a delta
-chain included — is grouped by container in first-use order.  One pass
-then fetches each container exactly once, fills its slots and keeps the
-raw bytes delta chains need; the reader is dropped before the next
-fetch.  This is forward assembly (Lillibridge et al., FAST'13): the
-*chunk locality* the container manager preserves (Sec. III-F) bounds
-how many containers a session touches, and the plan makes that number
-the fetch count, however fragmented the store has become.
-
-Every extent is verified against its recipe fingerprint: the digest
-length identifies the hash (see
-:func:`repro.hashing.hash_for_digest_len`), so verification needs no
-side channel.  Delta extents (see :mod:`repro.delta`) are decoded after
-the pass from their kept base chain, whose depth is capped by
-``max_delta_depth``; a target several files share is decoded once per
-restore.  Standalone objects are fetched in recipe order after the
-pass.  A bad ``paths`` selection and an over-deep chain fail while
-planning, before any container GET.
-
-Verification failures are not immediately fatal: a transport-level bit
-flip (modelled by ``ChaosBackend.corrupt_rate``) and at-rest corruption
-look identical on first read, so the client **retries the fetch once**
-— a container whose CRC fails is re-fetched; a standalone object whose
-content misses its fingerprint is re-fetched; a delta blob that fails
-to apply is re-fetched.  Only a second failure is treated as real.  A
-container whose primary is missing or corrupt after the retry **fails
-over** to the replica copies recorded in the durability plan
-(:mod:`repro.durability`) instead of aborting the restore.
+A restore is planned from the manifest before the first container GET:
+each ref gets its file offset, and every container extent (delta-chain
+hops too) is grouped by container in first-use order, then by file.
+One pass fetches each container once, verifies each extent and hands
+it to a sink at ``(file, offset)``.  The destination is the assembly
+area (forward assembly, Lillibridge et al., FAST'13), so a directory
+restore holds one container and the plan, never the session.  Delta
+targets and standalone objects are resolved after the pass; a shared
+target is decoded once, and chain bytes are freed after their last use.
+A bad container, object or standalone delta blob is fetched once more
+(a transport flip looks like corruption on first read); a container
+still bad fails over to its replicas (:mod:`repro.durability`).
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path, PurePath
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.container.format import ContainerFormatError, ContainerReader
 from repro.core import naming
@@ -51,19 +35,8 @@ from repro.obs.tracer import NOOP_TRACER
 
 __all__ = ["RestoreClient", "RestoreReport", "restore_session"]
 
-#: One container-pass job: the extent, and the file's slot list and
-#: index it fills — ``None`` for a delta hop or base kept raw.
-_Job = Tuple[ChunkRef, Optional[list], int]
-
-
-@dataclass
-class _FilePlan:
-    """One selected file: a slot per ref, and the refs the container
-    pass leaves open (deltas and standalone objects) by slot index."""
-
-    entry: FileEntry
-    pieces: list
-    later: List[Tuple[int, ChunkRef]]
+#: Buffers one ``os.pwritev`` takes (IOV_MAX on Linux, macOS and BSD).
+_IOV_MAX = 1024
 
 
 @dataclass
@@ -78,20 +51,38 @@ class RestoreReport:
     chunks_verified: int = 0
     #: Delta extents decoded against their base chain.
     deltas_applied: int = 0
-    #: Fetches repeated after a verification failure (cumulative over
-    #: the client's lifetime, like ``containers_fetched``).
+    #: Fetches repeated after a verification failure, and containers
+    #: served by a replica (both cumulative over the client's life).
     fetch_retries: int = 0
-    #: Containers served from a replica copy after the primary was
-    #: missing or corrupt (cumulative).
     failovers: int = 0
     #: paths that failed verification (empty on success).
     corrupt: list = field(default_factory=list)
 
 
-def _location(ref: ChunkRef):
-    """Where ``ref``'s stored extent lives: (container, offset) or key."""
-    return ((ref.container_id, ref.offset) if ref.in_container
-            else ref.object_key)
+@dataclass(eq=False)
+class _FilePlan:
+    """A selected file: container extents to land, refs left open."""
+
+    entry: FileEntry
+    pending: int = 0
+    later: list = field(default_factory=list)
+
+
+@dataclass
+class _Run:
+    """One restore in flight: report, sink, and delta-chain bytes by
+    ref (raw hops, decoded targets) with the reads planned of each."""
+
+    report: RestoreReport
+    sink: object = None
+    raw: dict = field(default_factory=dict)
+    decoded: dict = field(default_factory=dict)
+    uses: Counter = field(default_factory=Counter)
+
+    def take(self, held: dict, ref: ChunkRef):
+        """``held[ref]`` or ``None``, freed on its last use."""
+        self.uses[ref] -= 1
+        return (held.get if self.uses[ref] else held.pop)(ref, None)
 
 
 def _sized(data: bytes, length: int) -> bytes:
@@ -100,6 +91,66 @@ def _sized(data: bytes, length: int) -> bytes:
         raise IntegrityError(
             f"extent length mismatch ({len(data)} != {length})")
     return data
+
+
+class _MemorySink:
+    """Assembles each file in a ``bytearray`` of its size."""
+
+    def __init__(self, files: List[_FilePlan]) -> None:
+        self.out = {p.entry.path: bytearray(p.entry.size) for p in files}
+
+    def write(self, path: str, pieces: list) -> None:
+        for offset, data in pieces:
+            self.out[path][offset:offset + len(data)] = data
+
+    def finish(self, path: str) -> None:
+        self.out[path] = bytes(self.out[path])
+
+    def abort(self) -> None:
+        pass
+
+
+class _DirectorySink:
+    """Writes extents into their files under ``dest``, truncating on a
+    file's first write; :meth:`abort` unlinks the unfinished ones."""
+
+    def __init__(self, dest, files: List[_FilePlan]) -> None:
+        for path in (PurePath(plan.entry.path) for plan in files):
+            if path.is_absolute() or ".." in path.parts:
+                raise RestoreError(
+                    f"manifest path escapes the destination: {str(path)!r}")
+        self.dest = Path(dest)
+        self._started: Dict[str, Path] = {}
+
+    def write(self, path: str, pieces: list) -> None:
+        """One open per call; contiguous extents share one write."""
+        target = self.dest / path
+        if path not in self._started:
+            target.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(target, os.O_WRONLY if path in self._started
+                     else os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        self._started[path] = target
+        try:
+            start = end = pieces[0][0] if pieces else 0
+            run: list = []
+            for offset, data in pieces + [(-1, b"")]:
+                if run and (offset != end or len(run) == _IOV_MAX):
+                    if os.pwritev(fd, run, start) != end - start:
+                        raise OSError(f"short write to {path!r}")
+                    start, run = offset, []
+                run.append(data)
+                end = offset + len(data)
+        finally:
+            os.close(fd)
+
+    def finish(self, path: str) -> None:
+        if path not in self._started:  # an empty file
+            self.write(path, [])
+        del self._started[path]
+
+    def abort(self) -> None:
+        for target in self._started.values():
+            target.unlink(missing_ok=True)
 
 
 class RestoreClient:
@@ -112,135 +163,122 @@ class RestoreClient:
         self.cloud = cloud
         self.verify = verify
         self.master_key = master_key
-        #: Longest delta chain this client will follow.  A chain deeper
-        #: than the writer could produce (``delta.stage.MAX_CHAIN``)
-        #: means a corrupt or adversarial manifest, not data — refuse it
-        #: rather than recurse without bound.
+        #: Longest delta chain followed; a deeper one than the writer
+        #: makes (``delta.stage.MAX_CHAIN``) means a corrupt manifest.
         self.max_delta_depth = max(1, max_delta_depth)
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        self._fetched = 0
-        self._retries = 0
-        self._failovers = 0
-        #: Durability plan, loaded lazily on the first primary failure
-        #: (the healthy path never pays for it).
-        self._plan_loaded = False
-        self._plan = None
+        self._fetched = self._retries = self._failovers = 0
 
-    # ------------------------------------------------------------------
     def load_manifest(self, session_id: int) -> Manifest:
         """Fetch and parse the manifest of ``session_id``."""
         blob = self.cloud.get(naming.manifest_key(session_id))
         return Manifest.from_json(blob)
 
-    def _replica_candidates(self, container_id: int) -> List[str]:
-        """Planned replica keys to fail over to (empty without a plan)."""
-        if not self._plan_loaded:
-            self._plan_loaded = True
-            from repro.durability.policy import ReplicationPlan
-            self._plan = ReplicationPlan.load(self.cloud)
-        if self._plan is None:
-            return []
-        return self._plan.replica_keys(container_id)
+    @cached_property
+    def _replication_plan(self):
+        """The durability plan, loaded on the first primary failure."""
+        from repro.durability.policy import ReplicationPlan
+        return ReplicationPlan.load(self.cloud)
 
     def _fetch_container(self, container_id: int) -> ContainerReader:
         """Primary, retried once on corruption, then replica failover."""
         key = naming.container_key(container_id)
-        failure: Exception
-        try:
-            return ContainerReader(self.cloud.get(key))
-        except (ContainerFormatError, PermanentCloudError) as exc:
-            failure = exc
-        if isinstance(failure, ContainerFormatError):
-            self._retries += 1
+        for attempt in range(2):
             try:
                 return ContainerReader(self.cloud.get(key))
             except (ContainerFormatError, PermanentCloudError) as exc:
                 failure = exc
-        for replica in self._replica_candidates(container_id):
+            if attempt or not isinstance(failure, ContainerFormatError):
+                break
+            self._retries += 1
+        plan = self._replication_plan
+        for replica in plan.replica_keys(container_id) if plan else ():
             try:
                 reader = ContainerReader(self.cloud.get(replica))
             except (ContainerFormatError, CloudError):
                 continue
-            if reader.container_id != container_id:
-                continue
-            self._failovers += 1
-            if self.tracer.enabled:
-                self.tracer.metrics.counter(
-                    "restore_failover_total").inc()
-            return reader
+            if reader.container_id == container_id:
+                self._failovers += 1
+                if self.tracer.enabled:
+                    self.tracer.metrics.counter("restore_failover_total").inc()
+                return reader
         if isinstance(failure, ContainerFormatError):
             raise IntegrityError(
                 f"container {container_id} failed validation: {failure}"
             ) from failure
         raise failure
 
-    # ------------------------------------------------------------------
-    def _plan_restore(self, manifest: Manifest, paths: Optional[list[str]]
-                      ) -> Tuple[List[_FilePlan], Dict[int, List[_Job]]]:
-        """Select the files and group their container extents.
-
-        Returns the selected files in manifest order and, per container
-        in first-use order, the extents the pass reads from it.
-        """
-        if paths is None:
-            entries = list(manifest)
-        else:
-            missing = sorted({p for p in paths if manifest.get(p) is None})
-            if missing:
-                raise RestoreError(f"paths not in session: {missing}")
-            wanted = set(paths)
-            entries = [e for e in manifest if e.path in wanted]
-        files: List[_FilePlan] = []
-        jobs: Dict[int, List[_Job]] = {}
-        kept = set()
-        for entry in entries:
-            plan = _FilePlan(entry, [b""] * len(entry.refs), [])
-            files.append(plan)
-            for index, ref in enumerate(entry.refs):
-                if not ref.is_delta:
-                    if ref.in_container:
-                        jobs.setdefault(ref.container_id, []).append(
-                            (ref, plan.pieces, index))
-                    else:
-                        plan.later.append((index, ref))
-                    continue
-                if ref.chain_depth() > self.max_delta_depth:
-                    raise RestoreError(
-                        f"delta chain deeper than max_delta_depth="
-                        f"{self.max_delta_depth}")
-                plan.later.append((index, ref))
-                hop = ref
-                while hop is not None:  # every hop is read raw
-                    location = _location(hop)
-                    if hop.in_container and location not in kept:
-                        kept.add(location)
-                        jobs.setdefault(hop.container_id, []).append(
-                            (hop, None, 0))
-                    hop = hop.delta_base
+    def _plan_restore(self, manifest: Manifest, paths, run: _Run):
+        """The selected files, and per container (first-use order) per
+        file (``None``: raw delta hops) its ``(offset, ref)`` extents."""
+        wanted = set(paths or ())
+        if missing := sorted(p for p in wanted if manifest.get(p) is None):
+            raise RestoreError(f"paths not in session: {missing}")
+        files = [_FilePlan(e) for e in manifest
+                 if paths is None or e.path in wanted]
+        jobs: Dict[int, dict] = {}
+        for plan in files:
+            entry, offset = plan.entry, 0
+            if sum(ref.length for ref in entry.refs) != entry.size:
+                raise IntegrityError(f"file size mismatch for {entry.path!r}")
+            for ref in entry.refs:
+                if ref.is_delta or not ref.in_container:
+                    plan.later.append((offset, ref))
+                else:
+                    plan.pending += 1
+                    jobs.setdefault(ref.container_id, {}).setdefault(
+                        plan, []).append((offset, ref))
+                offset += ref.length
+                if ref.is_delta and ref.chain_depth() > self.max_delta_depth:
+                    raise RestoreError("delta chain deeper than max_delta_"
+                                       f"depth={self.max_delta_depth}")
+                # Count each hop's reads (a decoded target is memoised,
+                # so it reads its base once); read each raw hop once.
+                hop = ref if ref.is_delta else None
+                while hop is not None:
+                    run.uses[hop] += 1
+                    if run.uses[hop] == 1 and hop.in_container:
+                        jobs.setdefault(hop.container_id, {}).setdefault(
+                            None, []).append((0, hop))
+                    hop = hop.delta_base if run.uses[hop] == 1 else None
         return files, jobs
 
-    def _container_pass(self, jobs: Dict[int, List[_Job]],
-                        report: RestoreReport) -> Dict[tuple, bytes]:
-        """Fetch each planned container once and fill its slots.
-
-        Returns the raw bytes of the delta hops and bases, by location.
-        """
-        kept: Dict[tuple, bytes] = {}
-        for container_id, extents in jobs.items():
+    def _container_pass(self, jobs: dict, run: _Run) -> None:
+        """Fetch each planned container once and land its extents."""
+        for container_id, groups in jobs.items():
             with self.tracer.span("restore.container_fetch",
                                   container=container_id):
                 reader = self._fetch_container(container_id)
             self._fetched += 1
-            for ref, pieces, index in extents:
-                if pieces is None:
-                    kept[_location(ref)] = _sized(
+            for plan, extents in groups.items():
+                if plan is None:
+                    run.raw.update((ref, _sized(
                         reader.read_at(ref.offset, ref.cloud_length),
-                        ref.cloud_length)
-                else:
-                    data = _sized(reader.read_at(ref.offset, ref.length),
-                                  ref.length)
-                    pieces[index] = self._finish(data, ref, report)
-        return kept
+                        ref.cloud_length)) for _, ref in extents)
+                    continue
+                run.sink.write(plan.entry.path, [(offset, self._finish(
+                    _sized(reader.read_at(ref.offset, ref.length),
+                           ref.length), ref, run.report))
+                    for offset, ref in extents])
+                plan.pending -= len(extents)
+                if not plan.pending and not plan.later:
+                    self._complete(plan, run)
+            del reader
+
+    def _complete(self, plan: _FilePlan, run: _Run) -> None:
+        """Land the refs the pass left open, then finish the file."""
+        entry = plan.entry
+        with self.tracer.span("restore.file", app=entry.app,
+                              bytes=entry.size):
+            for offset, ref in plan.later:
+                with (self.tracer.span("restore.delta_chain",
+                                       depth=ref.chain_depth())
+                      if ref.is_delta else nullcontext()):
+                    run.sink.write(entry.path,
+                                   [(offset, self._resolve(ref, run))])
+            run.sink.finish(entry.path)
+        run.report.files_restored += 1
+        run.report.bytes_restored += entry.size
 
     def _read_object(self, ref: ChunkRef, length: int,
                      report: RestoreReport) -> bytes:
@@ -249,28 +287,21 @@ class RestoreClient:
         report.objects_fetched += 1
         return _sized(data, length)
 
-    def _verify_payload(self, data: bytes, ref: ChunkRef,
-                        report: RestoreReport) -> None:
-        hasher = hash_for_digest_len(len(ref.fingerprint))
-        if hasher is not None:
-            if hasher.hash(data) != ref.fingerprint:
-                raise IntegrityError("fingerprint mismatch on restore")
-            report.chunks_verified += 1
-
     def _finish(self, data: bytes, ref: ChunkRef,
                 report: RestoreReport) -> bytes:
         """Verify ``data`` against ``ref``'s fingerprint, then decrypt."""
-        if self.verify:
-            try:
-                self._verify_payload(data, ref, report)
-            except IntegrityError:
-                if ref.is_delta or ref.in_container:
-                    # Decoded deltas and CRC-covered container extents
-                    # cannot be transport flips — the mismatch is real.
-                    raise
-                self._retries += 1
-                data = self._read_object(ref, ref.length, report)
-                self._verify_payload(data, ref, report)
+        hasher = (hash_for_digest_len(len(ref.fingerprint))
+                  if self.verify else None)
+        if hasher is not None and hasher.hash(data) != ref.fingerprint:
+            if ref.is_delta or ref.in_container:
+                # Decoded deltas and CRC-covered container extents
+                # cannot be transport flips — the mismatch is real.
+                raise IntegrityError("fingerprint mismatch on restore")
+            self._retries += 1
+            data = self._read_object(ref, ref.length, report)
+            if hasher.hash(data) != ref.fingerprint:
+                raise IntegrityError("fingerprint mismatch on restore")
+        report.chunks_verified += hasher is not None
         if ref.wrapped_key is not None:
             # Convergently encrypted extent: recover and apply its key.
             if self.master_key is None:
@@ -282,110 +313,79 @@ class RestoreClient:
             data = ConvergentCipher.decrypt(data, key)
         return data
 
-    def _apply_delta(self, base: bytes, blob: bytes,
-                     ref: ChunkRef) -> bytes:
-        try:
-            data = apply_delta(base, blob)
-        except DeltaError as exc:
-            raise IntegrityError(f"delta decode failed: {exc}") from exc
-        if len(data) != ref.length:
-            raise IntegrityError(
-                f"delta target length mismatch "
-                f"({len(data)} != {ref.length})")
-        return data
-
-    def _resolve(self, ref: ChunkRef, kept: Dict[tuple, bytes],
-                 decoded: dict, report: RestoreReport) -> bytes:
-        """Bytes of a ref the container pass left open: a standalone
-        object, a kept delta base, or a delta (decoded once per restore
-        into ``decoded``)."""
+    def _resolve(self, ref: ChunkRef, run: _Run) -> bytes:
+        """Bytes of a ref the pass left open: a standalone object, a
+        kept delta base, or a delta target (decoded once)."""
+        report = run.report
         if not ref.is_delta:
-            data = (kept[_location(ref)] if ref.in_container
+            data = (run.take(run.raw, ref) if ref.in_container
                     else self._read_object(ref, ref.length, report))
             return self._finish(data, ref, report)
-        location = _location(ref)
-        data = decoded.get(location)
+        data = run.take(run.decoded, ref)
         if data is not None:
             return data
-        blob = (kept[location] if ref.in_container
+        blob = (run.raw.pop(ref) if ref.in_container
                 else self._read_object(ref, ref.stored_length, report))
-        base = self._resolve(ref.delta_base, kept, decoded, report)
-        try:
-            data = self._apply_delta(base, blob, ref)
-        except IntegrityError:
-            if ref.in_container:
-                # Container extents are CRC-covered at fetch time, so
-                # the blob is what was stored — a decode failure is
-                # real corruption, not transport noise.
-                raise
+        base = self._resolve(ref.delta_base, run)
+        for retry in (False, True):
+            try:
+                data = apply_delta(base, blob)
+            except DeltaError as exc:
+                data, failure = None, f"delta decode failed: {exc}"
+            if data is not None and len(data) == ref.length:
+                break
+            # A container extent is CRC-covered at fetch time, so its
+            # decode failure is real corruption, not transport noise.
+            if retry or ref.in_container:
+                raise IntegrityError(failure if data is None else
+                                     "delta target length mismatch")
             self._retries += 1
             blob = self._read_object(ref, ref.stored_length, report)
-            data = self._apply_delta(base, blob, ref)
         report.deltas_applied += 1
-        data = decoded[location] = self._finish(data, ref, report)
+        data = self._finish(data, ref, report)
+        if run.uses[ref]:
+            run.decoded[ref] = data
         return data
 
-    # ------------------------------------------------------------------
+    def _restore(self, session_id: int, paths, make_sink) -> _Run:
+        """The planned pass into ``make_sink(files)`` (built pre-GET)."""
+        with self.tracer.span("restore", session=session_id):
+            manifest = self.load_manifest(session_id)
+            run = _Run(RestoreReport(session_id=session_id))
+            files, jobs = self._plan_restore(manifest, paths, run)
+            run.sink = make_sink(files)
+            try:
+                self._container_pass(jobs, run)
+                for plan in files:  # open refs, then empty files
+                    if plan.later or not plan.entry.refs:
+                        self._complete(plan, run)
+            except BaseException:
+                run.sink.abort()
+                raise
+            run.report.containers_fetched = self._fetched
+            run.report.fetch_retries = self._retries
+            run.report.failovers = self._failovers
+            return run
+
     def restore_to_memory(self, session_id: int,
                           paths: Optional[list[str]] = None
                           ) -> tuple[Dict[str, bytes], RestoreReport]:
         """Restore a session (or selected ``paths``) into a dict."""
-        with self.tracer.span("restore", session=session_id):
-            manifest = self.load_manifest(session_id)
-            report = RestoreReport(session_id=session_id)
-            files, jobs = self._plan_restore(manifest, paths)
-            kept = self._container_pass(jobs, report)
-            decoded: dict = {}
-            out: Dict[str, bytes] = {}
-            for plan in files:
-                entry, pieces = plan.entry, plan.pieces
-                with self.tracer.span("restore.file", app=entry.app,
-                                      bytes=entry.size):
-                    for index, ref in plan.later:
-                        if ref.is_delta:  # one span per chain head
-                            with self.tracer.span(
-                                    "restore.delta_chain",
-                                    depth=ref.chain_depth()):
-                                pieces[index] = self._resolve(
-                                    ref, kept, decoded, report)
-                        else:
-                            pieces[index] = self._resolve(
-                                ref, kept, decoded, report)
-                    data = b"".join(pieces)
-                pieces.clear()  # the joined copy replaces the slots
-                if len(data) != entry.size:
-                    raise IntegrityError(
-                        f"file size mismatch for {entry.path!r}")
-                out[entry.path] = data
-                report.files_restored += 1
-                report.bytes_restored += len(data)
-            report.containers_fetched = self._fetched
-            report.fetch_retries = self._retries
-            report.failovers = self._failovers
-            return out, report
+        run = self._restore(session_id, paths, _MemorySink)
+        return run.sink.out, run.report
 
     def restore_to_directory(self, session_id: int,
                              dest: str | os.PathLike,
                              paths: Optional[list[str]] = None
                              ) -> RestoreReport:
-        """Restore a session into a directory tree.
-
-        Every path must stay inside ``dest``: an absolute path or a
-        ``..`` component raises :class:`RestoreError` before any file
-        is written.
-        """
-        files, report = self.restore_to_memory(session_id, paths)
-        for relpath in files:
-            path = PurePath(relpath)
-            if path.is_absolute() or ".." in path.parts:
-                raise RestoreError(
-                    f"manifest path escapes the destination: {relpath!r}")
-        dest = Path(dest)
-        for relpath, data in files.items():
-            target = dest / relpath
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(data)
-        return report
+        """Restore a session into a directory tree, writing each
+        verified extent straight into its file.  An absolute or ``..``
+        path raises :class:`RestoreError` before any GET or write.  A
+        failed restore keeps the files it finished, each bit-exact, and
+        removes every file it started — a pre-existing file of the same
+        name it had truncated too."""
+        return self._restore(session_id, paths, lambda files:
+                             _DirectorySink(dest, files)).report
 
 
 def restore_session(cloud, session_id: int, dest: str | os.PathLike,

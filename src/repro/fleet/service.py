@@ -43,7 +43,7 @@ from repro.cloud import (
 )
 from repro.cloud.wan import PAPER_WAN
 from repro.core.backup import BackupClient
-from repro.core.naming import CONTAINER_ID_STRIDE
+from repro.core import naming
 from repro.core.options import SchemeConfig, aa_dedupe_config
 from repro.core.stats import SessionStats
 from repro.errors import SimulationError
@@ -308,6 +308,10 @@ class FleetService:
         self._entries_committed = 0
         self._backend_lock = Lock()
         self.clients: List[FleetClient] = []
+        # A fleet re-instantiated over a used backend carries on: each
+        # rank allocates above its sealed containers and resumes its
+        # sessions, or it would overwrite both.
+        next_ids = naming.next_container_ids(self.backend)
         for rank in range(clients):
             name = f"c{rank:03d}"
             view = NamespacedBackend(self.backend, name,
@@ -326,8 +330,10 @@ class FleetService:
 
             client.backup = BackupClient(
                 cloud, config, index_factory=factory,
-                first_container_id=rank * CONTAINER_ID_STRIDE,
+                first_container_id=next_ids.get(
+                    rank, rank * naming.CONTAINER_ID_STRIDE),
                 tracer=self.tracer)
+            client.backup.resume_from_cloud()
             self.clients.append(client)
 
     # ------------------------------------------------------------------

@@ -215,7 +215,7 @@ class BackupService:
             else list(spec.jobs))
         if not selected:
             raise ConfigError("no jobs selected")
-        next_ids = self._scan_container_ids()
+        next_ids = naming.next_container_ids(self.backend)
         self.jobs: List[_JobRuntime] = []
         for job in selected:
             # Rank comes from the *spec* order, not the selection order:
@@ -238,22 +238,6 @@ class BackupService:
             self.jobs.append(
                 _JobRuntime(rank, job, view, client, job.make_source()))
         self.reports: List[JobReport] = []
-
-    def _scan_container_ids(self) -> Dict[int, int]:
-        """Per-rank next container id, resumed from the shared pool.
-
-        A re-invoked service must keep allocating *above* every
-        container its rank ever sealed — container keys are the only
-        durable record, so scan them once at startup.
-        """
-        next_ids: Dict[int, int] = {}
-        for key in self.backend.list(naming.CONTAINER_PREFIX):
-            container_id = naming.container_id_of(key)
-            if container_id is None:
-                continue
-            rank = container_id // naming.CONTAINER_ID_STRIDE
-            next_ids[rank] = max(next_ids.get(rank, 0), container_id + 1)
-        return next_ids
 
     # ------------------------------------------------------------------
     def _runtime(self, name: str) -> _JobRuntime:

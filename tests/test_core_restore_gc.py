@@ -2,6 +2,9 @@
 the index from the manifests."""
 
 import dataclasses
+import random
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,10 +22,11 @@ from repro.core import (
 )
 from repro.core import naming
 from repro.core.scrub import scrub_cloud
-from repro.errors import IntegrityError, ObjectNotFound, RestoreError
+from repro.errors import (IntegrityError, ObjectNotFound, RestoreError,
+                          TransientCloudError)
 from repro.obs.tracer import Tracer
 from repro.simulate.clock import VirtualClock
-from repro.util.units import KIB
+from repro.util.units import KIB, MIB
 
 
 @pytest.fixture()
@@ -139,10 +143,129 @@ class TestRestore:
             forged.add(entry)
         cloud.put(naming.manifest_key(0), forged.to_json().encode("utf-8"))
         dest = tmp_path / "out"
+        before = cloud.stats.get_requests
         with pytest.raises(RestoreError, match="escapes the destination"):
             RestoreClient(cloud).restore_to_directory(0, dest)
+        assert cloud.stats.get_requests - before == 1  # the manifest only
         assert not (tmp_path / "escaped.txt").exists()
         assert not dest.exists()
+
+
+def _random_tree(seed: int, total: int) -> dict:
+    """``total`` bytes of 1 MiB random files over five categories."""
+    rng = random.Random(seed)
+    exts = ("vmdk", "mp3", "doc", "exe", "txt")
+    return {f"d{i % 3}/f{i}.{exts[i % len(exts)]}": rng.randbytes(
+        min(MIB, total - i * MIB)) for i in range(-(-total // MIB))}
+
+
+class _FailingGet(InMemoryBackend):
+    """Fails the ``fail_at``-th GET of a container key (1-based, counted
+    from arming) once."""
+
+    fail_at = 0
+
+    def _get(self, key):
+        if self.fail_at and key.startswith(naming.CONTAINER_PREFIX):
+            self.fail_at -= 1
+            if not self.fail_at:
+                raise TransientCloudError(f"injected failure: get {key}")
+        return super()._get(key)
+
+
+def _tree(root) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+class TestStreamingRestore:
+    """``restore_to_directory`` writes each verified extent straight into
+    its destination file: memory is bounded by one container and the
+    plan, not by the bytes restored."""
+
+    @staticmethod
+    def _traced_peak(mib: int) -> int:
+        cloud = InMemoryBackend()
+        client = BackupClient(cloud,
+                              aa_dedupe_config(container_size=256 * KIB))
+        client.backup(MemorySource(_random_tree(mib, mib * MIB)))
+        client.close()
+        with tempfile.TemporaryDirectory() as dest:
+            tracemalloc.start()
+            try:
+                RestoreClient(cloud).restore_to_directory(0, dest)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    def test_peak_memory_does_not_grow_with_the_session(self):
+        small, large = self._traced_peak(4), self._traced_peak(16)
+        # Holding the session would cost more than 16 MiB here.
+        assert large < 16 * MIB // 4
+        assert large - small < 2 * MIB
+
+    def test_out_of_order_extents_from_other_files_containers(self,
+                                                             tmp_path):
+        # c.doc = b.doc + a.doc: its tail dedups into containers a.doc
+        # filled first, its head into later ones, so its extents land
+        # out of file order, some before c.doc's own first container.
+        rng = random.Random(21)
+        a, b = rng.randbytes(60_000), rng.randbytes(60_000)
+        files = {"a.doc": a, "b.doc": b, "c.doc": b + a}
+        cloud = InMemoryBackend()
+        BackupClient(cloud, aa_dedupe_config(container_size=32 * KIB)
+                     ).backup(MemorySource(files))
+        ids = [ref.container_id for ref in Manifest.from_json(
+            cloud.get(naming.manifest_key(0))).get("c.doc").refs]
+        assert ids != sorted(ids)
+        RestoreClient(cloud).restore_to_directory(0, tmp_path)
+        assert _tree(tmp_path) == files
+        assert RestoreClient(cloud).restore_to_memory(0)[0] == files
+
+    def test_empty_file_and_selection(self, backed_up, tmp_path):
+        cloud = InMemoryBackend()
+        files = {"e/empty.txt": b"", "b/doc.doc": backed_up[2]["b/doc.doc"],
+                 "c/vm.vmdk": backed_up[2]["c/vm.vmdk"]}
+        BackupClient(cloud).backup(MemorySource(files))
+        RestoreClient(cloud).restore_to_directory(0, tmp_path / "all")
+        assert _tree(tmp_path / "all") == files
+        wanted = ["e/empty.txt", "c/vm.vmdk"]
+        report = RestoreClient(cloud).restore_to_directory(
+            0, tmp_path / "some", paths=wanted)
+        assert _tree(tmp_path / "some") == {p: files[p] for p in wanted}
+        assert report.files_restored == 2
+
+    def test_overwrites_longer_files(self, backed_up, tmp_path):
+        cloud, _c, files, _f2 = backed_up
+        for path, data in files.items():
+            (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / path).write_bytes(data + b"stale tail" * 1000)
+        RestoreClient(cloud).restore_to_directory(0, tmp_path)
+        assert _tree(tmp_path) == files
+
+    def test_failure_keeps_finished_files_and_removes_started(self,
+                                                              tmp_path):
+        rng = random.Random(5)
+        files = {"a.doc": rng.randbytes(20_000),
+                 "b.doc": rng.randbytes(90_000)}
+        cloud = _FailingGet()
+        BackupClient(cloud, aa_dedupe_config(container_size=32 * KIB)
+                     ).backup(MemorySource(files))
+        refs = Manifest.from_json(cloud.get(naming.manifest_key(0))
+                                  ).get("b.doc").refs
+        assert len({ref.container_id for ref in refs}) > 2
+        (tmp_path / "b.doc").write_bytes(b"old b" * 40_000)
+        (tmp_path / "other.txt").write_bytes(b"not in the session")
+        cloud.fail_at = 3  # b.doc has started by then
+        with pytest.raises(TransientCloudError):
+            RestoreClient(cloud).restore_to_directory(0, tmp_path)
+        # a.doc finished bit-exact; the truncated b.doc is gone; a file
+        # the restore never touched stays.
+        assert _tree(tmp_path) == {"a.doc": files["a.doc"],
+                                   "other.txt": b"not in the session"}
+        RestoreClient(cloud).restore_to_directory(0, tmp_path)
+        assert _tree(tmp_path) == {**files,
+                                   "other.txt": b"not in the session"}
 
 
 class TestGarbageCollection:

@@ -423,6 +423,23 @@ class TestDeltaChains:
         assert report.deltas_applied == 2
         assert report.containers_fetched == 3
 
+    def test_shared_delta_decoded_once_into_directory(self, tmp_path):
+        # The streaming sink: a target two files share still decodes
+        # once, and every file lands bit-exact.
+        cloud = InMemoryBackend()
+        versions, (_base, mid, head) = _container_chain(
+            cloud, np.random.default_rng(36))
+        _put_manifest(cloud, {
+            "a.doc": (versions[2], [head]),
+            "b.doc": (versions[2], [head]),
+            "c.doc": (versions[2] + versions[1], [head, mid])})
+        report = RestoreClient(cloud).restore_to_directory(0, tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {
+            "a.doc": versions[2], "b.doc": versions[2],
+            "c.doc": versions[2] + versions[1]}
+        assert report.deltas_applied == 2
+        assert report.containers_fetched == 3
+
 
 class TestDeltaGCAndScrub:
     def test_gc_keeps_base_referenced_only_by_delta(self, rng):

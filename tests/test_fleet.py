@@ -7,10 +7,13 @@ for a fixed seed no matter how many worker threads execute a wave —
 """
 
 import hashlib
+import random
 from dataclasses import asdict
 
 import pytest
 
+from repro.cloud import InMemoryBackend, NamespacedBackend
+from repro.core import MemorySource
 from repro.core.restore import RestoreClient
 from repro.errors import SimulationError, WorkloadError
 from repro.fleet import (
@@ -20,7 +23,7 @@ from repro.fleet import (
     generated_fleet_sources,
     synthetic_fleet_sources,
 )
-from repro.core.naming import CONTAINER_ID_STRIDE
+from repro.core.naming import CONTAINER_ID_STRIDE, CONTAINER_PREFIX
 from repro.index import IndexEntry, LocalityCache
 
 
@@ -355,6 +358,18 @@ class TestFleetIndex:
         assert (s.lookups, s.hits) == (10, 5)
 
 
+class _PutLog(InMemoryBackend):
+    """An in-memory backend that records every key it is PUT."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.puts: list = []
+
+    def _put(self, key, data):
+        self.puts.append(key)
+        super()._put(key, data)
+
+
 def _session_key(report):
     """Comparable projection of a fleet run (wall-time fields are host
     measurements, not simulation outputs, so they are excluded)."""
@@ -430,6 +445,30 @@ class TestFleetService:
         owners = {i // CONTAINER_ID_STRIDE for i in ids}
         assert owners <= {0, 1, 2}
         assert len(owners) == 3  # every client allocated from its range
+
+    def test_reinstantiated_fleet_keeps_earlier_sessions(self):
+        """A second fleet over the same backend carries on where the
+        first stopped: it used to restart at session 0 and container 0,
+        so session 0 restored as tree B and tree A was gone."""
+        rng = random.Random(11)
+        shared = rng.randbytes(30_000)
+        tree_a = {"docs/a.doc": rng.randbytes(40_000),
+                  "docs/shared.pdf": shared}
+        tree_b = {"docs/b.doc": rng.randbytes(40_000),
+                  "docs/shared.pdf": shared}
+        backend = _PutLog()
+        for tree in (tree_a, tree_b):
+            service = FleetService(clients=2, backend=backend)
+            try:
+                service.run([[MemorySource(tree)], [MemorySource({})]])
+            finally:
+                service.close()
+        restorer = RestoreClient(NamespacedBackend(backend, "c000"))
+        assert restorer.restore_to_memory(0)[0] == tree_a
+        assert restorer.restore_to_memory(1)[0] == tree_b
+        containers = [k for k in backend.puts
+                      if k.startswith(CONTAINER_PREFIX)]
+        assert containers and len(set(containers)) == len(containers)
 
     def test_private_state_is_namespaced(self):
         service, _report, _ = _run_fleet(clients=2, sessions=1)

@@ -6,7 +6,9 @@ client after ``resume_from_cloud``, drop the oldest session and collect
 garbage, keep the last n sessions through ``apply_retention``, run a
 session whose k-th PUT fails, run a session that cannot read the GC
 epoch, switch the content-defined chunker between two processes,
-flip the stat cache or delta compression between two processes —
+flip the stat cache or delta compression between two processes,
+restore a session into a directory while its k-th data GET fails and
+then again into the same directory —
 under one legal :class:`~repro.core.options.SchemeConfig` drawn per
 run.  After every step, every retained session must restore
 bit-exactly to the reference model (``tests/model.py``), loading each
@@ -26,6 +28,8 @@ from __future__ import annotations
 
 import os
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -78,20 +82,31 @@ _changes = st.lists(st.tuples(
 
 
 class _FaultyStore(InMemoryBackend):
-    """An in-memory store whose ``fail_at``-th PUT (1-based, counted
-    from arming) fails once, and whose GC epoch GETs fail while
-    ``epoch_down`` is set.  Its clock never moves, so every manifest
-    has the same ``created`` stamp and retention orders by session id."""
+    """An in-memory store whose ``fail_at``-th PUT and ``get_fail_at``-th
+    GET of a non-manifest key (1-based, counted from arming) fail once,
+    and whose GC epoch GETs fail while ``epoch_down`` is set.  Its clock
+    never moves, so every manifest has the same ``created`` stamp and
+    retention orders by session id."""
 
     def __init__(self) -> None:
         super().__init__()
         self.fail_at = 0
+        self.get_fail_at = 0
+        #: GETs of non-manifest keys so far (a restore's data GETs).
+        self.data_gets = 0
         self.epoch_down = False
         self.clock = VirtualClock()
 
     def _get(self, key):
         if self.epoch_down and key == naming.STATCACHE_EPOCH_KEY:
             raise TransientCloudError(f"injected failure: get {key}")
+        if not key.startswith(naming.MANIFEST_PREFIX):
+            self.data_gets += 1
+            if self.get_fail_at:
+                self.get_fail_at -= 1
+                if not self.get_fail_at:
+                    raise TransientCloudError(
+                        f"injected failure: get {key}")
         return super()._get(key)
 
     def _put(self, key, data):
@@ -100,6 +115,12 @@ class _FaultyStore(InMemoryBackend):
             if not self.fail_at:
                 raise TransientCloudError(f"injected failure: put {key}")
         super()._put(key, data)
+
+
+def _tree(root: Path) -> dict:
+    """``{relative path: bytes}`` of every file under ``root``."""
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in root.rglob("*") if path.is_file()}
 
 
 def _by_app(index: AppAwareIndex) -> dict:
@@ -276,6 +297,35 @@ class StoreMachine(RuleBasedStateMachine):
             self.backup(changes)
         finally:
             self.store.epoch_down = False
+
+    @precondition(lambda self: self.model.sessions)
+    @rule(data=st.data(), k=st.integers(1, 8))
+    def restore_interrupted(self, data, k) -> None:
+        """A directory restore whose k-th GET after the manifest fails:
+        the error propagates (exactly when the session needs at least k
+        data GETs), every file it leaves is bit-exact, and a second
+        restore into the same directory yields exactly the session."""
+        session_id = data.draw(st.sampled_from(self.model.retained()))
+        files = self.model.sessions[session_id]
+        key = MASTER_KEY if self.config.encrypt_chunks else None
+        with tempfile.TemporaryDirectory() as tmp:
+            dest = Path(tmp)
+            self.store.get_fail_at = k
+            try:
+                RestoreClient(self.store, master_key=key
+                              ).restore_to_directory(session_id, dest)
+                interrupted = False
+            except TransientCloudError:
+                interrupted = True
+            finally:
+                self.store.get_fail_at = 0
+            left = _tree(dest)
+            assert all(files[path] == blob for path, blob in left.items())
+            before = self.store.data_gets
+            RestoreClient(self.store, master_key=key).restore_to_directory(
+                session_id, dest)
+            assert interrupted == (k <= self.store.data_gets - before)
+            assert _tree(dest) == files
 
     # -- the invariant --------------------------------------------------
     @invariant()
