@@ -1,4 +1,4 @@
-"""Fleet-scale directory bench — the million-client tiers under load.
+"""Fleet-scale directory bench — one row per directory tier.
 
 Drives the global dedup directory with **100+ simulated clients**
 (24 in smoke mode, see ``BENCH_SMOKE``) probing and
@@ -7,22 +7,26 @@ fronts in waves, the same epoch-barrier protocol the full
 :class:`~repro.fleet.FleetService` uses — but without spinning up 100
 complete backup engines, so the bench isolates *directory* cost.
 
-Two arms over byte-identical workloads:
+Every arm replays a byte-identical workload against disk-backed shards
+(``bloom_fp_rate=None`` models the raw index: every descent pays
+binary-search disk probes) and adds one tier at a time:
 
-* **baseline** — the PR-3 directory shape: disk-backed shards
-  (``bloom_fp_rate=None`` models the raw index: every descent pays
-  binary-search disk probes) behind the cache front alone;
-* **scaled** — the same disk backing and cache behind the scale tiers:
-  per-shard Bloom front absorbing cold misses, and consistent-hash
-  splits rebalancing hot shards at epoch barriers.
+* **disk only** — two shards per app, no fronts;
+* **+ Bloom** — the per-shard Bloom front absorbing cold misses;
+* **+ cache** — the HPDedup-style :class:`~repro.index.LocalityCache`;
+* **+ cache + Bloom** — both fronts, the shipped configuration;
+* **locality / plain LRU at a small capacity** — the same cache with
+  and without its per-stream eviction, where LRU thrashes on the shared
+  corpus;
+* **static N/app, cache + Bloom** — more shards per app from the
+  start, the configuration that replaces shard splitting.
 
-Both arms are *exact* dedup (the filter has no false negatives over
-the committed set), so the dedup ratio must match to the byte while
-the backing ``disk_probes`` drop by at least 5x — that is the
-ISSUE's acceptance bar, priced in server seek seconds via the paper's
-disk model.  Rebalance determinism is asserted the hard way: the
-scaled arm runs twice with different thread-pool sizes and the
-committed content of every shard must be identical.
+Every arm is *exact* dedup (the filter has no false negatives over the
+committed set), so remote hits and adopted bytes must match to the byte
+while the disk probes fall.  Cache statistics depend on probe arrival
+order, so the table runs every arm serially; a separate test checks
+that cache + Bloom commits identical content and pays identical disk
+probes at 1 and 8 worker threads.
 
 Set ``BENCH_SMOKE=1`` for the down-scaled CI configuration.
 """
@@ -35,7 +39,7 @@ from concurrent.futures import ThreadPoolExecutor
 from conftest import SMOKE, emit
 
 from repro.fleet import FleetIndex, GlobalDedupDirectory
-from repro.index import IndexEntry
+from repro.index import IndexEntry, LocalityCache
 from repro.index.disk import DiskIndex
 from repro.metrics import Table
 from repro.obs import Tracer
@@ -47,8 +51,18 @@ ROUNDS = 2
 APPS = ("doc", "media")
 SHARED_PER_APP = 96 if SMOKE else 192     # corpus every client carries
 PRIVATE_PER_ROUND = 12 if SMOKE else 24   # cold, never-shared chunks
-SPLIT_ENTRIES = 300 if SMOKE else 1500
 MEMTABLE = 128 if SMOKE else 256
+CACHE = 256
+SMALL_CACHE = 32 if SMOKE else 64         # where plain LRU thrashes
+FILTER = 4096
+STATIC_SHARDS = 3 if SMOKE else 5
+
+
+class _PlainLRU(LocalityCache):
+    """The cache front without per-stream eviction: one stream, LRU."""
+
+    def begin_batch(self, fingerprints, stream=None) -> None:
+        super().begin_batch(fingerprints)
 
 
 def _fp(tag: str) -> bytes:
@@ -68,7 +82,7 @@ def _stream(rank: int, round_no: int, app: str):
     return fps
 
 
-def _run_arm(directory: GlobalDedupDirectory, max_workers: int):
+def _run_arm(directory: GlobalDedupDirectory, max_workers: int = 1):
     """Wave/epoch protocol over ``CLIENTS`` simulated clients."""
     indexes = {(rank, app): FleetIndex(directory, app, rank)
                for rank in range(CLIENTS) for app in APPS}
@@ -104,104 +118,124 @@ def _run_arm(directory: GlobalDedupDirectory, max_workers: int):
                                for ix in indexes.values()),
         "disk_probes": sum(r["disk_probes"] for r in rows),
         "batches": sum(r["batches"] for r in rows),
-        "probes": sum(r["probes"] for r in rows),
         "filter_rejects": directory.filter_rejects,
-        "rebalances": directory.rebalances,
-        "migrated": directory.migrated_entries,
+        "max_probes": max(r["probes"] for r in rows),
+        "max_disk_probes": max(r["disk_probes"] for r in rows),
         "committed": {s.name: s.committed_entries()
                       for s in directory.shards()},
-        "shards": len(directory.shards()),
+        "shards": len(rows),
     }
 
 
-def _disk_factory(root):
+def _directory(root, shards=2, cache=0, filter_capacity=0, front=None,
+               tracer=None):
+    """Disk-backed shards; ``front(disk)`` wraps each in a custom cache
+    built through ``index_factory`` instead of ``cache_capacity``."""
     def factory(app, bucket):
         # bloom_fp_rate=None models the raw disk index: every descent
-        # pays its binary-search probes (the PR-3 cost baseline).
-        return DiskIndex(root / f"{app}-{bucket}",
-                         memtable_limit=MEMTABLE, bloom_fp_rate=None)
-    return factory
-
-
-def _baseline_directory(root):
-    return GlobalDedupDirectory(shards_per_app=2,
-                                index_factory=_disk_factory(root),
-                                cache_capacity=256)
-
-
-def _scaled_directory(root, tracer=None):
-    return GlobalDedupDirectory(shards_per_app=2,
-                                index_factory=_disk_factory(root),
-                                cache_capacity=256,
-                                filter_capacity=4096,
-                                shard_split_entries=SPLIT_ENTRIES,
+        # pays its binary-search probes.
+        disk = DiskIndex(root / f"{app}-{bucket}", memtable_limit=MEMTABLE,
+                         bloom_fp_rate=None)
+        return disk if front is None else front(disk)
+    return GlobalDedupDirectory(shards_per_app=shards, index_factory=factory,
+                                cache_capacity=cache,
+                                filter_capacity=filter_capacity,
                                 tracer=tracer)
 
 
-def test_fleet_scale_filter_and_locality_tiers(benchmark, tmp_path):
+#: (row label, arm key, directory keyword arguments).
+ARMS = [
+    ("2/app, disk only", "disk", {}),
+    ("2/app, + Bloom", "bloom", {"filter_capacity": FILTER}),
+    ("2/app, + cache", "cache", {"cache": CACHE}),
+    ("2/app, + cache + Bloom", "cache_bloom",
+     {"cache": CACHE, "filter_capacity": FILTER}),
+    (f"2/app, locality cache {SMALL_CACHE}", "locality_small",
+     {"cache": SMALL_CACHE}),
+    (f"2/app, plain LRU {SMALL_CACHE}", "lru_small",
+     {"front": lambda disk: _PlainLRU(disk, SMALL_CACHE)}),
+    (f"{STATIC_SHARDS}/app static, + cache + Bloom", "static",
+     {"shards": STATIC_SHARDS, "cache": CACHE, "filter_capacity": FILTER}),
+]
+
+
+def test_fleet_scale_tier_ablation(benchmark, tmp_path):
     tracer = Tracer()
 
     def run():
-        base_dir = _baseline_directory(tmp_path / "base")
-        scaled_dir = _scaled_directory(tmp_path / "scaled", tracer=tracer)
-        try:
-            base = _run_arm(base_dir, max_workers=8)
-            scaled = _run_arm(scaled_dir, max_workers=8)
-        finally:
-            base_dir.close()
-            scaled_dir.close()
-        return base, scaled
+        results = {}
+        for _label, key, kwargs in ARMS:
+            traced = tracer if key == "cache_bloom" else None
+            directory = _directory(tmp_path / key, tracer=traced, **kwargs)
+            try:
+                results[key] = _run_arm(directory)
+            finally:
+                directory.close()
+        return results
 
-    base, scaled = benchmark.pedantic(run, rounds=1, iterations=1)
+    arms = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    table = Table(["arm", "shards", "disk probes", "seek s", "batches",
-                   "filter rejects", "splits", "entries"],
-                  title=f"fleet directory at {CLIENTS} clients")
-    for name, arm in (("PR-3 baseline (disk+cache)", base),
-                      ("filter+cache+splits", scaled)):
-        table.add_row([name, arm["shards"], arm["disk_probes"],
+    table = Table(["arm", "disk probes", "seek s", "batches",
+                   "remote hits", "entries", "shards",
+                   "max probes/shard", "max disk probes/shard"],
+                  title=f"fleet directory tiers at {CLIENTS} clients "
+                        f"(serial)")
+    for label, key, _kwargs in ARMS:
+        arm = arms[key]
+        table.add_row([label, arm["disk_probes"],
                        PAPER_DISK.random_io_seconds(arm["disk_probes"]),
-                       arm["batches"], arm["filter_rejects"],
-                       arm["rebalances"], arm["entries"]])
+                       arm["batches"], arm["remote_hits"], arm["entries"],
+                       arm["shards"], arm["max_probes"],
+                       arm["max_disk_probes"]])
     emit(table.render())
 
     # A real fleet drove it.
     assert CLIENTS >= (24 if SMOKE else 100)
 
-    # Equal dedup: both arms are exact, so committed entries and
-    # cross-client adoption must match to the byte.
-    assert scaled["entries"] == base["entries"] > 0
-    assert scaled["remote_hits"] == base["remote_hits"] > 0
-    assert scaled["adopted_bytes"] == base["adopted_bytes"] > 0
+    # Equal dedup: every arm is exact, so committed entries and
+    # cross-client adoption match to the byte.
+    disk = arms["disk"]
+    assert disk["remote_hits"] > 0 and disk["adopted_bytes"] > 0
+    for key, arm in arms.items():
+        assert arm["entries"] == disk["entries"], key
+        assert arm["remote_hits"] == disk["remote_hits"], key
+        assert arm["adopted_bytes"] == disk["adopted_bytes"], key
 
-    # ISSUE acceptance: the filter front cuts the backing's disk
-    # probes by at least 5x at that equal dedup ratio.
-    assert base["disk_probes"] > 0
-    assert scaled["disk_probes"] * 5 <= base["disk_probes"]
+    # Each front pays on its own, and together the Bloom front cuts
+    # the cache arm's disk probes by at least 5x.
+    assert arms["bloom"]["disk_probes"] < disk["disk_probes"]
+    assert arms["cache"]["disk_probes"] < disk["disk_probes"]
+    assert arms["cache_bloom"]["disk_probes"] * 5 \
+        <= arms["cache"]["disk_probes"]
 
-    # The tiers actually engaged: cold misses died in the filter (and
-    # clients kept them out of their memos), splits rebalanced load.
-    assert scaled["filter_rejects"] > 0
-    assert scaled["filter_absorbed"] > 0
-    assert scaled["rebalances"] > 0
-    assert scaled["migrated"] > 0
-    assert scaled["shards"] > len(APPS) * 2
+    # Per-stream eviction is what keeps a small cache useful: a plain
+    # LRU thrashes on the shared corpus.
+    assert arms["locality_small"]["disk_probes"] \
+        < arms["lru_small"]["disk_probes"]
 
-    # Observability: the rebalance span and the filter counter flow
-    # through the tracer.
-    assert any(s.name == "fleet.rebalance" for s in tracer.spans())
+    # More static shards spread the load a split would have.
+    static, shipped = arms["static"], arms["cache_bloom"]
+    assert static["shards"] == len(APPS) * STATIC_SHARDS
+    assert static["max_probes"] < shipped["max_probes"]
+    assert static["disk_probes"] <= shipped["disk_probes"]
+
+    # The filter engaged (and clients kept its misses out of their
+    # memos), and its counter flows through the tracer.
+    assert shipped["filter_rejects"] > 0
+    assert shipped["filter_absorbed"] > 0
     counters = tracer.metrics.snapshot()["counters"]
     assert counters.get("fleet_filter_rejects_total", 0) > 0
 
 
-def test_fleet_scale_rebalance_determinism(benchmark, tmp_path):
-    """Splits migrate entries at epoch barriers; committed content must
-    be byte-identical no matter the thread-pool size."""
+def test_fleet_scale_determinism(benchmark, tmp_path):
+    """Cache + Bloom commits identical content and pays identical disk
+    probes no matter the thread-pool size."""
 
     def run():
         results = []
         for workers in (1, 8):
-            directory = _scaled_directory(tmp_path / f"w{workers}")
+            directory = _directory(tmp_path / f"w{workers}", cache=CACHE,
+                                   filter_capacity=FILTER)
             try:
                 results.append(_run_arm(directory, max_workers=workers))
             finally:
@@ -210,11 +244,11 @@ def test_fleet_scale_rebalance_determinism(benchmark, tmp_path):
 
     serial, threaded = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    assert serial["rebalances"] == threaded["rebalances"] > 0
     assert serial["committed"].keys() == threaded["committed"].keys()
     assert serial["committed"] == threaded["committed"]
     assert serial["entries"] == threaded["entries"]
+    assert serial["remote_hits"] == threaded["remote_hits"]
     assert serial["disk_probes"] == threaded["disk_probes"]
-    emit(f"rebalance determinism held over {serial['shards']} shards, "
-         f"{serial['rebalances']} splits, {serial['migrated']} entries "
-         f"migrated")
+    emit(f"determinism held over {serial['shards']} shards, "
+         f"{serial['entries']} entries, {serial['disk_probes']} disk "
+         f"probes")

@@ -106,83 +106,3 @@ def test_exact_vs_sparse_indexing(benchmark, workload_snapshots):
     # Champion budget held.
     assert sparse.champions_loaded <= 4 * segments
 
-
-def test_sparse_shard_backing_in_fleet_directory(benchmark):
-    """The fleet directory's long-tail tier: sampling-based shards.
-
-    Wires :class:`~repro.index.sparse.SparseShardIndex` in as the shard
-    backing of a :class:`~repro.fleet.GlobalDedupDirectory` and replays
-    a two-session backup (session 2 = session 1 with light churn)
-    against it and against the exact memory backing.  Epoch commits
-    seal one segment per 512-chunk slice, so a later probe batch's
-    hooks elect exactly the manifests its stream locality predicts —
-    the FAST'09 trade: a ~1/2^sample_bits RAM index and a few
-    sequential manifest loads per batch, for a bounded dedup loss.
-    """
-    import hashlib
-
-    from repro.fleet import GlobalDedupDirectory
-
-    chunks, slice_len, batch = 4096, 512, 64
-
-    def fp(tag):
-        return hashlib.sha1(tag.encode()).digest()
-
-    session1 = [fp(f"chunk/{i}") for i in range(chunks)]
-    session2 = [fp(f"churn/{i}") if i % 50 == 0 else session1[i]
-                for i in range(chunks)]
-
-    def replay(directory):
-        # Session 1 uploads: publish slice by slice, committing per
-        # slice (the wave/epoch protocol) so manifests mirror stream
-        # segments.
-        for base in range(0, chunks, slice_len):
-            directory.publish_batch(
-                "doc",
-                [IndexEntry(fingerprint=f, container_id=0, offset=i,
-                            length=128)
-                 for i, f in enumerate(session1[base:base + slice_len])],
-                rank=0)
-            directory.commit_epoch()
-        # Session 2 probes in stream order, batched.
-        hits = 0
-        for base in range(0, chunks, batch):
-            found = directory.lookup_batch("doc",
-                                           session2[base:base + batch])
-            hits += sum(e is not None for e in found)
-        return hits
-
-    def run():
-        sparse_dir = GlobalDedupDirectory(
-            shards_per_app=1,
-            index_factory=lambda app, bucket: SparseShardIndex(
-                segment_chunks=slice_len, sample_bits=4, max_champions=4))
-        exact_dir = GlobalDedupDirectory(shards_per_app=1)
-        sparse_hits = replay(sparse_dir)
-        exact_hits = replay(exact_dir)
-        return sparse_dir, exact_dir, sparse_hits, exact_hits
-
-    sparse_dir, exact_dir, sparse_hits, exact_hits = \
-        benchmark.pedantic(run, rounds=1, iterations=1)
-
-    (sparse_shard,) = sparse_dir.shards()
-    sparse_ram = sparse_shard.index.ram_entries()
-    exact_ram = len(exact_dir)
-    stats = sparse_shard.index.stack_stats()
-
-    table = Table(["backing", "RAM entries", "probe hits", "disk loads"],
-                  title="Fleet shard backing: exact vs sparse long tail")
-    table.add_row(["MemoryIndex (exact)", f"{exact_ram:,}",
-                   exact_hits, 0])
-    table.add_row(["SparseShardIndex", f"{sparse_ram:,}", sparse_hits,
-                   stats.disk_probes])
-    emit(table.render())
-
-    # Sampling shrinks shard RAM by far more than it costs in hits.
-    assert sparse_ram < exact_ram / 4
-    assert sparse_hits <= exact_hits          # approximate, never magic
-    assert sparse_hits >= 0.8 * exact_hits    # bounded loss
-    # Manifest IO is charged and bounded by the champion budget.
-    assert stats.disk_probes > 0
-    assert stats.disk_probes <= 4 * (chunks // batch)
-    assert stats.disk_bytes > 0

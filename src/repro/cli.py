@@ -319,18 +319,10 @@ def cmd_fleet(args) -> int:
                                           seed=args.seed)
 
     config = _scheme(args)
-    index_factory = None
-    if args.sparse_shards:
-        from repro.index.sparse import SparseShardIndex
-
-        def index_factory(_app, _bucket):
-            return SparseShardIndex()
     directory = GlobalDedupDirectory(
         shards_per_app=args.shards,
-        index_factory=index_factory,
         cache_capacity=args.shard_cache,
         filter_capacity=args.shard_filter,
-        shard_split_entries=args.shard_split,
         tracer=tracer)
     service = FleetService(clients=args.clients,
                            config_factory=lambda _rank: config,
@@ -543,12 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shard-filter", type=int, default=0,
                    help="Bloom-filter front capacity per shard; cold "
                         "misses are absorbed without touching the index")
-    p.add_argument("--shard-split", type=int, default=0,
-                   help="split a shard's consistent-hash arc once its "
-                        "committed entries exceed this (0 = never)")
-    p.add_argument("--sparse-shards", action="store_true",
-                   help="back shards with the FAST'09 sampling-based "
-                        "sparse index (approximate dedup, tiny RAM)")
     p.add_argument("--scheme", default="AA-Dedupe")
     p.add_argument("--container-size", default=None,
                    help="override container size, e.g. 256KiB")

@@ -10,7 +10,6 @@ per-client application-aware dedup.
 
 from repro.fleet.client import FleetIndex
 from repro.fleet.directory import DirectoryShard, GlobalDedupDirectory
-from repro.fleet.ring import ConsistentHashRing
 from repro.fleet.service import (
     FleetClient,
     FleetClientResult,
@@ -24,7 +23,6 @@ from repro.fleet.workload import (
 )
 
 __all__ = [
-    "ConsistentHashRing",
     "Corpus",
     "DirectoryShard",
     "FleetClient",

@@ -26,19 +26,22 @@ on a local miss:
 Directory probes are **batched per file**: the backup engine announces
 a file's fingerprints through :meth:`FleetIndex.begin_batch` before its
 dedup loop, and the ones the client cannot answer itself travel in one
-``probe_batch`` — one round trip, one ``batches`` tick per shard, and a
-whole file's hooks for a sparse shard's champion election.  A lookup
-nobody announced still works, as a batch of one.
+``probe_batch`` — one round trip and one ``batches`` tick per shard.
+A lookup nobody announced still works, as a batch of one.
 
-New local inserts are published to the directory through a write-behind
-**outbox**, flushed in batches (amortising shard locks and, on a
-disk-backed directory, seeks).  The service flushes outboxes at session
-end so every round's chunks are offered before the epoch commits.
+New local inserts queue in a write-behind **outbox** that leaves only
+through :meth:`FleetIndex.flush_publishes`, which the service calls
+after a session succeeded — so every round's chunks are offered before
+the epoch commits, and a failed session's chunks never are: its
+abandoned entries (containers that may never have become durable) are
+:meth:`~FleetIndex.discard`-ed from the outbox with the local entry.
+Offers stay invisible until the next commit anyway, so holding them to
+session end costs no visibility.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, Optional, Set
 
 from repro.index.base import ChunkIndex, IndexEntry
 
@@ -53,17 +56,13 @@ class FleetIndex(ChunkIndex):
     commit results are independent of thread scheduling).
     """
 
-    def __init__(self, directory, app: str, rank: int,
-                 publish_batch: int = 64) -> None:
+    def __init__(self, directory, app: str, rank: int) -> None:
         super().__init__()
-        if publish_batch < 1:
-            raise ValueError("publish_batch must be >= 1")
         self.directory = directory
         self.app = app
         self.rank = rank
-        self._publish_batch = publish_batch
         self._local: Dict[bytes, IndexEntry] = {}
-        self._outbox: List[IndexEntry] = []
+        self._outbox: Dict[bytes, IndexEntry] = {}
         self._memo_epoch = directory.epoch
         self._misses: Set[bytes] = set()
         #: Misses of the batch announced last — answered for the file
@@ -143,15 +142,23 @@ class FleetIndex(ChunkIndex):
         # A chunk this client just stored after a miss: offer it to the
         # fleet (adopted entries enter ``_local`` in :meth:`_probe`).
         self._local[entry.fingerprint] = entry
-        self._outbox.append(entry)
-        if len(self._outbox) >= self._publish_batch:
-            self.flush_publishes()
+        self._outbox[entry.fingerprint] = entry
+
+    def discard(self, fingerprint: bytes) -> None:
+        """Forget ``fingerprint`` locally and unpublish it: the client
+        drops entries whose container is gone or never became durable
+        (a swept container, an abandoned session)."""
+        if self._local.pop(fingerprint, None) is not None:
+            self.generation += 1
+        self._outbox.pop(fingerprint, None)
 
     def flush_publishes(self) -> None:
-        """Push the outbox to the directory's pending buffer."""
+        """Offer the outbox to the directory's pending buffer."""
         if self._outbox:
-            self.directory.publish_batch(self.app, self._outbox, self.rank)
-            self._outbox = []
+            self.directory.publish_batch(self.app,
+                                         list(self._outbox.values()),
+                                         self.rank)
+            self._outbox = {}
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

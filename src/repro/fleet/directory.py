@@ -8,8 +8,13 @@ on the server side.  To keep any single lookup structure small and the
 load spread, the directory is sharded by ``(app_label, consistent-hash
 bucket)`` — the application label first (preserving the paper's
 observation that cross-application chunk collisions are negligible, so
-shards never need cross-app probes), then a
-:class:`~repro.fleet.ring.ConsistentHashRing` arc of the fingerprint.
+shards never need cross-app probes), then a consistent-hash arc of
+the fingerprint: each of the ``shards_per_app`` buckets owns
+``VNODES`` pseudo-random points on a 64-bit circle, and a fingerprint
+belongs to the owner of the first point after its own hash.  The bucket
+set is fixed per directory, so one routing table serves every app and
+load spreads evenly for any bucket count (a single-byte prefix map
+would cap a directory at 256 buckets).
 
 Each :class:`DirectoryShard` owns an independent
 :class:`~repro.index.base.ChunkIndex` and its own lock, so probes
@@ -19,8 +24,8 @@ and probes each shard once per batch, which is what lets a disk-backed
 shard amortise seeks (the per-shard ``batches`` counter versus ``probes``
 makes the amortisation visible to the cost model).
 
-At million-client scale three more tiers stack onto each shard
-(see docs/FLEET.md):
+At million-client scale two tiers stack onto each shard (see
+docs/FLEET.md, which also records the tiers measured and deleted):
 
 * a **Bloom filter front** (``filter_capacity``) — the DDFS [Zhu08]
   summary vector: a negative probe the filter answers touches neither
@@ -29,11 +34,7 @@ At million-client scale three more tiers stack onto each shard
 * a **locality-prioritized cache** (``cache_capacity``) — the
   HPDedup (arxiv 1702.08153) front: per-stream temporal locality is
   estimated from hit run lengths and low-locality streams are evicted
-  first (with one probing stream it is a plain LRU);
-* an optional **sparse backing**
-  (:class:`~repro.index.sparse.SparseShardIndex` via
-  ``index_factory``) — FAST'09 sampling for the long tail, trading a
-  bounded dedup loss for a tiny RAM index.
+  first (with one probing stream it is a plain LRU).
 
 Visibility is **epoch-based** so fleet runs are deterministic under any
 thread interleaving: lookups only see entries committed by a previous
@@ -44,30 +45,34 @@ exist yet buffer directory-side and the shard materialises at the next
 commit, so the set of live shards is frozen between barriers — a probe
 racing a publish in the same wave observes the same topology no matter
 how threads interleave, which keeps every per-shard counter
-``max_workers``-independent.  Shard **rebalancing**
-(``shard_split_entries``) likewise happens only inside the epoch
-commit: a shard that outgrew the split threshold gets a new ring node
-and the arcs the node claims migrate over, so routing changes are a
-pure function of committed state and never race a probe.
+``max_workers``-independent.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from bisect import bisect_right
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.index.base import ChunkIndex, IndexEntry
 from repro.index.bloom import BloomFilter
 from repro.index.locality import LocalityCache
 from repro.index.memory import MemoryIndex
-from repro.fleet.ring import ConsistentHashRing
 from repro.obs.tracer import NOOP_TRACER
 
 __all__ = ["DirectoryShard", "GlobalDedupDirectory"]
 
 #: Target false-positive rate of every shard's Bloom front.
 FILTER_FP_RATE = 0.01
+
+#: Routing points (virtual nodes) per bucket on the hash circle.
+VNODES = 128
+
+
+def _hash64(data: bytes) -> int:
+    return int.from_bytes(
+        hashlib.blake2b(data, digest_size=8).digest(), "big")
 
 
 class DirectoryShard:
@@ -80,8 +85,7 @@ class DirectoryShard:
     invisible until :meth:`commit`.  ``_known`` maps every committed
     fingerprint to its entry, shadowing the committed index so commits
     never issue lookups against it — shard probe statistics stay a pure
-    measure of client-driven load — and so rebalancing can extract
-    entries without touching probe counters either.
+    measure of client-driven load.
     """
 
     def __init__(self, app: str, bucket: int, index: ChunkIndex,
@@ -89,11 +93,11 @@ class DirectoryShard:
         self.app = app
         self.bucket = bucket
         self.index = index
-        # Bulk loads (epoch commits, migration absorbs) write the leaf,
-        # not through the cache fronts: they are entries nobody has
-        # probed yet, and pushing hundreds of them through a bounded
-        # cache per epoch would evict the probe path's hot working set
-        # (cache fronts populate from *probe* traffic only).
+        # Epoch commits bulk-load the leaf, not through the cache
+        # fronts: they are entries nobody has probed yet, and pushing
+        # hundreds of them through a bounded cache per epoch would
+        # evict the probe path's hot working set (cache fronts
+        # populate from *probe* traffic only).
         *_fronts, self._leaf = index.tiers()
         self.bloom = bloom
         self.lock = threading.Lock()
@@ -131,24 +135,6 @@ class DirectoryShard:
         """Committed entries in fingerprint order (no stats impact)."""
         with self.lock:
             return [self._known[fp] for fp in sorted(self._known)]
-
-    # -- filter front --------------------------------------------------
-    def _filter_maintain(self) -> None:
-        """Grow or rebuild the Bloom front from the committed set.
-
-        Called after commits (count may exceed capacity — doubling
-        keeps the false-positive rate near target) and after extracts
-        (a Bloom filter cannot remove, so migration rebuilds it).
-        """
-        if self.bloom is None:
-            return
-        capacity = self.bloom.capacity
-        while capacity < len(self._known):
-            capacity *= 2
-        fresh = BloomFilter(capacity=capacity, fp_rate=self.bloom.fp_rate)
-        for fp in self._known:
-            fresh.add(fp)
-        self.bloom = fresh
 
     # ------------------------------------------------------------------
     def probe(self, fingerprints: Sequence[bytes], stream=None
@@ -197,86 +183,52 @@ class DirectoryShard:
                 if current is None or rank < current[0]:
                     self._pending[fp] = (rank, entry)
 
-    def _load(self, entries: Iterable[IndexEntry]) -> int:
-        """Bulk-load not-yet-committed entries into the leaf index.
+    def commit(self) -> int:
+        """Fold the pending buffer into the committed leaf index.
 
         Entries land in sorted fingerprint order so the backing index's
         physical layout (memtable spills, run contents) is identical no
         matter which thread published first, and enter the Bloom front
         here — the filter always reflects exactly the committed set.
+        A filter the committed set outgrew is rebuilt at a doubled
+        capacity, keeping the false-positive rate near target.
         """
-        fresh = 0
-        for entry in sorted(entries, key=lambda e: e.fingerprint):
-            fp = entry.fingerprint
-            if fp in self._known:
-                continue
-            self._leaf.insert(entry)
-            self._known[fp] = entry
-            if self.bloom is not None:
-                self.bloom.add(fp)
-            fresh += 1
-        if self.bloom is not None \
-                and self.bloom.count > self.bloom.capacity:
-            self._filter_maintain()
-        return fresh
-
-    def commit(self) -> int:
-        """Fold the pending buffer into the committed index."""
         with self.lock:
-            fresh = self._load(
-                entry for _rank, entry in self._pending.values())
+            pending = sorted(self._pending)
+            for fp in pending:
+                entry = self._pending[fp][1]
+                self._leaf.insert(entry)
+                self._known[fp] = entry
+                if self.bloom is not None:
+                    self.bloom.add(fp)
             self._pending.clear()
-            self.accepted += fresh
-            return fresh
-
-    # -- rebalancing ---------------------------------------------------
-    def extract(self, keep: Callable[[bytes], bool]) -> List[IndexEntry]:
-        """Remove and return committed entries failing ``keep(fp)``.
-
-        Used by ring splits: entries whose arc a new shard claimed move
-        out.  The index stack physically drops them where it can
-        (:meth:`~repro.index.base.ChunkIndex.discard`); elsewhere stale
-        records linger unreachably — routing never sends their
-        fingerprint here again.  The Bloom front is rebuilt from the
-        surviving committed set.
-        """
-        with self.lock:
-            moving = sorted(fp for fp in self._known if not keep(fp))
-            if not moving:
-                return []
-            out = []
-            for fp in moving:
-                out.append(self._known.pop(fp))
-                self.index.discard(fp)
-            self._filter_maintain()
-            return out
-
-    def absorb(self, entries: Sequence[IndexEntry]) -> int:
-        """Adopt migrated committed entries."""
-        with self.lock:
-            return self._load(entries)
+            bloom = self.bloom
+            if bloom is not None and bloom.count > bloom.capacity:
+                capacity = bloom.capacity
+                while capacity < len(self._known):
+                    capacity *= 2
+                self.bloom = BloomFilter(capacity=capacity,
+                                         fp_rate=bloom.fp_rate)
+                for fp in self._known:
+                    self.bloom.add(fp)
+            self.accepted += len(pending)
+            return len(pending)
 
 
 class GlobalDedupDirectory:
     """Fingerprint directory sharded by ``(app, consistent-hash arc)``.
 
     ``index_factory(app, bucket)`` builds each shard's backing index
-    stack (default: :class:`~repro.index.memory.MemoryIndex`; pass a
-    :class:`~repro.index.sparse.SparseShardIndex` factory for the
-    sampling-based long-tail tier).  A positive ``cache_capacity``
-    fronts every shard with the HPDedup-style
-    :class:`~repro.index.locality.LocalityCache`.  A positive
-    ``filter_capacity`` puts a Bloom filter in front of every shard's
-    committed set.  ``shard_split_entries > 0`` enables epoch-barrier
-    rebalancing: when a shard's committed population exceeds the
-    threshold, its app's ring gains a node and the claimed arcs
-    migrate.
+    stack (default: :class:`~repro.index.memory.MemoryIndex`).  A
+    positive ``cache_capacity`` fronts every shard with the
+    HPDedup-style :class:`~repro.index.locality.LocalityCache`.  A
+    positive ``filter_capacity`` puts a Bloom filter in front of every
+    shard's committed set.
 
     Note that cache-front hit *statistics* depend on probe arrival
-    order, so determinism assertions over shard stats should use the
-    default memory backing; committed *content* is order-independent
-    either way (and stays so under rebalancing, which only runs at
-    barriers over already-deterministic committed state).
+    order, so determinism assertions over shard stats should run the
+    cache serially or use the default memory backing; committed
+    *content* is order-independent either way.
     """
 
     def __init__(self,
@@ -285,7 +237,6 @@ class GlobalDedupDirectory:
                      Callable[[str, int], ChunkIndex]] = None,
                  cache_capacity: int = 0,
                  filter_capacity: int = 0,
-                 shard_split_entries: int = 0,
                  tracer=None) -> None:
         if shards_per_app < 1:
             raise ValueError("shards_per_app must be >= 1")
@@ -293,8 +244,15 @@ class GlobalDedupDirectory:
         self._factory = index_factory or (lambda app, bucket: MemoryIndex())
         self._cache_capacity = cache_capacity
         self._filter_capacity = filter_capacity
-        self.shard_split_entries = shard_split_entries
-        self._rings: Dict[str, ConsistentHashRing] = {}
+        # One routing table for every app: VNODES points per bucket,
+        # sorted by (point, bucket) so a point collision resolves to the
+        # lower bucket.
+        table = sorted((_hash64(f"shard-{bucket}/{replica}".encode()),
+                        bucket)
+                       for bucket in range(shards_per_app)
+                       for replica in range(VNODES))
+        self._points = [point for point, _bucket in table]
+        self._owners = [bucket for _point, bucket in table]
         self._shards: Dict[Tuple[str, int], DirectoryShard] = {}
         self._create_lock = threading.Lock()
         # Offers addressed to shards that do not exist yet, buffered
@@ -311,31 +269,20 @@ class GlobalDedupDirectory:
         #: caches key their negative memos on it (a miss stays a miss
         #: until the next commit).
         self.epoch = 0
-        #: Ring splits performed by epoch-barrier rebalancing.
-        self.rebalances = 0
-        #: Committed entries migrated between shards by rebalancing.
-        self.migrated_entries = 0
         #: Read-path probes against shards that were never allocated
         #: (answered as misses without creating the shard).
         self.absent_probes = 0
         self._rejects_reported = 0
 
     # ------------------------------------------------------------------
-    def _ring(self, app: str) -> ConsistentHashRing:
-        ring = self._rings.get(app)
-        if ring is None:
-            with self._create_lock:
-                ring = self._rings.get(app)
-                if ring is None:
-                    ring = ConsistentHashRing(range(self.shards_per_app))
-                    self._rings[app] = ring
-        return ring
-
-    def _bucket(self, app: str, fingerprint: bytes) -> int:
-        return self._ring(app).node_for(fingerprint)
+    def _bucket(self, fingerprint: bytes) -> int:
+        """Owner of the first routing point after the fingerprint's
+        hash (wrapping past the last point to the first)."""
+        idx = bisect_right(self._points, _hash64(fingerprint))
+        return self._owners[idx % len(self._points)]
 
     def shard_for(self, app: str, fingerprint: bytes) -> DirectoryShard:
-        return self._shard(app, self._bucket(app, fingerprint))
+        return self._shard(app, self._bucket(fingerprint))
 
     def _shard(self, app: str, bucket: int) -> DirectoryShard:
         key = (app, bucket)
@@ -382,7 +329,7 @@ class GlobalDedupDirectory:
             return [], []
         groups: Dict[int, List[int]] = {}
         for pos, fp in enumerate(fingerprints):
-            groups.setdefault(self._bucket(app, fp), []).append(pos)
+            groups.setdefault(self._bucket(fp), []).append(pos)
         out: List[Optional[IndexEntry]] = [None] * len(fingerprints)
         absorbed = [False] * len(fingerprints)
         for bucket in sorted(groups):
@@ -429,7 +376,7 @@ class GlobalDedupDirectory:
             return
         groups: Dict[int, List[IndexEntry]] = {}
         for entry in entries:
-            groups.setdefault(self._bucket(app, entry.fingerprint),
+            groups.setdefault(self._bucket(entry.fingerprint),
                               []).append(entry)
         for bucket in sorted(groups):
             shard = self._shards.get((app, bucket))
@@ -441,50 +388,8 @@ class GlobalDedupDirectory:
                     (rank, groups[bucket]))
 
     # ------------------------------------------------------------------
-    def _rebalance(self) -> int:
-        """Split overloaded shards at the epoch barrier.
-
-        For each app whose heaviest shard exceeds
-        ``shard_split_entries``, add one ring node and migrate the arcs
-        it claims (at most one split per app per epoch; persistent skew
-        resolves over successive commits).  Decisions depend only on
-        committed sizes — identical across thread interleavings — and
-        migration inserts in sorted fingerprint order, so committed
-        content stays byte-identical for any ``max_workers``.
-        """
-        moved_total = 0
-        for app in sorted({a for (a, _b) in self._shards}):
-            ring = self._ring(app)
-            shards = [self._shards[key] for key in sorted(self._shards)
-                      if key[0] == app]
-            heavy = max(shards, key=lambda s: (len(s), -s.bucket))
-            if len(heavy) <= self.shard_split_entries:
-                continue
-            new_bucket = max(ring.nodes) + 1
-            with self.tracer.span("fleet.rebalance", app=app,
-                                  split=heavy.name,
-                                  new_shard=new_bucket) as span:
-                ring.add_node(new_bucket)
-                dest = self._shard(app, new_bucket)
-                moved = 0
-                for shard in shards:
-                    bucket = shard.bucket
-                    extracted = shard.extract(
-                        lambda fp: ring.node_for(fp) == bucket)
-                    if extracted:
-                        moved += dest.absorb(extracted)
-                self.rebalances += 1
-                moved_total += moved
-                span.set("moved", moved)
-        return moved_total
-
     def commit_epoch(self) -> int:
-        """Make every pending publish visible; returns entries committed.
-
-        Rebalancing (if enabled) runs inside the same barrier, after
-        the commits: splits observe the new committed sizes and routing
-        changes before any client can probe the next epoch.
-        """
+        """Make every pending publish visible; returns entries committed."""
         tracer = self.tracer
         with tracer.span("fleet.commit_epoch", epoch=self.epoch) as span:
             with self._pending_lock:
@@ -497,19 +402,12 @@ class GlobalDedupDirectory:
             committed = 0
             for shard in self.shards():
                 committed += shard.commit()
-            migrated = 0
-            if self.shard_split_entries > 0:
-                migrated = self._rebalance()
-                self.migrated_entries += migrated
             self.epoch += 1
             span.set("committed", committed)
             if tracer.enabled:
                 metrics = tracer.metrics
                 metrics.counter(
                     "fleet_directory_committed_total").inc(committed)
-                if migrated:
-                    metrics.counter(
-                        "fleet_directory_migrated_total").inc(migrated)
                 rejects = self.filter_rejects
                 if rejects > self._rejects_reported:
                     metrics.counter("fleet_filter_rejects_total").inc(

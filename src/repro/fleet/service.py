@@ -161,10 +161,6 @@ class FleetReport:
     committed_entries: int = 0
     #: Cold probes absorbed by shard Bloom fronts (no seek, no batch).
     filter_rejects: int = 0
-    #: Ring splits performed by epoch-barrier rebalancing.
-    rebalances: int = 0
-    #: Committed entries migrated between shards by rebalancing.
-    migrated_entries: int = 0
 
     # -- fleet aggregates ----------------------------------------------
     @property
@@ -256,8 +252,6 @@ class FleetReport:
         summary.add_row(["directory entries", self.directory_entries])
         summary.add_row(["directory epochs", self.epochs])
         summary.add_row(["filter rejects", self.filter_rejects])
-        summary.add_row(["shard splits", self.rebalances])
-        summary.add_row(["entries migrated", self.migrated_entries])
         summary.add_row(["server seek seconds",
                          self.server_seek_seconds()])
         out.append(summary.render())
@@ -425,8 +419,6 @@ class FleetService:
             directory_entries=len(self.directory),
             committed_entries=self._entries_committed,
             filter_rejects=self.directory.filter_rejects,
-            rebalances=self.directory.rebalances,
-            migrated_entries=self.directory.migrated_entries,
         )
 
     def close(self) -> None:

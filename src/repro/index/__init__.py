@@ -17,7 +17,8 @@ Implementations:
   front that evicts low-temporal-locality streams first (a plain LRU
   when only one stream probes it);
 * :class:`~repro.index.sparse.SparseShardIndex` — FAST'09
-  sampling-based approximate index for a fleet directory's long tail.
+  sampling-based approximate index, the paper's Sparse Indexing
+  comparator [20] (not a fleet directory tier).
 
 Every :class:`~repro.index.base.ChunkIndex` is one tier of a *stack*:
 ``backing`` names the tier below (``None`` on a leaf), and

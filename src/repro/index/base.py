@@ -146,10 +146,13 @@ class ChunkIndex(abc.ABC):
             self.backing.begin_batch(fingerprints, stream)
 
     def discard(self, fingerprint: bytes) -> None:
-        """Drop ``fingerprint`` where the stack can (shard migration).
+        """Drop ``fingerprint`` where the stack can.
 
-        Callers guarantee the fingerprint is never probed here again,
-        so a tier that cannot delete keeps an unreachable stale record.
+        Backup clients call it for entries whose container is gone: a
+        GC sweep reconciled (``BackupClient._forget_swept``) or an
+        abandoned session that never made it durable
+        (``BackupClient._abandon``).  A tier that cannot delete keeps
+        the stale record.
         """
         if self.backing is not None:
             self.backing.discard(fingerprint)

@@ -37,7 +37,7 @@ class MemoryIndex(ChunkIndex):
         self._map[entry.fingerprint] = entry
 
     def discard(self, fingerprint: bytes) -> None:
-        """Drop ``fingerprint`` if present (shard-migration support)."""
+        """Drop ``fingerprint`` if present."""
         if self._map.pop(fingerprint, None) is not None:
             self.generation += 1
 

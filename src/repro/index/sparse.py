@@ -11,9 +11,12 @@ tiny and each segment costs at most ``max_champions`` sequential
 manifest loads instead of per-chunk random IOs.
 
 :class:`SparseShardIndex` implements the algorithm as a
-:class:`~repro.index.base.ChunkIndex`: the fleet directory uses it as a
-shard's long-tail tier, and ``benchmarks/test_bench_sparse_index.py``
-compares it head-to-head with exact indexing.
+:class:`~repro.index.base.ChunkIndex` so that
+``benchmarks/test_bench_sparse_index.py`` can compare it head-to-head
+with exact indexing.  It is a comparator, not a fleet directory tier:
+a directory shard keeps every committed entry in RAM beside its
+backing index, so sampling there would save no RAM and still lose
+hits.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ MAX_SEGMENTS_PER_HOOK = 8
 
 
 class SparseShardIndex(ChunkIndex):
-    """Sampling-based :class:`~repro.index.base.ChunkIndex` for the
-    long-tail tier of a fleet directory shard.
+    """Sampling-based approximate :class:`~repro.index.base.ChunkIndex`
+    (Sparse Indexing, FAST'09).
 
     The RAM-resident part is the FAST'09 *sparse index*: exact entries
     only for **hook** fingerprints (those whose leading 64 bits have

@@ -499,8 +499,8 @@ class TestGcRetainLast:
 class TestFleetCommand:
     def test_fleet_runs_with_every_shard_tier(self, capsys):
         assert run("fleet", "--clients", 3, "--sessions", 1, "--workers", 2,
-                   "--shards", 1, "--shard-cache", 8, "--shard-filter", 64,
-                   "--shard-split", 50, "--sparse-shards") == 0
+                   "--shards", 1, "--shard-cache", 8,
+                   "--shard-filter", 64) == 0
         out = capsys.readouterr().out
         assert "fleet summary" in out and "directory shards" in out
         assert "cross-client savings" in out
@@ -511,3 +511,12 @@ class TestFleetCommand:
             run("fleet", "--clients", 2, "--locality-cache", 4)
         assert exc.value.code == 2
         assert "--locality-cache" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [("--shard-split", 50),
+                                      ("--sparse-shards",)])
+    def test_removed_shard_tier_flags_are_gone(self, flag, capsys):
+        # Splits and the sparse backing are no longer directory tiers.
+        with pytest.raises(SystemExit) as exc:
+            run("fleet", "--clients", 2, *flag)
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err

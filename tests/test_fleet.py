@@ -13,9 +13,10 @@ from dataclasses import asdict
 import pytest
 
 from repro.cloud import InMemoryBackend, NamespacedBackend
-from repro.core import MemorySource
+from repro.core import MemorySource, naming
 from repro.core.restore import RestoreClient
-from repro.errors import SimulationError, WorkloadError
+from repro.errors import (SimulationError, TransientCloudError,
+                          WorkloadError)
 from repro.fleet import (
     FleetIndex,
     FleetService,
@@ -138,7 +139,8 @@ class TestGlobalDedupDirectory:
             GlobalDedupDirectory(cache_capacity=4, locality_capacity=4)
 
     @pytest.mark.parametrize("kwarg", ["locality_capacity",
-                                       "filter_fp_rate", "ring_vnodes"])
+                                       "filter_fp_rate", "ring_vnodes",
+                                       "shard_split_entries"])
     def test_removed_directory_knobs_rejected(self, kwarg):
         with pytest.raises(TypeError, match=kwarg):
             GlobalDedupDirectory(**{kwarg: 1})
@@ -159,6 +161,17 @@ class TestGlobalDedupDirectory:
         # near-uniform (non-divisors of 256 used to skew it).
         assert min(counts.values()) > 0.4 * mean
         assert max(counts.values()) < 2.0 * mean
+
+    @pytest.mark.parametrize("shards, buckets", [
+        (4, [3, 1, 3, 1, 0, 2, 0, 0, 0, 0, 0, 1]),
+        (300, [285, 186, 5, 217, 201, 226, 292, 291, 154, 228, 106, 123]),
+    ])
+    def test_routing_is_pinned(self, shards, buckets):
+        # Routing decides which shard holds every committed entry, so
+        # the table (BLAKE2b points, 128 per bucket) must not drift.
+        d = GlobalDedupDirectory(shards_per_app=shards)
+        assert [d.shard_for("doc", fp(i)).bucket for i in range(12)] \
+            == buckets
 
     # -- regression: read path must never allocate shards --------------
     def test_lookup_never_allocates_shards(self):
@@ -241,27 +254,6 @@ class TestGlobalDedupDirectory:
         assert shard.bloom.capacity >= 200
         assert all(d.lookup("doc", fp(i)) == entry(i) for i in range(200))
 
-    # -- consistent-hash rebalancing -----------------------------------
-    def test_split_migrates_and_preserves_lookups(self):
-        d = GlobalDedupDirectory(shards_per_app=2, filter_capacity=32,
-                                 shard_split_entries=40)
-        d.publish_batch("doc", [entry(i) for i in range(200)], rank=0)
-        d.commit_epoch()
-        # Several epochs of splits under sustained overload.
-        for _ in range(4):
-            d.commit_epoch()
-        assert d.rebalances > 0
-        assert d.migrated_entries > 0
-        assert len({s.bucket for s in d.shards()}) > 2
-        assert len(d) == 200  # nothing lost in migration
-        # Every entry still routes to a shard that holds it.
-        assert all(d.lookup("doc", fp(i)) == entry(i) for i in range(200))
-        # Shards agree with the ring: each holds only its own arcs.
-        ring = d._ring("doc")
-        for shard in d.shards():
-            for e in shard.committed_entries():
-                assert ring.node_for(e.fingerprint) == shard.bucket
-
 
 class TestFleetIndex:
     def test_local_before_remote(self):
@@ -318,28 +310,42 @@ class TestFleetIndex:
         assert cold.filter_absorbed == 1
         assert len(cold._misses) == 0
 
-    def test_outbox_batches_publishes(self):
+    def test_nothing_published_before_flush(self):
         d = GlobalDedupDirectory(shards_per_app=1)
-        ix = FleetIndex(d, "doc", rank=0, publish_batch=4)
-        for i in range(3):
+        ix = FleetIndex(d, "doc", rank=0)
+        for i in range(200):
             ix.insert(entry(i))
         d.commit_epoch()
-        assert d.shards() == []   # below threshold: nothing published
-        ix.insert(entry(3))       # hits the batch threshold
+        assert d.shards() == [] and len(d) == 0
+        ix.flush_publishes()
         # The shard materialises at the barrier (live topology is
         # frozen between commits) and the offer count rides along.
         assert d.shards() == []
-        d.commit_epoch()
-        assert d.shards()[0].publishes == 4
-        ix.insert(entry(4))
+        assert d.commit_epoch() == 200
+        assert d.shards()[0].publishes == 200
+        ix.insert(entry(200))
         ix.flush_publishes()      # shard exists now: direct offer
-        assert d.shards()[0].publishes == 5
+        assert d.shards()[0].publishes == 201
+
+    def test_discard_unpublishes(self):
+        d = GlobalDedupDirectory(shards_per_app=1)
+        ix = FleetIndex(d, "doc", rank=0)
+        for i in range(4):
+            ix.insert(entry(i))
+        ix.discard(fp(1))
+        ix.discard(fp(99))        # unknown: a no-op
+        assert len(ix) == 3
+        ix.flush_publishes()
+        d.commit_epoch()
+        assert d.lookup("doc", fp(1)) is None
+        assert [e.fingerprint for e in d.shards()[0].committed_entries()] \
+            == sorted([fp(0), fp(2), fp(3)])
 
     def test_adopted_and_reinserted_entries_not_republished(self):
         d = GlobalDedupDirectory(shards_per_app=1)
         d.publish_batch("doc", [entry(1)], rank=0)
         d.commit_epoch()
-        ix = FleetIndex(d, "doc", rank=1, publish_batch=1)
+        ix = FleetIndex(d, "doc", rank=1)
         assert ix.lookup(fp(1)) is not None   # adopted
         assert ix.lookup(fp(1)) is not None   # local hit: a read only
         ix.flush_publishes()
@@ -367,6 +373,20 @@ class _PutLog(InMemoryBackend):
 
     def _put(self, key, data):
         self.puts.append(key)
+        super()._put(key, data)
+
+
+class _FailingPut(InMemoryBackend):
+    """An in-memory backend whose ``fail_at``-th PUT raises."""
+
+    def __init__(self, fail_at: int) -> None:
+        super().__init__()
+        self.fail_at = fail_at
+
+    def _put(self, key, data):
+        self.fail_at -= 1
+        if self.fail_at == 0:
+            raise TransientCloudError(f"injected failure: put {key}")
         super()._put(key, data)
 
 
@@ -470,6 +490,32 @@ class TestFleetService:
                       if k.startswith(CONTAINER_PREFIX)]
         assert containers and len(set(containers)) == len(containers)
 
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_run_retried_after_failed_session_loses_nothing(self, k):
+        """A fleet client whose session failed used to keep (and then
+        publish) index entries into containers that never became
+        durable, so a retried ``run()`` committed a manifest whose
+        restore raised ``ObjectNotFound``."""
+        sources = synthetic_fleet_sources(2, 1, file_kib=64, seed=3)
+        backend = _FailingPut(k)
+        service = FleetService(clients=2, backend=backend, waves=1)
+        try:
+            with pytest.raises(TransientCloudError):
+                service.run(sources, max_workers=1)
+            service.run(sources, max_workers=1)
+        finally:
+            service.close()
+        for client in service.clients:
+            view = NamespacedBackend(backend, client.name)
+            expected = {sf.path: sf.read()
+                        for sf in sources[client.rank][0]}
+            session_ids = naming.session_ids(view)
+            assert session_ids
+            for session_id in session_ids:
+                restored, _ = RestoreClient(view).restore_to_memory(
+                    session_id)
+                assert restored == expected, (client.name, session_id)
+
     def test_private_state_is_namespaced(self):
         service, _report, _ = _run_fleet(clients=2, sessions=1)
         keys = list(service.backend.list(""))
@@ -498,14 +544,13 @@ class TestFleetService:
         assert "fleet summary" in rendered and "directory shards" in rendered
 
 
-def _run_batching_fleet(index_factory=None):
+def _run_batching_fleet():
     """Two clients, two waves: client 1 dedups against what client 0
     published a wave earlier.  One shard per app so every announced
     file lands on one shard as one batch."""
     sources = synthetic_fleet_sources(2, 2, file_kib=96, shared_files=10,
                                       private_files=2)
-    directory = GlobalDedupDirectory(shards_per_app=1,
-                                     index_factory=index_factory)
+    directory = GlobalDedupDirectory(shards_per_app=1)
     service = FleetService(clients=2, directory=directory, waves=2)
     try:
         report = service.run(sources, max_workers=2)
@@ -529,8 +574,7 @@ def _run_batching_fleet(index_factory=None):
 
 class TestPerFileProbeBatching:
     """Regression: the batch hook had no real caller — ``FleetIndex``
-    probed one fingerprint per ``probe_batch``, so ``batches == probes``
-    and sparse shards elected champions from a single fingerprint."""
+    probed one fingerprint per ``probe_batch``, so ``batches == probes``."""
 
     def test_engine_announces_files_and_dedup_is_unchanged(self,
                                                            monkeypatch):
@@ -545,15 +589,6 @@ class TestPerFileProbeBatching:
                     "probes", "committed", "manifests"):
             assert batched[key] == single[key], key
         assert batched["remote_hits"] > 0 and batched["manifests"]
-
-    def test_sparse_shards_recover_most_cross_client_hits(self):
-        from repro.index import SparseShardIndex
-        exact = _run_batching_fleet()
-        sparse = _run_batching_fleet(
-            lambda app, bucket: SparseShardIndex(segment_chunks=16,
-                                                 sample_bits=2))
-        assert sparse["remote_hits"] <= exact["remote_hits"]
-        assert sparse["remote_hits"] >= 0.8 * exact["remote_hits"]
 
     def test_announced_absorbed_misses_cost_one_round_trip(self):
         # An absent shard absorbs every probe; the announced answer
@@ -585,6 +620,11 @@ class TestRemovedFleetKnobs:
     def test_service_rejects_removed_keyword(self, kwarg):
         with pytest.raises(TypeError, match=kwarg):
             FleetService(clients=1, **{kwarg: 1})
+
+    def test_fleet_index_rejects_publish_batch(self):
+        with pytest.raises(TypeError, match="publish_batch"):
+            FleetIndex(GlobalDedupDirectory(), "doc", rank=0,
+                       publish_batch=1)
 
     def test_sparse_index_rejects_removed_keyword(self):
         from repro.index import SparseShardIndex

@@ -8,7 +8,8 @@ session whose k-th PUT fails, run a session that cannot read the GC
 epoch, switch the content-defined chunker between two processes,
 flip the stat cache or delta compression between two processes,
 restore a session into a directory while its k-th data GET fails and
-then again into the same directory —
+then again into the same directory, back up a source one of whose
+files vanishes between the walk and its read —
 under one legal :class:`~repro.core.options.SchemeConfig` drawn per
 run.  After every step, every retained session must restore
 bit-exactly to the reference model (``tests/model.py``), loading each
@@ -26,6 +27,7 @@ The budget comes from a hypothesis profile registered in
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import tempfile
@@ -45,6 +47,7 @@ from repro.core import (BackupClient, Manifest, MemorySource,
                         naming)
 from repro.core.retention import RetainLastN
 from repro.core.scrub import scrub_cloud
+from repro.core.stats import SessionStats
 from repro.errors import BackupError, CloudError, TransientCloudError
 from repro.index import AppAwareIndex, IndexEntry
 from repro.service.retention import apply_retention
@@ -117,6 +120,24 @@ class _FaultyStore(InMemoryBackend):
         super()._put(key, data)
 
 
+class _VanishingSource(MemorySource):
+    """A source whose ``gone`` path is listed but raises
+    ``FileNotFoundError`` when read (deleted after the walk)."""
+
+    def __init__(self, files, mtimes, gone: str) -> None:
+        super().__init__(files, mtimes)
+        self.gone = gone
+
+    def _vanished(self) -> bytes:
+        raise FileNotFoundError(self.gone)
+
+    def __iter__(self):
+        for sf in super().__iter__():
+            if sf.path == self.gone:
+                sf = dataclasses.replace(sf, reader=self._vanished)
+            yield sf
+
+
 def _tree(root: Path) -> dict:
     """``{relative path: bytes}`` of every file under ``root``."""
     return {path.relative_to(root).as_posix(): path.read_bytes()
@@ -164,13 +185,18 @@ class StoreMachine(RuleBasedStateMachine):
             self.mtime += 1
             self.source[path] = (data, self.mtime)
 
-    def _backup(self) -> None:
+    def _backup(self, gone: str | None = None) -> SessionStats:
+        """Back up the live source; ``gone`` vanishes before its read,
+        so the model commits the session without it."""
         files = {path: data for path, (data, _) in self.source.items()}
         mtimes = {path: mtime for path, (_, mtime) in self.source.items()}
-        self.client.backup(MemorySource(files, mtimes),
-                           session_id=self.next_session)
+        source = (MemorySource(files, mtimes) if gone is None
+                  else _VanishingSource(files, mtimes, gone))
+        stats = self.client.backup(source, session_id=self.next_session)
+        files.pop(gone, None)
         self.model.commit(self.next_session, files)
         self.next_session += 1
+        return stats
 
     def _check_resumed(self) -> None:
         """A resumed client holds exactly what the retained manifests
@@ -297,6 +323,19 @@ class StoreMachine(RuleBasedStateMachine):
             self.backup(changes)
         finally:
             self.store.epoch_down = False
+
+    @rule(path=st.sampled_from(PATHS), size=st.integers(1, 40_000),
+          seed=st.integers(0, 63))
+    def backup_file_vanished(self, path, size, seed) -> None:
+        """A file written since the last session (fresh mtime, so
+        nothing can replay it) vanishes between the walk and its read:
+        the session succeeds without it, with one warning naming it,
+        and the live source drops it."""
+        self._edit([("put", path, size, seed)])
+        stats = self._backup(gone=path)
+        assert len([w for w in stats.warnings if path in w]) == 1, \
+            stats.warnings
+        del self.source[path]
 
     @precondition(lambda self: self.model.sessions)
     @rule(data=st.data(), k=st.integers(1, 8))
