@@ -31,14 +31,16 @@ from __future__ import annotations
 from conftest import SMOKE, emit
 
 from repro.cloud import NamespacedBackend
-from repro.core import RestoreClient, aa_dedupe_config, collect_garbage
+from repro.core import RestoreClient, collect_garbage
 from repro.core import naming
 from repro.core.scrub import scrub_cloud
 from repro.durability import (DurabilityPolicy, ReplicationPlan,
-                              kill_domain, repair_cloud)
+                              kill_domain, repair_cloud, replicate_cloud)
 from repro.errors import ReproError
-from repro.fleet import FleetService, synthetic_fleet_sources
+from repro.fleet import (GlobalDedupDirectory, fleet_spec,
+                         synthetic_fleet_sources)
 from repro.metrics import Table
+from repro.service import BackupService
 from repro.util.units import KIB, format_bytes
 
 CLIENTS = 3 if SMOKE else 6
@@ -49,13 +51,11 @@ KILLED = "d0"
 
 
 def _run_fleet():
-    service = FleetService(
-        clients=CLIENTS,
-        config_factory=lambda rank: aa_dedupe_config(
-            container_size=32 * KIB),
-        waves=1)
     sources = synthetic_fleet_sources(CLIENTS, SESSIONS, seed=SEED)
-    service.run(sources, max_workers=2)
+    service = BackupService(
+        fleet_spec(sources, waves=1, container_size=32 * KIB),
+        directory=GlobalDedupDirectory())
+    service.run(max_workers=2)
     service.close()
     return service
 
@@ -78,12 +78,13 @@ def _restore_success(backend) -> tuple[int, int, int]:
 
 
 def _arm(replicate: bool) -> dict:
-    service = _run_fleet()
-    backend = service.backend
+    backend = _run_fleet().backend
     result = dict(replica_bytes=0, repair_bytes=0)
     if replicate:
-        rep = service.replicate(
-            policy=DurabilityPolicy(base_replicas=2), domains=DOMAINS)
+        # Criticality is fleet-wide: every tenant's manifests count.
+        rep = replicate_cloud(
+            backend, policy=DurabilityPolicy(base_replicas=2),
+            domains=DOMAINS)
         assert not rep.problems
         result["replica_bytes"] = rep.replica_bytes
     primaries = len(backend.list(naming.CONTAINER_PREFIX))
@@ -129,10 +130,9 @@ def test_domain_kill_restore_success(benchmark):
 
 def test_scrub_repair_gc_converge_after_kill(benchmark):
     def run():
-        service = _run_fleet()
-        backend = service.backend
-        service.replicate(policy=DurabilityPolicy(base_replicas=2),
-                          domains=DOMAINS)
+        backend = _run_fleet().backend
+        replicate_cloud(backend, policy=DurabilityPolicy(base_replicas=2),
+                        domains=DOMAINS)
         assert scrub_cloud(backend).clean
         kill_domain(backend, KILLED, DOMAINS)
 

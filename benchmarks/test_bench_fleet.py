@@ -2,7 +2,8 @@
 
 Drives a fleet of concurrent AA-Dedupe clients (8 by default; 4 in
 smoke mode, see ``BENCH_SMOKE``) against **one shared backend**
-through :class:`repro.fleet.FleetService` and reports:
+as the jobs of one :class:`repro.service.BackupService` sharing a
+global dedup directory (:func:`repro.fleet.fleet_spec`) and reports:
 
 * **aggregate goodput** — fleet logical bytes protected per second of
   makespan (the slowest client's modelled WAN time);
@@ -26,10 +27,12 @@ from dataclasses import asdict
 
 from conftest import SMOKE, emit
 
-from repro.fleet import FleetService, synthetic_fleet_sources
+from repro.fleet import (FleetReport, GlobalDedupDirectory, fleet_spec,
+                         synthetic_fleet_sources)
 from repro.index.disk import DiskIndex
 from repro.metrics import Table
 from repro.obs import Tracer
+from repro.service import BackupService
 from repro.util.units import format_bytes
 
 CLIENTS = 4 if SMOKE else 8
@@ -45,20 +48,23 @@ def _sources():
                                    file_kib=FILE_KIB)
 
 
-def _run(max_workers: int, tracer=None, **service_kw):
-    service = FleetService(clients=CLIENTS, tracer=tracer, **service_kw)
+def _run(max_workers: int, tracer=None, directory=None):
+    if directory is None:
+        directory = GlobalDedupDirectory(tracer=tracer)
+    service = BackupService(fleet_spec(_sources()), directory=directory,
+                            tracer=tracer)
     try:
-        report = service.run(_sources(), max_workers=max_workers)
+        service.run(max_workers=max_workers)
+        return FleetReport.of(service)
     finally:
         service.close()
-    return report
 
 
 def _simulation_key(report):
     return [
         ([{k: v for k, v in asdict(s).items() if k not in _WALL_FIELDS}
-          for s in c.sessions],
-         c.transfer_seconds, c.bill, c.cross_bytes)
+          for s in c["sessions"]],
+         c["transfer_seconds"], c["bill"], c["cross_bytes"])
         for c in report.clients
     ] + [report.shard_rows]
 
@@ -75,7 +81,7 @@ def test_fleet_scale_dedup(benchmark):
 
     # A real fleet ran: N concurrent clients, one shared backend.
     assert len(report.clients) == CLIENTS >= (4 if SMOKE else 8)
-    assert all(len(c.sessions) == SESSIONS for c in report.clients)
+    assert all(len(c["sessions"]) == SESSIONS for c in report.clients)
 
     # Cross-client dedup exists and is attributed separately from
     # intra-client savings.
@@ -91,10 +97,13 @@ def test_fleet_scale_dedup(benchmark):
         report.directory_entries
     assert all(r["batches"] <= r["probes"] for r in report.shard_rows)
 
-    # The run is wired through the observability stack.
+    # The run is wired through the observability stack: one job span
+    # per client session, one epoch commit per wave.
     spans = tracer.spans()
-    assert any(s.name == "fleet.run" for s in spans)
-    assert any(s.name == "fleet.commit_epoch" for s in spans)
+    assert sum(s.name == "service.job" for s in spans) == \
+        CLIENTS * SESSIONS
+    assert sum(s.name == "fleet.commit_epoch" for s in spans) == \
+        report.epochs
     counters = tracer.metrics.snapshot()["counters"]
     assert counters.get("fleet_directory_committed_total", 0) == \
         report.directory_entries
@@ -118,16 +127,8 @@ def test_fleet_directory_disk_backing(benchmark, tmp_path):
         return DiskIndex(tmp_path / f"{app}-{bucket}", memtable_limit=2)
 
     def _run_disk():
-        from repro.fleet import GlobalDedupDirectory
-        service = FleetService(
-            clients=CLIENTS,
-            directory=GlobalDedupDirectory(shards_per_app=2,
-                                           index_factory=factory,
-                                           cache_capacity=2))
-        try:
-            return service.run(_sources(), max_workers=CLIENTS)
-        finally:
-            service.close()
+        return _run(max_workers=CLIENTS, directory=GlobalDedupDirectory(
+            shards_per_app=2, index_factory=factory, cache_capacity=2))
 
     report = benchmark.pedantic(_run_disk, rounds=1, iterations=1)
 

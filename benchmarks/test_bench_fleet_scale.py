@@ -3,9 +3,9 @@
 Drives the global dedup directory with **100+ simulated clients**
 (24 in smoke mode, see ``BENCH_SMOKE``) probing and
 publishing through per-``(client, app)`` :class:`~repro.fleet.FleetIndex`
-fronts in waves, the same epoch-barrier protocol the full
-:class:`~repro.fleet.FleetService` uses — but without spinning up 100
-complete backup engines, so the bench isolates *directory* cost.
+fronts in waves, the same epoch-barrier protocol a fleet's
+:class:`~repro.service.BackupService` waves use — but without spinning
+up 100 complete backup engines, so the bench isolates *directory* cost.
 
 Every arm replays a byte-identical workload against disk-backed shards
 (``bloom_fp_rate=None`` models the raw index: every descent pays

@@ -301,9 +301,10 @@ def cmd_estimate(args) -> int:
 
 def cmd_fleet(args) -> int:
     """Simulate a fleet of clients backing up to one shared store."""
-    from repro.fleet import (FleetService, GlobalDedupDirectory,
+    from repro.fleet import (FleetReport, GlobalDedupDirectory, fleet_spec,
                              generated_fleet_sources,
                              synthetic_fleet_sources)
+    from repro.service import BackupService
 
     tracer = None
     if args.profile:
@@ -320,24 +321,25 @@ def cmd_fleet(args) -> int:
 
     config = _scheme(args)
     directory = GlobalDedupDirectory(
-        shards_per_app=args.shards,
-        cache_capacity=args.shard_cache,
-        filter_capacity=args.shard_filter,
-        tracer=tracer)
-    service = FleetService(clients=args.clients,
-                           config_factory=lambda _rank: config,
-                           directory=directory,
-                           waves=args.waves,
-                           tracer=tracer)
+        shards_per_app=args.shards, cache_capacity=args.shard_cache,
+        filter_capacity=args.shard_filter, tracer=tracer)
+    service = BackupService(
+        fleet_spec(sources, waves=args.waves, scheme=config.name,
+                   container_size=config.container_size),
+        directory=directory, tracer=tracer)
     try:
-        report = service.run(sources, max_workers=args.workers)
+        run = service.run(max_workers=args.workers)
+        report = FleetReport.of(service)
     finally:
         service.close()
     print(report.render())
+    for failed in run.failed:
+        print(f"FAILED: {failed.job} run {failed.run_index}: "
+              f"{failed.error}", file=sys.stderr)
     if tracer is not None:
         from repro.obs import render_profile
         print(render_profile(tracer.spans()))
-    return 0
+    return run.exit_code
 
 
 def cmd_jobs(args) -> int:

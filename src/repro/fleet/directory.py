@@ -408,6 +408,7 @@ class GlobalDedupDirectory:
                 metrics = tracer.metrics
                 metrics.counter(
                     "fleet_directory_committed_total").inc(committed)
+                metrics.gauge("fleet_directory_entries").set(len(self))
                 rejects = self.filter_rejects
                 if rejects > self._rejects_reported:
                     metrics.counter("fleet_filter_rejects_total").inc(

@@ -1,187 +1,143 @@
-"""Fleet-scale backup service: N clients, one cloud, one directory.
+"""Fleet-scale backup: N clients as the jobs of one backup service.
 
-:class:`FleetService` stands up a fleet of AA-Dedupe
-:class:`~repro.core.backup.BackupClient` instances against **one shared
-backend**: each client gets its own
-:class:`~repro.cloud.NamespacedBackend` view (private manifests
-and journals; shared container/chunk pools), its own
-:class:`~repro.simulate.clock.VirtualClock` +
-:class:`~repro.cloud.SimulatedCloud` WAN accounting, a disjoint
-container-id range, and per-app :class:`~repro.fleet.client.FleetIndex`
-subindices probing the service's
-:class:`~repro.fleet.directory.GlobalDedupDirectory`.
+A fleet is a :class:`~repro.service.spec.ServiceSpec` whose jobs share
+one backend and one :class:`~repro.fleet.directory.GlobalDedupDirectory`
+(see docs/FLEET.md).  :func:`fleet_spec` turns
+``sources[client][session]`` into jobs ``c000``, ``c001``, … staggered
+into waves; a :class:`~repro.service.runner.BackupService` given
+``directory=`` runs them, each behind its own simulated uplink, and
+:class:`FleetReport` reads the run back::
 
-**Execution model.**  Sessions run in *rounds* (session ``s`` of every
-client), each round split into *waves* by client rank (``rank % waves``)
-with a directory epoch commit at every wave barrier.  Waves model the
-staggered backup windows real fleets schedule to smooth load — and they
-are what makes cross-client dedup visible *within* a round: a late-wave
-client deduplicates against chunks early-wave clients published minutes
-earlier.  Because wave membership is fixed by rank and directory
-visibility only changes at commits, results are bit-identical for a
-fixed seed no matter how many worker threads execute a wave.
+    service = BackupService(fleet_spec(sources, waves=2),
+                            directory=GlobalDedupDirectory())
+    service.run(max_workers=4)
+    report = FleetReport.of(service)
 
-The returned :class:`FleetReport` aggregates per-client
-:class:`~repro.core.stats.SessionStats`, splits dedup savings into
-intra-client versus cross-client, computes aggregate goodput over the
-fleet makespan, and carries the directory's per-shard probe statistics
-so the server-side cost model can price directory seeks.
+Waves model the staggered backup windows real fleets schedule, and
+they make cross-client dedup visible *within* a round: a late-wave
+client deduplicates against chunks early-wave clients published at an
+earlier barrier.  Wave membership is fixed by rank and directory
+visibility only changes at commits, so results are bit-identical for a
+fixed seed at any ``max_workers``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from threading import Lock
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
-from repro.cloud import (
-    InMemoryBackend,
-    NamespacedBackend,
-    SimulatedCloud,
-    WANLink,
-)
-from repro.cloud.wan import PAPER_WAN
-from repro.core.backup import BackupClient
-from repro.core import naming
-from repro.core.options import SchemeConfig, aa_dedupe_config
-from repro.core.stats import SessionStats
 from repro.errors import SimulationError
-from repro.fleet.client import FleetIndex
-from repro.fleet.directory import GlobalDedupDirectory
 from repro.metrics.report import Table
-from repro.obs.tracer import NOOP_TRACER
-from repro.simulate.clock import VirtualClock
+from repro.service.schedule import IntervalSchedule
+from repro.service.spec import JobSpec, ServiceSpec
 from repro.simulate.diskmodel import PAPER_DISK
 from repro.util.units import format_bytes
 
-__all__ = ["FleetClient", "FleetClientResult", "FleetReport",
-           "FleetService"]
-
-#: Relative width of the per-client uplink distribution.
-WAN_SPREAD = 0.5
+__all__ = ["FleetReport", "fleet_spec"]
 
 
-def _wan_for(rank: int, base: WANLink) -> WANLink:
-    """A deterministic per-client WAN link around ``base``.
+def fleet_spec(sources: Sequence[Sequence], waves: int = 2,
+               scheme: str = "AA-Dedupe",
+               container_size: Optional[int] = None) -> ServiceSpec:
+    """The service spec of a fleet backing up ``sources[client][session]``.
 
-    Ranks hash to a factor in ``[1 - WAN_SPREAD/2, 1 + WAN_SPREAD/2]``
-    — a fleet of consumer uplinks is never uniform, and the spread is
-    what makes makespan (slowest client) diverge from mean transfer
-    time.
+    Every client must bring the same number of sessions; ``waves``
+    (>= 1) staggers clients within a round — 1 means a single barrier
+    per round, so no cross-client dedup within a round, only across.
     """
-    factor = (1.0 - WAN_SPREAD / 2
-              + WAN_SPREAD * (((rank * 2654435761) % 97) / 96))
-    return WANLink(up_bandwidth=base.up_bandwidth * factor,
-                   down_bandwidth=base.down_bandwidth * factor,
-                   request_latency=base.request_latency,
-                   concurrent_requests=base.concurrent_requests)
-
-
-class FleetClient:
-    """One fleet member: backup client + its simulated environment."""
-
-    def __init__(self, rank: int, name: str, clock: VirtualClock,
-                 cloud: SimulatedCloud, backup: BackupClient) -> None:
-        self.rank = rank
-        self.name = name
-        self.clock = clock
-        self.cloud = cloud
-        self.backup = backup
-        self.sessions: List[SessionStats] = []
-        #: FleetIndex instances created for this client, by app label.
-        self.indexes: List[FleetIndex] = []
-
-    def flush_publishes(self) -> None:
-        for index in self.indexes:
-            index.flush_publishes()
-
-    @property
-    def remote_probes(self) -> int:
-        return sum(ix.remote_probes for ix in self.indexes)
-
-    @property
-    def remote_hits(self) -> int:
-        return sum(ix.remote_hits for ix in self.indexes)
-
-    @property
-    def cross_bytes(self) -> int:
-        return sum(ix.adopted_bytes for ix in self.indexes)
-
-
-@dataclass
-class FleetClientResult:
-    """Aggregate outcome for one client over the whole run."""
-
-    name: str
-    rank: int
-    sessions: List[SessionStats]
-    transfer_seconds: float
-    bill: float
-    remote_probes: int
-    remote_hits: int
-    #: Bytes saved by cross-client dedup (adopted directory entries).
-    cross_bytes: int
-
-    @property
-    def bytes_scanned(self) -> int:
-        return sum(s.bytes_scanned for s in self.sessions)
-
-    @property
-    def bytes_unique(self) -> int:
-        return sum(s.bytes_unique for s in self.sessions)
-
-    @property
-    def bytes_uploaded(self) -> int:
-        return sum(s.bytes_uploaded for s in self.sessions)
-
-    @property
-    def bytes_saved(self) -> int:
-        return self.bytes_scanned - self.bytes_unique
-
-    @property
-    def intra_bytes(self) -> int:
-        """Dedup savings against the client's own history."""
-        return max(0, self.bytes_saved - self.cross_bytes)
-
-    @property
-    def goodput(self) -> float:
-        """Logical bytes protected per modelled WAN second."""
-        return self.bytes_scanned / max(self.transfer_seconds, 1e-9)
+    if not sources:
+        raise SimulationError("fleet needs at least one client")
+    if waves < 1:
+        raise SimulationError("waves must be >= 1")
+    rounds = {len(s) for s in sources}
+    if len(rounds) > 1:
+        raise SimulationError(
+            "all clients must run the same number of sessions")
+    jobs = tuple(
+        JobSpec(name=f"c{rank:03d}", source=per_client.__getitem__,
+                scheme=scheme, container_size=container_size,
+                schedule=IntervalSchedule(interval=waves,
+                                          offset=rank % waves))
+        for rank, per_client in enumerate(sources))
+    # Client ``rank``'s last session falls at ``offset + (rounds-1) *
+    # waves``, the latest of them one second before round ``rounds``.
+    return ServiceSpec(jobs=jobs, until=rounds.pop() * waves - 1)
 
 
 @dataclass
 class FleetReport:
-    """Fleet-wide aggregates plus the directory's shard accounting."""
+    """Fleet-wide aggregates plus the directory's shard accounting.
 
-    clients: List[FleetClientResult]
-    shard_rows: List[dict] = field(default_factory=list)
-    epochs: int = 0
-    directory_entries: int = 0
-    committed_entries: int = 0
+    ``clients`` holds one row per client in rank order: ``name``, the
+    successful ``sessions`` (their :class:`~repro.core.stats.SessionStats`),
+    the byte totals over them, the uplink's ``transfer_seconds`` and
+    ``bill``, and the client's directory counters (``remote_probes``,
+    ``remote_hits`` and ``cross_bytes``, the bytes saved by adopting
+    other clients' chunks).
+    """
+
+    clients: List[dict]
+    shard_rows: List[dict]
+    epochs: int
+    directory_entries: int
     #: Cold probes absorbed by shard Bloom fronts (no seek, no batch).
-    filter_rejects: int = 0
+    filter_rejects: int
+
+    @classmethod
+    def of(cls, service) -> "FleetReport":
+        """Read a fleet off a service run with a ``directory``:
+        its job reports, each client's uplink meters and FleetIndex
+        counters, and the directory's shard rows."""
+        clients = []
+        for runtime in service.jobs:
+            name = runtime.spec.name
+            sessions = [r.stats for r in service.reports
+                        if r.job == name and r.ok]
+            index = runtime.client.index
+            fronts = [index.subindex(app) for app in index.apps]
+            cloud = runtime.client.cloud
+            scanned = sum(s.bytes_scanned for s in sessions)
+            unique = sum(s.bytes_unique for s in sessions)
+            cross = sum(f.adopted_bytes for f in fronts)
+            clients.append({
+                "name": name,
+                "sessions": sessions,
+                "bytes_scanned": scanned,
+                "bytes_unique": unique,
+                "bytes_uploaded": sum(s.bytes_uploaded for s in sessions),
+                "cross_bytes": cross,
+                # Dedup savings against the client's own history.
+                "intra_bytes": max(0, scanned - unique - cross),
+                "transfer_seconds": cloud.transfer_seconds(),
+                "bill": cloud.bill(),
+                "remote_probes": sum(f.remote_probes for f in fronts),
+                "remote_hits": sum(f.remote_hits for f in fronts),
+            })
+        directory = service.directory
+        return cls(clients=clients, shard_rows=directory.stats_rows(),
+                   epochs=directory.epoch,
+                   directory_entries=len(directory),
+                   filter_rejects=directory.filter_rejects)
 
     # -- fleet aggregates ----------------------------------------------
+    def _total(self, key: str):
+        return sum(c[key] for c in self.clients)
+
     @property
     def bytes_scanned(self) -> int:
-        return sum(c.bytes_scanned for c in self.clients)
+        return self._total("bytes_scanned")
 
     @property
     def bytes_unique(self) -> int:
-        return sum(c.bytes_unique for c in self.clients)
-
-    @property
-    def bytes_uploaded(self) -> int:
-        return sum(c.bytes_uploaded for c in self.clients)
+        return self._total("bytes_unique")
 
     @property
     def cross_bytes(self) -> int:
-        return sum(c.cross_bytes for c in self.clients)
+        return self._total("cross_bytes")
 
     @property
     def intra_bytes(self) -> int:
-        return sum(c.intra_bytes for c in self.clients)
+        return self._total("intra_bytes")
 
     @property
     def dedup_ratio(self) -> float:
@@ -200,16 +156,13 @@ class FleetReport:
     @property
     def makespan_seconds(self) -> float:
         """Modelled wall time of the fleet backup (slowest client)."""
-        return max((c.transfer_seconds for c in self.clients), default=0.0)
+        return max((c["transfer_seconds"] for c in self.clients),
+                   default=0.0)
 
     @property
     def aggregate_goodput(self) -> float:
         """Fleet logical bytes protected per second of makespan."""
         return self.bytes_scanned / max(self.makespan_seconds, 1e-9)
-
-    @property
-    def total_bill(self) -> float:
-        return sum(c.bill for c in self.clients)
 
     def server_seek_seconds(self, disk=PAPER_DISK) -> float:
         """Directory disk time if every disk probe were a seek on
@@ -227,12 +180,15 @@ class FleetReport:
              "goodput B/s", "wan s", "bill $"],
             title="fleet clients")
         for c in self.clients:
+            seconds = c["transfer_seconds"]
             per_client.add_row([
-                c.name, format_bytes(c.bytes_scanned),
-                format_bytes(c.bytes_unique),
-                format_bytes(c.bytes_uploaded),
-                format_bytes(c.cross_bytes),
-                c.goodput, c.transfer_seconds, c.bill,
+                c["name"], format_bytes(c["bytes_scanned"]),
+                format_bytes(c["bytes_unique"]),
+                format_bytes(c["bytes_uploaded"]),
+                format_bytes(c["cross_bytes"]),
+                # Goodput: logical bytes protected per modelled WAN second.
+                c["bytes_scanned"] / max(seconds, 1e-9), seconds,
+                c["bill"],
             ])
         out.append(per_client.render())
         summary = Table(["metric", "value"], title="fleet summary")
@@ -262,166 +218,7 @@ class FleetReport:
         for row in self.shard_rows:
             shards.add_row([row["shard"], row["entries"], row["batches"],
                             row["probes"], row["hits"],
-                            row.get("filter_rejects", 0),
+                            row["filter_rejects"],
                             row["publishes"], row["accepted"]])
         out.append(shards.render())
         return "\n\n".join(out)
-
-
-class FleetService:
-    """Drive ``clients`` concurrent backup clients over one backend.
-
-    ``config_factory(rank)`` customises each client's scheme (default:
-    paper AA-Dedupe for everyone); ``directory`` is the shared
-    :class:`~repro.fleet.directory.GlobalDedupDirectory` (default: four
-    exact memory shards per app, no fronts — build one to configure
-    tiers); ``waves`` controls intra-round staggering (>= 1; 1 means a
-    single barrier per round — no cross-client dedup within a round,
-    only across rounds).
-    """
-
-    def __init__(self,
-                 clients: int = 8,
-                 backend=None,
-                 config_factory: Optional[
-                     Callable[[int], SchemeConfig]] = None,
-                 directory: Optional[GlobalDedupDirectory] = None,
-                 waves: int = 2,
-                 wan: WANLink = PAPER_WAN,
-                 tracer=None) -> None:
-        if clients < 1:
-            raise SimulationError("fleet needs at least one client")
-        if waves < 1:
-            raise SimulationError("waves must be >= 1")
-        self.tracer = tracer if tracer is not None else NOOP_TRACER
-        self.backend = backend if backend is not None else InMemoryBackend()
-        self.directory = directory if directory is not None else \
-            GlobalDedupDirectory(tracer=self.tracer)
-        self.waves = waves
-        self._epochs_committed = 0
-        self._entries_committed = 0
-        self._backend_lock = Lock()
-        self.clients: List[FleetClient] = []
-        # A fleet re-instantiated over a used backend carries on: each
-        # rank allocates above its sealed containers and resumes its
-        # sessions, or it would overwrite both.
-        next_ids = naming.next_container_ids(self.backend)
-        for rank in range(clients):
-            name = f"c{rank:03d}"
-            view = NamespacedBackend(self.backend, name,
-                                     lock=self._backend_lock)
-            clock = VirtualClock()
-            cloud = SimulatedCloud(view, wan=_wan_for(rank, wan),
-                                   clock=clock, tracer=self.tracer)
-            client = FleetClient(rank, name, clock, cloud, backup=None)
-            config = (config_factory(rank) if config_factory is not None
-                      else aa_dedupe_config())
-
-            def factory(app: str, _rank=rank, _client=client) -> FleetIndex:
-                index = FleetIndex(self.directory, app, _rank)
-                _client.indexes.append(index)
-                return index
-
-            client.backup = BackupClient(
-                cloud, config, index_factory=factory,
-                first_container_id=next_ids.get(
-                    rank, rank * naming.CONTAINER_ID_STRIDE),
-                tracer=self.tracer)
-            client.backup.resume_from_cloud()
-            self.clients.append(client)
-
-    # ------------------------------------------------------------------
-    def _run_session(self, client: FleetClient, source) -> None:
-        stats = client.backup.backup(source)
-        # Offer this session's new chunks before the wave's epoch commit.
-        client.flush_publishes()
-        client.sessions.append(stats)
-
-    def run(self, sources: Sequence[Sequence],
-            max_workers: int = 4) -> FleetReport:
-        """Execute ``sources[client][session]`` across the fleet.
-
-        Every client must bring the same number of sessions; rounds are
-        global barriers, waves stagger clients within a round.
-        """
-        if len(sources) != len(self.clients):
-            raise SimulationError(
-                f"got sources for {len(sources)} clients, "
-                f"fleet has {len(self.clients)}")
-        rounds = {len(s) for s in sources}
-        if len(rounds) > 1:
-            raise SimulationError(
-                "all clients must run the same number of sessions")
-        n_rounds = rounds.pop() if rounds else 0
-        # One pool for the whole run: spinning a fresh executor up and
-        # down per wave serialised thread start/join into every barrier,
-        # so rounds stopped scaling with ``max_workers``.  The wave
-        # barrier itself (result() then epoch commit) is unchanged.
-        with self.tracer.span("fleet.run", clients=len(self.clients),
-                              rounds=n_rounds), \
-                ThreadPoolExecutor(max_workers=max(1, max_workers),
-                                   thread_name_prefix="fleet") as pool:
-            for round_no in range(n_rounds):
-                for wave in range(self.waves):
-                    members = [c for c in self.clients
-                               if c.rank % self.waves == wave]
-                    if not members:
-                        continue
-                    futures = [
-                        pool.submit(self._run_session, client,
-                                    sources[client.rank][round_no])
-                        for client in members
-                    ]
-                    for future in futures:
-                        future.result()
-                    self._entries_committed += self.directory.commit_epoch()
-                    self._epochs_committed += 1
-        if self.tracer.enabled:
-            metrics = self.tracer.metrics
-            metrics.counter("fleet_sessions_total").inc(
-                sum(len(c.sessions) for c in self.clients))
-            metrics.gauge("fleet_directory_entries").set(
-                len(self.directory))
-        return self.report()
-
-    # ------------------------------------------------------------------
-    def replicate(self, policy=None, domains=None):
-        """Run a durability replication pass over the shared backend.
-
-        Criticality is fleet-wide (every client's manifests count, so a
-        shared container referenced by many clients tiers up) and the
-        replicas land in the shared pool every tenant view can fail
-        over to.  Returns the
-        :class:`~repro.durability.replicate.ReplicationReport`.
-        """
-        from repro.durability import replicate_cloud
-        with self._backend_lock:
-            return replicate_cloud(self.backend, policy=policy,
-                                   domains=domains, tracer=self.tracer)
-
-    # ------------------------------------------------------------------
-    def report(self) -> FleetReport:
-        results = [
-            FleetClientResult(
-                name=c.name, rank=c.rank, sessions=list(c.sessions),
-                transfer_seconds=c.cloud.transfer_seconds(),
-                bill=c.cloud.bill(),
-                remote_probes=c.remote_probes,
-                remote_hits=c.remote_hits,
-                cross_bytes=c.cross_bytes,
-            )
-            for c in self.clients
-        ]
-        return FleetReport(
-            clients=results,
-            shard_rows=self.directory.stats_rows(),
-            epochs=self._epochs_committed,
-            directory_entries=len(self.directory),
-            committed_entries=self._entries_committed,
-            filter_rejects=self.directory.filter_rejects,
-        )
-
-    def close(self) -> None:
-        for client in self.clients:
-            client.backup.close()
-        self.directory.close()

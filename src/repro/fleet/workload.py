@@ -16,7 +16,7 @@ backs up alongside its **private** home directory:
   data stays byte-identical for everyone.
 
 Both return ``sources[client][session]`` — ready for
-:meth:`repro.fleet.service.FleetService.run`.
+:func:`repro.fleet.service.fleet_spec`.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ YAML/dict job specs (:mod:`~repro.service.spec`), interval schedules on
 the deterministic virtual clock (:mod:`~repro.service.schedule`),
 per-job retention driving the real garbage collector
 (:mod:`~repro.service.retention`), pre/post hooks
-(:mod:`~repro.service.hooks`), and the sequential deterministic runner
-(:mod:`~repro.service.runner`) — all over one shared backend using the
-fleet layer's namespace machinery.
+(:mod:`~repro.service.hooks`), and the deterministic wave runner
+(:mod:`~repro.service.runner`) — all over one shared backend, whose
+jobs may share a fleet's dedup directory (:mod:`repro.fleet`).
 """
 
 from repro.service.hooks import (

@@ -3,21 +3,18 @@
 :class:`BackupService` turns a validated
 :class:`~repro.service.spec.ServiceSpec` into running state: every job
 gets its own :class:`~repro.cloud.NamespacedBackend` view of the one
-shared backend (private manifests/indexes/stat caches; shared
-container and chunk pools), its own
-:class:`~repro.core.backup.BackupClient` configured from the job's
-scheme, and a disjoint container-id range by job rank — the fleet
-layer's multi-tenancy machinery reused for heterogeneous *jobs* instead
-of homogeneous *clients*.
+shared backend (private manifests; shared container and chunk pools),
+its own :class:`~repro.core.backup.BackupClient` configured from the
+job's scheme and resumed from the cloud, and a disjoint container-id
+range by job rank.
 
-Execution is deterministic: one shared
-:class:`~repro.simulate.clock.VirtualClock` stamps manifests, schedules
-evaluate exact interval arithmetic on it, and due jobs run
-*sequentially* in ``(due_time, declaration rank)`` order — so a whole
-multi-job service loop replays bit-identically.  The clock is attached
-to each view (``view.clock``) purely so the engine stamps manifests
-with virtual time; jobs themselves consume zero virtual seconds, which
-keeps schedule arithmetic exact.
+Jobs due at one instant of the shared
+:class:`~repro.simulate.clock.VirtualClock` form a **wave**: their
+hooks and backups run on a thread pool, then the wave barrier flushes
+the successful jobs' indexes, commits a shared directory's epoch and
+applies retention in rank order (docs/SERVICE.md).  Reports are
+appended in rank order and jobs consume zero virtual seconds, so a run
+replays bit-identically for any ``max_workers``.
 
 Every executed occurrence produces a :class:`JobReport` (state machine
 ``SCHEDULED → IN_PROGRESS → SUCCEEDED | FAILED``, hook outcomes,
@@ -30,15 +27,20 @@ failed — the report is still produced).
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from threading import Lock
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.cloud import InMemoryBackend, NamespacedBackend
+from repro.cloud import (InMemoryBackend, NamespacedBackend, SimulatedCloud,
+                         WANLink)
+from repro.cloud.wan import PAPER_WAN
 from repro.core import naming
 from repro.core.backup import BackupClient
 from repro.core.stats import SessionStats
 from repro.errors import ConfigError, ReproError
+from repro.fleet.client import FleetIndex
 from repro.metrics.report import Table
 from repro.obs.tracer import NOOP_TRACER
 from repro.service.hooks import run_hook
@@ -50,6 +52,9 @@ from repro.util.units import format_bytes
 
 __all__ = ["JobReport", "ServiceReport", "BackupService",
            "SCHEDULED", "IN_PROGRESS", "SUCCEEDED", "FAILED"]
+
+#: Relative width of the per-job uplink distribution of a fleet.
+WAN_SPREAD = 0.5
 
 #: Job occurrence states (a tiny linear state machine).
 SCHEDULED = "SCHEDULED"
@@ -178,6 +183,18 @@ class ServiceReport:
         return "\n".join(lines)
 
 
+def _wan_for(rank: int, base: WANLink) -> WANLink:
+    """A deterministic per-job WAN link around ``base``: ranks hash to
+    a factor in ``[1 - WAN_SPREAD/2, 1 + WAN_SPREAD/2]``, since a fleet
+    of consumer uplinks is never uniform."""
+    factor = (1.0 - WAN_SPREAD / 2
+              + WAN_SPREAD * (((rank * 2654435761) % 97) / 96))
+    return WANLink(up_bandwidth=base.up_bandwidth * factor,
+                   down_bandwidth=base.down_bandwidth * factor,
+                   request_latency=base.request_latency,
+                   concurrent_requests=base.concurrent_requests)
+
+
 class _JobRuntime:
     """One job's live state: view, engine, source stream, schedule."""
 
@@ -199,22 +216,36 @@ class BackupService:
     get stateless re-invocation: each job's client resumes its index,
     stat cache and session counter from the cloud, and container-id
     allocation resumes inside the job's stride).  ``jobs`` restricts the
-    service to a named subset (CLI ``--job``).
+    service to a named subset (CLI ``--job``).  ``directory`` makes the
+    jobs a fleet: it backs every job's subindices with
+    :class:`~repro.fleet.client.FleetIndex` fronts on that shared
+    directory and puts each job behind its own simulated uplink (the
+    rank-spread :func:`_wan_for` of ``PAPER_WAN``) and clock.  A fleet
+    admits no job with retention (see docs/FLEET.md).
     """
 
     def __init__(self, spec: ServiceSpec, backend=None,
                  clock: Optional[VirtualClock] = None, tracer=None,
-                 jobs: Optional[Sequence[str]] = None) -> None:
+                 jobs: Optional[Sequence[str]] = None,
+                 directory=None) -> None:
         self.spec = spec
         self.backend = backend if backend is not None else InMemoryBackend()
         self.clock = clock if clock is not None else VirtualClock()
         self.tracer = tracer if tracer is not None else NOOP_TRACER
+        self.directory = directory
         self._backend_lock = Lock()
         selected: List[JobSpec] = (
             [spec.job(name) for name in jobs] if jobs is not None
             else list(spec.jobs))
         if not selected:
             raise ConfigError("no jobs selected")
+        # The directory never prunes entries for swept containers, and
+        # per-job WAN clocks stamp manifests that retention would age
+        # against the service clock.
+        for job in selected if directory is not None else ():
+            if job.retention is not None:
+                raise ConfigError(f"job {job.name!r}: retention is not "
+                                  f"supported with a shared directory")
         next_ids = naming.next_container_ids(self.backend)
         self.jobs: List[_JobRuntime] = []
         for job in selected:
@@ -225,43 +256,39 @@ class BackupService:
             rank = spec.jobs.index(job)
             view = NamespacedBackend(self.backend, job.name,
                                      lock=self._backend_lock)
-            # The engine stamps manifests from ``cloud.clock`` when
-            # present — attach the service clock so session ages are
-            # virtual-time and retention arithmetic is exact.
-            view.clock = self.clock
+            if directory is None:
+                # The engine stamps manifests from ``cloud.clock`` when
+                # present — attach the service clock so session ages
+                # are virtual-time and retention arithmetic is exact.
+                view.clock = self.clock
+                cloud, factory = view, None
+            else:
+                cloud = SimulatedCloud(view, wan=_wan_for(rank, PAPER_WAN),
+                                       clock=VirtualClock(),
+                                       tracer=self.tracer)
+                factory = (lambda app, _rank=rank:
+                           FleetIndex(directory, app, _rank))
             client = BackupClient(
-                view, job.scheme_config(),
+                cloud, job.scheme_config(), index_factory=factory,
                 first_container_id=next_ids.get(
                     rank, rank * naming.CONTAINER_ID_STRIDE),
                 tracer=self.tracer)
             client.resume_from_cloud()
             self.jobs.append(
                 _JobRuntime(rank, job, view, client, job.make_source()))
+        self.jobs.sort(key=lambda runtime: runtime.rank)
         self.reports: List[JobReport] = []
 
     # ------------------------------------------------------------------
-    def _runtime(self, name: str) -> _JobRuntime:
-        for runtime in self.jobs:
-            if runtime.spec.name == name:
-                return runtime
-        names = ", ".join(r.spec.name for r in self.jobs)
-        raise ConfigError(f"no job named {name!r}; active: {names}")
-
-    def _hook_env(self, runtime: _JobRuntime,
-                  report: JobReport) -> Dict[str, str]:
-        return {
-            "REPRO_JOB": runtime.spec.name,
-            "REPRO_RUN": str(report.run_index),
-            "REPRO_SCHEME": runtime.spec.scheme,
-        }
-
     def _run_hooks(self, runtime: _JobRuntime, report: JobReport,
                    which: str) -> bool:
         """Run the job's pre or post hooks.  Returns False when a hook
         failed *and* the policy is abort."""
         hooks = runtime.spec.hooks
         specs = hooks.pre if which == "pre" else hooks.post
-        env = self._hook_env(runtime, report)
+        env = {"REPRO_JOB": runtime.spec.name,
+               "REPRO_RUN": str(report.run_index),
+               "REPRO_SCHEME": runtime.spec.scheme}
         ok = True
         for spec in specs:
             with self.tracer.span("service.hook", job=runtime.spec.name,
@@ -282,6 +309,7 @@ class BackupService:
     # ------------------------------------------------------------------
     def _execute(self, runtime: _JobRuntime,
                  scheduled_for: float) -> JobReport:
+        """One job's hooks and backup (a wave member, on the pool)."""
         spec = runtime.spec
         report = JobReport(job=spec.name, run_index=runtime.run_index,
                            scheduled_for=scheduled_for)
@@ -317,74 +345,106 @@ class BackupService:
                         and report.state == SUCCEEDED:
                     report.state = FAILED
                     report.error = report.hook_failures[-1]
-            if report.state == SUCCEEDED and spec.retention is not None:
-                with self.tracer.span("service.retention",
-                                      job=spec.name):
-                    outcome = apply_retention(
-                        self.backend, runtime.view, spec.retention,
-                        now=self.clock.now(), tracer=self.tracer)
-                report.retention = outcome
-                if outcome is not None and outcome.dropped:
-                    report.log(
-                        self.clock.now(), "info",
-                        f"retention dropped sessions "
-                        f"{outcome.dropped}, swept "
-                        f"{outcome.deleted_containers} containers / "
-                        f"{outcome.deleted_objects} objects")
-                    if self.tracer.enabled:
-                        self.tracer.metrics.counter(
-                            "retention_sessions_dropped").inc(
-                            len(outcome.dropped))
         report.ended_at = self.clock.now()
         runtime.clock.note_run(scheduled_for, report.ok)
         if self.tracer.enabled:
             self.tracer.metrics.counter("jobs_run").inc()
             if not report.ok:
                 self.tracer.metrics.counter("jobs_failed").inc()
-        self.reports.append(report)
         return report
+
+    def _retain(self, runtime: _JobRuntime, report: JobReport) -> None:
+        """Apply a successful job's retention policy (at the barrier)."""
+        spec = runtime.spec
+        if not report.ok or spec.retention is None:
+            return
+        with self.tracer.span("service.retention", job=spec.name):
+            outcome = apply_retention(
+                self.backend, runtime.view, spec.retention,
+                now=self.clock.now(), tracer=self.tracer)
+        report.retention = outcome
+        if outcome is not None and outcome.dropped:
+            report.log(
+                self.clock.now(), "info",
+                f"retention dropped sessions {outcome.dropped}, swept "
+                f"{outcome.deleted_containers} containers / "
+                f"{outcome.deleted_objects} objects")
+            if self.tracer.enabled:
+                self.tracer.metrics.counter(
+                    "retention_sessions_dropped").inc(len(outcome.dropped))
+
+    def _wave(self, runtimes: Sequence[_JobRuntime], due: float,
+              pool: Optional[ThreadPoolExecutor] = None
+              ) -> List[JobReport]:
+        """Run the jobs due at ``due`` (on ``pool`` when given), then the
+        barrier: successful jobs flush their index, the directory
+        commits its epoch, retention runs in rank order.  A member that
+        raises (a bug, not a failed job) costs the others neither their
+        barrier nor their reports: its error is re-raised after them."""
+        def attempt(runtime):
+            try:
+                return self._execute(runtime, due)
+            except Exception as exc:  # re-raised after the barrier
+                return exc
+
+        outcomes = list((pool.map if pool is not None else map)(
+            attempt, runtimes))
+        done = [(runtime, outcome)
+                for runtime, outcome in zip(runtimes, outcomes)
+                if isinstance(outcome, JobReport)]
+        for runtime, report in done:
+            if report.ok:
+                runtime.client.index.flush()
+        if self.directory is not None:
+            self.directory.commit_epoch()
+        for runtime, report in done:
+            self._retain(runtime, report)
+        self.reports.extend(report for _, report in done)
+        for outcome in outcomes:
+            if not isinstance(outcome, JobReport):
+                raise outcome
+        return outcomes
 
     # ------------------------------------------------------------------
     def run_once(self, name: str) -> JobReport:
-        """Run one job immediately (outside its schedule)."""
-        return self._execute(self._runtime(name), self.clock.now())
+        """Run one job immediately (outside its schedule), as a wave."""
+        for runtime in self.jobs:
+            if runtime.spec.name == name:
+                return self._wave([runtime], self.clock.now())[0]
+        names = ", ".join(r.spec.name for r in self.jobs)
+        raise ConfigError(f"no job named {name!r}; active: {names}")
 
     def run_all(self) -> List[JobReport]:
-        """Run every active job once, in declaration order."""
-        return [self._execute(runtime, self.clock.now())
-                for runtime in self.jobs]
+        """Run every active job once, as one wave in rank order."""
+        return self._wave(self.jobs, self.clock.now())
 
-    def run_due(self) -> List[JobReport]:
-        """Run every job whose schedule is due at the current time."""
-        now = self.clock.now()
-        return [self._execute(runtime, runtime.clock.next_due)
-                for runtime in self.jobs if runtime.clock.due(now)]
-
-    def run(self, until: Optional[float] = None) -> ServiceReport:
+    def run(self, until: Optional[float] = None,
+            max_workers: int = 1) -> ServiceReport:
         """Drive the schedule loop up to virtual time ``until``.
 
-        Advances the shared clock occurrence by occurrence, executing
-        due jobs in ``(due_time, rank)`` order.  ``until`` defaults to
-        the config's top-level ``until``; with neither, every job runs
-        exactly once (one-shot mode).
+        Advances the shared clock to each pending occurrence and runs
+        the jobs due there as one wave: inline at ``max_workers=1``,
+        else on a pool of ``max_workers`` threads that lives for the
+        whole run.  ``until`` defaults to the config's top-level
+        ``until``; with neither, every job runs exactly once (one-shot
+        mode, one wave).
         """
         horizon = until if until is not None else self.spec.until
         started = self.clock.now()
-        if horizon is None:
-            self.run_all()
-        else:
-            while True:
-                pending = [(r.clock.next_due, r.rank, r)
-                           for r in self.jobs
-                           if r.clock.next_due is not None
-                           and r.clock.next_due <= horizon]
-                if not pending:
-                    break
-                due, _rank, runtime = min(pending,
-                                          key=lambda p: (p[0], p[1]))
-                if due > self.clock.now():
-                    self.clock.advance(due - self.clock.now())
-                self._execute(runtime, due)
+        with (ThreadPoolExecutor(max_workers=max_workers,
+                                 thread_name_prefix="service")
+              if max_workers > 1 else nullcontext()) as pool:
+            if horizon is None:
+                self._wave(self.jobs, started, pool)
+            else:
+                while True:
+                    due = min((r.clock.next_due for r in self.jobs
+                               if r.clock.due(horizon)), default=None)
+                    if due is None:
+                        break
+                    self.clock.advance(max(0.0, due - self.clock.now()))
+                    self._wave([r for r in self.jobs
+                                if r.clock.next_due == due], due, pool)
         return ServiceReport(reports=list(self.reports),
                              started_at=started,
                              ended_at=self.clock.now())
@@ -403,3 +463,5 @@ class BackupService:
     def close(self) -> None:
         for runtime in self.jobs:
             runtime.client.close()
+        if self.directory is not None:
+            self.directory.close()

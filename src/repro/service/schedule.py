@@ -7,8 +7,8 @@ cron strings: an interval/offset pair has exact arithmetic on the
 service loop replays bit-identically in tests and benchmarks.  A job's
 occurrences are ``offset, offset + interval, offset + 2·interval, …``;
 the scheduler (:class:`repro.service.runner.BackupService`) advances the
-clock to the earliest pending occurrence and runs every job due there in
-declaration order.
+clock to the earliest pending occurrence and runs every job due there as
+one wave.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ __all__ = ["IntervalSchedule", "JobClock"]
 class IntervalSchedule:
     """Occurrences every ``interval`` seconds, phase-shifted by ``offset``.
 
-    ``offset`` staggers jobs that share an interval — the service-loop
-    analogue of the fleet's backup waves — and doubles as the first
-    occurrence time.
+    ``offset`` staggers jobs that share an interval into waves (a
+    fleet's clients are offset by ``rank % waves``) and doubles as the
+    first occurrence time.
     """
 
     interval: float
@@ -63,8 +63,8 @@ class IntervalSchedule:
 
 
 class JobClock:
-    """Per-job scheduling state: when it last ran, when it is next due,
-    and how it has been faring.
+    """Per-job scheduling state: when it is next due and how it has
+    been faring.
 
     ``next_due`` is ``None`` for unscheduled (manually triggered) jobs.
     """
@@ -73,7 +73,6 @@ class JobClock:
         self.schedule = schedule
         self.next_due: Optional[float] = (
             schedule.first() if schedule is not None else None)
-        self.last_run_at: Optional[float] = None
         self.runs = 0
         self.failures = 0
         self.consecutive_failures = 0
@@ -84,7 +83,6 @@ class JobClock:
 
     def note_run(self, scheduled_for: float, ok: bool) -> None:
         """Record one executed occurrence and roll the schedule forward."""
-        self.last_run_at = scheduled_for
         self.runs += 1
         if ok:
             self.consecutive_failures = 0

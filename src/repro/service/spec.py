@@ -362,9 +362,6 @@ class ServiceSpec:
         names = ", ".join(j.name for j in self.jobs)
         raise ConfigError(f"no job named {name!r}; defined: {names}")
 
-    def job_names(self) -> Tuple[str, ...]:
-        return tuple(job.name for job in self.jobs)
-
 
 def parse_config(doc) -> ServiceSpec:
     """Validate a parsed YAML/JSON document into a :class:`ServiceSpec`."""

@@ -1,4 +1,5 @@
-"""Fleet subsystem tests: global directory, fleet index, service runs.
+"""Fleet subsystem tests: global directory, fleet index, fleet runs
+as service waves.
 
 The determinism suite is the load-bearing part: a fleet run's results
 (session stats, shard accounting, WAN time, bills) must be identical
@@ -8,6 +9,7 @@ for a fixed seed no matter how many worker threads execute a wave —
 
 import hashlib
 import random
+import threading
 from dataclasses import asdict
 
 import pytest
@@ -15,15 +17,20 @@ import pytest
 from repro.cloud import InMemoryBackend, NamespacedBackend
 from repro.core import MemorySource, naming
 from repro.core.restore import RestoreClient
-from repro.errors import (SimulationError, TransientCloudError,
-                          WorkloadError)
+from repro.core.retention import RetainLastN
+from repro.errors import (ConfigError, ObjectNotFound, SimulationError,
+                          TransientCloudError, WorkloadError)
 from repro.fleet import (
     FleetIndex,
-    FleetService,
+    FleetReport,
     GlobalDedupDirectory,
+    fleet_spec,
     generated_fleet_sources,
     synthetic_fleet_sources,
 )
+from repro.service import (FAILED, SUCCEEDED, BackupService,
+                           IntervalSchedule, JobSpec, ServiceSpec,
+                           SyntheticJobSource, apply_retention)
 from repro.core.naming import CONTAINER_ID_STRIDE, CONTAINER_PREFIX
 from repro.index import IndexEntry, LocalityCache
 
@@ -223,6 +230,7 @@ class TestGlobalDedupDirectory:
         assert top.stats.inserts == 0
         (row,) = d.stats_rows()
         assert row["disk_probes"] == deep.disk_probes
+        d.close()
 
     # -- bloom filter front --------------------------------------------
     def test_filter_front_absorbs_cold_misses(self):
@@ -376,6 +384,14 @@ class _PutLog(InMemoryBackend):
         super()._put(key, data)
 
 
+class _Unreadable(list):
+    """A client's session list whose sessions raise a non-engine error
+    when fetched (a reader bug, not a failed backup)."""
+
+    def __getitem__(self, index):
+        raise RuntimeError("reader bug")
+
+
 class _FailingPut(InMemoryBackend):
     """An in-memory backend whose ``fail_at``-th PUT raises."""
 
@@ -390,14 +406,22 @@ class _FailingPut(InMemoryBackend):
         super()._put(key, data)
 
 
+def _fleet(sources, backend=None, directory=None, waves=2):
+    """A backup service running ``sources`` as a fleet."""
+    if directory is None:
+        directory = GlobalDedupDirectory()
+    return BackupService(fleet_spec(sources, waves=waves), backend=backend,
+                         directory=directory)
+
+
 def _session_key(report):
     """Comparable projection of a fleet run (wall-time fields are host
     measurements, not simulation outputs, so they are excluded)."""
     wall = {"dedup_wall_seconds", "upload_wall_seconds"}
     return [
         ([{k: v for k, v in asdict(s).items() if k not in wall}
-          for s in c.sessions],
-         c.transfer_seconds, c.bill, c.cross_bytes)
+          for s in c["sessions"]],
+         c["transfer_seconds"], c["bill"], c["cross_bytes"])
         for c in report.clients
     ]
 
@@ -405,9 +429,10 @@ def _session_key(report):
 def _run_fleet(clients=4, sessions=2, max_workers=4, waves=2, **workload):
     workload.setdefault("file_kib", 12)
     sources = synthetic_fleet_sources(clients, sessions, **workload)
-    service = FleetService(clients=clients, waves=waves)
+    service = _fleet(sources, waves=waves)
     try:
-        report = service.run(sources, max_workers=max_workers)
+        service.run(max_workers=max_workers)
+        report = FleetReport.of(service)
     finally:
         service.close()
     return service, report, sources
@@ -419,8 +444,8 @@ class TestFleetService:
         assert report.cross_bytes > 0
         assert 0 < report.cross_client_fraction < 1
         # Wave-1 clients deduplicate against wave-0 uploads.
-        assert report.clients[1].cross_bytes > 0
-        assert report.clients[3].cross_bytes > 0
+        assert report.clients[1]["cross_bytes"] > 0
+        assert report.clients[3]["cross_bytes"] > 0
         # Fleet-wide invariants.
         assert report.bytes_unique < report.bytes_scanned
         assert report.dedup_ratio > 1
@@ -434,8 +459,8 @@ class TestFleetService:
         assert report.cross_client_fraction == 0.0
 
     def test_determinism_across_max_workers(self):
-        # ISSUE acceptance: same seeds => identical aggregate session
-        # stats regardless of the thread pool size.
+        # Same seeds => identical aggregate session stats regardless of
+        # the thread pool size.
         keys, shard_rows = [], []
         for workers in (1, 4, 8):
             _svc, report, _ = _run_fleet(clients=5, sessions=3,
@@ -448,8 +473,8 @@ class TestFleetService:
     def test_restore_through_adopted_chunks(self):
         service, report, sources = _run_fleet()
         rank = 1  # wave-1 client: provably adopted remote chunks
-        assert report.clients[rank].cross_bytes > 0
-        restorer = RestoreClient(service.clients[rank].cloud.backend)
+        assert report.clients[rank]["cross_bytes"] > 0
+        restorer = RestoreClient(service.jobs[rank].view)
         for session in range(2):
             files, _ = restorer.restore_to_memory(session)
             expected = {sf.path: sf.read()
@@ -478,9 +503,10 @@ class TestFleetService:
                   "docs/shared.pdf": shared}
         backend = _PutLog()
         for tree in (tree_a, tree_b):
-            service = FleetService(clients=2, backend=backend)
+            service = _fleet([[MemorySource(tree)], [MemorySource({})]],
+                             backend=backend)
             try:
-                service.run([[MemorySource(tree)], [MemorySource({})]])
+                service.run()
             finally:
                 service.close()
         restorer = RestoreClient(NamespacedBackend(backend, "c000"))
@@ -494,27 +520,31 @@ class TestFleetService:
     def test_run_retried_after_failed_session_loses_nothing(self, k):
         """A fleet client whose session failed used to keep (and then
         publish) index entries into containers that never became
-        durable, so a retried ``run()`` committed a manifest whose
+        durable, so its retried session committed a manifest whose
         restore raised ``ObjectNotFound``."""
         sources = synthetic_fleet_sources(2, 1, file_kib=64, seed=3)
         backend = _FailingPut(k)
-        service = FleetService(clients=2, backend=backend, waves=1)
+        # One wave per round; round 1 backs the same trees up again.
+        service = _fleet([s * 2 for s in sources], backend=backend,
+                         waves=1)
         try:
-            with pytest.raises(TransientCloudError):
-                service.run(sources, max_workers=1)
-            service.run(sources, max_workers=1)
+            first = service.run(until=0)
+            assert first.exit_code == 1
+            assert [r.state for r in first.reports].count(FAILED) == 1
+            service.run()
         finally:
             service.close()
-        for client in service.clients:
-            view = NamespacedBackend(backend, client.name)
+        for runtime in service.jobs:
+            view = runtime.view
             expected = {sf.path: sf.read()
-                        for sf in sources[client.rank][0]}
+                        for sf in sources[runtime.rank][0]}
             session_ids = naming.session_ids(view)
             assert session_ids
             for session_id in session_ids:
                 restored, _ = RestoreClient(view).restore_to_memory(
                     session_id)
-                assert restored == expected, (client.name, session_id)
+                assert restored == expected, (runtime.spec.name,
+                                              session_id)
 
     def test_private_state_is_namespaced(self):
         service, _report, _ = _run_fleet(clients=2, sessions=1)
@@ -525,23 +555,117 @@ class TestFleetService:
         assert {k.split("/")[1] for k in manifests} == {"c000", "c001"}
 
     def test_mismatched_sources_rejected(self):
-        service = FleetService(clients=2)
         with pytest.raises(SimulationError):
-            service.run([[]])  # one client's sources for a two-client fleet
+            fleet_spec([])                    # no clients
         with pytest.raises(SimulationError):
-            service.run([[None], [None, None]])  # ragged session counts
-        service.close()
+            fleet_spec([[None], [None, None]])  # ragged session counts
+        with pytest.raises(SimulationError):
+            fleet_spec([[None]], waves=0)
 
     def test_directory_accounting_in_report(self):
         _svc, report, _ = _run_fleet()
         assert report.directory_entries > 0
-        assert report.committed_entries == report.directory_entries
         assert report.epochs == 2 * 2  # rounds x waves
         assert sum(r["accepted"] for r in report.shard_rows) == \
             report.directory_entries
         assert report.server_seek_seconds() == 0.0  # memory shards
         rendered = report.render()
         assert "fleet summary" in rendered and "directory shards" in rendered
+
+
+class TestServiceWaves:
+    """The one orchestrator: jobs due at one instant run as a wave."""
+
+    @staticmethod
+    def _three_jobs(max_workers):
+        spec = ServiceSpec(jobs=tuple(
+            JobSpec(name=name, source=SyntheticJobSource(name, seed=rank),
+                    schedule=IntervalSchedule(interval=3600))
+            for rank, name in enumerate(("a", "b", "c"))))
+        service = BackupService(spec)
+        try:
+            report = service.run(until=2 * 3600, max_workers=max_workers)
+        finally:
+            service.close()
+        objects = {key: service.backend.get(key)
+                   for key in service.backend.list("")}
+        return report.to_json(), objects
+
+    def test_wave_is_identical_at_any_pool_size(self):
+        serial = self._three_jobs(max_workers=1)
+        pooled = self._three_jobs(max_workers=4)
+        assert [r["job"] for r in serial[0]["runs"]] == ["a", "b", "c"] * 3
+        assert all(r["state"] == SUCCEEDED for r in serial[0]["runs"])
+        assert serial == pooled
+
+    def test_single_worker_runs_on_the_calling_thread(self):
+        threads = []
+
+        def source(_run):
+            threads.append(threading.current_thread())
+            return MemorySource({})
+
+        service = BackupService(ServiceSpec(jobs=(
+            JobSpec(name="j", source=source),)))
+        try:
+            service.run(max_workers=1)
+        finally:
+            service.close()
+        assert threads == [threading.current_thread()]
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_member_error_keeps_the_others_barrier(self, max_workers):
+        """A wave member that raises loses only its own report: the
+        members that committed sessions still flush, commit the epoch
+        and are reported before the error propagates."""
+        tree = {"docs/a.doc": random.Random(5).randbytes(40_000)}
+        directory = GlobalDedupDirectory()
+        service = _fleet([[MemorySource(tree)], _Unreadable([None])],
+                         directory=directory, waves=1)
+        try:
+            with pytest.raises(RuntimeError, match="reader bug"):
+                service.run(max_workers=max_workers)
+        finally:
+            service.close()
+        assert [(r.job, r.state) for r in service.reports] == \
+            [("c000", SUCCEEDED)]
+        assert directory.epoch == 1 and len(directory) > 0
+
+    def test_retention_refused_with_directory(self):
+        spec = ServiceSpec(jobs=(JobSpec(
+            name="j", source=SyntheticJobSource("j"),
+            retention=RetainLastN(1)),))
+        directory = GlobalDedupDirectory()
+        with pytest.raises(ConfigError, match="retention"):
+            BackupService(spec, directory=directory)
+        directory.close()
+
+    @pytest.mark.xfail(strict=True, raises=ObjectNotFound, reason=(
+        "the directory keeps entries for containers retention swept; "
+        "fleet GC reconciliation turns this green"))
+    def test_retention_sweep_leaves_directory_entries_behind(self):
+        rng = random.Random(38)
+        a, b, c = (MemorySource({f"docs/{name}.doc": rng.randbytes(300_000)})
+                   for name in "abc")
+        both = MemorySource({**dict((sf.path, sf.read()) for sf in a),
+                             **dict((sf.path, sf.read()) for sf in b)})
+        service = _fleet([[a, c, c], [b, b, both]])
+        try:
+            service.run(until=3)                   # rounds 0 and 1
+            outcome = apply_retention(service.backend, service.jobs[0].view,
+                                      RetainLastN(1), now=service.clock.now())
+            assert outcome.dropped == [0] and outcome.deleted_containers == 1
+            service.run()                          # round 2
+            report = FleetReport.of(service)
+        finally:
+            service.close()
+        # Client 1 adopted A from the directory: its chunks point into
+        # the container retention swept.
+        assert report.clients[1]["cross_bytes"] == 300_000
+        view = service.jobs[1].view
+        restored, _ = RestoreClient(view).restore_to_memory(
+            naming.session_ids(view)[-1])
+        assert restored == {sf.path: sf.read() for sf in both}
 
 
 def _run_batching_fleet():
@@ -551,9 +675,10 @@ def _run_batching_fleet():
     sources = synthetic_fleet_sources(2, 2, file_kib=96, shared_files=10,
                                       private_files=2)
     directory = GlobalDedupDirectory(shards_per_app=1)
-    service = FleetService(clients=2, directory=directory, waves=2)
+    service = _fleet(sources, directory=directory)
     try:
-        report = service.run(sources, max_workers=2)
+        service.run(max_workers=2)
+        report = FleetReport.of(service)
         manifests = {key: service.backend.get(key)
                      for key in service.backend.list("clients/")
                      if "/manifests/" in key}
@@ -562,8 +687,8 @@ def _run_batching_fleet():
     finally:
         service.close()
     return {
-        "remote_probes": sum(c.remote_probes for c in report.clients),
-        "remote_hits": sum(c.remote_hits for c in report.clients),
+        "remote_probes": sum(c["remote_probes"] for c in report.clients),
+        "remote_hits": sum(c["remote_hits"] for c in report.clients),
         "adopted_bytes": report.cross_bytes,
         "batches": sum(r["batches"] for r in report.shard_rows),
         "probes": sum(r["probes"] for r in report.shard_rows),
@@ -612,14 +737,29 @@ class TestPerFileProbeBatching:
         assert ix.lookup(fp(1)) == entry(1)
 
 
+class TestFleetCli:
+    def test_failed_session_exits_one(self, monkeypatch, capsys):
+        from repro.cli import main
+        from repro.service import runner
+        # The fifth PUT of the shared store fails: one client session.
+        monkeypatch.setattr(runner, "InMemoryBackend",
+                            lambda: _FailingPut(5))
+        assert main(["fleet", "--clients", "2", "--sessions", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "fleet summary" in captured.out
+        assert captured.err.count("FAILED: c00") == 1
+
+
 class TestRemovedFleetKnobs:
     @pytest.mark.parametrize("kwarg", [
         "shards_per_app", "cache_capacity", "locality_capacity",
         "filter_capacity", "shard_split_entries", "wan_spread", "prices",
-        "publish_batch"])
+        "publish_batch", "config_factory", "waves", "wan"])
     def test_service_rejects_removed_keyword(self, kwarg):
+        # The one orchestrator took ``directory`` from the fleet and no
+        # other knob: a directory implies the rank-spread PAPER_WAN.
         with pytest.raises(TypeError, match=kwarg):
-            FleetService(clients=1, **{kwarg: 1})
+            BackupService(fleet_spec([[]]), **{kwarg: 1})
 
     def test_fleet_index_rejects_publish_batch(self):
         with pytest.raises(TypeError, match="publish_batch"):

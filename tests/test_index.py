@@ -208,6 +208,7 @@ class TestDiskIndex:
         for i in range(50):
             assert reopened.lookup(fp(i)) == entry(i)
         assert len(reopened) == 50
+        reopened.close()
 
     def test_memtable_spill_creates_runs(self, tmp_path):
         idx = DiskIndex(tmp_path, memtable_limit=10)
@@ -216,6 +217,7 @@ class TestDiskIndex:
         assert len(list(tmp_path.glob("run-*.idx"))) >= 3
         for i in range(35):
             assert idx.lookup(fp(i)) is not None
+        idx.close()
 
     def test_disk_probes_accounted(self, tmp_path):
         idx = DiskIndex(tmp_path, memtable_limit=10)
@@ -225,6 +227,7 @@ class TestDiskIndex:
         before = idx.stats.disk_probes
         assert idx.lookup(fp(0)) is not None
         assert idx.stats.disk_probes > before
+        idx.close()
 
     def test_bloom_avoids_probes_on_miss(self, tmp_path):
         idx = DiskIndex(tmp_path, memtable_limit=10)
@@ -236,6 +239,7 @@ class TestDiskIndex:
         assert misses == 200
         # Bloom filters should have rejected nearly every run probe.
         assert idx.stats.disk_probes - before < 200
+        idx.close()
 
     def test_newest_version_wins(self, tmp_path):
         idx = DiskIndex(tmp_path, memtable_limit=5)
@@ -245,6 +249,7 @@ class TestDiskIndex:
         idx.insert(entry(3, cid=9))
         idx.flush()
         assert idx.lookup(fp(3)).container_id == 9
+        idx.close()
 
     def test_compaction_preserves_content(self, tmp_path):
         idx = DiskIndex(tmp_path, memtable_limit=5, max_runs=3)
@@ -255,6 +260,7 @@ class TestDiskIndex:
         for i in range(60):
             assert idx.lookup(fp(i)) == entry(i)
         assert len(idx) == 60
+        idx.close()
 
     def test_entries_shadowing(self, tmp_path):
         idx = DiskIndex(tmp_path, memtable_limit=5)
@@ -298,6 +304,7 @@ class TestDiskIndex:
         assert stats.memory_hits <= stats.hits <= stats.lookups
         assert stats.hits == 30
         assert stats.lookups == 60
+        idx.close()
 
     def test_probe_reuses_cached_handle(self, tmp_path, monkeypatch):
         # Perf regression guard: run probes must not pay an open(2) per
@@ -320,6 +327,7 @@ class TestDiskIndex:
                 assert idx.lookup(fp(i)) is not None
         run_opens = [f for f in opens if f.endswith(".idx")]
         assert len(run_opens) <= len(list(tmp_path.glob("run-*.idx")))
+        idx.close()
 
     def test_close_releases_handles_and_reopens(self, tmp_path):
         idx = DiskIndex(tmp_path, memtable_limit=5)

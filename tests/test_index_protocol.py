@@ -163,6 +163,7 @@ class TestStackComposition:
             stack.stats.memory_hits + disk.stats.memory_hits
         assert (merged.lookups, merged.hits) == (9, 9)
         assert merged.inserts == 8 and stack.stats.inserts == 0
+        stack.close()
 
     def test_hooks_forward_down_the_stack(self):
         seen = []

@@ -3,7 +3,8 @@
 A hypothesis ``RuleBasedStateMachine`` drives one store through the
 system's public verbs — back up an edited source, back up with a fresh
 client after ``resume_from_cloud``, drop the oldest session and collect
-garbage, keep the last n sessions through ``apply_retention``, run a
+garbage, keep the last n sessions through ``apply_retention``, move the
+clock and keep the sessions no older than a drawn age, run a
 session whose k-th PUT fails, run a session that cannot read the GC
 epoch, switch the content-defined chunker between two processes,
 flip the stat cache or delta compression between two processes,
@@ -45,7 +46,7 @@ from repro.cloud import InMemoryBackend
 from repro.core import (BackupClient, Manifest, MemorySource,
                         RestoreClient, aa_dedupe_config, collect_garbage,
                         naming)
-from repro.core.retention import RetainLastN
+from repro.core.retention import RetainLastN, RetainMaxAge
 from repro.core.scrub import scrub_cloud
 from repro.core.stats import SessionStats
 from repro.errors import BackupError, CloudError, TransientCloudError
@@ -88,8 +89,9 @@ class _FaultyStore(InMemoryBackend):
     """An in-memory store whose ``fail_at``-th PUT and ``get_fail_at``-th
     GET of a non-manifest key (1-based, counted from arming) fail once,
     and whose GC epoch GETs fail while ``epoch_down`` is set.  Its clock
-    never moves, so every manifest has the same ``created`` stamp and
-    retention orders by session id."""
+    moves only in ``retain_max_age``, so sessions between two moves
+    share a ``created`` stamp and retention breaks the tie by session
+    id."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -164,6 +166,8 @@ class StoreMachine(RuleBasedStateMachine):
         self.source: dict = {}
         self.mtime = 0
         self.next_session = 0
+        #: Session id -> its manifest's ``created`` stamp.
+        self.created: dict = {}
         self.client = self._client()
 
     def _client(self) -> BackupClient:
@@ -195,6 +199,7 @@ class StoreMachine(RuleBasedStateMachine):
         stats = self.client.backup(source, session_id=self.next_session)
         files.pop(gone, None)
         self.model.commit(self.next_session, files)
+        self.created[self.next_session] = self.store.clock.now()
         self.next_session += 1
         return stats
 
@@ -298,6 +303,24 @@ class StoreMachine(RuleBasedStateMachine):
                                   now=0.0)
         for session_id in self.model.retained()[:-n]:
             self.model.drop(session_id)
+        assert outcome is None or not outcome.problems, outcome.problems
+
+    @rule(wait=st.integers(0, 3), age=st.integers(1, 3))
+    def retain_max_age(self, wait, age) -> None:
+        """Let ``wait`` seconds pass, then keep the sessions no older
+        than ``age``; the newest by ``(created, id)`` stays whatever
+        its age."""
+        now = self.store.clock.advance(wait)
+        outcome = apply_retention(self.store, self.store,
+                                  RetainMaxAge(age), now=now)
+        retained = self.model.retained()
+        if retained:
+            newest = max(retained,
+                         key=lambda sid: (self.created[sid], sid))
+            for session_id in retained:
+                if session_id != newest \
+                        and now - self.created[session_id] > age:
+                    self.model.drop(session_id)
         assert outcome is None or not outcome.problems, outcome.problems
 
     @rule(changes=_changes, k=st.integers(1, 10))

@@ -18,7 +18,9 @@ from repro.core.recipe import Manifest
 from repro.core.scrub import scrub_cloud
 from repro.core.walk import StoreWalk, mark_store
 from repro.errors import ReproError, RestoreError
-from repro.fleet import FleetService, synthetic_fleet_sources
+from repro.fleet import (GlobalDedupDirectory, fleet_spec,
+                         synthetic_fleet_sources)
+from repro.service import BackupService
 
 
 class ListCountingBackend(InMemoryBackend):
@@ -49,8 +51,10 @@ def _store():
 
 @pytest.fixture(scope="module")
 def fleet_backend():
-    service = FleetService(clients=2, backend=ListCountingBackend())
-    service.run(synthetic_fleet_sources(2, 2))
+    service = BackupService(fleet_spec(synthetic_fleet_sources(2, 2)),
+                            backend=ListCountingBackend(),
+                            directory=GlobalDedupDirectory())
+    service.run()
     service.close()
     return service.backend
 
