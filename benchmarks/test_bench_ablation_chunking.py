@@ -22,8 +22,8 @@ import numpy as np
 from conftest import SCALE, SMOKE, emit
 
 from repro.chunking import CDC_FAMILY
-from repro.chunking.base import get_chunker
 from repro.classify import Category, DedupPolicy
+from repro.classify.policy import make_chunker
 from repro.core import aa_dedupe_config
 from repro.metrics import Table
 from repro.trace.driver import run_paper_evaluation
@@ -157,7 +157,7 @@ def test_chunker_head_to_head():
                   title="Fast-chunker head-to-head "
                         "(versioned-document workload)")
     for name in CDC_FAMILY:
-        chunker = get_chunker(name)
+        chunker = make_chunker(name, {})
         chunker.cut_points(versions[0])            # warm table caches
         results[name] = _race_chunker(chunker, versions)
     rabin_mbps, rabin_ratio = results["cdc"]

@@ -43,14 +43,13 @@ def _spec() -> ServiceSpec:
                                           churn=0.25),
                 schedule=IntervalSchedule(DAY / 4),
                 retention=RetainLastN(3)),
-        JobSpec(name="media", scheme="Avamar", chunker="fastcdc",
+        JobSpec(name="media", scheme="Avamar", chunker="seqcdc",
                 source=SyntheticJobSource("media", files=FILES,
                                           file_kib=FILE_KIB,
                                           churn=0.1),
                 schedule=IntervalSchedule(DAY, offset=3600),
                 retention=RetainMaxAge(3 * DAY)),
         JobSpec(name="vm-images", chunker="seqcdc",
-                app_chunkers={"vmdk": "seqcdc"},
                 source=SyntheticJobSource("vm-images",
                                           files=max(2, FILES // 2),
                                           file_kib=FILE_KIB * 2,

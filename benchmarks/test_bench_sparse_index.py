@@ -32,7 +32,7 @@ def _chunk_stream(snapshot, boundaries):
         if comp.size < config.tiny_file_threshold:
             continue
         app = classify_name(path)
-        policy = config.policy_for(app.category)
+        policy = config.policy_table[app.category]
         for chunk_id, length in sim_chunks(comp, policy.chunker,
                                            boundaries):
             yield app.label, chunk_id, length

@@ -118,7 +118,6 @@ def all_scheme_configs(**common_overrides) -> list[SchemeConfig]:
 
 def build_scheme(name: str, container_size: Optional[int] = None,
                  chunker: Optional[str] = None,
-                 app_chunkers: Optional[Mapping[str, str]] = None,
                  delta: Optional[bool] = None,
                  stat_cache: Optional[bool] = None,
                  pipeline: Optional[bool] = None,
@@ -146,9 +145,9 @@ def build_scheme(name: str, container_size: Optional[int] = None,
     if parallel is not None and parallel < 1:
         raise ConfigError("parallel: must be >= 1")
     changes = {field: value for field, value in (
-        ("container_size", container_size), ("app_chunkers", app_chunkers),
-        ("delta_compress", delta), ("stat_cache", stat_cache),
-        ("pipeline_uploads", pipeline), ("parallel_workers", parallel))
+        ("container_size", container_size), ("delta_compress", delta),
+        ("stat_cache", stat_cache), ("pipeline_uploads", pipeline),
+        ("parallel_workers", parallel))
         if value is not None}
     try:
         return config.with_(**{**changes, **(options or {})})

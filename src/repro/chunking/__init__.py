@@ -18,11 +18,11 @@ Rabin stays the paper-faithful CDC default, but the CDC slot is a
 the same 2/8/16 KiB geometry, each with one vectorised slab scan
 (differential-tested against per-byte references kept with the tests).
 
-All implement :class:`~repro.chunking.base.Chunker` and are registered by
-name so scheme policies can reference them declaratively.
+All implement :class:`~repro.chunking.base.Chunker`.  Scheme policies
+name them through :func:`repro.classify.policy.make_chunker`.
 """
 
-from repro.chunking.base import Chunk, Chunker, get_chunker, register_chunker
+from repro.chunking.base import Chunk, Chunker
 from repro.chunking.wfc import WholeFileChunker
 from repro.chunking.static import StaticChunker
 from repro.chunking.cdc import ContentDefinedChunker, RabinCDC
@@ -39,8 +39,6 @@ __all__ = [
     "Chunk",
     "Chunker",
     "ContentDefinedChunker",
-    "get_chunker",
-    "register_chunker",
     "WholeFileChunker",
     "StaticChunker",
     "RabinCDC",

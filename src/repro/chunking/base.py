@@ -1,4 +1,4 @@
-"""Chunker interface, chunk record, and chunker registry.
+"""Chunker interface and chunk record.
 
 A chunker partitions a byte buffer into contiguous, non-overlapping,
 exhaustive :class:`Chunk` records.  Invariants (property-tested):
@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import List
 
 from repro.errors import ChunkingError
 from repro.obs.tracer import NOOP_TRACER
 
-__all__ = ["Chunk", "Chunker", "register_chunker", "get_chunker",
-           "available_chunkers"]
+__all__ = ["Chunk", "Chunker"]
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ class Chunker(abc.ABC):
     implementation automatically satisfies the partition invariants.
     """
 
-    #: Registry name (``"wfc"``, ``"sc"``, ``"cdc"``, ``"gear"``,
+    #: Policy name (``"wfc"``, ``"sc"``, ``"cdc"``, ``"gear"``,
     #: ``"fastcdc"``, ``"seqcdc"``).
     name: str = ""
 
@@ -97,27 +96,3 @@ class Chunker(abc.ABC):
         ``float('inf')`` for whole-file chunking."""
         return float("inf")
 
-
-_REGISTRY: Dict[str, Callable[[], Chunker]] = {}
-
-
-def register_chunker(name: str, factory: Callable[[], Chunker]) -> None:
-    """Register a default-configured chunker factory under ``name``."""
-    if name in _REGISTRY:
-        raise ChunkingError(f"chunker {name!r} already registered")
-    _REGISTRY[name] = factory
-
-
-def get_chunker(name: str) -> Chunker:
-    """Instantiate the default-configured chunker registered as ``name``."""
-    try:
-        return _REGISTRY[name]()
-    except KeyError:
-        raise ChunkingError(
-            f"unknown chunker {name!r}; available: {sorted(_REGISTRY)}"
-        ) from None
-
-
-def available_chunkers() -> list[str]:
-    """Names of registered chunkers, sorted."""
-    return sorted(_REGISTRY)

@@ -27,7 +27,7 @@ from typing import List
 
 import numpy as np
 
-from repro.chunking.base import Chunker, register_chunker
+from repro.chunking.base import Chunker
 from repro.errors import ChunkingError
 from repro.hashing.rabin import POLY64
 from repro.hashing.rolling import window_candidates
@@ -170,6 +170,3 @@ class RabinCDC(ContentDefinedChunker):
         """
         return window_candidates(data, self.window, self.poly, self.mask,
                                  self.magic)
-
-
-register_chunker("cdc", RabinCDC)

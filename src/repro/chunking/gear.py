@@ -44,7 +44,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.chunking.base import register_chunker
 from repro.chunking.cdc import ContentDefinedChunker, default_mask_bits
 from repro.errors import ChunkingError
 from repro.hashing.rolling import byte_view
@@ -263,7 +262,3 @@ class FastCDC(ContentDefinedChunker):
             cuts.append(cut)
             start = cut
         return cuts
-
-
-register_chunker("gear", GearCDC)
-register_chunker("fastcdc", FastCDC)

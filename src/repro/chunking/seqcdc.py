@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.chunking.base import register_chunker
 from repro.chunking.cdc import ContentDefinedChunker
 from repro.errors import ChunkingError
 from repro.hashing.rolling import byte_view
@@ -65,6 +64,3 @@ class SeqCDC(ContentDefinedChunker):
         for k in range(1, w - 1):
             ok &= up[k: n - w + 1 + k]
         return np.flatnonzero(ok).astype(np.int64) + w
-
-
-register_chunker("seqcdc", SeqCDC)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.chunking.base import Chunker, register_chunker
+from repro.chunking.base import Chunker
 from repro.errors import ChunkingError
 from repro.util.units import KIB
 
@@ -40,6 +40,3 @@ class StaticChunker(Chunker):
     def average_chunk_size(self) -> float:
         """Exactly ``chunk_size`` (ignoring the file tail)."""
         return float(self.chunk_size)
-
-
-register_chunker("sc", StaticChunker)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.chunking.base import Chunker, register_chunker
+from repro.chunking.base import Chunker
 
 __all__ = ["WholeFileChunker"]
 
@@ -24,6 +24,3 @@ class WholeFileChunker(Chunker):
     def cut_points(self, data: bytes) -> List[int]:
         """One cut at end-of-file."""
         return [len(data)] if data else []
-
-
-register_chunker("wfc", WholeFileChunker)

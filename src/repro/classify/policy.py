@@ -14,7 +14,10 @@ dynamic uncompressed CDC 8KiB SHA-1               20 B
 A :class:`DedupPolicy` is a *description* (names + parameters); the real
 engine instantiates chunkers/hashes from it, and the trace engine reads
 the very same description to charge modelled CPU costs — one source of
-truth for both layers.
+truth for both layers.  Every file of a category gets that category's
+one policy: there are no per-application overrides.  :func:`make_chunker`
+is the one name → chunker table (``wfc``, ``sc`` and the CDC family
+``cdc``, ``gear``, ``fastcdc``, ``seqcdc``).
 """
 
 from __future__ import annotations
@@ -22,15 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
-from repro.chunking import (CDC_FAMILY, Chunker, FastCDC, GearCDC, RabinCDC,
-                            SeqCDC, StaticChunker, WholeFileChunker)
+from repro.chunking import (Chunker, FastCDC, GearCDC, RabinCDC, SeqCDC,
+                            StaticChunker, WholeFileChunker)
 from repro.classify.filetype import Category
 from repro.errors import ConfigError
 from repro.hashing import Fingerprinter, get_hash
 from repro.util.units import KIB
 
-__all__ = ["DedupPolicy", "AA_POLICY_TABLE", "make_chunker",
-           "retarget_policy"]
+__all__ = ["DedupPolicy", "AA_POLICY_TABLE", "make_chunker"]
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,8 @@ class DedupPolicy:
         return self.make_chunker().average_chunk_size()
 
 
-#: Chunker classes addressable from a policy, by policy name.
+#: Chunker classes addressable from a policy, by policy name — the one
+#: name → chunker table.
 _POLICY_CHUNKERS = {
     "wfc": WholeFileChunker,
     "sc": StaticChunker,
@@ -68,12 +71,6 @@ _POLICY_CHUNKERS = {
     "fastcdc": FastCDC,
     "seqcdc": SeqCDC,
 }
-
-#: Geometry parameters shared by every CDC-family chunker; anything
-#: else in ``chunker_params`` (Rabin's ``window``, FastCDC's
-#: ``norm_level``, …) is engine-specific and dropped when a policy is
-#: re-targeted at a different family member.
-_CDC_GEOMETRY = ("avg_size", "min_size", "max_size")
 
 
 def make_chunker(name: str, params: Dict[str, int]) -> Chunker:
@@ -86,43 +83,6 @@ def make_chunker(name: str, params: Dict[str, int]) -> Chunker:
             f"unknown chunker name in policy: {name!r}; "
             f"valid chunkers: {valid}") from None
     return factory(**params) if params else factory()
-
-
-def retarget_policy(policy: DedupPolicy, chunker: str) -> DedupPolicy:
-    """Re-target ``policy`` at a CDC-family engine, from any chunkable base.
-
-    The fingerprint hash carries over unchanged — chunk identity is a
-    property of the digest, not of where the cuts fall.  A CDC-family
-    base keeps its shared size geometry; engine-specific parameters
-    (e.g. Rabin's ``window``) are dropped in favour of the new engine's
-    defaults, and re-targeting at the base's own engine is the
-    identity.  A static-chunked base (e.g. the AA table's VM-image row,
-    under a per-application ``SchemeConfig.app_chunkers`` override)
-    gets a CDC geometry derived from its SC chunk size the same way the
-    AA table relates its DYNAMIC row to its 8 KiB average —
-    ``min = avg/4``, ``max = avg*2``.  WFC bases refuse: re-chunking
-    compressed content buys nothing (Observation 1), so an override
-    there is a configuration mistake, not a tuning choice.
-    """
-    if chunker not in CDC_FAMILY:
-        raise ConfigError(
-            f"unknown CDC-family chunker {chunker!r}; "
-            f"valid: {', '.join(CDC_FAMILY)}")
-    if policy.chunker == chunker:
-        return policy
-    if policy.chunker in CDC_FAMILY:
-        params = {key: value for key, value in policy.chunker_params.items()
-                  if key in _CDC_GEOMETRY}
-    elif policy.chunker == "sc":
-        avg = int(policy.chunker_params.get("chunk_size", 8 * KIB))
-        params = {"avg_size": avg, "min_size": max(avg // 4, 64),
-                  "max_size": avg * 2}
-    else:
-        raise ConfigError(
-            f"cannot re-target a {policy.chunker!r} policy at {chunker!r}: "
-            f"only CDC-family and SC bases have a content-defined stage "
-            f"to swap")
-    return DedupPolicy(chunker, policy.hash_name, params)
 
 
 #: The AA-Dedupe policy table — the paper's Fig. 6, as data.

@@ -30,6 +30,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.baselines import all_scheme_configs, build_scheme
+from repro.chunking import CDC_FAMILY
 from repro.cloud.local import LocalDirectoryBackend
 from repro.core import naming
 from repro.core.backup import BackupClient
@@ -442,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="backup scheme (see `repro schemes`)")
     p.add_argument("--container-size", default=None,
                    help="override container size, e.g. 1MB")
-    p.add_argument("--chunker", default=None,
+    p.add_argument("--chunker", default=None, choices=CDC_FAMILY,
                    help="content-defined boundary engine for dynamic "
                         "files: cdc (Rabin, the paper default), gear, "
                         "fastcdc or seqcdc (see docs/CHUNKING.md)")

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 from repro.chunking import CDC_FAMILY
-from repro.classify.filetype import AppType, Category, known_app_types
-from repro.classify.policy import AA_POLICY_TABLE, DedupPolicy, \
-    retarget_policy
+from repro.classify.filetype import AppType, Category
+from repro.classify.policy import AA_POLICY_TABLE, DedupPolicy
 from repro.errors import ConfigError
 from repro.util.units import KIB, MIB
 
@@ -47,8 +46,8 @@ class SchemeConfig:
     and Avamar).  The constructor rejects, with
     :class:`~repro.errors.ConfigError`, a table missing a category and
     every feature an incremental-only scheme cannot run (encryption,
-    delta compression, the stat cache, parallel dedup, per-app
-    chunkers); ``delta_compress`` also excludes ``encrypt_chunks``.
+    delta compression, the stat cache, parallel dedup);
+    ``delta_compress`` also excludes ``encrypt_chunks``.
     Every other combination of the boolean features is legal.
     """
 
@@ -124,15 +123,6 @@ class SchemeConfig:
     #: keep it off so their measured work stays paper-faithful.
     stat_cache: bool = False
 
-    #: Per-application chunker overrides: app label -> CDC-family engine
-    #: name (``{"vmdk": "seqcdc"}``).  Resolved *after* the category
-    #: policy table, so one application class can run a different
-    #: boundary engine than its category default — the declarative
-    #: service layer's ``app_chunkers`` job knob.  ``None``/empty means
-    #: no overrides.  Restore needs no knowledge of this: chunk identity
-    #: lives in the manifest.
-    app_chunkers: Optional[Mapping[str, str]] = None
-
     def __post_init__(self) -> None:
         if self.index_layout not in ("app", "global", "tier"):
             raise ConfigError(f"bad index_layout {self.index_layout!r}")
@@ -146,8 +136,7 @@ class SchemeConfig:
                 ("encrypt_chunks", self.encrypt_chunks),
                 ("delta_compress", self.delta_compress),
                 ("stat_cache", self.stat_cache),
-                ("parallel_workers > 1", self.parallel_workers > 1),
-                ("app_chunkers", bool(self.app_chunkers))) if on]
+                ("parallel_workers > 1", self.parallel_workers > 1)) if on]
             if clashes:
                 raise ConfigError(
                     f"{', '.join(clashes)}: requires a dedup scheme, "
@@ -165,44 +154,12 @@ class SchemeConfig:
                 "docs/DELTA.md)")
         if self.use_containers and self.container_size < 4096:
             raise ConfigError("container_size too small")
-        if self.app_chunkers:
-            known = {app.label: app for app in known_app_types()}
-            for label, engine in self.app_chunkers.items():
-                app = known.get(label)
-                if app is None and label != "unknown":
-                    raise ConfigError(
-                        f"app_chunkers: unknown application label "
-                        f"{label!r}")
-                category = (app.category if app is not None
-                            else Category.DYNAMIC)
-                # Raises ConfigError for non-CDC engines and for bases
-                # (WFC) with no content-defined stage to swap.
-                try:
-                    retarget_policy(self.policy_for(category), engine)
-                except ConfigError as exc:
-                    raise ConfigError(
-                        f"app_chunkers[{label!r}]: {exc}") from exc
 
     # ------------------------------------------------------------------
-    def policy_for(self, category: Category) -> DedupPolicy:
-        """Resolve the dedup policy for a file category."""
-        return self.policy_table[category]
-
     def policy_for_app(self, app: AppType) -> DedupPolicy:
-        """Resolve the dedup policy for one application type.
-
-        The category policy applies unless :attr:`app_chunkers` names a
-        per-application boundary-engine override for ``app.label`` — the
-        intelligent chunker's *category* decisions stay authoritative
-        for hashing and tiering; only the cut-point engine is swapped.
-        """
-        policy = self.policy_for(app.category)
-        if not self.app_chunkers:
-            return policy
-        engine = self.app_chunkers.get(app.label)
-        if engine is None:
-            return policy
-        return retarget_policy(policy, engine)
+        """The dedup policy of ``app``'s category: every application of
+        a category is chunked and fingerprinted the same way."""
+        return self.policy_table[app.category]
 
     def index_namespace(self, app_label: str, policy: DedupPolicy) -> str:
         """Subindex key for a chunk of application ``app_label``.
@@ -241,9 +198,11 @@ class SchemeConfig:
         Every CDC-family row of the policy table (the DYNAMIC row of the
         AA table; every row of Avamar's) is re-targeted at the named
         engine; WFC/SC rows are untouched, so the intelligent
-        chunker's per-application decisions are preserved.  Raises
-        :class:`ConfigError` for unknown names or schemes with no
-        content-defined stage to swap.
+        chunker's per-category decisions are preserved.  A re-targeted
+        row keeps its fingerprint hash and its size geometry; engine
+        parameters (Rabin's ``window``) give way to the new engine's
+        defaults.  Raises :class:`ConfigError` for unknown names or
+        schemes with no content-defined stage to swap.
         """
         if name not in CDC_FAMILY:
             raise ConfigError(
@@ -258,9 +217,17 @@ class SchemeConfig:
             raise ConfigError(
                 f"scheme {self.name!r} has no content-defined "
                 f"chunking stage to swap")
+
+        def swap(policy: DedupPolicy) -> DedupPolicy:
+            if policy.chunker not in CDC_FAMILY or policy.chunker == name:
+                return policy
+            geometry = {key: value
+                        for key, value in policy.chunker_params.items()
+                        if key in ("avg_size", "min_size", "max_size")}
+            return DedupPolicy(name, policy.hash_name, geometry)
+
         return self.with_(policy_table={
-            category: (retarget_policy(policy, name)
-                       if policy.chunker in CDC_FAMILY else policy)
+            category: swap(policy)
             for category, policy in self.policy_table.items()})
 
 

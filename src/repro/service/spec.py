@@ -41,10 +41,9 @@ __all__ = ["JobSpec", "ServiceSpec", "parse_config", "load_config",
            "loads_config"]
 
 _TOP_KEYS = {"jobs", "until"}
-_JOB_KEYS = {"name", "scheme", "chunker", "app_chunkers",
-             "container_size", "delta", "stat_cache", "pipeline",
-             "parallel", "options", "schedule", "retention", "hooks",
-             "tags", "source"}
+_JOB_KEYS = {"name", "scheme", "chunker", "container_size", "delta",
+             "stat_cache", "pipeline", "parallel", "options", "schedule",
+             "retention", "hooks", "tags", "source"}
 _SOURCE_KEYS = {"kind", "path", "prefix", "seed", "files", "file_kib",
                 "churn"}
 _SCHEDULE_KEYS = {"interval", "offset"}
@@ -210,7 +209,6 @@ class JobSpec:
     source: Union[_SourceSpec, JobSource, None] = None
     scheme: str = "AA-Dedupe"
     chunker: Optional[str] = None
-    app_chunkers: Mapping[str, str] = field(default_factory=dict)
     container_size: Optional[int] = None
     delta: Optional[bool] = None
     stat_cache: Optional[bool] = None
@@ -239,7 +237,6 @@ class JobSpec:
             return build_scheme(
                 self.scheme, container_size=self.container_size,
                 chunker=self.chunker,
-                app_chunkers=dict(self.app_chunkers) or None,
                 delta=self.delta, stat_cache=self.stat_cache,
                 pipeline=self.pipeline, parallel=self.parallel,
                 options=self.options)
@@ -285,14 +282,6 @@ def _parse_job(doc, index: int) -> JobSpec:
         if not isinstance(doc["chunker"], str):
             raise _fail(context, "chunker must be a string")
         kwargs["chunker"] = doc["chunker"]
-    if "app_chunkers" in doc:
-        table = doc["app_chunkers"]
-        if not isinstance(table, Mapping) or not all(
-                isinstance(k, str) and isinstance(v, str)
-                for k, v in table.items()):
-            raise _fail(context,
-                        "app_chunkers must map app labels to chunkers")
-        kwargs["app_chunkers"] = dict(table)
     if "container_size" in doc:
         raw = doc["container_size"]
         try:

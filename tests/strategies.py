@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.baselines import all_scheme_configs
 from repro.chunking import CDC_FAMILY
-from repro.classify import Category
 from repro.util.units import KIB
 
 
@@ -41,8 +40,4 @@ def legal_scheme_configs(draw):
             chunker = draw(st.sampled_from((None,) + CDC_FAMILY))
             if chunker is not None:
                 config = config.with_chunker(chunker)
-        # A per-app override needs a chunkable base: not WFC.
-        if config.policy_for(Category.DYNAMIC).chunker != "wfc":
-            changes["app_chunkers"] = draw(
-                st.sampled_from([None, {"doc": "gear"}]))
     return config.with_(**changes)

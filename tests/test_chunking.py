@@ -22,12 +22,11 @@ from repro.chunking import (
     SeqCDC,
     StaticChunker,
     WholeFileChunker,
-    get_chunker,
 )
-from repro.chunking.base import available_chunkers
 from repro.chunking.cdc import default_mask_bits
 from repro.chunking.gear import GEAR_WINDOW, gear_table, gear_window_hashes
-from repro.errors import ChunkingError
+from repro.classify.policy import make_chunker
+from repro.errors import ChunkingError, ConfigError
 from repro.hashing import rabin, rolling
 from repro.hashing.rabin import POLY64
 from repro.hashing.rolling import SLAB, lane_tables, window_candidates
@@ -185,27 +184,30 @@ class TestRabinCDC:
 
 
 class TestRegistry:
+    """Policy names resolve through ``make_chunker``, the one
+    name → chunker table."""
+
     def test_names(self):
-        assert set(available_chunkers()) >= {
-            "wfc", "sc", "cdc", "gear", "fastcdc", "seqcdc"}
-        assert set(CDC_FAMILY) <= set(available_chunkers())
+        assert CDC_FAMILY == ("cdc", "gear", "fastcdc", "seqcdc")
+        for name in ("wfc", "sc") + CDC_FAMILY:
+            assert make_chunker(name, {}).name == name
 
     def test_get_chunker_defaults(self):
-        assert isinstance(get_chunker("cdc"), RabinCDC)
-        assert get_chunker("sc").chunk_size == 8 * KIB
-        assert isinstance(get_chunker("gear"), GearCDC)
-        assert isinstance(get_chunker("fastcdc"), FastCDC)
-        assert isinstance(get_chunker("seqcdc"), SeqCDC)
+        assert isinstance(make_chunker("cdc", {}), RabinCDC)
+        assert make_chunker("sc", {}).chunk_size == 8 * KIB
+        assert isinstance(make_chunker("gear", {}), GearCDC)
+        assert isinstance(make_chunker("fastcdc", {}), FastCDC)
+        assert isinstance(make_chunker("seqcdc", {}), SeqCDC)
 
     def test_cdc_family_members_share_geometry(self):
         for name in CDC_FAMILY:
-            chunker = get_chunker(name)
+            chunker = make_chunker(name, {})
             assert isinstance(chunker, ContentDefinedChunker)
             assert (chunker.min_size, chunker.max_size) == (2048, 16384)
 
     def test_unknown(self):
-        with pytest.raises(ChunkingError):
-            get_chunker("rolling-stones")
+        with pytest.raises(ConfigError):
+            make_chunker("rolling-stones", {})
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +477,7 @@ class TestDifferentialOracles:
             rng = _lane_rng()
         # Windows shorter than the four-lane group leave lane tables with
         # zero rows; masks over 16 and 32 bits take the two- and one-lane
-        # scans (reachable through retarget_policy on a large SC base).
+        # scans.
         chunker = RabinCDC(**params)
         for label, data in _adversarial_cases(rng).items():
             assert np.array_equal(chunker._candidates(data),

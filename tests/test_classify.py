@@ -14,9 +14,10 @@ from repro.classify import (
     register_app_type,
     sniff_bytes,
 )
+from repro.baselines import backuppc_config
 from repro.chunking import (FastCDC, GearCDC, RabinCDC, SeqCDC,
                             StaticChunker, WholeFileChunker)
-from repro.classify.policy import make_chunker, retarget_policy
+from repro.classify.policy import make_chunker
 from repro.core.options import SchemeConfig, aa_dedupe_config
 from repro.errors import ConfigError
 
@@ -131,8 +132,8 @@ class TestPolicyTable:
         # at construction, never discovered mid-backup.
         cdc = AA_POLICY_TABLE[Category.DYNAMIC]
         table = dict.fromkeys(Category, cdc)
-        assert SchemeConfig("x", policy_table=table).policy_for(
-            Category.COMPRESSED) is cdc
+        assert SchemeConfig("x", policy_table=table).policy_table[
+            Category.COMPRESSED] is cdc
         with pytest.raises(ConfigError, match="static"):
             SchemeConfig("x", policy_table={Category.COMPRESSED: cdc,
                                             Category.DYNAMIC: cdc})
@@ -161,9 +162,13 @@ class TestPolicyTable:
 
 
 class TestCDCPolicyVariant:
+    """``SchemeConfig.with_chunker`` re-targets the CDC rows of a
+    policy table at another engine of the family."""
+
     def test_retarget_keeps_geometry_drops_engine_params(self):
         base = AA_POLICY_TABLE[Category.DYNAMIC]
-        variant = retarget_policy(base, "fastcdc")
+        variant = aa_dedupe_config().with_chunker("fastcdc").policy_table[
+            Category.DYNAMIC]
         assert variant.chunker == "fastcdc"
         assert variant.hash_name == base.hash_name
         assert "window" not in variant.chunker_params
@@ -172,13 +177,19 @@ class TestCDCPolicyVariant:
         assert (chunker.min_size, chunker.max_size) == (2048, 16384)
 
     def test_same_engine_is_identity(self):
-        base = AA_POLICY_TABLE[Category.DYNAMIC]
-        assert retarget_policy(base, "cdc") is base
+        table = aa_dedupe_config().with_chunker("cdc").policy_table
+        assert all(table[c] is AA_POLICY_TABLE[c] for c in Category)
 
     def test_non_cdc_policy_rejected(self):
-        with pytest.raises(ConfigError):
-            retarget_policy(AA_POLICY_TABLE[Category.COMPRESSED], "gear")
+        # WFC and SC rows keep their engine; a scheme with no CDC row
+        # has nothing to swap.
+        table = aa_dedupe_config().with_chunker("seqcdc").policy_table
+        for category in (Category.COMPRESSED, Category.STATIC):
+            assert table[category] is AA_POLICY_TABLE[category]
+        with pytest.raises(ConfigError, match="no content-defined"):
+            backuppc_config().with_chunker("seqcdc")
 
     def test_unknown_target_rejected(self):
-        with pytest.raises(ConfigError):
-            retarget_policy(AA_POLICY_TABLE[Category.DYNAMIC], "bogus")
+        with pytest.raises(ConfigError,
+                           match="cdc, gear, fastcdc, seqcdc"):
+            aa_dedupe_config().with_chunker("bogus")

@@ -1,5 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -118,10 +121,11 @@ class TestBackupRestoreCycle:
         with pytest.raises(SystemExit) as excinfo:
             run("backup", source_tree, "--store", tmp_path / "c",
                 "--chunker", "bogus")
-        message = str(excinfo.value)
+        assert excinfo.value.code == 2
+        message = capsys.readouterr().err
         assert "--chunker" in message and "'bogus'" in message
         for name in ("cdc", "gear", "fastcdc", "seqcdc"):
-            assert name in message
+            assert f"'{name}'" in message
 
     def test_bad_override_names_its_flag(self, source_tree, tmp_path):
         # One scheme builder for the CLI and job files: its message
@@ -366,12 +370,11 @@ class TestJobsCommand:
         "    retention: {policy: retain-last, count: 2}\n"
         "  - name: media\n"
         "    scheme: Avamar\n"
-        "    chunker: fastcdc\n"
+        "    chunker: seqcdc\n"
         "    source: {kind: synthetic, files: 2, file_kib: 24}\n"
         "    schedule: {interval: 7200, offset: 600}\n"
         "    retention: {policy: max-age, seconds: 7200}\n"
         "  - name: vm\n"
-        "    app_chunkers: {vmdk: seqcdc}\n"
         "    source: {kind: synthetic, files: 2, file_kib: 48}\n"
         "    schedule: {interval: 3600, offset: 1800}\n"
     )
@@ -391,7 +394,6 @@ class TestJobsCommand:
         for job in ("docs", "media", "vm"):
             assert job in out
         assert "dropped" in out            # retention fired through GC
-        import json
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["exit_code"] == 0
         assert {r["job"] for r in report["runs"]} == \
@@ -444,6 +446,16 @@ class TestJobsCommand:
         captured = capsys.readouterr()
         assert "FAILED" in captured.out        # report still printed
         assert "doomed" in captured.err
+
+    def test_example_jobs_file_runs(self, tmp_path, capsys):
+        example = (Path(__file__).resolve().parents[1] / "examples"
+                   / "jobs.yaml")
+        assert run("jobs", "run", "--config", example, "--store",
+                   tmp_path / "store", "--report",
+                   tmp_path / "report.json") == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["runs"]
+        assert all(r["state"] == "SUCCEEDED" for r in report["runs"])
 
     def test_config_error_exits_two(self, tmp_path, capsys):
         config = self.config_file(

@@ -208,7 +208,7 @@ class TestConfigValidation:
 
     def test_namespace_routing(self):
         cfg = aa_dedupe_config()
-        policy = cfg.policy_for(Category.COMPRESSED)
+        policy = cfg.policy_table[Category.COMPRESSED]
         assert cfg.index_namespace("mp3", policy) == "mp3"
         global_cfg = cfg.with_(index_layout="global")
         assert global_cfg.index_namespace("mp3", policy) == "global"

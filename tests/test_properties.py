@@ -148,11 +148,11 @@ class TestContainerProperty:
 
 
 # ---------------------------------------------------------------------------
-# Chunker-family invariants: every registered chunker — the paper's
+# Chunker-family invariants: every policy chunker — the paper's
 # WFC/SC/Rabin plus the fast family (gear, fastcdc, seqcdc) — must
 # satisfy the same partition contract on arbitrary inputs.
 from repro.chunking import CDC_FAMILY  # noqa: E402
-from repro.chunking.base import available_chunkers, get_chunker  # noqa: E402
+from repro.classify.policy import make_chunker  # noqa: E402
 from tests.oracles import reference_cut_points  # noqa: E402
 
 _chunk_inputs = st.one_of(
@@ -162,14 +162,14 @@ _chunk_inputs = st.one_of(
 
 
 class TestChunkerFamilyInvariants:
-    @pytest.mark.parametrize("name", sorted(available_chunkers()))
+    @pytest.mark.parametrize("name", sorted(("wfc", "sc") + CDC_FAMILY))
     @given(data=_chunk_inputs)
     @_slow
     def test_partition_bounds_determinism(self, name, data):
         """Chunks concatenate to the input, respect the chunker's size
         bounds (the final tail chunk is exempt from the minimum), and
         the output is deterministic."""
-        chunker = get_chunker(name)
+        chunker = make_chunker(name, {})
         chunks = chunker.chunk(data)
         assert b"".join(c.data for c in chunks) == data
         if not data:
@@ -186,7 +186,7 @@ class TestChunkerFamilyInvariants:
             assert min_size <= chunk.length <= max_size
         assert 1 <= chunks[-1].length <= max_size
         # Determinism: a fresh instance cuts identically.
-        assert get_chunker(name).cut_points(data) == \
+        assert make_chunker(name, {}).cut_points(data) == \
             chunker.cut_points(data)
 
     @pytest.mark.parametrize("name", sorted(CDC_FAMILY))
@@ -195,7 +195,7 @@ class TestChunkerFamilyInvariants:
     def test_vectorized_matches_reference(self, name, data):
         """Differential oracle: every CDC-family engine cuts exactly
         where its byte-loop reference chunker does."""
-        chunker = get_chunker(name)
+        chunker = make_chunker(name, {})
         assert chunker.cut_points(data) == reference_cut_points(chunker, data)
 
     @pytest.mark.parametrize("name", ["cdc", "gear", "fastcdc"])
@@ -205,7 +205,7 @@ class TestChunkerFamilyInvariants:
         """Gear and FastCDC boundaries depend only on a fixed byte
         window, so a prefix insertion re-synchronises downstream
         boundaries just as it does for Rabin (same threshold)."""
-        chunker = get_chunker(name)
+        chunker = make_chunker(name, {})
         data = rng.integers(0, 256, 120_000, dtype=np.uint8).tobytes()
         prefix = rng.integers(0, 256, prefix_len,
                               dtype=np.uint8).tobytes()

@@ -27,7 +27,6 @@ AXES = {
     "pipeline_uploads": (False, True),
     "resumable": (False, True),
     "use_containers": (False, True),
-    "app_chunkers": (None, {"doc": "gear"}),
     "index_layout": ("app", "global", "tier"),
 }
 
@@ -39,8 +38,7 @@ def legal(combo: dict) -> bool:
     # Each of these works on chunks and fingerprints, which an
     # incremental-only scheme never produces.
     needs_dedup = (combo["encrypt_chunks"] or combo["delta_compress"]
-                   or combo["stat_cache"] or combo["parallel_workers"] > 1
-                   or combo["app_chunkers"] is not None)
+                   or combo["stat_cache"] or combo["parallel_workers"] > 1)
     if combo["incremental_only"] and needs_dedup:
         return False
     # Delta encoding needs resemblance, which convergent encryption
@@ -51,7 +49,7 @@ def legal(combo: dict) -> bool:
 def test_constructor_raises_exactly_on_illegal_combinations():
     combos = [dict(zip(AXES, values))
               for values in itertools.product(*AXES.values())]
-    assert len(combos) == 1536
+    assert len(combos) == 768
     wrong = []
     for combo in combos:
         try:
@@ -62,7 +60,7 @@ def test_constructor_raises_exactly_on_illegal_combinations():
         if accepted != legal(combo):
             wrong.append(combo)
     assert wrong == []
-    assert sum(map(legal, combos)) == 600
+    assert sum(map(legal, combos)) == 312
 
 
 @pytest.mark.parametrize("changes", [
@@ -71,11 +69,7 @@ def test_constructor_raises_exactly_on_illegal_combinations():
     {"tiny_file_threshold": -1},
     {"container_size": 1024},
     {"policy_table": {Category.DYNAMIC: AA_POLICY_TABLE[Category.DYNAMIC]}},
-    {"app_chunkers": {"nosuchapp": "gear"}},
-    {"app_chunkers": {"doc": "nosuchengine"}},
-    {"app_chunkers": {"mp3": "gear"}},  # WFC base: nothing to re-chunk
-], ids=["layout", "workers", "tiny", "container", "table",
-        "app-label", "app-engine", "app-wfc"])
+], ids=["layout", "workers", "tiny", "container", "table"])
 def test_single_field_guards(changes):
     with pytest.raises(ConfigError):
         SchemeConfig("guard", **changes)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines import build_scheme
 from repro.cloud import InMemoryBackend, NamespacedBackend
 from repro.core import naming
 from repro.core.filecache import read_epoch
@@ -93,11 +94,15 @@ class TestSpecParsing:
             loads_config("jobs: [unclosed\n  - ")
 
     def test_app_chunkers_validated_eagerly(self):
-        with pytest.raises(ConfigError, match="mp3"):
+        # Each category has one chunker: a per-application override is
+        # refused as a job key and as a scheme option alike.
+        with pytest.raises(ConfigError, match="app_chunkers"):
             parse_config({"jobs": [{
                 "name": "j", "source": "/x",
-                # mp3 is COMPRESSED/WFC: no CDC stage to swap.
-                "app_chunkers": {"mp3": "fastcdc"}}]})
+                "app_chunkers": {"vmdk": "seqcdc"}}]})
+        with pytest.raises(ConfigError, match="app_chunkers"):
+            build_scheme("AA-Dedupe",
+                         options={"app_chunkers": {"vmdk": "seqcdc"}})
 
 
 # ----------------------------------------------------------------------
@@ -272,13 +277,12 @@ class TestServiceRunner:
                                               file_kib=16),
                     schedule=IntervalSchedule(3600),
                     retention=RetainLastN(2)),
-            JobSpec(name="media", scheme="Avamar", chunker="fastcdc",
+            JobSpec(name="media", scheme="Avamar", chunker="seqcdc",
                     source=SyntheticJobSource("media", files=3,
                                               file_kib=24),
                     schedule=IntervalSchedule(7200, offset=600),
                     retention=RetainMaxAge(7200)),
             JobSpec(name="vm", chunker="seqcdc",
-                    app_chunkers={"vmdk": "seqcdc"},
                     source=SyntheticJobSource("vm", files=2,
                                               file_kib=48),
                     schedule=IntervalSchedule(3600, offset=1800)),
@@ -473,53 +477,3 @@ class TestRetentionDrivenGC:
         assert not report.retention.swept
         assert not report.retention.statcache_invalidated
 
-
-# ----------------------------------------------------------------------
-class TestPerAppChunkers:
-    """Satellite: per-application chunker selection via the job spec."""
-
-    def _vm_files(self):
-        return {
-            "disk.vmdk": _corpus("vmdk", 96 * 1024),
-            "report.doc": _corpus("doc", 48 * 1024),
-        }
-
-    def test_restore_parity_with_app_chunker_override(self):
-        files = self._vm_files()
-        snaps = {}
-        for label, app_chunkers in (("default", {}),
-                                    ("seqcdc", {"vmdk": "seqcdc"})):
-            backend = InMemoryBackend()
-            svc = _service(
-                JobSpec(name="vm", app_chunkers=app_chunkers,
-                        source=CallableJobSource(
-                            lambda run: MemorySource(dict(files)))),
-                backend=backend)
-            report = svc.run_once("vm")
-            svc.close()
-            assert report.state == "SUCCEEDED"
-            view = NamespacedBackend(backend, "vm")
-            restored, rep = RestoreClient(view).restore_to_memory(0)
-            # Bit-exact restore regardless of the boundary engine:
-            # chunk identity lives in the manifest, not the config.
-            assert restored == files
-            snaps[label] = rep.chunks_verified
-        # The override actually changed the chunking (different
-        # boundary engine => different extent population).
-        assert snaps["default"] != snaps["seqcdc"]
-
-    def test_app_chunker_determinism_across_runs(self):
-        files = self._vm_files()
-        payloads = []
-        for _ in range(2):
-            backend = InMemoryBackend()
-            svc = _service(
-                JobSpec(name="vm", app_chunkers={"vmdk": "seqcdc"},
-                        source=CallableJobSource(
-                            lambda run: MemorySource(dict(files)))),
-                backend=backend)
-            svc.run_once("vm")
-            svc.close()
-            payloads.append({key: backend.get(key)
-                             for key in backend.list("")})
-        assert payloads[0] == payloads[1]

@@ -16,7 +16,10 @@ run.  After every step, every retained session must restore
 bit-exactly to the reference model (``tests/model.py``), loading each
 container its manifest references exactly once, the store must
 hold a manifest for exactly the sessions the model retains, and a scrub
-must find no problem.  After every resume, the client's index must
+must find no problem.  After every sweep (a GC, or a retention that
+dropped a session), the store must hold no garbage: every container and
+every chunk, file and delta object is referenced by a retained
+manifest.  After every resume, the client's index must
 equal a recount from the retained manifests, app by app, and its
 previous manifest (the one source of unchanged-file replays) must be
 the newest retained manifest when this scheme wrote it, else ``None``.
@@ -230,6 +233,26 @@ class StoreMachine(RuleBasedStateMachine):
         else:
             assert self.client._prev_manifest.to_json() == newest.to_json()
 
+    def _check_no_garbage(self) -> None:
+        """After a sweep the store holds only what the retained
+        manifests reference: the union is read from the manifests
+        themselves, not from the collector's mark."""
+        containers: set = set()
+        objects: set = set()
+        for session_id in self.model.retained():
+            manifest = Manifest.from_json(self.store.get(
+                naming.manifest_key(session_id)))
+            containers |= manifest.referenced_containers()
+            objects |= manifest.referenced_objects()
+        stored = {naming.container_id_of(key)
+                  for key in self.store.list(naming.CONTAINER_PREFIX)}
+        assert stored <= containers, sorted(stored - containers)
+        stored_objects = {key for prefix in (naming.CHUNK_PREFIX,
+                                             naming.FILE_PREFIX,
+                                             naming.DELTA_PREFIX)
+                          for key in self.store.list(prefix)}
+        assert stored_objects <= objects, sorted(stored_objects - objects)
+
     # -- rules ----------------------------------------------------------
     @rule(changes=_changes)
     def backup(self, changes) -> None:
@@ -294,6 +317,7 @@ class StoreMachine(RuleBasedStateMachine):
             self.model.drop(self.model.retained()[0])
         report = collect_garbage(self.store, self.model.retained())
         assert not report.problems, report.problems
+        self._check_no_garbage()
 
     @rule(n=st.integers(1, 3))
     def retain_last_n(self, n) -> None:
@@ -304,6 +328,9 @@ class StoreMachine(RuleBasedStateMachine):
         for session_id in self.model.retained()[:-n]:
             self.model.drop(session_id)
         assert outcome is None or not outcome.problems, outcome.problems
+        if outcome is not None and outcome.dropped:
+            # No drop, no sweep: a failed session's leftovers may stay.
+            self._check_no_garbage()
 
     @rule(wait=st.integers(0, 3), age=st.integers(1, 3))
     def retain_max_age(self, wait, age) -> None:
@@ -322,6 +349,8 @@ class StoreMachine(RuleBasedStateMachine):
                         and now - self.created[session_id] > age:
                     self.model.drop(session_id)
         assert outcome is None or not outcome.problems, outcome.problems
+        if outcome is not None and outcome.dropped:
+            self._check_no_garbage()
 
     @rule(changes=_changes, k=st.integers(1, 10))
     def backup_with_failing_put(self, changes, k) -> None:
