@@ -40,7 +40,7 @@ SESSIONS = 2 if SMOKE else 3
 FILE_KIB = 12 if SMOKE else 16
 SEED = 2011
 
-_WALL_FIELDS = {"dedup_wall_seconds", "upload_wall_seconds"}
+_WALL_FIELDS = {"dedup_wall_seconds"}
 
 
 def _sources():

@@ -21,7 +21,8 @@ from repro.core import (
     collect_garbage,
 )
 from repro.core import naming
-from repro.core.retention import keep_last
+from repro.core.gc import session_catalog
+from repro.core.retention import RetainLastN
 from repro.metrics import Table
 from repro.util.units import KIB, MB, format_bytes
 from repro.workloads import (
@@ -45,7 +46,7 @@ def test_retention_gc_cycle(benchmark):
         for snap in snapshots:
             client.backup(snapshot_to_memory_source(snap))
         before = cloud.stored_bytes()
-        retain = keep_last(range(SESSIONS), KEEP)
+        retain = RetainLastN(KEEP).select(session_catalog(cloud))
         report = collect_garbage(cloud, retain)
         after = cloud.stored_bytes()
         again = client.backup(snapshot_to_memory_source(snapshots[0]))

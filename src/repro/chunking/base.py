@@ -91,8 +91,3 @@ class Chunker(abc.ABC):
             start = cut
         return chunks
 
-    def average_chunk_size(self) -> float:
-        """Nominal average chunk size in bytes (for metadata-cost models);
-        ``float('inf')`` for whole-file chunking."""
-        return float("inf")
-

@@ -79,15 +79,6 @@ class ContentDefinedChunker(Chunker):
         self.max_size = max_size
 
     # ------------------------------------------------------------------
-    def expected_chunk_size(self) -> int:
-        """Expected chunk length before max-size clamping."""
-        return self.avg_size
-
-    def average_chunk_size(self) -> float:
-        """Nominal average chunk size used by cost models."""
-        return float(min(self.expected_chunk_size(), self.max_size))
-
-    # ------------------------------------------------------------------
     def _candidates(self, data: bytes) -> np.ndarray:
         """Vectorised sorted array of candidate cut offsets."""
         raise NotImplementedError
@@ -154,11 +145,6 @@ class RabinCDC(ContentDefinedChunker):
             raise ChunkingError("mask_bits must be in [1, 63]")
         self.mask = (1 << self.mask_bits) - 1
         self.magic = self.mask if magic is None else (magic & self.mask)
-
-    # ------------------------------------------------------------------
-    def expected_chunk_size(self) -> int:
-        """Expected chunk length ``min_size + 2**mask_bits`` (pre-clamp)."""
-        return self.min_size + (1 << self.mask_bits)
 
     # ------------------------------------------------------------------
     def _candidates(self, data: bytes) -> np.ndarray:

@@ -151,10 +151,6 @@ class GearCDC(ContentDefinedChunker):
         self.mask = _high_mask(self.mask_bits)
         self.magic = self.mask if magic is None else (magic & self.mask)
 
-    def expected_chunk_size(self) -> int:
-        """Expected chunk length ``min_size + 2**mask_bits`` (pre-clamp)."""
-        return self.min_size + (1 << self.mask_bits)
-
     # ------------------------------------------------------------------
     def _candidates(self, data: bytes) -> np.ndarray:
         hashes = gear_window_hashes(data)
@@ -207,10 +203,6 @@ class FastCDC(ContentDefinedChunker):
         self.large_bits = max(bits - norm_level, 1)
         self.mask_small = _high_mask(self.small_bits)
         self.mask_large = _high_mask(self.large_bits)
-
-    def expected_chunk_size(self) -> int:
-        """Normalization centres the distribution on ``avg_size``."""
-        return self.avg_size
 
     # ------------------------------------------------------------------
     # The candidate scan returns *two* sorted cut-offset arrays: positions

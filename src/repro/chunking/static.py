@@ -36,7 +36,3 @@ class StaticChunker(Chunker):
         if n:
             cuts.append(n)
         return cuts
-
-    def average_chunk_size(self) -> float:
-        """Exactly ``chunk_size`` (ignoring the file tail)."""
-        return float(self.chunk_size)

@@ -6,7 +6,6 @@ differently — as data:
 * :mod:`repro.classify.filetype` — the registry of application types
   (the 12 evaluated apps plus common extras) and their category:
   *compressed*, *static uncompressed*, or *dynamic uncompressed*;
-* :mod:`repro.classify.magic` — content sniffing for extensionless files;
 * :mod:`repro.classify.policy` — the Fig. 6 policy table mapping category
   → (chunking method, fingerprint hash).
 """
@@ -21,7 +20,6 @@ from repro.classify.filetype import (
     known_app_types,
     UNKNOWN,
 )
-from repro.classify.magic import sniff_bytes, classify_file
 from repro.classify.policy import (
     DedupPolicy,
     AA_POLICY_TABLE,
@@ -36,8 +34,6 @@ __all__ = [
     "register_app_type",
     "known_app_types",
     "UNKNOWN",
-    "sniff_bytes",
-    "classify_file",
     "DedupPolicy",
     "AA_POLICY_TABLE",
 ]

@@ -55,11 +55,6 @@ class DedupPolicy:
         """Resolve the configured fingerprint hash (shared instance)."""
         return get_hash(self.hash_name)
 
-    @property
-    def average_chunk_size(self) -> float:
-        """Nominal average chunk size (``inf`` for WFC), for cost models."""
-        return self.make_chunker().average_chunk_size()
-
 
 #: Chunker classes addressable from a policy, by policy name — the one
 #: name → chunker table.

@@ -32,16 +32,15 @@ from typing import Optional, Sequence
 from repro.baselines import all_scheme_configs, build_scheme
 from repro.chunking import CDC_FAMILY
 from repro.cloud.local import LocalDirectoryBackend
-from repro.core import naming
 from repro.core.backup import BackupClient
-from repro.core.gc import collect_garbage
+from repro.core.gc import collect_garbage, session_catalog
 from repro.core.options import SchemeConfig
 from repro.core.restore import RestoreClient
-from repro.core.retention import keep_last
+from repro.core.retention import RetainLastN
 from repro.core.scrub import scrub_cloud
 from repro.core.source import DirectorySource
 from repro.core.walk import StoreWalk
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.metrics.report import Table
 from repro.util.units import format_bytes, format_seconds, parse_size
 
@@ -191,29 +190,22 @@ def cmd_ls(args) -> int:
 def cmd_gc(args) -> int:
     """Delete old sessions and sweep dead containers/objects."""
     cloud = LocalDirectoryBackend(args.store)
-    ids = naming.session_ids(cloud)
     if args.retain is not None:
         retain = {int(s) for s in args.retain.split(",") if s}
-    elif args.retain_last is not None:
-        # Timestamp-ordered retention (the service layer's policy):
-        # newest N by manifest creation time, session id as tiebreak —
-        # robust to id gaps, unlike the positional --keep-last.
-        from repro.core.gc import session_catalog
-        from repro.core.retention import RetainLastN
-        from repro.errors import ReproError
+    else:
+        # The newest N by manifest creation time, session id as
+        # tiebreak (the service layer's retain-last policy).
         try:
-            catalog = session_catalog(cloud)
-            retain = RetainLastN(args.retain_last).select(catalog)
+            retain = RetainLastN(args.keep_last).select(
+                session_catalog(cloud))
         except ConfigError as exc:
-            print(f"--retain-last: {exc}", file=sys.stderr)
+            print(f"--keep-last: {exc}", file=sys.stderr)
             return 2
         except ReproError as exc:
             print(f"PROBLEM: {exc}", file=sys.stderr)
             print("nothing deleted: session ages could not be proven",
                   file=sys.stderr)
             return 1
-    else:
-        retain = keep_last(ids, args.keep_last)
     report = collect_garbage(cloud, retain)
     print(f"retained sessions: {sorted(retain) or 'none'}")
     if report.problems:
@@ -495,13 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gc", help=cmd_gc.__doc__)
     store_arg(p)
-    p.add_argument("--keep-last", type=int, default=7,
-                   help="retain the N most recent sessions (default 7)")
-    p.add_argument("--retain", default=None,
-                   help="explicit comma-separated session ids to retain")
-    p.add_argument("--retain-last", type=int, default=None, metavar="N",
+    p.add_argument("--keep-last", type=int, default=7, metavar="N",
                    help="retain the N newest sessions by manifest "
-                        "creation time (the service retention policy)")
+                        "creation time (default 7)")
+    p.add_argument("--retain", default=None,
+                   help="explicit comma-separated session ids to retain "
+                        "(\"\" retains none)")
     p.set_defaults(func=cmd_gc)
 
     p = sub.add_parser("scrub", help=cmd_scrub.__doc__)

@@ -27,12 +27,6 @@ class CloudStats:
     bytes_uploaded: int = 0
     bytes_downloaded: int = 0
 
-    @property
-    def total_requests(self) -> int:
-        """All billable requests issued so far."""
-        return (self.put_requests + self.get_requests
-                + self.delete_requests + self.list_requests)
-
 
 class CloudBackend(abc.ABC):
     """Abstract object store (S3-like flat key → blob namespace)."""

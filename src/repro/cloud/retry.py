@@ -128,9 +128,3 @@ class RetryPolicy:
                 self._sleep(delay)
                 slept += delay
         raise AssertionError("unreachable")  # pragma: no cover
-
-    def wrap(self, fn: Callable[..., T]) -> Callable[..., T]:
-        """Return ``fn`` bound to this policy (for upload callbacks)."""
-        def wrapped(*args, **kwargs):
-            return self.call(fn, *args, **kwargs)
-        return wrapped

@@ -193,7 +193,3 @@ class ContainerManager:
                 raise ContainerError(
                     "cannot renumber with open containers")
             self._next_id = container_id
-
-    def open_streams(self) -> list[str]:
-        """Names of streams with a currently open container."""
-        return sorted(self._open)

@@ -62,7 +62,7 @@ from repro.index.base import ChunkIndex, IndexEntry
 from repro.obs.metrics import CHUNK_SIZE_BUCKETS
 from repro.obs.tracer import NOOP_TRACER
 from repro.secure import ConvergentCipher, wrap_key
-from repro.util.timer import ConcurrentStopwatch, Stopwatch
+from repro.util.timer import Stopwatch
 
 __all__ = ["BackupClient"]
 
@@ -124,7 +124,6 @@ class BackupClient:
         self._uploads: Optional[deque] = None
         self._upload_failed = False
         self._upload_busy = 0.0
-        self._upload_watch = ConcurrentStopwatch()
         self._cloud_lock = threading.Lock()
         #: Application label of the file being committed, so uploads
         #: triggered mid-file are attributed to its app (only the commit
@@ -163,11 +162,6 @@ class BackupClient:
                    default=-1) + 1
 
     # -- cloud I/O ------------------------------------------------------
-    def _cloud_put(self, key: str, blob: bytes) -> None:
-        """One timed cloud PUT."""
-        with self._upload_watch:
-            self.cloud.put(key, blob)
-
     def _put(self, key: str, blob: bytes) -> None:
         """Upload a data object: inline, or into the uploader's window.
         Runs on the commit thread only."""
@@ -243,7 +237,7 @@ class BackupClient:
         journal = self._journal
         with self.tracer.span("upload", **attrs):
             with self._cloud_lock:
-                self._cloud_put(key, blob)
+                self.cloud.put(key, blob)
                 if journal is not None:
                     journal.record(key, blob)
 
@@ -371,7 +365,6 @@ class BackupClient:
         self.index.reset_stats()
         puts_before = self.cloud.stats.put_requests
         up_before = self.cloud.stats.bytes_uploaded
-        self._upload_watch = ConcurrentStopwatch()
         self._open_epoch(stats.warnings)
         self._journal = self._open_journal(session_id) \
             if cfg.resumable else None
@@ -388,13 +381,13 @@ class BackupClient:
                 stats.resume_skipped_objects = self._journal.skipped_objects
                 stats.resume_skipped_bytes = self._journal.skipped_bytes
 
-            # Manifest upload (timed like any other transfer).  Its
-            # success is the session's commit record: afterwards the
-            # journal (if any) is obsolete and is deleted.
+            # Manifest upload.  Its success is the session's commit
+            # record: afterwards the journal (if any) is obsolete and is
+            # deleted.
             manifest_blob = manifest.to_json().encode("utf-8")
             with self.tracer.span("manifest", bytes=len(manifest_blob)):
-                self._cloud_put(naming.manifest_key(session_id),
-                                manifest_blob)
+                self.cloud.put(naming.manifest_key(session_id),
+                               manifest_blob)
             if self._journal is not None:
                 self._journal.commit()
                 stats.warnings.extend(self._journal.warnings)
@@ -402,7 +395,6 @@ class BackupClient:
         except BaseException:
             self._abandon(first_id)
             raise
-        stats.upload_wall_seconds = self._upload_watch.elapsed  # all PUTs
 
         # Merge index accounting into the op counters.
         idx_stats = self.index.combined_stats()

@@ -5,50 +5,37 @@ set; these helpers compute that set from operator-friendly policies —
 the glue a deployable backup tool needs around "supporting deletion of
 files" (paper Sec. III-F).
 
-Three policies are provided:
+Two policies are provided:
 
-* :func:`keep_last` — the simplest rolling window over session ids;
 * :class:`RetainLastN` — rolling window over manifest *timestamps*
-  (the declarative service layer's ``retain-last`` policy);
+  (``repro gc --keep-last`` and the service layer's ``retain-last``);
 * :class:`RetainMaxAge` — drop sessions older than a cutoff.
 
-:class:`RetainLastN` and :class:`RetainMaxAge` share one interface —
-``select(sessions, now)`` over a ``{session_id: created_ts}`` catalog
-(see :func:`repro.core.gc.session_catalog`) — so the service runner and
-``repro gc`` apply either interchangeably.
+Both share one interface — ``select(sessions, now)`` over a
+``{session_id: created_ts}`` catalog (see
+:func:`repro.core.gc.session_catalog`) — so the service runner applies
+either interchangeably.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Set
+from typing import Mapping, Set
 
 from repro.errors import ConfigError
 
-__all__ = ["keep_last", "RetainLastN", "RetainMaxAge"]
-
-
-def keep_last(session_ids: Iterable[int], count: int) -> Set[int]:
-    """Retain the ``count`` most recent session ids.
-
-    ``count <= 0`` retains nothing (drop-everything is an explicit
-    choice the caller must make; GC will then sweep the whole store).
-    """
-    if count <= 0:
-        return set()
-    ordered = sorted(session_ids)
-    return set(ordered[-count:])
+__all__ = ["RetainLastN", "RetainMaxAge"]
 
 
 @dataclass(frozen=True)
 class RetainLastN:
     """Retain the ``count`` newest sessions by creation time.
 
-    Unlike :func:`keep_last`, recency is decided by the manifest's
-    ``created`` stamp (session ids break ties), so explicit re-runs of
-    an old session id never shadow genuinely newer sessions.
-    ``count <= 0`` is a configuration error — a drop-everything policy
-    must be the explicit :func:`keep_last` call, never a config typo.
+    Recency is decided by the manifest's ``created`` stamp (session ids
+    break ties), so explicit re-runs of an old session id never shadow
+    genuinely newer sessions.  ``count <= 0`` is a configuration error —
+    a drop-everything retain set must be explicit (``repro gc
+    --retain ""``), never a config typo.
     """
 
     count: int

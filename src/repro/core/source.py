@@ -54,10 +54,6 @@ class DirectorySource:
                 reader=lambda p=stat.path: p.read_bytes(),
             )
 
-    def total_bytes(self) -> int:
-        """Sum of file sizes (the session's dataset size DS)."""
-        return sum(s.size for s in walk_files(self.root))
-
 
 class MemorySource:
     """An in-memory snapshot: ``{path: bytes}`` (+ optional mtimes).
@@ -81,10 +77,3 @@ class MemorySource:
                 mtime_ns=self._mtimes.get(path, 0),
                 reader=lambda d=data: d,
             )
-
-    def __len__(self) -> int:
-        return len(self._files)
-
-    def total_bytes(self) -> int:
-        """Sum of file sizes (the session's dataset size DS)."""
-        return sum(len(v) for v in self._files.values())

@@ -131,9 +131,6 @@ class SessionStats:
 
     # -- measured wall time (real engine only; simulators use cpumodel) --
     dedup_wall_seconds: float = 0.0
-    #: Seconds inside cloud PUTs — data objects and the manifest alike —
-    #: on whichever thread issued them.
-    upload_wall_seconds: float = 0.0
     #: Accumulated busy seconds of every stage that ran on its own
     #: thread(s) ("read"/"chunk"/"hash"/"commit" with parallel_workers
     #: > 1, "upload" with pipeline_uploads; empty otherwise).

@@ -30,7 +30,7 @@ from repro.delta.encode import (
     encode_if_worthwhile,
     validate_delta,
 )
-from repro.delta.simindex import SimIndexStats, SimilarityIndex
+from repro.delta.simindex import SimilarityIndex
 from repro.delta.sketch import Sketch, compute_sketch
 from repro.delta.stage import DeltaStage
 
@@ -43,7 +43,6 @@ __all__ = [
     "encode_delta",
     "encode_if_worthwhile",
     "validate_delta",
-    "SimIndexStats",
     "SimilarityIndex",
     "Sketch",
     "compute_sketch",

@@ -18,33 +18,12 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.delta.sketch import Sketch
 from repro.errors import DeltaError
 
-__all__ = ["SimIndexStats", "SimilarityIndex"]
-
-
-@dataclass
-class SimIndexStats:
-    """Probe/insert accounting, IndexStats-style (see
-    :class:`repro.index.base.IndexStats`)."""
-
-    probes: int = 0
-    #: Probes that returned a candidate base.
-    hits: int = 0
-    inserts: int = 0
-    #: Super-feature slots dropped by the LRU bound.
-    evictions: int = 0
-
-    def merge(self, other: "SimIndexStats") -> None:
-        """Accumulate ``other`` into ``self``."""
-        self.probes += other.probes
-        self.hits += other.hits
-        self.inserts += other.inserts
-        self.evictions += other.evictions
+__all__ = ["SimilarityIndex"]
 
 
 class SimilarityIndex:
@@ -56,7 +35,6 @@ class SimilarityIndex:
         #: Max super-feature slots kept per namespace.
         self.capacity = capacity
         self._maps: Dict[str, "OrderedDict[bytes, bytes]"] = {}
-        self._stats: Dict[str, SimIndexStats] = {}
         self._create_lock = threading.Lock()
 
     def _namespace(self, namespace: str) -> "OrderedDict[bytes, bytes]":
@@ -66,7 +44,6 @@ class SimilarityIndex:
                 ns = self._maps.get(namespace)
                 if ns is None:
                     ns = self._maps[namespace] = OrderedDict()
-                    self._stats[namespace] = SimIndexStats()
         return ns
 
     # ------------------------------------------------------------------
@@ -79,8 +56,6 @@ class SimilarityIndex:
         useful base stays resident.
         """
         ns = self._namespace(namespace)
-        stats = self._stats[namespace]
-        stats.probes += 1
         votes: Dict[bytes, int] = {}
         for sf in sketch.super_features:
             fp = ns.get(sf)
@@ -92,7 +67,6 @@ class SimilarityIndex:
         for sf in sketch.super_features:
             if ns.get(sf) == best:
                 ns.move_to_end(sf)
-        stats.hits += 1
         return best
 
     def insert(self, namespace: str, sketch: Sketch,
@@ -100,15 +74,12 @@ class SimilarityIndex:
         """Register ``fingerprint`` as the base behind every
         super-feature of ``sketch`` (last-writer-wins per slot)."""
         ns = self._namespace(namespace)
-        stats = self._stats[namespace]
-        stats.inserts += 1
         for sf in sketch.super_features:
             if sf in ns:
                 ns.move_to_end(sf)
             ns[sf] = fingerprint
         while len(ns) > self.capacity:
             ns.popitem(last=False)
-            stats.evictions += 1
 
     def discard(self, namespace: str, fingerprint: bytes) -> int:
         """Drop every slot pointing at ``fingerprint``; returns count.
@@ -123,29 +94,3 @@ class SimilarityIndex:
         for sf in dead:
             del ns[sf]
         return len(dead)
-
-    # ------------------------------------------------------------------
-    @property
-    def namespaces(self) -> list[str]:
-        """Labels of all materialised namespaces (sorted)."""
-        return sorted(self._maps)
-
-    def __len__(self) -> int:
-        """Total super-feature slots across all namespaces."""
-        return sum(len(ns) for ns in self._maps.values())
-
-    def stats_for(self, namespace: str) -> SimIndexStats:
-        """Per-namespace counters (created on first use)."""
-        self._namespace(namespace)
-        return self._stats[namespace]
-
-    def combined_stats(self) -> SimIndexStats:
-        """Merged counters across namespaces."""
-        total = SimIndexStats()
-        for stats in self._stats.values():
-            total.merge(stats)
-        return total
-
-    def approximate_bytes(self) -> int:
-        """Rough footprint: 8 B super-feature + <=20 B fingerprint."""
-        return len(self) * 28

@@ -68,17 +68,10 @@ class Sketch:
     """Resemblance sketch of one chunk.
 
     ``super_features`` are 8-byte digests; two chunks that share any
-    super-feature are considered resembling.  ``matches`` counts the
-    agreement between two sketches (the similarity index uses it to rank
-    candidate bases).
+    super-feature are considered resembling.
     """
 
     super_features: Tuple[bytes, ...]
-
-    def matches(self, other: "Sketch") -> int:
-        """Number of positions where the two sketches agree."""
-        return sum(1 for a, b in zip(self.super_features,
-                                     other.super_features) if a == b)
 
 
 def compute_sketch(data: bytes,

@@ -138,7 +138,6 @@ class FleetIndex(ChunkIndex):
 
     def insert(self, entry: IndexEntry) -> None:
         self.stats.inserts += 1
-        self.generation += 1
         # A chunk this client just stored after a miss: offer it to the
         # fleet (adopted entries enter ``_local`` in :meth:`_probe`).
         self._local[entry.fingerprint] = entry
@@ -148,8 +147,7 @@ class FleetIndex(ChunkIndex):
         """Forget ``fingerprint`` locally and unpublish it: the client
         drops entries whose container is gone or never became durable
         (a swept container, an abandoned session)."""
-        if self._local.pop(fingerprint, None) is not None:
-            self.generation += 1
+        self._local.pop(fingerprint, None)
         self._outbox.pop(fingerprint, None)
 
     def flush_publishes(self) -> None:

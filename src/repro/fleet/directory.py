@@ -19,7 +19,7 @@ would cap a directory at 256 buckets).
 Each :class:`DirectoryShard` owns an independent
 :class:`~repro.index.base.ChunkIndex` and its own lock, so probes
 against different shards never contend.  Probes are **batched**:
-:meth:`GlobalDedupDirectory.lookup_batch` groups fingerprints by shard
+:meth:`GlobalDedupDirectory.probe_batch` groups fingerprints by shard
 and probes each shard once per batch, which is what lets a disk-backed
 shard amortise seeks (the per-shard ``batches`` counter versus ``probes``
 makes the amortisation visible to the cost model).
@@ -119,10 +119,6 @@ class DirectoryShard:
         self.publishes = 0
         #: Entries actually committed (first publisher by rank wins).
         self.accepted = 0
-
-    @property
-    def key(self) -> Tuple[str, int]:
-        return (self.app, self.bucket)
 
     @property
     def name(self) -> str:
@@ -281,9 +277,6 @@ class GlobalDedupDirectory:
         idx = bisect_right(self._points, _hash64(fingerprint))
         return self._owners[idx % len(self._points)]
 
-    def shard_for(self, app: str, fingerprint: bytes) -> DirectoryShard:
-        return self._shard(app, self._bucket(fingerprint))
-
     def _shard(self, app: str, bucket: int) -> DirectoryShard:
         key = (app, bucket)
         shard = self._shards.get(key)
@@ -347,20 +340,6 @@ class GlobalDedupDirectory:
                 out[pos] = entry
                 absorbed[pos] = flag
         return out, absorbed
-
-    def lookup_batch(self, app: str, fingerprints: Sequence[bytes]
-                     ) -> List[Optional[IndexEntry]]:
-        """Probe a batch of fingerprints, grouped by shard.
-
-        Each shard involved is probed at most once (one ``batches``
-        tick unless its filter absorbs the whole group), and results
-        come back aligned with the input order.
-        """
-        return self.probe_batch(app, fingerprints)[0]
-
-    def lookup(self, app: str, fingerprint: bytes) -> Optional[IndexEntry]:
-        """Single-fingerprint convenience wrapper over the batch path."""
-        return self.lookup_batch(app, (fingerprint,))[0]
 
     def publish_batch(self, app: str, entries: Sequence[IndexEntry],
                       rank: int) -> None:

@@ -146,10 +146,6 @@ class _UnionSource:
                     reader=lambda c=comp: materialize_composition(c),
                 )
 
-    def total_bytes(self) -> int:
-        return sum(comp.size for _prefix, snap in self._parts
-                   for comp in snap.files.values())
-
 
 def generated_fleet_sources(clients: int, sessions: int, *,
                             bytes_per_client: int = 64 * MB,

@@ -25,7 +25,6 @@ from repro.hashing.rabin import (
     ExtendedRabinFingerprinter,
     POLY64,
     POLY32,
-    is_irreducible,
 )
 from repro.hashing.rolling import window_fingerprints
 from repro.hashing.crypto import MD5Fingerprinter, SHA1Fingerprinter
@@ -45,7 +44,6 @@ __all__ = [
     "ExtendedRabinFingerprinter",
     "POLY64",
     "POLY32",
-    "is_irreducible",
     "window_fingerprints",
     "MD5Fingerprinter",
     "SHA1Fingerprinter",

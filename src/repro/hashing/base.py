@@ -35,13 +35,9 @@ class Fingerprinter(abc.ABC):
     def hash(self, data: bytes) -> bytes:
         """Return the ``digest_size``-byte fingerprint of ``data``."""
 
-    @property
-    def bits(self) -> int:
-        """Digest width in bits."""
-        return self.digest_size * 8
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__} name={self.name!r} bits={self.bits}>"
+        return (f"<{type(self).__name__} name={self.name!r} "
+                f"bits={self.digest_size * 8}>")
 
 
 _REGISTRY: Dict[str, Callable[[], Fingerprinter]] = {}

@@ -31,8 +31,6 @@ __all__ = [
     "POLY64",
     "POLY32",
     "poly_mod",
-    "poly_mulmod",
-    "is_irreducible",
     "make_shift_table",
     "shift_rows",
     "RabinFingerprinter",
@@ -40,7 +38,7 @@ __all__ = [
 ]
 
 #: Irreducible degree-64 polynomial x^64 + x^4 + x^3 + x + 1 (standard
-#: GF(2^64) pentanomial).  Verified by ``is_irreducible`` in the test suite.
+#: GF(2^64) pentanomial).  Verified irreducible in the test suite.
 POLY64 = (1 << 64) | 0b11011
 
 #: Irreducible degree-32 polynomial x^32 + x^7 + x^3 + x^2 + 1 (standard
@@ -61,61 +59,6 @@ def poly_mod(a: int, p: int) -> int:
         a ^= p << (da - dp)
         da = a.bit_length() - 1
     return a
-
-
-def poly_mulmod(a: int, b: int, p: int) -> int:
-    """Carry-less multiply ``a * b`` then reduce modulo ``p`` over GF(2)."""
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        b >>= 1
-        a <<= 1
-    return poly_mod(result, p)
-
-
-def _poly_gcd(a: int, b: int) -> int:
-    """GCD of two GF(2) polynomials (Euclid with poly_mod)."""
-    while b:
-        a, b = b, poly_mod(a, b)
-    return a
-
-
-def is_irreducible(p: int) -> bool:
-    """Rabin's irreducibility test for a GF(2) polynomial ``p``.
-
-    ``p`` of degree ``n`` is irreducible iff ``x^(2^n) == x (mod p)`` and,
-    for every prime divisor ``q`` of ``n``,
-    ``gcd(x^(2^(n/q)) - x, p) == 1``.
-    """
-    n = _degree(p)
-    if n <= 0:
-        return False
-
-    def x_pow_pow2(k: int) -> int:
-        # Compute x^(2^k) mod p by repeated squaring of x.
-        r = 0b10  # the polynomial "x"
-        for _ in range(k):
-            r = poly_mulmod(r, r, p)
-        return r
-
-    if x_pow_pow2(n) != 0b10:
-        return False
-    # Prime divisors of n.
-    primes, m, d = [], n, 2
-    while d * d <= m:
-        if m % d == 0:
-            primes.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        primes.append(m)
-    for q in primes:
-        h = x_pow_pow2(n // q) ^ 0b10  # x^(2^(n/q)) - x  (== XOR over GF(2))
-        if _poly_gcd(h, p) != 1:
-            return False
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -258,10 +201,6 @@ class RabinFingerprinter(Fingerprinter):
         """Return the big-endian fingerprint bytes of ``data``."""
         fp = self._core.digest_bytes(data)
         return fp.to_bytes(self.digest_size, "big")
-
-    def hash_int(self, data: bytes) -> int:
-        """Return the fingerprint as an integer (used by tests/tools)."""
-        return self._core.digest_bytes(data)
 
 
 class ExtendedRabinFingerprinter(Fingerprinter):

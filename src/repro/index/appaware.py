@@ -86,10 +86,6 @@ class AppAwareIndex:
         with self.tracer.span("index.insert", app=app):
             self.subindex(app).insert(entry)
 
-    def contains(self, app: str, fingerprint: bytes) -> bool:
-        """Membership test within one application's namespace."""
-        return self.lookup(app, fingerprint) is not None
-
     # ------------------------------------------------------------------
     @property
     def apps(self) -> List[str]:
@@ -105,10 +101,6 @@ class AppAwareIndex:
         for app in self.apps:
             for entry in self._subindices[app].entries():
                 yield app, entry
-
-    def sizes(self) -> Dict[str, int]:
-        """Entry count per application — Fig.-6-style index sizing data."""
-        return {app: len(idx) for app, idx in self._subindices.items()}
 
     def combined_stats(self) -> IndexStats:
         """Merged :class:`IndexStats` across subindices."""
@@ -131,8 +123,3 @@ class AppAwareIndex:
         """Close every subindex."""
         for idx in self._subindices.values():
             idx.close()
-
-    def approximate_bytes(self) -> int:
-        """Total footprint (sum of subindex footprints)."""
-        return sum(idx.approximate_bytes()
-                   for idx in self._subindices.values())

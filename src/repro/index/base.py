@@ -106,12 +106,6 @@ class ChunkIndex(abc.ABC):
     def __init__(self) -> None:
         #: Running counters; reset by the caller between sessions.
         self.stats = IndexStats()
-        #: Monotonic mutation counter, advanced by every :meth:`insert`.
-        #: Unlike ``stats.inserts`` it is never reset, so replication
-        #: code can use it as a dirty marker: equal generations mean no
-        #: mutation happened in between — a pure entry-count comparison
-        #: cannot see a re-insert that moved a fingerprint.
-        self.generation = 0
 
     @abc.abstractmethod
     def lookup(self, fingerprint: bytes) -> Optional[IndexEntry]:
@@ -191,16 +185,8 @@ class ChunkIndex(abc.ABC):
             merged.inserts = max(merged.inserts, level.inserts)
         return merged
 
-    def contains(self, fingerprint: bytes) -> bool:
-        """Membership test (counts as a lookup for statistics)."""
-        return self.lookup(fingerprint) is not None
-
     def flush(self) -> None:
         """Persist buffered state (no-op for pure-memory indices)."""
 
     def close(self) -> None:
         """Release resources; the index must not be used afterwards."""
-
-    def approximate_bytes(self) -> int:
-        """Rough in-memory footprint — drives the RAM-residency model."""
-        return len(self) * IndexEntry.RECORD_SIZE

@@ -152,7 +152,6 @@ class DiskIndex(ChunkIndex):
     def insert(self, entry: IndexEntry) -> None:
         """Insert into the memtable; flush to a new run when full."""
         self.stats.inserts += 1
-        self.generation += 1
         self._memtable[entry.fingerprint] = entry
         if len(self._memtable) >= self.memtable_limit:
             self.flush()
@@ -229,8 +228,3 @@ class DiskIndex(ChunkIndex):
             run.close()
         self._runs = []
         self._memtable = {}
-
-    def approximate_bytes(self) -> int:
-        """Footprint including on-disk runs (for residency modelling)."""
-        return (len(self._memtable) * _RECORD
-                + sum(r.size for r in self._runs))

@@ -153,7 +153,6 @@ class LocalityCache(ChunkIndex):
     def insert(self, entry: IndexEntry) -> None:
         """Write-through insert (backing index stays authoritative)."""
         self.stats.inserts += 1
-        self.generation += 1
         self.backing.insert(entry)
         self._remember(entry)
 
@@ -172,9 +171,3 @@ class LocalityCache(ChunkIndex):
         self._entries.clear()
         self._owner.clear()
         self._lru.clear()
-
-    @property
-    def hit_ratio(self) -> float:
-        """Fraction of lookups served from the cache."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0

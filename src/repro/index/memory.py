@@ -33,13 +33,11 @@ class MemoryIndex(ChunkIndex):
     def insert(self, entry: IndexEntry) -> None:
         """O(1) insert/replace."""
         self.stats.inserts += 1
-        self.generation += 1
         self._map[entry.fingerprint] = entry
 
     def discard(self, fingerprint: bytes) -> None:
         """Drop ``fingerprint`` if present."""
-        if self._map.pop(fingerprint, None) is not None:
-            self.generation += 1
+        self._map.pop(fingerprint, None)
 
     def __len__(self) -> int:
         return len(self._map)

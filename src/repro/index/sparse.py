@@ -125,7 +125,6 @@ class SparseShardIndex(ChunkIndex):
 
     def insert(self, entry: IndexEntry) -> None:
         self.stats.inserts += 1
-        self.generation += 1
         fingerprint = entry.fingerprint
         self._open[fingerprint] = entry
         if self._is_hook(fingerprint):
@@ -156,7 +155,3 @@ class SparseShardIndex(ChunkIndex):
     def ram_entries(self) -> int:
         """RAM-resident entries: hooks + the open segment buffer."""
         return len(self._hooks) + len(self._open)
-
-    def approximate_bytes(self) -> int:
-        """RAM footprint — the sampled-index selling point."""
-        return self.ram_entries() * IndexEntry.RECORD_SIZE

@@ -16,8 +16,6 @@ from repro.service.hooks import (
     HookResult,
     HookSet,
     HookSpec,
-    builtin_hook_names,
-    register_builtin_hook,
     run_hook,
 )
 from repro.service.retention import RetentionOutcome, apply_retention
@@ -66,10 +64,8 @@ __all__ = [
     "ServiceSpec",
     "SyntheticJobSource",
     "apply_retention",
-    "builtin_hook_names",
     "load_config",
     "loads_config",
     "parse_config",
-    "register_builtin_hook",
     "run_hook",
 ]

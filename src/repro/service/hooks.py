@@ -1,8 +1,8 @@
-"""Pre/post job hooks: shell commands and registered builtins.
+"""Pre/post job hooks: shell commands and builtins.
 
 A hook either runs a shell command (``run: "pg_dump ..."`` — the
 deployable path, with the job's identity exported through ``REPRO_*``
-environment variables) or invokes a Python callable registered under a
+environment variables) or invokes one of the builtin Python callables by
 name (``builtin: noop`` — zero-subprocess hooks for tests and embedded
 deployments).  A hook *fails* when the command exits non-zero or the
 callable raises; what a failure means is the job's ``failure_policy``
@@ -26,8 +26,7 @@ from typing import Callable, Dict, Mapping, Optional
 
 from repro.errors import ConfigError
 
-__all__ = ["HookSpec", "HookResult", "HookSet", "run_hook",
-           "register_builtin_hook", "builtin_hook_names"]
+__all__ = ["HookSpec", "HookResult", "HookSet", "run_hook"]
 
 #: Wall-clock ceiling for one shell hook; a hung hook must not wedge
 #: the whole service loop.
@@ -42,22 +41,11 @@ def _builtin_fail(env: Mapping[str, str]) -> None:
     raise RuntimeError("builtin hook 'fail' always fails")
 
 
-#: Registered builtin hooks; extensible via :func:`register_builtin_hook`.
+#: The builtin hooks a job's ``builtin:`` names.
 _BUILTINS: Dict[str, Callable[[Mapping[str, str]], None]] = {
     "noop": _builtin_noop,
     "fail": _builtin_fail,
 }
-
-
-def register_builtin_hook(name: str,
-                          fn: Callable[[Mapping[str, str]], None]) -> None:
-    """Register ``fn`` as builtin hook ``name`` (tests, embedders)."""
-    _BUILTINS[name] = fn
-
-
-def builtin_hook_names() -> tuple:
-    """Sorted names of the registered builtin hooks."""
-    return tuple(sorted(_BUILTINS))
 
 
 @dataclass(frozen=True)
@@ -75,7 +63,7 @@ class HookSpec:
         if self.builtin is not None and self.builtin not in _BUILTINS:
             raise ConfigError(
                 f"unknown builtin hook {self.builtin!r}; registered: "
-                f"{', '.join(builtin_hook_names())}")
+                f"{', '.join(sorted(_BUILTINS))}")
 
     @property
     def label(self) -> str:

@@ -406,18 +406,6 @@ class BackupService:
         return outcomes
 
     # ------------------------------------------------------------------
-    def run_once(self, name: str) -> JobReport:
-        """Run one job immediately (outside its schedule), as a wave."""
-        for runtime in self.jobs:
-            if runtime.spec.name == name:
-                return self._wave([runtime], self.clock.now())[0]
-        names = ", ".join(r.spec.name for r in self.jobs)
-        raise ConfigError(f"no job named {name!r}; active: {names}")
-
-    def run_all(self) -> List[JobReport]:
-        """Run every active job once, as one wave in rank order."""
-        return self._wave(self.jobs, self.clock.now())
-
     def run(self, until: Optional[float] = None,
             max_workers: int = 1) -> ServiceReport:
         """Drive the schedule loop up to virtual time ``until``.

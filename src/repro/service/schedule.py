@@ -55,12 +55,6 @@ class IntervalSchedule:
         k = math.floor((t - self.offset) / self.interval) + 1
         return self.offset + k * self.interval
 
-    def occurrences_until(self, horizon: float) -> int:
-        """How many occurrences fall in ``[offset, horizon]``."""
-        if horizon < self.offset:
-            return 0
-        return int(math.floor((horizon - self.offset) / self.interval)) + 1
-
 
 class JobClock:
     """Per-job scheduling state: when it is next due and how it has

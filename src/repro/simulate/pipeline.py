@@ -14,8 +14,7 @@ pitfalls; :func:`dedup_throughput` recovers DT for reporting.
 
 from __future__ import annotations
 
-__all__ = ["backup_window", "dedup_throughput",
-           "simulate_two_stage_pipeline"]
+__all__ = ["backup_window", "dedup_throughput"]
 
 
 def dedup_throughput(dataset_bytes: float, dedup_seconds: float) -> float:
@@ -36,34 +35,3 @@ def backup_window(dedup_seconds: float, transfer_seconds: float,
     if pipelined:
         return max(dedup_seconds, transfer_seconds)
     return dedup_seconds + transfer_seconds
-
-
-def simulate_two_stage_pipeline(stage1_times, stage2_times,
-                                queue_depth: int = 4) -> float:
-    """Discrete-event makespan of a two-stage pipeline over work items.
-
-    Validates the paper's closed-form BWS: with a bounded hand-off queue
-    (the engine uses a depth-4 upload queue), item ``i`` cannot enter
-    stage 1 until item ``i − queue_depth`` has left stage 2, and stage 2
-    processes in order.  The returned makespan always lies between
-    ``max(sum(stage1), sum(stage2))`` (the paper's expression, evaluated
-    per stage) and their sum; with many small items it converges to the
-    max — which is why the paper's formula is the right model for
-    container-granular upload pipelining.
-    """
-    if len(stage1_times) != len(stage2_times):
-        raise ValueError("stage time lists must have equal length")
-    stage1_free = 0.0
-    stage2_free = 0.0
-    finish2 = []  # completion times in stage 2
-    for i, (t1, t2) in enumerate(zip(stage1_times, stage2_times)):
-        start1 = stage1_free
-        if i >= queue_depth:
-            start1 = max(start1, finish2[i - queue_depth])
-        done1 = start1 + t1
-        stage1_free = done1
-        start2 = max(done1, stage2_free)
-        done2 = start2 + t2
-        stage2_free = done2
-        finish2.append(done2)
-    return finish2[-1] if finish2 else 0.0

@@ -69,11 +69,6 @@ class SchemeRun:
     config: SchemeConfig
     sessions: List[SessionRecord] = field(default_factory=list)
 
-    @property
-    def name(self) -> str:
-        """Scheme display name."""
-        return self.config.name
-
     def total_uploaded(self) -> int:
         """Cumulative cloud bytes after the last session (Fig. 7 end)."""
         return self.sessions[-1].cumulative_uploaded if self.sessions else 0

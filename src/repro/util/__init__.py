@@ -9,7 +9,6 @@ from repro.util.units import (
     MIB,
     GIB,
     format_bytes,
-    format_rate,
     format_seconds,
     parse_size,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "MIB",
     "GIB",
     "format_bytes",
-    "format_rate",
     "format_seconds",
     "parse_size",
     "Stopwatch",

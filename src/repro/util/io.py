@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-__all__ = ["atomic_write_bytes", "atomic_write_text", "walk_files", "FileStat",
+__all__ = ["atomic_write_bytes", "walk_files", "FileStat",
            "TEMP_PREFIX"]
 
 #: Name prefix of :func:`atomic_write_bytes`'s in-flight temp files.  A
@@ -46,13 +46,6 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
         except OSError:
             pass
         raise
-
-
-def atomic_write_text(path: str | os.PathLike, text: str,
-                      encoding: str = "utf-8") -> None:
-    """Atomically replace ``path`` with ``text`` (see
-    :func:`atomic_write_bytes`)."""
-    atomic_write_bytes(path, text.encode(encoding))
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,10 @@ runs that is :class:`WallClock`, while the evaluation harness substitutes
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Protocol, runtime_checkable
 
-__all__ = ["ClockProtocol", "WallClock", "Stopwatch",
-           "ConcurrentStopwatch"]
+__all__ = ["ClockProtocol", "WallClock", "Stopwatch"]
 
 
 @runtime_checkable
@@ -77,45 +75,3 @@ class Stopwatch:
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-
-class ConcurrentStopwatch:
-    """Thread-safe stopwatch accumulating the *union* of intervals.
-
-    :class:`Stopwatch` is single-owner: a second concurrent ``start()``
-    overwrites the first start mark, and the matching ``stop()`` pair
-    then either double-counts the overlap or raises.  This variant
-    admits any number of concurrent ``with`` blocks and accumulates the
-    wall-clock union of all of them — two fully-overlapping one-second
-    uploads cost one second of :attr:`elapsed`, not two — which is the
-    correct reading for "how long was the upload path busy".
-    """
-
-    def __init__(self, clock: ClockProtocol | None = None) -> None:
-        self._clock = clock if clock is not None else WallClock()
-        self._lock = threading.Lock()
-        self._active = 0
-        self._start = 0.0
-        #: Union of all entered intervals so far, in seconds.
-        self.elapsed: float = 0.0
-
-    @property
-    def running(self) -> bool:
-        """Whether at least one interval is currently open."""
-        return self._active > 0
-
-    def __enter__(self) -> "ConcurrentStopwatch":
-        with self._lock:
-            if self._active == 0:
-                self._start = self._clock.now()
-            self._active += 1
-        return self
-
-    def __exit__(self, *exc) -> None:
-        with self._lock:
-            if self._active <= 0:
-                raise RuntimeError(
-                    "ConcurrentStopwatch exited more times than entered")
-            self._active -= 1
-            if self._active == 0:
-                self.elapsed += self._clock.now() - self._start

@@ -23,7 +23,6 @@ __all__ = [
     "TIB",
     "parse_size",
     "format_bytes",
-    "format_rate",
     "format_seconds",
 ]
 
@@ -99,11 +98,6 @@ def format_bytes(n: float, *, decimal: bool = False) -> str:
             return f"{value:.1f}{suffix}"
         value /= step
     raise AssertionError("unreachable")
-
-
-def format_rate(bytes_per_second: float) -> str:
-    """Render a throughput, e.g. ``format_rate(500_000) == '500.0KB/s'``."""
-    return format_bytes(bytes_per_second, decimal=True) + "/s"
 
 
 def format_seconds(seconds: float) -> str:

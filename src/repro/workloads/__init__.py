@@ -22,7 +22,6 @@ from repro.workloads.profiles import (
     PAPER_PROFILES,
     TABLE1_REFERENCE,
     SIZE_BUCKETS,
-    profile_for,
 )
 from repro.workloads.compose import Extent, Composition, Snapshot
 from repro.workloads.generator import WorkloadGenerator
@@ -39,7 +38,6 @@ __all__ = [
     "PAPER_PROFILES",
     "TABLE1_REFERENCE",
     "SIZE_BUCKETS",
-    "profile_for",
     "Extent",
     "Composition",
     "Snapshot",

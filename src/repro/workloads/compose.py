@@ -151,10 +151,6 @@ class Composition:
         out.extend(self.slice(pos, self.size - pos))
         return Composition(out)
 
-    def blocks(self) -> set[int]:
-        """Distinct block ids referenced."""
-        return {e.block for e in self.extents}
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Composition)
                 and self.extents == other.extents)

@@ -80,9 +80,6 @@ def snapshot_to_memory_source(snap: Snapshot) -> MemorySource:
                     mtime_ns=self._mtimes.get(path, 0),
                     reader=lambda c=comp: materialize_composition(c))
 
-        def total_bytes(self) -> int:
-            return sum(c.size for c in self._files.values())
-
     return _LazySource()
 
 

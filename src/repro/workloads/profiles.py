@@ -38,7 +38,6 @@ __all__ = [
     "TABLE1_REFERENCE",
     "SIZE_BUCKETS",
     "FIG12_SIZE_MODEL",
-    "profile_for",
     "DENSITY_DENSE",
     "DENSITY_SPARSE",
     "DENSITY_MEDIUM",
@@ -95,11 +94,6 @@ class AppProfile:
     weekly_modify: float = 0.05
     #: For "block" mode: fraction of a modified file rewritten (aligned).
     rewrite_fraction: float = 0.05
-
-    @property
-    def target_dr(self) -> float:
-        """Sub-file dedup ratio this profile aims for (Table 1)."""
-        return 1.0 / (1.0 - self.sub_dup) if self.sub_dup < 1 else float("inf")
 
 
 #: Capacity shares of the 351 GB *evaluation workload*.  The paper never
@@ -201,11 +195,3 @@ FIG12_SIZE_MODEL: Tuple[Tuple[float, float, float], ...] = (
     (0.376, 60 * KIB, 1.0),
     (0.014, 6 * MIB, 0.9),
 )
-
-
-def profile_for(label: str) -> AppProfile:
-    """Profile by application label (raises ``KeyError`` if unknown)."""
-    for profile in PAPER_PROFILES + (TINY_PROFILE,):
-        if profile.label == label:
-            return profile
-    raise KeyError(label)

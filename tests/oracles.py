@@ -13,6 +13,13 @@ at a time:
 * :func:`reference_cut_points` — a byte-loop chunker that applies
   min / normal / max as it goes, the cut list each engine's
   ``cut_points`` must produce.
+
+Two more oracles check a number the product takes on trust:
+
+* :func:`is_irreducible` — Rabin's irreducibility test, which proves the
+  fingerprint polynomials ``POLY64``/``POLY32`` irreducible;
+* :func:`simulate_two_stage_pipeline` — a discrete-event makespan that
+  the paper's closed-form backup window (Sec. IV-D) must approach.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ import numpy as np
 from repro.chunking import FastCDC, GearCDC, RabinCDC, SeqCDC
 from repro.chunking.gear import gear_table
 from repro.errors import ChunkingError
-from repro.hashing.rabin import POLY64, _RabinCore, make_shift_table
+from repro.hashing.rabin import (POLY64, _RabinCore, _degree,
+                                 make_shift_table, poly_mod)
 
 
 class RollingRabin:
@@ -181,3 +189,93 @@ def reference_cut_points(chunker, data: bytes) -> List[int]:
     if start < n:
         cuts.append(n)
     return cuts
+
+
+# -- GF(2) polynomial arithmetic ---------------------------------------------
+
+def poly_mulmod(a: int, b: int, p: int) -> int:
+    """Carry-less multiply ``a * b`` then reduce modulo ``p`` over GF(2)."""
+    result = 0
+    while b:
+        if b & 1:
+            result ^= a
+        b >>= 1
+        a <<= 1
+    return poly_mod(result, p)
+
+
+def _poly_gcd(a: int, b: int) -> int:
+    """GCD of two GF(2) polynomials (Euclid with poly_mod)."""
+    while b:
+        a, b = b, poly_mod(a, b)
+    return a
+
+
+def is_irreducible(p: int) -> bool:
+    """Rabin's irreducibility test for a GF(2) polynomial ``p``.
+
+    ``p`` of degree ``n`` is irreducible iff ``x^(2^n) == x (mod p)`` and,
+    for every prime divisor ``q`` of ``n``,
+    ``gcd(x^(2^(n/q)) - x, p) == 1``.
+    """
+    n = _degree(p)
+    if n <= 0:
+        return False
+
+    def x_pow_pow2(k: int) -> int:
+        # Compute x^(2^k) mod p by repeated squaring of x.
+        r = 0b10  # the polynomial "x"
+        for _ in range(k):
+            r = poly_mulmod(r, r, p)
+        return r
+
+    if x_pow_pow2(n) != 0b10:
+        return False
+    # Prime divisors of n.
+    primes, m, d = [], n, 2
+    while d * d <= m:
+        if m % d == 0:
+            primes.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        primes.append(m)
+    for q in primes:
+        h = x_pow_pow2(n // q) ^ 0b10  # x^(2^(n/q)) - x  (== XOR over GF(2))
+        if _poly_gcd(h, p) != 1:
+            return False
+    return True
+
+
+# -- the pipelined backup window ---------------------------------------------
+
+def simulate_two_stage_pipeline(stage1_times, stage2_times,
+                                queue_depth: int = 4) -> float:
+    """Discrete-event makespan of a two-stage pipeline over work items.
+
+    Validates the paper's closed-form BWS: with a bounded hand-off queue
+    (the engine uses a depth-4 upload queue), item ``i`` cannot enter
+    stage 1 until item ``i − queue_depth`` has left stage 2, and stage 2
+    processes in order.  The returned makespan always lies between
+    ``max(sum(stage1), sum(stage2))`` (the paper's expression, evaluated
+    per stage) and their sum; with many small items it converges to the
+    max — which is why the paper's formula is the right model for
+    container-granular upload pipelining.
+    """
+    if len(stage1_times) != len(stage2_times):
+        raise ValueError("stage time lists must have equal length")
+    stage1_free = 0.0
+    stage2_free = 0.0
+    finish2 = []  # completion times in stage 2
+    for i, (t1, t2) in enumerate(zip(stage1_times, stage2_times)):
+        start1 = stage1_free
+        if i >= queue_depth:
+            start1 = max(start1, finish2[i - queue_depth])
+        done1 = start1 + t1
+        stage1_free = done1
+        start2 = max(done1, stage2_free)
+        done2 = start2 + t2
+        stage2_free = done2
+        finish2.append(done2)
+    return finish2[-1] if finish2 else 0.0

@@ -9,10 +9,8 @@ from repro.classify import (
     UNKNOWN,
     classify_name,
     classify_path,
-    classify_file,
     known_app_types,
     register_app_type,
-    sniff_bytes,
 )
 from repro.baselines import backuppc_config
 from repro.chunking import (FastCDC, GearCDC, RabinCDC, SeqCDC,
@@ -63,42 +61,6 @@ class TestClassifyByExtension:
         labels = [a.label for a in known_app_types()]
         assert labels == sorted(labels)
         assert "vmdk" in labels
-
-
-class TestMagicSniffing:
-    @pytest.mark.parametrize("head,label", [
-        (b"\xFF\xD8\xFF\xE0" + b"\0" * 60, "jpg"),
-        (b"%PDF-1.4" + b"\0" * 56, "pdf"),
-        (b"PK\x03\x04" + b"\0" * 60, "zip"),
-        (b"Rar!\x1a\x07\x00" + b"\0" * 57, "rar"),
-        (b"MZ\x90\x00" + b"\0" * 60, "exe"),
-        (b"ID3\x03" + b"\0" * 60, "mp3"),
-        (b"RIFF\x24\x00\x00\x00AVI " + b"\0" * 52, "avi"),
-        (b"RIFF\x24\x00\x00\x00WAVE" + b"\0" * 52, "audio"),
-        (b"KDMV" + b"\0" * 60, "vmdk"),
-        (b"\xD0\xCF\x11\xE0\xA1\xB1\x1A\xE1" + b"\0" * 56, "doc"),
-    ])
-    def test_signatures(self, head, label):
-        assert sniff_bytes(head).label == label
-
-    def test_unknown_content(self):
-        assert sniff_bytes(b"\x00\x01\x02\x03" * 16) is UNKNOWN
-
-    def test_iso_deep_offset(self):
-        assert sniff_bytes(b"\0" * 64, tail_probe=b"CD001").label == "iso"
-
-    def test_classify_file_extension_wins(self, tmp_path):
-        f = tmp_path / "actually.pdf"
-        f.write_bytes(b"MZ not really a pdf")
-        assert classify_file(f).label == "pdf"
-
-    def test_classify_file_sniffs_extensionless(self, tmp_path):
-        f = tmp_path / "mystery"
-        f.write_bytes(b"%PDF-1.7 content here")
-        assert classify_file(f).label == "pdf"
-
-    def test_classify_file_missing(self, tmp_path):
-        assert classify_file(tmp_path / "nope") is UNKNOWN
 
 
 class TestPolicyTable:

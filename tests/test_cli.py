@@ -490,7 +490,7 @@ class TestGcRetainLast:
             (source_tree / "note.txt").write_text(f"rev {i}")
             run("backup", source_tree, "--store", store, "--quiet")
         capsys.readouterr()
-        assert run("gc", "--store", store, "--retain-last", "2") == 0
+        assert run("gc", "--store", store, "--keep-last", "2") == 0
         out = capsys.readouterr().out
         assert "retained sessions: [1, 2]" in out
         assert run("ls", "--store", store) == 0
@@ -504,8 +504,8 @@ class TestGcRetainLast:
         store = tmp_path / "cloud"
         run("backup", source_tree, "--store", store, "--quiet")
         capsys.readouterr()
-        assert run("gc", "--store", store, "--retain-last", "0") == 2
-        assert "--retain-last" in capsys.readouterr().err
+        assert run("gc", "--store", store, "--keep-last", "0") == 2
+        assert "--keep-last" in capsys.readouterr().err
 
 
 class TestFleetCommand:

@@ -99,7 +99,8 @@ class TestAAPipeline:
     def test_app_aware_index_populated_per_app(self, dataset):
         client = BackupClient(InMemoryBackend(), small_config())
         client.backup(MemorySource(dataset))
-        sizes = client.index.sizes()
+        sizes = {app: len(client.index.subindex(app))
+                 for app in client.index.apps}
         assert "mp3" in sizes and "doc" in sizes and "vmdk" in sizes
         # WFC: one entry per unique mp3 file.
         assert sizes["mp3"] == 1

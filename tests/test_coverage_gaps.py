@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.figures import paper_figures_7_to_11
 from repro.chunking.cdc import default_mask_bits
-from repro.classify import sniff_bytes
 from repro.cloud import InMemoryBackend
 from repro.core import BackupClient, MemorySource, RestoreClient, aa_dedupe_config
 from repro.core.options import SchemeConfig
@@ -93,11 +92,6 @@ class TestMiscGaps:
         tables = lane_tables(8, POLY64, 0x1FFF)
         assert lane_tables(8, POLY64, 0x1FFF) is tables
         assert lane_tables(8, POLY64, 0x3FFF) is not tables
-
-    def test_sniff_short_head(self):
-        # Heads shorter than any signature must not crash.
-        assert sniff_bytes(b"").label == "unknown"
-        assert sniff_bytes(b"M").label == "unknown"
 
     def test_table_nan_and_large_values(self):
         t = Table(["a", "b"])

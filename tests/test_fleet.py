@@ -44,20 +44,28 @@ def entry(i: int, length: int = 64) -> IndexEntry:
                       length=length)
 
 
+def lookup(d: GlobalDedupDirectory, app: str, fingerprint: bytes):
+    """One fingerprint through the directory's batched probe path."""
+    return d.probe_batch(app, [fingerprint])[0][0]
+
+
 class TestGlobalDedupDirectory:
     def test_sharding_by_app_and_ring(self):
         d = GlobalDedupDirectory(shards_per_app=4)
-        a = d.shard_for("doc", fp(1))
-        assert a is d.shard_for("doc", fp(1))
-        assert a is not d.shard_for("mp3", fp(1))  # apps never share
-        assert 0 <= a.bucket < 4
+        for app in ("doc", "doc", "mp3"):   # doc's second offer reuses
+            d.publish_batch(app, [entry(1)], rank=0)
+        d.commit_epoch()
+        doc, mp3 = d.shards()             # apps never share a shard
+        assert (doc.app, mp3.app) == ("doc", "mp3")
+        assert doc.bucket == mp3.bucket == d._bucket(fp(1))
+        assert 0 <= doc.bucket < 4
 
     def test_publish_invisible_until_commit(self):
         d = GlobalDedupDirectory()
         d.publish_batch("doc", [entry(1)], rank=0)
-        assert d.lookup("doc", fp(1)) is None
+        assert lookup(d, "doc", fp(1)) is None
         assert d.commit_epoch() == 1
-        assert d.lookup("doc", fp(1)) == entry(1)
+        assert lookup(d, "doc", fp(1)) == entry(1)
         assert d.epoch == 1
 
     def test_lookup_batch_alignment_and_batching(self):
@@ -65,7 +73,7 @@ class TestGlobalDedupDirectory:
         d.publish_batch("doc", [entry(i) for i in range(6)], rank=0)
         d.commit_epoch()
         fps = [fp(5), fp(999), fp(0), fp(3)]
-        out = d.lookup_batch("doc", fps)
+        out = d.probe_batch("doc", fps)[0]
         assert out == [entry(5), None, entry(0), entry(3)]
         # The whole batch cost at most one probe round per shard.
         assert sum(s.batches for s in d.shards()) <= 2
@@ -79,7 +87,7 @@ class TestGlobalDedupDirectory:
         d.publish_batch("doc", [late], rank=5)
         d.publish_batch("doc", [entry(1)], rank=2)  # lower rank, later
         d.commit_epoch()
-        assert d.lookup("doc", fp(1)).container_id == 1
+        assert lookup(d, "doc", fp(1)).container_id == 1
 
     def test_committed_fingerprint_not_replaced(self):
         d = GlobalDedupDirectory()
@@ -89,7 +97,7 @@ class TestGlobalDedupDirectory:
                            length=64)
         d.publish_batch("doc", [other], rank=0)
         assert d.commit_epoch() == 0  # location already settled
-        assert d.lookup("doc", fp(1)).container_id == 1
+        assert lookup(d, "doc", fp(1)).container_id == 1
 
     def test_commit_does_not_pollute_probe_stats(self):
         d = GlobalDedupDirectory(shards_per_app=1)
@@ -104,8 +112,8 @@ class TestGlobalDedupDirectory:
         d = GlobalDedupDirectory(shards_per_app=1)
         d.publish_batch("doc", [entry(1), entry(1)], rank=0)
         d.commit_epoch()
-        d.lookup("doc", fp(1))
-        d.lookup("doc", fp(2))
+        lookup(d, "doc", fp(1))
+        lookup(d, "doc", fp(2))
         (row,) = d.stats_rows()
         assert row["shard"] == "doc/0"
         assert row["entries"] == 1 and len(d) == 1
@@ -121,8 +129,8 @@ class TestGlobalDedupDirectory:
         (shard,) = d.shards()
         assert isinstance(shard.index, LocalityCache)
         assert shard.index.capacity == 16
-        assert d.lookup("doc", fp(1)) == entry(1)
-        assert d.lookup("doc", fp(1)) == entry(1)
+        assert lookup(d, "doc", fp(1)) == entry(1)
+        assert lookup(d, "doc", fp(1)) == entry(1)
         assert shard.index.cache_hits == 1
         assert shard.index.backing.stats.lookups == 1
 
@@ -177,13 +185,12 @@ class TestGlobalDedupDirectory:
         # Routing decides which shard holds every committed entry, so
         # the table (BLAKE2b points, 128 per bucket) must not drift.
         d = GlobalDedupDirectory(shards_per_app=shards)
-        assert [d.shard_for("doc", fp(i)).bucket for i in range(12)] \
-            == buckets
+        assert [d._bucket(fp(i)) for i in range(12)] == buckets
 
     # -- regression: read path must never allocate shards --------------
     def test_lookup_never_allocates_shards(self):
         d = GlobalDedupDirectory(shards_per_app=4)
-        out = d.lookup_batch("doc", [fp(i) for i in range(64)])
+        out = d.probe_batch("doc", [fp(i) for i in range(64)])[0]
         assert out == [None] * 64
         assert d.shards() == []          # no shard map mutation
         assert d.absent_probes == 64
@@ -191,10 +198,10 @@ class TestGlobalDedupDirectory:
         # probing a *different* app afterwards still allocates nothing.
         d.publish_batch("doc", [entry(1)], rank=0)
         d.commit_epoch()
-        before = [s.key for s in d.shards()]
-        assert d.lookup("mp3", fp(1)) is None
-        assert d.lookup_batch("mp3", [fp(2), fp(3)]) == [None, None]
-        assert [s.key for s in d.shards()] == before
+        before = [s.name for s in d.shards()]
+        assert lookup(d, "mp3", fp(1)) is None
+        assert d.probe_batch("mp3", [fp(2), fp(3)])[0] == [None, None]
+        assert [s.name for s in d.shards()] == before
 
     # -- regression: stats must merge the whole index stack ------------
     def test_stats_walk_three_deep_chain(self, tmp_path):
@@ -211,7 +218,7 @@ class TestGlobalDedupDirectory:
         d.publish_batch("doc", [entry(i) for i in range(8)], rank=0)
         d.commit_epoch()
         for i in range(8):
-            assert d.lookup("doc", fp(i)) == entry(i)
+            assert lookup(d, "doc", fp(i)) == entry(i)
         shard = d.shards()[0]
         stats = shard.index.stack_stats()
         top, middle, disk = shard.index.tiers()
@@ -260,7 +267,7 @@ class TestGlobalDedupDirectory:
         d.commit_epoch()
         shard = d.shards()[0]
         assert shard.bloom.capacity >= 200
-        assert all(d.lookup("doc", fp(i)) == entry(i) for i in range(200))
+        assert all(lookup(d, "doc", fp(i)) == entry(i) for i in range(200))
 
 
 class TestFleetIndex:
@@ -345,7 +352,7 @@ class TestFleetIndex:
         assert len(ix) == 3
         ix.flush_publishes()
         d.commit_epoch()
-        assert d.lookup("doc", fp(1)) is None
+        assert lookup(d, "doc", fp(1)) is None
         assert [e.fingerprint for e in d.shards()[0].committed_entries()] \
             == sorted([fp(0), fp(2), fp(3)])
 
@@ -417,7 +424,7 @@ def _fleet(sources, backend=None, directory=None, waves=2):
 def _session_key(report):
     """Comparable projection of a fleet run (wall-time fields are host
     measurements, not simulation outputs, so they are excluded)."""
-    wall = {"dedup_wall_seconds", "upload_wall_seconds"}
+    wall = {"dedup_wall_seconds"}
     return [
         ([{k: v for k, v in asdict(s).items() if k not in wall}
           for s in c["sessions"]],

@@ -87,13 +87,6 @@ class TestMemoryIndex:
         # The miss is not a memory "hit" — only the served lookup is.
         assert idx.stats.memory_hits == 1
 
-    def test_generation_bumps_on_every_insert(self):
-        idx = MemoryIndex()
-        assert idx.generation == 0
-        idx.insert(entry(1))
-        idx.insert(entry(1, cid=5))  # same key: still a mutation
-        assert idx.generation == 2
-
     def test_entries_iteration(self):
         idx = MemoryIndex()
         for i in range(5):
@@ -391,7 +384,7 @@ class TestLRUCache:
         cache.insert(entry(1))
         cache.lookup(fp(1))
         cache.lookup(fp(2))
-        assert cache.hit_ratio == pytest.approx(0.5)
+        assert (cache.cache_hits, cache.cache_misses) == (1, 1)
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -412,7 +405,8 @@ class TestAppAwareIndex:
             aa.insert("mp3", entry(i))
         for i in range(10, 13):
             aa.insert("doc", entry(i))
-        assert aa.sizes() == {"mp3": 4, "doc": 3}
+        assert {app: len(aa.subindex(app)) for app in aa.apps} == {
+            "mp3": 4, "doc": 3}
         assert len(aa) == 7
         assert aa.apps == ["doc", "mp3"]
 
@@ -463,9 +457,3 @@ class TestAppAwareIndex:
         assert (tmp_path / "vmdk").exists()
         assert aa.lookup("vmdk", fp(3)) == entry(3)
         aa.close()
-
-    def test_approximate_bytes_grows(self):
-        aa = AppAwareIndex()
-        base = aa.approximate_bytes()
-        aa.insert("a", entry(1))
-        assert aa.approximate_bytes() > base

@@ -6,7 +6,6 @@ fault sequence replays deterministically from its seed.
 """
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -701,28 +700,6 @@ class TestResumeFromCloudRetries:
         cloud = SimulatedCloud(chaos, clock=VirtualClock(),
                                retry=RetryPolicy(max_attempts=8))
         assert self._resumed(cloud) == self._resumed(store)
-
-
-class _SlowManifestBackend(InMemoryBackend):
-    """Manifest PUTs take 20 ms; everything else is instant."""
-
-    def _put(self, key, data):
-        if key.startswith(naming.MANIFEST_PREFIX):
-            time.sleep(0.02)
-        super()._put(key, data)
-
-
-class TestUploadWallSeconds:
-    @pytest.mark.parametrize("pipelined", [False, True])
-    def test_counts_the_manifest_put(self, pipelined):
-        # An empty source uploads nothing but the manifest, which used
-        # to be PUT after upload_wall_seconds had been sampled.
-        client = BackupClient(_SlowManifestBackend(), aa_dedupe_config(
-            pipeline_uploads=pipelined))
-        stats = client.backup(MemorySource({}))
-        client.close()
-        assert stats.put_requests == 1
-        assert stats.upload_wall_seconds >= 0.02
 
 
 # ---------------------------------------------------------------------------

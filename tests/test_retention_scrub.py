@@ -2,42 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cloud import InMemoryBackend
 from repro.core import BackupClient, MemorySource, aa_dedupe_config
 from repro.core import naming
-from repro.core.retention import keep_last
 from repro.core.scrub import scrub_cloud
-
-
-
-class TestKeepLast:
-    def test_basic(self):
-        assert keep_last([3, 1, 7, 5], 2) == {5, 7}
-
-    def test_more_than_available(self):
-        assert keep_last([1, 2], 10) == {1, 2}
-
-    def test_zero_or_negative(self):
-        assert keep_last([1, 2, 3], 0) == set()
-        assert keep_last([1, 2, 3], -1) == set()
-
-    def test_empty(self):
-        assert keep_last([], 5) == set()
-
-    @given(st.sets(st.integers(0, 1000), max_size=50), st.integers(1, 10))
-    @settings(max_examples=30)
-    def test_property_newest_kept(self, ids, count):
-        retained = keep_last(ids, count)
-        assert len(retained) == min(count, len(ids))
-        if ids:
-            assert max(ids) in retained
-            # Everything retained is newer than everything dropped.
-            dropped = ids - retained
-            if dropped and retained:
-                assert min(retained) > max(dropped)
 
 
 class TestContainerIdOf:

@@ -113,9 +113,6 @@ class TestSchedule:
         assert s.next_after(0) == 600
         assert s.next_after(600) == 4200
         assert s.next_after(4199.9) == 4200
-        assert s.occurrences_until(599) == 0
-        assert s.occurrences_until(600) == 1
-        assert s.occurrences_until(4 * 3600) == 4
 
     def test_invalid_schedule(self):
         with pytest.raises(ConfigError):
@@ -209,7 +206,7 @@ class TestHookSemantics:
     def test_failing_pre_hook_abort_skips_engine(self):
         svc = _service(_job("a", hooks=HookSet(
             pre=(HookSpec(builtin="fail"),), failure_policy="abort")))
-        report = svc.run_once("a")
+        (report,) = svc.run().reports
         svc.close()
         assert report.state == "FAILED"
         assert report.session_id is None and report.stats is None
@@ -221,7 +218,7 @@ class TestHookSemantics:
     def test_failing_pre_hook_warn_still_runs(self):
         svc = _service(_job("a", hooks=HookSet(
             pre=(HookSpec(builtin="fail"),), failure_policy="warn")))
-        report = svc.run_once("a")
+        (report,) = svc.run().reports
         svc.close()
         assert report.state == "SUCCEEDED"
         assert report.session_id == 0
@@ -230,7 +227,7 @@ class TestHookSemantics:
     def test_failing_post_hook_abort_fails_after_success(self):
         svc = _service(_job("a", hooks=HookSet(
             post=(HookSpec(builtin="fail"),), failure_policy="abort")))
-        report = svc.run_once("a")
+        (report,) = svc.run().reports
         svc.close()
         assert report.state == "FAILED"
         # ... but the session itself completed: the manifest exists.
@@ -242,7 +239,7 @@ class TestHookSemantics:
     def test_failing_post_hook_warn_keeps_success(self):
         svc = _service(_job("a", hooks=HookSet(
             post=(HookSpec(builtin="fail"),), failure_policy="warn")))
-        report = svc.run_once("a")
+        (report,) = svc.run().reports
         svc.close()
         assert report.state == "SUCCEEDED"
         assert len(report.hook_failures) == 1
@@ -251,8 +248,7 @@ class TestHookSemantics:
         svc = _service(
             _job("bad", hooks=HookSet(pre=(HookSpec(builtin="fail"),))),
             _job("good"))
-        svc.run_all()
-        report = svc.report()
+        report = svc.run()
         svc.close()
         assert report.exit_code == 1
         assert [r.state for r in report.reports] == \
@@ -345,8 +341,9 @@ class TestServiceRunner:
         containers_before = set(backend.list(naming.CONTAINER_PREFIX))
         svc.close()
         # Fresh service over the same backend = a new CLI invocation.
-        svc2 = BackupService(self._three_job_spec(), backend=backend)
-        report = svc2.run_once("docs")
+        svc2 = BackupService(self._three_job_spec(), backend=backend,
+                             jobs=["docs"])
+        (report,) = svc2.run().reports
         svc2.close()
         assert report.session_id == first_sessions["docs"] + 1
         # New containers continue above the old ids, never clobber.
@@ -357,7 +354,7 @@ class TestServiceRunner:
         backend = InMemoryBackend()
         svc = BackupService(self._three_job_spec(), backend=backend,
                             jobs=["vm"])
-        svc.run_once("vm")
+        svc.run()
         svc.close()
         # vm is rank 2 in the spec even when run alone.
         vm_containers = [
@@ -378,7 +375,7 @@ class TestServiceRunner:
             JobSpec(name="j", source=CallableJobSource(
                 lambda run: MemorySource(dict(files)))),
             backend=backend)
-        report = svc.run_once("j")
+        (report,) = svc.run().reports
         svc.close()
         assert report.state == "SUCCEEDED"
         view = NamespacedBackend(backend, "j")
@@ -410,22 +407,25 @@ class TestRetentionDrivenGC:
 
         # Containerless scheme: chunks land in the *shared* chunks/
         # pool, so identical content is stored once for both jobs and
-        # cross-job liveness is a real constraint.
+        # cross-job liveness is a real constraint.  b runs at t=0 and a
+        # at t=1, 2, 3.
         return ServiceSpec(jobs=(
             JobSpec(name="a", scheme="Avamar",
                     source=CallableJobSource(job_a),
+                    schedule=IntervalSchedule(1, offset=1),
                     retention=RetainLastN(2)),
             JobSpec(name="b", scheme="Avamar",
-                    source=CallableJobSource(job_b)),
+                    source=CallableJobSource(job_b),
+                    schedule=IntervalSchedule(10)),
         ))
 
     def test_retention_never_deletes_sessions_another_job_needs(self):
         backend = InMemoryBackend()
         svc = BackupService(self._spec(), backend=backend)
-        svc.run_once("b")                      # b pins the shared chunks
-        reports = [svc.run_once("a") for _ in range(3)]
+        report = svc.run(until=3)              # b pins the shared chunks
         svc.close()
-        last = reports[-1]
+        assert [r.job for r in report.reports] == ["b", "a", "a", "a"]
+        last = report.reports[-1]
         assert last.retention is not None
         assert last.retention.dropped == [0]
         assert last.retention.retained == [1, 2]
@@ -444,11 +444,10 @@ class TestRetentionDrivenGC:
     def test_data_deleting_sweep_bumps_tenant_statcache_epochs(self):
         backend = InMemoryBackend()
         svc = BackupService(self._spec(), backend=backend)
-        svc.run_once("b")
+        svc.run(until=0)                       # b alone
         view_b = NamespacedBackend(backend, "b")
         epoch_before = read_epoch(view_b)
-        for _ in range(3):
-            report = svc.run_once("a")
+        report = svc.run(until=3).reports[-1]  # a, three times
         svc.close()
         assert report.retention.swept
         assert report.retention.statcache_invalidated
@@ -468,10 +467,10 @@ class TestRetentionDrivenGC:
             JobSpec(name="a", scheme="Avamar",
                     source=CallableJobSource(
                         lambda run: MemorySource(dict(shared))),
+                    schedule=IntervalSchedule(1),
                     retention=RetainLastN(1)),
         )), backend=backend)
-        svc.run_once("a")
-        report = svc.run_once("a")
+        report = svc.run(until=1).reports[-1]  # runs at t=0 and t=1
         svc.close()
         assert report.retention.dropped == [0]
         assert not report.retention.swept

@@ -105,8 +105,6 @@ class TestSparseIndexDeduper:
         # ~1/64 of fingerprints are hooks; the open segment buffer is
         # the only other RAM-resident state.
         assert index.ram_entries() < len(ids) / 16
-        assert index.approximate_bytes() == \
-            index.ram_entries() * IndexEntry.RECORD_SIZE
         assert len(index) == out.chunks_total - out.chunks_deduped
 
     def test_champion_budget_respected(self):

@@ -10,7 +10,8 @@ epoch, switch the content-defined chunker between two processes,
 flip the stat cache or delta compression between two processes,
 restore a session into a directory while its k-th data GET fails and
 then again into the same directory, back up a source one of whose
-files vanishes between the walk and its read —
+files vanishes between the walk and its read, back up a source that
+has no mtimes (and so must replay nothing from the stat cache) —
 under one legal :class:`~repro.core.options.SchemeConfig` drawn per
 run.  After every step, every retained session must restore
 bit-exactly to the reference model (``tests/model.py``), loading each
@@ -192,11 +193,14 @@ class StoreMachine(RuleBasedStateMachine):
             self.mtime += 1
             self.source[path] = (data, self.mtime)
 
-    def _backup(self, gone: str | None = None) -> SessionStats:
+    def _backup(self, gone: str | None = None,
+                mtimeless: bool = False) -> SessionStats:
         """Back up the live source; ``gone`` vanishes before its read,
-        so the model commits the session without it."""
+        so the model commits the session without it.  A ``mtimeless``
+        source reports every ``mtime_ns`` as 0, "unknown"."""
         files = {path: data for path, (data, _) in self.source.items()}
-        mtimes = {path: mtime for path, (_, mtime) in self.source.items()}
+        mtimes = {} if mtimeless else {
+            path: mtime for path, (_, mtime) in self.source.items()}
         source = (MemorySource(files, mtimes) if gone is None
                   else _VanishingSource(files, mtimes, gone))
         stats = self.client.backup(source, session_id=self.next_session)
@@ -258,6 +262,14 @@ class StoreMachine(RuleBasedStateMachine):
     def backup(self, changes) -> None:
         self._edit(changes)
         self._backup()
+
+    @rule(changes=_changes)
+    def backup_mtimeless(self, changes) -> None:
+        """A source without mtimes: no file can be proven unchanged, so
+        the session replays nothing and reads every file."""
+        self._edit(changes)
+        stats = self._backup(mtimeless=True)
+        assert stats.files_unchanged == 0
 
     @rule(changes=_changes)
     def backup_resumed(self, changes) -> None:

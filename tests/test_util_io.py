@@ -1,13 +1,11 @@
 """Unit tests for repro.util.io and repro.util.timer."""
 
 import os
-import threading
-import time
 
 import pytest
 
-from repro.util.io import atomic_write_bytes, atomic_write_text, walk_files
-from repro.util.timer import ConcurrentStopwatch, Stopwatch, WallClock
+from repro.util.io import atomic_write_bytes, walk_files
+from repro.util.timer import Stopwatch, WallClock
 
 
 class TestAtomicWrite:
@@ -26,10 +24,6 @@ class TestAtomicWrite:
         atomic_write_bytes(tmp_path / "f", b"data")
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["f"]
-
-    def test_text(self, tmp_path):
-        atomic_write_text(tmp_path / "t.txt", "héllo")
-        assert (tmp_path / "t.txt").read_text() == "héllo"
 
 
 class TestWalkFiles:
@@ -87,67 +81,3 @@ class TestStopwatch:
     def test_wallclock_monotonic(self):
         clock = WallClock()
         assert clock.now() <= clock.now()
-
-
-class _ManualClock:
-    def __init__(self):
-        self.t = 0.0
-
-    def now(self):
-        return self.t
-
-
-class TestConcurrentStopwatch:
-    def test_overlapping_intervals_count_once(self):
-        # Two fully-overlapping intervals: the union is the outer span,
-        # not the sum — the double-counting a plain Stopwatch entered
-        # concurrently would produce.
-        clock = _ManualClock()
-        watch = ConcurrentStopwatch(clock=clock)
-        watch.__enter__()            # t=0, outer interval opens
-        clock.t = 2.0
-        watch.__enter__()            # overlapping inner interval
-        clock.t = 5.0
-        watch.__exit__()             # inner closes; still running
-        assert watch.running
-        assert watch.elapsed == 0.0  # nothing accumulated yet
-        clock.t = 7.0
-        watch.__exit__()             # outer closes
-        assert not watch.running
-        assert watch.elapsed == 7.0  # union, not 5.0 + 3.0
-
-    def test_disjoint_intervals_accumulate(self):
-        clock = _ManualClock()
-        watch = ConcurrentStopwatch(clock=clock)
-        with watch:
-            clock.t = 3.0
-        clock.t = 10.0
-        with watch:
-            clock.t = 14.0
-        assert watch.elapsed == 7.0
-
-    def test_unbalanced_exit_raises(self):
-        with pytest.raises(RuntimeError):
-            ConcurrentStopwatch().__exit__()
-
-    def test_threaded_union_not_sum(self):
-        # Four threads hold overlapping intervals simultaneously (the
-        # barrier guarantees the overlap): the accumulated time must be
-        # roughly one interval, nowhere near the 4x sum that concurrent
-        # entry into a single Stopwatch used to double-count.
-        watch = ConcurrentStopwatch()
-        n, hold = 4, 0.05
-        barrier = threading.Barrier(n)
-
-        def worker():
-            barrier.wait()
-            with watch:
-                time.sleep(hold)
-
-        threads = [threading.Thread(target=worker) for _ in range(n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert watch.elapsed >= hold * 0.9
-        assert watch.elapsed < n * hold * 0.75

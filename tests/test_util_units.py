@@ -8,7 +8,6 @@ from repro.util.units import (
     KIB,
     MIB,
     format_bytes,
-    format_rate,
     format_seconds,
     parse_size,
 )
@@ -57,9 +56,6 @@ class TestFormatting:
 
     def test_format_bytes_large(self):
         assert format_bytes(3 * GIB) == "3.0GiB"
-
-    def test_format_rate(self):
-        assert format_rate(500_000) == "500.0KB/s"
 
     def test_format_seconds_ms(self):
         assert format_seconds(0.0123) == "12.3ms"

@@ -14,7 +14,6 @@ from repro.workloads import (
     block_bytes,
     materialize_composition,
     materialize_snapshot,
-    profile_for,
     snapshot_to_memory_source,
     write_snapshot_to_directory,
 )
@@ -23,7 +22,6 @@ from repro.workloads.profiles import (
     DENSITY_SPARSE,
     EVAL_SHARES,
     TABLE1_REFERENCE,
-    TINY_PROFILE,
 )
 
 
@@ -152,13 +150,8 @@ class TestProfiles:
     def test_target_dr_matches_table1_sc(self):
         for p in PAPER_PROFILES:
             paper_sc_dr = TABLE1_REFERENCE[p.label][2]
-            assert p.target_dr == pytest.approx(paper_sc_dr, rel=1e-6)
-
-    def test_profile_for(self):
-        assert profile_for("vmdk").dup_mode == "block"
-        assert profile_for("tinymisc") is TINY_PROFILE
-        with pytest.raises(KeyError):
-            profile_for("nope")
+            target_dr = 1.0 / (1.0 - p.sub_dup)
+            assert target_dr == pytest.approx(paper_sc_dr, rel=1e-6)
 
 
 class TestWorkloadGenerator:
@@ -270,7 +263,7 @@ class TestMaterialisation:
         gen = WorkloadGenerator(total_bytes=12 * MB, seed=5)
         snap = gen.initial_snapshot()
         source = snapshot_to_memory_source(snap)
-        assert source.total_bytes() == snap.total_bytes()
+        assert sum(sf.size for sf in source) == snap.total_bytes()
         sf = next(iter(source))
         assert len(sf.read()) == sf.size
 
