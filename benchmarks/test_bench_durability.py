@@ -86,7 +86,7 @@ def _arm(replicate: bool) -> dict:
             backend, policy=DurabilityPolicy(base_replicas=2),
             domains=DOMAINS)
         assert not rep.problems
-        result["replica_bytes"] = rep.replica_bytes
+        result["replica_bytes"] = rep.bytes_copied
     primaries = len(backend.list(naming.CONTAINER_PREFIX))
     result["killed"] = kill_domain(backend, KILLED, DOMAINS)
     result["primaries"] = primaries

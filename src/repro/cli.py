@@ -40,7 +40,7 @@ from repro.core.retention import RetainLastN
 from repro.core.scrub import scrub_cloud
 from repro.core.source import DirectorySource
 from repro.core.walk import StoreWalk
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError, ReproError, WorkloadError
 from repro.metrics.report import Table
 from repro.util.units import format_bytes, format_seconds, parse_size
 
@@ -97,11 +97,12 @@ def cmd_backup(args) -> int:
         rep = replicate_cloud(LocalDirectoryBackend(args.store),
                               policy=policy, domains=domains,
                               tracer=tracer)
-        print(f"replication: {rep.containers_replicated} of "
-              f"{rep.containers_considered} containers tiered up, "
+        print(f"replication: {len(rep.targets)} of "
+              f"{rep.containers_checked} containers tiered up, "
               f"{rep.replicas_written} replicas written "
-              f"({format_bytes(rep.replica_bytes)}) across "
-              f"{len(domains)} fault domains")
+              f"({format_bytes(rep.bytes_copied)}) across "
+              f"{len(domains)} fault domains, "
+              f"{rep.replicas_removed} removed")
         for problem in rep.problems:
             print(f"PROBLEM: {problem}", file=sys.stderr)
     if not args.quiet:
@@ -254,11 +255,12 @@ def cmd_repair(args) -> int:
     report = repair_cloud(cloud)
     print(f"checked {report.containers_checked} replicated containers: "
           f"{report.primaries_restored} primaries promoted, "
-          f"{report.replicas_restored} replicas rebuilt "
-          f"({format_bytes(report.bytes_copied)} copied)")
+          f"{report.replicas_written} replicas rebuilt "
+          f"({format_bytes(report.bytes_copied)} copied), "
+          f"{report.replicas_removed} removed")
     if report.ok:
         return 0
-    for message in report.unrepairable:
+    for message in report.problems:
         print(f"UNREPAIRABLE: {message}", file=sys.stderr)
     return 1
 
@@ -304,10 +306,14 @@ def cmd_fleet(args) -> int:
         from repro.obs import Tracer
         tracer = Tracer()
     if args.bytes_per_client:
-        sources = generated_fleet_sources(
-            args.clients, args.sessions,
-            bytes_per_client=parse_size(args.bytes_per_client),
-            seed=args.seed)
+        try:
+            sources = generated_fleet_sources(
+                args.clients, args.sessions,
+                bytes_per_client=parse_size(args.bytes_per_client),
+                seed=args.seed)
+        except WorkloadError as exc:
+            print(f"--bytes-per-client: {exc}", file=sys.stderr)
+            return 2
     else:
         sources = synthetic_fleet_sources(args.clients, args.sessions,
                                           seed=args.seed)

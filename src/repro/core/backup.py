@@ -254,8 +254,10 @@ class BackupClient:
                     if self._containers is not None else 0)
         journal = SessionJournal.load(self.cloud, session_id,
                                       first_container_id=first_id)
-        if journal.resumed and self._containers is not None:
-            self._containers.set_next_id(journal.first_container_id)
+        if journal.resumed:
+            journal.drop_lost()
+            if self._containers is not None:
+                self._containers.set_next_id(journal.first_container_id)
         if not journal.resumed:
             # Make the starting container id durable before the first
             # upload, so even an immediate crash resumes correctly.

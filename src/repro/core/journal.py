@@ -14,11 +14,12 @@ already made it to the cloud.  :class:`SessionJournal` fixes that:
 * on a re-run of the same session id, the client reloads the journal,
   restarts container numbering from the journalled
   ``first_container_id``, and skips any upload whose key **and blob
-  digest** match a journal entry.  The digest check makes skipping
-  *safe* rather than merely plausible: if re-chunking produced different
-  bytes for a journalled key (non-deterministic packing, changed
-  source), the object is simply re-uploaded — resume degrades to
-  correctness, never to corruption;
+  digest** match a journal entry and whose key a LIST still shows (a
+  lost fault domain may have taken it since).  The digest check makes
+  skipping *safe* rather than merely plausible: if re-chunking produced
+  different bytes for a journalled key (non-deterministic packing,
+  changed source), the object is simply re-uploaded — resume degrades
+  to correctness, never to corruption;
 * the successful manifest upload is the session's commit record; the
   journal is then deleted (:meth:`commit`).  A journal present in the
   cloud therefore always denotes an interrupted session.
@@ -97,6 +98,21 @@ class SessionJournal:
             return journal
         journal.resumed = True
         return journal
+
+    def drop_lost(self) -> None:
+        """Forget recorded uploads the store no longer holds (a dead
+        fault domain took them), by one LIST per key prefix; a failed
+        LIST forgets them all, so the re-run uploads everything."""
+        try:
+            present = {key for prefix in {k.partition("/")[0] + "/"
+                                          for k in self._done}
+                       for key in self.cloud.list(prefix)}
+        except CloudError as exc:
+            self.warnings.append(
+                f"journal check failed (re-uploading all): {exc}")
+            present = set()
+        self._done = {key: digest for key, digest in self._done.items()
+                      if key in present}
 
     # ------------------------------------------------------------------
     def completed(self, key: str, blob: bytes) -> bool:

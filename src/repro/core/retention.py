@@ -13,18 +13,21 @@ Two policies are provided:
 
 Both share one interface — ``select(sessions, now)`` over a
 ``{session_id: created_ts}`` catalog (see
-:func:`repro.core.gc.session_catalog`) — so the service runner applies
-either interchangeably.
+:func:`repro.core.gc.session_catalog`) — so :func:`apply_retention`,
+the service's per-job drop and sweep, applies either interchangeably.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Set
+from dataclasses import dataclass, field
+from typing import List, Mapping, Optional, Set
 
+from repro.core import naming
+from repro.core.gc import collect_garbage, session_catalog
 from repro.errors import ConfigError
 
-__all__ = ["RetainLastN", "RetainMaxAge"]
+__all__ = ["RetainLastN", "RetainMaxAge", "RetentionOutcome",
+           "apply_retention"]
 
 
 @dataclass(frozen=True)
@@ -77,3 +80,59 @@ class RetainMaxAge:
                   if now - ts <= self.max_age_seconds}
         retain.add(max(sessions, key=lambda sid: (sessions[sid], sid)))
         return retain
+
+
+@dataclass
+class RetentionOutcome:
+    """What one retention pass selected and what the sweep removed."""
+
+    policy: str
+    retained: List[int] = field(default_factory=list)
+    dropped: List[int] = field(default_factory=list)
+    deleted_containers: int = 0
+    deleted_objects: int = 0
+    statcache_invalidated: bool = False
+    #: GC refusals (unreadable manifests etc.); non-empty means the
+    #: dropped manifests are gone but no data was swept this pass — the
+    #: next clean sweep reclaims it.
+    problems: List[str] = field(default_factory=list)
+
+    @property
+    def swept(self) -> bool:
+        return self.deleted_containers > 0 or self.deleted_objects > 0
+
+
+def apply_retention(root, view, policy,
+                    now: float) -> Optional[RetentionOutcome]:
+    """Apply ``policy`` to the job behind ``view``; sweep via ``root``.
+
+    ``view`` is the job's namespaced backend, ``root`` the shared
+    backend under it, ``now`` the time the policy ages sessions
+    against.  The dropped manifests go *through the view* (only this
+    job's liveness pins are released); the sweep runs on ``root``,
+    whose mark re-walks every tenant's manifests, so data another job
+    still references is never deleted.  Through the view it would be
+    unsafe: the view maps the tenant walk to ``clients/<job>/clients/``,
+    which is empty.  Returns ``None`` when the job has no sessions yet.
+    """
+    catalog = session_catalog(view)
+    if not catalog:
+        return None
+    retained = policy.select(catalog, now)
+    dropped = sorted(set(catalog) - retained)
+    outcome = RetentionOutcome(policy=type(policy).__name__,
+                               retained=sorted(retained),
+                               dropped=dropped)
+    if not dropped:
+        return outcome
+    for session_id in dropped:
+        view.delete(naming.manifest_key(session_id))
+    # Root sessions are not this job's to drop: retain them all.  The
+    # sweep still reclaims whatever the dropped tenant manifests alone
+    # were pinning.
+    report = collect_garbage(root, naming.session_ids(root))
+    outcome.deleted_containers = report.deleted_containers
+    outcome.deleted_objects = report.deleted_objects
+    outcome.statcache_invalidated = report.statcache_invalidated
+    outcome.problems = list(report.problems)
+    return outcome

@@ -7,10 +7,9 @@
   hash — :func:`repro.hashing.hash_for_digest_len` — as on restore);
   extents flagged ``FLAG_DELTA`` must additionally be structurally valid
   delta blobs;
-* every **replica** of the persisted durability plan (see
-  :mod:`repro.durability`) exists, parses and holds the right container;
-  a planned container with fewer good copies than its target is
-  *under-replicated*, and a replica without a plan entry is *orphaned*;
+* every **replica**, through the copy survey that replicate and repair
+  act on (:class:`repro.durability.replicate.CopySurvey`), against the
+  persisted plan: missing, corrupt, *under-replicated* or *orphaned*;
 * every **manifest** parses, references only extents that exist
   (container descriptors or standalone objects), keeps its delta chains
   within depth bounds with no dangling base, and — for standalone
@@ -21,14 +20,11 @@
 One :class:`~repro.core.walk.StoreWalk` covers the tenant namespaces of
 a shared fleet backend too.
 
-Everything found is recorded twice: machine-actionable
-:class:`ScrubFinding` records (what the repair loop and the CLI exit
-code key off), and — for integrity violations — human-readable
-``problems`` strings.  *Repairable* findings (a lost primary whose
-replica survives, a missing replica, under-replication) mean the data
-is intact but durability is degraded; refs into a primary-less
-container are resolved against a surviving replica rather than reported
-as missing, because restore fails over the same way.
+Everything found is a :class:`ScrubFinding` (what repair and the CLI
+exit code key off); integrity violations are also human-readable
+``problems``.  *Repairable* findings mean the data is intact but
+durability is degraded: refs into a lost or corrupt primary resolve
+through a surviving replica, because restore fails over the same way.
 
 Returns a :class:`ScrubReport`; nothing is modified.
 """
@@ -45,7 +41,8 @@ from repro.core.recipe import ChunkRef
 from repro.core.walk import StoreWalk
 from repro.delta import delta_target_length, validate_delta
 from repro.durability.policy import ReplicationPlan
-from repro.errors import ContainerFormatError, DeltaError, ReproError
+from repro.durability.replicate import CopySurvey, list_replicas
+from repro.errors import DeltaError, ReproError
 from repro.hashing import hash_for_digest_len
 
 __all__ = ["ScrubFinding", "ScrubReport", "scrub_cloud"]
@@ -122,11 +119,13 @@ def scrub_cloud(cloud, verify_extents: bool = True,
     # extents (not just to an existing container blob).
     extent_map: Dict[Tuple[int, int], Tuple[int, int]] = {}
     containers_present = set()
+    #: Primaries that fail to parse: the survey decides if a copy lives.
+    bad_primaries: Dict[str, ReproError] = {}
     for key in cloud.list(naming.CONTAINER_PREFIX):
         try:
             reader = ContainerReader(cloud.get(key))
         except ReproError as exc:
-            report.problem("corrupt_primary", f"{key}: {exc}")
+            bad_primaries[key] = exc
             continue
         report.containers_checked += 1
         containers_present.add(reader.container_id)
@@ -158,6 +157,9 @@ def scrub_cloud(cloud, verify_extents: bool = True,
 
     # --- durability: replicas against the persisted plan -----------------
     _scrub_replicas(cloud, report, extent_map, containers_present)
+    for key, exc in bad_primaries.items():
+        if naming.container_id_of(key) not in containers_present:
+            report.problem("corrupt_primary", f"{key}: {exc}")
 
     walk = StoreWalk(cloud)
     object_keys = {key for prefix in (naming.CHUNK_PREFIX,
@@ -279,63 +281,51 @@ def scrub_cloud(cloud, verify_extents: bool = True,
 def _scrub_replicas(cloud, report: ScrubReport,
                     extent_map: Dict[Tuple[int, int], Tuple[int, int]],
                     containers_present: Set[int]) -> None:
-    """Check every planned replica; recover refs through survivors.
-
-    When a planned container's primary is missing (or failed to parse),
-    a good replica both proves the data still exists — its extents are
-    registered so the manifest pass resolves refs instead of reporting
-    loss — and downgrades the failure to a repairable
-    ``missing_primary`` finding.
-    """
-    present = set(cloud.list(naming.REPLICA_PREFIX))
-    plan = ReplicationPlan.load(cloud)
-    planned_keys: Set[str] = set()
-    if plan is not None:
-        for container_id in sorted(plan.targets):
-            expected = plan.replica_keys(container_id)
-            planned_keys.update(expected)
-            primary_ok = container_id in containers_present
-            good_copies = 1 if primary_ok else 0
-            recovered = False
-            for key in expected:
-                if key not in present:
-                    report.degraded(
-                        "missing_replica",
-                        f"{key}: replica missing "
-                        f"(container {container_id})")
-                    continue
-                try:
-                    reader = ContainerReader(cloud.get(key))
-                    if reader.container_id != container_id:
-                        raise ContainerFormatError(
-                            f"replica holds container "
-                            f"{reader.container_id}")
-                except ReproError as exc:
-                    report.degraded("corrupt_replica", f"{key}: {exc}")
-                    continue
-                report.replicas_checked += 1
-                good_copies += 1
-                if not primary_ok and not recovered:
-                    recovered = True
-                    containers_present.add(container_id)
-                    for desc in reader.descriptors:
-                        extent_map[(container_id, desc.offset)] = (
-                            desc.length, desc.flags)
-                    report.degraded(
-                        "missing_primary",
-                        f"{naming.container_key(container_id)}: primary "
-                        f"lost; replica {key} survives")
-            if good_copies == 0:
-                report.problem(
-                    "container_lost",
-                    f"container {container_id}: no surviving copy in "
-                    f"any fault domain")
-            elif good_copies < plan.target(container_id):
-                report.degraded(
-                    "under_replicated",
-                    f"container {container_id}: {good_copies} of "
-                    f"{plan.target(container_id)} planned copies "
-                    f"present")
-    for key in sorted(present - planned_keys):
-        report.degraded("orphan_replica",
-                        f"{key}: replica has no plan entry")
+    """Report the copy survey of every planned or replicated container;
+    a valid replica of a bad primary registers its extents and is a
+    repairable ``missing_primary``.  An unreadable plan is a
+    ``corrupt_plan`` problem, and then no copy is judged (restore then
+    fails over to none)."""
+    try:
+        plan = ReplicationPlan.load(cloud, strict=True) or ReplicationPlan()
+    except ReproError as exc:
+        report.problem("corrupt_plan", f"{naming.DURABILITY_PLAN_KEY}: {exc}")
+        return
+    by_id, junk = list_replicas(cloud)
+    for container_id in sorted(set(plan.targets) | set(by_id)):
+        primary_ok = container_id in containers_present
+        survey = CopySurvey(cloud, container_id,
+                            plan.replica_keys(container_id),
+                            by_id.get(container_id, ()),
+                            primary_valid=primary_ok)
+        report.replicas_checked += sum(map(survey.good, survey.listed))
+        for key in survey.slots[1:]:
+            if not survey.good(key):
+                kind = "corrupt" if key in survey.listed else "missing"
+                report.degraded(f"{kind}_replica", f"{key}: replica "
+                                f"{kind} (container {container_id})")
+        if survey.source is not None and not primary_ok:
+            containers_present.add(container_id)
+            for desc in ContainerReader(survey.source).descriptors:
+                extent_map[(container_id, desc.offset)] = (
+                    desc.length, desc.flags)
+            report.degraded(
+                "missing_primary",
+                f"{survey.primary}: primary lost; replica "
+                f"{survey.source_key} survives")
+        if container_id in plan:
+            good = len(survey.slots) - len(survey.bad_slots())
+            if good == 0 and survey.source is None:
+                report.problem("container_lost",
+                               f"container {container_id}: no surviving "
+                               f"copy in any fault domain")
+            elif good < plan.target(container_id):
+                report.degraded("under_replicated",
+                                f"container {container_id}: {good} of "
+                                f"{plan.target(container_id)} planned "
+                                f"copies present")
+        for key in survey.unplanned:
+            report.degraded("orphan_replica",
+                            f"{key}: replica has no plan entry")
+    for key in junk:
+        report.degraded("orphan_replica", f"{key}: names no container")

@@ -13,13 +13,12 @@ dedup saved to buy that risk back down:
 * :mod:`~repro.durability.placement` — deterministic assignment of
   copies to named fault domains (``replicas/<domain>/containers/<id>``),
   plus the :func:`kill_domain` chaos failure model;
-* :mod:`~repro.durability.replicate` — idempotent pass that uploads
-  missing copies and writes the plan;
-* :mod:`~repro.durability.repair` — scrub-driven loop that promotes a
-  surviving replica when the primary is lost and re-replicates every
-  damaged slot.
+* :mod:`~repro.durability.replicate` — the one survey of a
+  container's copies (``CopySurvey``) and the idempotent passes on it:
+  :func:`replicate_cloud` (new plan) and :func:`repair_cloud` (persisted
+  plan) fill bad slots and remove unplanned replicas.
 
-Scrub surfaces durability degradations as structured findings
+Scrub reports the same survey as structured findings
 (:class:`repro.core.scrub.ScrubFinding`), restore fails over to replica
 copies (:class:`repro.core.restore.RestoreClient`), and GC sweeps
 replicas with their primaries (:func:`repro.core.gc.collect_garbage`).
@@ -35,8 +34,8 @@ from repro.durability.placement import (
     replica_keys,
 )
 from repro.durability.policy import DurabilityPolicy, ReplicationPlan
-from repro.durability.repair import RepairReport, repair_cloud
-from repro.durability.replicate import ReplicationReport, replicate_cloud
+from repro.durability.replicate import (DurabilityReport, repair_cloud,
+                                       replicate_cloud)
 
 __all__ = [
     "DEFAULT_DOMAIN_COUNT",
@@ -47,8 +46,7 @@ __all__ = [
     "replica_keys",
     "DurabilityPolicy",
     "ReplicationPlan",
-    "RepairReport",
+    "DurabilityReport",
     "repair_cloud",
-    "ReplicationReport",
     "replicate_cloud",
 ]

@@ -36,7 +36,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core import naming
 from repro.durability.placement import (default_domains, replica_keys)
-from repro.errors import ReproError
+from repro.errors import ObjectNotFound, ReproError
 
 __all__ = ["DurabilityPolicy", "ReplicationPlan"]
 
@@ -148,11 +148,16 @@ class ReplicationPlan:
             cloud.delete(naming.DURABILITY_PLAN_KEY)
 
     @classmethod
-    def load(cls, cloud) -> Optional["ReplicationPlan"]:
-        """The persisted plan, or ``None`` when the store has none (or
-        the blob is unreadable — callers treat that as no plan and a
-        fresh replication pass rewrites it)."""
+    def load(cls, cloud,
+             strict: bool = False) -> Optional["ReplicationPlan"]:
+        """The persisted plan; ``None`` when the store has none, or when
+        it is unreadable unless ``strict`` (a pass that deletes replicas
+        must not read "plan unknown" as "every target is one copy")."""
         try:
             return cls.from_json(cloud.get(naming.DURABILITY_PLAN_KEY))
+        except ObjectNotFound:
+            return None
         except ReproError:
+            if strict:
+                raise
             return None

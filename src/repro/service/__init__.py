@@ -6,7 +6,7 @@ operational hooks.  This package is that orchestration shell:
 YAML/dict job specs (:mod:`~repro.service.spec`), interval schedules on
 the deterministic virtual clock (:mod:`~repro.service.schedule`),
 per-job retention driving the real garbage collector
-(:mod:`~repro.service.retention`), pre/post hooks
+(:func:`repro.core.retention.apply_retention`), pre/post hooks
 (:mod:`~repro.service.hooks`), and the deterministic wave runner
 (:mod:`~repro.service.runner`) — all over one shared backend, whose
 jobs may share a fleet's dedup directory (:mod:`repro.fleet`).
@@ -18,7 +18,6 @@ from repro.service.hooks import (
     HookSpec,
     run_hook,
 )
-from repro.service.retention import RetentionOutcome, apply_retention
 from repro.service.runner import (
     BackupService,
     FAILED,
@@ -57,13 +56,11 @@ __all__ = [
     "JobReport",
     "JobSource",
     "JobSpec",
-    "RetentionOutcome",
     "SCHEDULED",
     "SUCCEEDED",
     "ServiceReport",
     "ServiceSpec",
     "SyntheticJobSource",
-    "apply_retention",
     "load_config",
     "loads_config",
     "parse_config",

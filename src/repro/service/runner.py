@@ -38,13 +38,13 @@ from repro.cloud import (InMemoryBackend, NamespacedBackend, SimulatedCloud,
 from repro.cloud.wan import PAPER_WAN
 from repro.core import naming
 from repro.core.backup import BackupClient
+from repro.core.retention import RetentionOutcome, apply_retention
 from repro.core.stats import SessionStats
 from repro.errors import ConfigError, ReproError
 from repro.fleet.client import FleetIndex
 from repro.metrics.report import Table
 from repro.obs.tracer import NOOP_TRACER
 from repro.service.hooks import run_hook
-from repro.service.retention import RetentionOutcome, apply_retention
 from repro.service.schedule import JobClock
 from repro.service.spec import JobSpec, ServiceSpec
 from repro.simulate.clock import VirtualClock
@@ -361,7 +361,7 @@ class BackupService:
         with self.tracer.span("service.retention", job=spec.name):
             outcome = apply_retention(
                 self.backend, runtime.view, spec.retention,
-                now=self.clock.now(), tracer=self.tracer)
+                now=self.clock.now())
         report.retention = outcome
         if outcome is not None and outcome.dropped:
             report.log(

@@ -517,6 +517,14 @@ class TestFleetCommand:
         assert "fleet summary" in out and "directory shards" in out
         assert "cross-client savings" in out
 
+    def test_too_small_generated_fleet_is_a_usage_error(self, capsys):
+        # The generated workload needs two 10 MB portions per client.
+        assert run("fleet", "--clients", 2, "--sessions", 1,
+                   "--bytes-per-client", "256KiB") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("--bytes-per-client: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_locality_cache_flag_is_gone(self, capsys):
         # One cache front, one flag: --shard-cache builds it.
         with pytest.raises(SystemExit) as exc:

@@ -204,8 +204,9 @@ class TestReplicate:
     def test_second_pass_is_idempotent(self, replicated):
         cloud, _files, first = replicated
         second = replicate_cloud(cloud, policy=R2, domains=DOMAINS)
-        assert second.replicas_written == 0
-        assert second.replicas_existing == first.replicas_written
+        assert second.replicas_written == second.replicas_removed == 0
+        assert len(cloud.list(naming.REPLICA_PREFIX)) \
+            == first.replicas_written
 
     def test_domains_stick_across_passes(self, replicated):
         cloud, _files, _report = replicated
@@ -219,8 +220,8 @@ class TestReplicate:
         report = replicate_cloud(cloud, domains=DOMAINS)
         # One session, low refcounts: only containers holding
         # dynamic-uncompressed (doc) data tier up.
-        assert 0 < report.containers_replicated \
-            < report.containers_considered
+        assert 0 < len(report.targets) \
+            < report.containers_checked
 
 
 class TestScrubDurability:
@@ -280,6 +281,25 @@ class TestScrubDurability:
         report = scrub_cloud(cloud)
         assert any(f.kind == "orphan_replica" for f in report.findings)
 
+    def test_corrupt_primary_with_surviving_replica_is_repairable(
+            self, replicated):
+        cloud, files, _rep = replicated
+        cid = sorted(ReplicationPlan.load(cloud).targets)[0]
+        victim = naming.container_key(cid)
+        blob = bytearray(cloud.get(victim))
+        blob[100] ^= 0x55
+        cloud._objects[victim] = bytes(blob)
+        report = scrub_cloud(cloud)
+        # The data survives in the replica: no PROBLEM, only findings
+        # that one repair clears.
+        assert not report.problems
+        assert {f.kind for f in report.findings} \
+            == {"missing_primary", "under_replicated"}
+        assert all(f.repairable for f in report.findings)
+        assert repair_cloud(cloud).primaries_restored == 1
+        assert scrub_cloud(cloud).clean
+        assert RestoreClient(cloud).restore_to_memory(0)[0] == files
+
 
 class TestRepair:
     def test_promotes_replica_after_primary_loss(self, replicated):
@@ -298,7 +318,7 @@ class TestRepair:
         victim = cloud.list(naming.REPLICA_PREFIX)[0]
         cloud.delete(victim)
         report = repair_cloud(cloud)
-        assert report.ok and report.replicas_restored == 1
+        assert report.ok and report.replicas_written == 1
         assert report.bytes_copied > 0
         assert cloud.exists(victim)
         assert scrub_cloud(cloud).clean
@@ -307,7 +327,7 @@ class TestRepair:
         cloud, _files, _rep = replicated
         victim = cloud.list(naming.REPLICA_PREFIX)[0]
         cloud._objects[victim] = b"garbage"
-        assert repair_cloud(cloud).replicas_restored == 1
+        assert repair_cloud(cloud).replicas_written == 1
         assert scrub_cloud(cloud).clean
 
     def test_unrepairable_when_no_copy_survives(self, replicated):
@@ -319,12 +339,229 @@ class TestRepair:
             cloud.delete(key)
         report = repair_cloud(cloud)
         assert not report.ok
-        assert any(str(cid) in msg for msg in report.unrepairable)
+        assert any(str(cid) in msg for msg in report.problems)
 
     def test_noop_without_plan(self, store):
         cloud, _files = store
         report = repair_cloud(cloud)
         assert report.ok and report.containers_checked == 0
+
+
+class _GetLog(InMemoryBackend):
+    """Records the key of every GET."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.gets: list = []
+
+    def _get(self, key):
+        self.gets.append(key)
+        return super()._get(key)
+
+
+def _copy_gets(cloud) -> list:
+    return [key for key in cloud.gets
+            if key.startswith((naming.CONTAINER_PREFIX,
+                               naming.REPLICA_PREFIX))]
+
+
+class TestLoweredReplication:
+    """Every pass leaves exactly the replicas the plan names."""
+
+    def test_r2_then_r1_removes_every_replica(self, replicated):
+        cloud, files, first = replicated
+        report = replicate_cloud(
+            cloud, policy=DurabilityPolicy(base_replicas=1,
+                                           max_replicas=1))
+        assert report.replicas_removed == first.replicas_written > 0
+        assert report.replicas_written == 0
+        assert not cloud.list(naming.REPLICA_PREFIX)
+        assert ReplicationPlan.load(cloud) is None
+        assert scrub_cloud(cloud).clean
+        assert RestoreClient(cloud).restore_to_memory(0)[0] == files
+
+    def test_domain_change_moves_every_replica(self, replicated):
+        cloud, files, first = replicated
+        report = replicate_cloud(cloud, policy=R2, domains=("e0", "e1"))
+        assert report.replicas_removed == first.replicas_written
+        keys = cloud.list(naming.REPLICA_PREFIX)
+        assert keys and len(keys) == report.replicas_written
+        assert {naming.parse_replica_key(key)[0] for key in keys} \
+            <= {"e0", "e1"}
+        assert scrub_cloud(cloud).clean
+        assert RestoreClient(cloud).restore_to_memory(0)[0] == files
+
+    def test_replicate_reads_only_what_it_copies_or_prunes(self, rng):
+        cloud = _GetLog()
+        client = BackupClient(cloud,
+                              aa_dedupe_config(container_size=32 * 1024))
+        client.backup(MemorySource(make_files(rng)))
+        client.close()
+        first = replicate_cloud(cloud, policy=R2, domains=DOMAINS)
+        # One GET of each primary it copied from.
+        assert sorted(_copy_gets(cloud)) == [
+            naming.container_key(cid) for cid in sorted(first.targets)]
+        cloud.gets.clear()
+        # Everything in place: the LIST vouches for it, nothing is read.
+        replicate_cloud(cloud, policy=R2)
+        assert _copy_gets(cloud) == []
+        # Lowered: each primary is validated once before its replicas
+        # go; no replica is read.
+        replicate_cloud(cloud, policy=DurabilityPolicy(max_replicas=1))
+        assert sorted(_copy_gets(cloud)) == [
+            naming.container_key(cid) for cid in sorted(first.targets)]
+
+
+class TestUnplannedCopies:
+    """A replica the plan does not name is a copy until the primary is
+    valid again: a pass promotes it, never deletes the last one."""
+
+    @pytest.mark.parametrize("run", [
+        repair_cloud,
+        lambda cloud: replicate_cloud(cloud, domains=DOMAINS),
+    ], ids=["repair", "replicate"])
+    def test_only_copy_is_promoted_not_deleted(self, store, run):
+        cloud, files = store
+        victim = cloud.list(naming.CONTAINER_PREFIX)[0]
+        cid = naming.container_id_of(victim)
+        blob = cloud.get(victim)
+        orphan = naming.replica_key("d9", cid)
+        cloud.put(orphan, blob)
+        cloud.delete(victim)
+        degraded = scrub_cloud(cloud)
+        assert not degraded.problems  # refs resolve through the copy
+        assert {f.kind for f in degraded.findings} \
+            == {"missing_primary", "orphan_replica"}
+        report = run(cloud)
+        assert report.ok and report.primaries_restored == 1
+        assert report.replicas_removed == 1
+        assert cloud.get(victim) == blob and not cloud.exists(orphan)
+        assert scrub_cloud(cloud).clean
+        assert RestoreClient(cloud).restore_to_memory(0)[0] == files
+
+    def test_unreadable_copy_is_kept(self, store):
+        from repro.errors import TransientCloudError
+
+        class Flaky(InMemoryBackend):
+            def _get(self, key):
+                if key.startswith(naming.REPLICA_PREFIX):
+                    raise TransientCloudError(key)
+                return super()._get(key)
+
+        cloud, _files = store
+        flaky = Flaky()
+        flaky._objects = cloud._objects
+        victim = cloud.list(naming.CONTAINER_PREFIX)[0]
+        orphan = naming.replica_key("d9", naming.container_id_of(victim))
+        cloud.put(orphan, cloud.get(victim))
+        cloud.delete(victim)
+        # A failed read is no verdict: the pass stops, the copy stays.
+        with pytest.raises(TransientCloudError):
+            repair_cloud(flaky)
+        assert cloud.exists(orphan)
+
+    def test_replicate_deletes_replicas_of_dead_containers(self, rng):
+        cloud = _GetLog()
+        client = BackupClient(cloud,
+                              aa_dedupe_config(container_size=32 * 1024))
+        client.backup(MemorySource(make_files(rng, salt=1)))
+        files = make_files(rng, salt=2)
+        client.backup(MemorySource(files))
+        client.close()
+        replicate_cloud(cloud, policy=R2, domains=DOMAINS)
+        # A sweep cut short: session 0 and its containers' primaries
+        # are gone, their replicas are left behind.
+        live = mark_store(StoreWalk(cloud), {1}).containers
+        dead = {naming.container_id_of(key)
+                for key in cloud.list(naming.CONTAINER_PREFIX)} - set(live)
+        assert dead
+        cloud.delete(naming.manifest_key(0))
+        for cid in dead:
+            cloud.delete(naming.container_key(cid))
+        leftovers = [key for key in cloud.list(naming.REPLICA_PREFIX)
+                     if naming.parse_replica_key(key)[1] in dead]
+        assert leftovers
+        cloud.gets.clear()
+        report = replicate_cloud(cloud, policy=R2)
+        # Garbage, not a lost primary: deleted unread, never promoted.
+        assert report.replicas_removed == len(leftovers)
+        assert report.primaries_restored == 0
+        assert not set(leftovers) & set(cloud.gets)
+        assert not any(cloud.exists(naming.container_key(cid))
+                       for cid in dead)
+        assert not set(leftovers) & set(cloud.list(naming.REPLICA_PREFIX))
+        assert scrub_cloud(cloud).clean
+        assert RestoreClient(cloud).restore_to_memory(1)[0] == files
+
+    def test_repair_removes_junk_replica_keys(self, store):
+        cloud, _files = store
+        cloud.put(naming.replica_key("d9", 12345), b"whatever")
+        cloud.put(naming.REPLICA_PREFIX + "d9/stray", b"whatever")
+        kinds = [f.kind for f in scrub_cloud(cloud).findings]
+        assert kinds == ["orphan_replica"] * 2
+        report = repair_cloud(cloud)
+        assert report.ok and report.replicas_removed == 2
+        assert report.repaired == 0
+        assert not cloud.list(naming.REPLICA_PREFIX)
+        assert scrub_cloud(cloud).clean
+
+
+class _FlakyPlan(InMemoryBackend):
+    """Every GET of the replication plan fails transiently."""
+
+    def _get(self, key):
+        if key == naming.DURABILITY_PLAN_KEY:
+            from repro.errors import TransientCloudError
+            raise TransientCloudError(key)
+        return super()._get(key)
+
+
+class TestUnreadablePlan:
+    """"Plan unknown" is not "every target is one copy": no pass that
+    cannot read the plan deletes a replica."""
+
+    @pytest.fixture(params=["transient", "garbage"])
+    def unreadable(self, request, replicated):
+        cloud, files, first = replicated
+        if request.param == "garbage":
+            cloud.put(naming.DURABILITY_PLAN_KEY, b"not a plan")
+            return cloud, cloud, files, first
+        flaky = _FlakyPlan()
+        flaky._objects = cloud._objects
+        return flaky, cloud, files, first
+
+    def test_repair_deletes_no_replica(self, unreadable):
+        from repro.errors import ReproError
+        view, cloud, _files, first = unreadable
+        before = cloud.list(naming.REPLICA_PREFIX)
+        assert len(before) == first.replicas_written
+        with pytest.raises(ReproError):
+            repair_cloud(view)
+        assert cloud.list(naming.REPLICA_PREFIX) == before
+
+    def test_replicate_keeps_placement_or_raises(self, unreadable):
+        from repro.errors import ReproError
+        view, cloud, _files, _first = unreadable
+        before = cloud.list(naming.REPLICA_PREFIX)
+        with pytest.raises(ReproError):
+            replicate_cloud(view, policy=R2)
+        assert cloud.list(naming.REPLICA_PREFIX) == before
+
+    def test_scrub_reports_the_plan_not_orphans(self, unreadable):
+        view, _cloud, _files, _first = unreadable
+        report = scrub_cloud(view)
+        assert [f.kind for f in report.findings] == ["corrupt_plan"]
+        assert report.problems
+
+    def test_explicit_domains_rewrite_a_garbage_plan(self, replicated):
+        cloud, files, first = replicated
+        cloud.put(naming.DURABILITY_PLAN_KEY, b"not a plan")
+        report = replicate_cloud(cloud, policy=R2, domains=DOMAINS)
+        assert report.replicas_written == report.replicas_removed == 0
+        assert len(cloud.list(naming.REPLICA_PREFIX)) \
+            == first.replicas_written
+        assert scrub_cloud(cloud).clean
+        assert RestoreClient(cloud).restore_to_memory(0)[0] == files
 
 
 class TestDomainKill:

@@ -17,7 +17,7 @@ import pytest
 from repro.cloud import InMemoryBackend, NamespacedBackend
 from repro.core import MemorySource, naming
 from repro.core.restore import RestoreClient
-from repro.core.retention import RetainLastN
+from repro.core.retention import RetainLastN, apply_retention
 from repro.errors import (ConfigError, ObjectNotFound, SimulationError,
                           TransientCloudError, WorkloadError)
 from repro.fleet import (
@@ -30,7 +30,7 @@ from repro.fleet import (
 )
 from repro.service import (FAILED, SUCCEEDED, BackupService,
                            IntervalSchedule, JobSpec, ServiceSpec,
-                           SyntheticJobSource, apply_retention)
+                           SyntheticJobSource)
 from repro.core.naming import CONTAINER_ID_STRIDE, CONTAINER_PREFIX
 from repro.index import IndexEntry, LocalityCache
 

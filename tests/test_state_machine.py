@@ -11,16 +11,18 @@ flip the stat cache or delta compression between two processes,
 restore a session into a directory while its k-th data GET fails and
 then again into the same directory, back up a source one of whose
 files vanishes between the walk and its read, back up a source that
-has no mtimes (and so must replay nothing from the stat cache) —
-under one legal :class:`~repro.core.options.SchemeConfig` drawn per
-run.  After every step, every retained session must restore
-bit-exactly to the reference model (``tests/model.py``), loading each
-container its manifest references exactly once, the store must
-hold a manifest for exactly the sessions the model retains, and a scrub
-must find no problem.  After every sweep (a GC, or a retention that
-dropped a session), the store must hold no garbage: every container and
-every chunk, file and delta object is referenced by a retained
-manifest.  After every resume, the client's index must
+has no mtimes (and so must replay nothing from the stat cache),
+replicate at a drawn factor (so a later draw may lower it), replicate
+then lose a fault domain and repair — under one legal
+:class:`~repro.core.options.SchemeConfig` drawn per run.  After every
+step, every retained session must restore bit-exactly to the reference
+model (``tests/model.py``), loading each container its manifest
+references exactly once, the store must hold a manifest for exactly
+the sessions the model retains, and a scrub must find nothing at all
+(no problem, no degraded copy).  After every sweep (a GC, or a
+retention that dropped a session), the store must hold no garbage:
+every container and every chunk, file and delta object is referenced
+by a retained manifest.  After every resume, the client's index must
 equal a recount from the retained manifests, app by app, and its
 previous manifest (the one source of unchanged-file replays) must be
 the newest retained manifest when this scheme wrote it, else ``None``.
@@ -50,12 +52,14 @@ from repro.cloud import InMemoryBackend
 from repro.core import (BackupClient, Manifest, MemorySource,
                         RestoreClient, aa_dedupe_config, collect_garbage,
                         naming)
-from repro.core.retention import RetainLastN, RetainMaxAge
+from repro.core.retention import RetainLastN, RetainMaxAge, apply_retention
 from repro.core.scrub import scrub_cloud
 from repro.core.stats import SessionStats
+from repro.durability import (DurabilityPolicy, ReplicationPlan,
+                              kill_domain, primary_domain, repair_cloud,
+                              replicate_cloud)
 from repro.errors import BackupError, CloudError, TransientCloudError
 from repro.index import AppAwareIndex, IndexEntry
-from repro.service.retention import apply_retention
 from repro.simulate.clock import VirtualClock
 from tests.model import StoreModel
 from tests.strategies import legal_scheme_configs
@@ -66,6 +70,9 @@ MASTER_KEY = b"state-machine-master-key-32byte!"
 PATHS = ("docs/report.doc", "docs/notes.txt", "docs/deck.ppt",
          "docs/paper.pdf", "vm/disk.vmdk", "bin/tool.exe",
          "media/song.mp3", "media/photo.jpg")
+
+#: The fault domains the durability rules replicate over.
+DOMAINS = ("d0", "d1", "d2")
 
 #: Shared blocks, so files and sessions have content in common.
 _BLOCKS = [random.Random(seed).randbytes(4096) for seed in range(4)]
@@ -430,6 +437,31 @@ class StoreMachine(RuleBasedStateMachine):
             assert interrupted == (k <= self.store.data_gets - before)
             assert _tree(dest) == files
 
+    @rule(base=st.integers(1, 2))
+    def replicate(self, base) -> None:
+        """Give every live container ``base`` copies; two draws in a row
+        may lower replication, and then the replicas the new plan no
+        longer names must go: the store holds exactly the planned
+        replicas."""
+        report = replicate_cloud(
+            self.store, policy=DurabilityPolicy(base_replicas=base,
+                                                max_replicas=base),
+            domains=DOMAINS)
+        assert report.ok, report.problems
+        plan = ReplicationPlan.load(self.store) or ReplicationPlan()
+        assert set(self.store.list(naming.REPLICA_PREFIX)) == {
+            key for cid in plan.targets for key in plan.replica_keys(cid)}
+
+    @rule(domain=st.sampled_from(DOMAINS))
+    def replicate_kill_repair(self, domain) -> None:
+        """Replicate every live container twice, lose a whole fault
+        domain, repair: every copy is rebuilt from the survivors."""
+        replicate_cloud(self.store, policy=DurabilityPolicy(base_replicas=2),
+                        domains=DOMAINS)
+        kill_domain(self.store, domain, DOMAINS)
+        report = repair_cloud(self.store)
+        assert report.ok, report.problems
+
     # -- the invariant --------------------------------------------------
     @invariant()
     def every_retained_session_restores(self) -> None:
@@ -445,9 +477,9 @@ class StoreMachine(RuleBasedStateMachine):
                 manifest.referenced_containers()), session_id
 
     @invariant()
-    def scrub_finds_no_problem(self) -> None:
+    def scrub_is_clean(self) -> None:
         report = scrub_cloud(self.store)
-        assert not report.problems, report.problems
+        assert report.clean, report.findings
 
     def teardown(self) -> None:
         self.client.close()
@@ -527,4 +559,31 @@ def test_interrupted_session_collect_rerun(scheme, resumed):
     else:
         machine.backup([])
     machine.every_retained_session_restores()
+    machine.teardown()
+
+
+@pytest.mark.parametrize("resumed", [False, True],
+                         ids=["same_client", "resumed_client"])
+def test_interrupted_session_domain_kill_rerun(resumed):
+    """A fault domain dies with a container an interrupted session
+    uploaded (no manifest references it, so no replica saves it); the
+    re-run must upload it again rather than trust the journal's record
+    of it (which raised ``ObjectNotFound`` on restore)."""
+    config, changes, k = _INTERRUPTED["AA-Dedupe"]
+    machine = StoreMachine()
+    machine.start(config)
+    machine.backup([("put", "docs/notes.txt", 12_000, 1)])
+    before = set(machine.store.list(naming.CONTAINER_PREFIX))
+    machine.backup_with_failing_put(changes, k=k)
+    assert machine.store.list(naming.JOURNAL_PREFIX)
+    left = sorted(set(machine.store.list(naming.CONTAINER_PREFIX)) - before)
+    domain = primary_domain(naming.container_id_of(left[0]), DOMAINS)
+    machine.replicate_kill_repair(domain)
+    assert left[0] not in machine.store.list(naming.CONTAINER_PREFIX)
+    if resumed:
+        machine.backup_resumed([])
+    else:
+        machine.backup([])
+    machine.every_retained_session_restores()
+    machine.scrub_is_clean()
     machine.teardown()
