@@ -85,6 +85,10 @@ def cmd_backup(args) -> int:
     stats = client.backup(DirectorySource(args.source))
     client.close()
     _print_warnings(stats)
+    if stats.resume_skipped_objects:
+        print(f"resumed an interrupted session: skipped "
+              f"{stats.resume_skipped_objects} uploads "
+              f"({format_bytes(stats.resume_skipped_bytes)})")
     print(stats.summary())
     if args.replication:
         from repro.durability import (DurabilityPolicy, default_domains,

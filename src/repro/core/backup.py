@@ -37,7 +37,7 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import replace
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Dict, Iterable, Iterator, Optional
 
 from repro.chunking.base import Chunker
@@ -53,7 +53,7 @@ from repro.core.pipeline import WorkItem
 from repro.core.recipe import ChunkRef, FileEntry, Manifest
 from repro.core.source import SourceFile
 from repro.core.stats import SessionStats
-from repro.core.walk import StoreWalk
+from repro.core.walk import StoreWalk, mark_store
 from repro.delta import DeltaStage
 from repro.errors import BackupError, CloudError
 from repro.hashing.base import get_hash
@@ -165,8 +165,7 @@ class BackupClient:
     def _put(self, key: str, blob: bytes) -> None:
         """Upload a data object: inline, or into the uploader's window.
         Runs on the commit thread only."""
-        journal = self._journal
-        if journal is not None and journal.completed(key, blob):
+        if self._journal.completed(key, blob):
             return  # durably uploaded by the interrupted run
         uploads = self._uploads
         if uploads is None:
@@ -234,35 +233,9 @@ class BackupClient:
         attrs = {"key": key, "bytes": len(blob)}
         if app is not None:
             attrs["app"] = app
-        journal = self._journal
         with self.tracer.span("upload", **attrs):
             with self._cloud_lock:
-                self.cloud.put(key, blob)
-                if journal is not None:
-                    journal.record(key, blob)
-
-    def _open_journal(self, session_id: int) -> SessionJournal:
-        """Open (or resume) the session journal for ``session_id``.
-
-        When an interrupted run left a journal in the cloud, container
-        numbering is rewound to that run's starting id so re-generated
-        containers land on their original keys — the digest check in
-        :meth:`SessionJournal.completed` then skips every upload the
-        crashed run already made durable.
-        """
-        first_id = (self._containers.next_container_id
-                    if self._containers is not None else 0)
-        journal = SessionJournal.load(self.cloud, session_id,
-                                      first_container_id=first_id)
-        if journal.resumed:
-            journal.drop_lost()
-            if self._containers is not None:
-                self._containers.set_next_id(journal.first_container_id)
-        if not journal.resumed:
-            # Make the starting container id durable before the first
-            # upload, so even an immediate crash resumes correctly.
-            journal.flush()
-        return journal
+                self._journal.put(key, blob)
 
     def _chunker_for(self, policy: DedupPolicy) -> Chunker:
         key = (policy.chunker, tuple(sorted(policy.chunker_params.items())))
@@ -326,18 +299,32 @@ class BackupClient:
         containers it numbered are discarded.  A scheme without
         containers cannot name its entries, so the next session
         reconciles them (:meth:`_forget_swept`).  The previous manifest
-        stays: the failed session never replaced it.
+        stays; the journal's partial segment goes up (best effort).
         """
         if self._delta is not None:
             self._delta = DeltaStage(tracer=self.tracer)
         if self._containers is None:
             self._epoch = -1  # never an epoch: the next read reconciles
-            return
-        self._containers.discard_open()
-        last_id = self._containers.next_container_id
-        for app, entry in list(self.index.entries()):
-            if first_id <= entry.container_id < last_id:
-                self.index.subindex(app).discard(entry.fingerprint)
+        else:
+            self._containers.discard_open()
+            last_id = self._containers.next_container_id
+            for app, entry in list(self.index.entries()):
+                if first_id <= entry.container_id < last_id:
+                    self.index.subindex(app).discard(entry.fingerprint)
+        self._journal.flush()
+
+    def _reissues(self, first_id: int) -> bool:
+        """Whether rewinding numbering to ``first_id`` reissues an id in
+        its lane that the index or any manifest (an unreadable one
+        counts) names: a later session, by any client, committed."""
+        if self._containers is None:
+            return False
+        lane = range(first_id, (first_id // naming.CONTAINER_ID_STRIDE + 1)
+                     * naming.CONTAINER_ID_STRIDE)
+        marked = mark_store(StoreWalk(self.cloud))
+        return bool(marked.problems) or any(
+            cid in lane for cid in chain(marked.containers, (
+                entry.container_id for _, entry in self.index.entries())))
 
     # -- the session ----------------------------------------------------
     def backup(self, source: Iterable[SourceFile],
@@ -346,10 +333,6 @@ class BackupClient:
         cfg = self.config
         if session_id is None:
             session_id = self._next_session
-        # Never rewind the auto counter: re-running an older explicit id
-        # must not make later auto ids collide with (and silently
-        # overwrite) newer manifests.
-        self._next_session = max(self._next_session, session_id + 1)
         with self.tracer.span("session", scheme=cfg.name,
                               session=session_id):
             return self._session(source, session_id)
@@ -368,10 +351,16 @@ class BackupClient:
         puts_before = self.cloud.stats.put_requests
         up_before = self.cloud.stats.bytes_uploaded
         self._open_epoch(stats.warnings)
-        self._journal = self._open_journal(session_id) \
-            if cfg.resumable else None
         first_id = (self._containers.next_container_id
                     if self._containers is not None else 0)
+        # An interrupted run's journal rewinds numbering to its first
+        # container, so the digest check skips its durable uploads.
+        journal = self._journal = SessionJournal.load(
+            self.cloud, session_id, first_id, stale=self._reissues)
+        if journal.resumed and self._containers is not None:
+            first_id = journal.first_container_id
+            self._containers.set_next_id(first_id)
+        journal.drop_lost()
         dedup_watch = Stopwatch().start()
         try:
             with self._upload_window(stats):
@@ -379,21 +368,20 @@ class BackupClient:
                 if self._containers is not None:
                     self._containers.flush()
                 dedup_watch.stop()  # the wait for the WAN is not dedup
-            if self._journal is not None:
-                stats.resume_skipped_objects = self._journal.skipped_objects
-                stats.resume_skipped_bytes = self._journal.skipped_bytes
+            stats.resume_skipped_objects = self._journal.skipped_objects
+            stats.resume_skipped_bytes = self._journal.skipped_bytes
 
-            # Manifest upload.  Its success is the session's commit
-            # record: afterwards the journal (if any) is obsolete and is
-            # deleted.
+            # Manifest upload: the commit record, which consumes the id
+            # (a failed session gives it back, so the next auto id
+            # resumes it).  Never rewind: later auto ids must not
+            # overwrite newer manifests.
+            self._next_session = max(self._next_session, session_id + 1)
             manifest_blob = manifest.to_json().encode("utf-8")
             with self.tracer.span("manifest", bytes=len(manifest_blob)):
                 self.cloud.put(naming.manifest_key(session_id),
                                manifest_blob)
-            if self._journal is not None:
-                self._journal.commit()
-                stats.warnings.extend(self._journal.warnings)
-                self._journal = None
+            self._journal.commit()
+            stats.warnings.extend(self._journal.warnings)
         except BaseException:
             self._abandon(first_id)
             raise

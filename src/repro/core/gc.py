@@ -7,9 +7,9 @@ fleet backend never collects data a tenant still uses, and it needs no
 client-side refcounts, so it is crash-safe.  The mark is
 :func:`repro.core.walk.mark_store`, which durability planning reads
 criticality from too.  Then it deletes the dropped manifests, the
-unreferenced containers and standalone objects, and the replicas of
-dead containers with their plan entries: a replica dies exactly when
-its container leaves the live set, so the last surviving copy of a
+plan entries and replicas of dead containers, the dead containers, and
+the unreferenced standalone objects: a replica dies exactly when its
+container leaves the live set, so the last surviving copy of a
 referenced container is never collected.  The report carries
 per-container live bytes (fragmentation visibility; compaction would
 need manifest rewrites, which the paper never does).
@@ -109,30 +109,26 @@ def collect_garbage(cloud, retain_sessions: Iterable[int]) -> GCReport:
             cloud.delete(record.key)
             report.deleted_manifests += 1
 
-    # --- sweep: containers ---------------------------------------------
-    # A key that names no container is not GC's to judge (scrub
-    # reports it); it must not wedge the sweep either.
-    for key in cloud.list(naming.CONTAINER_PREFIX):
-        container_id = naming.container_id_of(key)
-        if container_id is not None and container_id not in live:
-            cloud.delete(key)
-            report.deleted_containers += 1
-
-    # --- sweep: durability replicas with their containers ---------------
-    # A replica's lifetime is its container's: live container -> every
-    # copy is kept (even when it is the last survivor of a lost
-    # primary); dead container -> all copies go with it.  Keys that do
-    # not parse as replica keys are left for scrub to flag.
-    for key in cloud.list(naming.REPLICA_PREFIX):
-        parsed = naming.parse_replica_key(key)
-        if parsed is not None and parsed[1] not in live:
-            cloud.delete(key)
-            report.deleted_replicas += 1
+    # --- sweep: plan entries, replicas, then containers ----------------
+    # A replica lives as long as its container.  Cut short in this
+    # order, a sweep leaves unplanned replicas (repair deletes them) or
+    # bare dead primaries (the next GC takes them), never a replica
+    # that revives a dead primary.  Keys that name neither are scrub's.
     plan = ReplicationPlan.load(cloud)
     if plan is not None:
         report.plan_pruned = plan.prune(live)
         if report.plan_pruned:
             plan.save(cloud)
+    for key in cloud.list(naming.REPLICA_PREFIX):
+        parsed = naming.parse_replica_key(key)
+        if parsed is not None and parsed[1] not in live:
+            cloud.delete(key)
+            report.deleted_replicas += 1
+    for key in cloud.list(naming.CONTAINER_PREFIX):
+        container_id = naming.container_id_of(key)
+        if container_id is not None and container_id not in live:
+            cloud.delete(key)
+            report.deleted_containers += 1
 
     # --- sweep: standalone chunk/file/delta objects ---------------------
     # The chunk pool is shared; file and delta blobs are swept in every
@@ -155,8 +151,8 @@ def collect_garbage(cloud, retain_sessions: Iterable[int]) -> GCReport:
         invalidate_statcache(cloud, walk.tenant_keys)
         report.statcache_invalidated = True
         # An interrupted session's journal vouches for uploads no
-        # manifest references, which this sweep just took: a resumed
-        # re-run must upload them again, not skip them.
-        for key in walk.keys(naming.JOURNAL_PREFIX):
+        # manifest references, which this sweep just took; last segment
+        # first, so a cut-short sweep leaves each journal a prefix.
+        for key in sorted(walk.keys(naming.JOURNAL_PREFIX), reverse=True):
             cloud.delete(key)
     return report

@@ -119,9 +119,9 @@ def session_ids(cloud) -> list:
     return sorted(sid for sid in ids if sid is not None)
 
 
-def journal_key(session_id: int) -> str:
-    """Key of an in-flight session's upload journal (resume support)."""
-    return f"{JOURNAL_PREFIX}session-{session_id:06d}.json"
+def journal_key(session_id: int, segment: int = 0) -> str:
+    """Key of segment ``segment`` of an in-flight session's journal."""
+    return f"{JOURNAL_PREFIX}session-{session_id:06d}.{segment:06d}.json"
 
 
 def replica_key(domain: str, container_id: int) -> str:

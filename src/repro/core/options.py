@@ -48,7 +48,9 @@ class SchemeConfig:
     every feature an incremental-only scheme cannot run (encryption,
     delta compression, the stat cache, parallel dedup);
     ``delta_compress`` also excludes ``encrypt_chunks``.
-    Every other combination of the boolean features is legal.
+    Every other combination of the boolean features is legal.  No field
+    turns session resume on or off: every session journals its uploads
+    (:mod:`repro.core.journal`).
     """
 
     #: Human-readable scheme name (appears in stats and reports).
@@ -100,13 +102,6 @@ class SchemeConfig:
     #: fingerprinting/storage, keys are wrapped into the recipes.  The
     #: client must be given a master key.
     encrypt_chunks: bool = False
-
-    #: Keep a cloud-side session journal of durably-uploaded objects so
-    #: an interrupted session can be re-run without re-uploading data
-    #: (see docs/RESILIENCE.md).  Off by default: the journal costs one
-    #: extra small PUT per recorded upload, which would perturb the
-    #: paper-faithful request/byte accounting of the evaluation.
-    resumable: bool = False
 
     #: Post-dedup similarity detection + delta compression of unique
     #: CDC/SC chunks (see :mod:`repro.delta` and docs/DELTA.md).

@@ -22,7 +22,6 @@ def legal_scheme_configs(draw):
     changes = dict(
         index_layout=draw(st.sampled_from(["app", "global", "tier"])),
         pipeline_uploads=draw(st.booleans()),
-        resumable=draw(st.booleans()),
         use_containers=draw(st.booleans()),
         container_size=draw(st.sampled_from([4 * KIB, 64 * KIB])),
     )

@@ -73,6 +73,50 @@ class TestBackupRestoreCycle:
         assert "WARNING: b.doc" in captured.err
         assert "files=2" in captured.out
 
+    def test_interrupted_backup_resumes(self, tmp_path, rng, capsys,
+                                        monkeypatch):
+        # A backup dies at its third container PUT; the next `repro
+        # backup` of the same tree re-runs that session from its
+        # journal, says what it skipped, and restores bit-exactly.
+        import repro.cli
+        from repro.cloud import LocalDirectoryBackend
+        from repro.core import naming
+        from repro.errors import TransientCloudError
+
+        src = tmp_path / "src"
+        src.mkdir()
+        files = {f"r{i}.doc": rng.integers(0, 256, 40_000,
+                                           dtype=np.uint8).tobytes()
+                 for i in range(4)}
+        for name, blob in files.items():
+            (src / name).write_bytes(blob)
+
+        class Dying(LocalDirectoryBackend):
+            container_puts = 0
+
+            def _put(self, key, data):
+                if key.startswith(naming.CONTAINER_PREFIX):
+                    Dying.container_puts += 1
+                    if Dying.container_puts == 3:
+                        raise TransientCloudError(f"link down: {key}")
+                super()._put(key, data)
+
+        store = tmp_path / "cloud"
+        argv = ("backup", src, "--store", store, "--container-size", "32KB")
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.cli, "LocalDirectoryBackend", Dying)
+            with pytest.raises(TransientCloudError):
+                run(*argv)
+        capsys.readouterr()
+        assert run(*argv) == 0
+        out = capsys.readouterr().out
+        assert "resumed an interrupted session: skipped 2 uploads" in out
+        assert "session 0" in out
+        dest = tmp_path / "out"
+        assert run("restore", "0", dest, "--store", store) == 0
+        assert {p.name: p.read_bytes() for p in dest.iterdir()} == files
+        assert not LocalDirectoryBackend(store).list(naming.JOURNAL_PREFIX)
+
     def test_selective_restore(self, source_tree, tmp_path):
         store = tmp_path / "cloud"
         run("backup", source_tree, "--store", store)

@@ -672,6 +672,56 @@ class TestGCDurability:
             assert plan is not None and cid in plan
         assert scrub_cloud(cloud).clean
 
+    def test_interrupted_sweep_revives_no_dead_primary(self, rng):
+        # A sweep cut short after any of its deletes or PUTs leaves
+        # nothing repair would write back: scrub finds no lost primary.
+        cloud = InMemoryBackend()
+        client = BackupClient(cloud,
+                              aa_dedupe_config(container_size=32 * 1024))
+        client.backup(MemorySource(make_files(rng, salt=1)))
+        client.backup(MemorySource(make_files(rng, salt=2)))
+        client.close()
+        replicate_cloud(cloud, policy=R2, domains=DOMAINS)
+        seed = dict(cloud._objects)
+
+        class Cut(InMemoryBackend):
+            """Dies at its ``budget``-th mutation."""
+
+            def __init__(self, budget):
+                super().__init__()
+                self._objects = dict(seed)
+                self.budget = budget
+
+            def _spend(self):
+                self.budget -= 1
+                if self.budget < 0:
+                    raise RuntimeError("sweep cut short")
+
+            def _put(self, key, data):
+                self._spend()
+                super()._put(key, data)
+
+            def _delete(self, key):
+                self._spend()
+                return super()._delete(key)
+
+        mutations = 0
+        while True:
+            cut = Cut(mutations)
+            try:
+                collect_garbage(cut, retain_sessions=[1])
+            except RuntimeError:
+                pass
+            else:
+                break
+            cut.budget = float("inf")
+            kinds = {f.kind for f in scrub_cloud(cut).findings}
+            assert "missing_primary" not in kinds, mutations
+            assert repair_cloud(cut).primaries_restored == 0, mutations
+            assert scrub_cloud(cut).clean, mutations
+            mutations += 1
+        assert mutations > 3  # manifest, plan, replicas and containers
+
     def test_last_survivor_of_live_container_kept(self, replicated):
         cloud, files, _rep = replicated
         victim = cloud.list(naming.CONTAINER_PREFIX)[0]

@@ -1,10 +1,12 @@
-"""Fault-tolerant transport: chaos injection, retry, resumable sessions.
+"""Fault-tolerant transport: chaos injection, retry, session resume.
 
 Everything here runs on a :class:`VirtualClock` — retry backoff and WAN
 stalls advance simulated time only, so the suite is instant and every
 fault sequence replays deterministically from its seed.
 """
 
+import multiprocessing
+import os
 import threading
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from repro.cloud import (
     ChaosBackend,
     InMemoryBackend,
+    LocalDirectoryBackend,
     RetryPolicy,
     SimulatedCloud,
     WANLink,
@@ -23,6 +26,7 @@ from repro.core import (
     RestoreClient,
     SessionJournal,
     aa_dedupe_config,
+    collect_garbage,
     naming,
 )
 from repro.core.scrub import scrub_cloud
@@ -428,7 +432,7 @@ class TestPipelinedUploaderFailFast:
         # The re-run renumbers from the failed run's first container:
         # had the client kept index entries into those ids, new bytes
         # would overwrite a durable container they still point into.
-        cloud, client, _ = self._failed_session(files, resumable=True)
+        cloud, client, _ = self._failed_session(files)
         cloud.armed = False
         client.backup(MemorySource(files), session_id=0)
         restored, _ = RestoreClient(cloud).restore_to_memory(0)
@@ -437,42 +441,37 @@ class TestPipelinedUploaderFailFast:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_resumed_rerun_skips_durable_uploads(self, files, workers):
-        cloud, _, _ = self._failed_session(files, resumable=True,
+        cloud, _, _ = self._failed_session(files,
                                            parallel_workers=workers)
         durable = set(cloud.list(naming.CONTAINER_PREFIX))
         assert len(durable) == self.FAIL_AT - 1
         cloud.armed = False
         cloud.attempts.clear()
         stats = BackupClient(cloud, self._config(
-            resumable=True, parallel_workers=workers)).backup(
+            parallel_workers=workers)).backup(
                 MemorySource(files), session_id=0)
         assert stats.resume_skipped_objects == len(durable)
         assert durable.isdisjoint(cloud.attempts)
         restored, _ = RestoreClient(cloud).restore_to_memory(0)
         assert restored == files
 
-    def test_on_success_runs_per_durable_upload(self, files, monkeypatch):
-        # Each job is "PUT, then journal the key", whole, in order.
+    def test_on_success_runs_per_durable_upload(self, files):
+        # Each job is "PUT, then journal the key", whole, in order: at
+        # every container PUT the journal holds exactly the earlier ones.
         seen = []
-        record = SessionJournal.record
-
-        def journaled(journal, key, blob):
-            seen.append(("journal", key))
-            record(journal, key, blob)
 
         class Recording(InMemoryBackend):
             def _put(self, key, data):
                 if key.startswith(naming.CONTAINER_PREFIX):
-                    seen.append(("put", key))
+                    seen.append((key, list(client._journal._done)))
                 super()._put(key, data)
 
-        monkeypatch.setattr(SessionJournal, "record", journaled)
         cloud = Recording()
-        BackupClient(cloud, self._config(resumable=True)).backup(
-            MemorySource(files))
+        client = BackupClient(cloud, self._config())
+        client.backup(MemorySource(files))
         keys = sorted(cloud.list(naming.CONTAINER_PREFIX))
-        assert seen == [(step, key) for key in keys
-                        for step in ("put", "journal")]
+        assert seen == [(key, keys[:i]) for i, key in enumerate(keys)]
+        assert list(client._journal._done) == keys
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +486,9 @@ class TestSessionJournal:
     def test_round_trip(self):
         cloud = InMemoryBackend()
         journal = SessionJournal(cloud, 3, first_container_id=7)
-        journal.record("containers/0000000007", b"blob-a")
-        journal.record("containers/0000000008", b"blob-b")
+        journal.put("containers/0000000007", b"blob-a")
+        journal.put("containers/0000000008", b"blob-b")
+        journal.flush()
         again = SessionJournal.load(cloud, 3)
         assert again.resumed
         assert again.first_container_id == 7
@@ -499,7 +499,8 @@ class TestSessionJournal:
     def test_commit_deletes_journal(self):
         cloud = InMemoryBackend()
         journal = SessionJournal(cloud, 0)
-        journal.record("k", b"v")
+        journal.put("k", b"v")
+        journal.flush()
         assert cloud.list(naming.JOURNAL_PREFIX)
         journal.commit()
         assert cloud.list(naming.JOURNAL_PREFIX) == []
@@ -511,15 +512,151 @@ class TestSessionJournal:
         assert not journal.resumed
         assert journal.first_container_id == 2
         assert journal.warnings
+        journal.commit()
+        assert cloud.list(naming.JOURNAL_PREFIX) == []
 
     def test_maintenance_failures_never_raise(self):
-        class NoPuts(InMemoryBackend):
+        class NoJournalPuts(InMemoryBackend):
             def _put(self, key, data):
-                raise TransientCloudError("down")
+                if key.startswith(naming.JOURNAL_PREFIX):
+                    raise TransientCloudError("down")
+                super()._put(key, data)
 
-        journal = SessionJournal(NoPuts(), 0)
-        journal.record("k", b"v")  # flush fails silently
+        journal = SessionJournal(NoJournalPuts(), 0)
+        journal.put("k", b"v")
+        journal.flush()  # fails silently
         assert any("journal flush failed" in w for w in journal.warnings)
+
+    @pytest.mark.parametrize("n", [63, 64, 200])
+    def test_one_segment_put_per_64_uploads(self, n):
+        cloud = _JournalLog()
+        BackupClient(cloud, aa_dedupe_config(container_size=4 * KIB)).backup(
+            MemorySource(_media(n)))
+        assert len(cloud.list(naming.CONTAINER_PREFIX)) == n
+        assert cloud.journal["put"] == cloud.journal["delete"] == n // 64
+        assert cloud.journal["get"] == 1
+        assert cloud.journal["bytes"] < n * 100
+        assert cloud.list(naming.JOURNAL_PREFIX) == []
+
+    def test_resume_loads_segments_and_appends_after_them(self):
+        cloud = InMemoryBackend()
+        journal = SessionJournal(cloud, 4, first_container_id=9)
+        for i in range(130):
+            journal.put(f"containers/{i:010d}", b"blob %d" % i)
+        assert len(cloud.list(naming.JOURNAL_PREFIX)) == 2
+        again = SessionJournal.load(cloud, 4)
+        assert again.resumed and again.first_container_id == 9
+        assert len(again) == 128  # the last two records were unflushed
+        for i in range(130, 194):
+            again.put(f"containers/{i:010d}", b"blob %d" % i)
+        assert cloud.list(naming.JOURNAL_PREFIX) == [
+            naming.journal_key(4, segment) for segment in range(3)]
+        assert len(SessionJournal.load(cloud, 4)) == 192
+        again.commit()
+        assert cloud.list(naming.JOURNAL_PREFIX) == []
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_unusable_segment_drops_the_ones_after_it(self, bad):
+        # A failed GET of segment ``bad`` ends the load; the segments
+        # after it are deleted, so this run's segments never splice
+        # onto them, and commit leaves no journal key.
+        class Blip(InMemoryBackend):
+            blips = 1
+
+            def _get(self, key):
+                if key == naming.journal_key(4, bad) and Blip.blips:
+                    Blip.blips -= 1
+                    raise TransientCloudError("blip")
+                return super()._get(key)
+
+        cloud = Blip()
+        journal = SessionJournal(cloud, 4, first_container_id=9)
+        for i in range(3 * 64):
+            journal.put(f"containers/{i:010d}", b"blob %d" % i)
+        again = SessionJournal.load(cloud, 4)
+        assert again.warnings and len(again) == 64 * bad
+        assert cloud.list(naming.JOURNAL_PREFIX) == [
+            naming.journal_key(4, n) for n in range(bad)]
+        for i in range(1000, 1064):
+            again.put(f"containers/{i:010d}", b"blob %d" % i)
+        assert len(SessionJournal.load(cloud, 4)) == 64 * (bad + 1)
+        again.commit()
+        assert cloud.list(naming.JOURNAL_PREFIX) == []
+
+    @pytest.mark.parametrize("lost", [False, True])
+    def test_overwrite_revokes_the_record_first(self, lost):
+        # A resumed run PUTs other bytes under a recorded key (lost from
+        # the store meanwhile, or not), then dies before its next
+        # segment: the record no longer vouches.
+        cloud = InMemoryBackend()
+        key = naming.container_key(0)
+        first = SessionJournal(cloud, 2)
+        first.put(key, b"old")
+        first.flush()
+        if lost:
+            cloud.delete(key)
+        second = SessionJournal.load(cloud, 2)
+        second.drop_lost()
+        assert not second.completed(key, b"new")
+        second.put(key, b"new")  # then a hard kill: no flush
+        assert not SessionJournal.load(cloud, 2).completed(key, b"old")
+
+
+def _media(n, seed=64):
+    """``n`` compressed files, each one whole-file chunk larger than a
+    4 KiB container, so a 4 KiB-container session makes ``n`` data
+    uploads."""
+    rng = np.random.default_rng(seed)
+    return {f"media/{i:03d}.mp3": rng.integers(
+        0, 256, 12_000, dtype=np.uint8).tobytes() for i in range(n)}
+
+
+def _doomed_backup(store, kill_at):
+    """Back ``_media(210)`` up into ``store`` as a new process would,
+    and die (``os._exit``: no failure path, no ``finally``) at the
+    kill_at-th container PUT."""
+
+    class Dying(LocalDirectoryBackend):
+        container_puts = 0
+
+        def _put(self, key, data):
+            if key.startswith(naming.CONTAINER_PREFIX):
+                Dying.container_puts += 1
+                if Dying.container_puts == kill_at:
+                    os._exit(0)
+            super()._put(key, data)
+
+    client = BackupClient(Dying(store),
+                          aa_dedupe_config(container_size=4 * KIB))
+    client.resume_from_cloud()
+    client.backup(MemorySource(_media(210)))
+    os._exit(1)
+
+
+class _JournalLog(InMemoryBackend):
+    """Counts journal requests by verb, and the bytes journal PUTs
+    carry."""
+
+    def __init__(self):
+        super().__init__()
+        self.journal = dict.fromkeys(("put", "get", "delete", "bytes"), 0)
+
+    def _log(self, verb, key, size=0):
+        if key.startswith(naming.JOURNAL_PREFIX):
+            self.journal[verb] += 1
+            self.journal["bytes"] += size
+
+    def _put(self, key, data):
+        self._log("put", key, len(data))
+        super()._put(key, data)
+
+    def _get(self, key):
+        self._log("get", key)
+        return super()._get(key)
+
+    def _delete(self, key):
+        self._log("delete", key)
+        return super()._delete(key)
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +684,7 @@ class TestResumableSessions:
     CONTAINER = 32 * KIB
 
     def _config(self):
-        return aa_dedupe_config(container_size=self.CONTAINER,
-                                resumable=True)
+        return aa_dedupe_config(container_size=self.CONTAINER)
 
     def _big_files(self, rng, n=24):
         return {f"docs/f{i:02d}.doc": rng.integers(
@@ -614,9 +750,6 @@ class TestResumableSessions:
         assert stats.resume_skipped_objects == 0
         assert cloud.list(naming.JOURNAL_PREFIX) == []
 
-    def test_resumable_off_by_default(self, rng):
-        assert aa_dedupe_config().resumable is False
-
     def test_pipelined_resume(self, rng):
         # Journal recording also works on the pipelined upload path
         # (records happen on the worker thread, after the durable put).
@@ -633,6 +766,86 @@ class TestResumableSessions:
         restored, _ = RestoreClient(cloud).restore_to_memory(0)
         assert restored == files
         assert scrub_cloud(cloud).clean
+
+    @pytest.mark.parametrize("route", ["same client", "fresh client",
+                                       "older id re-run"])
+    def test_later_session_stops_the_rewind(self, rng, route):
+        # Session 5 fails, then a later session commits into the
+        # container ids after it: 6 (run by the re-running client, or
+        # unseen by it: a fresh client), or an explicit re-run of 4
+        # before the auto-id re-run of 5.  Rewinding to 5's first
+        # container would overwrite that session's, so the re-run
+        # starts fresh and deletes 5's stale journal.
+        four, five, six = (self._big_files(rng, n=6) for _ in range(3))
+        cloud = _CrashBackend(crash_after_containers=0)
+        cloud.armed = False
+        client = BackupClient(cloud, self._config())
+        client.backup(MemorySource(four), session_id=4)
+        cloud.crash_after, cloud.armed = cloud.container_puts + 3, True
+        with pytest.raises(RuntimeError):
+            client.backup(MemorySource(five))
+        cloud.armed = False
+        if route == "older id re-run":
+            four = six
+            client.backup(MemorySource(four), session_id=4)
+            stats = client.backup(MemorySource(five))
+        else:
+            client.backup(MemorySource(six), session_id=6)
+            if route == "fresh client":
+                client = BackupClient(cloud, self._config())
+            stats = client.backup(MemorySource(five), session_id=5)
+        assert stats.session_id == 5 and stats.resume_skipped_objects == 0
+        assert cloud.list(naming.JOURNAL_PREFIX) == []
+        for session_id, files in ((4, four), (5, five), (6, six)):
+            if route != "older id re-run" or session_id < 6:
+                restored, _ = RestoreClient(cloud).restore_to_memory(
+                    session_id)
+                assert restored == files
+
+    @pytest.mark.parametrize("kill_at", [60, 150])
+    def test_hard_kill_resumes_from_flushed_segments(self, tmp_path,
+                                                      kill_at):
+        # A child process dies (``os._exit``: no failure path, no
+        # ``finally``) at its kill_at-th container PUT.  Of the durable
+        # uploads before it, only those in flushed segments are skipped.
+        cfg = aa_dedupe_config(container_size=4 * KIB)
+        store = tmp_path / "store"
+        before = {"docs/a.doc": _media(1, seed=1)["media/000.mp3"]}
+        BackupClient(LocalDirectoryBackend(store), cfg).backup(
+            MemorySource(before))
+        files = _media(210)
+        child = multiprocessing.get_context("spawn").Process(
+            target=_doomed_backup, args=(store, kill_at))
+        child.start()
+        child.join(timeout=120)
+        if child.is_alive():
+            child.kill()
+        assert child.exitcode == 0  # killed mid-session, not finished
+
+        class Counting(LocalDirectoryBackend):
+            container_puts = 0
+
+            def _put(self, key, data):
+                if key.startswith(naming.CONTAINER_PREFIX):
+                    Counting.container_puts += 1
+                super()._put(key, data)
+
+        cloud = Counting(store)
+        client = BackupClient(cloud, cfg)
+        client.resume_from_cloud()
+        stats = client.backup(MemorySource(files))
+        client.close()
+        flushed = 64 * ((kill_at - 1) // 64)
+        assert stats.session_id == 1
+        assert stats.resume_skipped_objects == flushed
+        assert Counting.container_puts == len(files) - flushed
+        for session_id, expected in ((0, before), (1, files)):
+            restored, _ = RestoreClient(cloud).restore_to_memory(session_id)
+            assert restored == expected
+        assert cloud.list(naming.JOURNAL_PREFIX) == []
+        collect_garbage(cloud, retain_sessions=[0, 1])
+        report = scrub_cloud(cloud)
+        assert report.clean, report.findings
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +930,7 @@ class TestChaosBackupAcceptance:
         retry = RetryPolicy(max_attempts=8, seed=4, clock=clock)
         cloud = SimulatedCloud(chaos, clock=clock, retry=retry)
         client = BackupClient(cloud, aa_dedupe_config(
-            container_size=64 * KIB, resumable=True))
+            container_size=64 * KIB))
         stats = client.backup(MemorySource(files))
 
         assert stats.files_total == len(files)

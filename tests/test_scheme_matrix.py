@@ -25,7 +25,6 @@ AXES = {
     "stat_cache": (False, True),
     "parallel_workers": (1, 2),
     "pipeline_uploads": (False, True),
-    "resumable": (False, True),
     "use_containers": (False, True),
     "index_layout": ("app", "global", "tier"),
 }
@@ -49,7 +48,7 @@ def legal(combo: dict) -> bool:
 def test_constructor_raises_exactly_on_illegal_combinations():
     combos = [dict(zip(AXES, values))
               for values in itertools.product(*AXES.values())]
-    assert len(combos) == 768
+    assert len(combos) == 384
     wrong = []
     for combo in combos:
         try:
@@ -60,7 +59,7 @@ def test_constructor_raises_exactly_on_illegal_combinations():
         if accepted != legal(combo):
             wrong.append(combo)
     assert wrong == []
-    assert sum(map(legal, combos)) == 312
+    assert sum(map(legal, combos)) == 156
 
 
 @pytest.mark.parametrize("changes", [

@@ -9,7 +9,7 @@ from repro.core.filecache import read_epoch
 from repro.core.restore import RestoreClient
 from repro.core.retention import RetainLastN, RetainMaxAge
 from repro.core.source import MemorySource
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TransientCloudError
 from repro.service import (
     BackupService,
     CallableJobSource,
@@ -382,6 +382,39 @@ class TestServiceRunner:
         restored, _ = RestoreClient(view).restore_to_memory(
             report.session_id)
         assert restored == files
+
+    def test_failed_run_gives_its_session_id_back(self):
+        # The job's next run takes the failed session's id again, so it
+        # resumes that session's journal instead of uploading it anew.
+        files = {f"docs/r{i}.doc": _corpus(f"r{i}") for i in range(4)}
+
+        class FailOnce(InMemoryBackend):
+            """Fails the third container PUT, once."""
+            countdown = 3
+
+            def _put(self, key, data):
+                if key.startswith(naming.CONTAINER_PREFIX):
+                    self.countdown -= 1
+                    if self.countdown == 0:
+                        raise TransientCloudError(f"injected: put {key}")
+                super()._put(key, data)
+
+        backend = FailOnce()
+        svc = _service(
+            JobSpec(name="j", container_size=32 * 1024,
+                    source=CallableJobSource(
+                        lambda run: MemorySource(dict(files)))),
+            backend=backend)
+        svc.run()
+        failed, report = svc.run().reports
+        svc.close()
+        assert failed.state == "FAILED"
+        assert report.state == "SUCCEEDED" and report.session_id == 0
+        assert report.stats.resume_skipped_objects > 0
+        view = NamespacedBackend(backend, "j")
+        restored, _ = RestoreClient(view).restore_to_memory(0)
+        assert restored == files
+        assert view.list(naming.JOURNAL_PREFIX) == []
 
 
 # ----------------------------------------------------------------------

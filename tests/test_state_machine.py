@@ -5,9 +5,10 @@ system's public verbs — back up an edited source, back up with a fresh
 client after ``resume_from_cloud``, drop the oldest session and collect
 garbage, keep the last n sessions through ``apply_retention``, move the
 clock and keep the sessions no older than a drawn age, run a
-session whose k-th PUT fails, run a session that cannot read the GC
-epoch, switch the content-defined chunker between two processes,
-flip the stat cache or delta compression between two processes,
+session whose k-th PUT fails, kill the process at a session's k-th
+PUT and re-run the session from a new one, run a session that cannot
+read the GC epoch, switch the content-defined chunker between two
+processes, flip the stat cache or delta compression between two processes,
 restore a session into a directory while its k-th data GET fails and
 then again into the same directory, back up a source one of whose
 files vanishes between the walk and its read, back up a source that
@@ -39,6 +40,7 @@ import os
 import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -52,6 +54,7 @@ from repro.cloud import InMemoryBackend
 from repro.core import (BackupClient, Manifest, MemorySource,
                         RestoreClient, aa_dedupe_config, collect_garbage,
                         naming)
+from repro.core import journal
 from repro.core.retention import RetainLastN, RetainMaxAge, apply_retention
 from repro.core.scrub import scrub_cloud
 from repro.core.stats import SessionStats
@@ -99,7 +102,9 @@ _changes = st.lists(st.tuples(
 class _FaultyStore(InMemoryBackend):
     """An in-memory store whose ``fail_at``-th PUT and ``get_fail_at``-th
     GET of a non-manifest key (1-based, counted from arming) fail once,
-    and whose GC epoch GETs fail while ``epoch_down`` is set.  Its clock
+    whose GC epoch GETs fail while ``epoch_down`` is set, and which
+    persists no PUT or DELETE from its ``kill_at``-th PUT on until
+    ``dead`` is cleared (the writing process was killed).  Its clock
     moves only in ``retain_max_age``, so sessions between two moves
     share a ``created`` stamp and retention breaks the tie by session
     id."""
@@ -111,6 +116,8 @@ class _FaultyStore(InMemoryBackend):
         #: GETs of non-manifest keys so far (a restore's data GETs).
         self.data_gets = 0
         self.epoch_down = False
+        self.kill_at = 0
+        self.dead = False
         self.clock = VirtualClock()
 
     def _get(self, key):
@@ -126,11 +133,21 @@ class _FaultyStore(InMemoryBackend):
         return super()._get(key)
 
     def _put(self, key, data):
+        if self.kill_at:
+            self.kill_at -= 1
+            self.dead = not self.kill_at
+        if self.dead:
+            raise TransientCloudError(f"process killed: put {key}")
         if self.fail_at:
             self.fail_at -= 1
             if not self.fail_at:
                 raise TransientCloudError(f"injected failure: put {key}")
         super()._put(key, data)
+
+    def _delete(self, key):
+        if self.dead:
+            raise TransientCloudError(f"process killed: delete {key}")
+        return super()._delete(key)
 
 
 class _VanishingSource(MemorySource):
@@ -384,6 +401,31 @@ class StoreMachine(RuleBasedStateMachine):
         finally:
             self.store.fail_at = 0
 
+    @rule(changes=_changes, k=st.integers(1, 10))
+    def crash_mid_session(self, changes, k) -> None:
+        """The process dies at the session's k-th PUT: nothing from it
+        on persists, so neither the failure path's journal flush nor
+        any ``finally`` lands.  A new process resumes from the cloud
+        and re-runs the session, which commits and leaves no journal.
+        Segments of two records make the journal's segment path run
+        at this budget."""
+        self._edit(changes)
+        with mock.patch.object(journal, "SEGMENT_RECORDS", 2):
+            self.store.kill_at = k
+            try:
+                self._backup()
+            except (BackupError, CloudError):
+                pass
+            finally:
+                self.client.close()
+                self.store.kill_at = 0
+                self.store.dead = False
+            self.client = self._client()
+            self.client.resume_from_cloud()
+            self._check_resumed()
+            self.crash_skipped = self._backup().resume_skipped_objects
+        assert self.store.list(naming.JOURNAL_PREFIX) == []
+
     @rule(changes=_changes)
     def backup_epoch_unreadable(self, changes) -> None:
         """A session that cannot read the GC epoch: it cannot rule out
@@ -521,19 +563,19 @@ def test_drop_file_collect_bring_back(scheme, arm):
     machine.teardown()
 
 
-#: A resumable session that fails after some of its uploads went up,
-#: per scheme: (config, source changes, the k-th PUT that fails).
-#: Resumable PUT order: the journal at open, then data, journal, data,
-#: journal ... and last the manifest.
+#: A session that fails after some of its uploads went up, per scheme:
+#: (config, source changes, the k-th PUT that fails).  A session under
+#: 64 uploads PUTs its data, then the manifest; its failure path then
+#: PUTs the journal's one segment.
 _INTERRUPTED = {
     # The third container fails.
-    "AA-Dedupe": (aa_dedupe_config(container_size=4096, resumable=True),
+    "AA-Dedupe": (aa_dedupe_config(container_size=4096),
                   [("put", path, 20_000, seed)
-                   for seed, path in enumerate(PATHS[:4], start=3)], 6),
+                   for seed, path in enumerate(PATHS[:4], start=3)], 3),
     # The file object went up and the manifest failed (found by the
     # machine at the large budget).
-    "JungleDisk": (jungle_disk_config(resumable=True),
-                   [("put", "docs/report.doc", 1, 0)], 4),
+    "JungleDisk": (jungle_disk_config(),
+                   [("put", "docs/report.doc", 1, 0)], 2),
 }
 
 
@@ -584,6 +626,21 @@ def test_interrupted_session_domain_kill_rerun(resumed):
         machine.backup_resumed([])
     else:
         machine.backup([])
+    machine.every_retained_session_restores()
+    machine.scrub_is_clean()
+    machine.teardown()
+
+
+def test_crash_mid_session_resumes_flushed_segments():
+    """The process dies at the 7th PUT: data, data, segment, data, data,
+    segment, then the fifth upload.  The re-run skips the four uploads
+    the two segments record, and nothing else."""
+    config, changes, _ = _INTERRUPTED["AA-Dedupe"]
+    machine = StoreMachine()
+    machine.start(config)
+    machine.backup([("put", "docs/notes.txt", 12_000, 1)])
+    machine.crash_mid_session(changes, k=7)
+    assert machine.crash_skipped == 4
     machine.every_retained_session_restores()
     machine.scrub_is_clean()
     machine.teardown()
