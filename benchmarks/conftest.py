@@ -22,7 +22,7 @@ SCALE = 0.004
 SESSIONS = 10
 
 #: ``BENCH_SMOKE=1`` runs every scale-sensitive bench (fleet, fleet
-#: scale, delta, stat cache, durability, chunker head-to-head, pipeline,
+#: scale, stat cache, durability, chunker head-to-head, pipeline,
 #: service) in its down-scaled CI configuration.
 SMOKE = bool(int(os.environ.get("BENCH_SMOKE", "0")))
 

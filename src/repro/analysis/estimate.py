@@ -58,7 +58,7 @@ class _SizeOnlyBackend(CloudBackend):
 class DedupEstimate:
     """What a first AA-Dedupe backup of a directory would do."""
 
-    #: The estimating session's stats (DR, unique bytes, delta savings).
+    #: The estimating session's stats (DR, unique bytes, tiny files).
     stats: SessionStats
     #: Modelled WAN time of the session's uploads on the paper's uplink.
     upload_seconds: float
@@ -79,14 +79,11 @@ class DedupEstimate:
         return folded
 
 
-def estimate_directory(root: str | os.PathLike,
-                       delta: bool = False) -> DedupEstimate:
+def estimate_directory(root: str | os.PathLike) -> DedupEstimate:
     """Estimate AA-Dedupe's effect on a real directory by backing it up
-    into a store that keeps nothing.  With ``delta=True`` the scheme runs
-    with ``delta_compress``, predicting what the delta stage would save.
-    """
+    into a store that keeps nothing."""
     cloud = SimulatedCloud(_SizeOnlyBackend())
-    client = BackupClient(cloud, aa_dedupe_config(delta_compress=delta))
+    client = BackupClient(cloud, aa_dedupe_config())
     stats = client.backup(DirectorySource(root))
     client.close()
     return DedupEstimate(stats, cloud.upload_seconds, cloud.bill())

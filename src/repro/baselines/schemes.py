@@ -118,7 +118,6 @@ def all_scheme_configs(**common_overrides) -> list[SchemeConfig]:
 
 def build_scheme(name: str, container_size: Optional[int] = None,
                  chunker: Optional[str] = None,
-                 delta: Optional[bool] = None,
                  stat_cache: Optional[bool] = None,
                  pipeline: Optional[bool] = None,
                  parallel: Optional[int] = None,
@@ -145,8 +144,8 @@ def build_scheme(name: str, container_size: Optional[int] = None,
     if parallel is not None and parallel < 1:
         raise ConfigError("parallel: must be >= 1")
     changes = {field: value for field, value in (
-        ("container_size", container_size), ("delta_compress", delta),
-        ("stat_cache", stat_cache), ("pipeline_uploads", pipeline),
+        ("container_size", container_size), ("stat_cache", stat_cache),
+        ("pipeline_uploads", pipeline),
         ("parallel_workers", parallel))
         if value is not None}
     try:

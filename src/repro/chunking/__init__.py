@@ -31,7 +31,7 @@ from repro.chunking.seqcdc import SeqCDC
 
 #: Policy names of the content-defined family — every member accepts the
 #: ``avg_size``/``min_size``/``max_size`` geometry and may stand in for
-#: Rabin wherever a policy says "CDC" (delta stage, trace model, CLI
+#: Rabin wherever a policy says "CDC" (trace model, CLI
 #: ``--chunker``).  Rabin ("cdc") is the paper-faithful default.
 CDC_FAMILY = ("cdc", "gear", "fastcdc", "seqcdc")
 

@@ -70,9 +70,8 @@ def _print_warnings(stats) -> None:
 # ----------------------------------------------------------------------
 def cmd_backup(args) -> int:
     """Run one backup session of SOURCE into the store."""
-    config = _scheme(args, chunker=args.chunker, delta=args.delta,
-                     stat_cache=args.stat_cache, parallel=args.parallel,
-                     pipeline=args.pipeline)
+    config = _scheme(args, chunker=args.chunker, stat_cache=args.stat_cache,
+                     parallel=args.parallel, pipeline=args.pipeline)
     tracer = None
     if args.profile:
         from repro.obs import Tracer
@@ -120,11 +119,6 @@ def cmd_backup(args) -> int:
                   f"({stats.statcache_stale} stale, "
                   f"{format_bytes(stats.ops.read_bytes)} read of "
                   f"{format_bytes(stats.bytes_scanned)} scanned)")
-        if config.delta_compress:
-            print(f"  delta: {stats.chunks_delta} chunks stored as "
-                  f"deltas, {format_bytes(stats.delta_bytes_saved)} "
-                  f"saved beyond exact dedup "
-                  f"({stats.delta_rejected} rejected by cutoff)")
         if stats.stage_busy_seconds:
             order = ("read", "chunk", "hash", "commit", "upload")
             busy = stats.stage_busy_seconds
@@ -273,17 +267,13 @@ def cmd_estimate(args) -> int:
     """Predict dedup ratio / upload time / cost for a directory."""
     from repro.analysis.estimate import estimate_directory
 
-    est = estimate_directory(args.source, delta=args.delta)
+    est = estimate_directory(args.source)
     stats = est.stats
     _print_warnings(stats)
     print(f"{stats.files_total} files, {format_bytes(stats.bytes_scanned)} "
           f"scanned ({stats.files_tiny} tiny)")
     print(f"predicted unique data: {format_bytes(stats.bytes_unique)} "
           f"(dedup ratio {stats.dedup_ratio:.2f})")
-    if args.delta:
-        print(f"delta stage: {stats.chunks_delta} chunks stored as "
-              f"deltas, {format_bytes(stats.delta_bytes_saved)} saved "
-              f"beyond exact dedup")
     table = Table(["category", "scanned", "unique", "DR"])
     for category, (scanned, unique) in sorted(est.by_category.items()):
         table.add_row([category, format_bytes(scanned),
@@ -449,10 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="content-defined boundary engine for dynamic "
                         "files: cdc (Rabin, the paper default), gear, "
                         "fastcdc or seqcdc (see docs/CHUNKING.md)")
-    p.add_argument("--delta", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="enable/disable similarity + delta compression "
-                        "of unique chunks (default: scheme setting)")
     p.add_argument("--stat-cache", action=argparse.BooleanOptionalAction,
                    default=None,
                    help="enable/disable the cross-session unchanged-"
@@ -517,8 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help=cmd_estimate.__doc__)
     p.add_argument("source", help="directory to analyse")
-    p.add_argument("--delta", action="store_true",
-                   help="also model the similarity + delta stage")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("fleet", help=cmd_fleet.__doc__)

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional
 from repro.errors import ContainerFormatError
 
 __all__ = ["CONTAINER_MAGIC", "ChunkDescriptor", "ContainerWriter",
-           "ContainerReader", "FLAG_TINY_FILE", "FLAG_DELTA"]
+           "ContainerReader", "FLAG_TINY_FILE"]
 
 CONTAINER_MAGIC = b"AACONT\x01\x00"
 _HEADER = struct.Struct(">8sHQHQI")          # magic, ver, cid, flags, dsz, n
@@ -37,13 +37,6 @@ VERSION = 1
 
 #: Descriptor flag: the extent is a whole tiny file, not a dedup chunk.
 FLAG_TINY_FILE = 0x01
-
-#: Descriptor flag: the extent is a delta blob (copy/insert program
-#: against a base chunk, see :mod:`repro.delta.encode`), not raw chunk
-#: bytes.  The descriptor fingerprint covers the *stored delta bytes*,
-#: so extent verification needs no base resolution; the base linkage
-#: itself lives in the manifest recipe (:class:`repro.core.recipe.ChunkRef`).
-FLAG_DELTA = 0x02
 
 
 def _crc(parts, table_offset: int) -> int:

@@ -16,8 +16,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Dict
 
-from repro.container.format import (ContainerWriter, FLAG_DELTA,
-                                    FLAG_TINY_FILE)
+from repro.container.format import ContainerWriter, FLAG_TINY_FILE
 from repro.errors import ContainerError
 from repro.obs.metrics import CHUNK_SIZE_BUCKETS
 from repro.obs.tracer import NOOP_TRACER
@@ -104,29 +103,24 @@ class ContainerManager:
 
     # ------------------------------------------------------------------
     def add(self, fingerprint: bytes, data: bytes,
-            stream: str = "default", *, tiny_file: bool = False,
-            delta: bool = False) -> ChunkLocation:
-        """Append a unique chunk/tiny file/delta blob; returns its final
+            stream: str = "default", *,
+            tiny_file: bool = False) -> ChunkLocation:
+        """Append a unique chunk or tiny file; returns its final
         location.
 
         The location is known immediately (offsets are fixed at append
         time) even though the container uploads later — this is what lets
-        the deduplicator insert the index entry before the seal.
-        ``delta`` marks the extent as a delta blob (scrub then validates
-        its encoding instead of expecting chunk plaintext).  An add that
-        fills a container seals it and raises whatever the upload
+        the deduplicator insert the index entry before the seal.  An add
+        that fills a container seals it and raises whatever the upload
         callback raises.  Thread-safe.
         """
         with self._lock:
             return self._add_locked(fingerprint, data, stream,
-                                    tiny_file=tiny_file, delta=delta)
+                                    tiny_file=tiny_file)
 
     def _add_locked(self, fingerprint: bytes, data: bytes,
-                    stream: str, *, tiny_file: bool,
-                    delta: bool) -> ChunkLocation:
+                    stream: str, *, tiny_file: bool) -> ChunkLocation:
         flags = FLAG_TINY_FILE if tiny_file else 0
-        if delta:
-            flags |= FLAG_DELTA
         probe = ContainerWriter(0, self.container_size)
         if not probe.fits(len(data)):
             # Oversized: dedicated self-describing container, unpadded.

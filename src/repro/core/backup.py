@@ -14,9 +14,7 @@ bare backend).  Every session is the paper's linear pipeline (Sec. III):
    per-file parallelism: applications share no data, Sec. III);
 3. **application-aware deduplicator** — the single source-ordered
    commit loop: replay an unchanged file's recipe from the previous
-   manifest, or place its chunks against the per-app subindex (unique
-   CDC/SC chunks optionally pass the :class:`~repro.delta.DeltaStage`
-   first);
+   manifest, or place its chunks against the per-app subindex;
 4. **container management** — unique data accumulates into 1 MB padded
    containers, sealed by the append that fills them and uploaded inline
    or, with ``pipeline_uploads``, on one uploader thread overlapping
@@ -54,7 +52,6 @@ from repro.core.recipe import ChunkRef, FileEntry, Manifest
 from repro.core.source import SourceFile
 from repro.core.stats import SessionStats
 from repro.core.walk import StoreWalk, mark_store
-from repro.delta import DeltaStage
 from repro.errors import BackupError, CloudError
 from repro.hashing.base import get_hash
 from repro.index.appaware import AppAwareIndex
@@ -106,7 +103,7 @@ class BackupClient:
                 "encrypt_chunks requires a master_key")
         self.master_key = master_key
         #: Profiling tracer, propagated into every instrumented layer
-        #: this client owns (index, containers, chunkers, delta stage).
+        #: this client owns (index, containers, chunkers).
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.index = AppAwareIndex(factory=index_factory,
                                    tracer=self.tracer)
@@ -133,9 +130,6 @@ class BackupClient:
         #: The store's GC epoch when this client's state was last
         #: reconciled with it (``None``: no store state held yet).
         self._epoch: Optional[int] = None
-        self._delta: Optional[DeltaStage] = (
-            DeltaStage(tracer=self.tracer)
-            if self.config.delta_compress else None)
         # Multi-client deployments sharing one container pool assign
         # each client a disjoint id range up front; single clients probe
         # the cloud so a fresh client never reuses a live id.
@@ -272,9 +266,8 @@ class BackupClient:
 
         Index entries whose container (object-mode schemes: whose chunk
         object) the store no longer lists are discarded, after one LIST;
-        state no index lookup guards is dropped whole — the delta
-        stage's bases and delta refs, and the previous manifest
-        unchanged files replay.
+        the previous manifest unchanged files replay, which no index
+        lookup guards, is dropped whole.
         """
         containers = self._containers is not None
         listed = set(self.cloud.list(
@@ -285,24 +278,19 @@ class BackupClient:
             if key not in listed:
                 self.index.subindex(app).discard(entry.fingerprint)
         self._prev_manifest = None
-        if self._delta is not None:
-            self._delta = DeltaStage(tracer=self.tracer)
 
     def _abandon(self, first_id: int) -> None:
         """Forget what a session that failed before its manifest placed.
 
         Some of its uploads may never have become durable (the failed
         PUT, and every pipelined one queued behind it), and a resumed
-        re-run renumbers its containers from the start.  So the delta
-        stage, which may hold its extents, restarts cold; its open
+        re-run renumbers its containers from the start.  So its open
         containers are dropped unsealed and index entries into the
         containers it numbered are discarded.  A scheme without
         containers cannot name its entries, so the next session
         reconciles them (:meth:`_forget_swept`).  The previous manifest
         stays; the journal's partial segment goes up (best effort).
         """
-        if self._delta is not None:
-            self._delta = DeltaStage(tracer=self.tracer)
         if self._containers is None:
             self._epoch = -1  # never an epoch: the next read reconciles
         else:
@@ -405,8 +393,8 @@ class BackupClient:
                       stats: SessionStats, manifest: Manifest) -> None:
         """The one commit loop: every file, strictly in source order.
 
-        All shared dedup state — index, container streams, delta stage,
-        manifest — is touched here and only here, on the calling
+        All shared dedup state — index, container streams, manifest —
+        is touched here and only here, on the calling
         thread.  Container ids and offsets, and therefore manifest
         bytes, depend on nothing but the source order, whichever way
         :meth:`_staged` runs the CPU stages (see docs/PIPELINE.md).  A
@@ -554,7 +542,7 @@ class BackupClient:
             return get_hash(hash_name).hash(payload)
 
     # The three CPU stages.  They touch no shared dedup state (index,
-    # containers, delta stage), so they are safe on any thread; all
+    # containers), so they are safe on any thread; all
     # side effects are charged to ``item.local``.
     def _read_file(self, item: WorkItem) -> None:
         """Read stage: pull the file's bytes off the source device.  A
@@ -625,9 +613,9 @@ class BackupClient:
                     stats: SessionStats) -> FileEntry:
         """Placement: dedup against the index, store unique data.
 
-        Must run on the coordinator thread — it mutates the index, the
-        container streams and the delta stage, and the order of these
-        mutations determines manifest bytes.
+        Must run on the coordinator thread — it mutates the index and
+        the container streams, and the order of these mutations
+        determines manifest bytes.
         """
         plan = item.plan
         entry = self._entry_for(item, tiny=plan.tiny)
@@ -650,7 +638,11 @@ class BackupClient:
             if existing is not None:
                 ref = self._ref(fp, existing.length, existing)
             else:
-                ref = self._place_unique(item, fp, payload, length, stats)
+                ref = self._ref(fp, len(payload),
+                                self._store(fp, payload, namespace))
+                stats.bytes_unique += length
+                stats.chunks_unique += 1
+                self.index.insert(namespace, _index_entry(ref))
             entry.refs.append(self._attach_key(ref, key))
         return entry
 
@@ -718,59 +710,27 @@ class BackupClient:
         return self._entry_for(item, list(cached.refs), cached.tiny)
 
     # -- put bytes, make ref ---------------------------------------------
-    def _place_unique(self, item: WorkItem, fp: bytes, payload: bytes,
-                      length: int, stats: SessionStats) -> ChunkRef:
-        """Place a chunk the exact index has never seen: in full, or —
-        with delta compression — however the delta stage decides."""
-        namespace = item.plan.namespace
-
-        def store_full() -> ChunkRef:
-            ref = self._ref(fp, len(payload),
-                            self._store(fp, payload, namespace))
-            stats.bytes_unique += length
-            stats.chunks_unique += 1
-            self.index.insert(namespace, _index_entry(ref))
-            return ref
-
-        if self._delta is None:
-            return store_full()
-
-        def store_delta(blob: bytes, base_ref: ChunkRef) -> ChunkRef:
-            # The extent's identity is the digest of the blob itself so
-            # scrub can verify it without resolving bases.
-            digest = get_hash("sha1").hash(blob)
-            key = naming.delta_key(digest)
-            loc = self._store(digest, blob, namespace, key, delta=True)
-            return self._ref(fp, len(payload), loc, key,
-                             stored_length=len(blob), delta_base=base_ref)
-
-        return self._delta.place(namespace, fp, payload,
-                                 item.plan.policy.chunker, item.app.label,
-                                 stats, store_full, store_delta)
-
     def _store(self, extent_id: bytes, blob: bytes, stream: str,
-               key: Optional[str] = None, **flags):
+               key: Optional[str] = None, *, tiny_file: bool = False):
         """Put one unique extent's bytes: a container append, or — for
         schemes without containers — a standalone object under ``key``
         (by default the chunk key of ``extent_id``).  Returns where the
         bytes landed, for :meth:`_ref`."""
         if self._containers is not None:
             return self._containers.add(extent_id, blob, stream=stream,
-                                        **flags)
+                                        tiny_file=tiny_file)
         self._put(key or naming.chunk_key(extent_id), blob)
         return None
 
     def _ref(self, fp: bytes, length: int, loc,
-             key: Optional[str] = None, **delta) -> ChunkRef:
+             key: Optional[str] = None) -> ChunkRef:
         """The one place a recipe reference is built.  ``loc`` (what
         :meth:`_store` returned, or an index hit) locates the extent
         when the scheme uses containers; otherwise the reference names
         the standalone object ``key`` (by default ``fp``'s chunk key)."""
         if self._containers is not None:
-            return ChunkRef(fp, length, loc.container_id, loc.offset,
-                            **delta)
-        return ChunkRef(fp, length, object_key=key or naming.chunk_key(fp),
-                        **delta)
+            return ChunkRef(fp, length, loc.container_id, loc.offset)
+        return ChunkRef(fp, length, object_key=key or naming.chunk_key(fp))
 
     # ------------------------------------------------------------------
     def resume_from_cloud(self) -> int:
@@ -805,9 +765,8 @@ class BackupClient:
     def _owns(self, ref: ChunkRef) -> bool:
         """Whether an index hit on ``ref`` rebuilds it: a full extent
         stored as this scheme stores one (another may share the store)."""
-        return not ref.is_delta and (
-            ref.in_container if self._containers is not None
-            else ref.object_key == naming.chunk_key(ref.fingerprint))
+        return (ref.in_container if self._containers is not None
+                else ref.object_key == naming.chunk_key(ref.fingerprint))
 
     def close(self) -> None:
         """Flush containers/index and release resources."""

@@ -86,23 +86,21 @@ def unchanged(entry: FileEntry, size: int, mtime_ns: int) -> bool:
 def revalidate(cached: FileEntry, index, namespace: str) -> bool:
     """Whether a matched recipe still resolves in the live index.
 
-    Every non-delta ref in every chain must still resolve to the same
-    container extent (or standalone object) in ``index`` (an
+    Every ref must still resolve to the same container extent (or
+    standalone object) in ``index`` (an
     :class:`~repro.index.appaware.AppAwareIndex`); tiny-file refs bypass
     the index by design and are covered by the GC-epoch check alone.
     Only looks up, never writes.  On ``False`` the caller runs the full
     pipeline.
     """
-    for top in cached.refs:
-        ref = top
-        while ref is not None:
-            if not ref.is_delta and not cached.tiny:
-                existing = index.lookup(namespace, ref.fingerprint)
-                if existing is None:
-                    return False
-                if ref.in_container and (
-                        existing.container_id != ref.container_id
-                        or existing.offset != ref.offset):
-                    return False
-            ref = ref.delta_base
+    if cached.tiny:
+        return True
+    for ref in cached.refs:
+        existing = index.lookup(namespace, ref.fingerprint)
+        if existing is None:
+            return False
+        if ref.in_container and (
+                existing.container_id != ref.container_id
+                or existing.offset != ref.offset):
+            return False
     return True

@@ -130,13 +130,11 @@ def collect_garbage(cloud, retain_sessions: Iterable[int]) -> GCReport:
             cloud.delete(key)
             report.deleted_containers += 1
 
-    # --- sweep: standalone chunk/file/delta objects ---------------------
-    # The chunk pool is shared; file and delta blobs are swept in every
-    # tenant too, so per-job retention frees space for file-granularity
-    # and delta jobs.
+    # --- sweep: standalone chunk/file objects --------------------------
+    # The chunk pool is shared; file blobs are swept in every tenant
+    # too, so per-job retention frees space for file-granularity jobs.
     for key in [*cloud.list(naming.CHUNK_PREFIX),
-                *walk.keys(naming.FILE_PREFIX),
-                *walk.keys(naming.DELTA_PREFIX)]:
+                *walk.keys(naming.FILE_PREFIX)]:
         if key not in marked.objects:
             cloud.delete(key)
             report.deleted_objects += 1

@@ -12,10 +12,10 @@ from typing import Dict, List, Optional, Tuple
 __all__ = ["container_key", "container_id_of", "next_container_ids",
            "chunk_key", "file_key",
            "manifest_key", "session_id_of", "session_ids", "journal_key",
-           "delta_key", "replica_key", "parse_replica_key", "tenant_key",
+           "replica_key", "parse_replica_key", "tenant_key",
            "split_tenant_key", "tenant_keys", "MANIFEST_PREFIX",
            "CONTAINER_PREFIX", "CHUNK_PREFIX", "FILE_PREFIX",
-           "JOURNAL_PREFIX", "DELTA_PREFIX", "STATCACHE_EPOCH_KEY",
+           "JOURNAL_PREFIX", "STATCACHE_EPOCH_KEY",
            "REPLICA_PREFIX", "DURABILITY_PREFIX", "DURABILITY_PLAN_KEY",
            "SHARED_PREFIXES", "CONTAINER_ID_STRIDE"]
 
@@ -24,7 +24,6 @@ CHUNK_PREFIX = "chunks/"
 FILE_PREFIX = "files/"
 MANIFEST_PREFIX = "manifests/"
 JOURNAL_PREFIX = "journals/"
-DELTA_PREFIX = "deltas/"
 #: Monotonic GC generation stamp; every sweep that deletes data bumps
 #: it, so a live client forgets what the sweep may have deleted.
 STATCACHE_EPOCH_KEY = "statcache/EPOCH"
@@ -77,14 +76,6 @@ def next_container_ids(cloud) -> Dict[int, int]:
 def chunk_key(fingerprint: bytes) -> str:
     """Key of a directly-uploaded chunk (schemes without containers)."""
     return f"{CHUNK_PREFIX}{fingerprint.hex()}"
-
-
-def delta_key(blob_digest: bytes) -> str:
-    """Key of a directly-uploaded delta blob, addressed by the digest of
-    the *blob itself* — never by the target chunk's fingerprint, which
-    would alias with ``chunk_key`` and let a later full store of the
-    same chunk clobber a blob that older manifests still reference."""
-    return f"{DELTA_PREFIX}{blob_digest.hex()}"
 
 
 def file_key(session_id: int, path: str) -> str:

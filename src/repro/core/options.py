@@ -46,11 +46,9 @@ class SchemeConfig:
     and Avamar).  The constructor rejects, with
     :class:`~repro.errors.ConfigError`, a table missing a category and
     every feature an incremental-only scheme cannot run (encryption,
-    delta compression, the stat cache, parallel dedup);
-    ``delta_compress`` also excludes ``encrypt_chunks``.
-    Every other combination of the boolean features is legal.  No field
-    turns session resume on or off: every session journals its uploads
-    (:mod:`repro.core.journal`).
+    the stat cache, parallel dedup).  Every other combination of the
+    boolean features is legal.  No field turns session resume on or
+    off: every session journals its uploads (:mod:`repro.core.journal`).
     """
 
     #: Human-readable scheme name (appears in stats and reports).
@@ -103,12 +101,6 @@ class SchemeConfig:
     #: client must be given a master key.
     encrypt_chunks: bool = False
 
-    #: Post-dedup similarity detection + delta compression of unique
-    #: CDC/SC chunks (see :mod:`repro.delta` and docs/DELTA.md).
-    #: WFC/compressed categories always bypass the stage.  Off by
-    #: default: the paper's evaluation is exact-only.
-    delta_compress: bool = False
-
     #: Cross-session unchanged-file recipe cache (stat cache): a file
     #: whose ``(path, size, mtime_ns)`` triple matches the previous
     #: successful session replays its cached recipe without being read,
@@ -129,7 +121,6 @@ class SchemeConfig:
             # run in.
             clashes = [name for name, on in (
                 ("encrypt_chunks", self.encrypt_chunks),
-                ("delta_compress", self.delta_compress),
                 ("stat_cache", self.stat_cache),
                 ("parallel_workers > 1", self.parallel_workers > 1)) if on]
             if clashes:
@@ -142,11 +133,6 @@ class SchemeConfig:
                 f"policy_table lacks categories: {', '.join(missing)}")
         if self.tiny_file_threshold < 0:
             raise ConfigError("tiny_file_threshold must be >= 0")
-        if self.delta_compress and self.encrypt_chunks:
-            raise ConfigError(
-                "delta_compress is incompatible with encrypt_chunks "
-                "(convergent ciphertexts destroy resemblance; see "
-                "docs/DELTA.md)")
         if self.use_containers and self.container_size < 4096:
             raise ConfigError("container_size too small")
 

@@ -30,15 +30,6 @@ class ChunkRef:
     its content key sealed under the client's master secret (see
     :mod:`repro.secure`); the stored fingerprint then refers to the
     ciphertext.
-
-    A *delta* extent stores a copy/insert program instead of the chunk
-    bytes: ``stored_length`` is the on-cloud size of the delta blob,
-    ``delta_base`` the (possibly itself delta) reference whose bytes
-    the program rebuilds against, and ``fingerprint``/``length`` still
-    describe the reconstructed *target* chunk — so restore verification
-    works unchanged after the chain is resolved.  Embedding the base
-    chain keeps manifests self-contained: restore and GC need no index
-    to resolve a delta, only the manifest.
     """
 
     fingerprint: bytes
@@ -47,16 +38,11 @@ class ChunkRef:
     offset: int = 0
     object_key: Optional[str] = None
     wrapped_key: Optional[bytes] = None
-    stored_length: Optional[int] = None
-    delta_base: Optional["ChunkRef"] = None
 
     def __post_init__(self) -> None:
         if (self.container_id < 0) == (self.object_key is None):
             raise RestoreError(
                 "ChunkRef needs exactly one of container_id/object_key")
-        if (self.delta_base is None) != (self.stored_length is None):
-            raise RestoreError(
-                "delta ChunkRef needs both delta_base and stored_length")
 
     @property
     def in_container(self) -> bool:
@@ -64,23 +50,9 @@ class ChunkRef:
         return self.container_id >= 0
 
     @property
-    def is_delta(self) -> bool:
-        """Whether the stored extent is a delta against a base chunk."""
-        return self.delta_base is not None
-
-    @property
     def cloud_length(self) -> int:
         """Bytes this extent occupies in cloud storage."""
-        return self.stored_length if self.is_delta else self.length
-
-    def chain_depth(self) -> int:
-        """Delta hops until a full extent (0 for a non-delta ref)."""
-        depth = 0
-        ref = self
-        while ref.delta_base is not None:
-            depth += 1
-            ref = ref.delta_base
-        return depth
+        return self.length
 
     def to_json(self) -> dict:
         """JSON-serialisable form."""
@@ -92,25 +64,25 @@ class ChunkRef:
             doc["key"] = self.object_key
         if self.wrapped_key is not None:
             doc["ek"] = self.wrapped_key.hex()
-        if self.is_delta:
-            doc["slen"] = self.stored_length
-            doc["base"] = self.delta_base.to_json()
         return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "ChunkRef":
-        """Inverse of :meth:`to_json`."""
+        """Inverse of :meth:`to_json`.  A delta reference (``base`` or
+        ``slen``, written by engines that had a delta stage) is refused:
+        ignoring it would make GC sweep the base's container and restore
+        read the delta program as chunk bytes."""
+        if "base" in doc or "slen" in doc:
+            raise RestoreError(
+                f"unsupported delta chunk reference (fingerprint "
+                f"{doc.get('fp')}): this engine stores only whole chunks")
         ek = doc.get("ek")
-        base = doc.get("base")
-        slen = doc.get("slen")
         return cls(fingerprint=bytes.fromhex(doc["fp"]),
                    length=int(doc["len"]),
                    container_id=int(doc.get("cid", -1)),
                    offset=int(doc.get("off", 0)),
                    object_key=doc.get("key"),
-                   wrapped_key=bytes.fromhex(ek) if ek else None,
-                   stored_length=int(slen) if slen is not None else None,
-                   delta_base=cls.from_json(base) if base else None)
+                   wrapped_key=bytes.fromhex(ek) if ek else None)
 
 
 @dataclass
@@ -178,18 +150,9 @@ class Manifest:
         return sum(e.size for e in self._files.values())
 
     def iter_refs(self) -> Iterator[ChunkRef]:
-        """Every extent reference of every recipe, delta bases included.
-
-        Delta bases count as references: a base is needed (and must stay
-        live) for as long as any retained delta rebuilds against it, so
-        GC liveness and scrub resolution both walk this iterator rather
-        than the top-level refs alone.
-        """
+        """Every extent reference of every recipe."""
         for entry in self._files.values():
-            for ref in entry.refs:
-                while ref is not None:
-                    yield ref
-                    ref = ref.delta_base
+            yield from entry.refs
 
     def referenced_containers(self) -> set[int]:
         """Container ids any recipe points into (GC liveness input)."""

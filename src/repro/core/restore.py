@@ -1,24 +1,21 @@
 """Restore engine: reassemble any backed-up session from the cloud.
 
 A restore is planned from the manifest before the first container GET:
-each ref gets its file offset, and every container extent (delta-chain
-hops too) is grouped by container in first-use order, then by file.
-One pass fetches each container once, verifies each extent and hands
-it to a sink at ``(file, offset)``.  The destination is the assembly
-area (forward assembly, Lillibridge et al., FAST'13), so a directory
-restore holds one container and the plan, never the session.  Delta
-targets and standalone objects are resolved after the pass; a shared
-target is decoded once, and chain bytes are freed after their last use.
-A bad container, object or standalone delta blob is fetched once more
-(a transport flip looks like corruption on first read); a container
-still bad fails over to its replicas (:mod:`repro.durability`).
+each ref gets its file offset, and every container extent is grouped
+by container in first-use order, then by file.  One pass fetches each
+container once, verifies each extent and hands it to a sink at
+``(file, offset)``.  The destination is the assembly area (forward
+assembly, Lillibridge et al., FAST'13), so a directory restore holds
+one container and the plan, never the session.  Standalone objects are
+fetched after the pass.  A bad container or object is fetched once
+more (a transport flip looks like corruption on first read); a
+container still bad fails over to its replicas
+(:mod:`repro.durability`).
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path, PurePath
@@ -27,7 +24,6 @@ from typing import Dict, List, Optional
 from repro.container.format import ContainerFormatError, ContainerReader
 from repro.core import naming
 from repro.core.recipe import ChunkRef, FileEntry, Manifest
-from repro.delta import DeltaError, apply_delta
 from repro.errors import (CloudError, IntegrityError, PermanentCloudError,
                           RestoreError)
 from repro.hashing import hash_for_digest_len
@@ -49,8 +45,6 @@ class RestoreReport:
     containers_fetched: int = 0
     objects_fetched: int = 0
     chunks_verified: int = 0
-    #: Delta extents decoded against their base chain.
-    deltas_applied: int = 0
     #: Fetches repeated after a verification failure, and containers
     #: served by a replica (both cumulative over the client's life).
     fetch_retries: int = 0
@@ -70,19 +64,10 @@ class _FilePlan:
 
 @dataclass
 class _Run:
-    """One restore in flight: report, sink, and delta-chain bytes by
-    ref (raw hops, decoded targets) with the reads planned of each."""
+    """One restore in flight: its report and its sink."""
 
     report: RestoreReport
     sink: object = None
-    raw: dict = field(default_factory=dict)
-    decoded: dict = field(default_factory=dict)
-    uses: Counter = field(default_factory=Counter)
-
-    def take(self, held: dict, ref: ChunkRef):
-        """``held[ref]`` or ``None``, freed on its last use."""
-        self.uses[ref] -= 1
-        return (held.get if self.uses[ref] else held.pop)(ref, None)
 
 
 def _sized(data: bytes, length: int) -> bytes:
@@ -158,14 +143,10 @@ class RestoreClient:
 
     def __init__(self, cloud, verify: bool = True,
                  master_key: Optional[bytes] = None,
-                 max_delta_depth: int = 8,
                  tracer=None) -> None:
         self.cloud = cloud
         self.verify = verify
         self.master_key = master_key
-        #: Longest delta chain followed; a deeper one than the writer
-        #: makes (``delta.stage.MAX_CHAIN``) means a corrupt manifest.
-        self.max_delta_depth = max(1, max_delta_depth)
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self._fetched = self._retries = self._failovers = 0
 
@@ -208,9 +189,9 @@ class RestoreClient:
             ) from failure
         raise failure
 
-    def _plan_restore(self, manifest: Manifest, paths, run: _Run):
+    def _plan_restore(self, manifest: Manifest, paths):
         """The selected files, and per container (first-use order) per
-        file (``None``: raw delta hops) its ``(offset, ref)`` extents."""
+        file its ``(offset, ref)`` extents."""
         wanted = set(paths or ())
         if missing := sorted(p for p in wanted if manifest.get(p) is None):
             raise RestoreError(f"paths not in session: {missing}")
@@ -222,25 +203,13 @@ class RestoreClient:
             if sum(ref.length for ref in entry.refs) != entry.size:
                 raise IntegrityError(f"file size mismatch for {entry.path!r}")
             for ref in entry.refs:
-                if ref.is_delta or not ref.in_container:
-                    plan.later.append((offset, ref))
-                else:
+                if ref.in_container:
                     plan.pending += 1
                     jobs.setdefault(ref.container_id, {}).setdefault(
                         plan, []).append((offset, ref))
+                else:
+                    plan.later.append((offset, ref))
                 offset += ref.length
-                if ref.is_delta and ref.chain_depth() > self.max_delta_depth:
-                    raise RestoreError("delta chain deeper than max_delta_"
-                                       f"depth={self.max_delta_depth}")
-                # Count each hop's reads (a decoded target is memoised,
-                # so it reads its base once); read each raw hop once.
-                hop = ref if ref.is_delta else None
-                while hop is not None:
-                    run.uses[hop] += 1
-                    if run.uses[hop] == 1 and hop.in_container:
-                        jobs.setdefault(hop.container_id, {}).setdefault(
-                            None, []).append((0, hop))
-                    hop = hop.delta_base if run.uses[hop] == 1 else None
         return files, jobs
 
     def _container_pass(self, jobs: dict, run: _Run) -> None:
@@ -251,11 +220,6 @@ class RestoreClient:
                 reader = self._fetch_container(container_id)
             self._fetched += 1
             for plan, extents in groups.items():
-                if plan is None:
-                    run.raw.update((ref, _sized(
-                        reader.read_at(ref.offset, ref.cloud_length),
-                        ref.cloud_length)) for _, ref in extents)
-                    continue
                 run.sink.write(plan.entry.path, [(offset, self._finish(
                     _sized(reader.read_at(ref.offset, ref.length),
                            ref.length), ref, run.report))
@@ -266,26 +230,22 @@ class RestoreClient:
             del reader
 
     def _complete(self, plan: _FilePlan, run: _Run) -> None:
-        """Land the refs the pass left open, then finish the file."""
-        entry = plan.entry
+        """Land the standalone objects, then finish the file."""
+        entry, report = plan.entry, run.report
         with self.tracer.span("restore.file", app=entry.app,
                               bytes=entry.size):
             for offset, ref in plan.later:
-                with (self.tracer.span("restore.delta_chain",
-                                       depth=ref.chain_depth())
-                      if ref.is_delta else nullcontext()):
-                    run.sink.write(entry.path,
-                                   [(offset, self._resolve(ref, run))])
+                run.sink.write(entry.path, [(offset, self._finish(
+                    self._read_object(ref, report), ref, report))])
             run.sink.finish(entry.path)
-        run.report.files_restored += 1
-        run.report.bytes_restored += entry.size
+        report.files_restored += 1
+        report.bytes_restored += entry.size
 
-    def _read_object(self, ref: ChunkRef, length: int,
-                     report: RestoreReport) -> bytes:
+    def _read_object(self, ref: ChunkRef, report: RestoreReport) -> bytes:
         """Stored bytes of a standalone object."""
         data = self.cloud.get(ref.object_key)
         report.objects_fetched += 1
-        return _sized(data, length)
+        return _sized(data, ref.length)
 
     def _finish(self, data: bytes, ref: ChunkRef,
                 report: RestoreReport) -> bytes:
@@ -293,12 +253,12 @@ class RestoreClient:
         hasher = (hash_for_digest_len(len(ref.fingerprint))
                   if self.verify else None)
         if hasher is not None and hasher.hash(data) != ref.fingerprint:
-            if ref.is_delta or ref.in_container:
-                # Decoded deltas and CRC-covered container extents
-                # cannot be transport flips — the mismatch is real.
+            if ref.in_container:
+                # A CRC-covered container extent cannot be a transport
+                # flip — the mismatch is real.
                 raise IntegrityError("fingerprint mismatch on restore")
             self._retries += 1
-            data = self._read_object(ref, ref.length, report)
+            data = self._read_object(ref, report)
             if hasher.hash(data) != ref.fingerprint:
                 raise IntegrityError("fingerprint mismatch on restore")
         report.chunks_verified += hasher is not None
@@ -313,46 +273,12 @@ class RestoreClient:
             data = ConvergentCipher.decrypt(data, key)
         return data
 
-    def _resolve(self, ref: ChunkRef, run: _Run) -> bytes:
-        """Bytes of a ref the pass left open: a standalone object, a
-        kept delta base, or a delta target (decoded once)."""
-        report = run.report
-        if not ref.is_delta:
-            data = (run.take(run.raw, ref) if ref.in_container
-                    else self._read_object(ref, ref.length, report))
-            return self._finish(data, ref, report)
-        data = run.take(run.decoded, ref)
-        if data is not None:
-            return data
-        blob = (run.raw.pop(ref) if ref.in_container
-                else self._read_object(ref, ref.stored_length, report))
-        base = self._resolve(ref.delta_base, run)
-        for retry in (False, True):
-            try:
-                data = apply_delta(base, blob)
-            except DeltaError as exc:
-                data, failure = None, f"delta decode failed: {exc}"
-            if data is not None and len(data) == ref.length:
-                break
-            # A container extent is CRC-covered at fetch time, so its
-            # decode failure is real corruption, not transport noise.
-            if retry or ref.in_container:
-                raise IntegrityError(failure if data is None else
-                                     "delta target length mismatch")
-            self._retries += 1
-            blob = self._read_object(ref, ref.stored_length, report)
-        report.deltas_applied += 1
-        data = self._finish(data, ref, report)
-        if run.uses[ref]:
-            run.decoded[ref] = data
-        return data
-
     def _restore(self, session_id: int, paths, make_sink) -> _Run:
         """The planned pass into ``make_sink(files)`` (built pre-GET)."""
         with self.tracer.span("restore", session=session_id):
             manifest = self.load_manifest(session_id)
             run = _Run(RestoreReport(session_id=session_id))
-            files, jobs = self._plan_restore(manifest, paths, run)
+            files, jobs = self._plan_restore(manifest, paths)
             run.sink = make_sink(files)
             try:
                 self._container_pass(jobs, run)

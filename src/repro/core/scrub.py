@@ -5,17 +5,12 @@
 * every **container** parses, passes its CRC, and each described extent
   re-hashes to its descriptor fingerprint (the digest width selects the
   hash — :func:`repro.hashing.hash_for_digest_len` — as on restore);
-  extents flagged ``FLAG_DELTA`` must additionally be structurally valid
-  delta blobs;
 * every **replica**, through the copy survey that replicate and repair
   act on (:class:`repro.durability.replicate.CopySurvey`), against the
   persisted plan: missing, corrupt, *under-replicated* or *orphaned*;
 * every **manifest** parses, references only extents that exist
-  (container descriptors or standalone objects), keeps its delta chains
-  within depth bounds with no dangling base, and — for standalone
-  objects — the stored bytes re-hash to the recipe fingerprint (delta
-  objects are validated structurally instead: their bytes are a delta
-  blob, not the chunk plaintext).
+  (container descriptors or standalone objects), and — for standalone
+  objects — the stored bytes re-hash to the recipe fingerprint.
 
 One :class:`~repro.core.walk.StoreWalk` covers the tenant namespaces of
 a shared fleet backend too.
@@ -35,14 +30,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.container.format import FLAG_DELTA, ContainerReader
+from repro.container.format import ContainerReader
 from repro.core import naming
 from repro.core.recipe import ChunkRef
 from repro.core.walk import StoreWalk
-from repro.delta import delta_target_length, validate_delta
 from repro.durability.policy import ReplicationPlan
 from repro.durability.replicate import CopySurvey, list_replicas
-from repro.errors import DeltaError, ReproError
+from repro.errors import ReproError
 from repro.hashing import hash_for_digest_len
 
 __all__ = ["ScrubFinding", "ScrubReport", "scrub_cloud"]
@@ -72,8 +66,6 @@ class ScrubReport:
     refs_resolved: int = 0
     #: Standalone chunk/file objects whose content was re-hashed.
     objects_verified: int = 0
-    #: Delta blobs (container extents or objects) structurally validated.
-    deltas_validated: int = 0
     #: Replica copies that parsed and matched their container id.
     replicas_checked: int = 0
     #: Human-readable integrity problems; a subset of ``findings``.
@@ -108,16 +100,15 @@ class ScrubReport:
                 f"{repairable} repairable): {detail}")
 
 
-def scrub_cloud(cloud, verify_extents: bool = True,
-                max_delta_depth: int = 8) -> ScrubReport:
+def scrub_cloud(cloud, verify_extents: bool = True) -> ScrubReport:
     """Validate all containers, replicas and manifests in ``cloud``."""
     report = ScrubReport()
 
     # --- containers ------------------------------------------------------
-    # Besides per-extent verification, record every extent's location,
-    # length and flags so the manifest pass can resolve refs to actual
-    # extents (not just to an existing container blob).
-    extent_map: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    # Besides per-extent verification, record every extent's location
+    # and length so the manifest pass can resolve refs to actual extents
+    # (not just to an existing container blob).
+    extent_map: Dict[Tuple[int, int], int] = {}
     containers_present = set()
     #: Primaries that fail to parse: the survey decides if a copy lives.
     bad_primaries: Dict[str, ReproError] = {}
@@ -130,8 +121,7 @@ def scrub_cloud(cloud, verify_extents: bool = True,
         report.containers_checked += 1
         containers_present.add(reader.container_id)
         for desc in reader.descriptors:
-            extent_map[(reader.container_id, desc.offset)] = (
-                desc.length, desc.flags)
+            extent_map[(reader.container_id, desc.offset)] = desc.length
             if not verify_extents:
                 continue
             data = reader.extent(desc)
@@ -144,16 +134,6 @@ def scrub_cloud(cloud, verify_extents: bool = True,
                         f"offset {desc.offset}")
                     continue
                 report.extents_verified += 1
-            if desc.flags & FLAG_DELTA:
-                try:
-                    validate_delta(data)
-                except DeltaError as exc:
-                    report.problem(
-                        "corrupt_extent",
-                        f"{key}: invalid delta blob at offset "
-                        f"{desc.offset}: {exc}")
-                    continue
-                report.deltas_validated += 1
 
     # --- durability: replicas against the persisted plan -----------------
     _scrub_replicas(cloud, report, extent_map, containers_present)
@@ -163,7 +143,7 @@ def scrub_cloud(cloud, verify_extents: bool = True,
 
     walk = StoreWalk(cloud)
     object_keys = {key for prefix in (naming.CHUNK_PREFIX,
-                                      naming.FILE_PREFIX, naming.DELTA_PREFIX)
+                                      naming.FILE_PREFIX)
                    for key in walk.keys(prefix)}
 
     # --- manifests ---------------------------------------------------------
@@ -171,9 +151,8 @@ def scrub_cloud(cloud, verify_extents: bool = True,
 
     def check_object(ref: ChunkRef, raw_key: str, where: str) -> None:
         """Verify a standalone object's *content* (a corrupt object
-        still "exists"), once per key: non-delta objects re-hash to the
-        recipe fingerprint, delta objects are valid blobs of the
-        recipe's target length."""
+        still "exists"), once per key: it must re-hash to the recipe
+        fingerprint."""
         if not verify_extents:
             return
         cached = verified_objects.get(raw_key)
@@ -184,65 +163,39 @@ def scrub_cloud(cloud, verify_extents: bool = True,
                     f"{where} references corrupt object {ref.object_key}")
             return
         data = cloud.get(raw_key)
-        ok = True
-        if ref.is_delta:
-            try:
-                if len(data) != ref.stored_length:
-                    raise DeltaError(
-                        f"stored {len(data)}B != recorded "
-                        f"{ref.stored_length}B")
-                if delta_target_length(data) != ref.length:
-                    raise DeltaError("declared target length mismatch")
-                validate_delta(data)
-            except DeltaError as exc:
-                ok = False
-                report.problem(
-                    "corrupt_object",
-                    f"{where}: delta object {ref.object_key}: {exc}")
-            else:
-                report.deltas_validated += 1
+        hasher = hash_for_digest_len(len(ref.fingerprint))
+        ok = hasher is None or hasher.hash(data) == ref.fingerprint
+        if ok:
+            report.objects_verified += 1
         else:
-            hasher = hash_for_digest_len(len(ref.fingerprint))
-            if hasher is not None and hasher.hash(data) != ref.fingerprint:
-                ok = False
-                report.problem(
-                    "corrupt_object",
-                    f"{where}: object {ref.object_key} content does not "
-                    f"match its fingerprint")
-            else:
-                report.objects_verified += 1
+            report.problem(
+                "corrupt_object",
+                f"{where}: object {ref.object_key} content does not "
+                f"match its fingerprint")
         verified_objects[raw_key] = ok
 
-    def check_ref(ref: ChunkRef, namespace: Optional[str], where: str,
-                  role: str = "extent") -> None:
+    def check_ref(ref: ChunkRef, namespace: Optional[str],
+                  where: str) -> None:
         if ref.in_container:
             if ref.container_id not in containers_present:
                 report.problem(
                     "missing_primary",
                     f"{where} references missing container "
-                    f"{ref.container_id} ({role})")
+                    f"{ref.container_id}")
                 return
-            found = extent_map.get((ref.container_id, ref.offset))
-            if found is None:
+            length = extent_map.get((ref.container_id, ref.offset))
+            if length is None:
                 report.problem(
                     "dangling_ref",
                     f"{where}: no extent at container "
-                    f"{ref.container_id} offset {ref.offset} ({role})")
+                    f"{ref.container_id} offset {ref.offset}")
                 return
-            length, flags = found
-            if length != ref.cloud_length:
+            if length != ref.length:
                 report.problem(
                     "dangling_ref",
                     f"{where}: extent length mismatch at container "
                     f"{ref.container_id} offset {ref.offset} "
-                    f"({length} != {ref.cloud_length}, {role})")
-                return
-            if ref.is_delta and not flags & FLAG_DELTA:
-                report.problem(
-                    "dangling_ref",
-                    f"{where}: delta ref resolves to a non-delta extent "
-                    f"at container {ref.container_id} offset "
-                    f"{ref.offset}")
+                    f"({length} != {ref.length})")
                 return
         else:
             raw_key = naming.tenant_key(namespace, ref.object_key)
@@ -250,7 +203,7 @@ def scrub_cloud(cloud, verify_extents: bool = True,
                 report.problem(
                     "missing_object",
                     f"{where} references missing object "
-                    f"{ref.object_key} ({role})")
+                    f"{ref.object_key}")
                 return
             check_object(ref, raw_key, where)
         report.refs_resolved += 1
@@ -266,20 +219,13 @@ def scrub_cloud(cloud, verify_extents: bool = True,
         for entry in manifest:
             where = f"{key}: {entry.path}"
             for ref in entry.refs:
-                if ref.chain_depth() > max_delta_depth:
-                    report.problem("delta_chain", f"{where} delta chain "
-                                   f"deeper than {max_delta_depth}")
-                    continue
-                role = "extent"
-                while ref is not None:
-                    check_ref(ref, record.namespace, where, role)
-                    ref, role = ref.delta_base, "delta base"
+                check_ref(ref, record.namespace, where)
 
     return report
 
 
 def _scrub_replicas(cloud, report: ScrubReport,
-                    extent_map: Dict[Tuple[int, int], Tuple[int, int]],
+                    extent_map: Dict[Tuple[int, int], int],
                     containers_present: Set[int]) -> None:
     """Report the copy survey of every planned or replicated container;
     a valid replica of a bad primary registers its extents and is a
@@ -307,8 +253,7 @@ def _scrub_replicas(cloud, report: ScrubReport,
         if survey.source is not None and not primary_ok:
             containers_present.add(container_id)
             for desc in ContainerReader(survey.source).descriptors:
-                extent_map[(container_id, desc.offset)] = (
-                    desc.length, desc.flags)
+                extent_map[(container_id, desc.offset)] = desc.length
             report.degraded(
                 "missing_primary",
                 f"{survey.primary}: primary lost; replica "

@@ -34,10 +34,6 @@ class OpCounters:
     index_lookups: int = 0
     index_hits: int = 0
     index_disk_probes: int = 0
-    #: Bytes pushed through the resemblance sketcher (delta stage).
-    sketch_bytes: int = 0
-    #: Bytes delta-encoded (target side) by the delta codec.
-    delta_encode_bytes: int = 0
 
     def add_hashed(self, hash_name: str, nbytes: int) -> None:
         """Charge ``nbytes`` of fingerprinting under ``hash_name``."""
@@ -54,8 +50,6 @@ class OpCounters:
         self.index_lookups += other.index_lookups
         self.index_hits += other.index_hits
         self.index_disk_probes += other.index_disk_probes
-        self.sketch_bytes += other.sketch_bytes
-        self.delta_encode_bytes += other.delta_encode_bytes
 
 
 @dataclass
@@ -84,18 +78,6 @@ class SessionStats:
     #: the live index (the file fell back to the full pipeline).
     statcache_stale: int = 0
     chunks_unique: int = 0
-
-    # -- delta compression (similarity stage, see repro.delta) ----------
-    #: Unique chunks stored as a delta against a resembling base.
-    chunks_delta: int = 0
-    #: Cloud bytes actually occupied by delta blobs.
-    delta_bytes_stored: int = 0
-    #: Bytes the delta stage avoided uploading (target minus delta size,
-    #: summed) — savings *beyond* what exact dedup could reach.
-    delta_bytes_saved: int = 0
-    #: Similarity probes that found a candidate but whose delta missed
-    #: the cutoff (stored in full anyway).
-    delta_rejected: int = 0
 
     # -- cloud requests ---------------------------------------------------
     put_requests: int = 0

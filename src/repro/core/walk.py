@@ -62,10 +62,10 @@ class StoreWalk:
 class ContainerMark:
     """What the live manifests hold in one container."""
 
-    #: Bytes of the distinct extents referenced (delta extents count
-    #: their stored blob; padding and framing excluded).
+    #: Bytes of the distinct extents referenced (padding and framing
+    #: excluded).
     live_bytes: int = 0
-    #: Extent references, delta bases included.
+    #: Extent references.
     refcount: int = 0
     #: Raw keys of the manifests referencing the container.
     manifests: Set[str] = field(default_factory=set)
@@ -96,9 +96,7 @@ def mark_store(walk: StoreWalk,
     """Mark everything the live manifests reference.
 
     Tenant manifests are always live; root sessions are live when in
-    ``retain`` (``None``: all of them).  Refs are walked *including
-    nested delta bases*: a base stays live while any live delta
-    rebuilds against it.
+    ``retain`` (``None``: all of them).
     """
     marked = StoreMark()
     seen: Set[int] = set()
@@ -122,20 +120,18 @@ def mark_store(walk: StoreWalk,
         marked.tenant_manifests += not root
         for entry in manifest:
             for ref in entry.refs:
-                while ref is not None:
-                    if not ref.in_container:
-                        marked.objects.add(naming.tenant_key(
-                            record.namespace, ref.object_key))
-                    else:
-                        mark = marked.containers.setdefault(
-                            ref.container_id, ContainerMark())
-                        mark.refcount += 1
-                        mark.manifests.add(record.key)
-                        mark.categories.add(entry.category)
-                        if (ref.container_id, ref.offset) not in extents:
-                            extents.add((ref.container_id, ref.offset))
-                            mark.live_bytes += ref.cloud_length
-                    ref = ref.delta_base
+                if not ref.in_container:
+                    marked.objects.add(naming.tenant_key(
+                        record.namespace, ref.object_key))
+                    continue
+                mark = marked.containers.setdefault(
+                    ref.container_id, ContainerMark())
+                mark.refcount += 1
+                mark.manifests.add(record.key)
+                mark.categories.add(entry.category)
+                if (ref.container_id, ref.offset) not in extents:
+                    extents.add((ref.container_id, ref.offset))
+                    mark.live_bytes += ref.length
     if retain is not None:
         marked.problems.extend(f"retained session {sid} has no manifest"
                                for sid in sorted(retain - seen))

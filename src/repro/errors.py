@@ -96,10 +96,6 @@ class IntegrityError(RestoreError):
     """Raised when restored data fails fingerprint/CRC verification."""
 
 
-class DeltaError(ReproError):
-    """Raised by the delta codec on malformed or inconsistent deltas."""
-
-
 class WorkloadError(ReproError):
     """Raised by the synthetic workload generators."""
 

@@ -26,7 +26,6 @@ from repro.hashing.rabin import (
     POLY64,
     POLY32,
 )
-from repro.hashing.rolling import window_fingerprints
 from repro.hashing.crypto import MD5Fingerprinter, SHA1Fingerprinter
 from repro.hashing.collision import (
     collision_probability,
@@ -44,7 +43,6 @@ __all__ = [
     "ExtendedRabinFingerprinter",
     "POLY64",
     "POLY32",
-    "window_fingerprints",
     "MD5Fingerprinter",
     "SHA1Fingerprinter",
     "collision_probability",

@@ -9,19 +9,14 @@ window starting at ``i`` equals::
     XOR_{k=0}^{W-1}  T_k[data[i + k]],   T_k[b] = (b << 8(W-1-k)) mod P
 
 The tables ``T_k`` are rows of :func:`~repro.hashing.rabin.shift_rows`,
-the one cached builder the block digest also reads.  Two evaluations of
-the sum are provided, both checked against a per-byte streaming
-reference kept with the tests:
-
-* :func:`window_fingerprints` — all 64 bits of every window position of a
-  buffer at once, ``W`` table gathers into one scratch buffer (the delta
-  sketch's input, which needs every bit);
-* :func:`window_candidates` — only the boundary test.  Masking commutes
-  with XOR, so ``fp & mask`` is an XOR of masked tables, and the masked
-  fingerprints of four adjacent positions (a mask of up to 16 bits) fit
-  the lanes of one ``uint64``.  The paper's geometry (48-byte window,
-  13-bit mask) scans with 51 byte-indexed gathers per four positions
-  over 256-entry lane tables that stay cache-resident.
+the one cached builder the block digest also reads.  The boundary scan,
+:func:`window_candidates`, is checked against a per-byte streaming
+reference kept with the tests.  It evaluates only the boundary test:
+masking commutes with XOR, so ``fp & mask`` is an XOR of masked tables,
+and the masked fingerprints of four adjacent positions (a mask of up to
+16 bits) fit the lanes of one ``uint64``.  The paper's geometry
+(48-byte window, 13-bit mask) scans with 51 byte-indexed gathers per
+four positions over 256-entry lane tables that stay cache-resident.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ import numpy as np
 from repro.hashing.rabin import POLY64, shift_rows
 
 __all__ = ["SLAB", "byte_view", "lane_tables", "window_candidates",
-           "window_fingerprints", "window_tables"]
+           "window_tables"]
 
 #: Window positions per slab of :func:`window_candidates`: the byte
 #: columns, accumulator and gather temporary of one slab (0.375 MiB)
@@ -63,32 +58,6 @@ def byte_view(data: bytes | np.ndarray) -> np.ndarray:
     """``data`` as a ``uint8`` array, without a copy for bytes input."""
     return np.frombuffer(data, dtype=np.uint8) if not isinstance(
         data, np.ndarray) else data.astype(np.uint8, copy=False)
-
-
-def window_fingerprints(data: bytes | np.ndarray, window: int = 48,
-                        poly: int = POLY64) -> np.ndarray:
-    """Fingerprints of every complete ``window``-byte window of ``data``.
-
-    Returns a uint64 array of length ``len(data) - window + 1`` where entry
-    ``i`` is the Rabin fingerprint of ``data[i : i + window]`` — bit-exact
-    with a per-byte rolling hash (property-tested).  Runs in
-    ``O(window)`` vectorised passes over the buffer.
-    """
-    arr = byte_view(data)
-    n = arr.shape[0]
-    if n < window:
-        return np.empty(0, dtype=np.uint64)
-    tables = window_tables(window, poly)
-    m = n - window + 1
-    idx = arr.astype(np.intp)
-    out = np.take(tables[0], idx[:m])
-    scratch = np.empty(m, dtype=np.uint64)
-    for k in range(1, window):
-        # Indices are bytes, always in range: "clip" skips the bounds
-        # check and the buffered copy that ``out=`` costs under "raise".
-        np.take(tables[k], idx[k:k + m], out=scratch, mode="clip")
-        out ^= scratch
-    return out
 
 
 def lane_tables(window: int, poly: int, mask: int) -> np.ndarray:
@@ -123,7 +92,7 @@ def window_candidates(data: bytes | np.ndarray, window: int, poly: int,
     """Cut offsets after every window whose fingerprint matches ``magic``.
 
     Returns the sorted int64 offsets ``i + window`` for every ``i`` with
-    ``window_fingerprints(data)[i] & mask == magic`` — the CDC boundary
+    ``fp(data[i : i + window]) & mask == magic`` — the CDC boundary
     candidates — without computing the fingerprint bits the test does not
     read; a ``magic`` with bits outside ``mask`` raises ``ValueError``.
     Each slab of :data:`SLAB` positions de-interleaves its bytes into one

@@ -36,7 +36,6 @@ _STAGE_GROUPS = (
     ("hash", "hash"),
     ("statcache", "statcache"),
     ("index", "index"),
-    ("delta", "delta"),
     ("upload", "transfer"),
     ("cloud.", "transfer"),
     ("retry", "transfer"),
@@ -47,8 +46,8 @@ _STAGE_GROUPS = (
 
 #: Canonical stage order for the occupancy table (pipeline order).
 _OCCUPANCY_ORDER = ("read", "chunk", "hash", "statcache", "index",
-                    "delta", "container", "transfer", "durability",
-                    "service", "other")
+                    "container", "transfer", "durability", "service",
+                    "other")
 
 
 def stage_group(name: str) -> str:

@@ -41,9 +41,9 @@ __all__ = ["JobSpec", "ServiceSpec", "parse_config", "load_config",
            "loads_config"]
 
 _TOP_KEYS = {"jobs", "until"}
-_JOB_KEYS = {"name", "scheme", "chunker", "container_size", "delta",
-             "stat_cache", "pipeline", "parallel", "options", "schedule",
-             "retention", "hooks", "tags", "source"}
+_JOB_KEYS = {"name", "scheme", "chunker", "container_size", "stat_cache",
+             "pipeline", "parallel", "options", "schedule", "retention",
+             "hooks", "tags", "source"}
 _SOURCE_KEYS = {"kind", "path", "prefix", "seed", "files", "file_kib",
                 "churn"}
 _SCHEDULE_KEYS = {"interval", "offset"}
@@ -210,7 +210,6 @@ class JobSpec:
     scheme: str = "AA-Dedupe"
     chunker: Optional[str] = None
     container_size: Optional[int] = None
-    delta: Optional[bool] = None
     stat_cache: Optional[bool] = None
     pipeline: Optional[bool] = None
     parallel: Optional[int] = None
@@ -236,8 +235,7 @@ class JobSpec:
         try:
             return build_scheme(
                 self.scheme, container_size=self.container_size,
-                chunker=self.chunker,
-                delta=self.delta, stat_cache=self.stat_cache,
+                chunker=self.chunker, stat_cache=self.stat_cache,
                 pipeline=self.pipeline, parallel=self.parallel,
                 options=self.options)
         except ConfigError as exc:
@@ -290,12 +288,11 @@ def _parse_job(doc, index: int) -> JobSpec:
                 else parse_size(str(raw)))
         except (ValueError, TypeError) as exc:
             raise _fail(context, f"bad container_size: {exc}") from exc
-    for key, dest in (("delta", "delta"), ("stat_cache", "stat_cache"),
-                      ("pipeline", "pipeline")):
+    for key in ("stat_cache", "pipeline"):
         if key in doc:
             if not isinstance(doc[key], bool):
                 raise _fail(context, f"{key} must be true/false")
-            kwargs[dest] = doc[key]
+            kwargs[key] = doc[key]
     if "parallel" in doc:
         value = doc["parallel"]
         if isinstance(value, bool) or not isinstance(value, int):

@@ -186,10 +186,10 @@ def _cli_runs(work: Path) -> List[List[str]]:
         repro + ["backup", str(tree), "--store", str(store), "--quiet"],
         repro + ["backup", str(edited), "--store", str(store),
                  "--container-size", "64KiB", "--chunker", "seqcdc",
-                 "--delta", "--no-stat-cache", "--parallel", "2",
+                 "--no-stat-cache", "--parallel", "2",
                  "--pipeline", "--profile", "--trace-out", trace],
         repro + ["backup", str(edited), "--store", str(store),
-                 "--no-delta", "--stat-cache", "--no-pipeline",
+                 "--stat-cache", "--no-pipeline",
                  "--replication", "2", "--fault-domains", "d0,d1,d2"],
         repro + ["backup", str(tree), "--store", str(work / "store-d"),
                  "--replication", "1"],
@@ -202,7 +202,6 @@ def _cli_runs(work: Path) -> List[List[str]]:
         repro + ["scrub", "--store", str(store), "--fast"],
         repro + ["repair", "--store", str(store)],
         repro + ["estimate", str(tree)],
-        repro + ["estimate", str(tree), "--delta"],
         repro + ["gc", "--store", str(store), "--keep-last", "3"],
         repro + ["gc", "--store", str(store), "--retain", "2,3"],
         repro + ["gc", "--store", str(store)],

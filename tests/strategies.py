@@ -26,11 +26,8 @@ def legal_scheme_configs(draw):
         container_size=draw(st.sampled_from([4 * KIB, 64 * KIB])),
     )
     if not config.incremental_only:
-        encrypt = draw(st.booleans())
         changes.update(
-            encrypt_chunks=encrypt,
-            # Convergent ciphertexts destroy resemblance.
-            delta_compress=not encrypt and draw(st.booleans()),
+            encrypt_chunks=draw(st.booleans()),
             stat_cache=draw(st.booleans()),
             parallel_workers=draw(st.sampled_from([1, 2])),
         )

@@ -580,8 +580,8 @@ class TestDifferentialOracles:
 
 
 def _versioned_documents(docs=4, sessions=4, doc_kib=64, seed=2011):
-    """Flat list of document versions under light editing (the delta
-    bench's churn pattern, miniaturised for a tier-1 test)."""
+    """Flat list of document versions under light editing: a few small
+    in-place edits plus one insertion per version."""
     r = np.random.default_rng(seed)
 
     def edit(data):

@@ -254,9 +254,12 @@ class TestMaintenanceCommands:
         assert "dedup ratio" in out
         assert "compressed" in out
 
-    def test_estimate_delta(self, source_tree, capsys):
-        assert run("estimate", source_tree, "--delta") == 0
-        assert "delta stage" in capsys.readouterr().out
+    def test_estimate_delta_flag_rejected(self, source_tree, capsys):
+        # The delta stage is gone; its flag is a usage error.
+        with pytest.raises(SystemExit) as excinfo:
+            run("estimate", source_tree, "--delta")
+        assert excinfo.value.code == 2
+        assert "--delta" in capsys.readouterr().err
 
     def test_schemes_listing(self, capsys):
         assert run("schemes") == 0
@@ -280,39 +283,24 @@ class TestMaintenanceCommands:
 
 
 class TestDeltaFlag:
-    def test_backup_with_delta_and_restore(self, source_tree, tmp_path,
-                                           capsys, rng):
-        import re
-
-        # A near-duplicate of the document in the same tree: the delta
-        # stage should store its changed chunks as deltas within one
-        # invocation (the similarity index is per-process).
-        doc = source_tree / "docs" / "report.doc"
-        data = bytearray(doc.read_bytes())
-        data[1000:1016] = rng.integers(0, 256, 16,
-                                       dtype=np.uint8).tobytes()
-        (source_tree / "docs" / "report_v2.doc").write_bytes(bytes(data))
-
+    def assert_flag_rejected(self, source_tree, tmp_path, capsys, flag):
+        # The delta stage is gone: its flag is a usage error, and
+        # nothing reaches the store.
         store = tmp_path / "cloud"
-        assert run("backup", source_tree, "--store", store,
-                   "--delta") == 0
-        out = capsys.readouterr().out
-        match = re.search(r"delta: (\d+) chunks", out)
-        assert match is not None and int(match.group(1)) > 0
+        with pytest.raises(SystemExit) as excinfo:
+            run("backup", source_tree, "--store", store, flag)
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not store.exists()
 
-        dest = tmp_path / "out"
-        assert run("restore", "0", dest, "--store", store) == 0
-        assert (dest / "docs" / "report_v2.doc").read_bytes() == \
-            bytes(data)
-        assert (dest / "docs" / "report.doc").read_bytes() == \
-            doc.read_bytes()
-        assert run("scrub", "--store", store) == 0
+    def test_backup_delta_flag_rejected(self, source_tree, tmp_path,
+                                        capsys):
+        self.assert_flag_rejected(source_tree, tmp_path, capsys, "--delta")
 
-    def test_no_delta_overrides(self, source_tree, tmp_path, capsys):
-        store = tmp_path / "cloud"
-        assert run("backup", source_tree, "--store", store,
-                   "--no-delta") == 0
-        assert "delta:" not in capsys.readouterr().out
+    def test_backup_no_delta_flag_rejected(self, source_tree, tmp_path,
+                                           capsys):
+        self.assert_flag_rejected(source_tree, tmp_path, capsys,
+                                  "--no-delta")
 
     def test_stat_cache_replays_unchanged_tree(self, source_tree,
                                                tmp_path, capsys):

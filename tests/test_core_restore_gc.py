@@ -2,6 +2,7 @@
 the index from the manifests."""
 
 import dataclasses
+import json
 import random
 import tempfile
 import tracemalloc
@@ -317,6 +318,29 @@ class TestGarbageCollection:
         assert stray in cloud.list(naming.CONTAINER_PREFIX)  # scrub's call
         out, _ = RestoreClient(cloud).restore_to_memory(1)
         assert out == files2
+
+    def test_delta_ref_refused_by_gc_and_restore(self):
+        # A ref carrying a delta base ("base") and a stored length
+        # ("slen") rebuilds its chunk from another extent.  Ignoring the
+        # keys would let GC sweep the base's container and make restore
+        # read the delta program as chunk bytes, so the manifest is
+        # refused: GC reports a problem and deletes nothing, and
+        # restore raises a readable error.  (Own generator: the
+        # session-wide `rng` stream feeds later tests.)
+        cloud = _backed_up(np.random.default_rng(11))[0]
+        doc = json.loads(cloud.get(naming.manifest_key(1)))
+        refs = next(e for e in doc["files"]
+                    if e["path"] == "b/doc.doc")["refs"]
+        refs[-1] = {**refs[-1], "slen": 64, "base": dict(refs[0])}
+        cloud.put(naming.manifest_key(1), json.dumps(doc).encode())
+        keys = set(cloud.list(""))
+        report = collect_garbage(cloud, retain_sessions=[1])
+        assert len(report.problems) == 1
+        assert "delta chunk reference" in report.problems[0]
+        assert report.deleted_manifests == report.deleted_containers == 0
+        assert set(cloud.list("")) == keys
+        with pytest.raises(RestoreError, match="delta chunk reference"):
+            RestoreClient(cloud).restore_to_memory(1)
 
     def test_object_mode_gc(self, rng):
         # Avamar-style standalone chunk objects are swept too.

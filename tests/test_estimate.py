@@ -47,26 +47,6 @@ class TestEstimateDirectory:
         assert est.bytes_unique == stats.bytes_unique
         assert est.app_unique == stats.app_unique
 
-    def test_delta_estimate_equals_actual_delta_backup(self, tree, rng):
-        # The estimator is the engine, so it counts the same deltas.
-        doc = (tree / "docs" / "a.doc").read_bytes()
-        for version in range(1, 5):  # lightly edited versions
-            edited = bytearray(doc)
-            for pos in rng.integers(0, len(doc) - 8, 12):
-                edited[pos:pos + 8] = bytes(rng.integers(
-                    0, 256, 8, dtype=np.uint8))
-            doc = bytes(edited)
-            (tree / "docs" / f"a_v{version}.doc").write_bytes(doc)
-        est = estimate_directory(tree, delta=True).stats
-        client = BackupClient(InMemoryBackend(), aa_dedupe_config(
-            container_size=32 * KIB, delta_compress=True))
-        stats = client.backup(DirectorySource(tree))
-        assert stats.chunks_delta > 0
-        assert est.chunks_delta == stats.chunks_delta
-        assert est.delta_bytes_saved == stats.delta_bytes_saved
-        assert est.bytes_unique == stats.bytes_unique
-        assert estimate_directory(tree).stats.chunks_delta == 0
-
     def test_by_category_breakdown(self, tree):
         est = estimate_directory(tree)
         assert "dynamic_uncompressed" in est.by_category

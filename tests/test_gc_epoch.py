@@ -1,8 +1,8 @@
 """A GC sweep must not corrupt the client's next backups.
 
 Every client-side copy of store state — the chunk index, the SAM file
-tier, the delta stage's bases and refs, the previous manifest that the
-stat cache and Jungle Disk replay — may point into extents a sweep just
+tier, the previous manifest that the stat cache and Jungle Disk
+replay — may point into extents a sweep just
 deleted.  The client reads the GC epoch at every session open and
 reconciles when it moved or cannot be read; a resumed client rebuilds
 its state from the retained manifests, which GC keeps live.  Every
@@ -23,7 +23,6 @@ from repro.errors import TransientCloudError
 
 SCHEMES = {
     "AA-Dedupe": aa_dedupe_config,
-    "AA-Dedupe+delta": lambda: aa_dedupe_config(delta_compress=True),
     "SAM": sam_config,
     "Avamar": avamar_config,
     "BackupPC": backuppc_config,

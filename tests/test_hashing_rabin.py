@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.errors import HashError
 from repro.hashing import rabin
-from repro.hashing.base import available_hashes, get_hash
+from repro.hashing.base import (available_hashes, get_hash,
+                                 hash_for_digest_len)
 from repro.hashing.rabin import (
     POLY32,
     POLY64,
@@ -205,3 +206,16 @@ class TestRegistry:
         assert get_hash("rabin12").digest_size == 12
         assert get_hash("md5").digest_size == 16
         assert get_hash("sha1").digest_size == 20
+
+
+class TestHashForDigestLen:
+    def test_registry_resolution(self):
+        assert hash_for_digest_len(12).name == "rabin12"
+        assert hash_for_digest_len(16).name == "md5"
+        assert hash_for_digest_len(20).name == "sha1"
+        assert hash_for_digest_len(57) is None
+
+    def test_matches_restore_and_scrub_usage(self):
+        for n in (12, 16, 20):
+            hasher = hash_for_digest_len(n)
+            assert hasher.digest_size == n

@@ -1,4 +1,4 @@
-"""Tests for the streaming Rabin reference and the vectorised batch scan."""
+"""Tests for the streaming Rabin reference and the scan's tables."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ChunkingError
 from repro.hashing.rabin import POLY64, RabinFingerprinter
-from repro.hashing.rolling import window_fingerprints, window_tables
+from repro.hashing.rolling import window_tables
 from tests.oracles import RollingRabin
 
 
@@ -62,42 +62,7 @@ class TestRollingRabin:
         assert streamed.value == direct.value
 
 
-class TestWindowFingerprints:
-    def test_matches_rolling_oracle(self, random_bytes):
-        data = random_bytes[:4096]
-        window = 48
-        batch = window_fingerprints(data, window=window)
-        roller = RollingRabin(window=window)
-        stream = [roller.push(b) for b in data]
-        for i in range(len(batch)):
-            assert int(batch[i]) == stream[i + window - 1]
-
-    def test_short_input_empty(self):
-        assert window_fingerprints(b"abc", window=48).shape == (0,)
-
-    def test_exact_window_length(self):
-        data = bytes(range(48))
-        out = window_fingerprints(data, window=48)
-        assert out.shape == (1,)
-        assert int(out[0]) == block_fp(data)
-
-    def test_accepts_numpy_input(self, random_bytes):
-        arr = np.frombuffer(random_bytes[:1000], dtype=np.uint8)
-        a = window_fingerprints(arr, window=16)
-        b = window_fingerprints(random_bytes[:1000], window=16)
-        assert np.array_equal(a, b)
-
-    @given(st.binary(min_size=8, max_size=200),
-           st.integers(min_value=1, max_value=8))
-    @settings(max_examples=40)
-    def test_property_matches_rolling(self, data, window):
-        batch = window_fingerprints(data, window=window)
-        roller = RollingRabin(window=window)
-        stream = [roller.push(b) for b in data]
-        assert len(batch) == max(0, len(data) - window + 1)
-        for i in range(len(batch)):
-            assert int(batch[i]) == stream[i + window - 1]
-
+class TestWindowTables:
     def test_tables_shape(self):
         tables = window_tables(window=4, poly=POLY64)
         assert tables.shape == (4, 256)

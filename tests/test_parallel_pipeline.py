@@ -59,8 +59,7 @@ class TestParallelDedup:
                 == {app: len(serial.index.subindex(app))
                     for app in serial.index.apps})
 
-    @pytest.mark.parametrize("arm", ["plain", "statcache", "delta",
-                                     "global"])
+    @pytest.mark.parametrize("arm", ["plain", "statcache", "global"])
     @pytest.mark.parametrize("workers", [2, 7])
     def test_manifest_bytes_identical_to_serial(self, snapshot, workers,
                                                 arm):
@@ -71,17 +70,14 @@ class TestParallelDedup:
         # order; a virtual clock removes the only other source of
         # nondeterminism (the created-at stamp).  The "statcache" arm
         # re-backs-up the same snapshot so session 1 exercises the
-        # recipe-replay path inside the staged pipeline; the "delta"
-        # arm adds similarity + delta compression in the commit stage;
-        # the "global" arm runs one undivided index — no worker touches
-        # the index, so its layout is free.
+        # recipe-replay path inside the staged pipeline; the "global"
+        # arm runs one undivided index — no worker touches the index,
+        # so its layout is free.
         def manifest_bytes(n_workers):
             kwargs = dict(container_size=64 * KIB,
                           parallel_workers=n_workers)
             if arm == "statcache":
                 kwargs["stat_cache"] = True
-            elif arm == "delta":
-                kwargs["delta_compress"] = True
             elif arm == "global":
                 kwargs["index_layout"] = "global"
             cloud = SimulatedCloud(InMemoryBackend(), clock=VirtualClock())

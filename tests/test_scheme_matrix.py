@@ -21,7 +21,6 @@ from tests.strategies import legal_scheme_configs
 AXES = {
     "incremental_only": (False, True),
     "encrypt_chunks": (False, True),
-    "delta_compress": (False, True),
     "stat_cache": (False, True),
     "parallel_workers": (1, 2),
     "pipeline_uploads": (False, True),
@@ -36,19 +35,15 @@ def legal(combo: dict) -> bool:
     """The legality rule, from what each feature needs to run."""
     # Each of these works on chunks and fingerprints, which an
     # incremental-only scheme never produces.
-    needs_dedup = (combo["encrypt_chunks"] or combo["delta_compress"]
-                   or combo["stat_cache"] or combo["parallel_workers"] > 1)
-    if combo["incremental_only"] and needs_dedup:
-        return False
-    # Delta encoding needs resemblance, which convergent encryption
-    # destroys.
-    return not (combo["delta_compress"] and combo["encrypt_chunks"])
+    needs_dedup = (combo["encrypt_chunks"] or combo["stat_cache"]
+                   or combo["parallel_workers"] > 1)
+    return not (combo["incremental_only"] and needs_dedup)
 
 
 def test_constructor_raises_exactly_on_illegal_combinations():
     combos = [dict(zip(AXES, values))
               for values in itertools.product(*AXES.values())]
-    assert len(combos) == 384
+    assert len(combos) == 192
     wrong = []
     for combo in combos:
         try:
@@ -59,7 +54,7 @@ def test_constructor_raises_exactly_on_illegal_combinations():
         if accepted != legal(combo):
             wrong.append(combo)
     assert wrong == []
-    assert sum(map(legal, combos)) == 156
+    assert sum(map(legal, combos)) == 108
 
 
 @pytest.mark.parametrize("changes", [

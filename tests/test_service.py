@@ -71,6 +71,8 @@ class TestSpecParsing:
         ({"jobs": []}, "no jobs"),
         ({}, "jobs"),
         ([], "mapping"),
+        ({"jobs": [{"name": "a", "source": "/x", "delta": True}]},
+         "delta"),
     ])
     def test_bad_configs_raise(self, doc, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -81,7 +83,7 @@ class TestSpecParsing:
         "hash_workers", "stage_queue_depth", "upload_queue_depth",
         "journal_flush_interval", "delta_cutoff", "delta_min_chunk",
         "delta_sim_capacity", "delta_base_cache", "file_level_first",
-        "fixed_policy", "delta_max_chain"])
+        "fixed_policy", "delta_max_chain", "delta_compress"])
     def test_removed_scheme_knobs_rejected_by_name(self, field):
         # These SchemeConfig fields are gone (constants now); a job
         # file still naming one must fail loudly, naming the field.

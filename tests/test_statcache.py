@@ -20,8 +20,6 @@ from repro.core import (
 )
 from repro.core import naming
 from repro.core.filecache import read_epoch
-from repro.core.recipe import Manifest
-from repro.core.scrub import scrub_cloud
 from repro.errors import BackupError, TransientCloudError
 from repro.simulate.clock import VirtualClock
 from repro.util.units import KIB
@@ -186,32 +184,6 @@ class TestStatCacheReplay:
             return cloud.get(naming.manifest_key(0))
 
         assert manifest_bytes(True) == manifest_bytes(False)
-
-    def test_delta_chain_refs_replay(self, rng):
-        # Cached entries whose refs are delta extents (with nested base
-        # chains) must replay and restore bit-exact.
-        base = rng.integers(0, 256, size=48_000, dtype=np.uint8).tobytes()
-        edited = bytearray(base)
-        edited[1000:1016] = rng.integers(0, 256, 16,
-                                         dtype=np.uint8).tobytes()
-        files = {"a.doc": base, "b.doc": bytes(edited)}
-        mtimes = {"a.doc": 11, "b.doc": 12}
-        cloud = InMemoryBackend()
-        client = BackupClient(cloud, small_config(
-            delta_compress=True, pad_containers=False))
-        s1 = client.backup(MemorySource(files, mtimes))
-        assert s1.chunks_delta > 0  # b.doc's changed chunk stored as delta
-        s2 = client.backup(MemorySource(files, mtimes))
-        assert s2.files_unchanged == 2
-        assert s2.ops.read_bytes == 0
-        manifest = Manifest.from_json(cloud.get(naming.manifest_key(1)))
-        assert any(r.is_delta for r in manifest.get("b.doc").refs)
-        client.close()
-        restored, report = RestoreClient(cloud).restore_to_memory(1)
-        assert restored == files
-        assert report.deltas_applied > 0
-        scrub = scrub_cloud(cloud)
-        assert scrub.clean, scrub.problems
 
     def test_persisted_cache_survives_restart(self, dataset):
         files, mtimes = dataset

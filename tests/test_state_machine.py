@@ -8,9 +8,9 @@ clock and keep the sessions no older than a drawn age, run a
 session whose k-th PUT fails, kill the process at a session's k-th
 PUT and re-run the session from a new one, run a session that cannot
 read the GC epoch, switch the content-defined chunker between two
-processes, flip the stat cache or delta compression between two processes,
-restore a session into a directory while its k-th data GET fails and
-then again into the same directory, back up a source one of whose
+processes, flip the stat cache between two processes, restore a
+session into a directory while its k-th data GET fails and then again
+into the same directory, back up a source one of whose
 files vanishes between the walk and its read, back up a source that
 has no mtimes (and so must replay nothing from the stat cache),
 replicate at a drawn factor (so a later draw may lower it), replicate
@@ -22,7 +22,7 @@ references exactly once, the store must hold a manifest for exactly
 the sessions the model retains, and a scrub must find nothing at all
 (no problem, no degraded copy).  After every sweep (a GC, or a
 retention that dropped a session), the store must hold no garbage:
-every container and every chunk, file and delta object is referenced
+every container and every chunk and file object is referenced
 by a retained manifest.  After every resume, the client's index must
 equal a recount from the retained manifests, app by app, and its
 previous manifest (the one source of unchanged-file replays) must be
@@ -236,7 +236,7 @@ class StoreMachine(RuleBasedStateMachine):
 
     def _check_resumed(self) -> None:
         """A resumed client holds exactly what the retained manifests
-        say: its index is a recount of their non-tiny, non-delta refs
+        say: its index is a recount of their non-tiny refs
         (the newest session wins), app by app, and its previous
         manifest is the newest one if this scheme wrote it."""
         manifests = [Manifest.from_json(self.store.get(
@@ -248,11 +248,10 @@ class StoreMachine(RuleBasedStateMachine):
             if entry.tiny or plan.policy is None:
                 continue
             for ref in entry.refs:
-                if not ref.is_delta:
-                    recount.setdefault(plan.namespace, {})[
-                        ref.fingerprint] = IndexEntry(
-                            ref.fingerprint, max(ref.container_id, 0),
-                            ref.offset, ref.length)
+                recount.setdefault(plan.namespace, {})[
+                    ref.fingerprint] = IndexEntry(
+                        ref.fingerprint, max(ref.container_id, 0),
+                        ref.offset, ref.length)
         assert _by_app(self.client.index) == {
             app: set(entries.values()) for app, entries in recount.items()}
         newest = manifests[-1] if manifests else None
@@ -276,8 +275,7 @@ class StoreMachine(RuleBasedStateMachine):
                   for key in self.store.list(naming.CONTAINER_PREFIX)}
         assert stored <= containers, sorted(stored - containers)
         stored_objects = {key for prefix in (naming.CHUNK_PREFIX,
-                                             naming.FILE_PREFIX,
-                                             naming.DELTA_PREFIX)
+                                             naming.FILE_PREFIX)
                           for key in self.store.list(prefix)}
         assert stored_objects <= objects, sorted(stored_objects - objects)
 
@@ -325,21 +323,13 @@ class StoreMachine(RuleBasedStateMachine):
         self.backup(changes)
 
     @precondition(lambda self: not self.config.incremental_only)
-    @rule(changes=_changes, data=st.data())
-    def backup_reconfigured(self, changes, data) -> None:
-        """A new process with the stat cache or delta compression
-        flipped, on the same store: the resumed client still holds
-        exactly what the retained manifests say, read under the new
-        config."""
-        knobs = ["stat_cache"]
-        if not self.config.encrypt_chunks:
-            # Convergent ciphertexts destroy resemblance: delta may
-            # only flip on without encryption (and is off with it).
-            knobs.append("delta_compress")
-        knob = data.draw(st.sampled_from(knobs))
+    @rule(changes=_changes)
+    def backup_reconfigured(self, changes) -> None:
+        """A new process with the stat cache flipped, on the same store:
+        the resumed client still holds exactly what the retained
+        manifests say, read under the new config."""
         self.client.close()
-        self.config = self.config.with_(
-            **{knob: not getattr(self.config, knob)})
+        self.config = self.config.with_(stat_cache=not self.config.stat_cache)
         self.client = self._client()
         self.client.resume_from_cloud()
         self._check_resumed()
@@ -536,7 +526,6 @@ TestStoreMachine = StoreMachine.TestCase
 _DROPPED = "docs/report.doc"
 
 _SCHEMES = {config.name: config for config in all_scheme_configs()}
-_SCHEMES["AA-Dedupe+delta"] = aa_dedupe_config(delta_compress=True)
 
 
 @pytest.mark.parametrize("arm", ["same_client", "resumed_client",
@@ -584,9 +573,9 @@ _INTERRUPTED = {
 @pytest.mark.parametrize("scheme", sorted(_INTERRUPTED))
 def test_interrupted_session_collect_rerun(scheme, resumed):
     """GC sweeps what an interrupted session uploaded (no manifest
-    references it); the re-run must upload it again rather than trust
-    the journal's record of it (which raised ``ObjectNotFound`` on
-    restore)."""
+    references it) and its journal; the re-run must upload it again
+    rather than trust the journal's record of it (which raised
+    ``ObjectNotFound`` on restore)."""
     config, changes, k = _INTERRUPTED[scheme]
     machine = StoreMachine()
     machine.start(config)
@@ -595,6 +584,7 @@ def test_interrupted_session_collect_rerun(scheme, resumed):
     assert machine.model.retained() == [0]
     assert machine.store.list(naming.JOURNAL_PREFIX)
     machine.drop_oldest_and_collect()
+    assert machine.store.list(naming.JOURNAL_PREFIX) == []
     machine.every_retained_session_restores()
     if resumed:
         machine.backup_resumed([])
