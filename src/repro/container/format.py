@@ -19,6 +19,7 @@ crc field.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import zlib
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from typing import Dict, List, Optional
 from repro.errors import ContainerFormatError
 
 __all__ = ["CONTAINER_MAGIC", "ChunkDescriptor", "ContainerWriter",
-           "ContainerReader", "FLAG_TINY_FILE"]
+           "ContainerReader", "FLAG_TINY_FILE", "sealed_digest"]
 
 CONTAINER_MAGIC = b"AACONT\x01\x00"
 _HEADER = struct.Struct(">8sHQHQI")          # magic, ver, cid, flags, dsz, n
@@ -47,6 +48,21 @@ def _crc(parts, table_offset: int) -> int:
         crc = zlib.crc32(part, crc)
     return zlib.crc32(_FOOTER.pack(table_offset, 0, CONTAINER_MAGIC)[:8],
                       crc)
+
+
+def sealed_digest(blob: bytes) -> str:
+    """SHA-1 of a sealed container's descriptor table and footer (whose
+    CRC-32 covers every byte before it); a blob without the magic at
+    both ends is hashed whole."""
+    if len(blob) < _HEADER.size + _FOOTER.size or not (
+            blob.startswith(CONTAINER_MAGIC)
+            and blob.endswith(CONTAINER_MAGIC)):
+        return hashlib.sha1(blob).hexdigest()
+    count = _HEADER.unpack_from(blob)[5]
+    table_offset = _FOOTER.unpack_from(blob, len(blob) - _FOOTER.size)[0]
+    digest = hashlib.sha1(blob[table_offset:table_offset + count * _DESC.size])
+    digest.update(blob[-_FOOTER.size:])
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)

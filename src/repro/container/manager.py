@@ -159,16 +159,6 @@ class ContainerManager:
                     self._seal(writer, pad=self.pad_containers,
                                stream=name)
 
-    def close(self) -> None:
-        """Flush open containers."""
-        self.flush()
-
-    def discard_open(self) -> None:
-        """Drop every open container unsealed (its session failed, so
-        nothing may reference its extents)."""
-        with self._lock:
-            self._open.clear()
-
     @property
     def next_container_id(self) -> int:
         """Id that the next opened container will receive."""
@@ -177,13 +167,12 @@ class ContainerManager:
     def set_next_id(self, container_id: int) -> None:
         """Restart id allocation at ``container_id``.
 
-        Used by journal-based session resume, which must replay the
-        interrupted run's numbering so re-generated containers land on
-        their original keys.  Refuses while containers are open (their
-        ids are already assigned).
+        The backup engine calls it at every session open: a resumed
+        session replays the interrupted run's numbering so re-generated
+        containers land on their original keys.  Containers still open
+        there were left by a failed session, so nothing references
+        their extents: they are dropped unsealed.
         """
         with self._lock:
-            if self._open:
-                raise ContainerError(
-                    "cannot renumber with open containers")
+            self._open.clear()
             self._next_id = container_id

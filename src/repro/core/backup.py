@@ -86,6 +86,12 @@ class BackupClient:
     manager (container ids persist across sessions) and the previous
     session's manifest; call :meth:`backup` once per session with a
     source snapshot.
+
+    ``index_factory(app)`` builds each per-application subindex and
+    must return an empty one.  The index is never patched: after a GC
+    epoch change or a failed session the client drops it whole,
+    unflushed and unclosed, and the next session open builds a new one
+    from the retained manifests (as :meth:`resume_from_cloud` does).
     """
 
     def __init__(self,
@@ -105,8 +111,13 @@ class BackupClient:
         #: Profiling tracer, propagated into every instrumented layer
         #: this client owns (index, containers, chunkers).
         self.tracer = tracer if tracer is not None else NOOP_TRACER
+        #: Builds each subindex of every index this client builds.
+        self._index_factory = index_factory
         self.index = AppAwareIndex(factory=index_factory,
                                    tracer=self.tracer)
+        #: Whether the index was dropped since it last matched the
+        #: retained manifests (the next session open rebuilds it).
+        self._index_stale = False
         #: The last committed session's manifest, the one source of
         #: unchanged-file replays (stat cache, Jungle-Disk detection).
         self._prev_manifest: Optional[Manifest] = None
@@ -127,8 +138,8 @@ class BackupClient:
         #: thread sets or reads it).
         self._app: Optional[str] = None
         self._journal: Optional[SessionJournal] = None
-        #: The store's GC epoch when this client's state was last
-        #: reconciled with it (``None``: no store state held yet).
+        #: The store's GC epoch when this client last read it (``None``:
+        #: no store state held yet).
         self._epoch: Optional[int] = None
         # Multi-client deployments sharing one container pool assign
         # each client a disjoint id range up front; single clients probe
@@ -244,61 +255,39 @@ class BackupClient:
 
     # -- the GC epoch ---------------------------------------------------
     def _open_epoch(self, warnings: list) -> None:
-        """Read the store's GC epoch at session open.
-
-        A changed epoch means a sweep ran since the client last looked,
-        so its copies of store state may point into deleted extents:
-        they are reconciled before the session places anything.  An
-        unreadable epoch cannot rule a sweep out: it counts as changed,
-        and the next session reconciles again.
-        """
+        """Read the store's GC epoch at session open.  A changed (or
+        unreadable) one means a sweep may have deleted extents the index
+        and previous manifest name: both are dropped.  A dropped index
+        (a failed session drops one too) is rebuilt from the retained
+        manifests, which GC trims before it moves the epoch."""
         try:
             epoch = read_epoch(self.cloud)
         except CloudError as exc:
-            warnings.append(f"GC epoch unreadable (reconciling): {exc}")
-            epoch = -1  # never an epoch: the next read reconciles
+            warnings.append(f"GC epoch unreadable (rebuilding the index): "
+                            f"{exc}")
+            epoch = -1  # never an epoch: the next read rebuilds
         if self._epoch is not None and (epoch != self._epoch or epoch == -1):
-            self._forget_swept()
+            self._prev_manifest = None
+            self._drop_index()
         self._epoch = epoch
+        if self._index_stale:
+            self._rebuild_index()
 
-    def _forget_swept(self) -> None:
-        """Reconcile client-side state with a store a GC sweep changed.
+    def _drop_index(self) -> None:
+        """Replace the index with an empty one, without flushing or
+        closing it: what it held (a fleet front's unpublished offers
+        too) is gone, and the next session open rebuilds it."""
+        self.index = AppAwareIndex(factory=self._index_factory,
+                                   tracer=self.tracer)
+        self._index_stale = True
 
-        Index entries whose container (object-mode schemes: whose chunk
-        object) the store no longer lists are discarded, after one LIST;
-        the previous manifest unchanged files replay, which no index
-        lookup guards, is dropped whole.
-        """
-        containers = self._containers is not None
-        listed = set(self.cloud.list(
-            naming.CONTAINER_PREFIX if containers else naming.CHUNK_PREFIX))
-        for app, entry in list(self.index.entries()):
-            key = (naming.container_key(entry.container_id) if containers
-                   else naming.chunk_key(entry.fingerprint))
-            if key not in listed:
-                self.index.subindex(app).discard(entry.fingerprint)
-        self._prev_manifest = None
-
-    def _abandon(self, first_id: int) -> None:
-        """Forget what a session that failed before its manifest placed.
-
-        Some of its uploads may never have become durable (the failed
-        PUT, and every pipelined one queued behind it), and a resumed
-        re-run renumbers its containers from the start.  So its open
-        containers are dropped unsealed and index entries into the
-        containers it numbered are discarded.  A scheme without
-        containers cannot name its entries, so the next session
-        reconciles them (:meth:`_forget_swept`).  The previous manifest
-        stays; the journal's partial segment goes up (best effort).
-        """
-        if self._containers is None:
-            self._epoch = -1  # never an epoch: the next read reconciles
-        else:
-            self._containers.discard_open()
-            last_id = self._containers.next_container_id
-            for app, entry in list(self.index.entries()):
-                if first_id <= entry.container_id < last_id:
-                    self.index.subindex(app).discard(entry.fingerprint)
+    def _abandon(self) -> None:
+        """Forget what a session that failed before its manifest placed:
+        some uploads may never have become durable, so the index that
+        may name them is dropped (its open containers go at the next
+        session open, which renumbers).  The previous manifest stays;
+        the journal's partial segment goes up (best effort)."""
+        self._drop_index()
         self._journal.flush()
 
     def _reissues(self, first_id: int) -> bool:
@@ -335,19 +324,19 @@ class BackupClient:
         clock = getattr(self.cloud, "clock", None)
         created = clock.now() if clock is not None else time.time()
         manifest = Manifest(session_id, cfg.name, created=created)
-        self.index.reset_stats()
         puts_before = self.cloud.stats.put_requests
         up_before = self.cloud.stats.bytes_uploaded
         self._open_epoch(stats.warnings)
+        self.index.reset_stats()
         first_id = (self._containers.next_container_id
                     if self._containers is not None else 0)
         # An interrupted run's journal rewinds numbering to its first
-        # container, so the digest check skips its durable uploads.
+        # container, so the digest check skips its durable uploads;
+        # renumbering also drops what a failed session left open.
         journal = self._journal = SessionJournal.load(
             self.cloud, session_id, first_id, stale=self._reissues)
-        if journal.resumed and self._containers is not None:
-            first_id = journal.first_container_id
-            self._containers.set_next_id(first_id)
+        if self._containers is not None:
+            self._containers.set_next_id(journal.first_container_id)
         journal.drop_lost()
         dedup_watch = Stopwatch().start()
         try:
@@ -371,7 +360,7 @@ class BackupClient:
             self._journal.commit()
             stats.warnings.extend(self._journal.warnings)
         except BaseException:
-            self._abandon(first_id)
+            self._abandon()
             raise
 
         # Merge index accounting into the op counters.
@@ -737,30 +726,43 @@ class BackupClient:
         """Rebuild client state from the retained manifests, the only
         metadata a session persists (a new process; the CLI's startup).
 
-        Each ref this scheme could have placed goes back into the subindex
-        :meth:`SchemeConfig.plan_file` routes its file to, the newest
-        session winning; the newest manifest, if this scheme wrote it,
-        becomes the previous manifest.  GC keeps what they name, so all
-        of it is live; the epoch is read first, so a racing sweep shows
-        at the next session open.  Returns the index size."""
-        cfg = self.config
+        The index is rebuilt (:meth:`_rebuild_index`); the newest
+        manifest, if this scheme wrote it, becomes the previous
+        manifest.  The epoch is read first, so a racing sweep shows at
+        the next session open.  Returns the index size."""
         self._epoch = read_epoch(self.cloud)
+        newest = self._rebuild_index()
+        self._prev_manifest = (newest if newest is not None
+                               and newest.scheme == self.config.name
+                               else None)
+        return len(self.index)
+
+    def _rebuild_index(self) -> Optional[Manifest]:
+        """Replace the index with one filled from the retained
+        manifests: each ref this scheme could have placed goes into the
+        subindex :meth:`SchemeConfig.plan_file` routes its file to, the
+        newest session winning.  GC keeps what they name, so all of it
+        is live.  The session counter moves past every retained
+        session, never back.  Returns the newest manifest."""
+        cfg = self.config
+        index = AppAwareIndex(factory=self._index_factory,
+                              tracer=self.tracer)
         walk = StoreWalk(self.cloud)
         newest: Optional[Manifest] = None
         for record in sorted((r for r in walk.manifests if r.namespace
                               is None and r.session_id is not None),
                              key=lambda r: r.session_id):
             newest = walk.load(record)
-            self._next_session = record.session_id + 1
+            self._next_session = max(self._next_session,
+                                     record.session_id + 1)
             for entry in newest:
                 plan = cfg.plan_file(classify_name(entry.path), entry.size)
                 if not entry.tiny and plan.policy is not None:
                     for ref in filter(self._owns, entry.refs):
-                        self.index.subindex(plan.namespace).insert(
+                        index.subindex(plan.namespace).insert(
                             _index_entry(ref))
-        self._prev_manifest = (newest if newest is not None
-                               and newest.scheme == cfg.name else None)
-        return len(self.index)
+        self.index, self._index_stale = index, False
+        return newest
 
     def _owns(self, ref: ChunkRef) -> bool:
         """Whether an index hit on ``ref`` rebuilds it: a full extent
@@ -769,8 +771,8 @@ class BackupClient:
                 else ref.object_key == naming.chunk_key(ref.fingerprint))
 
     def close(self) -> None:
-        """Flush containers/index and release resources."""
-        if self._containers is not None:
-            self._containers.close()
+        """Flush and close the index.  No container is open here: a
+        session seals every one it opened, or fails and leaves its open
+        ones to be dropped."""
         self.index.flush()
         self.index.close()

@@ -6,9 +6,10 @@ sessions and every tenant's manifests reference, so GC of a shared
 fleet backend never collects data a tenant still uses, and it needs no
 client-side refcounts, so it is crash-safe.  The mark is
 :func:`repro.core.walk.mark_store`, which durability planning reads
-criticality from too.  Then it deletes the dropped manifests, the
-plan entries and replicas of dead containers, the dead containers, and
-the unreferenced standalone objects: a replica dies exactly when its
+criticality from too.  It lists what is dead, deletes the dropped
+manifests, moves the GC epoch, and only then deletes the plan entries
+and replicas of dead containers, the dead containers, and the
+unreferenced standalone objects: a replica dies exactly when its
 container leaves the live set, so the last surviving copy of a
 referenced container is never collected.  The report carries
 per-container live bytes (fragmentation visibility; compaction would
@@ -103,51 +104,49 @@ def collect_garbage(cloud, retain_sessions: Iterable[int]) -> GCReport:
     if report.problems:
         return report
 
-    # --- sweep: manifests of dropped sessions --------------------------
+    # --- what the sweep takes (file blobs in every tenant too) ---------
+    plan = ReplicationPlan.load(cloud)
+    dead_replicas = [key for key in cloud.list(naming.REPLICA_PREFIX)
+                     if (parsed := naming.parse_replica_key(key)) is not None
+                     and parsed[1] not in live]
+    dead_containers = [key for key in cloud.list(naming.CONTAINER_PREFIX)
+                       if (cid := naming.container_id_of(key)) is not None
+                       and cid not in live]
+    dead_objects = [key for key in [*cloud.list(naming.CHUNK_PREFIX),
+                                    *walk.keys(naming.FILE_PREFIX)]
+                    if key not in marked.objects]
+
+    # --- the dropped manifests, then the GC epoch ----------------------
+    # A client that sees the new epoch rebuilds its index from
+    # manifests that name only live data; no data goes before it moves
+    # (docs/STATCACHE.md).  Manifest-only deletions keep caches warm.
     for record in walk.manifests:
         if record.namespace is None and record.session_id not in retain:
             cloud.delete(record.key)
             report.deleted_manifests += 1
+    if dead_containers or dead_objects:
+        invalidate_statcache(cloud, walk.tenant_keys)
+        report.statcache_invalidated = True
 
-    # --- sweep: plan entries, replicas, then containers ----------------
-    # A replica lives as long as its container.  Cut short in this
-    # order, a sweep leaves unplanned replicas (repair deletes them) or
-    # bare dead primaries (the next GC takes them), never a replica
-    # that revives a dead primary.  Keys that name neither are scrub's.
-    plan = ReplicationPlan.load(cloud)
+    # --- sweep: plan entries, replicas, containers, objects ------------
+    # Cut short in this order, a sweep leaves unplanned replicas (repair
+    # deletes them) or bare dead primaries (the next GC takes them),
+    # never a replica that revives a dead primary.  Keys that name
+    # neither are scrub's.
     if plan is not None:
         report.plan_pruned = plan.prune(live)
         if report.plan_pruned:
             plan.save(cloud)
-    for key in cloud.list(naming.REPLICA_PREFIX):
-        parsed = naming.parse_replica_key(key)
-        if parsed is not None and parsed[1] not in live:
-            cloud.delete(key)
-            report.deleted_replicas += 1
-    for key in cloud.list(naming.CONTAINER_PREFIX):
-        container_id = naming.container_id_of(key)
-        if container_id is not None and container_id not in live:
-            cloud.delete(key)
-            report.deleted_containers += 1
-
-    # --- sweep: standalone chunk/file objects --------------------------
-    # The chunk pool is shared; file blobs are swept in every tenant
-    # too, so per-job retention frees space for file-granularity jobs.
-    for key in [*cloud.list(naming.CHUNK_PREFIX),
-                *walk.keys(naming.FILE_PREFIX)]:
-        if key not in marked.objects:
-            cloud.delete(key)
-            report.deleted_objects += 1
-
-    # --- invalidate stat caches ----------------------------------------
-    # Cached recipes may reference the extents just deleted, so any
-    # sweep that removed data bumps the GC epoch of the root and of
-    # every tenant: live clients drop their state on the next session
-    # open (see docs/STATCACHE.md).  Manifest-only deletions leave every
-    # extent in place, so caches stay warm.
-    if report.deleted_containers or report.deleted_objects:
-        invalidate_statcache(cloud, walk.tenant_keys)
-        report.statcache_invalidated = True
+    for key in dead_replicas:
+        cloud.delete(key)
+        report.deleted_replicas += 1
+    for key in dead_containers:
+        cloud.delete(key)
+        report.deleted_containers += 1
+    for key in dead_objects:
+        cloud.delete(key)
+        report.deleted_objects += 1
+    if report.statcache_invalidated:
         # An interrupted session's journal vouches for uploads no
         # manifest references, which this sweep just took; last segment
         # first, so a cut-short sweep leaves each journal a prefix.

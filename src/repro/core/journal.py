@@ -1,7 +1,8 @@
 """Session journals: every interrupted session resumes.
 
 Each session records its durable uploads (key, SHA-1 of the stored
-bytes), only **after** each put succeeded, in append-only segments
+bytes; of a container, of its descriptor table and CRC-carrying footer),
+only **after** each put succeeded, in append-only segments
 ``journals/session-NNNNNN.SSSSSS.json``: one PUT per
 :data:`SEGMENT_RECORDS` records and one when the session fails; segment
 0 also holds ``first_container_id``.  A re-run loads segments 0, 1, …,
@@ -23,6 +24,7 @@ import json
 import threading
 from typing import Dict, List
 
+from repro.container.format import sealed_digest
 from repro.core import naming
 from repro.errors import CloudError, ObjectNotFound
 
@@ -32,7 +34,11 @@ __all__ = ["SessionJournal", "SEGMENT_RECORDS"]
 SEGMENT_RECORDS = 64
 
 
-def _digest(blob: bytes) -> str:
+def _digest(key: str, blob: bytes) -> str:
+    """What a record vouches for: a container by its table and footer
+    (:func:`sealed_digest`), any other object by the SHA-1 of its bytes."""
+    if naming.container_id_of(key) is not None:
+        return sealed_digest(blob)
     return hashlib.sha1(blob).hexdigest()
 
 
@@ -114,7 +120,7 @@ class SessionJournal:
         """True iff ``key`` was durably uploaded with exactly ``blob``."""
         with self._lock:
             recorded = self._done.get(key)
-        if recorded is None or recorded != _digest(blob):
+        if recorded is None or recorded != _digest(key, blob):
             return False
         self.skipped_objects += 1
         self.skipped_bytes += len(blob)
@@ -124,7 +130,7 @@ class SessionJournal:
         """Upload ``blob`` under ``key``, then record it (a full segment
         goes up).  A segment first revokes a record of other bytes under
         ``key``, or a hard kill would leave it vouching for them."""
-        digest = _digest(blob)
+        digest = _digest(key, blob)
         if self._done.get(key, digest) not in (digest, ""):
             self._pending[key] = ""
             self.flush()

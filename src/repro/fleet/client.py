@@ -32,11 +32,11 @@ A lookup nobody announced still works, as a batch of one.
 New local inserts queue in a write-behind **outbox** that leaves only
 through :meth:`FleetIndex.flush_publishes`, which the service calls
 after a session succeeded — so every round's chunks are offered before
-the epoch commits, and a failed session's chunks never are: its
-abandoned entries (containers that may never have become durable) are
-:meth:`~FleetIndex.discard`-ed from the outbox with the local entry.
-Offers stay invisible until the next commit anyway, so holding them to
-session end costs no visibility.
+the epoch commits, and a failed session's chunks never are: the client
+drops its whole index, outbox included, unflushed (its containers may
+never have become durable) and rebuilds it from its manifests.  Offers
+stay invisible until the next commit anyway, so holding them to session
+end costs no visibility.
 """
 
 from __future__ import annotations
@@ -45,7 +45,10 @@ from typing import Dict, Iterable, Iterator, Optional, Set
 
 from repro.index.base import ChunkIndex, IndexEntry
 
-__all__ = ["FleetIndex"]
+__all__ = ["FleetFronts", "FleetIndex"]
+
+#: The directory counters of a front that a fleet report totals.
+COUNTERS = ("remote_probes", "remote_hits", "adopted_bytes")
 
 
 class FleetIndex(ChunkIndex):
@@ -143,13 +146,6 @@ class FleetIndex(ChunkIndex):
         self._local[entry.fingerprint] = entry
         self._outbox[entry.fingerprint] = entry
 
-    def discard(self, fingerprint: bytes) -> None:
-        """Forget ``fingerprint`` locally and unpublish it: the client
-        drops entries whose container is gone or never became durable
-        (a swept container, an abandoned session)."""
-        self._local.pop(fingerprint, None)
-        self._outbox.pop(fingerprint, None)
-
     def flush_publishes(self) -> None:
         """Offer the outbox to the directory's pending buffer."""
         if self._outbox:
@@ -173,3 +169,27 @@ class FleetIndex(ChunkIndex):
         self._local.clear()
         self._misses.clear()
         self._announced = set()
+
+
+class FleetFronts:
+    """One fleet client's subindex factory.  The client replaces a stale
+    index whole, so a front built for an app retires the one before it;
+    :meth:`total` keeps what the retired fronts counted."""
+
+    def __init__(self, directory, rank: int) -> None:
+        self.directory, self.rank = directory, rank
+        self._live: Dict[str, FleetIndex] = {}
+        self._retired = dict.fromkeys(COUNTERS, 0)
+
+    def __call__(self, app: str) -> FleetIndex:
+        old = self._live.get(app)
+        if old is not None:
+            for name in COUNTERS:
+                self._retired[name] += getattr(old, name)
+        front = self._live[app] = FleetIndex(self.directory, app, self.rank)
+        return front
+
+    def total(self, name: str) -> int:
+        """One of :data:`COUNTERS`, summed over every front built."""
+        return self._retired[name] + sum(getattr(front, name)
+                                         for front in self._live.values())

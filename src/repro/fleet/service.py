@@ -87,18 +87,18 @@ class FleetReport:
     def of(cls, service) -> "FleetReport":
         """Read a fleet off a service run with a ``directory``:
         its job reports, each client's uplink meters and FleetIndex
-        counters, and the directory's shard rows."""
+        counters (totalled over every front the client built, a
+        replaced index's too), and the directory's shard rows."""
         clients = []
         for runtime in service.jobs:
             name = runtime.spec.name
             sessions = [r.stats for r in service.reports
                         if r.job == name and r.ok]
-            index = runtime.client.index
-            fronts = [index.subindex(app) for app in index.apps]
+            fronts = runtime.fronts
             cloud = runtime.client.cloud
             scanned = sum(s.bytes_scanned for s in sessions)
             unique = sum(s.bytes_unique for s in sessions)
-            cross = sum(f.adopted_bytes for f in fronts)
+            cross = fronts.total("adopted_bytes")
             clients.append({
                 "name": name,
                 "sessions": sessions,
@@ -110,8 +110,8 @@ class FleetReport:
                 "intra_bytes": max(0, scanned - unique - cross),
                 "transfer_seconds": cloud.transfer_seconds(),
                 "bill": cloud.bill(),
-                "remote_probes": sum(f.remote_probes for f in fronts),
-                "remote_hits": sum(f.remote_hits for f in fronts),
+                "remote_probes": fronts.total("remote_probes"),
+                "remote_hits": fronts.total("remote_hits"),
             })
         directory = service.directory
         return cls(clients=clients, shard_rows=directory.stats_rows(),

@@ -22,7 +22,7 @@ Implementations:
 
 Every :class:`~repro.index.base.ChunkIndex` is one tier of a *stack*:
 ``backing`` names the tier below (``None`` on a leaf), and
-``begin_batch`` / ``discard`` / ``tiers`` / ``stack_stats`` drive or
+``begin_batch`` / ``tiers`` / ``stack_stats`` drive or
 observe the whole stack through its top tier — so a directory shard or
 a client subindex is declared by composition
 (``LocalityCache(DiskIndex(...), capacity)``), never probed for.

@@ -34,7 +34,12 @@ class AppAwareIndex:
     ``factory(app_label)`` builds the subindex for a new application label
     (default: :class:`MemoryIndex`, reflecting that per-app indices fit in
     RAM; tests also exercise :class:`~repro.index.disk.DiskIndex`
-    factories).  The composite is *not* itself a :class:`ChunkIndex`
+    factories).  It must return an *empty* index: a backup client
+    replaces a stale family with a new one and refills it from the
+    manifests, so a subindex that came back holding entries would carry
+    stale ones across.  The client neither flushes nor closes a family
+    it drops; a factory whose subindices hold resources releases them
+    itself.  The composite is *not* itself a :class:`ChunkIndex`
     because every operation requires the application label — that routing
     is the whole point.
     """

@@ -95,9 +95,11 @@ class ChunkIndex(abc.ABC):
 
     A front (cache) sets :attr:`backing` to the tier below it; a leaf
     leaves it ``None``.  The stack hooks — :meth:`begin_batch`,
-    :meth:`discard`, :meth:`locality_scores` — default to forwarding
-    down the stack, so a tier overrides only what it implements and a
-    caller drives any stack through its top tier.
+    :meth:`locality_scores` — default to forwarding down the stack, so
+    a tier overrides only what it implements and a caller drives any
+    stack through its top tier.  Nothing is ever deleted from an index:
+    a backup client drops a stale one whole and rebuilds it from the
+    manifests.
     """
 
     #: The next tier down the stack (``None`` on a leaf).
@@ -138,18 +140,6 @@ class ChunkIndex(abc.ABC):
         """
         if self.backing is not None:
             self.backing.begin_batch(fingerprints, stream)
-
-    def discard(self, fingerprint: bytes) -> None:
-        """Drop ``fingerprint`` where the stack can.
-
-        Backup clients call it for entries whose container is gone: a
-        GC sweep reconciled (``BackupClient._forget_swept``) or an
-        abandoned session that never made it durable
-        (``BackupClient._abandon``).  A tier that cannot delete keeps
-        the stale record.
-        """
-        if self.backing is not None:
-            self.backing.discard(fingerprint)
 
     def locality_scores(self) -> Dict[str, float]:
         """Per-stream locality estimates of the stack's cache tier

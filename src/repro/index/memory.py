@@ -35,10 +35,6 @@ class MemoryIndex(ChunkIndex):
         self.stats.inserts += 1
         self._map[entry.fingerprint] = entry
 
-    def discard(self, fingerprint: bytes) -> None:
-        """Drop ``fingerprint`` if present."""
-        self._map.pop(fingerprint, None)
-
     def __len__(self) -> int:
         return len(self._map)
 

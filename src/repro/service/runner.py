@@ -41,7 +41,7 @@ from repro.core.backup import BackupClient
 from repro.core.retention import RetentionOutcome, apply_retention
 from repro.core.stats import SessionStats
 from repro.errors import ConfigError, ReproError
-from repro.fleet.client import FleetIndex
+from repro.fleet.client import FleetFronts
 from repro.metrics.report import Table
 from repro.obs.tracer import NOOP_TRACER
 from repro.service.hooks import run_hook
@@ -199,12 +199,14 @@ class _JobRuntime:
     """One job's live state: view, engine, source stream, schedule."""
 
     def __init__(self, rank: int, spec: JobSpec, view, client,
-                 source) -> None:
+                 source, fronts: Optional[FleetFronts] = None) -> None:
         self.rank = rank
         self.spec = spec
         self.view = view
         self.client = client
         self.source = source
+        #: A fleet job's subindex factory (``None`` outside a fleet).
+        self.fronts = fronts
         self.clock = JobClock(spec.schedule)
         self.run_index = 0
 
@@ -266,8 +268,7 @@ class BackupService:
                 cloud = SimulatedCloud(view, wan=_wan_for(rank, PAPER_WAN),
                                        clock=VirtualClock(),
                                        tracer=self.tracer)
-                factory = (lambda app, _rank=rank:
-                           FleetIndex(directory, app, _rank))
+                factory = FleetFronts(directory, rank)
             client = BackupClient(
                 cloud, job.scheme_config(), index_factory=factory,
                 first_container_id=next_ids.get(
@@ -275,7 +276,8 @@ class BackupService:
                 tracer=self.tracer)
             client.resume_from_cloud()
             self.jobs.append(
-                _JobRuntime(rank, job, view, client, job.make_source()))
+                _JobRuntime(rank, job, view, client, job.make_source(),
+                            factory))
         self.jobs.sort(key=lambda runtime: runtime.rank)
         self.reports: List[JobReport] = []
 

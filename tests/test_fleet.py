@@ -342,20 +342,6 @@ class TestFleetIndex:
         ix.flush_publishes()      # shard exists now: direct offer
         assert d.shards()[0].publishes == 201
 
-    def test_discard_unpublishes(self):
-        d = GlobalDedupDirectory(shards_per_app=1)
-        ix = FleetIndex(d, "doc", rank=0)
-        for i in range(4):
-            ix.insert(entry(i))
-        ix.discard(fp(1))
-        ix.discard(fp(99))        # unknown: a no-op
-        assert len(ix) == 3
-        ix.flush_publishes()
-        d.commit_epoch()
-        assert lookup(d, "doc", fp(1)) is None
-        assert [e.fingerprint for e in d.shards()[0].committed_entries()] \
-            == sorted([fp(0), fp(2), fp(3)])
-
     def test_adopted_and_reinserted_entries_not_republished(self):
         d = GlobalDedupDirectory(shards_per_app=1)
         d.publish_batch("doc", [entry(1)], rank=0)
@@ -552,6 +538,22 @@ class TestFleetService:
                     session_id)
                 assert restored == expected, (runtime.spec.name,
                                               session_id)
+
+    def test_failed_session_offers_never_reach_the_directory(self):
+        """The only session fails at its first container PUT, after
+        its chunks entered the index: nothing it offered reaches the
+        directory, neither at the wave barrier nor through the flush
+        in ``BackupService.close()``."""
+        sources = synthetic_fleet_sources(1, 1, file_kib=64, seed=3)
+        directory = GlobalDedupDirectory(shards_per_app=1)
+        service = _fleet(sources, backend=_FailingPut(1),
+                         directory=directory, waves=1)
+        try:
+            assert service.run().exit_code == 1
+        finally:
+            service.close()
+        assert directory.commit_epoch() == 0
+        assert len(directory) == 0
 
     def test_private_state_is_namespaced(self):
         service, _report, _ = _run_fleet(clients=2, sessions=1)

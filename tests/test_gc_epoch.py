@@ -3,10 +3,13 @@
 Every client-side copy of store state — the chunk index, the SAM file
 tier, the previous manifest that the stat cache and Jungle Disk
 replay — may point into extents a sweep just
-deleted.  The client reads the GC epoch at every session open and
-reconciles when it moved or cannot be read; a resumed client rebuilds
-its state from the retained manifests, which GC keeps live.  Every
-later session must restore bit-exactly.
+deleted.  The client reads the GC epoch at every session open; when it
+moved or cannot be read, the client drops its previous manifest and
+rebuilds its index from the retained manifests, as a resumed client
+does.  GC moves the epoch after it deletes the dropped manifests and
+before it deletes any data, so a sweep cut short never leaves a live
+client trusting deleted extents.  Every later session must restore
+bit-exactly.
 """
 
 import numpy as np
@@ -19,7 +22,9 @@ from repro.core import (BackupClient, MemorySource, RestoreClient,
                         aa_dedupe_config, collect_garbage)
 from repro.core import naming
 from repro.core.scrub import scrub_cloud
-from repro.errors import TransientCloudError
+from repro.errors import CloudError, TransientCloudError
+from repro.index import DiskIndex
+from repro.util.units import KIB
 
 SCHEMES = {
     "AA-Dedupe": aa_dedupe_config,
@@ -39,16 +44,30 @@ def _blob(seed: int, n: int = 40_000) -> bytes:
 A, A2, B = _blob(1), _blob(2), _blob(3)
 
 
-class _EpochOutage(InMemoryBackend):
-    """Fails the next GET of the GC epoch once ``down`` is set."""
+class _Store(InMemoryBackend):
+    """Fails the next GET of the GC epoch once ``down`` is set, and the
+    ``cut_at``-th DELETE (counted from arming); logs every GET's key."""
 
     down = False
+    cut_at = 0
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.gets: list = []
 
     def _get(self, key):
+        self.gets.append(key)
         if self.down and key == naming.STATCACHE_EPOCH_KEY:
             self.down = False
             raise TransientCloudError(f"injected failure: get {key}")
         return super()._get(key)
+
+    def _delete(self, key):
+        if self.cut_at:
+            self.cut_at -= 1
+            if not self.cut_at:
+                raise TransientCloudError(f"injected failure: delete {key}")
+        return super()._delete(key)
 
 
 def _snapshot(files: dict) -> MemorySource:
@@ -73,43 +92,86 @@ SCENARIOS = {
 }
 
 
-@pytest.mark.parametrize("arm", ["same_client", "resumed_client",
-                                 "epoch_unreadable"])
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-@pytest.mark.parametrize("scheme", sorted(SCHEMES))
-def test_backup_after_sweep_restores(scheme, scenario, arm):
-    # ``epoch_unreadable``: the same client, but session 2 cannot read
-    # the epoch the sweep bumped.
+def _sweep_then_backup(scheme, scenario, arm, cut_at=0, tmp_path=None):
+    """Sessions 0 and 1, a GC (cut short at its ``cut_at``-th DELETE),
+    then session 2.  Returns whether the GC completed."""
     before, retain, after = SCENARIOS[scenario]
-    cloud = _EpochOutage()
-    client = BackupClient(cloud, SCHEMES[scheme]())
-    for files in before:
-        client.backup(_snapshot(files))
-    report = collect_garbage(cloud, retain)
-    assert report.deleted_containers + report.deleted_objects > 0
-    if arm == "resumed_client":
+    cloud = _Store()
+    made: list = []
+    factory = None
+    if arm == "disk_index":
+        def factory(app):
+            made.append(DiskIndex(tmp_path / f"{len(made)}-{app}",
+                                  memtable_limit=8))
+            return made[-1]
+    # Cuts land between data DELETEs only when there are several.
+    config = SCHEMES[scheme](**({"container_size": 16 * KIB} if cut_at
+                                else {}))
+    client = BackupClient(cloud, config, index_factory=factory)
+    try:
+        for files in before:
+            client.backup(_snapshot(files))
+        cloud.cut_at = cut_at
+        try:
+            report = collect_garbage(cloud, retain)
+        except CloudError:
+            completed = False
+        else:
+            completed = True
+            assert report.deleted_containers + report.deleted_objects > 0
+        cloud.cut_at = 0
+        if arm == "resumed_client":
+            client.close()
+            client = BackupClient(cloud, config)
+            client.resume_from_cloud()
+        cloud.down = arm == "epoch_unreadable"
+        stats = client.backup(_snapshot(after), session_id=2)
+        assert not cloud.down
+    finally:
         client.close()
-        client = BackupClient(cloud, SCHEMES[scheme]())
-        client.resume_from_cloud()
-    cloud.down = arm == "epoch_unreadable"
-    stats = client.backup(_snapshot(after), session_id=2)
-    assert not cloud.down
-    client.close()
+        for index in made:
+            index.close()
     assert stats.session_id == 2
     out, _ = RestoreClient(cloud).restore_to_memory(2)
     assert out == after
+    # The next complete GC leaves a clean store.
+    collect_garbage(cloud, [*retain, 2])
     assert scrub_cloud(cloud).clean
+    return completed
+
+
+@pytest.mark.parametrize("arm", ["same_client", "resumed_client",
+                                 "epoch_unreadable", "gc_cut_short",
+                                 "disk_index"])
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_backup_after_sweep_restores(scheme, scenario, arm, tmp_path):
+    # ``epoch_unreadable``: the same client, but session 2 cannot read
+    # the epoch the sweep bumped.  ``gc_cut_short``: the same client,
+    # after a GC that failed at its k-th DELETE, for every k up to a
+    # completed sweep.  ``disk_index``: the same client on DiskIndex
+    # subindices, a fresh directory per factory call.
+    if arm != "gc_cut_short":
+        assert _sweep_then_backup(scheme, scenario, arm, tmp_path=tmp_path)
+        return
+    k = 1
+    while not _sweep_then_backup(scheme, scenario, arm, cut_at=k):
+        k += 1
+    assert k > 2  # at least one manifest and one data DELETE were cut
 
 
 def test_unchanged_epoch_keeps_client_state():
-    # No sweep in between: the epoch is read, nothing is forgotten and
-    # every chunk of the repeat session deduplicates.
-    cloud = InMemoryBackend()
+    # No sweep in between: the epoch is read and the index is not
+    # rebuilt (no manifest GET, no LIST), and every chunk of the repeat
+    # session deduplicates.
+    cloud = _Store()
     client = BackupClient(cloud, aa_dedupe_config())
     client.backup(_snapshot({"a.txt": A, "b.pdf": B}))
-    listed = cloud.stats.list_requests
+    listed, got = cloud.stats.list_requests, len(cloud.gets)
     stats = client.backup(_snapshot({"a.txt": A, "b.pdf": B}))
-    assert cloud.stats.list_requests == listed  # no reconcile LIST
+    assert cloud.stats.list_requests == listed
+    assert not [key for key in cloud.gets[got:]
+                if key.startswith(naming.MANIFEST_PREFIX)]
     assert stats.chunks_unique == 0
 
 

@@ -5,7 +5,7 @@ One suite, parametrised over every implementation, checks the contract
 the backup engine and the fleet directory rely on: insert / lookup /
 re-insert / ``entries`` semantics, ``len`` == distinct fingerprints,
 the ``IndexStats`` invariants, and the stack hooks (``backing``,
-``begin_batch``, ``discard``, ``tiers``, ``stack_stats``).
+``begin_batch``, ``tiers``, ``stack_stats``).
 """
 
 import hashlib
@@ -130,13 +130,6 @@ class TestChunkIndexProtocol:
             disk_bytes=sum(t.stats.disk_bytes for t in tiers))
         assert index.stack_stats() == want
 
-    def test_discard_never_raises_and_keeps_other_entries(self, index):
-        _populate(index)
-        index.discard(fp(0))
-        index.discard(fp(N + 5))    # absent: still fine
-        index.begin_batch([fp(1)])
-        assert index.lookup(fp(1)) == entry(1)
-
 
 class TestStackComposition:
     def test_cache_over_disk_stack(self, tmp_path):
@@ -177,5 +170,3 @@ class TestStackComposition:
         stack.lookup(fp(1))
         assert list(stack.locality_scores()) == ["5"]
         assert MemoryIndex().locality_scores() == {}
-        stack.discard(fp(1))                    # reaches the leaf
-        assert len(leaf) == 0

@@ -20,6 +20,7 @@ from repro.cloud import (
     SimulatedCloud,
     WANLink,
 )
+from repro.container.format import ContainerWriter
 from repro.core import (
     BackupClient,
     MemorySource,
@@ -495,6 +496,30 @@ class TestSessionJournal:
         assert again.completed("containers/0000000007", b"blob-a")
         assert not again.completed("containers/0000000007", b"DIFFERENT")
         assert not again.completed("containers/0000000009", b"blob-a")
+
+    @pytest.mark.parametrize("flip", ["payload", "fingerprint"])
+    def test_container_vouched_by_table_and_footer(self, flip):
+        """A container record vouches for the re-sealed container only
+        when it is the same: one payload byte or one descriptor
+        fingerprint byte apart, ``completed`` is false."""
+        def sealed(payload: bytes, fingerprint: bytes) -> bytes:
+            writer = ContainerWriter(7, 16 * KIB)
+            writer.append(b"\x01" * 20, b"a" * 3000)
+            writer.append(fingerprint, payload)
+            return writer.seal()
+
+        payload, fingerprint = bytearray(b"b" * 5000), bytearray(b"\x02" * 20)
+        key = naming.container_key(7)
+        cloud = InMemoryBackend()
+        journal = SessionJournal(cloud, 0, first_container_id=7)
+        journal.put(key, sealed(bytes(payload), bytes(fingerprint)))
+        journal.flush()
+        again = SessionJournal.load(cloud, 0)
+        assert again.completed(key, sealed(bytes(payload),
+                                           bytes(fingerprint)))
+        (payload if flip == "payload" else fingerprint)[3] ^= 0x01
+        assert not again.completed(key, sealed(bytes(payload),
+                                               bytes(fingerprint)))
 
     def test_commit_deletes_journal(self):
         cloud = InMemoryBackend()

@@ -3,7 +3,9 @@
 A hypothesis ``RuleBasedStateMachine`` drives one store through the
 system's public verbs — back up an edited source, back up with a fresh
 client after ``resume_from_cloud``, drop the oldest session and collect
-garbage, keep the last n sessions through ``apply_retention``, move the
+garbage, cut a GC short at its k-th mutation and back up through the
+client that was open across it, keep the last n sessions through
+``apply_retention``, move the
 clock and keep the sessions no older than a drawn age, run a
 session whose k-th PUT fails, kill the process at a session's k-th
 PUT and re-run the session from a new one, run a session that cannot
@@ -64,6 +66,7 @@ from repro.durability import (DurabilityPolicy, ReplicationPlan,
 from repro.errors import BackupError, CloudError, TransientCloudError
 from repro.index import AppAwareIndex, IndexEntry
 from repro.simulate.clock import VirtualClock
+from repro.util.units import KIB
 from tests.model import StoreModel
 from tests.strategies import legal_scheme_configs
 
@@ -99,9 +102,14 @@ _changes = st.lists(st.tuples(
     st.integers(0, 40_000), st.integers(0, 63)), max_size=5)
 
 
+#: The mutation (a PUT or DELETE) at which a GC is cut short.
+_gc_cuts = st.integers(1, 12)
+
+
 class _FaultyStore(InMemoryBackend):
-    """An in-memory store whose ``fail_at``-th PUT and ``get_fail_at``-th
-    GET of a non-manifest key (1-based, counted from arming) fail once,
+    """An in-memory store whose ``fail_at``-th PUT, ``cut_at``-th PUT or
+    DELETE and ``get_fail_at``-th GET of a non-manifest key (1-based,
+    counted from arming) fail once,
     whose GC epoch GETs fail while ``epoch_down`` is set, and which
     persists no PUT or DELETE from its ``kill_at``-th PUT on until
     ``dead`` is cleared (the writing process was killed).  Its clock
@@ -112,6 +120,7 @@ class _FaultyStore(InMemoryBackend):
     def __init__(self) -> None:
         super().__init__()
         self.fail_at = 0
+        self.cut_at = 0
         self.get_fail_at = 0
         #: GETs of non-manifest keys so far (a restore's data GETs).
         self.data_gets = 0
@@ -138,6 +147,7 @@ class _FaultyStore(InMemoryBackend):
             self.dead = not self.kill_at
         if self.dead:
             raise TransientCloudError(f"process killed: put {key}")
+        self._mutate("put", key)
         if self.fail_at:
             self.fail_at -= 1
             if not self.fail_at:
@@ -147,7 +157,14 @@ class _FaultyStore(InMemoryBackend):
     def _delete(self, key):
         if self.dead:
             raise TransientCloudError(f"process killed: delete {key}")
+        self._mutate("delete", key)
         return super()._delete(key)
+
+    def _mutate(self, op: str, key: str) -> None:
+        if self.cut_at:
+            self.cut_at -= 1
+            if not self.cut_at:
+                raise TransientCloudError(f"injected failure: {op} {key}")
 
 
 class _VanishingSource(MemorySource):
@@ -341,6 +358,25 @@ class StoreMachine(RuleBasedStateMachine):
         also sweeps whatever failed sessions left behind."""
         if self.model.sessions:
             self.model.drop(self.model.retained()[0])
+        report = collect_garbage(self.store, self.model.retained())
+        assert not report.problems, report.problems
+        self._check_no_garbage()
+
+    @rule(changes=_changes, k=_gc_cuts)
+    def gc_cut_at(self, changes, k) -> None:
+        """Drop the oldest session; GC fails at its k-th mutation (a
+        DELETE or the epoch PUT).  The client that was open across the
+        cut runs the next backup, and the next GC completes the sweep."""
+        if self.model.sessions:
+            self.model.drop(self.model.retained()[0])
+        self.store.cut_at = k
+        try:
+            collect_garbage(self.store, self.model.retained())
+        except CloudError:
+            pass
+        finally:
+            self.store.cut_at = 0
+        self.backup(changes)
         report = collect_garbage(self.store, self.model.retained())
         assert not report.problems, report.problems
         self._check_no_garbage()
@@ -631,6 +667,25 @@ def test_crash_mid_session_resumes_flushed_segments():
     machine.backup([("put", "docs/notes.txt", 12_000, 1)])
     machine.crash_mid_session(changes, k=7)
     assert machine.crash_skipped == 4
+    machine.every_retained_session_restores()
+    machine.scrub_is_clean()
+    machine.teardown()
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("scheme", ["AA-Dedupe", "Avamar"])
+def test_gc_cut_short_then_open_client(scheme, k):
+    """A GC cut at its k-th mutation, then the client that was open
+    across it brings the dropped file back.  While GC moved the epoch
+    only after its last delete, that client never learned of a sweep
+    cut short and deduplicated against the extents it had deleted
+    (``ObjectNotFound`` on restore)."""
+    machine = StoreMachine()
+    machine.start(_SCHEMES[scheme].with_(container_size=4 * KIB))
+    machine.backup([("put", _DROPPED, 20_000, 1),
+                    ("put", "docs/paper.pdf", 20_000, 3)])
+    machine.backup([("delete", _DROPPED, 0, 0)])
+    machine.gc_cut_at([("put", _DROPPED, 20_000, 1)], k)
     machine.every_retained_session_restores()
     machine.scrub_is_clean()
     machine.teardown()
