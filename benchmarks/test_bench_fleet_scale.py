@@ -112,8 +112,9 @@ def _run_arm(directory: GlobalDedupDirectory, max_workers: int = 1):
     rows = directory.stats_rows()
     return {
         "entries": len(directory),
-        "remote_hits": sum(ix.remote_hits for ix in indexes.values()),
-        "adopted_bytes": sum(ix.adopted_bytes for ix in indexes.values()),
+        "remote_hits": sum(t["hits"] for t in directory.traffic.values()),
+        "adopted_bytes": sum(t["bytes"]
+                             for t in directory.traffic.values()),
         "filter_absorbed": sum(ix.filter_absorbed
                                for ix in indexes.values()),
         "disk_probes": sum(r["disk_probes"] for r in rows),

@@ -52,11 +52,9 @@ def _crc(parts, table_offset: int) -> int:
 
 def sealed_digest(blob: bytes) -> str:
     """SHA-1 of a sealed container's descriptor table and footer (whose
-    CRC-32 covers every byte before it); a blob without the magic at
-    both ends is hashed whole."""
-    if len(blob) < _HEADER.size + _FOOTER.size or not (
-            blob.startswith(CONTAINER_MAGIC)
-            and blob.endswith(CONTAINER_MAGIC)):
+    CRC-32 covers every byte before it); any other blob is hashed whole."""
+    if len(blob) < _HEADER.size + _FOOTER.size \
+            or not blob.endswith(CONTAINER_MAGIC):
         return hashlib.sha1(blob).hexdigest()
     count = _HEADER.unpack_from(blob)[5]
     table_offset = _FOOTER.unpack_from(blob, len(blob) - _FOOTER.size)[0]

@@ -267,27 +267,20 @@ class BackupClient:
                             f"{exc}")
             epoch = -1  # never an epoch: the next read rebuilds
         if self._epoch is not None and (epoch != self._epoch or epoch == -1):
-            self._prev_manifest = None
-            self._drop_index()
+            self._prev_manifest, self._index_stale = None, True
         self._epoch = epoch
         if self._index_stale:
             self._rebuild_index()
 
-    def _drop_index(self) -> None:
-        """Replace the index with an empty one, without flushing or
-        closing it: what it held (a fleet front's unpublished offers
-        too) is gone, and the next session open rebuilds it."""
+    def _abandon(self) -> None:
+        """Forget what a session that failed before its manifest placed:
+        the index, which may name uploads that never became durable, is
+        replaced unflushed and unclosed (a fleet front's offers go with
+        it) and rebuilt at the next session open, which drops the open
+        containers.  The journal's partial segment goes up."""
         self.index = AppAwareIndex(factory=self._index_factory,
                                    tracer=self.tracer)
         self._index_stale = True
-
-    def _abandon(self) -> None:
-        """Forget what a session that failed before its manifest placed:
-        some uploads may never have become durable, so the index that
-        may name them is dropped (its open containers go at the next
-        session open, which renumbers).  The previous manifest stays;
-        the journal's partial segment goes up (best effort)."""
-        self._drop_index()
         self._journal.flush()
 
     def _reissues(self, first_id: int) -> bool:
@@ -758,9 +751,8 @@ class BackupClient:
             for entry in newest:
                 plan = cfg.plan_file(classify_name(entry.path), entry.size)
                 if not entry.tiny and plan.policy is not None:
-                    for ref in filter(self._owns, entry.refs):
-                        index.subindex(plan.namespace).insert(
-                            _index_entry(ref))
+                    index.subindex(plan.namespace).load(
+                        map(_index_entry, filter(self._owns, entry.refs)))
         self.index, self._index_stale = index, False
         return newest
 

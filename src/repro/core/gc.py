@@ -137,15 +137,11 @@ def collect_garbage(cloud, retain_sessions: Iterable[int]) -> GCReport:
         report.plan_pruned = plan.prune(live)
         if report.plan_pruned:
             plan.save(cloud)
-    for key in dead_replicas:
+    for key in [*dead_replicas, *dead_containers, *dead_objects]:
         cloud.delete(key)
-        report.deleted_replicas += 1
-    for key in dead_containers:
-        cloud.delete(key)
-        report.deleted_containers += 1
-    for key in dead_objects:
-        cloud.delete(key)
-        report.deleted_objects += 1
+    report.deleted_replicas = len(dead_replicas)
+    report.deleted_containers = len(dead_containers)
+    report.deleted_objects = len(dead_objects)
     if report.statcache_invalidated:
         # An interrupted session's journal vouches for uploads no
         # manifest references, which this sweep just took; last segment

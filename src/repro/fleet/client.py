@@ -45,10 +45,7 @@ from typing import Dict, Iterable, Iterator, Optional, Set
 
 from repro.index.base import ChunkIndex, IndexEntry
 
-__all__ = ["FleetFronts", "FleetIndex"]
-
-#: The directory counters of a front that a fleet report totals.
-COUNTERS = ("remote_probes", "remote_hits", "adopted_bytes")
+__all__ = ["FleetIndex"]
 
 
 class FleetIndex(ChunkIndex):
@@ -72,16 +69,9 @@ class FleetIndex(ChunkIndex):
         #: in flight, replaced by the next announcement, so absorbed
         #: misses need no memo entry to avoid a second round trip.
         self._announced: Set[bytes] = set()
-        #: Fingerprints probed against the directory (local misses).
-        self.remote_probes = 0
-        #: Directory hits — chunks first uploaded by some other client.
-        self.remote_hits = 0
         #: Directory misses absorbed by a shard filter front (or an
         #: unallocated shard) — cheap enough that they skip the memo.
         self.filter_absorbed = 0
-        #: Bytes saved by adopting remote entries (cross-client dedup,
-        #: counted once at adoption; repeats afterwards are local hits).
-        self.adopted_bytes = 0
 
     # ------------------------------------------------------------------
     def _probe(self, fingerprints: Iterable[bytes]) -> Set[bytes]:
@@ -90,7 +80,8 @@ class FleetIndex(ChunkIndex):
 
         Hits are *adopted*: the chunk lives in the shared container
         pool, so the local entry points straight at the publisher's
-        container.  Misses that reached a backing index are memoised
+        container (the directory counts the probes, hits and adopted
+        bytes per client rank).  Misses that reached a backing index are memoised
         for the epoch; absorbed ones are not (see module docstring).
         """
         if self.directory.epoch != self._memo_epoch:
@@ -102,14 +93,11 @@ class FleetIndex(ChunkIndex):
         missed: Set[bytes] = set()
         if not todo:
             return missed
-        self.remote_probes += len(todo)
         found, absorbed = self.directory.probe_batch(
             self.app, todo, stream=self.rank)
+        self.load(remote for remote in found if remote is not None)
         for fp, remote, cheap in zip(todo, found, absorbed):
             if remote is not None:
-                self.remote_hits += 1
-                self.adopted_bytes += remote.length
-                self._local[fp] = remote
                 continue
             missed.add(fp)
             if cheap:
@@ -142,9 +130,15 @@ class FleetIndex(ChunkIndex):
     def insert(self, entry: IndexEntry) -> None:
         self.stats.inserts += 1
         # A chunk this client just stored after a miss: offer it to the
-        # fleet (adopted entries enter ``_local`` in :meth:`_probe`).
+        # fleet (adopted entries enter through :meth:`load`).
         self._local[entry.fingerprint] = entry
         self._outbox[entry.fingerprint] = entry
+
+    def load(self, entries: Iterable[IndexEntry]) -> None:
+        """Adopted or rebuilt entries offer nothing: the directory
+        holds them, or a committed manifest names them, so they were
+        offered when stored."""
+        self._local.update((entry.fingerprint, entry) for entry in entries)
 
     def flush_publishes(self) -> None:
         """Offer the outbox to the directory's pending buffer."""
@@ -170,26 +164,3 @@ class FleetIndex(ChunkIndex):
         self._misses.clear()
         self._announced = set()
 
-
-class FleetFronts:
-    """One fleet client's subindex factory.  The client replaces a stale
-    index whole, so a front built for an app retires the one before it;
-    :meth:`total` keeps what the retired fronts counted."""
-
-    def __init__(self, directory, rank: int) -> None:
-        self.directory, self.rank = directory, rank
-        self._live: Dict[str, FleetIndex] = {}
-        self._retired = dict.fromkeys(COUNTERS, 0)
-
-    def __call__(self, app: str) -> FleetIndex:
-        old = self._live.get(app)
-        if old is not None:
-            for name in COUNTERS:
-                self._retired[name] += getattr(old, name)
-        front = self._live[app] = FleetIndex(self.directory, app, self.rank)
-        return front
-
-    def total(self, name: str) -> int:
-        """One of :data:`COUNTERS`, summed over every front built."""
-        return self._retired[name] + sum(getattr(front, name)
-                                         for front in self._live.values())

@@ -53,6 +53,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from bisect import bisect_right
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.index.base import ChunkIndex, IndexEntry
@@ -268,6 +269,10 @@ class GlobalDedupDirectory:
         #: Read-path probes against shards that were never allocated
         #: (answered as misses without creating the shard).
         self.absent_probes = 0
+        #: Probe traffic per ``stream`` (a fleet client's rank):
+        #: ``probes``, ``hits`` and hit ``bytes`` (what it adopts).  It
+        #: outlives the client's index, which may be dropped.
+        self.traffic: Dict[object, Counter] = {}
         self._rejects_reported = 0
 
     # ------------------------------------------------------------------
@@ -339,6 +344,11 @@ class GlobalDedupDirectory:
             for pos, entry, flag in zip(positions, found, shard_absorbed):
                 out[pos] = entry
                 absorbed[pos] = flag
+        hits = [entry.length for entry in out if entry is not None]
+        with self._pending_lock:
+            traffic = self.traffic.setdefault(stream, Counter())
+            traffic.update(probes=len(fingerprints), hits=len(hits),
+                           bytes=sum(hits))
         return out, absorbed
 
     def publish_batch(self, app: str, entries: Sequence[IndexEntry],

@@ -86,19 +86,19 @@ class FleetReport:
     @classmethod
     def of(cls, service) -> "FleetReport":
         """Read a fleet off a service run with a ``directory``:
-        its job reports, each client's uplink meters and FleetIndex
-        counters (totalled over every front the client built, a
-        replaced index's too), and the directory's shard rows."""
+        its job reports, each client's uplink meters, and the
+        directory's traffic counts for each client and shard rows."""
+        directory = service.directory
         clients = []
         for runtime in service.jobs:
             name = runtime.spec.name
             sessions = [r.stats for r in service.reports
                         if r.job == name and r.ok]
-            fronts = runtime.fronts
+            traffic = directory.traffic.get(runtime.rank, {})
             cloud = runtime.client.cloud
             scanned = sum(s.bytes_scanned for s in sessions)
             unique = sum(s.bytes_unique for s in sessions)
-            cross = fronts.total("adopted_bytes")
+            cross = traffic.get("bytes", 0)
             clients.append({
                 "name": name,
                 "sessions": sessions,
@@ -110,10 +110,9 @@ class FleetReport:
                 "intra_bytes": max(0, scanned - unique - cross),
                 "transfer_seconds": cloud.transfer_seconds(),
                 "bill": cloud.bill(),
-                "remote_probes": fronts.total("remote_probes"),
-                "remote_hits": fronts.total("remote_hits"),
+                "remote_probes": traffic.get("probes", 0),
+                "remote_hits": traffic.get("hits", 0),
             })
-        directory = service.directory
         return cls(clients=clients, shard_rows=directory.stats_rows(),
                    epochs=directory.epoch,
                    directory_entries=len(directory),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import abc
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Dict, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import IndexError_
 
@@ -127,6 +127,13 @@ class ChunkIndex(abc.ABC):
     @abc.abstractmethod
     def entries(self) -> Iterator[IndexEntry]:
         """Iterate all current entries (order unspecified)."""
+
+    def load(self, entries: Iterable[IndexEntry]) -> None:
+        """Fill the index with entries a committed manifest names (a
+        backup client's rebuild).  Inserts each; a tier for which an
+        insert is a newly stored chunk overrides it."""
+        for entry in entries:
+            self.insert(entry)
 
     # -- tier protocol -------------------------------------------------
     def begin_batch(self, fingerprints: Sequence[bytes],

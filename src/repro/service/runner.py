@@ -41,7 +41,7 @@ from repro.core.backup import BackupClient
 from repro.core.retention import RetentionOutcome, apply_retention
 from repro.core.stats import SessionStats
 from repro.errors import ConfigError, ReproError
-from repro.fleet.client import FleetFronts
+from repro.fleet.client import FleetIndex
 from repro.metrics.report import Table
 from repro.obs.tracer import NOOP_TRACER
 from repro.service.hooks import run_hook
@@ -199,14 +199,12 @@ class _JobRuntime:
     """One job's live state: view, engine, source stream, schedule."""
 
     def __init__(self, rank: int, spec: JobSpec, view, client,
-                 source, fronts: Optional[FleetFronts] = None) -> None:
+                 source) -> None:
         self.rank = rank
         self.spec = spec
         self.view = view
         self.client = client
         self.source = source
-        #: A fleet job's subindex factory (``None`` outside a fleet).
-        self.fronts = fronts
         self.clock = JobClock(spec.schedule)
         self.run_index = 0
 
@@ -268,7 +266,8 @@ class BackupService:
                 cloud = SimulatedCloud(view, wan=_wan_for(rank, PAPER_WAN),
                                        clock=VirtualClock(),
                                        tracer=self.tracer)
-                factory = FleetFronts(directory, rank)
+                factory = (lambda app, _rank=rank:
+                           FleetIndex(directory, app, _rank))
             client = BackupClient(
                 cloud, job.scheme_config(), index_factory=factory,
                 first_container_id=next_ids.get(
@@ -276,8 +275,7 @@ class BackupService:
                 tracer=self.tracer)
             client.resume_from_cloud()
             self.jobs.append(
-                _JobRuntime(rank, job, view, client, job.make_source(),
-                            factory))
+                _JobRuntime(rank, job, view, client, job.make_source()))
         self.jobs.sort(key=lambda runtime: runtime.rank)
         self.reports: List[JobReport] = []
 

@@ -276,7 +276,7 @@ class TestFleetIndex:
         ix = FleetIndex(d, "doc", rank=0)
         ix.insert(entry(1))
         assert ix.lookup(fp(1)) == entry(1)
-        assert ix.remote_probes == 0
+        assert d.traffic == {}  # no directory probe
         assert ix.stats.memory_hits == 1
 
     def test_remote_hit_adopts_entry(self):
@@ -285,11 +285,10 @@ class TestFleetIndex:
         d.commit_epoch()
         ix = FleetIndex(d, "doc", rank=1)
         assert ix.lookup(fp(7)) == entry(7, length=100)
-        assert ix.remote_probes == 1 and ix.remote_hits == 1
-        assert ix.adopted_bytes == 100
+        assert d.traffic[1] == {"probes": 1, "hits": 1, "bytes": 100}
         # Adopted: the repeat is a pure local memory hit.
         assert ix.lookup(fp(7)) == entry(7, length=100)
-        assert ix.remote_probes == 1
+        assert d.traffic[1]["probes"] == 1
         assert ix.stats.memory_hits == 1
 
     def test_miss_memo_per_epoch(self):
@@ -301,11 +300,11 @@ class TestFleetIndex:
         ix = FleetIndex(d, "doc", rank=1)
         for _ in range(5):
             assert ix.lookup(fp(3)) is None
-        assert ix.remote_probes == 1  # memoised within the epoch
+        assert d.traffic[1]["probes"] == 1  # memoised within the epoch
         d.publish_batch("doc", [entry(3)], rank=0)
         d.commit_epoch()
         assert ix.lookup(fp(3)) == entry(3)  # memo invalidated by commit
-        assert ix.remote_probes == 2
+        assert d.traffic[1]["probes"] == 2
 
     def test_absorbed_misses_skip_the_memo(self):
         # Misses the shard filter (or an absent shard) answers are not
@@ -555,6 +554,31 @@ class TestFleetService:
         assert directory.commit_epoch() == 0
         assert len(directory) == 0
 
+    def test_rebuilt_index_offers_nothing_again(self):
+        """A session fails between two that succeed.  The index the next
+        session open rebuilds names the first session's chunks, which
+        the directory already holds: the barriers offer each stored
+        chunk once, so every offer is accepted."""
+        first, second = synthetic_fleet_sources(1, 2, file_kib=64,
+                                                seed=3)[0]
+        backend = _FailingPut(0)            # armed below
+        directory = GlobalDedupDirectory(shards_per_app=1)
+        service = _fleet([[first, second, second]], backend=backend,
+                         directory=directory, waves=1)
+        try:
+            service.run(until=0)
+            stored = len(directory)
+            backend.fail_at = 1
+            service.run()
+        finally:
+            service.close()
+        assert [r.state for r in service.reports] == \
+            [SUCCEEDED, FAILED, SUCCEEDED]
+        shards = directory.shards()
+        assert len(directory) > stored > 0
+        assert sum(s.publishes for s in shards) == len(directory)
+        assert sum(s.accepted for s in shards) == len(directory)
+
     def test_private_state_is_namespaced(self):
         service, _report, _ = _run_fleet(clients=2, sessions=1)
         keys = list(service.backend.list(""))
@@ -730,12 +754,12 @@ class TestPerFileProbeBatching:
         d = GlobalDedupDirectory(shards_per_app=1)
         ix = FleetIndex(d, "doc", rank=0)
         ix.begin_batch([fp(1), fp(2), fp(1)])
-        assert ix.remote_probes == 2 and ix.filter_absorbed == 2
+        assert d.traffic[0]["probes"] == 2 and ix.filter_absorbed == 2
         assert ix.lookup(fp(1)) is None and ix.lookup(fp(2)) is None
-        assert ix.remote_probes == 2 and len(ix._misses) == 0
+        assert d.traffic[0]["probes"] == 2 and len(ix._misses) == 0
         ix.begin_batch([fp(3)])             # next file: answer replaced
         assert ix.lookup(fp(1)) is None
-        assert ix.remote_probes == 4
+        assert d.traffic[0]["probes"] == 4
 
     def test_announcement_is_stale_after_an_epoch_commit(self):
         d = GlobalDedupDirectory(shards_per_app=1)
