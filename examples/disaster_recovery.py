@@ -6,9 +6,10 @@ index synchronisation, Sec. III-E), here from the manifests alone:
 
 1. a client backs up two weekly snapshots;
 2. the laptop "dies" — all local state (index, manifests) is discarded;
-3. a brand-new client rebuilds the application-aware index from the
-   manifests in the cloud, continues deduplicating against the data
-   already stored, and the whole history remains restorable.
+3. a brand-new client's first session rebuilds the application-aware
+   index from the manifests in the cloud (nothing to call first),
+   continues deduplicating against the data already stored and takes
+   the next session id, and the whole history remains restorable.
 
 Usage::
 
@@ -47,17 +48,17 @@ def main() -> None:
     print("\n== laptop stolen; local state gone ==")
     del client
 
-    print("\n== new machine: rebuild the index, resume backups ==")
+    print("\n== new machine: the first session rebuilds the index ==")
     new_client = BackupClient(cloud, aa_dedupe_config())
-    restored_entries = new_client.resume_from_cloud()
-    print(f"  rebuilt {restored_entries} index entries from the manifests")
-    assert restored_entries == index_size
-
-    stats = new_client.backup(snapshot_to_memory_source(snapshots[2]),
-                              session_id=2)
+    stats = new_client.backup(snapshot_to_memory_source(snapshots[2]))
+    assert stats.session_id == 2
+    assert len(new_client.index) == index_size + stats.chunks_unique
     print(f"  session 2 on the new machine: uploaded "
           f"{format_bytes(stats.bytes_uploaded)} "
           f"(DR {stats.dedup_ratio:.1f}) — dedup continuity preserved")
+    print(f"  index: {len(new_client.index)} fingerprints "
+          f"({index_size} rebuilt from the manifests, "
+          f"{stats.chunks_unique} new)")
 
     print("\n== every session is still restorable ==")
     for sid, snap in enumerate(snapshots):

@@ -48,14 +48,17 @@ def main() -> None:
 
     print("\n== Bob (different master key) backs up the same data ==")
     bob = BackupClient(cloud, config, master_key=BOB_KEY)
-    bob.resume_from_cloud()
-    stats = bob.backup(MemorySource(files), session_id=1)
-    print(f"  new chunks uploaded: {stats.chunks_unique} "
+    # Bob's first session open reads Alice's manifest, so his session
+    # takes the next id and dedups against her ciphertext.
+    stats = bob.backup(MemorySource(files))
+    print(f"  session {stats.session_id}: new chunks uploaded: "
+          f"{stats.chunks_unique} "
           f"(convergent encryption ⇒ full cross-client dedup)")
 
     print("\n== restores ==")
     restored, _ = RestoreClient(cloud,
-                                master_key=BOB_KEY).restore_to_memory(1)
+                                master_key=BOB_KEY).restore_to_memory(
+                                    stats.session_id)
     assert restored == files
     print("  Bob restores his session bit-exactly with his own key")
 

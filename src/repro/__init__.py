@@ -11,6 +11,9 @@ Quick start — back up a directory to a local "cloud" and restore it::
     print(stats.summary())
     restore_session(client.cloud, stats.session_id, "/tmp/restored")
 
+Run it again and the new client's first session reads the store: it
+backs up as the next session and uploads only what changed.
+
 Package map (see DESIGN.md for the full inventory):
 
 ==================  ====================================================

@@ -78,9 +78,6 @@ def cmd_backup(args) -> int:
         tracer = Tracer()  # wall clock: profiles the real run
     client = BackupClient(LocalDirectoryBackend(args.store), config,
                           tracer=tracer)
-    recovered = client.resume_from_cloud()
-    if recovered and not args.quiet:
-        print(f"resumed {recovered} index entries from the store")
     stats = client.backup(DirectorySource(args.source))
     client.close()
     _print_warnings(stats)

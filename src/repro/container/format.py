@@ -23,7 +23,7 @@ import hashlib
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.errors import ContainerFormatError
 
@@ -182,13 +182,6 @@ class ContainerReader:
             self.descriptors.append(
                 ChunkDescriptor.unpack(blob[pos:pos + _DESC.size]))
             pos += _DESC.size
-        self._by_fp: Dict[bytes, ChunkDescriptor] = {
-            d.fingerprint: d for d in self.descriptors}
-
-    def get(self, fingerprint: bytes) -> Optional[bytes]:
-        """Extent bytes for ``fingerprint``, or ``None`` if absent."""
-        desc = self._by_fp.get(fingerprint)
-        return None if desc is None else self.extent(desc)
 
     def extent(self, desc: ChunkDescriptor) -> bytes:
         """Extent bytes for a descriptor (bounds-checked)."""

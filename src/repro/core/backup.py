@@ -19,9 +19,9 @@ bare backend).  Every session is the paper's linear pipeline (Sec. III):
    containers, sealed by the append that fills them and uploaded inline
    or, with ``pipeline_uploads``, on one uploader thread overlapping
    deduplication (the paper's pipelined design);
-5. **manifest** — the one metadata object a session persists; a new
-   process rebuilds the index from the retained ones and takes the
-   newest as its previous manifest.
+5. **manifest** — the one metadata object a session persists; a
+   client's first session open rebuilds the index from the retained
+   ones and takes the newest as its previous manifest.
 
 All work is charged to :class:`~repro.core.stats.OpCounters` so the
 virtual platform model can price a session on the paper's hardware.
@@ -85,13 +85,14 @@ class BackupClient:
     The client owns the chunk index (layout per config), the container
     manager (container ids persist across sessions) and the previous
     session's manifest; call :meth:`backup` once per session with a
-    source snapshot.
+    source snapshot.  Construction makes no request: a client reads
+    the store only when a session opens (:meth:`_open`).
 
     ``index_factory(app)`` builds each per-application subindex and
     must return an empty one.  The index is never patched: after a GC
     epoch change or a failed session the client drops it whole,
     unflushed and unclosed, and the next session open builds a new one
-    from the retained manifests (as :meth:`resume_from_cloud` does).
+    from the retained manifests, as the first open does.
     """
 
     def __init__(self,
@@ -115,9 +116,9 @@ class BackupClient:
         self._index_factory = index_factory
         self.index = AppAwareIndex(factory=index_factory,
                                    tracer=self.tracer)
-        #: Whether the index was dropped since it last matched the
-        #: retained manifests (the next session open rebuilds it).
-        self._index_stale = False
+        #: Whether the index may not match the retained manifests: a new
+        #: client's, or one dropped since (the next open rebuilds it).
+        self._index_stale = True
         #: The last committed session's manifest, the one source of
         #: unchanged-file replays (stat cache, Jungle-Disk detection).
         self._prev_manifest: Optional[Manifest] = None
@@ -139,32 +140,20 @@ class BackupClient:
         self._app: Optional[str] = None
         self._journal: Optional[SessionJournal] = None
         #: The store's GC epoch when this client last read it (``None``:
-        #: no store state held yet).
+        #: no session has opened yet).
         self._epoch: Optional[int] = None
         # Multi-client deployments sharing one container pool assign
-        # each client a disjoint id range up front; single clients probe
-        # the cloud so a fresh client never reuses a live id.
+        # each client a disjoint id range up front; a single client
+        # numbers after the store's containers at its first open.
+        self._first_container_id = first_container_id
         self._containers = ContainerManager(
             upload=lambda container_id, blob: self._put(
                 naming.container_key(container_id), blob),
             container_size=self.config.container_size,
             pad_containers=self.config.pad_containers,
-            first_container_id=(first_container_id
-                                if first_container_id is not None
-                                else self._resume_container_id()),
+            first_container_id=first_container_id or 0,
             tracer=self.tracer,
         ) if self.config.use_containers else None
-
-    def _resume_container_id(self) -> int:
-        """Continue container numbering after any containers already in
-        the cloud — a fresh client (e.g. after disaster recovery) must
-        never reuse an id, or it would overwrite live data.  For the
-        same reason a failed listing raises: guessing 0 is the one
-        answer that is never safe."""
-        ids = map(naming.container_id_of,
-                  self.cloud.list(naming.CONTAINER_PREFIX))
-        return max((cid for cid in ids if cid is not None),
-                   default=-1) + 1
 
     # -- cloud I/O ------------------------------------------------------
     def _put(self, key: str, blob: bytes) -> None:
@@ -253,24 +242,40 @@ class BackupClient:
                 chunker.tracer = self.tracer
         return chunker
 
-    # -- the GC epoch ---------------------------------------------------
-    def _open_epoch(self, warnings: list) -> None:
-        """Read the store's GC epoch at session open.  A changed (or
-        unreadable) one means a sweep may have deleted extents the index
-        and previous manifest name: both are dropped.  A dropped index
-        (a failed session drops one too) is rebuilt from the retained
-        manifests, which GC trims before it moves the epoch."""
+    # -- session open ---------------------------------------------------
+    def _open(self, warnings: list) -> None:
+        """Read the store at session open, the one place a client does.
+
+        The first open numbers containers after the store's (unless the
+        constructor was given a first id; a failed listing raises, as
+        reusing a live id would overwrite data), rebuilds the index and
+        takes the newest retained manifest as the previous one when this
+        scheme wrote it.  At a later open a changed (or unreadable) GC
+        epoch means a sweep may have deleted extents the index and
+        previous manifest name: both are dropped, and a dropped index (a
+        failed session drops one too) is rebuilt from the manifests,
+        which GC trims before it moves the epoch.  An open that raises
+        leaves the client unopened, so the next one retries."""
         try:
             epoch = read_epoch(self.cloud)
         except CloudError as exc:
             warnings.append(f"GC epoch unreadable (rebuilding the index): "
                             f"{exc}")
             epoch = -1  # never an epoch: the next read rebuilds
-        if self._epoch is not None and (epoch != self._epoch or epoch == -1):
+        first = self._epoch is None
+        if not first and (epoch != self._epoch or epoch == -1):
             self._prev_manifest, self._index_stale = None, True
-        self._epoch = epoch
+        if first and self._containers is not None \
+                and self._first_container_id is None:
+            self._containers.set_next_id(max(
+                naming.next_container_ids(self.cloud).values(), default=0))
         if self._index_stale:
-            self._rebuild_index()
+            newest = self._rebuild_index()
+            if first:
+                self._prev_manifest = (
+                    newest if newest is not None
+                    and newest.scheme == self.config.name else None)
+        self._epoch = epoch
 
     def _abandon(self) -> None:
         """Forget what a session that failed before its manifest placed:
@@ -299,27 +304,30 @@ class BackupClient:
     # -- the session ----------------------------------------------------
     def backup(self, source: Iterable[SourceFile],
                session_id: int | None = None) -> SessionStats:
-        """Run one backup session over ``source``; returns its stats."""
-        cfg = self.config
-        if session_id is None:
-            session_id = self._next_session
-        with self.tracer.span("session", scheme=cfg.name,
-                              session=session_id):
-            return self._session(source, session_id)
+        """Run one backup session over ``source``; returns its stats.
+        The session id defaults to the one after every session retained
+        in the store or committed by this client."""
+        with self.tracer.span("session", scheme=self.config.name) as span:
+            return self._session(source, session_id, span)
 
     def _session(self, source: Iterable[SourceFile],
-                 session_id: int) -> SessionStats:
+                 session_id: Optional[int], span) -> SessionStats:
         cfg = self.config
-        stats = SessionStats(session_id=session_id, scheme=cfg.name)
         # Simulated runs stamp manifests with virtual time so serialized
         # output (and therefore byte accounting) is fully deterministic;
         # real deployments keep the wall clock.
         clock = getattr(self.cloud, "clock", None)
         created = clock.now() if clock is not None else time.time()
-        manifest = Manifest(session_id, cfg.name, created=created)
         puts_before = self.cloud.stats.put_requests
         up_before = self.cloud.stats.bytes_uploaded
-        self._open_epoch(stats.warnings)
+        warnings: list = []
+        self._open(warnings)
+        if session_id is None:
+            session_id = self._next_session
+        span.set("session", session_id)
+        stats = SessionStats(session_id=session_id, scheme=cfg.name,
+                             warnings=warnings)
+        manifest = Manifest(session_id, cfg.name, created=created)
         self.index.reset_stats()
         first_id = (self._containers.next_container_id
                     if self._containers is not None else 0)
@@ -715,23 +723,8 @@ class BackupClient:
         return ChunkRef(fp, length, object_key=key or naming.chunk_key(fp))
 
     # ------------------------------------------------------------------
-    def resume_from_cloud(self) -> int:
-        """Rebuild client state from the retained manifests, the only
-        metadata a session persists (a new process; the CLI's startup).
-
-        The index is rebuilt (:meth:`_rebuild_index`); the newest
-        manifest, if this scheme wrote it, becomes the previous
-        manifest.  The epoch is read first, so a racing sweep shows at
-        the next session open.  Returns the index size."""
-        self._epoch = read_epoch(self.cloud)
-        newest = self._rebuild_index()
-        self._prev_manifest = (newest if newest is not None
-                               and newest.scheme == self.config.name
-                               else None)
-        return len(self.index)
-
     def _rebuild_index(self) -> Optional[Manifest]:
-        """Replace the index with one filled from the retained
+        """Replace the index with one filled from the client's retained
         manifests: each ref this scheme could have placed goes into the
         subindex :meth:`SchemeConfig.plan_file` routes its file to, the
         newest session winning.  GC keeps what they name, so all of it
@@ -740,14 +733,11 @@ class BackupClient:
         cfg = self.config
         index = AppAwareIndex(factory=self._index_factory,
                               tracer=self.tracer)
-        walk = StoreWalk(self.cloud)
         newest: Optional[Manifest] = None
-        for record in sorted((r for r in walk.manifests if r.namespace
-                              is None and r.session_id is not None),
-                             key=lambda r: r.session_id):
-            newest = walk.load(record)
-            self._next_session = max(self._next_session,
-                                     record.session_id + 1)
+        for session_id in naming.session_ids(self.cloud):
+            newest = Manifest.from_json(
+                self.cloud.get(naming.manifest_key(session_id)))
+            self._next_session = max(self._next_session, session_id + 1)
             for entry in newest:
                 plan = cfg.plan_file(classify_name(entry.path), entry.size)
                 if not entry.tiny and plan.policy is not None:

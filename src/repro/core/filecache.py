@@ -28,9 +28,9 @@ Safety rules (see docs/STATCACHE.md):
   :func:`invalidate_statcache`, so no replayed ref can outlive a
   collection that may have removed its extents.
 
-Nothing is persisted beyond the manifest itself: a new process takes
-the newest manifest as its previous one
-(:meth:`~repro.core.backup.BackupClient.resume_from_cloud`).  Replay is
+Nothing is persisted beyond the manifest itself: a client's first
+session open takes the newest manifest as its previous one
+(:meth:`~repro.core.backup.BackupClient._open`).  Replay is
 a pure performance hint: losing the previous manifest (crash, epoch
 bump) costs re-chunking work on the next session, never correctness.
 """

@@ -10,9 +10,9 @@ paper claims, all realised here:
 * lookups for different applications are independent: no operation
   ever touches two subindices.
 
-A new process rebuilds the subindices from the retained manifests
-(:meth:`repro.core.backup.BackupClient.resume_from_cloud`); no index
-copy is kept in the cloud.
+A client's first session open rebuilds the subindices from the
+retained manifests (:meth:`repro.core.backup.BackupClient._open`); no
+index copy is kept in the cloud.
 """
 
 from __future__ import annotations

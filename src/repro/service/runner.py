@@ -5,8 +5,8 @@
 gets its own :class:`~repro.cloud.NamespacedBackend` view of the one
 shared backend (private manifests; shared container and chunk pools),
 its own :class:`~repro.core.backup.BackupClient` configured from the
-job's scheme and resumed from the cloud, and a disjoint container-id
-range by job rank.
+job's scheme (its first session open reads the job's retained
+manifests), and a disjoint container-id range by job rank.
 
 Jobs due at one instant of the shared
 :class:`~repro.simulate.clock.VirtualClock` form a **wave**: their
@@ -213,9 +213,11 @@ class BackupService:
     """Run a :class:`ServiceSpec`'s jobs over one shared backend.
 
     ``backend`` persists across instantiations (pass a durable store to
-    get stateless re-invocation: each job's client resumes its index,
-    stat cache and session counter from the cloud, and container-id
-    allocation resumes inside the job's stride).  ``jobs`` restricts the
+    get stateless re-invocation: each job's client rebuilds its index,
+    stat cache and session counter from the cloud at its first session
+    open, and container-id allocation resumes inside the job's
+    stride).  Building the service reads no manifest, so a job whose
+    store cannot be read fails its own run, not the service.  ``jobs`` restricts the
     service to a named subset (CLI ``--job``).  ``directory`` makes the
     jobs a fleet: it backs every job's subindices with
     :class:`~repro.fleet.client.FleetIndex` fronts on that shared
@@ -273,7 +275,6 @@ class BackupService:
                 first_container_id=next_ids.get(
                     rank, rank * naming.CONTAINER_ID_STRIDE),
                 tracer=self.tracer)
-            client.resume_from_cloud()
             self.jobs.append(
                 _JobRuntime(rank, job, view, client, job.make_source()))
         self.jobs.sort(key=lambda runtime: runtime.rank)

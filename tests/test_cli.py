@@ -32,11 +32,18 @@ class TestBackupRestoreCycle:
         out = capsys.readouterr().out
         assert "session 0" in out
 
-        # Second invocation = fresh process; must dedup via resume.
+        # Second invocation = fresh process: its first session open
+        # reads the store, so the unchanged tree costs one PUT, the
+        # manifest of session 1.
+        before = {path for path in store.rglob("*") if path.is_file()}
         assert run("backup", source_tree, "--store", store) == 0
         out = capsys.readouterr().out
-        assert "resumed" in out
+        assert "session 1" in out and "puts=1" in out
         assert "0 new chunks" in out
+        added = {path for path in store.rglob("*")
+                 if path.is_file()} - before
+        assert [path.relative_to(store).as_posix() for path in added] == [
+            "manifests/session-000001.json"]
 
         assert run("ls", "--store", store) == 0
         out = capsys.readouterr().out

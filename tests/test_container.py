@@ -28,8 +28,8 @@ class TestContainerFormat:
         assert len(blob) == 64 * KIB  # padded
         r = ContainerReader(blob)
         assert r.container_id == 3
-        assert r.get(fp(b"a")) == b"alpha-data"
-        assert r.get(fp(b"b")) == b"beta-data"
+        assert [(d.fingerprint, r.extent(d)) for d in r.descriptors] == [
+            (fp(b"a"), b"alpha-data"), (fp(b"b"), b"beta-data")]
         assert r.descriptors[1].flags == FLAG_TINY_FILE
 
     def test_unpadded_seal(self):
@@ -37,12 +37,15 @@ class TestContainerFormat:
         w.append(fp(b"x"), b"tiny")
         blob = w.seal(pad_to_capacity=False)
         assert len(blob) < 1024
-        assert ContainerReader(blob).get(fp(b"x")) == b"tiny"
+        r = ContainerReader(blob)
+        assert [(d.fingerprint, r.extent(d)) for d in r.descriptors] == [
+            (fp(b"x"), b"tiny")]
 
     def test_missing_fingerprint(self):
         w = ContainerWriter(1, capacity=8 * KIB)
         w.append(fp(b"x"), b"data")
-        assert ContainerReader(w.seal()).get(fp(b"nope")) is None
+        assert fp(b"nope") not in {
+            d.fingerprint for d in ContainerReader(w.seal()).descriptors}
 
     def test_read_at(self):
         w = ContainerWriter(1, capacity=8 * KIB)
@@ -94,10 +97,7 @@ class TestContainerFormat:
             fps.append((key, payload))
             w.append(key, payload)
         r = ContainerReader(w.seal())
-        # Last writer wins for duplicate fingerprints within a container;
-        # distinct indices here so all must match.
-        for key, payload in fps:
-            assert r.get(key) == payload
+        assert [(d.fingerprint, r.extent(d)) for d in r.descriptors] == fps
 
 
 class TestContainerManager:

@@ -1,10 +1,13 @@
 """Integration tests for the backup engine: the AA-Dedupe pipeline and
 its observable behaviours (filtering, chunking policy, dedup, containers,
-resume, manifests)."""
+the first session open, manifests)."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.baselines import all_scheme_configs
 from repro.classify.filetype import Category
 from repro.cloud import InMemoryBackend
 from repro.core import (
@@ -124,12 +127,26 @@ class TestAAPipeline:
         assert cloud.exists(naming.manifest_key(0))
 
     def test_index_synced_to_cloud(self, dataset):
-        # The manifest carries the index: a new process rebuilds it.
+        # The manifest carries the index: a new process's first session
+        # open rebuilds it, so nothing stored before is stored again.
         cloud = InMemoryBackend()
         BackupClient(cloud, small_config()).backup(MemorySource(dataset))
         resumed = BackupClient(cloud, small_config())
-        resumed.resume_from_cloud()
+        stats = resumed.backup(MemorySource(dataset))
+        assert stats.session_id == 1
+        assert stats.chunks_unique == 0
         assert any("mp3" in app for app in resumed.index.apps)
+
+    @pytest.mark.parametrize("config", all_scheme_configs(),
+                             ids=lambda c: c.name)
+    def test_construction_makes_no_request(self, dataset, config):
+        # A client reads the store only when a session opens.
+        cloud = InMemoryBackend()
+        BackupClient(cloud, config).backup(MemorySource(dataset))
+        before = replace(cloud.stats)
+        BackupClient(cloud, config)
+        BackupClient(cloud, config, first_container_id=7)
+        assert cloud.stats == before
 
     def test_index_sync_disabled(self, dataset):
         # No index replica is ever written: containers and the manifest.

@@ -357,14 +357,16 @@ class TestGarbageCollection:
 
 
 class TestIndexSync:
-    """The manifests are the index's cloud copy: a new process rebuilds
-    it with ``resume_from_cloud``."""
+    """The manifests are the index's cloud copy: a new process's first
+    session open rebuilds it."""
 
     def test_push_pull_roundtrip(self, backed_up):
         cloud, client, _f, _f2 = backed_up
         fresh = BackupClient(cloud, client.config)
-        restored = fresh.resume_from_cloud()
-        assert restored == len(client.index)
+        warnings = []
+        fresh._open(warnings)
+        assert warnings == []
+        assert len(fresh.index) == len(client.index)
         assert ({app: len(fresh.index.subindex(app))
                  for app in fresh.index.apps}
                 == {app: len(client.index.subindex(app))
@@ -380,16 +382,18 @@ class TestIndexSync:
         assert added == {"containers", "manifests"}
 
     def test_disaster_recovery_dedup_continuity(self, backed_up, rng):
-        # A brand-new client that resumes from the manifests keeps
-        # deduplicating against data already in the cloud.
+        # A brand-new client rebuilds its index from the manifests at
+        # its first session open and keeps deduplicating against data
+        # already in the cloud.
         cloud, old_client, files, files2 = backed_up
         new_client = BackupClient(cloud, old_client.config)
-        new_client.resume_from_cloud()
-        stats = new_client.backup(MemorySource(files2), session_id=5)
+        stats = new_client.backup(MemorySource(files2))
+        assert stats.session_id == 2
         # Only tiny repack bytes are re-uploaded; all chunks dedup.
         assert stats.bytes_unique <= 200
-        out, _ = RestoreClient(cloud).restore_to_memory(5)
-        assert out == files2
+        for session_id, expected in enumerate((files, files2, files2)):
+            out, _ = RestoreClient(cloud).restore_to_memory(session_id)
+            assert out == expected
 
 
 class TestDirectorySourceEndToEnd:
@@ -421,7 +425,7 @@ class TestDirectorySourceEndToEnd:
         client.backup(MemorySource({"f.doc": np.random.default_rng(
             9).integers(0, 256, 25_000, dtype=np.uint8).tobytes()}))
         listed = store.list("")
-        next_id = client._resume_container_id()
+        next_id = max(naming.next_container_ids(store).values())
 
         def killed(src, dst):
             raise KeyboardInterrupt
@@ -435,4 +439,6 @@ class TestDirectorySourceEndToEnd:
         assert len(on_disk) == len(store.list(naming.CONTAINER_PREFIX)) + 1
         assert store.list("") == listed
         assert scrub_cloud(store).clean
-        assert client._resume_container_id() == next_id
+        fresh = BackupClient(store, client.config)
+        fresh._open([])
+        assert fresh._containers.next_container_id == next_id

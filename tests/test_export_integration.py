@@ -64,15 +64,16 @@ class TestSimulatedCloudIntegration:
             container_size=32 * KIB))
         stats = client.backup(MemorySource(files))
 
-        # Virtual WAN time advanced in step with uploaded bytes (plus
-        # the container-id LIST the client issues at construction and
-        # the session's two open-time GETs: GC epoch, journal).
-        assert cloud.upload_seconds <= clock.now() <= \
-            cloud.upload_seconds + 0.3
+        # Virtual WAN time advanced in step with uploaded bytes, plus
+        # the session open's four requests of one latency each on an
+        # empty store: the GC epoch GET, the manifests/ and containers/
+        # LISTs, and the journal GET.
+        open_seconds = 4 * 0.08
+        assert clock.now() == pytest.approx(
+            cloud.upload_seconds + open_seconds)
         expected = (stats.bytes_uploaded / 500_000
                     + stats.put_requests * 0.08)
-        # resume_from_cloud's LIST also advances the clock slightly.
-        assert cloud.upload_seconds >= expected * 0.99
+        assert cloud.upload_seconds == pytest.approx(expected)
         assert cloud.bill() > 0
 
         # Restore works through the same facade and accrues download time.

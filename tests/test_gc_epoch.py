@@ -5,8 +5,8 @@ tier, the previous manifest that the stat cache and Jungle Disk
 replay — may point into extents a sweep just
 deleted.  The client reads the GC epoch at every session open; when it
 moved or cannot be read, the client drops its previous manifest and
-rebuilds its index from the retained manifests, as a resumed client
-does.  GC moves the epoch after it deletes the dropped manifests and
+rebuilds its index from the retained manifests, as a fresh client's
+first session open does (the ``resumed_client`` arm).  GC moves the epoch after it deletes the dropped manifests and
 before it deletes any data, so a sweep cut short never leaves a live
 client trusting deleted extents.  Every later session must restore
 bit-exactly.
@@ -123,7 +123,6 @@ def _sweep_then_backup(scheme, scenario, arm, cut_at=0, tmp_path=None):
         if arm == "resumed_client":
             client.close()
             client = BackupClient(cloud, config)
-            client.resume_from_cloud()
         cloud.down = arm == "epoch_unreadable"
         stats = client.backup(_snapshot(after), session_id=2)
         assert not cloud.down

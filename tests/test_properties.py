@@ -129,7 +129,9 @@ class TestContainerProperty:
         reader = ContainerReader(writer.seal(pad_to_capacity=pad))
         for fp, offset, payload in expected:
             assert reader.read_at(offset, len(payload)) == payload
-            assert reader.get(fp) == payload
+        assert [(d.fingerprint, reader.extent(d))
+                for d in reader.descriptors] == [
+            (fp, payload) for fp, _offset, payload in expected]
 
     @given(payloads=st.lists(st.binary(min_size=1, max_size=500),
                              min_size=1, max_size=6),

@@ -653,7 +653,6 @@ def _doomed_backup(store, kill_at):
 
     client = BackupClient(Dying(store),
                           aa_dedupe_config(container_size=4 * KIB))
-    client.resume_from_cloud()
     client.backup(MemorySource(_media(210)))
     os._exit(1)
 
@@ -857,7 +856,6 @@ class TestResumableSessions:
 
         cloud = Counting(store)
         client = BackupClient(cloud, cfg)
-        client.resume_from_cloud()
         stats = client.backup(MemorySource(files))
         client.close()
         flushed = 64 * ((kill_at - 1) // 64)
@@ -876,40 +874,60 @@ class TestResumableSessions:
 # ---------------------------------------------------------------------------
 class TestContainerNumberingUnderFaults:
     """A fresh client numbers containers after those already in the
-    cloud; a flaky listing must never restart that numbering at 0."""
+    cloud, at its first session open; a flaky listing must never
+    restart that numbering at 0."""
 
     @staticmethod
-    def _store_with_three_containers():
-        inner = InMemoryBackend()
+    def _store_with_three_containers(inner=None):
+        inner = inner if inner is not None else InMemoryBackend()
         for container_id in range(3):
             inner.put(naming.container_key(container_id), b"live data")
         return inner
 
     def test_failed_list_raises_instead_of_guessing_zero(self):
-        inner = self._store_with_three_containers()
-        chaos = ChaosBackend(inner, transient_error_rate=1.0)
+        class ContainersDown(InMemoryBackend):
+            down = True
+
+            def _list(self, prefix):
+                if self.down and prefix == naming.CONTAINER_PREFIX:
+                    raise TransientCloudError("injected: list containers/")
+                return super()._list(prefix)
+
+        cloud = self._store_with_three_containers(ContainersDown())
+        client = BackupClient(cloud, aa_dedupe_config())
+        files = {"docs/a.doc": b"x" * 20_000}
         with pytest.raises(CloudError):
-            BackupClient(chaos, aa_dedupe_config())
-        assert chaos.chaos.transient_errors == 1
+            client.backup(MemorySource(files))
+        assert naming.session_ids(cloud) == []
+        # The failed open left the client unopened: the next session
+        # retries it and numbers after the three containers.
+        cloud.down = False
+        assert client.backup(MemorySource(files)).session_id == 0
+        assert cloud.list(naming.CONTAINER_PREFIX)[3:] == [
+            naming.container_key(3)]
 
     def test_retry_absorbs_first_list_failure(self):
         inner = self._store_with_three_containers()
-        # Seed 1 at rate 0.5: the first operation fails, the second
-        # does not (asserted below via the fault count).
+        # Seed 1 at rate 0.5: the first operation (the epoch GET)
+        # fails; every fault is retried (asserted via the counts).
         chaos = ChaosBackend(inner, seed=1, transient_error_rate=0.5)
         retry = RetryPolicy()
         client = BackupClient(
             SimulatedCloud(chaos, clock=VirtualClock(), retry=retry),
             aa_dedupe_config())
-        assert chaos.chaos.transient_errors == 1
-        assert retry.stats.retries == 1
+        warnings = []
+        client._open(warnings)
+        assert warnings == []
+        assert chaos.chaos.transient_errors >= 1
+        assert retry.stats.retries == chaos.chaos.transient_errors
         assert client._containers.next_container_id == 3
 
 
 class TestResumeFromCloudRetries:
-    """``resume_from_cloud`` reads the GC epoch, the manifest listing and
-    every retained manifest — every request under the cloud facade's
-    retry policy."""
+    """A fresh client's first open under transient faults reads the GC
+    epoch, the manifest listing, every retained manifest and the
+    container listing — every request under the cloud facade's retry
+    policy — and ends in the state a fault-free open reaches."""
 
     @pytest.fixture(scope="class")
     def store(self):
@@ -928,8 +946,10 @@ class TestResumeFromCloudRetries:
     def _resumed(cloud):
         client = BackupClient(cloud, aa_dedupe_config(
             container_size=32 * KIB, stat_cache=True))
-        restored = client.resume_from_cloud()
-        return (restored, client._next_session,
+        warnings = []
+        client._open(warnings)
+        assert warnings == []
+        return (len(client.index), client._next_session,
                 client._prev_manifest.to_json())
 
     @pytest.mark.parametrize("seed", range(20))

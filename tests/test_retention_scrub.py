@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cloud import InMemoryBackend
-from repro.core import BackupClient, MemorySource, aa_dedupe_config
+from repro.core import (BackupClient, MemorySource, RestoreClient,
+                        aa_dedupe_config)
 from repro.core import naming
 from repro.core.scrub import scrub_cloud
 
@@ -107,20 +108,44 @@ class TestScrub:
 
 
 class TestResumeFromCloud:
+    """A fresh client resumes from the store at its first session
+    open: nothing to call first."""
+
     def test_stateless_dedup_continuity(self, populated_cloud):
         cloud, old_client, files = populated_cloud
         fresh = BackupClient(cloud, old_client.config)
-        recovered = fresh.resume_from_cloud()
-        assert recovered == len(old_client.index)
-        assert fresh._next_session == 1
         stats = fresh.backup(MemorySource(files))
         assert stats.session_id == 1
         assert stats.chunks_unique == 0  # everything dedups
+        assert len(fresh.index) == len(old_client.index)
 
     def test_resume_empty_store(self):
         client = BackupClient(InMemoryBackend(), aa_dedupe_config())
-        assert client.resume_from_cloud() == 0
+        warnings = []
+        client._open(warnings)
+        assert warnings == []
+        assert len(client.index) == 0
         assert client._next_session == 0
+
+    def test_fresh_client_never_overwrites_a_retained_session(self, rng):
+        def blob(n):
+            return rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+
+        snapshots = [{"d/r.doc": blob(25_000), "t/t.txt": b"first"},
+                     {"m/a.mp3": blob(30_000), "t/t.txt": b"second"},
+                     {"d/new.doc": blob(20_000), "t/t.txt": b"third"}]
+        cloud = InMemoryBackend()
+        config = aa_dedupe_config(container_size=32 * 1024)
+        old = BackupClient(cloud, config)
+        for files in snapshots[:2]:
+            old.backup(MemorySource(files))
+        stats = BackupClient(cloud, config).backup(
+            MemorySource(snapshots[2]))
+        assert stats.session_id == 2
+        for session_id, files in enumerate(snapshots):
+            restored, _ = RestoreClient(cloud).restore_to_memory(session_id)
+            assert restored == files
+        assert scrub_cloud(cloud).clean
 
     def test_incremental_resume_uses_latest_manifest(self, rng):
         from repro.baselines import jungle_disk_config
@@ -130,7 +155,6 @@ class TestResumeFromCloud:
         BackupClient(cloud, jungle_disk_config()).backup(
             MemorySource(files, mt))
         fresh = BackupClient(cloud, jungle_disk_config())
-        fresh.resume_from_cloud()
         stats = fresh.backup(MemorySource(files, mt))
         assert stats.files_unchanged == 1
         assert stats.bytes_unique == 0

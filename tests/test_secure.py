@@ -168,8 +168,8 @@ class TestSecureBackup:
         c2 = BackupClient(cloud, aa_dedupe_config(
             encrypt_chunks=True, container_size=32 * KIB),
             master_key=OTHER)
-        c2.resume_from_cloud()
-        stats = c2.backup(MemorySource(files), session_id=1)
+        stats = c2.backup(MemorySource(files))
+        assert stats.session_id == 1
         assert stats.chunks_unique == 0  # full cross-client dedup
         restored, _ = RestoreClient(cloud,
                                     master_key=OTHER).restore_to_memory(1)

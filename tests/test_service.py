@@ -352,6 +352,27 @@ class TestServiceRunner:
         assert containers_before <= \
             set(backend.list(naming.CONTAINER_PREFIX))
 
+    def test_unreadable_manifest_fails_its_job_not_the_service(self):
+        # Building a service reads no manifest: a job whose store
+        # cannot be read fails its own run (exit code 1), and the other
+        # jobs run.
+        backend = InMemoryBackend()
+        svc = _service(_job("bad"), _job("good"), backend=backend)
+        svc.run()
+        svc.close()
+        key = naming.tenant_key("bad", naming.manifest_key(0))
+        backend.put(key, b"not a manifest")
+        svc = _service(_job("bad"), _job("good"), backend=backend)
+        report = svc.run()
+        svc.close()
+        assert report.exit_code == 1
+        bad, good = report.reports
+        assert bad.state == "FAILED" and bad.session_id is None
+        assert bad.error.startswith("RestoreError: malformed manifest")
+        assert good.state == "SUCCEEDED" and good.session_id == 1
+        assert backend.get(key) == b"not a manifest"
+        assert naming.session_ids(NamespacedBackend(backend, "bad")) == [0]
+
     def test_job_subset_keeps_spec_rank(self):
         backend = InMemoryBackend()
         svc = BackupService(self._three_job_spec(), backend=backend,

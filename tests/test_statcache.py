@@ -193,7 +193,6 @@ class TestStatCacheReplay:
         first.close()
         # A brand-new process: state rebuilt from the manifests only.
         second = BackupClient(cloud, small_config())
-        second.resume_from_cloud()
         s2 = second.backup(MemorySource(files, mtimes))
         assert s2.session_id == 1
         assert s2.files_unchanged == len(files)

@@ -2,7 +2,8 @@
 
 A hypothesis ``RuleBasedStateMachine`` drives one store through the
 system's public verbs — back up an edited source, back up with a fresh
-client after ``resume_from_cloud``, drop the oldest session and collect
+client (it reads the store at its first session open), drop the oldest
+session and collect
 garbage, cut a GC short at its k-th mutation and back up through the
 client that was open across it, keep the last n sessions through
 ``apply_retention``, move the
@@ -25,10 +26,11 @@ the sessions the model retains, and a scrub must find nothing at all
 (no problem, no degraded copy).  After every sweep (a GC, or a
 retention that dropped a session), the store must hold no garbage:
 every container and every chunk and file object is referenced
-by a retained manifest.  After every resume, the client's index must
-equal a recount from the retained manifests, app by app, and its
-previous manifest (the one source of unchanged-file replays) must be
-the newest retained manifest when this scheme wrote it, else ``None``.
+by a retained manifest.  After a fresh client's first session, its
+index must equal a recount from the retained manifests, app by app,
+and its previous manifest (the one source of unchanged-file replays)
+must be the newest retained manifest when this scheme wrote it, else
+``None``.
 
 The budget comes from a hypothesis profile registered in
 ``tests/conftest.py``: a small derandomised one by default, the large
@@ -252,10 +254,10 @@ class StoreMachine(RuleBasedStateMachine):
         return stats
 
     def _check_resumed(self) -> None:
-        """A resumed client holds exactly what the retained manifests
-        say: its index is a recount of their non-tiny refs
-        (the newest session wins), app by app, and its previous
-        manifest is the newest one if this scheme wrote it."""
+        """After its first session a fresh client holds exactly what
+        the retained manifests say: its index is a recount of their
+        non-tiny refs (the newest session wins), app by app, and its
+        previous manifest is the newest one if this scheme wrote it."""
         manifests = [Manifest.from_json(self.store.get(
             naming.manifest_key(sid))) for sid in self.model.retained()]
         recount: dict = {}
@@ -311,13 +313,13 @@ class StoreMachine(RuleBasedStateMachine):
         assert stats.files_unchanged == 0
 
     @rule(changes=_changes)
-    def backup_resumed(self, changes) -> None:
-        """A new process: fresh client, state rebuilt from the cloud."""
+    def backup_fresh_client(self, changes) -> None:
+        """A new process: a fresh client, whose first session open
+        rebuilds its state from the cloud."""
         self.client.close()
         self.client = self._client()
-        self.client.resume_from_cloud()
-        self._check_resumed()
         self.backup(changes)
+        self._check_resumed()
 
     @precondition(lambda self: not self.config.incremental_only and any(
         policy.chunker in CDC_FAMILY
@@ -325,7 +327,7 @@ class StoreMachine(RuleBasedStateMachine):
     @rule(changes=_changes, step=st.integers(1, len(CDC_FAMILY) - 1))
     def backup_rechunked(self, changes, step) -> None:
         """A new process under another content-defined engine on the
-        same store: the resumed client still holds exactly what the
+        same store: the fresh client still holds exactly what the
         retained manifests say, read under the new config."""
         current = next(policy.chunker
                        for policy in self.config.policy_table.values()
@@ -335,22 +337,20 @@ class StoreMachine(RuleBasedStateMachine):
         self.client.close()
         self.config = self.config.with_chunker(other)
         self.client = self._client()
-        self.client.resume_from_cloud()
-        self._check_resumed()
         self.backup(changes)
+        self._check_resumed()
 
     @precondition(lambda self: not self.config.incremental_only)
     @rule(changes=_changes)
     def backup_reconfigured(self, changes) -> None:
         """A new process with the stat cache flipped, on the same store:
-        the resumed client still holds exactly what the retained
+        the fresh client still holds exactly what the retained
         manifests say, read under the new config."""
         self.client.close()
         self.config = self.config.with_(stat_cache=not self.config.stat_cache)
         self.client = self._client()
-        self.client.resume_from_cloud()
-        self._check_resumed()
         self.backup(changes)
+        self._check_resumed()
 
     @rule()
     def drop_oldest_and_collect(self) -> None:
@@ -447,9 +447,8 @@ class StoreMachine(RuleBasedStateMachine):
                 self.store.kill_at = 0
                 self.store.dead = False
             self.client = self._client()
-            self.client.resume_from_cloud()
-            self._check_resumed()
             self.crash_skipped = self._backup().resume_skipped_objects
+            self._check_resumed()
         assert self.store.list(naming.JOURNAL_PREFIX) == []
 
     @rule(changes=_changes)
@@ -581,7 +580,7 @@ def test_drop_file_collect_bring_back(scheme, arm):
     machine.every_retained_session_restores()
     comeback = [("put", _DROPPED, 20_000, 1)]
     verb = {"same_client": machine.backup,
-            "resumed_client": machine.backup_resumed,
+            "resumed_client": machine.backup_fresh_client,
             "epoch_unreadable": machine.backup_epoch_unreadable}[arm]
     verb(comeback)
     machine.every_retained_session_restores()
@@ -623,7 +622,7 @@ def test_interrupted_session_collect_rerun(scheme, resumed):
     assert machine.store.list(naming.JOURNAL_PREFIX) == []
     machine.every_retained_session_restores()
     if resumed:
-        machine.backup_resumed([])
+        machine.backup_fresh_client([])
     else:
         machine.backup([])
     machine.every_retained_session_restores()
@@ -649,7 +648,7 @@ def test_interrupted_session_domain_kill_rerun(resumed):
     machine.replicate_kill_repair(domain)
     assert left[0] not in machine.store.list(naming.CONTAINER_PREFIX)
     if resumed:
-        machine.backup_resumed([])
+        machine.backup_fresh_client([])
     else:
         machine.backup([])
     machine.every_retained_session_restores()

@@ -1,10 +1,9 @@
 """Dedup continuity across processes, from the manifests alone.
 
-A session persists one metadata object, its manifest.  A new process
-rebuilds the chunk index from the retained manifests and takes the
-newest as its stat cache (``BackupClient.resume_from_cloud``), so a
-dedup hit or a stat-cache replay writes nothing, and an unchanged source
-costs one PUT.
+A session persists one metadata object, its manifest.  A new client's
+first session open rebuilds the chunk index from the retained manifests
+and takes the newest as its stat cache, so a dedup hit or a stat-cache
+replay writes nothing, and an unchanged source costs one PUT.
 """
 
 import numpy as np
@@ -35,29 +34,25 @@ class _PutLog(InMemoryBackend):
 
 
 def _resumed(cloud, config) -> BackupClient:
+    """A fresh client after its first session open."""
     client = BackupClient(cloud, config)
-    client.resume_from_cloud()
+    warnings = []
+    client._open(warnings)
+    assert warnings == []
     return client
 
 
-class TestDedupHitIsARead:
-    @pytest.mark.parametrize("stat_cache", [False, True])
-    def test_unchanged_source_puts_no_index_key(self, stat_cache):
-        cloud = _PutLog()
-        config = aa_dedupe_config(stat_cache=stat_cache)
-        BackupClient(cloud, config).backup(MemorySource(FILES, MTIMES))
-        before = len(cloud.put_keys)
-        _resumed(cloud, config).backup(MemorySource(FILES, MTIMES))
-        assert cloud.put_keys[before:] == [naming.manifest_key(1)]
-
-
-@pytest.mark.parametrize("config", all_scheme_configs(),
-                         ids=lambda c: c.name)
+@pytest.mark.parametrize("config", [
+    *all_scheme_configs(), aa_dedupe_config(stat_cache=False)],
+    ids=[*(c.name for c in all_scheme_configs()), "AA-Dedupe-no-stat-cache"])
 def test_resumed_unchanged_source_puts_only_the_manifest(config):
+    # A fresh client's first session: a dedup hit is a read, a replay
+    # writes nothing, and no index key is ever put.
     cloud = _PutLog()
     BackupClient(cloud, config).backup(MemorySource(FILES, MTIMES))
     before = len(cloud.put_keys)
-    stats = _resumed(cloud, config).backup(MemorySource(FILES, MTIMES))
+    stats = BackupClient(cloud, config).backup(MemorySource(FILES, MTIMES))
+    assert stats.session_id == 1
     assert stats.bytes_unique == 0
     assert stats.put_requests == 1
     assert cloud.put_keys[before:] == [naming.manifest_key(1)]
@@ -103,13 +98,17 @@ def test_resume_skips_refs_the_scheme_cannot_address(writer, resumer):
 
 
 def test_newest_session_wins_a_repeated_fingerprint():
-    # A client that never resumed stores every chunk again, so two
-    # retained sessions name each fingerprint at two locations.
+    # Two sessions backed up by clients that never saw each other's
+    # manifests (here: into two stores, then merged) store every chunk
+    # twice, so the store names each fingerprint at two locations.
     cloud = InMemoryBackend()
     config = aa_dedupe_config(stat_cache=False)
-    for session_id in (0, 1):
-        BackupClient(cloud, config).backup(MemorySource(FILES),
-                                           session_id=session_id)
+    for session_id, first_container_id in ((0, 0), (1, 100)):
+        alone = InMemoryBackend()
+        BackupClient(alone, config, first_container_id=first_container_id
+                     ).backup(MemorySource(FILES), session_id=session_id)
+        for key in alone.list(""):
+            cloud.put(key, alone.get(key))
     client = _resumed(cloud, config)
     old, new = (Manifest.from_json(cloud.get(naming.manifest_key(sid)))
                 .get("docs/a.doc") for sid in (0, 1))
