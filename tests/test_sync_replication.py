@@ -42,6 +42,19 @@ def _resumed(cloud, config) -> BackupClient:
     return client
 
 
+class TestDedupHitIsARead:
+    @pytest.mark.parametrize("stat_cache", [False, True])
+    def test_unchanged_source_puts_no_index_key(self, stat_cache):
+        # backup()'s own open finds the epoch unchanged and keeps the
+        # index and stat cache the first open rebuilt.
+        cloud = _PutLog()
+        config = aa_dedupe_config(stat_cache=stat_cache)
+        BackupClient(cloud, config).backup(MemorySource(FILES, MTIMES))
+        before = len(cloud.put_keys)
+        _resumed(cloud, config).backup(MemorySource(FILES, MTIMES))
+        assert cloud.put_keys[before:] == [naming.manifest_key(1)]
+
+
 @pytest.mark.parametrize("config", [
     *all_scheme_configs(), aa_dedupe_config(stat_cache=False)],
     ids=[*(c.name for c in all_scheme_configs()), "AA-Dedupe-no-stat-cache"])
